@@ -15,8 +15,9 @@ measured twice:
   tradeoff.
 
 The per-MPL ratio is the measured cost of the service layer: framing,
-JSON, syscalls and one scheduler hop per statement.  On loopback it is
-bounded (acceptance: over-the-wire TPS within 5x of in-process at MPL 8)
+JSON, syscalls and one scheduler hop per transaction (a committing
+program run is one ``CALL`` frame).  On loopback it is bounded
+(acceptance: over-the-wire TPS within 2.5x of in-process at MPL 8)
 — the point of the pairing is that the *shape* of the contention curves
 survives the wire, which is what makes over-the-wire experiments
 comparable to the in-process figures.
@@ -65,9 +66,12 @@ SMOKE_MPLS = (1, 8)
 CUSTOMERS = 100
 MIX = "balance60"
 
-#: Smoke mode still enforces the tentpole acceptance bound at MPL 8; the
-#: full run uses the same bound (loopback typically lands well under it).
-MAX_SLOWDOWN = 5.0
+#: MPL-8 acceptance bound, smoke and full run alike: the measured
+#: slowdown with one-RPC programs — 1.84x, 1.94x and 2.08x (the record
+#: in BENCH_net.json) on three undisturbed smoke runs on the 2-vCPU
+#: reference host, against 4.4x-5.3x with statement-by-statement
+#: transactions — plus a 20-30 % margin for that host's speed swings.
+MAX_SLOWDOWN = 2.5
 
 
 def _driver_config(mpl: int, duration: float) -> ThreadedDriverConfig:

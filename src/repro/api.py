@@ -31,7 +31,10 @@ backend hands out real engine sessions; the network backend hands out
 proxies that speak the wire protocol.  Prepared mini-SQL statements
 (:class:`repro.sqlmini.PreparedStatement`) execute against both — the
 network session advertises ``execute_prepared`` and planning moves
-server-side.
+server-side.  The ``tcp://`` and ``cluster://`` sessions additionally
+offer ``call_program(program, args, label)``: a whole transaction — a
+:class:`Program` the server builds from :data:`PROGRAM_FACTORIES` — run
+next to the engine in one round trip (DESIGN.md §11.5, §12.6).
 
 Deprecation policy: direct :class:`~repro.engine.session.Session`
 construction warns with :class:`DeprecationWarning` (the engine session
@@ -42,7 +45,16 @@ a ``-W error::DeprecationWarning`` CI gate.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Protocol, runtime_checkable
+from dataclasses import dataclass
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Iterable,
+    Mapping,
+    Optional,
+    Protocol,
+    runtime_checkable,
+)
 
 from repro.engine.config import EngineConfig
 from repro.engine.engine import Database
@@ -61,6 +73,31 @@ ISOLATION_CONFIGS = {
     "s2pl": EngineConfig.s2pl,
     "ssi": EngineConfig.ssi,
 }
+
+
+@dataclass(frozen=True)
+class Program:
+    """A whole transaction the backend may run next to the engine.
+
+    ``factory`` names an entry of :data:`PROGRAM_FACTORIES` on the server
+    and ``spec`` is the JSON text handed to it; together they identify
+    the body, and ``tcp://`` reads nothing else.  ``route`` lists the
+    arguments that carry Account names, from which ``cluster://`` finds
+    the owning shards.  When those are two shards the router runs
+    ``parts`` instead: two programs, each routed by its own single
+    argument, the second receiving the first's result as ``carry``.
+    """
+
+    factory: str
+    spec: str
+    route: "tuple[str, ...]" = ()
+    parts: "tuple[Program, ...]" = ()
+
+
+#: ``factory name -> factory(spec) -> body(session, args)``: what a server
+#: can build on ``PREPARE_PROGRAM``.  Applications register here at import
+#: (:mod:`repro.smallbank.transactions` does); the wire layer only looks up.
+PROGRAM_FACTORIES: "dict[str, Callable[[object], Callable]]" = {}
 
 
 @runtime_checkable
@@ -332,6 +369,8 @@ __all__ = [
     "Connection",
     "ISOLATION_CONFIGS",
     "LocalConnection",
+    "PROGRAM_FACTORIES",
+    "Program",
     "SessionLike",
     "TransactionContext",
     "connect",

@@ -1,8 +1,11 @@
 """Presumed-abort two-phase commit coordinator (DESIGN.md §12.4, §13).
 
-Phase 1 sends ``PREPARE_2PC`` to every *writing* branch in shard order;
-a participant votes YES by making the prepare record durable and moving
-the transaction to PREPARED, or votes NO by aborting it (any engine
+Phase 1 sends ``PREPARE_2PC`` to every *writing* branch in shard order
+(:meth:`TwoPhaseCoordinator.commit_two_phase`), or rides on the router's
+program ``CALL``\ s, which end ``prepare:<gtid>`` (the router then drives
+:meth:`~TwoPhaseCoordinator.abort` / :meth:`~TwoPhaseCoordinator.decide_commit`
+itself); a participant votes YES by making the prepare record durable and
+moving the transaction to PREPARED, or votes NO by aborting it (any engine
 error — serialization failure, SSI doom, integrity violation — IS the NO
 vote).  Phase 2 records the decision on the coordinator's
 :class:`DecisionLog`, then delivers it: ``COMMIT_2PC`` to every prepared
@@ -39,6 +42,7 @@ oracle latch the hook's caller is holding.
 from __future__ import annotations
 
 import threading
+from contextlib import contextmanager
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from repro.cluster.fanout import FanOutPool, Outcome, first_error
@@ -148,6 +152,18 @@ class TwoPhaseCoordinator:
             return self.fanout.run(tasks, op=op)
         return [FanOutPool._invoke(task) for task in tasks]
 
+    @contextmanager
+    def tracking(self, gtid: str):
+        """Mark ``gtid`` in flight from before its first prepare until
+        its decision has been delivered (or given up on)."""
+        with self._lock:
+            self._in_flight.add(gtid)
+        try:
+            yield
+        finally:
+            with self._lock:
+                self._in_flight.discard(gtid)
+
     def commit_two_phase(self, gtid: str, writers: Sequence) -> None:
         """Atomically commit ``writers`` (network sessions) under ``gtid``.
 
@@ -157,15 +173,8 @@ class TwoPhaseCoordinator:
         order, so presumed-abort semantics are unchanged — a branch that
         prepared after the decision fell is an orphan the resolver
         settles from the (already "abort"-recorded) decision log.
-        Decision delivery errors (a participant crashing *after* the
-        decision was recorded) are re-raised once every reachable
-        participant has been told — the decision stands and recovery
-        re-delivers it to the rest.
         """
-        plan = self.faults
-        with self._lock:
-            self._in_flight.add(gtid)
-        try:
+        with self.tracking(gtid):
             writers = list(writers)
             votes = self._broadcast(
                 [
@@ -179,73 +188,90 @@ class TwoPhaseCoordinator:
             ]
             no_vote = first_error(votes)
             if no_vote is not None:
-                self.log.record(gtid, "abort")
-
-                def quiet_abort(branch) -> None:
-                    try:
-                        branch.abort_2pc(gtid)
-                    except ReproError:
-                        pass  # recovery presumes abort for us
-
-                self._broadcast(
-                    [(lambda b=branch: quiet_abort(b)) for branch in prepared],
-                    op="2pc-abort",
-                )
+                self.abort(gtid, prepared)
                 raise no_vote
-            if plan is not None and plan.should_fire("coordinator-crash-window"):
-                # The protocol's in-doubt window: every vote is YES, no
-                # participant has heard a decision.  Alternate fires die
-                # before vs just after the decision log write, covering
-                # presumed abort *and* commit re-delivery on recovery.
-                crashed_after_log = plan.fired("coordinator-crash-window") % 2 == 0
-                if crashed_after_log:
-                    self.log.record(gtid, "commit")
+            self.decide_commit(gtid, prepared)
+
+    def abort(self, gtid: str, prepared: Sequence) -> None:
+        """Decide abort: log it, then tell the branches that voted YES.
+
+        Delivery is best effort — a branch that cannot be reached (or
+        prepared without our hearing of it) is settled by the resolver
+        from the logged decision; recovery presumes abort anyway.
+        """
+        self.log.record(gtid, "abort")
+
+        def quiet_abort(branch) -> None:
+            try:
+                branch.abort_2pc(gtid)
+            except ReproError:
+                pass
+
+        self._broadcast(
+            [(lambda b=branch: quiet_abort(b)) for branch in prepared],
+            op="2pc-abort",
+        )
+
+    def decide_commit(self, gtid: str, prepared: Sequence) -> None:
+        """Every vote is YES: log the commit, then deliver it.
+
+        Call inside :meth:`tracking`.  Decision delivery errors (a
+        participant crashing *after* the decision was recorded) are
+        re-raised once every reachable participant has been told — the
+        decision stands and recovery re-delivers it to the rest.
+        """
+        plan = self.faults
+        if plan is not None and plan.should_fire("coordinator-crash-window"):
+            # The protocol's in-doubt window: every vote is YES, no
+            # participant has heard a decision.  Alternate fires die
+            # before vs just after the decision log write, covering
+            # presumed abort *and* commit re-delivery on recovery.
+            crashed_after_log = plan.fired("coordinator-crash-window") % 2 == 0
+            if crashed_after_log:
+                self.log.record(gtid, "commit")
+            if self.obs is not None:
+                self.obs.fault_injected("coordinator-crash-window")
+                self.obs.cluster_coordinator_crash()
+            raise CoordinatorCrashed(
+                f"coordinator crashed holding {len(prepared)} YES "
+                f"vote(s) for {gtid!r} "
+                f"({'after' if crashed_after_log else 'before'} the "
+                f"decision log write)",
+                gtid=gtid,
+            )
+        self.log.record(gtid, "commit")
+
+        def deliver(branch) -> None:
+            branch.commit_2pc(gtid)
+            if plan is not None and plan.should_fire("net-dup-decision"):
                 if self.obs is not None:
-                    self.obs.fault_injected("coordinator-crash-window")
-                    self.obs.cluster_coordinator_crash()
-                raise CoordinatorCrashed(
-                    f"coordinator crashed holding {len(prepared)} YES "
-                    f"vote(s) for {gtid!r} "
-                    f"({'after' if crashed_after_log else 'before'} the "
-                    f"decision log write)",
-                    gtid=gtid,
+                    self.obs.fault_injected("net-dup-decision")
+                branch.commit_2pc(gtid)  # idempotent by contract
+
+        # The decision is durable *before* any participant hears it
+        # (the presumed-abort ordering argument) — only the delivery
+        # fan-out below runs concurrently, never the log write.
+        with self.oracle.decision_window():
+            if self.decision_hook is not None:
+                # Test seam: the hook interposes *between* deliveries,
+                # which only means anything serially.
+                delivery_error: Optional[BaseException] = None
+                for index, branch in enumerate(prepared):
+                    if index:
+                        self.decision_hook(gtid, index)
+                    try:
+                        deliver(branch)
+                    except ReproError as exc:
+                        if delivery_error is None:
+                            delivery_error = exc
+            else:
+                outcomes = self._broadcast(
+                    [(lambda b=branch: deliver(b)) for branch in prepared],
+                    op="2pc-decision",
                 )
-            self.log.record(gtid, "commit")
-
-            def deliver(branch) -> None:
-                branch.commit_2pc(gtid)
-                if plan is not None and plan.should_fire("net-dup-decision"):
-                    if self.obs is not None:
-                        self.obs.fault_injected("net-dup-decision")
-                    branch.commit_2pc(gtid)  # idempotent by contract
-
-            # The decision is durable *before* any participant hears it
-            # (the presumed-abort ordering argument) — only the delivery
-            # fan-out below runs concurrently, never the log write.
-            with self.oracle.decision_window():
-                if self.decision_hook is not None:
-                    # Test seam: the hook interposes *between* deliveries,
-                    # which only means anything serially.
-                    delivery_error: Optional[BaseException] = None
-                    for index, branch in enumerate(prepared):
-                        if index:
-                            self.decision_hook(gtid, index)
-                        try:
-                            deliver(branch)
-                        except ReproError as exc:
-                            if delivery_error is None:
-                                delivery_error = exc
-                else:
-                    outcomes = self._broadcast(
-                        [(lambda b=branch: deliver(b)) for branch in prepared],
-                        op="2pc-decision",
-                    )
-                    delivery_error = first_error(outcomes)
-            if delivery_error is not None:
-                raise delivery_error
-        finally:
-            with self._lock:
-                self._in_flight.discard(gtid)
+                delivery_error = first_error(outcomes)
+        if delivery_error is not None:
+            raise delivery_error
 
     def resolve_in_doubt(self, gtid: str, connections: Sequence) -> str:
         """Re-deliver the outcome of ``gtid`` to recovered participants.

@@ -38,6 +38,15 @@ PARTITION_COLUMNS = {
 }
 
 
+#: Lock-wait bound (seconds) on every shard of a *multi-shard* cluster.
+#: Two cross-shard transactions can each hold a row lock on one shard
+#: and wait for the other's on the other; no shard sees the cycle and
+#: there is no global deadlock detector, so a bounded wait is what breaks
+#: it: the loser gets a retryable :class:`~repro.errors.LockTimeout`.
+#: Far above an honest wait (a lock is held for at most a few RPCs).
+SHARD_LOCK_TIMEOUT = 0.25
+
+
 class HashPartitioner:
     """The static customer → shard map shared by router and loaders."""
 
@@ -86,12 +95,17 @@ def build_shard_database(
     every customer, whether or not the customer lands here — so the
     union of all shards is bit-identical to the single-node population
     (``cluster total_money == local total_money`` under the same seed).
+    One shard of several waits at most :data:`SHARD_LOCK_TIMEOUT` for a
+    row lock unless ``config`` sets its own bound.
     """
     if not 0 <= shard_index < shard_count:
         raise ValueError(
             f"shard_index {shard_index} out of range for {shard_count} shards"
         )
     population = population or PopulationConfig()
+    config = config or EngineConfig.postgres()
+    if shard_count > 1 and config.lock_timeout is None:
+        config = config.with_lock_timeout(SHARD_LOCK_TIMEOUT)
     partitioner = HashPartitioner(shard_count)
     rng = random.Random(population.seed)
     db = Database(smallbank_schemas(), config)

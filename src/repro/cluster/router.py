@@ -5,8 +5,11 @@
 :class:`repro.api.Connection` surface; :class:`ClusterSession` routes
 every statement to the shard owning its partition key and commits with
 presumed-abort 2PC — unless the transaction wrote on at most one shard,
-in which case it takes the **fast path**: a plain per-shard COMMIT with
-the existing pipelining/piggybacking intact, no prepare round at all.
+in which case it takes the **fast path**: a plain per-shard COMMIT, no
+prepare round at all.  A whole transaction *program*
+(:meth:`ClusterSession.call_program`) is routed from its arguments
+alone: one ``CALL`` to the owning shard, or — an Amalgamate of customers
+on two shards — its two parts as five RPCs in three rounds.
 
 Snapshot modes (``snapshot_mode=``):
 
@@ -15,8 +18,7 @@ Snapshot modes (``snapshot_mode=``):
   broadcast can land between the per-shard snapshots: the transaction
   sees every distributed commit on all shards or on none.
 * ``"lazy"`` — per-shard BEGINs ride on the first statement touching the
-  shard (the single-node deferred-BEGIN behaviour, cheapest, preserves
-  the fast path's one-round-trip shape end to end) but admits
+  shard (the single-node deferred-BEGIN behaviour, cheapest) but admits
   *fractured reads*: a snapshot taken on shard A before a decision and
   on shard B after it sees half a distributed commit.
 
@@ -28,10 +30,11 @@ servers) in one object for tests, demos and the smoke benchmark.
 from __future__ import annotations
 
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Hashable, Mapping, Optional, Sequence
 
-from repro.api import Connection
+from repro.api import Connection, Program
 from repro.cluster.coordinator import DecisionLog, TwoPhaseCoordinator
 from repro.cluster.fanout import FanOutPool, first_error
 from repro.cluster.oracle import DEFAULT_GTID_LEASE, TimestampOracle
@@ -41,14 +44,17 @@ from repro.cluster.partition import (
     build_shard_database,
 )
 from repro.errors import (
+    ApplicationRollback,
     ConnectionClosed,
     CoordinatorCrashed,
+    LockNotAvailable,
     ReproError,
     ShardUnavailable,
     SqlError,
     TransactionStateError,
 )
-from repro.net.client import NetworkConnection, NetworkSession, _unwrap
+from repro.net.client import NetworkConnection, NetworkSession
+from repro.smallbank.schema import ACCOUNT
 from repro.sqlmini.ast import Insert, Select, equality_key, evaluate
 from repro.sqlmini.executor import StatementResult, parse_cached
 
@@ -59,21 +65,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.workload.retry import RetryPolicy
 
 Row = dict
-
-
-class _UnwrapParams:
-    """Read-only params view resolving lazy pipeline bindings on access."""
-
-    __slots__ = ("_params",)
-
-    def __init__(self, params: "Mapping[str, object]") -> None:
-        self._params = params
-
-    def __getitem__(self, name: str) -> object:
-        return _unwrap(self._params[name])
-
-    def __contains__(self, name: str) -> bool:  # pragma: no cover - parity
-        return name in self._params
 
 
 class ClusterSession:
@@ -90,7 +81,6 @@ class ClusterSession:
         self._cluster = cluster
         self._branches: "dict[int, NetworkSession]" = {}
         self._in_txn = False
-        self._label = ""
         self._tagged = ""
         self._gtid = ""
         #: Locally owned gtid block (oracle lease); refilled on exhaustion.
@@ -116,48 +106,41 @@ class ClusterSession:
         self._gtid_lease_pos += 1
         return number
 
+    def _stamp(self, label: str) -> None:
+        """Name the next global transaction: ``label#g<n>`` on every branch."""
+        self._gtid = f"g{self._next_gtid_number()}"
+        self._tagged = f"{label}#{self._gtid}"
+
     def begin(self, label: str = "") -> None:
         if self._in_txn:
             raise TransactionStateError(
                 "session already has an active transaction"
             )
-        number = self._next_gtid_number()
-        self._gtid = f"g{number}"
-        self._label = label
-        self._tagged = f"{label}#{self._gtid}"
+        self._stamp(label)
         self._in_txn = True
         if self._cluster.snapshot_mode == "consistent":
-            # All per-shard snapshots open inside one shared window: no
-            # 2PC decision broadcast can interleave them.  The per-shard
-            # BEGINs fan out concurrently — they are the price consistent
-            # mode pays on every transaction, so they must not cost
-            # ``shards × RTT``.
-            for shard in range(len(self._cluster.shards)):
-                self._cluster._require_healthy(shard)
+            self._begin_together(
+                [self._open(s) for s in range(len(self._cluster.shards))]
+            )
 
-            def open_branch(connection: "NetworkConnection") -> NetworkSession:
-                branch = connection.session()
-                try:
-                    branch.begin_now(self._tagged)
-                except BaseException:
-                    branch.close()  # do not leak the pooled wire
-                    raise
-                return branch
-
-            with self._cluster.oracle.snapshot_window():
-                outcomes = self._cluster.fanout.run(
-                    [
-                        (lambda c=connection: open_branch(c))
-                        for connection in self._cluster.shards
-                    ],
-                    op="begin",
-                )
-            for shard, outcome in enumerate(outcomes):
-                if outcome.ok:
-                    self._branches[shard] = outcome.value
-            error = first_error(outcomes)
-            if error is not None:
-                raise error
+    def _begin_together(self, branches: "Sequence[NetworkSession]") -> None:
+        """BEGIN on every branch inside one shared snapshot window: no
+        2PC decision broadcast can interleave the snapshots.  The BEGINs
+        fan out concurrently — they are the price consistent mode pays on
+        every statement-by-statement transaction, so they must not cost
+        ``shards × RTT``.
+        """
+        with self._cluster.oracle.snapshot_window():
+            outcomes = self._cluster.fanout.run(
+                [
+                    (lambda b=branch: b.begin_now(self._tagged))
+                    for branch in branches
+                ],
+                op="begin",
+            )
+        error = first_error(outcomes)
+        if error is not None:
+            raise error
 
     @property
     def in_transaction(self) -> bool:
@@ -172,14 +155,20 @@ class ClusterSession:
     def shards_touched(self) -> tuple[int, ...]:
         return tuple(sorted(self._branches))
 
+    def _open(self, shard: int) -> NetworkSession:
+        """Check a session out of ``shard``'s pool; released with the
+        transaction (:meth:`_release_branches`)."""
+        self._cluster._require_healthy(shard)
+        branch = self._cluster.shards[shard].session()
+        self._branches[shard] = branch
+        return branch
+
     def _branch(self, shard: int) -> NetworkSession:
         branch = self._branches.get(shard)
         if branch is None:
             if not self._in_txn:
                 raise TransactionStateError("no active transaction")
-            self._cluster._require_healthy(shard)
-            branch = self._cluster.shards[shard].session()
-            self._branches[shard] = branch
+            branch = self._open(shard)
             branch.begin(self._tagged)  # lazy mode: deferred BEGIN
         return branch
 
@@ -190,12 +179,11 @@ class ClusterSession:
         """Fast path or 2PC, by how many shards this transaction wrote.
 
         Read-only branches always commit plainly — under SI a read-only
-        commit cannot fail, so there is nothing for them to vote on and
-        they keep the single-node deferred-ack shortcut.  With at most
-        one *writing* branch, atomicity is that single shard's local
-        commit and the writer commits plainly too (no prepare round —
-        the fast path the benchmark measures).  Two or more writers go
-        through the presumed-abort coordinator.
+        commit cannot fail, so there is nothing for them to vote on.
+        With at most one *writing* branch, atomicity is that single
+        shard's local commit and the writer commits plainly too (no
+        prepare round — the fast path the benchmark measures).  Two or
+        more writers go through the presumed-abort coordinator.
         """
         try:
             branches = [self._branches[s] for s in sorted(self._branches)]
@@ -208,23 +196,128 @@ class ClusterSession:
                 for branch in branches:
                     if branch.is_readonly:
                         branch.commit()
-                try:
+                with self._cluster._two_phase_outcome():
                     self._cluster.coordinator.commit_two_phase(
                         self._gtid, writers
                     )
-                except CoordinatorCrashed:
-                    # Outcome *unknown*, deliberately not counted as an
-                    # abort: the decision log plus the in-doubt resolver
-                    # settle the gtid after the fact.
-                    self._cluster._count("coordinator_crashes")
-                    raise
-                except BaseException:
-                    self._cluster._count("twopc_aborts")
-                    raise
-                self._cluster._count("twopc_commits")
         finally:
             self._in_txn = False
             self._release_branches()
+
+    # ------------------------------------------------------------------
+    # Whole programs (DESIGN.md §12.6)
+    # ------------------------------------------------------------------
+    def call_program(
+        self, program: Program, args: "Mapping[str, object]", label: str = ""
+    ) -> object:
+        """Run one whole transaction program, routed from ``args`` alone.
+
+        ``program.route`` names the arguments holding Account names
+        (``cust0000042`` encodes its customer, hence its shard).  When
+        they all live on one shard the program is **one ``CALL`` to that
+        shard and nothing to any other**: no BEGIN fan-out and no
+        snapshot window, because a transaction that reads a single shard
+        cannot see a cross-shard commit half applied.  Otherwise its two
+        ``parts`` run under 2PC (:meth:`_call_split`).
+        """
+        if self._in_txn:
+            raise TransactionStateError(
+                "session already has an active transaction"
+            )
+        cluster = self._cluster
+        shards = {
+            self._shard_for(ACCOUNT, args[name]) for name in program.route
+        }
+        self._stamp(label)
+        try:
+            if len(shards) == 1:
+                result = self._open(shards.pop()).call_program(
+                    program, args, self._tagged
+                )
+                cluster._count("fastpath_commits")
+                return result
+            if len(shards) != 2 or len(program.parts) != 2:
+                raise SqlError(
+                    f"cannot route program {label!r}: its arguments name "
+                    f"{len(shards)} shards, it has {len(program.parts)} parts"
+                )
+            with cluster._two_phase_outcome():
+                return self._call_split(program.parts, args)
+        finally:
+            self._release_branches()
+
+    def _call_split(
+        self, parts: "Sequence[Program]", args: "Mapping[str, object]"
+    ) -> object:
+        """A two-shard program as five RPCs in three sequential rounds.
+
+        1. Inside one snapshot window, concurrently: ``CALL first
+           end=prepare:g`` to the first part's shard A (begins, runs,
+           votes) and ``BEGIN`` to the second part's shard B — both
+           snapshots open with no decision broadcast between them.
+        2. ``CALL second end=prepare:g`` to B, joining that transaction,
+           with the first part's result as ``carry``.
+        3. The coordinator's decision: durable log write, then
+           ``COMMIT_2PC`` fanned out to A and B.
+
+        Any failure before the decision — a NO vote, an abort or a
+        business rollback in either part, a lost shard — aborts both
+        parts: the failing ``CALL`` left nothing behind on its shard,
+        the abort is logged and delivered to whatever had prepared, and
+        an open branch is rolled back when the branches are released.
+
+        Round 1 holds the snapshot window, which every decision
+        broadcast waits for, so its ``CALL`` must not wait for a row
+        lock in turn (the holder may be a prepared transaction whose
+        decision is queued behind this very window).  It runs
+        ``nowait``; told the lock is held, the router takes both
+        snapshots first (``BEGIN`` to A and B in a fresh window) and lets
+        the first part wait outside it — one round more, contended case
+        only.
+        """
+        cluster = self._cluster
+        coordinator = cluster.coordinator
+        first, second = parts
+        gtid, label = self._gtid, self._tagged
+        end = f"prepare:{gtid}"
+        prepared: "list[NetworkSession]" = []
+        with coordinator.tracking(gtid):
+            try:
+                branch_a, branch_b = (
+                    self._open(self._shard_for(ACCOUNT, args[part.route[0]]))
+                    for part in parts
+                )
+                with cluster.oracle.snapshot_window():
+                    called, begun = cluster.fanout.run(
+                        [
+                            lambda: branch_a.call_program(
+                                first, args, label, end=end, nowait=True
+                            ),
+                            lambda: branch_b.begin_now(label),
+                        ],
+                        op="call",
+                    )
+                if begun.ok and isinstance(called.error, LockNotAvailable):
+                    branch_b.rollback()
+                    self._begin_together((branch_a, branch_b))
+                    carry = branch_a.call_program(first, args, label, end=end)
+                    prepared.append(branch_a)
+                else:
+                    if called.ok:
+                        prepared.append(branch_a)
+                    error = first_error((begun, called))
+                    if error is not None:
+                        raise error
+                    carry = called.value
+                result = branch_b.call_program(
+                    second, {**args, "carry": carry}, label, end=end
+                )
+                prepared.append(branch_b)
+            except BaseException:
+                coordinator.abort(gtid, prepared)
+                raise
+            coordinator.decide_commit(gtid, prepared)
+        return result
 
     def rollback(self) -> None:
         try:
@@ -251,7 +344,7 @@ class ClusterSession:
     # Routing
     # ------------------------------------------------------------------
     def _shard_for(self, table: str, key: Hashable) -> int:
-        return self._cluster.partitioner.shard_for_row(table, _unwrap(key))
+        return self._cluster.partitioner.shard_for_row(table, key)
 
     def select(
         self, table: str, key: Hashable, *, kind: str = "select"
@@ -272,13 +365,13 @@ class ClusterSession:
     ) -> "Optional[tuple[Hashable, Row]]":
         partitioner = self._cluster.partitioner
         if column == PARTITION_COLUMNS.get(table):
-            shard = partitioner.shard_for_row(table, _unwrap(value))
+            shard = partitioner.shard_for_row(table, value)
             return self._branch(shard).lookup_unique(
                 table, column, value, kind=kind
             )
         if table == "Account" and column == "CustomerId":
             # Unique but not the partition column; still customer-keyed.
-            shard = partitioner.shard_for_customer(int(_unwrap(value)))
+            shard = partitioner.shard_for_customer(int(value))
             return self._branch(shard).lookup_unique(
                 table, column, value, kind=kind
             )
@@ -409,10 +502,7 @@ class ClusterSession:
                 f"constrain the partition column "
                 f"{PARTITION_COLUMNS.get(table)!r} by equality"
             )
-        # Evaluating the routing expr may force a lazy binding from an
-        # earlier pipelined SELECT; the binding drains its own branch's
-        # pipeline, so cross-branch dependencies stay correct.
-        value = evaluate(expr, None, _UnwrapParams(params))
+        value = evaluate(expr, None, params)
         if by_customer_id:
             shard = self._cluster.partitioner.shard_for_customer(int(value))
         else:
@@ -552,6 +642,24 @@ class ClusterConnection(Connection):
     def _count(self, name: str) -> None:
         with self._counter_lock:
             self._counters[name] += 1
+
+    @contextmanager
+    def _two_phase_outcome(self):
+        """Count how one 2PC transaction ended (the body runs it)."""
+        try:
+            yield
+        except CoordinatorCrashed:
+            # Outcome *unknown*, deliberately not counted as an abort:
+            # the decision log plus the in-doubt resolver settle the gtid
+            # after the fact.
+            self._count("coordinator_crashes")
+            raise
+        except ApplicationRollback:
+            raise  # the program's own decision, not the protocol's
+        except BaseException:
+            self._count("twopc_aborts")
+            raise
+        self._count("twopc_commits")
 
     @property
     def shard_count(self) -> int:
@@ -758,19 +866,7 @@ class ClusterConnection(Connection):
         return sum(outcome.value for outcome in outcomes)
 
     def flush(self) -> None:
-        """Settle deferred read-only COMMITs on every shard's idle wires.
-
-        Call before reading per-shard execution traces: until flushed, a
-        read-only transaction's queued COMMIT has not reached its shard
-        and the shard's recorder has not observed it.
-        """
-        outcomes = self.fanout.run(
-            [(lambda c=connection: c.flush()) for connection in self.shards],
-            op="flush",
-        )
-        error = first_error(outcomes)
-        if error is not None:
-            raise error
+        """Nothing to settle (see :meth:`NetworkConnection.flush`)."""
 
     def resolve_in_doubt(self) -> "dict[str, str]":
         """Settle every in-doubt or orphaned-prepared gtid the shards report.
@@ -785,7 +881,6 @@ class ClusterConnection(Connection):
         restart) settles it.
         """
         outcomes: "dict[str, str]" = {}
-        in_flight = self.coordinator.in_flight
         #: gtid -> the shard connections reporting it; each gtid is
         #: settled exactly once per sweep, with one delivery per shard
         #: (so the in_doubt_* counters count settled *transactions*).
@@ -794,6 +889,12 @@ class ClusterConnection(Connection):
             [(lambda c=connection: c.stats()) for connection in self.shards],
             op="resolve-scan",
         )
+        # Read *after* the scan: a gtid is in flight from before its
+        # first prepare, so one the scan saw prepared and this set no
+        # longer holds has had its decision made (or its coordinator
+        # die).  Read before, the set would miss a transaction that
+        # started in between and the sweep would abort it under way.
+        in_flight = self.coordinator.in_flight
         for index, shard in enumerate(self.shards):
             outcome = stat_outcomes[index]
             if not outcome.ok:

@@ -201,6 +201,9 @@ class Database:
         #: its decision (presumed abort: an ABORT_2PC needs no durable
         #: trace).  Populated by :mod:`repro.engine.recovery`.
         self._in_doubt: dict[str, WalRecord] = {}
+        #: gtid -> the placeholder transaction holding an in-doubt
+        #: prepare's row locks until its decision (see ``hold_in_doubt``).
+        self._in_doubt_holders: dict[str, Transaction] = {}
         #: Decided gtids -> ("committed", commit_ts) | ("aborted", 0), for
         #: idempotent decision re-delivery (a coordinator may retry after
         #: a timeout and must get the same answer).
@@ -300,6 +303,8 @@ class Database:
         # vaporizes the transaction, so mark it aborted and fire the
         # callbacks here — woken waiters retry their operation and
         # surface DatabaseCrashed instead of sleeping forever.
+        # (In-doubt lock holders sit in ``_active`` like live prepared
+        # transactions, so they are among the casualties.)
         casualties = list(self._active.values()) + list(
             self._prepared.values()
         )
@@ -310,6 +315,7 @@ class Database:
         self._prepared.clear()
         self._resolved_gtids.clear()
         self._in_doubt.clear()
+        self._in_doubt_holders.clear()
         for txn in casualties:
             txn.status = TxnStatus.ABORTED
             for callback in txn.drain_callbacks():
@@ -991,6 +997,7 @@ class Database:
                     chain = table.chain_or_create(key)
                     chain.append_committed(version)
                     table.index_committed_version(key, version)
+                self._release_in_doubt(gtid)
                 record = WalRecord(
                     commit_ts=commit_ts,
                     txid=stash.txid,
@@ -1055,13 +1062,53 @@ class Database:
                 )
             txn = self._prepared.pop(gtid, None)
             if txn is None:
-                self._in_doubt.pop(gtid, None)
+                if self._in_doubt.pop(gtid, None) is not None:
+                    self._release_in_doubt(gtid)
             else:
                 self._abort_locked(txn, reason="2pc-abort")
                 callbacks = txn.drain_callbacks()
             self._resolved_gtids[gtid] = ("aborted", 0)
         if txn is not None:
             self._fire(callbacks, txn)
+
+    def hold_in_doubt(self, gtid: str, record: WalRecord) -> None:
+        """Recovery hook: stash an undecided prepare, rows locked again.
+
+        A prepared transaction keeps its row locks until its decision; a
+        crash must not free them, or a writer could slip between the
+        recovery and the re-delivered commit (which replays the record's
+        after-images over whatever that writer did — a lost update).
+        The locks belong to a placeholder transaction that holds nothing
+        else: PREPARED, so no session abort path touches it, and in
+        ``_active`` so waiters find it and the vacuum horizon holds.
+        """
+        with self._commit_mutex:
+            self._txid_counter += 1
+            holder = Transaction(
+                self._txid_counter, self.clock.last, label=record.label
+            )
+            holder.status = TxnStatus.PREPARED
+            holder.gtid = gtid
+            for row_id, _value in record.redo:
+                with self._stripe(row_id):
+                    self.locks.try_acquire(
+                        holder.txid, row_id, LockMode.EXCLUSIVE
+                    )
+            self._active[holder.txid] = holder
+            self._in_doubt[gtid] = record
+            self._in_doubt_holders[gtid] = holder
+
+    def _release_in_doubt(self, gtid: str) -> None:
+        """A decided in-doubt prepare lets go of its rows (commit mutex
+        held): drop the placeholder's locks and wake whoever waited on
+        them, as :meth:`_crash_locked` wakes waiters — no observer hears
+        of the placeholder, it never was a transaction of anyone's."""
+        holder = self._in_doubt_holders.pop(gtid)
+        holder.status = TxnStatus.ABORTED
+        self._active.pop(holder.txid, None)
+        self._release_locks(holder.txid)
+        for callback in holder.drain_callbacks():
+            callback(holder)
 
     @property
     def recovered_in_doubt(self) -> tuple[str, ...]:

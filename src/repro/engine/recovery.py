@@ -47,8 +47,8 @@ def replay_records(db: "Database", records: Sequence[WalRecord]) -> "Database":
     ``prepare`` record is *stashed* by gtid, not applied — nothing of it
     is visible until a decision.  A matching ``commit-2pc`` record pops
     the stash and applies the stashed redo at the decision's timestamp.
-    A prepare with no decision in the prefix stays stashed in
-    ``db._in_doubt``: it is in-doubt until the coordinator re-delivers a
+    A prepare with no decision in the prefix stays stashed
+    (:meth:`Database.hold_in_doubt`): it is in-doubt until the coordinator re-delivers a
     decision (``Database.commit_prepared``) or presumed abort lets it
     rot — either way it left no visible trace, which is exactly the
     promise the participant's YES vote made.
@@ -109,8 +109,10 @@ def replay_records(db: "Database", records: Sequence[WalRecord]) -> "Database":
         db.wal.flush()
     db.clock.advance_to(last_ts)
     # Survivors are in-doubt: resolvable by coordinator decision
-    # re-delivery, dead by presumed abort otherwise.
-    db._in_doubt.update(in_doubt)
+    # re-delivery, dead by presumed abort otherwise — and until then
+    # their rows stay locked, as they were before the crash.
+    for gtid, record in in_doubt.items():
+        db.hold_in_doubt(gtid, record)
     return db
 
 

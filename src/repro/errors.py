@@ -92,6 +92,19 @@ class LockTimeout(TransactionAborted):
     code = "lock-timeout"
 
 
+class LockNotAvailable(TransactionAborted):
+    """A no-wait operation found its lock held (PostgreSQL's ``NOWAIT``).
+
+    Raised instead of waiting when the caller asked not to block: the
+    cluster router runs the first part of a cross-shard program this way
+    because it holds the oracle's snapshot window meanwhile (DESIGN.md
+    §12.6).  The transaction is rolled back before the error propagates.
+    """
+
+    reason = "lock-not-available"
+    code = "lock-not-available"
+
+
 class FaultInjected(TransactionAborted):
     """A fault-injection plan aborted the transaction (chaos testing).
 

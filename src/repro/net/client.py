@@ -14,17 +14,20 @@ Semantics notes
   exactly the engine's session model.  ``session()`` checks a wire out of
   the pool; ``session.close()`` returns it (rolling back first if a
   transaction is still open).  Broken wires are discarded, never pooled.
+* Every operation is one synchronous request/response round trip — a
+  whole transaction program too: :meth:`NetworkSession.call_program`
+  sends one ``CALL`` and the server begins, runs the body next to the
+  engine and commits (DESIGN.md §11.5).  The statement verbs remain for
+  ad-hoc transactions; their only elision is the deferred BEGIN, which
+  rides on the transaction's first request.
 * ``timeout`` bounds *connection establishment* (and pool checkout).
   RPCs then block until the server answers: a lock wait on the server can
-  legitimately take as long as the engine's ``lock_timeout`` policy
-  allows, and cutting it short client-side would distort the measured
-  contention behaviour the reproduction exists to observe.
+  legitimately take as long as the engine's ``lock_timeout`` allows, and
+  cutting it short client-side would distort the measured contention.
 * ``update(..., changes)`` with a callable is evaluated client-side: READ
   the row, apply the callable, WRITE the merged row back — the same
   read-then-write engine footprint a local ``update`` has.
-* Errors round-trip by class: a server-side
-  :class:`~repro.errors.SerializationFailure` raises as a
-  ``SerializationFailure`` here (see :mod:`repro.net.protocol`), so retry
+* Errors round-trip by class (see :mod:`repro.net.protocol`), so retry
   policies behave identically over the wire.
 """
 
@@ -36,7 +39,7 @@ import threading
 import time
 from typing import TYPE_CHECKING, Callable, Hashable, Mapping, Optional, Union
 
-from repro.api import Connection
+from repro.api import Connection, Program
 from repro.errors import (
     ConnectionClosed,
     ProtocolError,
@@ -46,11 +49,11 @@ from repro.errors import (
 )
 from repro.net.protocol import (
     DEFAULT_MAX_FRAME,
-    FrameDecoder,
-    encode_frame,
     raise_error_payload,
+    read_frame_sync,
+    write_frame_sync,
 )
-from repro.sqlmini.ast import Select, params_in, statement_params
+from repro.sqlmini.ast import Select
 from repro.sqlmini.executor import StatementResult, parse_cached
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids workload cycle)
@@ -75,8 +78,8 @@ class WireConnection:
     ) -> None:
         self.max_frame = max_frame
         self.broken = False
-        #: Per-RPC response deadline in seconds (None = block until the
-        #: server answers — the default; see module docstring for why).
+        #: Per-RPC response deadline in seconds (None, the default: block
+        #: until the server answers; see the module docstring for why).
         self.rpc_deadline = rpc_deadline
         try:
             self.sock = socket.create_connection((host, port), timeout=timeout)
@@ -84,104 +87,10 @@ class WireConnection:
             raise ConnectionClosed(
                 f"cannot connect to {host}:{port}: {exc}"
             ) from None
-        # Connected: from here on RPCs block until the server answers
-        # (unless an explicit ``rpc_deadline`` bounds them).  Frames are
-        # small and latency-bound: disable Nagle.
+        # Frames are small and latency-bound: disable Nagle.
         self.sock.settimeout(rpc_deadline)
         self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._lock = threading.Lock()
-        self._decoder = FrameDecoder(max_frame)
-        self._inbox: "list[dict]" = []
-        #: Encoded-but-unsent request frames (pipelined statements).
-        #: Flushed as ONE ``sendall`` by the next synchronous RPC, so a
-        #: whole batch reaches the server in a single segment and is
-        #: answered in a single reply burst — one round trip total.
-        self._sendbuf: "list[bytes]" = []
-        #: Responses owed to fire-and-forget requests (deferred-ack
-        #: read-only COMMITs, see :meth:`NetworkSession.commit`): the
-        #: next read on this wire silently consumes them first.
-        self._owed = 0
-
-    def _recv_chunk(self) -> bytes:
-        """One ``recv``; deadline expiry and EOF surface as ConnectionClosed."""
-        try:
-            chunk = self.sock.recv(65536)
-        except socket.timeout:
-            raise ConnectionClosed(
-                f"no response within the {self.sock.gettimeout()}s RPC deadline"
-            ) from None
-        except OSError as exc:
-            raise ConnectionClosed(
-                f"socket error while receiving: {exc}"
-            ) from None
-        if not chunk:
-            # Raises ConnectionClosed itself if the close truncated a
-            # frame (poisoning the decoder), else we report the clean EOF.
-            self._decoder.feed_eof()
-            raise ConnectionClosed("server closed the connection")
-        return chunk
-
-    def _read_response(self) -> dict:
-        """One buffered-frame read (usually a single ``recv`` syscall)."""
-        if self._sendbuf:  # never block on responses to unsent requests
-            self._flush_locked()
-        while True:
-            while not self._inbox:
-                self._inbox.extend(self._decoder.feed(self._recv_chunk()))
-            frame = self._inbox.pop(0)
-            if self._owed:
-                # Deferred ack: only ever issued for operations that
-                # cannot fail (read-only SI COMMIT), so an error here is
-                # a protocol invariant violation, not a request outcome.
-                self._owed -= 1
-                if not frame.get("ok"):
-                    raise ProtocolError(
-                        "deferred-ack request failed on the server: "
-                        f"{frame.get('error')!r}"
-                    )
-                continue
-            return frame
-
-    def _flush_locked(self) -> None:
-        data = b"".join(self._sendbuf)
-        self._sendbuf.clear()
-        try:
-            self.sock.sendall(data)
-        except (ConnectionError, socket.timeout, OSError) as exc:
-            raise ConnectionClosed(f"socket error while sending: {exc}") from None
-
-    def buffer(self, op: str, args: Mapping[str, object]) -> dict:
-        """Encode one request and queue it for the next flush.
-
-        Returns the message dict so a caller may amend-and-re-encode it
-        while it is still the last unsent frame (COMMIT piggybacking —
-        see :meth:`NetworkSession.commit`).
-        """
-        if self.broken:
-            raise ConnectionClosed("wire connection already failed")
-        message: dict = {"op": op}
-        message.update(args)
-        self._sendbuf.append(encode_frame(message))
-        return message
-
-    def send(self, op: str, args: Mapping[str, object]) -> None:
-        """Flush queued frames plus this request in one ``sendall``."""
-        self.buffer(op, args)
-        try:
-            with self._lock:
-                self._flush_locked()
-        except (ConnectionClosed, ProtocolError):
-            self.broken = True
-            raise
-
-    def recv(self) -> dict:
-        """Read one raw response frame (no ``ok`` interpretation)."""
-        try:
-            with self._lock:
-                return self._read_response()
-        except (ConnectionClosed, ProtocolError):
-            self.broken = True
-            raise
 
     def call(
         self,
@@ -192,25 +101,30 @@ class WireConnection:
         """One request/response round trip; raises the server's error.
 
         ``deadline`` bounds *this* call's response wait (overriding the
-        wire's ``rpc_deadline`` for its duration); expiry breaks the wire
-        — a late response could not be paired with its request anyway.
+        wire's ``rpc_deadline`` for its duration).  A transport failure —
+        deadline expiry included — breaks the wire for good: a late
+        response could not be paired with its request anyway.
         """
-        self.buffer(op, args)
+        if self.broken:
+            raise ConnectionClosed("wire connection already failed")
+        message: dict = {"op": op}
+        message.update(args)
+        override = deadline is not None and deadline != self.rpc_deadline
         try:
             with self._lock:
-                if deadline is not None and deadline != self.rpc_deadline:
+                if override:
                     self.sock.settimeout(deadline)
-                    try:
-                        self._flush_locked()
-                        response = self._read_response()
-                    finally:
+                try:
+                    write_frame_sync(self.sock, message)
+                    response = read_frame_sync(self.sock, self.max_frame)
+                finally:
+                    if override:
                         try:
                             self.sock.settimeout(self.rpc_deadline)
-                        except OSError:  # pragma: no cover - broken socket
+                        except OSError:  # pragma: no cover - closed under us
                             self.broken = True
-                else:
-                    self._flush_locked()
-                    response = self._read_response()
+            if response is None:
+                raise ConnectionClosed("server closed the connection")
         except (ConnectionClosed, ProtocolError):
             self.broken = True
             raise
@@ -219,254 +133,12 @@ class WireConnection:
         raise_error_payload(response.get("error"))
         raise AssertionError("unreachable")  # pragma: no cover
 
-    def drain_owed(self) -> None:
-        """Send queued frames and consume every owed deferred ack.
-
-        Leaves the wire perfectly quiescent: no unsent requests, no
-        unread responses.  Used to settle deferred read-only COMMITs
-        whose server-side transaction would otherwise stay open until
-        the wire's next use (e.g. before reading an execution trace).
-        """
-        try:
-            with self._lock:
-                if self._sendbuf:
-                    self._flush_locked()
-                while self._owed:
-                    while not self._inbox:
-                        self._inbox.extend(
-                            self._decoder.feed(self._recv_chunk())
-                        )
-                    frame = self._inbox.pop(0)
-                    self._owed -= 1
-                    if not frame.get("ok"):
-                        raise ProtocolError(
-                            "deferred-ack request failed on the server: "
-                            f"{frame.get('error')!r}"
-                        )
-        except (ConnectionClosed, ProtocolError):
-            self.broken = True
-            raise
-
     def close(self) -> None:
         self.broken = True
         try:
             self.sock.close()
         except OSError:  # pragma: no cover - close is best-effort
             pass
-
-
-class _RemoteTransaction:
-    """Client-side stand-in for the engine's ``Transaction`` handle.
-
-    ``txid`` / ``snapshot_ts`` are ``None`` until the deferred BEGIN
-    reaches the server (piggybacked on the transaction's first statement
-    — see :meth:`NetworkSession.begin`).
-    """
-
-    __slots__ = ("txid", "snapshot_ts", "label", "_session")
-
-    def __init__(
-        self,
-        txid: Optional[int],
-        snapshot_ts: Optional[int],
-        label: str,
-        session: "NetworkSession",
-    ) -> None:
-        self.txid = txid
-        self.snapshot_ts = snapshot_ts
-        self.label = label
-        self._session = session
-
-    @property
-    def is_active(self) -> bool:
-        return self._session.in_transaction
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<RemoteTransaction txid={self.txid} label={self.label!r}>"
-
-
-class _PendingStatementResult:
-    """Lazy result of a pipelined (fire-and-forget) statement.
-
-    Non-SELECT statements are shipped without waiting for their response;
-    the response is collected at the next synchronous RPC (usually the
-    COMMIT), batching round trips.  SmallBank programs never look at
-    UPDATE results, so the laziness is invisible — but a caller that does
-    touch ``rows`` / ``rowcount`` forces the drain and sees the same
-    values (and the same errors) an eager call would have produced.
-    """
-
-    __slots__ = ("_session", "_result", "_error", "_sid_key", "_params", "_delta")
-
-    def __init__(
-        self,
-        session: "NetworkSession",
-        sid_key: "Optional[tuple[str, Optional[str]]]" = None,
-    ) -> None:
-        self._session = session
-        self._result: Optional[StatementResult] = None
-        self._error: Optional[dict] = None
-        self._sid_key = sid_key
-        #: For pipelined SELECTs: the program's params dict, written back
-        #: (real values replacing :class:`_LazyBinding` placeholders) when
-        #: the response arrives.
-        self._params: "Optional[dict[str, object]]" = None
-        self._delta: "Optional[dict]" = None
-
-    def _resolve(self, response: dict) -> None:
-        if response.get("ok"):
-            self._result = StatementResult(
-                rows=list(response.get("rows") or []),
-                rowcount=int(response.get("rowcount") or 0),
-            )
-            delta = response.get("params")
-            self._delta = delta if isinstance(delta, dict) else {}
-            if self._params is not None:
-                self._params.update(self._delta)
-            if self._sid_key is not None and "sid" in response:
-                self._session._connection._sids[self._sid_key] = int(
-                    response["sid"]
-                )
-        else:
-            self._error = dict(response.get("error") or {})
-
-    def _force(self) -> StatementResult:
-        if self._result is None and self._error is None:
-            self._session._sync()
-        if self._error is not None:
-            raise_error_payload(self._error)
-        assert self._result is not None
-        return self._result
-
-    def _binding(self, key: str) -> object:
-        """The value the statement bound for ``INTO :key`` (forces)."""
-        self._force()
-        assert self._delta is not None
-        if key in self._delta:
-            return self._delta[key]
-        # The SELECT matched no row, so it bound nothing: surface the
-        # same KeyError a local program reading the never-set parameter
-        # out of its params dict would have seen.
-        raise KeyError(key)
-
-    @property
-    def rows(self) -> list:
-        return self._force().rows
-
-    @property
-    def rowcount(self) -> int:
-        return self._force().rowcount
-
-
-class _LazyBinding:
-    """Placeholder for an ``INTO :var`` binding of a pipelined SELECT.
-
-    Any *value* use — arithmetic, ``float()``/``int()``, comparison,
-    ``str()``, formatting, truthiness — forces the pipeline drain and
-    behaves like the real bound value.  Identity tests (``x is None``)
-    cannot be intercepted and do **not** force, which is exactly why only
-    *dependent* SELECTs are pipelined (see
-    :meth:`NetworkSession.execute_prepared`): the idiomatic existence
-    check ``params.get("x") is None`` only ever targets the synchronous,
-    externally-keyed lookups.  ``repr()`` deliberately never forces so
-    debuggers and log statements stay side-effect-free.
-    """
-
-    __slots__ = ("_placeholder", "_key")
-
-    def __init__(self, placeholder: _PendingStatementResult, key: str) -> None:
-        self._placeholder = placeholder
-        self._key = key
-
-    def _value(self) -> object:
-        return self._placeholder._binding(self._key)
-
-    def __repr__(self) -> str:
-        if self._placeholder._delta is not None and self._key in self._placeholder._delta:
-            return repr(self._placeholder._delta[self._key])
-        return f"<pending :{self._key}>"
-
-    # Conversions / formatting (all force)
-    def __float__(self):
-        return float(self._value())  # type: ignore[arg-type]
-
-    def __int__(self):
-        return int(self._value())  # type: ignore[arg-type]
-
-    def __index__(self):
-        return int(self._value())  # type: ignore[arg-type]
-
-    def __bool__(self):
-        return bool(self._value())
-
-    def __str__(self):
-        return str(self._value())
-
-    def __format__(self, spec):
-        return format(self._value(), spec)
-
-    def __hash__(self):
-        return hash(self._value())
-
-    # Comparisons
-    def __eq__(self, other):
-        return self._value() == _unwrap(other)
-
-    def __ne__(self, other):
-        return self._value() != _unwrap(other)
-
-    def __lt__(self, other):
-        return self._value() < _unwrap(other)  # type: ignore[operator]
-
-    def __le__(self, other):
-        return self._value() <= _unwrap(other)  # type: ignore[operator]
-
-    def __gt__(self, other):
-        return self._value() > _unwrap(other)  # type: ignore[operator]
-
-    def __ge__(self, other):
-        return self._value() >= _unwrap(other)  # type: ignore[operator]
-
-    # Arithmetic
-    def __add__(self, other):
-        return self._value() + _unwrap(other)  # type: ignore[operator]
-
-    def __radd__(self, other):
-        return _unwrap(other) + self._value()  # type: ignore[operator]
-
-    def __sub__(self, other):
-        return self._value() - _unwrap(other)  # type: ignore[operator]
-
-    def __rsub__(self, other):
-        return _unwrap(other) - self._value()  # type: ignore[operator]
-
-    def __mul__(self, other):
-        return self._value() * _unwrap(other)  # type: ignore[operator]
-
-    def __rmul__(self, other):
-        return _unwrap(other) * self._value()  # type: ignore[operator]
-
-    def __truediv__(self, other):
-        return self._value() / _unwrap(other)  # type: ignore[operator]
-
-    def __rtruediv__(self, other):
-        return _unwrap(other) / self._value()  # type: ignore[operator]
-
-    def __neg__(self):
-        return -self._value()  # type: ignore[operator]
-
-    def __abs__(self):
-        return abs(self._value())  # type: ignore[arg-type]
-
-    def __round__(self, ndigits=None):
-        return round(self._value(), ndigits)  # type: ignore[arg-type]
-
-
-def _unwrap(value: object) -> object:
-    """Resolve ``value`` if it is a lazy binding (forcing its pipeline)."""
-    if isinstance(value, _LazyBinding):
-        return value._value()
-    return value
 
 
 class NetworkSession:
@@ -481,68 +153,30 @@ class NetworkSession:
         self._connection = connection
         self._wire: Optional[WireConnection] = wire
         self._in_txn = False
-        self._txn: Optional[_RemoteTransaction] = None
         self._pending_begin: Optional[str] = None
-        #: Placeholders for pipelined requests sent but not yet answered,
-        #: in send order (responses arrive in the same order).
-        self._pipeline: "list[_PendingStatementResult]" = []
-        #: Parameter names bound by ``INTO`` so far in the current
-        #: transaction — the dependency information behind the SELECT
-        #: pipelining policy (see :meth:`execute_prepared`).
-        self._into_bound: "set[str]" = set()
-        #: Message dict of the newest queued-but-unsent pipelined frame
-        #: (and its index in the wire's send buffer); ``commit`` rewrites
-        #: it in place to piggyback the COMMIT.
-        self._tail: "Optional[dict]" = None
-        self._tail_pos = 0
         #: False once the current transaction has taken any lock or
-        #: staged any write — gates the deferred-ack COMMIT shortcut.
+        #: staged any write (see :attr:`is_readonly`).
         self._readonly = True
 
     # ------------------------------------------------------------------
-    def _stamp_begin(self, response: dict) -> None:
-        txn = self._txn
-        if txn is not None and "begin_txid" in response:
-            txn.txid = int(response["begin_txid"])
-            txn.snapshot_ts = int(response["begin_snapshot_ts"])
+    def _stale_id(self, exc: BaseException) -> BaseException:
+        """Heal the statement- and program-id caches after a server restart.
 
-    def _drain_pipeline(self, wire: WireConnection, extra: int = 0) -> "list[dict]":
-        """Read the responses owed to pipelined requests (+ ``extra``).
-
-        Resolves every placeholder in FIFO order; raises the *first*
-        pipelined error after all owed responses are consumed (they are
-        already on the wire — leaving them unread would corrupt the
-        request/response pairing of the next RPC).  Returns the ``extra``
-        trailing responses.
+        Ids are namespaced per server instance, so an "unknown ... id"
+        answer proves the server restarted since the id was learnt — and
+        that *every* cached id is stale.  Nothing ran (the server checks
+        the id first): clear the caches and surface the transient
+        :class:`ConnectionClosed` this is, so retry layers treat it like
+        any reconnect artifact; the next transaction re-learns fresh ids.
         """
-        pending, self._pipeline = self._pipeline, []
-        self._tail = None
-        responses = [wire.recv() for _ in range(len(pending) + extra)]
-        first_error: Optional[dict] = None
-        for placeholder, response in zip(pending, responses):
-            placeholder._resolve(response)
-            self._stamp_begin(response)
-            if not response.get("ok") and first_error is None:
-                first_error = dict(response.get("error") or {})
-        if first_error is not None:
-            raise_error_payload(first_error)
-        return responses[len(pending):]
-
-    def _stale_sid(self, exc: BaseException) -> BaseException:
-        """Heal the statement-id cache after a server restart.
-
-        Sids are namespaced per server instance, so an "unknown statement
-        id" answer proves the server restarted since the sid was learnt —
-        and that *every* cached sid is stale.  Clear the cache (the next
-        transaction re-sends SQL text and re-learns fresh sids) and
-        surface the failure as the transient :class:`ConnectionClosed`
-        it is, so retry layers treat it like the reconnect artifact it
-        is rather than a hard protocol violation.
-        """
-        if isinstance(exc, ProtocolError) and "unknown statement id" in str(exc):
+        text = str(exc)
+        if isinstance(exc, ProtocolError) and (
+            "unknown statement id" in text or "unknown program id" in text
+        ):
             self._connection._sids.clear()
+            self._connection._pids.clear()
             return ConnectionClosed(
-                f"server restarted: statement cache invalidated ({exc})"
+                f"server restarted: id caches invalidated ({exc})"
             )
         return exc
 
@@ -559,103 +193,40 @@ class NetworkSession:
             self._pending_begin = None
         obs = self._connection.obs
         started = obs.now() if obs is not None else 0.0
-        ok = True
+        ok = False
         try:
-            if self._pipeline:
-                # Send first, then collect the pipelined acks together
-                # with our own response: one batched round trip.
-                wire.send(op, args)
-                (response,) = self._drain_pipeline(wire, extra=1)
-                if not response.get("ok"):
-                    raise_error_payload(response.get("error"))
-            else:
-                response = wire.call(op, args)
-            self._stamp_begin(response)
+            response = wire.call(op, args)
+            ok = True
             return response
         except TransactionAborted:
             # The server aborted the transaction (deadlock victim, SSI
             # certifier, first-updater-wins, ...): mirror the local
             # session, whose transaction handle goes inactive.
-            ok = False
             self._in_txn = False
             raise
         except (ConnectionClosed, ProtocolError) as exc:
-            ok = False
             self._in_txn = False
             self._wire = None
-            self._pipeline = []
             self._connection._discard(wire)
-            healed = self._stale_sid(exc)
+            healed = self._stale_id(exc)
             if healed is exc:
                 raise
             raise healed from exc
-        except Exception:
-            ok = False
-            raise
         finally:
             if obs is not None:
                 obs.net_client_rpc(op, obs.now() - started, ok)
 
-    def _send_pipelined(
-        self,
-        op: str,
-        _sid_key: "Optional[tuple[str, Optional[str]]]" = None,
-        **args: object,
-    ) -> _PendingStatementResult:
-        """Fire one request without waiting; response owed to ``_pipeline``."""
-        wire = self._wire
-        if wire is None:
-            raise ConnectionClosed("session is closed")
-        if self._pending_begin is not None:
-            args["begin"] = self._pending_begin
-            self._pending_begin = None
-        placeholder = _PendingStatementResult(self, _sid_key)
-        try:
-            # Queued, not sent: the whole batch leaves in one ``sendall``
-            # at the next synchronous RPC (or pipeline drain).
-            self._tail = wire.buffer(op, args)
-            self._tail_pos = len(wire._sendbuf) - 1
-        except (ConnectionClosed, ProtocolError):
-            self._in_txn = False
-            self._wire = None
-            self._pipeline = []
-            self._connection._discard(wire)
-            raise
-        self._pipeline.append(placeholder)
-        return placeholder
-
-    def _sync(self) -> None:
-        """Collect every outstanding pipelined response (no new request)."""
-        wire = self._wire
-        if wire is None or not self._pipeline:
-            return
-        try:
-            self._drain_pipeline(wire)
-        except TransactionAborted:
-            self._in_txn = False
-            raise
-        except (ConnectionClosed, ProtocolError) as exc:
-            self._in_txn = False
-            self._wire = None
-            self._pipeline = []
-            self._connection._discard(wire)
-            healed = self._stale_sid(exc)
-            if healed is exc:
-                raise
-            raise healed from exc
-
     # ------------------------------------------------------------------
     # Transaction control (facade session contract)
     # ------------------------------------------------------------------
-    def begin(self, label: str = "") -> _RemoteTransaction:
+    def begin(self, label: str = "") -> None:
         """Open a transaction; the BEGIN itself is deferred.
 
         No RPC happens here: the server-side BEGIN rides on the
-        transaction's first statement (or its COMMIT, for an empty
-        transaction), so the returned handle's ``txid`` / ``snapshot_ts``
-        stay ``None`` until then.  The snapshot is therefore taken at the
-        first statement — indistinguishable under snapshot isolation,
-        since an idle transaction cannot observe the gap.
+        transaction's first statement (an empty transaction never reaches
+        the server at all).  The snapshot is therefore taken at the first
+        statement — indistinguishable under snapshot isolation, since an
+        idle transaction cannot observe the gap.
         """
         if self._in_txn:
             raise TransactionStateError(
@@ -663,12 +234,9 @@ class NetworkSession:
             )
         self._pending_begin = label
         self._in_txn = True
-        self._into_bound.clear()
         self._readonly = True
-        self._txn = _RemoteTransaction(None, None, label, self)
-        return self._txn
 
-    def begin_now(self, label: str = "") -> _RemoteTransaction:
+    def begin_now(self, label: str = "") -> None:
         """Open a transaction and send the BEGIN immediately.
 
         Used by the cluster router's *consistent* snapshot mode: every
@@ -676,12 +244,9 @@ class NetworkSession:
         broadcast window, so the BEGIN cannot ride on a later (arbitrarily
         delayed) first statement the way :meth:`begin` defers it.
         """
-        txn = self.begin(label)
+        self.begin(label)
         self._pending_begin = None
-        response = self._call("BEGIN", label=label)
-        txn.txid = int(response["txid"])
-        txn.snapshot_ts = int(response["snapshot_ts"])
-        return txn
+        self._call("BEGIN", label=label)
 
     @property
     def in_transaction(self) -> bool:
@@ -689,13 +254,50 @@ class NetworkSession:
 
     @property
     def is_readonly(self) -> bool:
-        """True while the current transaction took no lock, staged no write.
-
-        The cluster coordinator uses this to split participants: read-only
-        branches commit plainly (nothing to vote on), only writers pay the
-        prepare round.
-        """
+        """True while the current transaction took no lock, staged no
+        write: the cluster router commits such branches plainly and sends
+        only writers through the prepare round."""
         return self._readonly
+
+    def call_program(
+        self,
+        program: Program,
+        args: Mapping[str, object],
+        label: str = "",
+        *,
+        end: str = "commit",
+        nowait: bool = False,
+    ) -> object:
+        """Run a whole registered program server-side in one ``CALL``.
+
+        The server begins a transaction labelled ``label`` — or joins
+        the one :meth:`begin_now` opened — runs the body and ends it as
+        ``end`` says: ``"commit"``, ``"prepare:<gtid>"`` (vote and detach,
+        phase one of 2PC) or ``"open"`` (left for further statements).
+        A business rollback, concurrency abort or NO vote arrives as the
+        exception a statement-by-statement run would raise, and the
+        server has left no transaction behind.  ``nowait``: a call that
+        begins its own transaction raises
+        :class:`~repro.errors.LockNotAvailable` rather than wait for a lock.
+        """
+        if self._pending_begin is not None:  # begin() then call: one txn
+            label, self._pending_begin = self._pending_begin, None
+        pids = self._connection._pids
+        key = factory, spec = program.factory, program.spec
+        pid = pids.get(key)
+        if pid is None:
+            response = self._call("PREPARE_PROGRAM", factory=factory, spec=spec)
+            pid = pids[key] = int(response["pid"])
+        request: dict = {"pid": pid, "args": args, "label": label}
+        if end != "commit":
+            request["end"] = end
+        if nowait:
+            request["nowait"] = True
+        self._in_txn = False  # unless the call succeeds and ends "open"
+        result = self._call("CALL", **request).get("result")
+        self._in_txn = end == "open"
+        self._readonly = False
+        return result
 
     # ------------------------------------------------------------------
     # Two-phase commit (cluster coordinator drives these)
@@ -703,18 +305,11 @@ class NetworkSession:
     def prepare_2pc(self, gtid: str) -> None:
         """Vote on this session's transaction under ``gtid`` (phase one).
 
-        Drains the statement pipeline *first*: a buffered statement's
-        failure must surface (and be handled by the coordinator as a NO
-        vote) before the vote request is ever sent — otherwise a
-        non-aborting statement error could leave a prepared orphan no one
-        would ever decide.  On a YES the server detaches the transaction
-        from this wire; on a NO (a ``TransactionAborted`` subclass) the
-        engine has already rolled it back.
+        On a YES the server detaches the transaction from this wire —
+        only coordinator decisions (by gtid) resolve it; on a NO (a
+        ``TransactionAborted`` subclass) the engine has rolled it back.
         """
-        self._sync()
         self._call("PREPARE_2PC", gtid=gtid)
-        # Prepared: the branch is no longer this session's to commit or
-        # roll back — only coordinator decisions (by gtid) resolve it.
         self._in_txn = False
 
     def commit_2pc(self, gtid: str) -> int:
@@ -727,79 +322,26 @@ class NetworkSession:
         self._call("ABORT_2PC", gtid=gtid)
 
     def commit(self) -> None:
-        """Commit; three wire-level shortcuts cover the common shapes.
-
-        * **Empty transaction** — the deferred BEGIN never reached the
-          server, so there is nothing to commit: resolved client-side.
-        * **Piggybacked COMMIT** — when the transaction ends with
-          queued-but-unsent pipelined statements (the common writing
-          shape), the COMMIT rides as a flag on the *last* queued EXEC:
-          the server executes the statement, commits, and answers both
-          in one response (see ``_op_exec``), saving a request per
-          writing transaction.  A statement failure anywhere in the
-          batch surfaces here exactly as it would from a standalone
-          COMMIT — and the server rolls back on a failed commit-carrying
-          EXEC, so the wire comes back transaction-free either way.
-        * **Deferred read-only COMMIT** — under plain SI a transaction
-          that took no lock and staged no write commits unconditionally
-          (no validation, nothing for a peer to wait on), so the COMMIT
-          frame is merely *queued*: it leaves in the same segment as the
-          wire's next request (often a later transaction's first
-          statement, after the wire was pooled and checked out again)
-          and its ack is consumed silently before that request's
-          response — zero extra round trips, zero extra syscalls.
-          Gated on the server advertising ``isolation == "si"``: under
-          S2PL the commit releases read locks peers may be queued on,
-          and under SSI it can fail certification — both need the
-          synchronous ack.  The one observable cost: the server-side
-          transaction stays open until the wire's next use (or EOF, on
-          close — equivalent to a rollback, which for a read-only
-          transaction is indistinguishable from the commit).
-        """
+        """Commit: one COMMIT round trip — or none, for an empty
+        transaction whose deferred BEGIN never reached the server."""
         try:
-            wire = self._wire
-            tail = self._tail
             if self._pending_begin is not None:
                 self._pending_begin = None
-            elif (
-                wire is not None
-                and tail is not None
-                and self._pipeline
-                and len(wire._sendbuf) == self._tail_pos + 1
-            ):
-                tail["commit"] = True
-                wire._sendbuf[self._tail_pos] = encode_frame(tail)
-                self._tail = None
-                self._sync()
-            elif (
-                wire is not None
-                and self._readonly
-                and not self._pipeline
-                and self._connection._isolation == "si"
-            ):
-                try:
-                    wire.buffer("COMMIT", {})
-                    wire._owed += 1
-                except (ConnectionClosed, ProtocolError):
-                    self._wire = None
-                    self._pipeline = []
-                    self._connection._discard(wire)
-                    raise
             else:
                 self._call("COMMIT")
         finally:
             self._in_txn = False
 
     def rollback(self) -> None:
-        if self._wire is None:
-            return
-        if self._pending_begin is not None:
-            # The BEGIN never reached the server: nothing to roll back.
-            self._pending_begin = None
-            self._in_txn = False
+        """Roll back; free when the server holds nothing of ours (the
+        BEGIN never left, or the transaction already ended or aborted)."""
+        if self._wire is None or not self._in_txn:
             return
         try:
-            self._call("ROLLBACK")
+            if self._pending_begin is not None:
+                self._pending_begin = None
+            else:
+                self._call("ROLLBACK")
         finally:
             self._in_txn = False
 
@@ -809,15 +351,9 @@ class NetworkSession:
         if wire is None:
             return
         try:
-            if self._in_txn:
-                self.rollback()
-            elif self._pipeline:
-                # Owed responses must be consumed before the wire can be
-                # pooled; their errors are moot on close (like rollback).
-                self._sync()
-        except (ConnectionClosed, TransactionAborted, ReproError):
-            if self._wire is None:
-                return  # _call already discarded the wire
+            self.rollback()
+        except ReproError:
+            pass  # moot on close; a failed wire was discarded by _call
         finally:
             self._in_txn = False
         if self._wire is None:
@@ -907,31 +443,18 @@ class NetworkSession:
     # ------------------------------------------------------------------
     # Mini-SQL (PreparedStatement.execute dispatches here)
     # ------------------------------------------------------------------
-    def _statement_meta(
-        self, sql: str
-    ) -> "tuple[bool, tuple[str, ...], frozenset[str], frozenset[str], bool]":
-        """``(is_select, into, where_params, needed_params, locks)``.
-
-        Cached on the connection keyed by the SQL text, so the per-call
-        hot path is one string-keyed dict hit — no parser lock, no
-        re-hashing of statement dataclasses.  ``locks`` is True for any
-        statement that takes a lock or stages a write (everything except
-        a plain SELECT) — the read-only tracking behind the deferred-ack
-        COMMIT.
-        """
-        meta = self._connection._stmt_meta.get(sql)
-        if meta is None:
+    def _takes_locks(self, sql: str) -> bool:
+        """Whether a statement takes a lock or stages a write (everything
+        but a plain SELECT) — what :attr:`is_readonly` tracks.  Cached on
+        the connection by statement text."""
+        cache = self._connection._takes_locks
+        locks = cache.get(sql)
+        if locks is None:
             statement = parse_cached(sql)
-            is_select = isinstance(statement, Select)
-            meta = (
-                is_select,
-                statement.into if is_select else (),
-                params_in(statement.where) if is_select else frozenset(),
-                statement_params(statement),
-                not is_select or statement.for_update,
+            locks = cache[sql] = (
+                not isinstance(statement, Select) or statement.for_update
             )
-            self._connection._stmt_meta[sql] = meta
-        return meta
+        return locks
 
     def execute_prepared(
         self,
@@ -942,63 +465,21 @@ class NetworkSession:
         """Ship one prepared statement; planning happens server-side.
 
         ``SELECT ... INTO :var`` bindings round-trip: the server returns
-        the updated parameter map and it is merged into ``params`` in
-        place, matching the local executor's mutation contract.
-
-        Two classes of statement are *pipelined* — sent immediately, with
-        the response collected at the next synchronous RPC (usually the
-        COMMIT), batching round trips:
-
-        * **non-SELECT statements** (the mini-SQL grammar gives them no
-          ``INTO`` bindings, so deferral never delays a parameter the
-          program could read next), and
-        * **dependent SELECTs** — SELECTs whose WHERE parameters were
-          bound by an earlier ``INTO`` of the same transaction.  Their own
-          ``INTO`` targets materialize as :class:`_LazyBinding`
-          placeholders that force the drain on first *value* use.
-          Externally-keyed lookups (WHERE on program inputs) stay
-          synchronous because their bindings idiomatically feed identity
-          checks (``params.get("x") is None``), which a placeholder
-          cannot intercept.
-
-        A pipelined statement's failure (e.g. a first-updater-wins abort)
-        surfaces at the next RPC of the same transaction — always before
-        anything commits.
+        the parameters it bound and they are merged into ``params`` in
+        place, matching the local executor's mutation contract.  The
+        first sight of a statement sends its SQL text and learns the
+        server's statement id; later calls send the id alone.
         """
-        sid_key = (sql, kind)
-        sid = self._connection._sids.get(sid_key)
-        is_select, into, where_params, needed, locks = self._statement_meta(sql)
-        if locks:
+        if self._takes_locks(sql):
             self._readonly = False
-        # Ship only the parameters the statement reads (lazies resolved).
-        # Small frames matter less than the side effect: an *unrelated*
-        # lazy binding sitting in the same dict never forces a premature
-        # pipeline drain, while one the statement genuinely reads is a
-        # true dependency chain and forces its pipeline first (SmallBank
-        # never does this — values are consumed via ``float()`` before
-        # reuse — but the facade must not depend on that).
-        clean = {name: _unwrap(params[name]) for name in needed if name in params}
-        if self._in_txn and (not is_select or where_params & self._into_bound):
-            if sid is not None:
-                placeholder = self._send_pipelined("EXEC", sid=sid, params=clean)
-            else:
-                placeholder = self._send_pipelined(
-                    "EXEC", sql=sql, kind=kind, params=clean, _sid_key=sid_key
-                )
-            if into:
-                placeholder._params = params
-                self._into_bound.update(into)
-                for key in into:
-                    params[key] = _LazyBinding(placeholder, key)
-            return placeholder
+        sids = self._connection._sids
+        sid = sids.get((sql, kind))
         if sid is not None:
-            response = self._call("EXEC", sid=sid, params=clean)
+            response = self._call("EXEC", sid=sid, params=params)
         else:
-            response = self._call("EXEC", sql=sql, kind=kind, params=clean)
+            response = self._call("EXEC", sql=sql, kind=kind, params=params)
             if "sid" in response:
-                self._connection._sids[sid_key] = int(response["sid"])
-        if is_select and self._in_txn:
-            self._into_bound.update(into)
+                sids[(sql, kind)] = int(response["sid"])
         returned = response.get("params")
         if isinstance(returned, dict):
             params.update(returned)
@@ -1006,13 +487,6 @@ class NetworkSession:
             rows=list(response.get("rows") or []),
             rowcount=int(response.get("rowcount") or 0),
         )
-
-    def prepare_remote(self, sql: str, kind: Optional[str] = None) -> str:
-        """Warm the server's statement cache; returns the statement kind."""
-        response = self._call("PREPARE", sql=sql, kind=kind)
-        if "sid" in response:
-            self._connection._sids[(sql, kind)] = int(response["sid"])
-        return str(response["kind"])
 
 
 class NetworkConnection(Connection):
@@ -1052,12 +526,10 @@ class NetworkConnection(Connection):
         self.max_frame = max_frame
         self.url = url or f"tcp://{host}:{port}"
         #: Per-RPC response deadline applied to every wire (None = RPCs
-        #: block until the server answers, the pre-existing behaviour).
+        #: block until the server answers).
         self.rpc_deadline = rpc_deadline
-        #: Bounded exponential backoff for idempotent out-of-session ops
-        #: (PING / STATS / VACUUM / decision delivery): on a connection
-        #: failure ``_call_once`` redials up to ``reconnect_attempts``
-        #: times, sleeping ``backoff * 2^n`` (jittered, capped).
+        #: Redial policy of ``_call_once``: up to ``reconnect_attempts``
+        #: tries, sleeping ``backoff * 2^n`` (jittered, capped) between.
         self.reconnect_attempts = reconnect_attempts
         self.reconnect_backoff = reconnect_backoff
         self.reconnect_backoff_max = reconnect_backoff_max
@@ -1066,18 +538,13 @@ class NetworkConnection(Connection):
         self._lock = threading.Lock()
         self._slots = threading.Semaphore(pool_size)
         self._closed = False
-        #: Client-side statement-id cache, (sql, kind) -> server sid.
-        #: Shared by every session: sids are server-global, and the pool
-        #: only ever dials one server.  (Plain dict: GIL-atomic get/set,
-        #: and a lost race merely re-sends the SQL text once.)
+        #: Id caches, (sql, kind) -> server sid and (factory, spec) ->
+        #: server pid, shared by every session: ids are server-global and
+        #: the pool only ever dials one server.  (Plain dicts: GIL-atomic
+        #: get/set, and a lost race merely registers the text twice.)
         self._sids: "dict[tuple[str, Optional[str]], int]" = {}
-        #: Client-side statement metadata cache, sql -> (is_select, into,
-        #: where_params, needed_params, locks); see ``_statement_meta``.
-        self._stmt_meta: "dict[str, tuple]" = {}
-        #: The server's isolation regime (``"si"`` / ``"s2pl"`` /
-        #: ``"ssi"``), learnt from STATS when the first wire is dialled;
-        #: ``None`` until then (shortcuts gated on it stay off).
-        self._isolation: "Optional[str]" = None
+        self._pids: "dict[tuple[str, str], int]" = {}
+        self._takes_locks: "dict[str, bool]" = {}  # by statement text
 
     # --- pool plumbing --------------------------------------------------
     def _acquire(self) -> WireConnection:
@@ -1099,22 +566,13 @@ class NetworkConnection(Connection):
             return wire
         if wire is not None:
             wire.close()
-        wire = None
         try:
-            wire = WireConnection(
+            return WireConnection(
                 self.host, self.port,
                 timeout=self.timeout, max_frame=self.max_frame,
                 rpc_deadline=self.rpc_deadline,
             )
-            if self._isolation is None:
-                # One-time server handshake (first wire only): the
-                # isolation regime gates the deferred-ack COMMIT.
-                stats = wire.call("STATS", {}).get("stats") or {}
-                self._isolation = str(stats.get("isolation") or "")
-            return wire
         except BaseException:
-            if wire is not None:
-                wire.close()
             self._slots.release()
             raise
 
@@ -1144,11 +602,9 @@ class NetworkConnection(Connection):
 
         Every ``_call_once`` operation is idempotent (PING, STATS,
         VACUUM, 2PC decision delivery — the engine remembers resolved
-        gtids), so a connection failure is retried on a *fresh* wire up
-        to ``reconnect_attempts`` times with jittered exponential
-        backoff.  Server-side errors (which prove the request arrived)
-        propagate immediately.  ``_attempts=1`` disables the retries —
-        health probes want the fast no.
+        gtids), so a connection failure is retried on a *fresh* wire.
+        Server-side errors (which prove the request arrived) propagate
+        immediately.  ``_attempts=1``: health probes want the fast no.
         """
         attempts = self.reconnect_attempts if _attempts is None else _attempts
         backoff = self.reconnect_backoff
@@ -1187,16 +643,14 @@ class NetworkConnection(Connection):
     def _probe_deadline(self, deadline: Optional[float]) -> Optional[float]:
         """Bound for introspection RPCs: explicit ``deadline``, else the
         configured per-RPC deadline, else the connection ``timeout``."""
-        if deadline is not None:
-            return deadline
-        if self.rpc_deadline is not None:
-            return self.rpc_deadline
+        for bound in (deadline, self.rpc_deadline):
+            if bound is not None:
+                return bound
         return self.timeout
 
     def ping(self, deadline: Optional[float] = None) -> bool:
-        """Liveness probe: bounded by ``deadline`` (default: the per-RPC
-        deadline, else the connection ``timeout``), never retried — a
-        down server answers ``False`` fast instead of hanging."""
+        """Liveness probe, bounded and never retried: a down server
+        answers ``False`` fast instead of hanging."""
         bound = self._probe_deadline(deadline)
         try:
             return bool(
@@ -1206,10 +660,8 @@ class NetworkConnection(Connection):
             return False
 
     def stats(self, deadline: Optional[float] = None) -> dict:
-        """Server counters; the response wait is bounded by ``deadline``
-        (default: the per-RPC deadline, else the connection ``timeout``)
-        so a dead server surfaces as :class:`ConnectionClosed` instead of
-        an infinite hang."""
+        """Server counters; bounded, so a dead server surfaces as
+        :class:`ConnectionClosed` instead of an infinite hang."""
         bound = self._probe_deadline(deadline)
         stats = dict(self._call_once("STATS", _deadline=bound)["stats"])
         stats["backend"] = "network"
@@ -1220,32 +672,12 @@ class NetworkConnection(Connection):
         return int(self._call_once("VACUUM")["pruned"])
 
     def flush(self) -> None:
-        """Settle deferred read-only COMMITs queued on idle pooled wires.
-
-        Their server-side transactions commit only when the wire next
-        talks to the server; callers about to inspect server state (an
-        execution trace, STATS-based accounting) flush first so every
-        client-side "committed" transaction is server-side committed
-        too.  Wires that fail while settling are discarded from the
-        pool, like any broken wire.
-        """
-        with self._lock:
-            wires = list(self._idle)
-        for wire in wires:
-            try:
-                wire.drain_owed()
-            except (ConnectionClosed, ProtocolError):
-                with self._lock:
-                    if wire in self._idle:
-                        self._idle.remove(wire)
-                wire.close()
+        """Nothing to settle — every request is answered before its call
+        returns; kept for callers that flush before reading server state."""
 
     def commit_2pc(self, gtid: str) -> int:
-        """Decision delivery outside any session (coordinator recovery).
-
-        Retried across reconnects: the engine remembers resolved gtids,
-        so re-delivering a commit decision is idempotent by contract.
-        """
+        """Decision delivery outside any session (coordinator recovery);
+        retried across reconnects, idempotent by the engine's contract."""
         return int(
             self._call_once("COMMIT_2PC", _deadline=self.timeout, gtid=gtid)[
                 "commit_ts"

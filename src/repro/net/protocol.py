@@ -70,6 +70,8 @@ REQUEST_OPS = (
     "ROLLBACK",
     "PREPARE",
     "EXEC",
+    "PREPARE_PROGRAM",
+    "CALL",
     "VACUUM",
     "PREPARE_2PC",
     "COMMIT_2PC",

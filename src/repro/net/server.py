@@ -29,6 +29,15 @@ operations (and COMMITs that must flush the WAL, which block internally
 in the group-commit buffer) pay for the thread hop.  Requests *within*
 one connection stay strictly ordered either way.
 
+**Programs.**  ``PREPARE_PROGRAM`` builds a transaction body from a
+registered factory (:data:`repro.api.PROGRAM_FACTORIES`) once per server
+incarnation; ``CALL`` begins, runs the body and commits / prepares in
+one request (``_op_call``).  A body spans many engine operations, so a
+``CALL`` that would block is never resumed: the transaction it began is
+rolled back and the whole program re-run on the worker thread, and a
+``CALL`` joining a transaction it did not begin goes to the worker
+thread directly.
+
 Robustness contract:
 
 * a client that disconnects mid-transaction has its transaction aborted
@@ -50,16 +59,19 @@ frees, with ``backpressure=False`` they are refused with an error frame.
 from __future__ import annotations
 
 import asyncio
+import json
 import random
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
+from repro.api import PROGRAM_FACTORIES
 from repro.engine.engine import Database
 from repro.engine.session import NoWaitWaiter, Session, WouldBlock
 from repro.errors import (
     ConnectionClosed,
+    LockNotAvailable,
     ProtocolError,
     ReproError,
     TransactionAborted,
@@ -204,7 +216,7 @@ class _ServerProtocol(asyncio.Protocol):
             if self.conn is None:
                 break  # not admitted yet (backpressure parking)
             message = self.pending.popleft()
-            if server._can_inline(self.conn, message.get("op")):
+            if server._can_inline(self.conn, message):
                 try:
                     response = encode_frame(
                         server._serve(self.conn, message, False)
@@ -296,11 +308,16 @@ class DatabaseServer:
         ] = {}
         self._prepared_by_id: "list[PreparedStatement]" = []
         self._prepared_lock = threading.Lock()
-        # Statement ids are namespaced per server *instance*: a client
-        # still holding sids from a previous incarnation of this address
-        # (crash + restart on the same port) must get a clean "unknown
-        # statement id" error — never a silent hit on whatever statement
-        # landed on the same dense index in the new registry.
+        # Program registry, same shape: (factory, spec) -> pid, and the
+        # bodies by dense index.
+        self._program_ids: "dict[tuple[str, str], int]" = {}
+        self._programs: "list[Callable]" = []
+        # Statement and program ids are namespaced per server *instance*:
+        # a client still holding ids from a previous incarnation of this
+        # address (crash + restart on the same port) must get a clean
+        # "unknown statement id" / "unknown program id" error — never a
+        # silent hit on whatever landed on the same dense index in the
+        # new registry.
         self._sid_base = random.SystemRandom().randrange(1 << 30)
         # Lifetime counters (kept even without an Observability installed;
         # STATS and the leak assertions read them).
@@ -523,6 +540,14 @@ class DatabaseServer:
             except ValueError:
                 pass
             return
+        # Abort now rather than in ``_cleanup``, which queues behind a
+        # request still blocked on the worker thread: a vanished client's
+        # locks free at once, and a blocked CALL cannot wake up later and
+        # commit for nobody.  (Prepared transactions are detached from
+        # the session and stay for the coordinator's decision.)
+        txn = proto.conn.session.txn
+        if txn is not None:
+            self.db.abort(txn, reason="disconnect")
         self._track(asyncio.ensure_future(self._cleanup(proto.conn)))
 
     async def _cleanup(self, conn: _ClientConnection) -> None:
@@ -558,7 +583,7 @@ class DatabaseServer:
     # ------------------------------------------------------------------
     # Request dispatch
     # ------------------------------------------------------------------
-    def _can_inline(self, conn: _ClientConnection, op: object) -> bool:
+    def _can_inline(self, conn: _ClientConnection, message: dict) -> bool:
         """Whether this request may be *attempted* on the loop thread.
 
         Single engine operations are WouldBlock-safe: the non-blocking
@@ -568,11 +593,12 @@ class DatabaseServer:
         flush mutex (short, in-memory — the "leader" drains every staged
         record itself, no condition wait), so it is loop-safe too.  EXEC
         spans several engine operations; ``_serve`` guards its retry
-        safety explicitly (see there), so it is inline-attemptable as
-        well.  Everything is currently inline-first; the hook stays for
-        future ops with non-retryable side effects.
+        safety explicitly (see there).  A CALL that begins its own
+        transaction undoes a blocked attempt by rolling that transaction
+        back (``_op_call``); one that joins a transaction begun earlier
+        cannot, so it is the one request that skips the inline attempt.
         """
-        return True
+        return message.get("op") != "CALL" or not conn.session.in_transaction
 
     def _serve(self, conn: _ClientConnection, message: dict, blocking: bool) -> dict:
         """Execute one request (loop thread when ``blocking`` is False,
@@ -593,7 +619,6 @@ class DatabaseServer:
         started = obs.now() if obs is not None else 0.0
         session = conn.session
         session.waiter = conn.blocking_waiter if blocking else _NOWAIT
-        began = None
         txn_before = session.txn
         writes_before = (
             len(txn_before.writes)
@@ -611,7 +636,7 @@ class DatabaseServer:
                 # re-dispatch does not begin twice.
                 label = message.get("begin")
                 if label is not None and op != "BEGIN" and not session.in_transaction:
-                    began = session.begin(str(label))
+                    session.begin(str(label))
                 response = handler(self, conn, message)
             except KeyError as exc:
                 self._note_protocol_error("missing-field")
@@ -619,16 +644,6 @@ class DatabaseServer:
                     f"request {op} is missing field {exc.args[0]!r}"
                 ) from None
             response["ok"] = True
-            if message.get("begin") is not None and op != "BEGIN":
-                txn_now = session.txn
-                if began is not None:
-                    response["begin_txid"] = began.txid
-                    response["begin_snapshot_ts"] = began.snapshot_ts
-                elif txn_now is not None and txn_now is not txn_before:
-                    # Begun by an earlier inline attempt of this same
-                    # message (WouldBlock re-dispatch): still report it.
-                    response["begin_txid"] = txn_now.txid
-                    response["begin_snapshot_ts"] = txn_now.snapshot_ts
             self._counters["rpcs_total"] += 1
             if obs is not None:
                 obs.net_rpc(str(op), obs.now() - started, True)
@@ -734,13 +749,15 @@ class DatabaseServer:
         below address it by gtid and work on any connection.
         """
         gtid = str(msg["gtid"])
-        session = conn.session
+        self._prepare(conn.session, gtid)
+        return {"prepared": True, "gtid": gtid}
+
+    def _prepare(self, session: Session, gtid: str) -> None:
         txn = session.txn
         if txn is None or not txn.is_active:
             raise TransactionStateError("no active transaction to prepare")
         self.db.prepare_commit(txn, gtid)
         session.txn = None  # survives disconnect; resolved only by gtid
-        return {"prepared": True, "gtid": gtid}
 
     def _op_commit_2pc(self, conn: _ClientConnection, msg: dict) -> dict:
         commit_ts = self.db.commit_prepared(str(msg["gtid"]))
@@ -797,22 +814,7 @@ class DatabaseServer:
         ast = statement.statement
         binds = isinstance(ast, Select) and bool(ast.into)
         before = dict(params) if binds else None
-        commit = bool(msg.get("commit"))
-        try:
-            result = statement.execute(conn.session, params)
-        except WouldBlock:
-            raise  # re-dispatched on the worker thread, commit included
-        except ReproError:
-            # Piggybacked COMMIT (see the client's ``commit``): the batch
-            # was declared to end here, so a failed statement means the
-            # transaction can never commit — roll it back before replying
-            # rather than leave it (and its locks) open on a wire the
-            # client is about to pool as idle.
-            if commit and conn.session.in_transaction:
-                conn.session.rollback()
-            raise
-        if commit:
-            conn.session.commit()
+        result = statement.execute(conn.session, params)
         response: dict = {}
         if result.rows:
             response["rows"] = result.rows
@@ -824,11 +826,77 @@ class DatabaseServer:
                 for k, v in params.items()
                 if k not in before or before[k] != v
             }
-        if commit:
-            response["committed"] = True
         if "sid" not in msg:  # first sight: teach the client the id
             response["sid"] = sid
         return response
+
+    # --- transaction programs ------------------------------------------
+    def _op_prepare_program(self, conn: _ClientConnection, msg: dict) -> dict:
+        """Build (once per incarnation) the body a factory makes of a
+        spec; the id it returns is what CALL frames carry."""
+        key = (str(msg["factory"]), str(msg["spec"]))
+        with self._prepared_lock:
+            pid = self._program_ids.get(key)
+            if pid is None:
+                factory = PROGRAM_FACTORIES.get(key[0])
+                if factory is None:
+                    raise ProtocolError(f"unknown program factory {key[0]!r}")
+                try:
+                    body = factory(json.loads(key[1]))
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise ProtocolError(
+                        f"factory {key[0]!r} rejected its spec: {exc!r}"
+                    ) from None
+                pid = self._sid_base + len(self._programs)
+                self._programs.append(body)
+                self._program_ids[key] = pid
+        return {"pid": pid}
+
+    def _op_call(self, conn: _ClientConnection, msg: dict) -> dict:
+        """One whole transaction: begin (unless one is open on this
+        wire), run the program, then commit / prepare / leave open.
+
+        However the call fails, no transaction is left behind.  A
+        blocked inline attempt is undone by rolling back the transaction
+        it began — the worker-thread re-run starts the program over, so
+        nothing is applied twice — or, with ``nowait``, reported as
+        :class:`LockNotAvailable` instead of waited for.
+        """
+        pid = msg["pid"]
+        index = pid - self._sid_base if isinstance(pid, int) else -1
+        if not 0 <= index < len(self._programs):
+            raise ProtocolError(f"unknown program id {pid!r}")
+        end = str(msg.get("end", "commit"))
+        if end not in ("commit", "open") and not end.startswith("prepare:"):
+            raise ProtocolError(f"CALL cannot end a transaction as {end!r}")
+        session = conn.session
+        began = not session.in_transaction
+        if began:
+            session.begin(str(msg.get("label", "")))
+        try:
+            try:
+                result = self._programs[index](session, msg.get("args") or {})
+            except (TypeError, ValueError) as exc:
+                raise ProtocolError(
+                    f"program rejected its arguments: {exc!r}"
+                ) from None
+            if end == "commit":
+                session.commit()
+            elif end != "open":
+                self._prepare(session, end.partition(":")[2])
+        except WouldBlock:
+            if began:
+                self.db.abort(session.txn, reason="call-would-block")
+                if msg.get("nowait"):
+                    raise LockNotAvailable(
+                        "a row lock the program needs is held"
+                    ) from None
+            raise
+        except BaseException:
+            if session.in_transaction:
+                session.rollback()
+            raise
+        return {"result": result}
 
     _HANDLERS = {
         "PING": _op_ping,
@@ -845,6 +913,8 @@ class DatabaseServer:
         "ROLLBACK": _op_rollback,
         "PREPARE": _op_prepare,
         "EXEC": _op_exec,
+        "PREPARE_PROGRAM": _op_prepare_program,
+        "CALL": _op_call,
         "VACUUM": _op_vacuum,
         "PREPARE_2PC": _op_prepare_2pc,
         "COMMIT_2PC": _op_commit_2pc,

@@ -18,18 +18,28 @@ Programs signal business-rule aborts (unknown customer, negative deposit,
 overdrawn savings) by rolling the session back and raising
 :class:`~repro.errors.ApplicationRollback` — these are *not* concurrency
 aborts and the workload driver counts them separately.
+
+Over ``tcp://`` and ``cluster://`` :meth:`SmallBankTransactions.run` ships
+the whole transaction as one program call (DESIGN.md §11.5): the server
+rebuilds these same bodies from the modification list (the ``smallbank``
+entry of :data:`repro.api.PROGRAM_FACTORIES`) and runs them next to the
+engine.  A cross-shard Amalgamate runs as its two halves,
+:data:`AMALGAMATE_DEBIT` and :data:`AMALGAMATE_CREDIT`.
 """
 
 from __future__ import annotations
 
+import json
+from functools import cached_property
 from typing import Callable, Iterable, Mapping
 
+from repro.api import PROGRAM_FACTORIES, Program
 from repro.core.modify import Modification
 from repro.engine.session import Session
 from repro.errors import ApplicationRollback
 from repro.smallbank import programs as names
 from repro.smallbank.schema import CHECKING, CONFLICT, SAVING
-from repro.sqlmini import PreparedStatement
+from repro.sqlmini import Call, PreparedStatement
 
 # ----------------------------------------------------------------------
 # Prepared statements (parsed once at import)
@@ -85,6 +95,10 @@ _IDENTITY = {SAVING: IDENTITY_SAVING, CHECKING: IDENTITY_CHECKING}
 
 ProgramBody = Callable[[Session, Mapping[str, object]], object]
 
+#: The halves a cross-shard Amalgamate is run as, one per customer's shard.
+AMALGAMATE_DEBIT = "Amalgamate/debit"
+AMALGAMATE_CREDIT = "Amalgamate/credit"
+
 
 class SmallBankTransactions:
     """The five programs, optionally rewritten by strategy modifications."""
@@ -113,6 +127,36 @@ class SmallBankTransactions:
                 )
             else:
                 raise ValueError(f"unknown modification kind {mod.kind!r}")
+
+    @cached_property
+    def _calls(self) -> "dict[str, PreparedStatement]":
+        """program -> the one statement :meth:`run` executes on a session
+        that ships whole programs to its server (built on first use: the
+        in-process backends never need it)."""
+        mods = [
+            [mod.program, mod.kind, mod.table, mod.key]
+            for mod in self.modifications
+        ]
+
+        def remote(name: str, route: "tuple[str, ...]", parts=()) -> Program:
+            spec = json.dumps({"program": name, "mods": mods})
+            return Program("smallbank", spec, route, parts)
+
+        remotes = {
+            program: remote(program, ("N",)) for program in names.PROGRAM_NAMES
+        }
+        remotes[names.AMALGAMATE] = remote(
+            names.AMALGAMATE,
+            ("N1", "N2"),
+            (
+                remote(AMALGAMATE_DEBIT, ("N1",)),
+                remote(AMALGAMATE_CREDIT, ("N2",)),
+            ),
+        )
+        return {
+            program: PreparedStatement(Call(remote_program, program))
+            for program, remote_program in remotes.items()
+        }
 
     # ------------------------------------------------------------------
     # Shared helpers
@@ -143,12 +187,15 @@ class SmallBankTransactions:
         """Run the strategy-introduced statements for ``program``.
 
         ``bindings`` maps spec parameter names (``x`` / ``x1`` / ``x2``) to
-        the customer ids this invocation resolved.
+        the customer ids this invocation resolved; one half of a split
+        Amalgamate binds its own customer only and runs only those extras.
         """
         for key in self._materialize.get(program, ()):
-            TOUCH_CONFLICT.execute(session, {"x": bindings[key]})
+            if key in bindings:
+                TOUCH_CONFLICT.execute(session, {"x": bindings[key]})
         for table, key in self._promote.get(program, ()):
-            _IDENTITY[table].execute(session, {"x": bindings[key]})
+            if key in bindings:
+                _IDENTITY[table].execute(session, {"x": bindings[key]})
 
     def _uses_sfu(self, program: str, table: str, key: str = "x") -> bool:
         return (table, key) in self._sfu.get(program, set())
@@ -221,6 +268,30 @@ class SmallBankTransactions:
         ZERO_CHECKING.execute(session, {"x": x1})
         ADD_CHECKING.execute(session, {"x": x2, "V": total})
 
+    def amalgamate_debit(
+        self, session: Session, args: Mapping[str, object]
+    ) -> float:
+        """Customer 1's half of a cross-shard Amg: empty both accounts
+        and return what they held."""
+        params: dict = {"N": args["N1"]}
+        x1 = self._resolve_customer(session, params)
+        self._apply_extra_writes(session, names.AMALGAMATE, {"x1": x1})
+        self._get_saving(session, names.AMALGAMATE, params)
+        self._get_checking(session, names.AMALGAMATE, params)
+        total = float(params["a"]) + float(params["b"])
+        ZERO_SAVING.execute(session, {"x": x1})
+        ZERO_CHECKING.execute(session, {"x": x1})
+        return total
+
+    def amalgamate_credit(
+        self, session: Session, args: Mapping[str, object]
+    ) -> None:
+        """Customer 2's half: credit ``carry``, the debit half's total."""
+        params: dict = {"N2": args["N2"]}
+        x2 = self._resolve_customer(session, params, "N2")
+        self._apply_extra_writes(session, names.AMALGAMATE, {"x2": x2})
+        ADD_CHECKING.execute(session, {"x": x2, "V": float(args["carry"])})
+
     def write_check(self, session: Session, args: Mapping[str, object]) -> bool:
         """WC(N, V): debit checking by V, or V+1 when overdrawing.
 
@@ -249,6 +320,8 @@ class SmallBankTransactions:
             names.TRANSACT_SAVING: self.transact_saving,
             names.AMALGAMATE: self.amalgamate,
             names.WRITE_CHECK: self.write_check,
+            AMALGAMATE_DEBIT: self.amalgamate_debit,
+            AMALGAMATE_CREDIT: self.amalgamate_credit,
         }
         try:
             return bodies[program]
@@ -263,9 +336,28 @@ class SmallBankTransactions:
         *,
         commit: bool = True,
     ) -> object:
-        """Execute one program inside a fresh transaction on ``session``."""
+        """Execute one program inside a fresh transaction on ``session``.
+
+        A session that can run whole programs itself (``call_program``:
+        the ``tcp://`` and ``cluster://`` sessions) gets the committing
+        transaction as one ``CALL`` statement; everything else —
+        ``local://``, the simulator, ``commit=False`` — runs the body
+        statement by statement.
+        """
+        if commit and getattr(session, "call_program", None) is not None:
+            return self._calls[program].execute(session, args).first["result"]
         session.begin(program)
         result = self.body(program)(session, args)
         if commit:
             session.commit()
         return result
+
+
+def _build_program(spec: Mapping[str, object]) -> ProgramBody:
+    """What a server makes of the specs :class:`SmallBankTransactions`
+    puts in its ``CALL`` statements."""
+    mods = [Modification(*mod) for mod in spec["mods"]]
+    return SmallBankTransactions(mods).body(str(spec["program"]))
+
+
+PROGRAM_FACTORIES["smallbank"] = _build_program

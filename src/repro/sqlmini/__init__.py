@@ -15,6 +15,7 @@ code matches the SQL printed in the paper (Program 1)::
 
 from repro.sqlmini.ast import (
     BinOp,
+    Call,
     ColumnRef,
     Delete,
     Expr,
@@ -26,8 +27,6 @@ from repro.sqlmini.ast import (
     UnaryOp,
     Update,
     columns_in,
-    params_in,
-    statement_params,
     equality_key,
     evaluate,
 )
@@ -43,6 +42,7 @@ from repro.sqlmini.parser import parse, parse_script
 
 __all__ = [
     "BinOp",
+    "Call",
     "ColumnRef",
     "Delete",
     "Expr",
@@ -57,8 +57,6 @@ __all__ = [
     "Update",
     "clear_parse_cache",
     "columns_in",
-    "params_in",
-    "statement_params",
     "equality_key",
     "evaluate",
     "execute_sql",

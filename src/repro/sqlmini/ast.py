@@ -17,7 +17,6 @@ against a :class:`~repro.engine.session.Session`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Mapping, Optional, Union
 
 from repro.errors import SqlError
@@ -149,19 +148,6 @@ def columns_in(expr: Optional[Expr]) -> frozenset[str]:
     return frozenset()
 
 
-def params_in(expr: Optional[Expr]) -> frozenset[str]:
-    """All ``:parameter`` names referenced by ``expr``."""
-    if expr is None:
-        return frozenset()
-    if isinstance(expr, Param):
-        return frozenset({expr.name})
-    if isinstance(expr, BinOp):
-        return params_in(expr.left) | params_in(expr.right)
-    if isinstance(expr, UnaryOp):
-        return params_in(expr.operand)
-    return frozenset()
-
-
 def equality_key(
     where: Optional[Expr], column: str
 ) -> Optional[Expr]:
@@ -266,28 +252,22 @@ class Delete:
         return f"DELETE FROM {self.table}{where}"
 
 
-Statement = Union[Select, Update, Insert, Delete]
+@dataclass(frozen=True)
+class Call:
+    """``CALL program``: a whole transaction program as one statement.
 
-
-@lru_cache(maxsize=None)
-def statement_params(statement: Statement) -> frozenset[str]:
-    """All ``:parameter`` names a statement *reads* (``INTO`` targets are
-    outputs, not inputs, and are excluded).  Cached per (hashable,
-    immutable) statement — the network client uses this to ship only the
-    parameters a statement needs.
+    Never parsed — built by the application around a
+    :class:`repro.api.Program` — and executable only on sessions that
+    ship programs to their server (``call_program``: ``tcp://`` and
+    ``cluster://``), where the one statement is the whole transaction,
+    begin and commit included.
     """
-    if isinstance(statement, Select):
-        return params_in(statement.where)
-    if isinstance(statement, Update):
-        names = params_in(statement.where)
-        for _, expr in statement.assignments:
-            names |= params_in(expr)
-        return names
-    if isinstance(statement, Insert):
-        names: frozenset[str] = frozenset()
-        for expr in statement.values:
-            names |= params_in(expr)
-        return names
-    if isinstance(statement, Delete):
-        return params_in(statement.where)
-    raise SqlError(f"unknown statement node {statement!r}")
+
+    program: object  # a repro.api.Program
+    label: str
+
+    def __str__(self) -> str:
+        return f"CALL {self.label}"
+
+
+Statement = Union[Select, Update, Insert, Delete, Call]

@@ -20,6 +20,7 @@ from typing import Hashable, MutableMapping, Optional
 from repro.engine.session import Session
 from repro.errors import SqlError
 from repro.sqlmini.ast import (
+    Call,
     Delete,
     Expr,
     Insert,
@@ -119,13 +120,20 @@ class PreparedStatement:
     # ------------------------------------------------------------------
     def execute(self, session: Session, params: Optional[Params] = None) -> StatementResult:
         bound: Params = params if params is not None else {}
+        statement = self.statement
         # Network facade path: a session that executes statements remotely
         # (ships SQL text + params, merges returned bindings) advertises
         # ``execute_prepared``; planning then happens server-side.
         remote = getattr(session, "execute_prepared", None)
         if remote is not None:
+            if isinstance(statement, Call):
+                # The whole transaction, run next to the engine; its
+                # return value is the statement's single result.
+                result = session.call_program(
+                    statement.program, bound, statement.label
+                )
+                return StatementResult(rows=[{"result": result}])
             return remote(self.sql, self.kind, bound)
-        statement = self.statement
         if isinstance(statement, Select):
             return self._execute_select(session, statement, bound)
         if isinstance(statement, Update):

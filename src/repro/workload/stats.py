@@ -15,11 +15,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-try:  # scipy is available in the benchmark environment; keep it optional.
-    from scipy import stats as _scipy_stats
-except ImportError:  # pragma: no cover - exercised only without scipy
-    _scipy_stats = None
-
 #: Two-sided 95% Student-t critical values by degrees of freedom (fallback
 #: when scipy is unavailable).
 _T_TABLE = {1: 12.706, 2: 4.303, 3: 3.182, 4: 2.776, 5: 2.571,
@@ -29,9 +24,13 @@ _T_TABLE = {1: 12.706, 2: 4.303, 3: 3.182, 4: 2.776, 5: 2.571,
 def t_critical(dof: int, confidence: float = 0.95) -> float:
     if dof <= 0:
         return float("inf")
-    if _scipy_stats is not None:
-        return float(_scipy_stats.t.ppf(0.5 + confidence / 2.0, dof))
-    return _T_TABLE.get(dof, 1.96)
+    # Imported on first use: scipy costs ~1.5 s and ~78 MB at import, and
+    # only cross-run aggregation (never a driver or a server) gets here.
+    try:
+        from scipy import stats as scipy_stats
+    except ImportError:  # pragma: no cover - exercised only without scipy
+        return _T_TABLE.get(dof, 1.96)
+    return float(scipy_stats.t.ppf(0.5 + confidence / 2.0, dof))
 
 
 def mean_and_ci(values: Iterable[float], confidence: float = 0.95) -> tuple[float, float]:

@@ -3,8 +3,9 @@
 One program of assertions runs against both ``local://`` and ``tcp://``
 connections built from identically-seeded databases — the SmallBank
 programs must produce bit-identical results either way, errors must
-round-trip by class, and the wire-level commit shortcuts (deferred BEGIN,
-pipelining, piggybacked and deferred-ack COMMITs) must stay invisible.
+round-trip by class, and how the wire backend ships a transaction (one
+``CALL`` per committing program run, a deferred BEGIN on the statement
+path) must stay invisible.
 """
 
 import pytest
@@ -188,101 +189,45 @@ class TestBackendParity:
         assert stats["backend"] in ("local", "network")
 
 
-class TestWireCommitShortcuts:
-    """White-box checks of the network session's round-trip elisions."""
+class TestWireRoundTrips:
+    """White-box checks of what the network session puts on the wire."""
 
     def test_empty_transaction_never_reaches_the_server(self, net_conn):
         session = net_conn.session()
-        txn = session.begin("empty")
+        before = net_conn.stats()["rpcs_total"]
+        session.begin("empty")
         session.commit()
-        assert txn.txid is None  # deferred BEGIN never materialized
-        assert session._wire._sendbuf == []
-        assert session._wire._owed == 0
+        # The deferred BEGIN never left: the delta is the closing STATS
+        # read alone.
+        assert net_conn.stats()["rpcs_total"] - before == 1
         session.close()
 
-    def test_readonly_si_commit_is_deferred_and_acked_later(self, net_conn):
-        session = net_conn.session()
-        session.begin("ro")
-        assert session.select("Saving", 1) is not None
-        session.commit()
-        wire = session._wire
-        assert wire._owed == 1  # COMMIT queued, ack owed
-        assert len(wire._sendbuf) == 1  # ... and not yet flushed
-        session.close()  # pools the wire, commit frame still queued
-        # The next session on the same wire silently absorbs the ack.
-        session2 = net_conn.session()
-        assert session2._wire is wire
-        session2.begin("next")
-        assert session2.select("Saving", 2) is not None
-        assert wire._owed == 0
-        session2.commit()
-        session2.close()
-
-    def test_locking_transaction_commits_synchronously(self, net_conn):
-        session = net_conn.session()
-        session.begin("rw")
-        row = session.select_for_update("Saving", 1)
-        session.write("Saving", 1, {**row, "Balance": 123.0})
-        session.commit()
-        assert session._wire._owed == 0  # no deferral once a lock was taken
-        session.close()
-
-    def test_s2pl_gates_off_the_deferred_commit(self):
-        """Under S2PL a read-only COMMIT releases read locks peers may be
-        queued on — the client must wait for the ack."""
-        db = build_database(EngineConfig.s2pl(), POPULATION)
-        server = DatabaseServer(db).start_in_thread()
-        try:
-            conn = connect(f"tcp://127.0.0.1:{server.port}")
-            assert conn._isolation is None  # handshake happens on first dial
-            session = conn.session()
-            assert conn._isolation == "s2pl"
-            session.begin("ro")
-            session.select("Saving", 1)
-            session.commit()
-            assert session._wire._owed == 0
-            assert session._wire._sendbuf == []
-            session.close()
-            conn.close()
-        finally:
-            server.shutdown()
-
-    def test_dependent_select_pipelines_with_lazy_bindings(self, net_conn):
-        from repro.net.client import _LazyBinding
-
-        get_cid = PreparedStatement(
-            "SELECT CustomerId INTO :x FROM Account WHERE Name = :N"
-        )
-        get_saving = PreparedStatement(
-            "SELECT Balance INTO :a FROM Saving WHERE CustomerId = :x"
-        )
-        session = net_conn.session()
-        session.begin("lazy")
-        params = {"N": customer_name(3)}
-        get_cid.execute(session, params)  # externally keyed: synchronous
-        assert not isinstance(params["x"], _LazyBinding)
-        get_saving.execute(session, params)  # dependent: pipelined
-        assert isinstance(params["a"], _LazyBinding)
-        assert len(session._pipeline) == 1
-        assert float(params["a"]) == pytest.approx(1_000.0)  # forces the drain
-        assert session._pipeline == []
-        session.commit()
-        session.close()
-
-    def test_deposit_takes_two_rpcs(self, net_conn):
-        """The written shape: account lookup + (ADD_CHECKING ⊕ piggybacked
-        BEGIN ⊕ piggybacked COMMIT) — two requests total."""
+    def test_deposit_takes_one_rpc(self, net_conn):
+        """A committing program run is a single CALL frame: begin, the
+        body and the commit all happen server-side."""
         txns = get_strategy("base-si").transactions()
         args = {"N": customer_name(6), "V": 5.0}
         session = net_conn.session()
-        txns.run(session, DEPOSIT_CHECKING, args)  # warm sid caches
-        server_stats = net_conn.stats()
-        before = server_stats["rpcs_total"]
+        txns.run(session, DEPOSIT_CHECKING, args)  # registers the program
+        before = net_conn.stats()["rpcs_total"]
         txns.run(session, DEPOSIT_CHECKING, args)
         after = net_conn.stats()["rpcs_total"]
         session.close()
-        # Delta includes the two STATS reads bracketing the measurement.
-        assert after - before == 2 + 1
+        # Delta includes the STATS read closing the measurement.
+        assert after - before == 1 + 1
+
+    def test_uncommitted_run_goes_statement_by_statement(self, net_conn):
+        """``commit=False`` keeps the transaction open client-side, so it
+        takes the statement path (deferred BEGIN on the first one)."""
+        txns = get_strategy("base-si").transactions()
+        session = net_conn.session()
+        txns.run(
+            session, DEPOSIT_CHECKING, {"N": customer_name(6), "V": 5.0},
+            commit=False,
+        )
+        assert session.in_transaction
+        session.rollback()
+        session.close()
 
 
 class TestParseCacheRegression:

@@ -14,6 +14,7 @@ import pytest
 import repro
 from repro.cluster import Cluster, TimestampOracle, TwoPhaseCoordinator
 from repro.engine import EngineConfig, Session
+from repro.engine.session import NoWaitWaiter, WouldBlock
 from repro.engine.recovery import recover_database
 from repro.errors import (
     SerializationFailure,
@@ -209,6 +210,37 @@ class TestRecovery:
         assert checking_balance(recovered, 2) != 222.0
         with pytest.raises(TransactionStateError):
             recovered.commit_prepared("g-doubt")
+
+    @pytest.mark.parametrize("decision", ["commit", "abort"])
+    def test_in_doubt_prepare_keeps_its_rows_locked(self, decision):
+        """A crash must not free a prepared transaction's row locks: a
+        writer slipping in before the re-delivered commit would have its
+        update overwritten by the replayed after-image (money was made
+        that way under the chaos soak).  The writer waits for the
+        decision and then loses or wins exactly as against a live
+        prepared transaction."""
+        db = small_db()
+        _prepare_two(db)
+        db.crash()
+        recovered = recover_database(db)
+        local = repro.connect("local://", database=recovered)
+        writer = local.session()
+        writer.waiter = NoWaitWaiter()
+        writer.begin("Writer")
+        assert writer.select("Checking", 2)["Balance"] != 222.0  # invisible
+        with pytest.raises(WouldBlock):
+            writer.update("Checking", 2, {"Balance": 5.0})
+        if decision == "commit":
+            recovered.commit_prepared("g-doubt")
+            with pytest.raises(SerializationFailure):  # first updater won
+                writer.update("Checking", 2, {"Balance": 5.0})
+            assert checking_balance(recovered, 2) == 222.0
+        else:
+            recovered.abort_prepared("g-doubt")
+            writer.update("Checking", 2, {"Balance": 5.0})
+            writer.commit()
+            assert checking_balance(recovered, 2) == 5.0
+        assert recovered.active_transactions == ()
 
     def test_re_recovery_is_idempotent(self):
         """Crashing the recovered instance (decision still undelivered)

@@ -88,9 +88,13 @@ class TestHierarchy:
 
 class TestStatsFallback:
     def test_t_critical_without_scipy(self, monkeypatch):
+        import sys
+
         import repro.workload.stats as stats_module
 
-        monkeypatch.setattr(stats_module, "_scipy_stats", None)
+        # A None entry makes the function-level ``from scipy import
+        # stats`` raise ImportError, as on a host without scipy.
+        monkeypatch.setitem(sys.modules, "scipy", None)
         # Table value for 4 degrees of freedom (5 repetitions).
         assert stats_module.t_critical(4) == pytest.approx(2.776)
         # Large dof falls back to the normal approximation.

@@ -1,0 +1,342 @@
+"""One-RPC transaction programs over ``tcp://`` (DESIGN.md §11.5).
+
+``SmallBankTransactions.run`` ships a committing program run as a single
+``CALL`` frame; the server begins, runs the body next to the engine and
+commits.  Checked here: the results and balances match ``local://``
+under every strategy family, a ``CALL`` that blocks is applied exactly
+once, business rollbacks arrive by class in one frame leaving nothing
+open, a program id from an earlier server incarnation never runs
+anything, and a client that vanishes mid-``CALL`` leaves no locks and no
+writes behind.
+"""
+
+import threading
+import time
+
+import pytest
+
+from repro.api import connect
+from repro.engine import EngineConfig
+from repro.errors import ApplicationRollback, ConnectionClosed, ProtocolError
+from repro.net import DatabaseServer
+from repro.net.client import WireConnection
+from repro.net.protocol import encode_frame
+from repro.smallbank import (
+    AMALGAMATE,
+    BALANCE,
+    DEPOSIT_CHECKING,
+    TRANSACT_SAVING,
+    WRITE_CHECK,
+    PopulationConfig,
+    build_database,
+    customer_name,
+    get_strategy,
+)
+
+POPULATION = PopulationConfig(customers=8, seed=42)
+
+SEQUENCE = [
+    (DEPOSIT_CHECKING, {"N": customer_name(1), "V": 25.5}),
+    (TRANSACT_SAVING, {"N": customer_name(2), "V": -40.0}),
+    (BALANCE, {"N": customer_name(1)}),
+    (WRITE_CHECK, {"N": customer_name(3), "V": 15.0}),
+    (WRITE_CHECK, {"N": customer_name(4), "V": 1e9}),  # overdraft penalty
+    (AMALGAMATE, {"N1": customer_name(1), "N2": customer_name(2)}),
+    (BALANCE, {"N": customer_name(2)}),
+    (BALANCE, {"N": customer_name(1)}),
+]
+
+
+def wait_until(predicate, timeout=5.0, message="condition"):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return
+        time.sleep(0.01)
+    raise AssertionError(f"timed out waiting for {message}")
+
+
+@pytest.fixture
+def server():
+    db = build_database(EngineConfig.postgres(), POPULATION)
+    server = DatabaseServer(db).start_in_thread()
+    yield server
+    server.shutdown()
+
+
+@pytest.fixture
+def conn(server):
+    with connect(f"tcp://127.0.0.1:{server.port}") as conn:
+        yield conn
+
+
+def snapshot(connection):
+    """Every balance and Conflict counter, through a fresh session."""
+    with connection.transaction("audit") as txn:
+        return {
+            table: dict(txn.scan(table))
+            for table in ("Saving", "Checking", "Conflict")
+        }
+
+
+def run(connection, strategy, program, args):
+    session = connection.session()
+    try:
+        return get_strategy(strategy).transactions().run(session, program, args)
+    finally:
+        session.close()
+
+
+class TestParity:
+    @pytest.mark.parametrize(
+        "strategy", ["base-si", "promote-all", "materialize-all"]
+    )
+    def test_programs_match_local_results_and_balances(self, conn, strategy):
+        local = connect(
+            "local://", database=build_database(EngineConfig.postgres(), POPULATION)
+        )
+        before = conn.stats()["rpcs_total"]
+        for program, args in SEQUENCE:
+            assert run(conn, strategy, program, args) == run(
+                local, strategy, program, args
+            ), program
+        # One PREPARE_PROGRAM per distinct program, one CALL per run,
+        # and the STATS read closing the measurement.
+        rpcs = conn.stats()["rpcs_total"] - before
+        assert rpcs == 5 + len(SEQUENCE) + 1
+        assert snapshot(conn) == snapshot(local)
+
+    def test_open_ended_call_leaves_the_transaction_to_the_caller(self, conn):
+        program = get_strategy("base-si").transactions()._calls[
+            DEPOSIT_CHECKING
+        ].statement.program
+        args = {"N": customer_name(5), "V": 10.0}
+        before = snapshot(conn)["Checking"][5]["Balance"]
+        session = conn.session()
+        try:
+            session.call_program(program, args, "open-ended", end="open")
+            assert session.in_transaction
+            session.rollback()
+            assert snapshot(conn)["Checking"][5]["Balance"] == before
+            session.begin("joined")  # deferred BEGIN: the CALL carries it
+            session.call_program(program, args, end="open")
+            session.commit()
+        finally:
+            session.close()
+        assert snapshot(conn)["Checking"][5]["Balance"] == before + 10.0
+
+
+class TestBlockedCall:
+    """A CALL spans many engine operations: when one would block, the
+    inline attempt is rolled back and the whole program re-run on the
+    worker thread — never resumed half-way, never applied twice."""
+
+    def _run_behind(self, conn, lock, strategy, program, args):
+        """Run ``program`` while another session holds ``lock``; returns
+        what the program raised (None if it committed)."""
+        holder = conn.session()
+        holder.begin("holder")
+        assert holder.select_for_update(*lock) is not None
+        outcome = []
+
+        def call():
+            try:
+                run(conn, strategy, program, args)
+                outcome.append(None)
+            except Exception as exc:  # noqa: BLE001 - reported to the test
+                outcome.append(exc)
+
+        thread = threading.Thread(target=call)
+        thread.start()
+        time.sleep(0.2)
+        assert thread.is_alive(), "the CALL did not wait for the row lock"
+        holder.commit()  # lock-only SFU: the waiter proceeds, no conflict
+        holder.close()
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+        return outcome[0]
+
+    def test_block_on_the_first_write(self, conn):
+        before = snapshot(conn)
+        raised = self._run_behind(
+            conn,
+            ("Checking", 1),
+            "base-si",
+            DEPOSIT_CHECKING,
+            {"N": customer_name(1), "V": 7.0},
+        )
+        assert raised is None
+        after = snapshot(conn)
+        assert after["Checking"][1]["Balance"] == pytest.approx(
+            before["Checking"][1]["Balance"] + 7.0
+        )
+
+    def test_block_on_the_second_write_applies_the_first_once(self, conn):
+        """materialize-all Amalgamate touches Conflict[x1] then
+        Conflict[x2]: blocked on the second, the attempt has a staged
+        write, which the plain-EXEC guard would abort as
+        ``net-retry-unsafe``.  A CALL starts over instead."""
+        before = snapshot(conn)
+        raised = self._run_behind(
+            conn,
+            ("Conflict", 2),
+            "materialize-all",
+            AMALGAMATE,
+            {"N1": customer_name(1), "N2": customer_name(2)},
+        )
+        assert raised is None
+        after = snapshot(conn)
+        for cid in (1, 2):
+            assert (
+                after["Conflict"][cid]["Value"]
+                == before["Conflict"][cid]["Value"] + 1
+            )
+        moved = (
+            before["Saving"][1]["Balance"] + before["Checking"][1]["Balance"]
+        )
+        assert after["Saving"][1]["Balance"] == 0
+        assert after["Checking"][1]["Balance"] == 0
+        assert after["Checking"][2]["Balance"] == pytest.approx(
+            before["Checking"][2]["Balance"] + moved
+        )
+        assert conn.stats()["active_transactions"] == 0
+
+
+class TestApplicationRollback:
+    @pytest.mark.parametrize(
+        "program, args",
+        [
+            (BALANCE, {"N": "nobody"}),
+            (DEPOSIT_CHECKING, {"N": customer_name(1), "V": -5.0}),
+            (TRANSACT_SAVING, {"N": customer_name(1), "V": -1e9}),
+            (AMALGAMATE, {"N1": customer_name(1), "N2": "nobody"}),
+        ],
+    )
+    def test_arrives_by_class_in_one_frame(self, conn, program, args):
+        txns = get_strategy("base-si").transactions()
+        session = conn.session()
+        try:
+            with pytest.raises(ApplicationRollback):  # registers the program
+                txns.run(session, program, args)
+            before = snapshot(conn)
+            rpcs = conn.stats()["rpcs_total"]
+            with pytest.raises(ApplicationRollback):
+                txns.run(session, program, args)
+            assert not session.in_transaction
+            session.rollback()  # what drivers do next: costs no frame
+            stats = conn.stats()
+            assert stats["rpcs_total"] - rpcs == 1 + 1  # the CALL + STATS
+            assert stats["active_transactions"] == 0
+            assert snapshot(conn) == before
+        finally:
+            session.close()
+
+
+class TestStaleProgramId:
+    def test_id_from_an_earlier_incarnation_never_runs(self):
+        """Restart on the same port with the programs registered in
+        another order: the cached id must not hit whatever program took
+        its dense index, it must fail retryably and then heal."""
+        old = DatabaseServer(
+            build_database(EngineConfig.postgres(), POPULATION)
+        ).start_in_thread()
+        port = old.port
+        conn = connect(f"tcp://127.0.0.1:{port}")
+        deposit = {"N": customer_name(1), "V": 5.0}
+        try:
+            run(conn, "base-si", DEPOSIT_CHECKING, deposit)  # learns pid #0
+            old.shutdown()
+            db = build_database(EngineConfig.postgres(), POPULATION)
+            new = DatabaseServer(db, port=port).start_in_thread()
+            try:
+                with connect(f"tcp://127.0.0.1:{port}") as other:
+                    # WriteCheck now sits on dense index 0.
+                    run(
+                        other,
+                        "base-si",
+                        WRITE_CHECK,
+                        {"N": customer_name(2), "V": 1.0},
+                    )
+                    before = snapshot(other)
+                    # Retryable failures only — first the pooled wire
+                    # that died with `old`, then the stale id — and
+                    # nothing runs until the id has been re-learnt.
+                    failures = 0
+                    while True:
+                        try:
+                            run(conn, "base-si", DEPOSIT_CHECKING, deposit)
+                            break
+                        except ConnectionClosed:
+                            failures += 1
+                            assert failures <= 2
+                            assert snapshot(other) == before
+                    assert failures == 2
+                    after = snapshot(other)
+                assert after["Checking"][1]["Balance"] == pytest.approx(
+                    before["Checking"][1]["Balance"] + 5.0
+                )
+            finally:
+                new.shutdown()
+        finally:
+            conn.close()
+            old.shutdown()
+
+    def test_unknown_id_and_factory_are_protocol_errors(self, server):
+        wire = WireConnection("127.0.0.1", server.port)
+        try:
+            with pytest.raises(ProtocolError, match="unknown program id"):
+                wire.call("CALL", {"pid": 0, "args": {}})
+            with pytest.raises(ProtocolError, match="unknown program factory"):
+                wire.call("PREPARE_PROGRAM", {"factory": "nope", "spec": "{}"})
+            assert server.stats()["active_transactions"] == 0
+        finally:
+            wire.close()
+
+
+class TestDisconnectMidCall:
+    def test_vanished_client_leaves_no_locks_and_no_writes(self, server, conn):
+        """The CALL holds Conflict[1] and waits for Conflict[2]; its
+        client disappears.  Conflict[1] must free at once (not when the
+        CALL's blocker lets go), and nothing the CALL did may survive."""
+        program = get_strategy("materialize-all").transactions()._calls[
+            AMALGAMATE
+        ].statement.program
+        before = snapshot(conn)
+        holder = conn.session()
+        holder.begin("holder")
+        assert holder.select_for_update("Conflict", 2) is not None
+        victim = WireConnection("127.0.0.1", server.port)
+        pid = victim.call(
+            "PREPARE_PROGRAM", {"factory": program.factory, "spec": program.spec}
+        )["pid"]
+        victim.sock.sendall(
+            encode_frame(
+                {
+                    "op": "CALL",
+                    "pid": pid,
+                    "label": "doomed",
+                    "args": {"N1": customer_name(1), "N2": customer_name(2)},
+                }
+            )
+        )
+        wait_until(
+            lambda: server.stats()["active_transactions"] == 2,
+            message="the CALL to begin and block",
+        )
+        time.sleep(0.1)
+        victim.close()  # vanish without reading the response
+        wait_until(
+            lambda: server.stats()["active_transactions"] == 1,
+            message="server-side abort of the orphaned CALL",
+        )
+        # Its first lock is free while its blocker still holds the second.
+        with conn.transaction("probe") as txn:
+            assert txn.select_for_update("Conflict", 1) is not None
+        holder.commit()
+        holder.close()
+        wait_until(
+            lambda: server.stats()["sessions_closed"] == 1,
+            message="reaping of the vanished connection",
+        )
+        assert server.stats()["active_transactions"] == 0
+        assert snapshot(conn) == before

@@ -190,13 +190,14 @@ class TestAdmission:
             assert first.call("PING", {})["pong"]
             second = WireConnection("127.0.0.1", server.port)
             # Parked: the request sits unread until a slot frees.
-            second.send("PING", {})
+            second.sock.sendall(encode_frame({"op": "PING"}))
             wait_until(
                 lambda: server.stats()["connections_parked"] == 1,
                 message="second connection to park",
             )
             first.close()
-            assert second.recv()["pong"]  # admitted, queued frame served
+            # Admitted: the queued frame is served.
+            assert read_frame_sync(second.sock)["pong"]
             second.close()
         finally:
             server.shutdown()
