@@ -70,44 +70,37 @@ LOADGENS = 4
 GTID_STRIDE = 10**9
 
 
-def _driver_config(mpl: int, duration: float) -> ThreadedDriverConfig:
-    return ThreadedDriverConfig(
-        mpl=mpl,
-        customers=CUSTOMERS,
-        hotspot=10,
-        mix=MIX,
-        duration=duration,
-        seed=7,
+def _harness(shard_count: int, procs: bool):
+    """The cluster under measurement: thread shards, or one OS process
+    per shard with ``procs``; no recorders — only TPS is read."""
+    return (ShardFleet if procs else Cluster)(
+        shard_count, customers=CUSTOMERS, isolation="si", record=False
     )
 
 
-def measure_shards(shard_count: int, mpl: int, duration: float) -> dict:
-    """One driver run against a ``shard_count``-shard cluster."""
-    with Cluster(shard_count, customers=CUSTOMERS, isolation="si") as cluster:
-        conn = cluster.connect()
-        try:
-            stats = ThreadedDriver(
-                None,
-                get_strategy(STRATEGY).transactions(),
-                _driver_config(mpl, duration),
-                connection=conn,
-            ).run()
-            conn.flush()
-            counters = conn.counters()
-        finally:
-            conn.close()
-    decided = (
-        counters["fastpath_commits"]
-        + counters["twopc_commits"]
-        + counters["twopc_aborts"]
-    )
+def _drive(conn, mpl: int, duration: float, seed: int) -> dict:
+    """One closed-loop driver run through ``conn`` (closed afterwards)."""
+    try:
+        stats = ThreadedDriver(
+            None,
+            get_strategy(STRATEGY).transactions(),
+            ThreadedDriverConfig(
+                mpl=mpl,
+                customers=CUSTOMERS,
+                hotspot=10,
+                mix=MIX,
+                duration=duration,
+                seed=seed,
+            ),
+            connection=conn,
+        ).run()
+        counters = conn.counters()
+    finally:
+        conn.close()
     return {
-        "tps": round(stats.tps, 1),
+        "tps": stats.tps,
         "aborts": stats.abort_count(),
         "counters": counters,
-        "fastpath_ratio": round(
-            counters["fastpath_commits"] / decided, 4
-        ) if decided else 1.0,
     }
 
 
@@ -127,44 +120,13 @@ def _loadgen(args) -> int:
     conn = ClusterConnection(
         addresses, url=args.url, gtid_base=args.gtid_base
     )
-    try:
-        config = ThreadedDriverConfig(
-            mpl=args.mpl,
-            customers=CUSTOMERS,
-            hotspot=10,
-            mix=MIX,
-            duration=args.duration,
-            seed=args.seed,
-        )
-        stats = ThreadedDriver(
-            None, get_strategy(STRATEGY).transactions(), config,
-            connection=conn,
-        ).run()
-        conn.flush()
-        counters = conn.counters()
-    finally:
-        conn.close()
-    print(
-        "RESULT "
-        + json.dumps(
-            {
-                "tps": stats.tps,
-                "commits": stats.total_commits,
-                "aborts": stats.abort_count(),
-                "counters": counters,
-            },
-            sort_keys=True,
-        ),
-        flush=True,
-    )
+    result = _drive(conn, args.mpl, args.duration, args.seed)
+    print("RESULT " + json.dumps(result, sort_keys=True), flush=True)
     return 0
 
 
-def measure_shards_multiproc(
-    shard_count: int, mpl: int, duration: float
-) -> dict:
-    """One multiproc measurement point: ``shard_count`` server processes
-    plus :data:`LOADGENS` client subprocesses splitting the MPL."""
+def _drive_from_subprocesses(url: str, mpl: int, duration: float) -> "list[dict]":
+    """The MPL split over :data:`LOADGENS` ``--loadgen`` subprocesses."""
     loadgens = min(LOADGENS, mpl)
     shares = [
         mpl // loadgens + (1 if i < mpl % loadgens else 0)
@@ -174,49 +136,63 @@ def measure_shards_multiproc(
     env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
-    with ShardFleet(
-        shard_count, customers=CUSTOMERS, isolation="si", record=False
-    ) as fleet:
-        procs = [
-            subprocess.Popen(
-                [
-                    sys.executable,
-                    __file__,
-                    "--loadgen",
-                    "--url",
-                    fleet.url,
-                    "--loadgen-mpl",
-                    str(share),
-                    "--duration",
-                    str(duration),
-                    "--seed",
-                    str(7 + i),
-                    "--gtid-base",
-                    str((i + 1) * GTID_STRIDE),
-                ],
-                stdout=subprocess.PIPE,
-                env=env,
-                text=True,
+    procs = [
+        subprocess.Popen(
+            [
+                sys.executable,
+                __file__,
+                "--loadgen",
+                "--url",
+                url,
+                "--loadgen-mpl",
+                str(share),
+                "--duration",
+                str(duration),
+                "--seed",
+                str(7 + i),
+                "--gtid-base",
+                str((i + 1) * GTID_STRIDE),
+            ],
+            stdout=subprocess.PIPE,
+            env=env,
+            text=True,
+        )
+        for i, share in enumerate(shares)
+    ]
+    results = []
+    for proc in procs:
+        out, _ = proc.communicate(timeout=duration * 20 + 120)
+        if proc.returncode != 0:
+            raise RuntimeError(
+                f"loadgen exited {proc.returncode}; output: {out!r}"
             )
-            for i, share in enumerate(shares)
-        ]
-        results = []
-        for proc in procs:
-            out, _ = proc.communicate(timeout=duration * 20 + 120)
-            if proc.returncode != 0:
-                raise RuntimeError(
-                    f"loadgen exited {proc.returncode}; output: {out!r}"
-                )
-            for line in out.splitlines():
-                if line.startswith("RESULT "):
-                    results.append(json.loads(line[len("RESULT ") :]))
-                    break
-            else:
-                raise RuntimeError(f"no RESULT line in loadgen output: {out!r}")
-    if fleet.alive_count or fleet.kill_count:
+        for line in out.splitlines():
+            if line.startswith("RESULT "):
+                results.append(json.loads(line[len("RESULT ") :]))
+                break
+        else:
+            raise RuntimeError(f"no RESULT line in loadgen output: {out!r}")
+    return results
+
+
+def measure_shards(
+    shard_count: int, mpl: int, duration: float, *, procs: bool = False
+) -> dict:
+    """One measurement point against a ``shard_count``-shard cluster.
+
+    With ``procs`` neither side shares a GIL: the shards are OS
+    processes and the MPL is split over load-generator subprocesses;
+    otherwise one driver in this process runs against thread shards.
+    """
+    with _harness(shard_count, procs) as cluster:
+        if procs:
+            results = _drive_from_subprocesses(cluster.url, mpl, duration)
+        else:
+            results = [_drive(cluster.connect(), mpl, duration, seed=7)]
+    if procs and (cluster.alive_count or cluster.kill_count):
         raise RuntimeError(
-            f"shard process leak: {fleet.alive_count} alive, "
-            f"{fleet.kill_count} force-killed"
+            f"shard process leak: {cluster.alive_count} alive, "
+            f"{cluster.kill_count} force-killed"
         )
     counters = {
         key: sum(result["counters"].get(key, 0) for result in results)
@@ -231,7 +207,7 @@ def measure_shards_multiproc(
         "tps": round(sum(result["tps"] for result in results), 1),
         "aborts": sum(result["aborts"] for result in results),
         "counters": counters,
-        "loadgens": loadgens,
+        "loadgens": len(results),
         "fastpath_ratio": round(
             counters["fastpath_commits"] / decided, 4
         ) if decided else 1.0,
@@ -250,14 +226,7 @@ def measure_2pc_overhead(
     """
     fast: "list[float]" = []
     twopc: "list[float]" = []
-    cluster_factory = (
-        (lambda: ShardFleet(
-            shard_count, customers=CUSTOMERS, isolation="si", record=False
-        ))
-        if procs
-        else (lambda: Cluster(shard_count, customers=CUSTOMERS, isolation="si"))
-    )
-    with cluster_factory() as cluster:
+    with _harness(shard_count, procs) as cluster:
         conn = cluster.connect()
         try:
             session = conn.session()
@@ -300,12 +269,11 @@ def run_curve(
 ) -> dict:
     """Median-of-rounds TPS per shard count, rounds interleaved so
     machine-wide noise hits every shard count equally."""
-    measure = measure_shards_multiproc if procs else measure_shards
     samples: dict = {str(s): [] for s in shards}
     for _ in range(rounds):
         for shard_count in shards:
             samples[str(shard_count)].append(
-                measure(shard_count, mpl, duration)
+                measure_shards(shard_count, mpl, duration, procs=procs)
             )
     out: dict = {"mpl": mpl, "rounds": rounds, "points": {}}
     for shard_count in shards:

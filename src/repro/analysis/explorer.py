@@ -227,7 +227,7 @@ class InterleavingExplorer:
                 if kind in self.gate_kinds:
                     controller.gate(tid)
 
-            session = Session._internal(
+            session = Session(
                 db,
                 waiter=_ControlledWaiter(controller, tid),
                 statement_hook=statement_gate,

@@ -44,7 +44,7 @@ def extract_spec(
     them.  Touching a row outside the mapping is an error: it means the
     sentinel identities were not distinctive enough to attribute.
     """
-    session = Session._internal(db)
+    session = Session(db)
     session.begin(name)
     body(session)
     txn = session.transaction

@@ -111,8 +111,7 @@ def record_database(db: Database) -> ExecutionRecorder:
 
 
 # ----------------------------------------------------------------------
-# Durable-horizon salvage (shared by the in-process Cluster and the
-# fleet's shard processes — DESIGN.md §13, §14.1)
+# Durable-horizon salvage (called by ThreadShard.crash — DESIGN.md §13)
 # ----------------------------------------------------------------------
 def salvage_durable_history(
     db: Database,

@@ -35,12 +35,6 @@ server-side.  The ``tcp://`` and ``cluster://`` sessions additionally
 offer ``call_program(program, args, label)``: a whole transaction — a
 :class:`Program` the server builds from :data:`PROGRAM_FACTORIES` — run
 next to the engine in one round trip (DESIGN.md §11.5, §12.6).
-
-Deprecation policy: direct :class:`~repro.engine.session.Session`
-construction warns with :class:`DeprecationWarning` (the engine session
-remains the *implementation* of the local backend, not the public entry
-point).  The blessed surface re-exported from :mod:`repro` is covered by
-a ``-W error::DeprecationWarning`` CI gate.
 """
 
 from __future__ import annotations
@@ -202,9 +196,9 @@ class Connection:
 class LocalConnection(Connection):
     """The in-process backend: sessions straight onto a :class:`Database`.
 
-    Deliberately thin — an in-process session is *exactly* what direct
-    ``Session(db)`` used to hand out, so pre-facade behaviour (and every
-    measured figure) is preserved bit-for-bit.
+    Deliberately thin — an in-process session is *exactly* an engine
+    ``Session(db)``, so pre-facade behaviour (and every measured figure)
+    is preserved bit-for-bit.
     """
 
     def __init__(
@@ -222,7 +216,7 @@ class LocalConnection(Connection):
             database.install_observability(obs)
 
     def session(self) -> Session:
-        return Session._internal(self.db)
+        return Session(self.db)
 
     def ping(self) -> bool:
         return not self.db.is_crashed

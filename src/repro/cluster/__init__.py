@@ -19,19 +19,14 @@ prints its ``cluster://`` URL.
 
 from repro.cluster.chaos import ChaosConfig, ChaosResult, run_chaos
 from repro.cluster.coordinator import DecisionLog, TwoPhaseCoordinator
-from repro.cluster.fleet import ProcessCluster, ShardFleet, ShardProcess
+from repro.cluster.fleet import Cluster, ShardFleet, ShardProcess
 from repro.cluster.oracle import TimestampOracle
 from repro.cluster.partition import (
     PARTITION_COLUMNS,
     HashPartitioner,
     build_shard_database,
 )
-from repro.cluster.router import (
-    Cluster,
-    ClusterConnection,
-    ClusterSession,
-    ShardHealth,
-)
+from repro.cluster.router import ClusterConnection, ClusterSession, ShardHealth
 
 __all__ = [
     "ChaosConfig",
@@ -42,7 +37,6 @@ __all__ = [
     "DecisionLog",
     "HashPartitioner",
     "PARTITION_COLUMNS",
-    "ProcessCluster",
     "ShardFleet",
     "ShardHealth",
     "ShardProcess",

@@ -32,9 +32,9 @@ result record to ``BENCH_chaos_cluster.json`` (``--out`` overrides).
 
 ``--procs`` switches any of the above from the in-process
 :class:`~repro.cluster.Cluster` to the multi-process
-:class:`~repro.cluster.ProcessCluster` — one OS process per shard, real
-parallelism on multi-core hosts.  Under ``--chaos-smoke`` the
-certification then also requires that no shard process is orphaned.
+:class:`~repro.cluster.ShardFleet` — one OS process per shard, real
+parallelism on multi-core hosts.  The certifications then also require
+that no shard process is orphaned or force-killed.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ import json
 import sys
 
 from repro.api import ISOLATION_CONFIGS
-from repro.cluster.router import Cluster
+from repro.cluster.fleet import Cluster, ShardFleet
 
 
 def _smoke(
@@ -74,7 +74,6 @@ def _smoke(
             ),
             connection=connection,
         ).run()
-        connection.flush()  # settle deferred read-only COMMITs
         counters = connection.counters()
     finally:
         connection.close()
@@ -177,22 +176,12 @@ def main(argv: "list[str] | None" = None) -> int:
     if args.chaos_smoke:
         return _chaos_smoke(args)
 
-    if args.procs:
-        from repro.cluster.fleet import ProcessCluster
-
-        cluster = ProcessCluster(
-            args.shards,
-            customers=args.customers,
-            isolation=args.isolation,
-            autovacuum_interval=args.autovacuum,
-        )
-    else:
-        cluster = Cluster(
-            args.shards,
-            customers=args.customers,
-            isolation=args.isolation,
-            autovacuum_interval=args.autovacuum,
-        )
+    cluster = (ShardFleet if args.procs else Cluster)(
+        args.shards,
+        customers=args.customers,
+        isolation=args.isolation,
+        autovacuum_interval=args.autovacuum,
+    )
     try:
         ports = " ".join(str(port) for _host, port in cluster.addresses)
         print(f"LISTENING {ports}", flush=True)
@@ -205,25 +194,21 @@ def main(argv: "list[str] | None" = None) -> int:
                 args.strategy,
                 args.customers,
             )
-            if args.procs:
-                cluster.shutdown()
-                if cluster.fleet.alive_count or cluster.fleet.kill_count:
-                    print(
-                        "FAIL orphaned or force-killed shard processes",
-                        file=sys.stderr,
-                        flush=True,
-                    )
-                    return 1
+            cluster.shutdown()
+            if args.procs and (cluster.alive_count or cluster.kill_count):
+                print(
+                    "FAIL orphaned or force-killed shard processes",
+                    file=sys.stderr,
+                    flush=True,
+                )
+                return 1
             return code
         try:
             sys.stdin.read()  # block until the parent closes our stdin
         except KeyboardInterrupt:
             pass
-        if args.procs:
-            cluster.shutdown()  # children print STATS as they drain
-            stats = [shard.stats for shard in cluster.fleet.shards]
-        else:
-            stats = [server.stats() for server in cluster.servers]
+        cluster.shutdown()  # every shard leaves its final counters
+        stats = [shard.stats for shard in cluster.shards]
         print(f"STATS {json.dumps(stats, sort_keys=True)}", flush=True)
         return 0
     finally:

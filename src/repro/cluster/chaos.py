@@ -15,7 +15,7 @@ settled through the coordinator's decision log — and then certifies:
 * **zero in-doubt transactions** remain anywhere;
 * the **merged MVSG is acyclic** (cluster-serializable) over the
   durable per-shard histories, salvaged across crashes by
-  :meth:`~repro.cluster.router.Cluster.crash_shard`;
+  :meth:`~repro.cluster.fleet.Cluster.crash_shard`;
 * the **ledger is exactly conserved**: final balance sum equals the
   initial one.
 
@@ -37,7 +37,8 @@ import threading
 import time
 from dataclasses import asdict, dataclass, field
 
-from repro.cluster.router import Cluster, ClusterConnection
+from repro.cluster.fleet import Cluster, ShardFleet
+from repro.cluster.router import ClusterConnection
 from repro.errors import (
     ConnectionClosed,
     CoordinatorCrashed,
@@ -64,8 +65,8 @@ class ChaosConfig:
     isolation: str = "si"
     strategy: str = "promote-all"
     #: ``"inproc"`` runs every shard server inside this interpreter
-    #: (:class:`~repro.cluster.router.Cluster`); ``"multiproc"`` launches
-    #: one OS process per shard (:class:`~repro.cluster.fleet.ProcessCluster`)
+    #: (:class:`~repro.cluster.fleet.Cluster`); ``"multiproc"`` launches
+    #: one OS process per shard (:class:`~repro.cluster.fleet.ShardFleet`)
     #: and drives crash/recovery over the control channel.
     process_model: str = "inproc"
     #: Fraction of transactions that are read-mostly Balance checks; the
@@ -297,33 +298,24 @@ def _chaos_controller(
             counters["shard_restarts"] += 1
 
 
-def _pending_2pc_gtids(cluster) -> "set[str]":
-    """Every gtid still prepared or in doubt anywhere in the cluster."""
-    return cluster.pending_2pc_gtids()
+#: The harness class behind each :attr:`ChaosConfig.process_model`.
+PROCESS_MODELS = {"inproc": Cluster, "multiproc": ShardFleet}
 
 
-def _build_cluster(config: ChaosConfig, *, obs=None):
+def _build_cluster(config: ChaosConfig, *, obs=None) -> Cluster:
     """The cluster under test, per :attr:`ChaosConfig.process_model`."""
-    if config.process_model == "multiproc":
-        from repro.cluster.fleet import ProcessCluster
-
-        return ProcessCluster(
-            config.shards,
-            customers=config.customers,
-            isolation=config.isolation,
-            seed=config.seed,
-            obs=obs,
-        )
-    if config.process_model != "inproc":
+    harness = PROCESS_MODELS.get(config.process_model)
+    if harness is None:
         raise ValueError(
             f"unknown process_model {config.process_model!r}; "
-            "known: inproc, multiproc"
+            f"known: {', '.join(PROCESS_MODELS)}"
         )
-    return Cluster(
+    return harness(
         config.shards,
         customers=config.customers,
         isolation=config.isolation,
         seed=config.seed,
+        obs=obs,
     )
 
 
@@ -397,11 +389,10 @@ def run_chaos(config: ChaosConfig = ChaosConfig(), *, obs=None) -> ChaosResult:
             deadline = time.monotonic() + config.recovery_deadline
             while True:
                 _quiet(connection.resolve_in_doubt)
-                pending = _pending_2pc_gtids(cluster)
+                pending = cluster.pending_2pc_gtids()
                 if not pending or time.monotonic() > deadline:
                     break
                 time.sleep(0.05)
-            _quiet(connection.flush)  # settle deferred read-only COMMITs
             router_counters = connection.counters()
         finally:
             connection.close()
@@ -435,6 +426,6 @@ def run_chaos(config: ChaosConfig = ChaosConfig(), *, obs=None) -> ChaosResult:
     finally:
         cluster.shutdown()
     if config.process_model == "multiproc":
-        result.orphan_processes = cluster.fleet.alive_count
-        result.counters["forced_kills"] = cluster.fleet.kill_count
+        result.orphan_processes = cluster.alive_count
+        result.counters["forced_kills"] = cluster.kill_count
     return result

@@ -2,7 +2,7 @@
 
 Phase 1 sends ``PREPARE_2PC`` to every *writing* branch in shard order
 (:meth:`TwoPhaseCoordinator.commit_two_phase`), or rides on the router's
-program ``CALL``\ s, which end ``prepare:<gtid>`` (the router then drives
+program ``CALL`` frames, which end ``prepare:<gtid>`` (the router then drives
 :meth:`~TwoPhaseCoordinator.abort` / :meth:`~TwoPhaseCoordinator.decide_commit`
 itself); a participant votes YES by making the prepare record durable and
 moving the transaction to PREPARED, or votes NO by aborting it (any engine
@@ -33,10 +33,11 @@ re-delivers a commit decision immediately, exercising the participants'
 idempotent-redelivery contract on the live path.
 
 ``decision_hook`` is a test seam: called between per-participant
-COMMIT_2PC deliveries so a concurrent *lazy-mode* reader can be wedged
-into the middle of a decision broadcast (the fractured-read demo).  It
-must never be used with consistent-mode readers — those block on the
-oracle latch the hook's caller is holding.
+COMMIT_2PC deliveries so a reader that bypasses the router (two plain
+``tcp://`` snapshots) can be wedged into the middle of a decision
+broadcast — the fractured-read demonstration.  It must never begin a
+``cluster://`` transaction: that blocks on the oracle latch the hook's
+caller is holding.
 """
 
 from __future__ import annotations

@@ -1,41 +1,33 @@
-"""Multi-process shard fleet: each shard is its own OS process.
+"""The cluster harness: N shards, in threads or in OS processes.
 
-The in-process :class:`~repro.cluster.router.Cluster` hosts every shard
-server inside one interpreter, so at MPL ≥ shard count the shards
-contend for a single GIL and adding shards cannot add throughput.  The
-fleet launches each shard as ``python -m repro.net --shard-index i
---shard-count n`` — a separate interpreter per shard, real parallelism
-on multi-core hosts — and drives crash/recovery *inside* each child
-over the entrypoint's line-oriented control channel (the WAL is
-in-memory, so killing the process would lose the durable state the
-crash model is supposed to preserve).
+:class:`Cluster` stands up a full sharded deployment — partitioned
+populations, per-shard recorders, real TCP servers — and drives it for
+tests, demos, the smoke and chaos certifiers and the benchmarks::
 
-Three layers:
-
-:class:`ShardProcess`
-    One child process: spawn, readiness probe (``LISTENING <port>``),
-    control commands (CRASH / RECOVER / DUMP / FAULTS / PING), graceful
-    shutdown via stdin EOF with a kill fallback (counted, so tests can
-    assert clean teardown), and reaping.
-
-:class:`ShardFleet`
-    N shard processes launched concurrently, plus the cluster-facing
-    conveniences: ``addresses`` / ``url`` / ``connect()``.
-
-:class:`ProcessCluster`
-    Mirrors the :class:`~repro.cluster.router.Cluster` surface the chaos
-    harness and benchmarks drive — ``crash_shard`` / ``restart_shard`` /
-    ``install_faults`` / ``histories`` / ``total_money`` /
-    ``pending_2pc_gtids`` / ``recover_crashed`` — so the same scenario
-    code runs against either process model.
-
-::
-
-    with ProcessCluster(shard_count=2, customers=40) as cluster:
+    with Cluster(shard_count=2, customers=40) as cluster:
         conn = cluster.connect()
         ...
         report = merge_shard_histories(cluster.histories())
-    assert cluster.fleet.kill_count == 0   # no orphaned processes
+
+It is written once over "a list of shards with ``address`` / ``crash`` /
+``recover`` / ``history`` / ``install_faults`` / ``shutdown``"; which
+class those shards are is the whole difference between the two models:
+
+:class:`Cluster` — :class:`~repro.net.shard.ThreadShard`
+    Every shard server runs inside this interpreter.  Cheapest to start,
+    but at MPL ≥ shard count the shards contend for a single GIL, so
+    adding shards cannot add throughput.
+
+:class:`ShardFleet` — :class:`ShardProcess`
+    Each shard is a ``python -m repro.net --shard-index i --shard-count
+    n`` child: a separate interpreter per shard, real parallelism on
+    multi-core hosts.  The child hosts the same ``ThreadShard`` and the
+    parent calls its methods over the child's line-oriented stdin
+    channel (crash/recovery happens *inside* the surviving child: the
+    WAL is in-memory, so killing the process would lose the durable
+    state the crash model is supposed to preserve).  After ``shutdown``,
+    ``alive_count == kill_count == 0`` proves no child was orphaned or
+    had to be force-killed.
 """
 
 from __future__ import annotations
@@ -49,17 +41,20 @@ import threading
 import time
 from typing import TYPE_CHECKING, Optional
 
-from repro.errors import ConnectionClosed, ReproError, TransactionStateError
+from repro.cluster.router import ClusterConnection
+from repro.errors import ReproError, TransactionStateError
+from repro.net.client import NetworkConnection
+from repro.net.shard import ThreadShard
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.cluster.router import ClusterConnection
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.analysis.recorder import CommittedTransaction
     from repro.faults import FaultPlan
     from repro.obs import Observability
 
 #: How long a child gets to bind its socket / finish recovery before the
 #: parent declares the spawn failed.  Population is O(customers) and
 #: interpreter start is the dominant cost; generous beats flaky.
-DEFAULT_STARTUP_DEADLINE = 60.0
+STARTUP_DEADLINE = 60.0
 
 #: How long graceful shutdown (stdin EOF → child drains and exits) may
 #: take before the parent escalates to SIGTERM and then SIGKILL.
@@ -82,11 +77,13 @@ class ShardProcessError(ReproError):
 class ShardProcess:
     """One shard served by its own ``python -m repro.net`` child process.
 
-    The constructor only spawns; call :meth:`wait_ready` (or let
-    :class:`ShardFleet` do it) before using :attr:`port`.  All control
-    traffic runs over the child's stdin/stdout pipes; a reader thread
-    feeds stdout lines into a queue so every wait is deadline-bounded
-    without racing buffered reads against ``select``.
+    The constructor only spawns; :attr:`address` (or :meth:`wait_ready`)
+    blocks until the child is listening.  All control traffic runs over
+    the child's stdin/stdout pipes; a reader thread feeds stdout lines
+    into a queue so every wait is deadline-bounded without racing
+    buffered reads against ``select``.  ``crash`` / ``recover`` /
+    ``history`` / ``install_faults`` / ``shutdown`` are the child's
+    :class:`~repro.net.shard.ThreadShard` methods of the same names.
     """
 
     def __init__(
@@ -97,21 +94,19 @@ class ShardProcess:
         customers: int = 40,
         isolation: str = "si",
         seed: Optional[int] = None,
-        partitioner: str = "hash",
         host: str = "127.0.0.1",
         port: int = 0,
         record: bool = True,
         autovacuum_interval: Optional[float] = None,
         fault_plan: "FaultPlan | None" = None,
-        startup_deadline: float = DEFAULT_STARTUP_DEADLINE,
     ) -> None:
         self.shard_index = shard_index
         self.host = host
         self.port: Optional[int] = None
         self.crashed = False
         self.kill_count = 0
+        #: Final server counters, set by a graceful :meth:`shutdown`.
         self.stats: Optional[dict] = None
-        self._startup_deadline = startup_deadline
         self._lock = threading.Lock()
         argv = [
             sys.executable,
@@ -130,8 +125,6 @@ class ShardProcess:
             str(shard_index),
             "--shard-count",
             str(shard_count),
-            "--partitioner",
-            partitioner,
         ]
         if seed is not None:
             argv += ["--seed", str(seed)]
@@ -206,10 +199,8 @@ class ShardProcess:
                 f"shard {self.shard_index}: control channel broken: {exc}"
             ) from exc
 
-    def _deadline(self, timeout: Optional[float] = None) -> float:
-        return time.monotonic() + (
-            timeout if timeout is not None else self._startup_deadline
-        )
+    def _deadline(self, timeout: float = STARTUP_DEADLINE) -> float:
+        return time.monotonic() + timeout
 
     # ------------------------------------------------------------------
     @property
@@ -218,11 +209,7 @@ class ShardProcess:
 
     @property
     def address(self) -> "tuple[str, int]":
-        if self.port is None:
-            raise ShardProcessError(
-                f"shard {self.shard_index} is not ready (no LISTENING yet)"
-            )
-        return (self.host, self.port)
+        return self.wait_ready()
 
     def wait_ready(self) -> "tuple[str, int]":
         """Block until the child prints ``LISTENING <port>``."""
@@ -249,7 +236,7 @@ class ShardProcess:
             self._expect("CRASHED", self._deadline())
             self.crashed = True
 
-    def recover(self) -> "tuple[str, int]":
+    def recover(self) -> None:
         """Recover the engine and serve again on the same port."""
         with self._lock:
             self._send("RECOVER")
@@ -262,13 +249,21 @@ class ShardProcess:
                 )
             self.port = restarted_port
             self.crashed = False
-        return (self.host, self.port)
 
     def dump_history(self, path: str) -> int:
         """Write the child's committed history to ``path`` as JSONL."""
         with self._lock:
             self._send(f"DUMP {path}")
             return int(self._expect("DUMPED ", self._deadline()))
+
+    def history(self) -> "tuple[CommittedTransaction, ...]":
+        """The child's committed history, shipped through a JSONL dump."""
+        from repro.analysis.recorder import load_history_jsonl
+
+        with tempfile.TemporaryDirectory(prefix="repro-fleet-") as tmp:
+            path = os.path.join(tmp, f"shard{self.shard_index}.jsonl")
+            self.dump_history(path)
+            return load_history_jsonl(path)
 
     def install_faults(self, plan: "FaultPlan | None") -> None:
         with self._lock:
@@ -310,13 +305,13 @@ class ShardProcess:
                 self.stats = json.loads(line[len("STATS ") :])
 
 
-class ShardFleet:
-    """N shard processes over one hash-partitioned population.
-
-    Children are spawned first and readiness-probed second, so the
-    (interpreter start + population) cost is paid concurrently across
-    shards rather than serially.
+class Cluster:
+    """N shards over one hash-partitioned SmallBank population, each
+    served from a thread of this process (see the module docstring;
+    :class:`ShardFleet` is the same harness over child processes).
     """
+
+    shard_class: type = ThreadShard
 
     def __init__(
         self,
@@ -325,44 +320,40 @@ class ShardFleet:
         customers: int = 40,
         isolation: str = "si",
         seed: Optional[int] = None,
-        partitioner: str = "hash",
         record: bool = True,
         autovacuum_interval: Optional[float] = None,
-        startup_deadline: float = DEFAULT_STARTUP_DEADLINE,
         obs: "Observability | None" = None,
     ) -> None:
         self.shard_count = shard_count
         self.obs = obs
         self.fault_plan: "FaultPlan | None" = None
         self.restart_count = 0
-        self.shards: "list[ShardProcess]" = []
+        self.shards: list = []
         try:
+            # Spawn every shard first and probe readiness second, so
+            # process shards pay interpreter start + population
+            # concurrently rather than serially.
             for shard in range(shard_count):
                 self.shards.append(
-                    ShardProcess(
+                    self.shard_class(
                         shard,
                         shard_count,
                         customers=customers,
                         isolation=isolation,
                         seed=seed,
-                        partitioner=partitioner,
                         record=record,
                         autovacuum_interval=autovacuum_interval,
-                        startup_deadline=startup_deadline,
                     )
                 )
                 if obs is not None:
                     obs.fleet_spawn(shard)
-            for shard_process in self.shards:
-                shard_process.wait_ready()
+            #: Fixed for the cluster's life: recovery rebinds the port.
+            self.addresses: "list[tuple[str, int]]" = [
+                shard.address for shard in self.shards
+            ]
         except BaseException:
             self.shutdown()
             raise
-
-    # ------------------------------------------------------------------
-    @property
-    def addresses(self) -> "list[tuple[str, int]]":
-        return [shard.address for shard in self.shards]
 
     @property
     def url(self) -> str:
@@ -370,51 +361,80 @@ class ShardFleet:
             f"{host}:{port}" for host, port in self.addresses
         )
 
-    @property
-    def kill_count(self) -> int:
-        """Children that needed SIGTERM/SIGKILL instead of a clean EOF
-        exit — any non-zero value means an orphan-process bug."""
-        return sum(shard.kill_count for shard in self.shards)
-
-    @property
-    def alive_count(self) -> int:
-        return sum(1 for shard in self.shards if shard.alive)
-
-    def connect(self, **kwargs) -> "ClusterConnection":
-        from repro.cluster.router import ClusterConnection
-
-        kwargs.setdefault("url", self.url)
+    def connect(self, **kwargs) -> ClusterConnection:
         return ClusterConnection(self.addresses, **kwargs)
 
     def install_faults(self, plan: "FaultPlan | None") -> None:
-        """Ship the plan to every child (remembered across restarts).
+        """Install (or clear) the fault plan on every shard server.
 
-        Each child rebuilds its own :class:`FaultPlan` from the same
-        seed, so per-shard draw sequences are independent — same as the
-        in-process cluster, where one shared plan is consulted from
-        per-shard server threads in nondeterministic order.
+        Each shard remembers it across crash and recovery.  Thread
+        shards consult the one shared plan from their server threads in
+        nondeterministic order; process shards each rebuild their own
+        copy from the same seed — either way the per-shard draw
+        sequences are independent.  Clear with ``None`` before measuring.
         """
         self.fault_plan = plan
         for shard in self.shards:
-            if not shard.crashed:
-                shard.install_faults(plan)
+            shard.install_faults(plan)
 
     def crash_shard(self, shard: int) -> None:
+        """Power-fail one shard: crash its engine, stop its server, and
+        keep its recorded history up to the durable horizon
+        (:meth:`ThreadShard.crash <repro.net.shard.ThreadShard.crash>`)."""
         self.shards[shard].crash()
 
     def restart_shard(self, shard: int) -> None:
+        """Recover a crashed shard and serve it again *on the same
+        port*, so existing client connections reconnect transparently."""
         self.shards[shard].recover()
-        if self.fault_plan is not None:
-            self.shards[shard].install_faults(self.fault_plan)
         self.restart_count += 1
         if self.obs is not None:
             self.obs.fleet_restart(shard)
+
+    def recover_crashed(self) -> int:
+        """Restart every crashed shard; returns how many there were."""
+        crashed = [i for i, shard in enumerate(self.shards) if shard.crashed]
+        for shard in crashed:
+            self.restart_shard(shard)
+        return len(crashed)
+
+    def histories(self) -> "dict[int, tuple[CommittedTransaction, ...]]":
+        """Per-shard committed histories, ready for the global merge
+        (:func:`repro.analysis.merge_shard_histories`)."""
+        return {i: shard.history() for i, shard in enumerate(self.shards)}
+
+    def total_money(self) -> float:
+        """Cluster-wide balance sum (matches the single-node population),
+        read over the wire from every shard."""
+        total = 0.0
+        for host, port in self.addresses:
+            with NetworkConnection(host, port) as connection:
+                with connection.transaction("audit") as txn:
+                    for table in ("Saving", "Checking"):
+                        for _key, row in txn.scan(table, description="audit"):
+                            total += row["Balance"]
+        return round(total, 2)
+
+    def pending_2pc_gtids(self) -> "set[str]":
+        """Every gtid still prepared or in doubt on any shard, from the
+        servers' wire-level stats — so every shard must be serving."""
+        pending: "set[str]" = set()
+        for index, shard in enumerate(self.shards):
+            if shard.crashed:
+                raise TransactionStateError(
+                    f"shard {index} is crashed; recover_crashed() first"
+                )
+            with NetworkConnection(*shard.address) as connection:
+                stats = connection.stats()
+            pending.update(stats["in_doubt_gtids"])
+            pending.update(stats["prepared_gtids"])
+        return pending
 
     def shutdown(self) -> None:
         for shard in self.shards:
             shard.shutdown()
 
-    def __enter__(self) -> "ShardFleet":
+    def __enter__(self) -> "Cluster":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
@@ -422,142 +442,19 @@ class ShardFleet:
         return False
 
 
-class ProcessCluster:
-    """Drop-in :class:`~repro.cluster.router.Cluster` replacement whose
-    shards live in child processes.
+class ShardFleet(Cluster):
+    """The same harness with every shard in its own OS process."""
 
-    State the in-process cluster reads straight off its engines —
-    histories, balance totals, pending gtids — is fetched over the wire
-    (stats / scans) or the control channel (history dumps) instead, so
-    the chaos harness and benchmarks run unmodified against either
-    process model.
-    """
-
-    def __init__(
-        self,
-        shard_count: int = 2,
-        *,
-        customers: int = 40,
-        isolation: str = "si",
-        seed: Optional[int] = None,
-        autovacuum_interval: Optional[float] = None,
-        obs: "Observability | None" = None,
-    ) -> None:
-        self.shard_count = shard_count
-        self.fleet = ShardFleet(
-            shard_count,
-            customers=customers,
-            isolation=isolation,
-            seed=seed,
-            record=True,
-            autovacuum_interval=autovacuum_interval,
-            obs=obs,
-        )
-        from repro.cluster.partition import HashPartitioner
-
-        self.partitioner = HashPartitioner(shard_count)
-
-    # ------------------------------------------------------------------
-    @property
-    def addresses(self) -> "list[tuple[str, int]]":
-        return self.fleet.addresses
+    shard_class = ShardProcess
 
     @property
-    def url(self) -> str:
-        return self.fleet.url
+    def alive_count(self) -> int:
+        """Children still running; non-zero after :meth:`shutdown` means
+        an orphaned process."""
+        return sum(1 for shard in self.shards if shard.alive)
 
     @property
-    def fault_plan(self) -> "FaultPlan | None":
-        return self.fleet.fault_plan
-
-    @property
-    def restart_count(self) -> int:
-        return self.fleet.restart_count
-
-    def connect(self, **kwargs) -> "ClusterConnection":
-        return self.fleet.connect(**kwargs)
-
-    def install_faults(self, plan: "FaultPlan | None") -> None:
-        self.fleet.install_faults(plan)
-
-    def crash_shard(self, shard: int) -> None:
-        self.fleet.crash_shard(shard)
-
-    def restart_shard(self, shard: int) -> None:
-        self.fleet.restart_shard(shard)
-
-    def recover_crashed(self) -> int:
-        """Restart any shard whose engine is crashed; returns the count."""
-        restarted = 0
-        for shard, process in enumerate(self.fleet.shards):
-            if process.crashed:
-                self.restart_shard(shard)
-                restarted += 1
-        return restarted
-
-    # ------------------------------------------------------------------
-    def histories(self):
-        """Per-shard committed histories, fetched via control-channel
-        DUMP and deserialised — same shape as ``Cluster.histories()``."""
-        from repro.analysis.recorder import load_history_jsonl
-
-        merged = {}
-        with tempfile.TemporaryDirectory(prefix="repro-fleet-") as tmp:
-            for shard, process in enumerate(self.fleet.shards):
-                path = os.path.join(tmp, f"shard{shard}.jsonl")
-                process.dump_history(path)
-                merged[shard] = load_history_jsonl(path)
-        return merged
-
-    def total_money(self) -> float:
-        """Cluster-wide balance sum, read over the wire per shard."""
-        from repro.net.client import NetworkConnection
-
-        total = 0.0
-        for host, port in self.addresses:
-            connection = NetworkConnection(host, port)
-            try:
-                session = connection.session()
-                session.begin("audit")
-                for table in ("Saving", "Checking"):
-                    for _key, row in session.scan(table, description="audit"):
-                        total += row["Balance"]
-                session.commit()
-                session.close()
-            finally:
-                connection.close()
-        return round(total, 2)
-
-    def pending_2pc_gtids(self) -> "set[str]":
-        """Every gtid still prepared or in doubt on any *serving* shard,
-        read from the wire-level server stats."""
-        pending: "set[str]" = set()
-        for shard, process in enumerate(self.fleet.shards):
-            if process.crashed:
-                raise TransactionStateError(
-                    f"shard {shard} is crashed; recover_crashed() first"
-                )
-            from repro.net.client import NetworkConnection
-
-            connection = NetworkConnection(process.host, process.port)
-            try:
-                stats = connection.stats()
-            except ConnectionClosed as exc:
-                raise ShardProcessError(
-                    f"shard {shard} unreachable for a 2PC sweep: {exc}"
-                ) from exc
-            finally:
-                connection.close()
-            pending.update(stats.get("in_doubt_gtids", ()))
-            pending.update(stats.get("prepared_gtids", ()))
-        return pending
-
-    def shutdown(self) -> None:
-        self.fleet.shutdown()
-
-    def __enter__(self) -> "ProcessCluster":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.shutdown()
-        return False
+    def kill_count(self) -> int:
+        """Children that needed SIGTERM/SIGKILL instead of a clean EOF
+        exit — any non-zero value means an orphan-process bug."""
+        return sum(shard.kill_count for shard in self.shards)

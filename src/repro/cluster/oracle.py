@@ -27,10 +27,6 @@ concurrently.  Decision preference is kept from the reader-writer
 original: a queued decision blocks *new* snapshots, so a steady stream
 of begins cannot starve commits.
 
-The lazy snapshot mode deliberately bypasses ``snapshot_window()`` (its
-per-shard BEGINs happen on first touch, long after cluster-begin) —
-that is the mode whose fractured reads the cluster demo exhibits.
-
 The oracle also hands out the monotonically increasing global
 transaction ids (``gtid``) that name distributed transactions in 2PC and
 in merged traces.  Two amortisations keep this off the hot path:

@@ -11,20 +11,18 @@ prepare round at all.  A whole transaction *program*
 alone: one ``CALL`` to the owning shard, or — an Amalgamate of customers
 on two shards — its two parts as five RPCs in three rounds.
 
-Snapshot modes (``snapshot_mode=``):
+A statement-by-statement transaction opens with BEGIN broadcast to
+every shard inside the oracle's shared snapshot window, so no decision
+broadcast can land between the per-shard snapshots: the transaction sees
+every distributed commit on all shards or on none.  (Opening each
+shard's snapshot on first touch instead would admit *fractured reads* —
+a snapshot taken on shard A before a decision and on shard B after it
+sees half a distributed commit; ``tests/test_cluster_router.py``
+``TestSnapshotWindow`` builds exactly that out of two independent
+``tcp://`` snapshots.)
 
-* ``"consistent"`` (default) — cluster-begin broadcasts BEGIN to every
-  shard inside the oracle's shared snapshot window, so no decision
-  broadcast can land between the per-shard snapshots: the transaction
-  sees every distributed commit on all shards or on none.
-* ``"lazy"`` — per-shard BEGINs ride on the first statement touching the
-  shard (the single-node deferred-BEGIN behaviour, cheapest) but admits
-  *fractured reads*: a snapshot taken on shard A before a decision and
-  on shard B after it sees half a distributed commit.
-
-The in-process :class:`Cluster` helper stands up a full sharded
-deployment (partitioned populations, per-shard recorders, real TCP
-servers) in one object for tests, demos and the smoke benchmark.
+The harness that stands up the shards themselves is
+:class:`repro.cluster.Cluster` (:mod:`repro.cluster.fleet`).
 """
 
 from __future__ import annotations
@@ -37,12 +35,8 @@ from typing import TYPE_CHECKING, Callable, Hashable, Mapping, Optional, Sequenc
 from repro.api import Connection, Program
 from repro.cluster.coordinator import DecisionLog, TwoPhaseCoordinator
 from repro.cluster.fanout import FanOutPool, first_error
-from repro.cluster.oracle import DEFAULT_GTID_LEASE, TimestampOracle
-from repro.cluster.partition import (
-    PARTITION_COLUMNS,
-    HashPartitioner,
-    build_shard_database,
-)
+from repro.cluster.oracle import TimestampOracle
+from repro.cluster.partition import PARTITION_COLUMNS, HashPartitioner
 from repro.errors import (
     ApplicationRollback,
     ConnectionClosed,
@@ -59,7 +53,6 @@ from repro.sqlmini.ast import Insert, Select, equality_key, evaluate
 from repro.sqlmini.executor import StatementResult, parse_cached
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.engine.engine import Database
     from repro.faults import FaultPlan
     from repro.obs import Observability
     from repro.workload.retry import RetryPolicy
@@ -93,14 +86,13 @@ class ClusterSession:
     def _next_gtid_number(self) -> int:
         """Next gtid from this session's leased block (amortised oracle).
 
-        One oracle mutex acquisition per :data:`DEFAULT_GTID_LEASE`-ish
-        transactions instead of one per transaction; unconsumed ids of a
-        discarded session's block are simply never used.
+        One oracle mutex acquisition per
+        :data:`~repro.cluster.oracle.DEFAULT_GTID_LEASE` transactions
+        instead of one per transaction; unconsumed ids of a discarded
+        session's block are simply never used.
         """
         if self._gtid_lease_pos >= len(self._gtid_lease):
-            self._gtid_lease = self._cluster.oracle.lease_gtids(
-                self._cluster.gtid_lease
-            )
+            self._gtid_lease = self._cluster.oracle.lease_gtids()
             self._gtid_lease_pos = 0
         number = self._gtid_lease[self._gtid_lease_pos]
         self._gtid_lease_pos += 1
@@ -118,17 +110,15 @@ class ClusterSession:
             )
         self._stamp(label)
         self._in_txn = True
-        if self._cluster.snapshot_mode == "consistent":
-            self._begin_together(
-                [self._open(s) for s in range(len(self._cluster.shards))]
-            )
+        self._begin_together(
+            [self._open(s) for s in range(len(self._cluster.shards))]
+        )
 
     def _begin_together(self, branches: "Sequence[NetworkSession]") -> None:
         """BEGIN on every branch inside one shared snapshot window: no
         2PC decision broadcast can interleave the snapshots.  The BEGINs
-        fan out concurrently — they are the price consistent mode pays on
-        every statement-by-statement transaction, so they must not cost
-        ``shards × RTT``.
+        fan out concurrently — every statement-by-statement transaction
+        pays for them, so they must not cost ``shards × RTT``.
         """
         with self._cluster.oracle.snapshot_window():
             outcomes = self._cluster.fanout.run(
@@ -164,12 +154,11 @@ class ClusterSession:
         return branch
 
     def _branch(self, shard: int) -> NetworkSession:
+        """``shard``'s branch of the open transaction (:meth:`begin`
+        opened one on every shard)."""
         branch = self._branches.get(shard)
         if branch is None:
-            if not self._in_txn:
-                raise TransactionStateError("no active transaction")
-            branch = self._open(shard)
-            branch.begin(self._tagged)  # lazy mode: deferred BEGIN
+            raise TransactionStateError("no active transaction")
         return branch
 
     def _all_branches(self) -> "list[NetworkSession]":
@@ -552,46 +541,30 @@ class ClusterConnection(Connection):
         pool_size: int = 8,
         timeout: Optional[float] = 10.0,
         url: str = "",
-        snapshot_mode: str = "consistent",
         decision_hook: "Optional[Callable[[str, int], None]]" = None,
         decision_log: "Optional[DecisionLog]" = None,
         fault_plan: "FaultPlan | None" = None,
         rpc_deadline: Optional[float] = None,
         unhealthy_after: int = 3,
-        fanout_workers: Optional[int] = None,
         gtid_base: int = 0,
-        gtid_lease: int = DEFAULT_GTID_LEASE,
     ) -> None:
         if not addresses:
             raise ValueError("cluster needs at least one shard address")
-        if snapshot_mode not in ("consistent", "lazy"):
-            raise ValueError(
-                f"snapshot_mode must be 'consistent' or 'lazy', "
-                f"got {snapshot_mode!r}"
-            )
         if unhealthy_after < 1:
             raise ValueError("unhealthy_after must be >= 1")
         self.retry_policy = retry_policy
         self.obs = obs
-        self.snapshot_mode = snapshot_mode
         self.url = url or "cluster://" + ",".join(
             f"{host}:{port}" for host, port in addresses
         )
         self.partitioner = HashPartitioner(len(addresses))
-        #: Gtid block size each session leases from the oracle at a time.
-        self.gtid_lease = gtid_lease
         self.oracle = TimestampOracle(gtid_base=gtid_base)
         #: Shared fan-out pool for every per-shard broadcast this
         #: connection performs (BEGINs, 2PC rounds, scans, sweeps).
         #: Sized so ~pool_size concurrent sessions can each keep their
         #: non-inline shards busy; the per-shard wire pools bound socket
         #: concurrency underneath it.
-        self.fanout = FanOutPool(
-            fanout_workers
-            if fanout_workers is not None
-            else max(4, 4 * len(addresses)),
-            obs=obs,
-        )
+        self.fanout = FanOutPool(max(4, 4 * len(addresses)), obs=obs)
         self.coordinator = TwoPhaseCoordinator(
             self.oracle,
             decision_hook=decision_hook,
@@ -829,7 +802,6 @@ class ClusterConnection(Connection):
         merged: dict = {
             "backend": "cluster",
             "shards": self.shard_count,
-            "snapshot_mode": self.snapshot_mode,
             **self.counters(),
         }
         outcomes = self.fanout.run(
@@ -931,210 +903,3 @@ class ClusterConnection(Connection):
         for shard in self.shards:
             shard.close()
         self.fanout.shutdown()
-
-
-class Cluster:
-    """An in-process sharded deployment: N servers over partitioned data.
-
-    Owns per-shard databases (partition-identical population),
-    per-shard :class:`~repro.analysis.ExecutionRecorder`\\ s, and real
-    TCP :class:`~repro.net.DatabaseServer`\\ s — everything a test, demo
-    or smoke benchmark needs to exercise the cluster end to end::
-
-        with Cluster(shard_count=2, customers=40) as cluster:
-            conn = cluster.connect()
-            ...
-            report = merge_shard_histories(cluster.histories())
-    """
-
-    def __init__(
-        self,
-        shard_count: int = 2,
-        *,
-        customers: int = 40,
-        isolation: str = "si",
-        seed: Optional[int] = None,
-        autovacuum_interval: Optional[float] = None,
-    ) -> None:
-        from repro.api import ISOLATION_CONFIGS
-        from repro.analysis.recorder import record_database
-        from repro.net.server import DatabaseServer
-        from repro.smallbank.schema import PopulationConfig
-
-        population = (
-            PopulationConfig(customers=customers)
-            if seed is None
-            else PopulationConfig(customers=customers, seed=seed)
-        )
-        self.shard_count = shard_count
-        self.partitioner = HashPartitioner(shard_count)
-        self._autovacuum_interval = autovacuum_interval
-        self.fault_plan: "FaultPlan | None" = None
-        self.restart_count = 0
-        #: Committed-history prefixes salvaged at each crash, per shard.
-        self._history_prefix: "dict[int, list]" = {}
-        #: Bumped per crash: salvaged txids are remapped into a disjoint
-        #: range (epoch * 10**7) so they can never collide with the
-        #: restarted engine's txid counter, which recovery restarts at 0.
-        self._salvage_epoch = 0
-        self.databases = []
-        self.recorders = []
-        self.servers = []
-        try:
-            for shard in range(shard_count):
-                db = build_shard_database(
-                    ISOLATION_CONFIGS[isolation](),
-                    population,
-                    shard_index=shard,
-                    shard_count=shard_count,
-                )
-                self.databases.append(db)
-                self.recorders.append(record_database(db))
-                server = DatabaseServer(
-                    db, autovacuum_interval=autovacuum_interval
-                )
-                server.start_in_thread()
-                self.servers.append(server)
-        except BaseException:
-            self.shutdown()
-            raise
-
-    @property
-    def addresses(self) -> "list[tuple[str, int]]":
-        return [(server.host, server.port) for server in self.servers]
-
-    @property
-    def url(self) -> str:
-        return "cluster://" + ",".join(
-            f"{host}:{port}" for host, port in self.addresses
-        )
-
-    def connect(self, **kwargs) -> ClusterConnection:
-        kwargs.setdefault("url", self.url)
-        return ClusterConnection(self.addresses, **kwargs)
-
-    def install_faults(self, plan: "FaultPlan | None") -> None:
-        """Install (or clear) the fault plan on every shard server.
-
-        Remembered so :meth:`restart_shard` re-installs it on the
-        replacement server.  Clear with ``None`` before measuring.
-        """
-        self.fault_plan = plan
-        for server in self.servers:
-            server.install_faults(plan)
-
-    def crash_shard(self, shard: int) -> None:
-        """Power-fail one shard: crash its engine, stop its server.
-
-        The shard's recorder history is salvaged up to the *durable
-        horizon* first: the recorder observes a commit when the status
-        flips, which happens before the group-commit WAL sync — a crash
-        can therefore revoke the durability of the newest recorded write
-        commits.  Writes past the horizon are dropped (their committers
-        saw :class:`~repro.errors.DatabaseCrashed` from the sync), and so
-        are read-only commits that *observed* a revoked version — their
-        reads would otherwise be misattributed to post-restart writers,
-        whose timestamps reuse the crashed clock's lost range.  Salvaged
-        txids are shifted into a per-crash epoch range because recovery
-        restarts the txid counter and the MVSG keys nodes by txid.
-        """
-        from repro.analysis.recorder import salvage_durable_history
-
-        db = self.databases[shard]
-        recorder = self.recorders[shard]
-        db.crash()
-        self.servers[shard].shutdown()
-        self._salvage_epoch += 1
-        salvaged = salvage_durable_history(
-            db, recorder, txid_offset=self._salvage_epoch * 10_000_000
-        )
-        self._history_prefix.setdefault(shard, []).extend(salvaged)
-        recorder.clear()
-
-    def restart_shard(self, shard: int) -> "Database":
-        """Recover a crashed shard and serve it again *on the same port*.
-
-        A fresh engine is rebuilt from the durable state (checkpoint
-        image + flushed WAL prefix), a fresh recorder attached, and a
-        new server bound to the old address so existing client
-        connections reconnect transparently.  The remembered fault plan
-        is re-installed on the replacement.
-        """
-        from repro.analysis.recorder import record_database
-        from repro.net.server import DatabaseServer
-
-        old_db = self.databases[shard]
-        if not old_db.is_crashed:
-            raise TransactionStateError(
-                f"shard {shard} has not crashed; nothing to restart"
-            )
-        old_server = self.servers[shard]
-        recovered = old_db.recover()
-        self.databases[shard] = recovered
-        self.recorders[shard] = record_database(recovered)
-        server = DatabaseServer(
-            recovered,
-            host=old_server.host,
-            port=old_server.port,
-            autovacuum_interval=self._autovacuum_interval,
-            fault_plan=self.fault_plan,
-        )
-        server.start_in_thread()
-        self.servers[shard] = server
-        self.restart_count += 1
-        return recovered
-
-    def histories(self):
-        """Per-shard committed histories, ready for the global merge.
-
-        Includes the durable prefixes salvaged by :meth:`crash_shard`
-        ahead of whatever the current recorder incarnation has observed.
-        """
-        merged = {}
-        for shard, recorder in enumerate(self.recorders):
-            prefix = self._history_prefix.get(shard)
-            committed = recorder.committed
-            merged[shard] = (
-                tuple(prefix) + committed if prefix else committed
-            )
-        return merged
-
-    def total_money(self) -> float:
-        """Cluster-wide balance sum (matches the single-node population)."""
-        total = 0.0
-        for db in self.databases:
-            txn = db.begin("audit")
-            for table in ("Saving", "Checking"):
-                for _key, row in db.scan(txn, table):
-                    total += row["Balance"]
-            db.commit(txn)
-        return round(total, 2)
-
-    def pending_2pc_gtids(self) -> "set[str]":
-        """Every gtid still prepared or in doubt anywhere in the cluster."""
-        pending: "set[str]" = set()
-        for db in self.databases:
-            pending.update(db.recovered_in_doubt)
-            pending.update(db.prepared_gtids)
-        return pending
-
-    def recover_crashed(self) -> int:
-        """Restart any shard whose engine is crashed; returns the count."""
-        restarted = 0
-        for shard, db in enumerate(self.databases):
-            if db.is_crashed:
-                self.restart_shard(shard)
-                restarted += 1
-        return restarted
-
-    def shutdown(self) -> None:
-        for server in self.servers:
-            server.shutdown()
-        self.servers = []
-
-    def __enter__(self) -> "Cluster":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.shutdown()
-        return False

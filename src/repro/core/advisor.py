@@ -109,7 +109,7 @@ def profile_smallbank_strategy(strategy_key: str) -> dict[str, ProgramProfile]:
     profiles: dict[str, ProgramProfile] = {}
     for program, parameters in args.items():
         counts: Counter = Counter()
-        session = Session._internal(
+        session = Session(
             db, statement_hook=lambda kind, txn: counts.update([kind])
         )
         transactions.run(session, program, parameters)

@@ -32,7 +32,6 @@ Two optional hooks make the session instrumentable without subclassing:
 from __future__ import annotations
 
 import threading
-import warnings
 from typing import Callable, Hashable, Mapping, Optional, TypeVar, Union
 
 from repro.engine.engine import Database, Row, WaitOn
@@ -88,12 +87,9 @@ class NoWaitWaiter(Waiter):
 class Session:
     """One client connection executing a single transaction at a time.
 
-    .. deprecated::
-        Constructing a :class:`Session` directly is deprecated — the
-        blessed entry point is :func:`repro.api.connect`, whose
-        connections hand out sessions (and context-managed transactions)
-        with identical semantics against both the in-process and the
-        network backend.  Library internals use :meth:`_internal`.
+    Applications reach sessions through :func:`repro.api.connect`, whose
+    connections hand them out with identical semantics against the
+    in-process and the network backends.
     """
 
     def __init__(
@@ -102,35 +98,6 @@ class Session:
         waiter: Optional[Waiter] = None,
         statement_hook: Optional[Callable[[str, Transaction], None]] = None,
         pre_commit_hook: Optional[Callable[[Transaction], None]] = None,
-    ) -> None:
-        warnings.warn(
-            "direct Session(...) construction is deprecated; use "
-            "repro.api.connect(...) and Connection.session() / "
-            "Connection.transaction() instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self._setup(db, waiter, statement_hook, pre_commit_hook)
-
-    @classmethod
-    def _internal(
-        cls,
-        db: Database,
-        waiter: Optional[Waiter] = None,
-        statement_hook: Optional[Callable[[str, Transaction], None]] = None,
-        pre_commit_hook: Optional[Callable[[Transaction], None]] = None,
-    ) -> "Session":
-        """Construct without the deprecation warning (library internals)."""
-        session = cls.__new__(cls)
-        session._setup(db, waiter, statement_hook, pre_commit_hook)
-        return session
-
-    def _setup(
-        self,
-        db: Database,
-        waiter: Optional[Waiter],
-        statement_hook: Optional[Callable[[str, Transaction], None]],
-        pre_commit_hook: Optional[Callable[[Transaction], None]],
     ) -> None:
         self.db = db
         self.waiter = waiter or ThreadedWaiter()

@@ -48,65 +48,39 @@ import json
 import sys
 
 from repro.api import ISOLATION_CONFIGS
-from repro.net.server import DatabaseServer
+from repro.errors import ReproError
+from repro.net.shard import ThreadShard
 from repro.obs import Observability
-from repro.smallbank import PopulationConfig, build_database
-
-#: Shard-slice txid epoch stride for crash salvage — matches the
-#: in-process :class:`repro.cluster.Cluster` so merged traces from
-#: either process model look identical.
-SALVAGE_EPOCH_STRIDE = 10_000_000
 
 
-def build_served_database(
-    *,
-    customers: int,
-    isolation: str = "si",
-    seed: "int | None" = None,
-    shard_index: int = 0,
-    shard_count: int = 1,
-    partitioner: str = "hash",
-):
-    """The database one ``python -m repro.net`` process serves.
+def _reply(shard: ThreadShard, command: str, rest: str) -> str:
+    """One control command is one method call on the shard."""
+    if command == "PING":
+        return "PONG"
+    if command == "CRASH":
+        shard.crash()
+        return "CRASHED"
+    if command == "RECOVER":
+        shard.recover()
+        return f"LISTENING {shard.port}"
+    if command == "DUMP":
+        from repro.analysis.recorder import dump_history_jsonl
 
-    With ``shard_count > 1`` this is one shard's slice of the hash
-    partitioned population, drawn in exactly the single-node RNG order —
-    the standalone-process path and
-    :func:`repro.cluster.partition.build_shard_database` must stay
-    bit-identical (tested by ``tests/test_cluster_fleet.py``).
-    """
-    if partitioner != "hash":
-        raise ValueError(f"unknown partitioner {partitioner!r}; known: hash")
-    population = (
-        PopulationConfig(customers=customers)
-        if seed is None
-        else PopulationConfig(customers=customers, seed=seed)
-    )
-    if shard_count > 1:
-        from repro.cluster.partition import build_shard_database
+        if not rest:
+            return "ERR DUMP needs a path"
+        return f"DUMPED {dump_history_jsonl(rest, shard.history())}"
+    if command == "FAULTS":
+        from repro.faults import plan_from_json
 
-        return build_shard_database(
-            ISOLATION_CONFIGS[isolation](),
-            population,
-            shard_index=shard_index,
-            shard_count=shard_count,
+        shard.install_faults(
+            None if rest in ("", "off", "none") else plan_from_json(rest)
         )
-    return build_database(ISOLATION_CONFIGS[isolation](), population)
+        return "FAULTS ok"
+    return f"ERR unknown command {command!r}"
 
 
-def _control_loop(args, db, recorder, server, plan) -> tuple:
-    """Serve until EOF, honouring the line-oriented control commands.
-
-    Returns ``(db, server, crashed)`` — the engine and server may have
-    been replaced by CRASH/RECOVER cycles.
-    """
-    from repro.analysis.recorder import dump_history_jsonl, salvage_durable_history
-    from repro.faults import plan_from_json
-
-    history_prefix: list = []
-    salvage_epoch = 0
-    crashed = False
-    port = server.port
+def _control_loop(shard: ThreadShard) -> None:
+    """Serve until EOF, answering each control line with one reply line."""
     while True:
         try:
             line = sys.stdin.readline()
@@ -115,66 +89,13 @@ def _control_loop(args, db, recorder, server, plan) -> tuple:
         if not line:  # EOF: parent closed our stdin (or died)
             break
         command, _, rest = line.strip().partition(" ")
-        rest = rest.strip()
         if not command:
             continue
-        if command == "PING":
-            print("PONG", flush=True)
-        elif command == "CRASH":
-            if crashed:
-                print("ERR already crashed", flush=True)
-                continue
-            db.crash()
-            server.shutdown()
-            if recorder is not None:
-                salvage_epoch += 1
-                history_prefix.extend(
-                    salvage_durable_history(
-                        db,
-                        recorder,
-                        txid_offset=salvage_epoch * SALVAGE_EPOCH_STRIDE,
-                    )
-                )
-                recorder.clear()
-            crashed = True
-            print("CRASHED", flush=True)
-        elif command == "RECOVER":
-            if not crashed:
-                print("ERR not crashed", flush=True)
-                continue
-            # recover() carries observers (the recorder) and the fault
-            # plan over to the rebuilt engine; rebind the same port so
-            # clients reconnect transparently.
-            db = db.recover()
-            server = DatabaseServer(
-                db,
-                host=args.host,
-                port=port,
-                max_connections=args.max_connections,
-                backpressure=not args.reject,
-                obs=server.obs,
-                autovacuum_interval=args.autovacuum,
-                fault_plan=plan,
-            ).start_in_thread()
-            crashed = False
-            print(f"LISTENING {server.port}", flush=True)
-        elif command == "DUMP":
-            if not rest:
-                print("ERR DUMP needs a path", flush=True)
-                continue
-            committed = tuple(history_prefix)
-            if recorder is not None:
-                committed += recorder.committed
-            count = dump_history_jsonl(rest, committed)
-            print(f"DUMPED {count}", flush=True)
-        elif command == "FAULTS":
-            plan = None if rest in ("", "off", "none") else plan_from_json(rest)
-            if not crashed:
-                server.install_faults(plan)
-            print("FAULTS ok", flush=True)
-        else:
-            print(f"ERR unknown command {command!r}", flush=True)
-    return db, server, crashed
+        try:
+            reply = _reply(shard, command, rest.strip())
+        except ReproError as exc:  # e.g. CRASH while already crashed
+            reply = f"ERR {exc}"
+        print(reply, flush=True)
 
 
 def main(argv: "list[str] | None" = None) -> int:
@@ -202,10 +123,6 @@ def main(argv: "list[str] | None" = None) -> int:
         help="total shards the population is partitioned across",
     )
     parser.add_argument(
-        "--partitioner", default="hash", choices=("hash",),
-        help="partitioning scheme for the shard slice",
-    )
-    parser.add_argument(
         "--autovacuum", type=float, default=None, metavar="SECONDS",
         help="run the version-chain vacuum periodically",
     )
@@ -228,39 +145,30 @@ def main(argv: "list[str] | None" = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    db = build_served_database(
-        customers=args.customers,
-        isolation=args.isolation,
-        seed=args.seed,
-        shard_index=args.shard_index,
-        shard_count=args.shard_count,
-        partitioner=args.partitioner,
-    )
-    recorder = None
-    if args.record:
-        from repro.analysis.recorder import record_database
-
-        recorder = record_database(db)
     plan = None
     if args.faults:
         from repro.faults import plan_from_json
 
         plan = plan_from_json(args.faults)
-    server = DatabaseServer(
-        db,
+    shard = ThreadShard(
+        args.shard_index,
+        args.shard_count,
+        customers=args.customers,
+        isolation=args.isolation,
+        seed=args.seed,
+        record=args.record,
+        fault_plan=plan,
         host=args.host,
         port=args.port,
         max_connections=args.max_connections,
         backpressure=not args.reject,
         obs=Observability() if args.obs else None,
         autovacuum_interval=args.autovacuum,
-        fault_plan=plan,
-    ).start_in_thread()
-    print(f"LISTENING {server.port}", flush=True)
-    db, server, crashed = _control_loop(args, db, recorder, server, plan)
-    if not crashed:
-        server.shutdown()
-    print(f"STATS {json.dumps(server.stats(), sort_keys=True)}", flush=True)
+    )
+    print(f"LISTENING {shard.port}", flush=True)
+    _control_loop(shard)
+    shard.shutdown()
+    print(f"STATS {json.dumps(shard.stats, sort_keys=True)}", flush=True)
     return 0
 
 

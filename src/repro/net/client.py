@@ -63,6 +63,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids workload cycle)
 Row = dict
 Changes = Union[Mapping[str, object], Callable[[Row], Mapping[str, object]]]
 
+#: Redial policy of ``NetworkConnection._call_once``: up to this many
+#: tries, sleeping ``RECONNECT_BACKOFF * 2^n`` seconds (jittered, capped
+#: at ``RECONNECT_BACKOFF_MAX``) between them.
+RECONNECT_ATTEMPTS = 3
+RECONNECT_BACKOFF = 0.05
+RECONNECT_BACKOFF_MAX = 1.0
+
 
 class WireConnection:
     """One framed socket to a :class:`repro.net.DatabaseServer`."""
@@ -509,14 +516,9 @@ class NetworkConnection(Connection):
         max_frame: int = DEFAULT_MAX_FRAME,
         url: str = "",
         rpc_deadline: Optional[float] = None,
-        reconnect_attempts: int = 3,
-        reconnect_backoff: float = 0.05,
-        reconnect_backoff_max: float = 1.0,
     ) -> None:
         if pool_size < 1:
             raise ValueError("pool_size must be at least 1")
-        if reconnect_attempts < 1:
-            raise ValueError("reconnect_attempts must be at least 1")
         self.host = host
         self.port = port
         self.retry_policy = retry_policy
@@ -528,11 +530,6 @@ class NetworkConnection(Connection):
         #: Per-RPC response deadline applied to every wire (None = RPCs
         #: block until the server answers).
         self.rpc_deadline = rpc_deadline
-        #: Redial policy of ``_call_once``: up to ``reconnect_attempts``
-        #: tries, sleeping ``backoff * 2^n`` (jittered, capped) between.
-        self.reconnect_attempts = reconnect_attempts
-        self.reconnect_backoff = reconnect_backoff
-        self.reconnect_backoff_max = reconnect_backoff_max
         self._backoff_rng = random.Random(f"net-reconnect/{host}:{port}")
         self._idle: list[WireConnection] = []
         self._lock = threading.Lock()
@@ -595,7 +592,7 @@ class NetworkConnection(Connection):
         self,
         op: str,
         _deadline: Optional[float] = None,
-        _attempts: Optional[int] = None,
+        _attempts: int = RECONNECT_ATTEMPTS,
         **args: object,
     ) -> dict:
         """One out-of-session RPC with automatic reconnect.
@@ -606,15 +603,14 @@ class NetworkConnection(Connection):
         Server-side errors (which prove the request arrived) propagate
         immediately.  ``_attempts=1``: health probes want the fast no.
         """
-        attempts = self.reconnect_attempts if _attempts is None else _attempts
-        backoff = self.reconnect_backoff
+        backoff = RECONNECT_BACKOFF
         failure: Optional[ConnectionClosed] = None
-        for attempt in range(max(1, attempts)):
+        for attempt in range(_attempts):
             if attempt:
                 if self.obs is not None:
                     self.obs.net_reconnect(op)
                 time.sleep(backoff * (0.5 + self._backoff_rng.random()))
-                backoff = min(backoff * 2.0, self.reconnect_backoff_max)
+                backoff = min(backoff * 2.0, RECONNECT_BACKOFF_MAX)
             if self._closed:
                 raise ConnectionClosed(f"connection {self.url} is closed")
             try:

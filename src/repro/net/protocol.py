@@ -68,7 +68,6 @@ REQUEST_OPS = (
     "DELETE",
     "COMMIT",
     "ROLLBACK",
-    "PREPARE",
     "EXEC",
     "PREPARE_PROGRAM",
     "CALL",

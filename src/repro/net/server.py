@@ -487,8 +487,7 @@ class DatabaseServer:
             "prepared_gtids": list(self.db.prepared_gtids),
             "max_connections": self.max_connections,
             "backpressure": self.backpressure,
-            # Clients gate wire-level shortcuts on the hosted engine's
-            # regime (read-only COMMIT acks are deferrable only under SI).
+            # Which engine regime this server hosts, for operators.
             "isolation": self.db.config.isolation.value,
             **self._counters,
         }
@@ -523,7 +522,7 @@ class DatabaseServer:
 
     def _admit(self, proto: _ServerProtocol) -> None:
         self._conn_counter += 1
-        conn = _ClientConnection(self._conn_counter, Session._internal(self.db))
+        conn = _ClientConnection(self._conn_counter, Session(self.db))
         proto.conn = conn
         self._connections[conn.conn_id] = conn
         self._counters["connections_total"] += 1
@@ -782,7 +781,7 @@ class DatabaseServer:
         return entry
 
     def _resolve_statement(self, msg: dict) -> tuple[int, PreparedStatement]:
-        """EXEC/PREPARE statement lookup: by ``sid`` (fast path, no SQL
+        """EXEC statement lookup: by ``sid`` (fast path, no SQL
         text on the wire) or by ``sql`` text (registers and returns the
         sid for the client to cache)."""
         sid = msg.get("sid")
@@ -796,10 +795,6 @@ class DatabaseServer:
         return self._statement(
             str(msg["sql"]), str(kind) if kind is not None else None
         )
-
-    def _op_prepare(self, conn: _ClientConnection, msg: dict) -> dict:
-        sid, statement = self._resolve_statement(msg)
-        return {"sid": sid, "kind": statement.kind}
 
     def _op_exec(self, conn: _ClientConnection, msg: dict) -> dict:
         sid, statement = self._resolve_statement(msg)
@@ -911,7 +906,6 @@ class DatabaseServer:
         "DELETE": _op_delete,
         "COMMIT": _op_commit,
         "ROLLBACK": _op_rollback,
-        "PREPARE": _op_prepare,
         "EXEC": _op_exec,
         "PREPARE_PROGRAM": _op_prepare_program,
         "CALL": _op_call,

@@ -210,12 +210,12 @@ class Observability:
         )
         self.fleet_spawns = m.counter(
             "repro_fleet_spawns_total",
-            help="Shard OS processes launched by the fleet manager",
+            help="Shards launched by the cluster harness",
         )
         self.fleet_restarts = m.counter(
             "repro_fleet_restarts_total",
-            help="Shard engine crash/recover cycles driven over the fleet "
-            "control channel",
+            help="Shard engine crash/recover cycles driven by the cluster "
+            "harness",
         )
 
     # ------------------------------------------------------------------

@@ -142,7 +142,7 @@ class SimulatedClient:
             attempts = 0
             while True:
                 attempts += 1
-                session = Session._internal(
+                session = Session(
                     self.db,
                     waiter=SimWaiter(self.sim),
                     statement_hook=self._statement_hook,

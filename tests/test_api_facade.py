@@ -12,7 +12,7 @@ import pytest
 
 import repro
 from repro.api import connect
-from repro.engine import EngineConfig, Session
+from repro.engine import EngineConfig
 from repro.errors import (
     ApplicationRollback,
     SchemaError,
@@ -95,11 +95,6 @@ class TestConnectValidation:
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError):
             connect("carrier-pigeon://coop")
-
-    def test_direct_session_construction_is_deprecated(self):
-        db = build_database(EngineConfig.postgres(), POPULATION)
-        with pytest.warns(DeprecationWarning):
-            Session(db)
 
 
 class TestBackendParity:

@@ -28,7 +28,7 @@ CROSS = {"N1": customer_name(1), "N2": customer_name(2)}
 
 
 def shard_rpcs(cluster):
-    return [server.stats()["rpcs_total"] for server in cluster.servers]
+    return [shard.server.stats()["rpcs_total"] for shard in cluster.shards]
 
 
 def balances(conn, *cids):
@@ -158,8 +158,8 @@ class TestEitherPartAbortsBoth:
         assert conn.counters()["twopc_aborts"] == 1
         assert conn.counters()["twopc_commits"] == 0
         assert cluster.pending_2pc_gtids() == set()
-        for server in cluster.servers:
-            assert server.stats()["active_transactions"] == 0
+        for shard in cluster.shards:
+            assert shard.server.stats()["active_transactions"] == 0
 
     def test_second_part_says_no(self, cluster, conn):
         """The debit half is already prepared when the credit half loses
@@ -174,8 +174,8 @@ class TestEitherPartAbortsBoth:
         assert after == before  # customer 1 keeps its money
         assert conn.counters()["twopc_aborts"] == 1
         assert cluster.pending_2pc_gtids() == set()
-        for server in cluster.servers:
-            assert server.stats()["active_transactions"] == 0
+        for shard in cluster.shards:
+            assert shard.server.stats()["active_transactions"] == 0
 
     def test_business_rollback_in_either_part(self, cluster, conn):
         txns = get_strategy("base-si").transactions()
@@ -195,8 +195,8 @@ class TestEitherPartAbortsBoth:
         counters = conn.counters()
         assert counters["twopc_aborts"] == counters["twopc_commits"] == 0
         assert cluster.pending_2pc_gtids() == set()
-        for server in cluster.servers:
-            assert server.stats()["active_transactions"] == 0
+        for shard in cluster.shards:
+            assert shard.server.stats()["active_transactions"] == 0
 
 
 class TestDistributedDeadlock:

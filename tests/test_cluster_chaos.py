@@ -3,9 +3,10 @@
 Covers the DESIGN.md §13 failure model end to end over real TCP shards:
 network-level injections (dropped / delayed responses, connection
 resets), coordinator crashes on both sides of the decision-log write
-with in-doubt resolution, shard crash + same-port restart with history
-salvage, heartbeat-driven shard health (demote, fail-fast, restore),
-fail-soft ``stats()``/``ping()`` against a dead shard, and a short
+with in-doubt resolution, stale statement ids after a shard restart (the
+crash / salvage / same-port-restart lifecycle itself is in
+``tests/test_cluster_fleet.py``), heartbeat-driven shard health (demote,
+fail-fast, restore), fail-soft ``stats()``/``ping()`` against a dead shard, and a short
 seeded ``run_chaos`` soak asserting the full certification contract.
 """
 
@@ -25,7 +26,6 @@ from repro.errors import (
     DatabaseCrashed,
     ProtocolError,
     ShardUnavailable,
-    TransactionStateError,
 )
 from repro.faults import FaultPlan, FaultSpec
 from repro.net import DatabaseServer
@@ -221,8 +221,7 @@ class TestShardHealth:
         with Cluster(2, customers=8) as cluster:
             with cluster.connect(timeout=1.0, rpc_deadline=0.5) as conn:
                 assert conn.ping()
-                cluster.databases[0].crash()
-                cluster.servers[0].shutdown()
+                cluster.crash_shard(0)
                 started = time.monotonic()
                 assert not conn.ping()  # probes all shards, no hang
                 stats = conn.stats()
@@ -264,46 +263,10 @@ class TestShardHealth:
 
 
 # ----------------------------------------------------------------------
-# Shard crash + same-port restart
+# Shard crash + same-port restart (the lifecycle itself, over both shard
+# kinds: tests/test_cluster_fleet.py TestShardLifecycle)
 # ----------------------------------------------------------------------
 class TestShardCrashRestart:
-    def test_crash_salvages_history_and_restart_reuses_the_port(self):
-        txns = get_strategy("base-si").transactions()
-        with Cluster(2, customers=8) as cluster:
-            initial = cluster.total_money()
-            old_port = cluster.servers[0].port
-            with cluster.connect() as conn:
-                session = conn.session()
-                txns.run(
-                    session, "DepositChecking",
-                    {"N": customer_name(1), "V": 25.0},
-                )
-                txns.run(
-                    session, "Amalgamate",
-                    {"N1": customer_name(1), "N2": customer_name(2)},
-                )
-                session.close()
-                conn.flush()
-                cluster.crash_shard(0)
-                cluster.restart_shard(0)
-                assert cluster.servers[0].port == old_port
-                assert cluster.restart_count == 1
-                # Durable effects survived the crash...
-                assert cluster.total_money() == round(initial + 25.0, 2)
-                # ...and the salvaged prefix still carries the pre-crash
-                # commits for the global certification merge.
-                from repro.analysis import merge_shard_histories
-
-                report = merge_shard_histories(cluster.histories())
-                assert report.serializable
-                histories = cluster.histories()
-                assert any(len(h) > 0 for h in histories.values())
-
-    def test_restart_requires_a_crash(self):
-        with Cluster(2, customers=4) as cluster:
-            with pytest.raises(TransactionStateError, match="not crashed"):
-                cluster.restart_shard(0)
-
     def test_stale_statement_ids_heal_after_restart(self):
         """Sids are namespaced per server instance: after a crash+restart
         a cached sid must surface as a transient ConnectionClosed (and

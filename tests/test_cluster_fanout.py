@@ -228,7 +228,7 @@ class TestConcurrent2pc:
                 # Customer 1 -> shard 1, customer 2 -> shard 0.
                 session.update("Checking", 1, {"Balance": 111.0})
                 session.update("Checking", 2, {"Balance": 222.0})
-                cluster.databases[0].crash()  # dies mid-protocol
+                cluster.shards[0].db.crash()  # dies mid-protocol
                 with pytest.raises(ReproError):
                     session.commit()
                 session.close()
@@ -236,7 +236,7 @@ class TestConcurrent2pc:
                 # the surviving shard holds no prepared orphan.
                 decisions = conn.coordinator.log.decisions()
                 assert decisions and set(decisions.values()) == {"abort"}
-                assert cluster.databases[1].prepared_gtids == ()
+                assert cluster.shards[1].db.prepared_gtids == ()
             finally:
                 conn.close()
 

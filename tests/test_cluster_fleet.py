@@ -1,13 +1,16 @@
-"""Multi-process shard fleet: slice parity, control channel, certification.
+"""The cluster harness over both shard kinds: slice parity, control
+channel, shard lifecycle, certification.
 
-Three layers, cheapest first: the standalone entrypoint's shard-slice
-builder must be bit-identical to the in-process partitioner (no
-subprocess needed to check that); the serialization helpers that ship
-histories and fault plans across the process boundary must round-trip;
-then one real :class:`~repro.cluster.ShardProcess` and a full
-:class:`~repro.cluster.ProcessCluster` exercise spawn, readiness,
-engine-level crash/recovery over the control channel, MPL-8 workload
-certification of the merged MVSG, and leak-free teardown.
+Cheapest first: a served shard's slice builder must be bit-identical to
+the in-process partitioner (no subprocess needed to check that); the
+serialization helpers that ship histories and fault plans across the
+process boundary must round-trip; one real
+:class:`~repro.cluster.ShardProcess` goes through its control channel;
+then the crash → salvage → same-port-restart lifecycle runs as ONE test
+body against :class:`~repro.cluster.Cluster` (thread shards) and
+:class:`~repro.cluster.ShardFleet` (process shards); last an MPL-8
+workload over the fleet certifies the merged MVSG and leak-free
+teardown.
 """
 
 from __future__ import annotations
@@ -24,12 +27,23 @@ from repro.analysis import (
     record_database,
 )
 from repro.api import ISOLATION_CONFIGS
-from repro.cluster import ProcessCluster, ShardProcess, build_shard_database
+from repro.cluster import (
+    Cluster,
+    ShardFleet,
+    ShardProcess,
+    build_shard_database,
+)
 from repro.cluster.partition import PARTITION_COLUMNS
 from repro.engine import Session
+from repro.errors import ReproError, TransactionStateError
 from repro.faults import FaultPlan, FaultSpec, plan_from_json
-from repro.net.__main__ import build_served_database
-from repro.smallbank import PopulationConfig, build_database
+from repro.net.shard import SALVAGE_EPOCH_STRIDE, build_served_database
+from repro.smallbank import (
+    PopulationConfig,
+    build_database,
+    customer_name,
+    get_strategy,
+)
 from repro.workload.driver import ThreadedDriver, ThreadedDriverConfig
 
 
@@ -77,10 +91,6 @@ class TestSlicePopulationParity:
         )
         standalone = build_served_database(customers=9, isolation="si")
         assert _table_contents(standalone) == _table_contents(expected)
-
-    def test_unknown_partitioner_is_rejected(self):
-        with pytest.raises(ValueError, match="partitioner"):
-            build_served_database(customers=4, partitioner="range")
 
 
 class TestCrossProcessSerialization:
@@ -137,15 +147,16 @@ class TestShardProcess:
                     txn.update("Checking", 2, {"Balance": before + 10.0})
             shard.crash()
             assert shard.crashed
-            assert shard.recover() == (host, port)  # same port, recovered
+            shard.recover()
+            assert not shard.crashed
+            assert shard.address == (host, port)  # same port, recovered
             with repro.connect(f"tcp://{host}:{port}") as conn:
                 with conn.transaction("Check") as txn:
                     assert txn.select("Checking", 2)["Balance"] == (
                         before + 10.0
                     )
-                # A post-recovery *write* (read-only COMMITs are deferred
-                # client-side and may never reach the shard): proves the
-                # recorder carried over to the recovered engine.
+                # A post-recovery commit: proves the recorder carried
+                # over to the recovered engine.
                 with conn.transaction("PostRecovery") as txn:
                     txn.update("Checking", 2, {"Balance": before + 20.0})
             dump = tmp_path / "shard0.jsonl"
@@ -160,7 +171,81 @@ class TestShardProcess:
         assert shard.stats is not None  # graceful exits report STATS
 
 
-class TestProcessCluster:
+class TestShardLifecycle:
+    """One body, both shard kinds: the harness surface is written once,
+    so what holds for thread shards must hold for process shards."""
+
+    HARNESSES = pytest.mark.parametrize(
+        "harness", [Cluster, ShardFleet], ids=["threads", "processes"]
+    )
+
+    @HARNESSES
+    def test_crash_salvage_restart_on_the_same_port(self, harness):
+        txns = get_strategy("base-si").transactions()
+        # Customer 2 lives on shard 0 (the victim), customer 1 on shard 1.
+        deposit = {"N": customer_name(2), "V": 25.0}
+        with harness(2, customers=8, seed=5) as cluster:
+            initial = cluster.total_money()
+            addresses = list(cluster.addresses)
+            with cluster.connect() as conn:
+                session = conn.session()
+                txns.run(session, "DepositChecking", deposit)
+                txns.run(
+                    session,
+                    "Amalgamate",
+                    {"N1": customer_name(1), "N2": customer_name(2)},
+                )
+                session.close()
+            cluster.crash_shard(0)
+            assert cluster.shards[0].crashed
+            with pytest.raises(TransactionStateError, match="crashed"):
+                cluster.pending_2pc_gtids()  # needs every shard serving
+            assert cluster.recover_crashed() == 1
+            assert cluster.restart_count == 1
+            assert not cluster.shards[0].crashed
+            assert cluster.shards[0].address == addresses[0]
+            assert cluster.addresses == addresses
+            # Fresh wires to the old port; a second router needs its own
+            # gtid range for the merged trace to tell its transactions apart.
+            with cluster.connect(gtid_base=1000) as conn:
+                session = conn.session()
+                txns.run(session, "DepositChecking", deposit)
+                session.close()
+
+            # The durable pre-crash commits survive with their txids
+            # shifted into the crash's epoch range; the recovered
+            # engine's counter restarted below it.  (total_money's own
+            # read-only "audit" transaction is recorded too.)
+            history = cluster.histories()[0]
+            salvaged = [t for t in history if t.txid >= SALVAGE_EPOCH_STRIDE]
+            live = [t for t in history if t.txid < SALVAGE_EPOCH_STRIDE]
+            assert [t.label.split("#")[0] for t in salvaged] == [
+                "audit",
+                "DepositChecking",
+                "Amalgamate",
+            ]
+            assert all(t.txid < 2 * SALVAGE_EPOCH_STRIDE for t in salvaged)
+            assert [t.label.split("#")[0] for t in live] == ["DepositChecking"]
+            report = merge_shard_histories(cluster.histories())
+            assert report.serializable, report.describe()
+            # Durable effects survived the crash: both deposits counted.
+            assert cluster.total_money() == round(initial + 50.0, 2)
+            assert cluster.pending_2pc_gtids() == set()
+        # Clean shutdown: every shard left its final counters...
+        assert all(shard.stats is not None for shard in cluster.shards)
+        if harness is ShardFleet:  # ...and no child was orphaned or killed.
+            assert cluster.alive_count == cluster.kill_count == 0
+
+    @HARNESSES
+    def test_restart_requires_a_crash(self, harness):
+        with harness(2, customers=4) as cluster:
+            with pytest.raises(ReproError, match="not crashed"):
+                cluster.restart_shard(0)
+            assert cluster.restart_count == 0
+            assert cluster.recover_crashed() == 0
+
+
+class TestFleetWorkload:
     def test_mpl8_workload_certifies_and_leaves_no_orphans(self):
         """The multi-process acceptance check, miniaturised: an MPL-8
         uniform mix over a 2-shard fleet of OS processes, merged MVSG
@@ -169,9 +254,7 @@ class TestProcessCluster:
         shutdown.  (The uniform mix deposits money, so there is no
         ledger-conservation check here — that is the chaos harness's
         Balance+Amalgamate mix.)"""
-        from repro.smallbank import get_strategy
-
-        with ProcessCluster(2, customers=20, seed=13) as cluster:
+        with ShardFleet(2, customers=20, seed=13) as cluster:
             conn = cluster.connect()
             try:
                 stats = ThreadedDriver(
@@ -187,7 +270,6 @@ class TestProcessCluster:
                     ),
                     connection=conn,
                 ).run()
-                conn.flush()
                 counters = conn.counters()
             finally:
                 conn.close()
@@ -197,14 +279,5 @@ class TestProcessCluster:
             assert report.serializable, report.describe()
             # The uniform mix's Amalgamates produce real cross-shard 2PC.
             assert counters["twopc_commits"] + counters["twopc_aborts"] > 0
-        assert cluster.fleet.alive_count == 0
-        assert cluster.fleet.kill_count == 0
-
-    def test_crash_recover_cycle_preserves_the_ledger(self):
-        with ProcessCluster(2, customers=10, seed=5) as cluster:
-            initial = cluster.total_money()
-            cluster.crash_shard(1)
-            assert cluster.recover_crashed() == 1
-            assert cluster.restart_count == 1
-            assert cluster.total_money() == initial
-        assert cluster.fleet.alive_count == 0
+        assert cluster.alive_count == 0
+        assert cluster.kill_count == 0

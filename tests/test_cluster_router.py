@@ -3,8 +3,8 @@
 End-to-end over real TCP shards: URL plumbing, statement routing,
 program-level parity with a single node, the single-shard fast path
 (white-box via the router's commit-path counters), vacuum through the
-facade, and the snapshot modes — lazy mode *exhibits* a fractured read
-mid-decision, consistent mode never lets one be observed.
+facade, and the snapshot window — per-shard snapshots opened outside it
+*exhibit* a fractured read mid-decision, cluster transactions never do.
 """
 
 from __future__ import annotations
@@ -246,8 +246,8 @@ class TestRouting:
                 finally:
                     session.close()
             # White-box: the row landed on shard 0 only.
-            assert cluster.databases[0].catalog.table("Conflict").chain(6)
-            assert cluster.databases[1].catalog.table("Conflict").chain(6) is None
+            assert cluster.shards[0].db.catalog.table("Conflict").chain(6)
+            assert cluster.shards[1].db.catalog.table("Conflict").chain(6) is None
 
 
 class TestVacuum:
@@ -257,7 +257,6 @@ class TestVacuum:
                 for i in range(5):
                     with conn.transaction("Churn") as txn:
                         txn.update("Checking", 1, {"Balance": float(i)})
-                conn.flush()
                 pruned = conn.vacuum()
                 assert pruned >= 4  # superseded versions of Checking[1]
                 stats = conn.stats()
@@ -281,7 +280,6 @@ class TestVacuum:
                 for i in range(5):
                     with conn.transaction("Churn") as txn:
                         txn.update("Checking", 1, {"Balance": float(i)})
-                conn.flush()
                 deadline = time.monotonic() + 5.0
                 while time.monotonic() < deadline:
                     shard_stats = conn.stats()["shard_stats"][0]
@@ -321,23 +319,34 @@ def _observed_total(conn):
         session.close()
 
 
-class TestSnapshotModes:
-    def test_lazy_mode_admits_a_fractured_read(self):
-        """A lazy-snapshot reader opened *between* the two per-shard
-        decision deliveries sees half the transfer — shard 0's new value
-        next to shard 1's old one."""
+def _per_shard_total(cluster):
+    """The same two rows read through two *independent* ``tcp://``
+    snapshots, one per shard — what a router without the snapshot window
+    would hand a reader."""
+    total = 0.0
+    for customer in (1, 2):
+        host, port = cluster.addresses[customer % 2]
+        with repro.connect(f"tcp://{host}:{port}") as conn:
+            with conn.transaction("Peek") as txn:
+                total += txn.select("Checking", customer)["Balance"]
+    return round(total, 2)
+
+
+class TestSnapshotWindow:
+    def test_per_shard_snapshots_admit_a_fractured_read(self):
+        """Why cluster-begin cannot skip the snapshot window: a reader
+        whose per-shard snapshots open *between* the two decision
+        deliveries sees half the transfer — shard 0's new value next to
+        shard 1's old one."""
         with Cluster(2, customers=4) as cluster:
             observed = []
-            conn_box = []
 
             def hook(gtid, index):
-                observed.append(_observed_total(conn_box[0]))
+                observed.append(_per_shard_total(cluster))
 
-            with cluster.connect(
-                snapshot_mode="lazy", decision_hook=hook
-            ) as conn:
-                conn_box.append(conn)
+            with cluster.connect(decision_hook=hook) as conn:
                 before = _observed_total(conn)
+                assert _per_shard_total(cluster) == before
                 _transfer(conn, 10.0)
                 after = _observed_total(conn)
             assert after == before  # the transfer itself conserves money
@@ -351,7 +360,7 @@ class TestSnapshotModes:
         observe only conserved totals: the snapshot broadcast and the
         decision broadcast exclude each other on the oracle."""
         with Cluster(2, customers=4) as cluster:
-            with cluster.connect(snapshot_mode="consistent") as conn:
+            with cluster.connect() as conn:
                 before = _observed_total(conn)
                 totals = []
                 done = threading.Event()
