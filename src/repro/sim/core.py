@@ -4,14 +4,20 @@ The performance experiments need simulated time (a 3 GHz Pentium IV with
 IDE disks cannot be timed faithfully from Python wall-clock), but the
 transaction programs are plain Python functions that cannot be suspended
 like generators.  The classic resolution: every simulated *process* runs
-on its own OS thread, and a scheduler thread hands control to exactly one
-process at a time.  Because only one thread ever executes simulation code,
-the result is fully deterministic — event order is a pure function of the
-event heap, keyed ``(time, sequence)`` — while process code stays ordinary
+on its own OS thread, and exactly one thread at a time holds the *baton*.
+Because only the baton holder ever executes simulation code, the result
+is fully deterministic — event order is a pure function of the event
+heap, keyed ``(time, sequence)`` — while process code stays ordinary
 imperative Python (the same SmallBank bodies the correctness tests run).
 
-The cost of a handoff is two semaphore operations (~10 µs), so a full
-paper-scale figure simulates in seconds, not hours.
+There is no scheduler thread.  Whoever gives the baton up — a suspending
+or finishing process, or the main thread inside :meth:`run_until` — pops
+the heap itself and runs scheduler-context actions inline until an event
+activates a process.  If that process is the caller it simply returns (no
+thread switch); otherwise it releases the target's latch and parks on its
+own (one switch; a latch is a plain lock used as a binary semaphore).  The
+main thread gets the baton back when the heap is empty, the next event is
+past the deadline, or something raised (re-raised from :meth:`run_until`).
 
 Public surface:
 
@@ -42,12 +48,14 @@ class SimDeadlock(ReproError):
 
 
 class _Process:
-    __slots__ = ("name", "thread", "resume", "alive", "waiting")
+    __slots__ = ("name", "thread", "latch", "alive", "waiting")
 
     def __init__(self, name: str) -> None:
         self.name = name
         self.thread: Optional[threading.Thread] = None
-        self.resume = threading.Semaphore(0)
+        # A binary semaphore at zero: ``release`` wakes, ``acquire`` parks.
+        self.latch = threading.Lock()
+        self.latch.acquire()
         self.alive = True
         # True while blocked on an event/sleep (including the pre-start
         # wait); guards against double activation.
@@ -61,19 +69,26 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now = 0.0
-        self._heap: list[tuple[float, int, Callable[[], None]]] = []
+        # (time, seq, item): a _Process to activate if it still waits, or
+        # an action to call in scheduler context, which may return one.
+        self._heap: list[tuple[float, int, object]] = []
         self._seq = itertools.count()
-        self._yield_to_scheduler = threading.Semaphore(0)
+        self._main = _Process("main")  # the main thread: only its latch
+        self._deadline = float("-inf")
+        self._error: Optional[BaseException] = None
         self._processes: list[_Process] = []
         self._current: Optional[_Process] = None
         self.stopping = False
 
     # ------------------------------------------------------------------
-    # Scheduling primitives (callable from scheduler or the one running
-    # process -- never from arbitrary threads)
+    # Scheduling primitives (callable from scheduler context or the one
+    # running process -- never from arbitrary threads)
     # ------------------------------------------------------------------
-    def schedule(self, delay: float, action: Callable[[], None]) -> None:
-        """Run ``action`` (in scheduler context) after ``delay``."""
+    def schedule(
+        self, delay: float, action: Callable[[], object] | _Process
+    ) -> None:
+        """Run ``action`` (in scheduler context) after ``delay``; given a
+        process instead, or one as the result, activate it if it waits."""
         if delay < 0:
             raise ValueError("cannot schedule into the past")
         heapq.heappush(self._heap, (self.now + delay, next(self._seq), action))
@@ -84,22 +99,24 @@ class Simulator:
         self._processes.append(process)
 
         def body() -> None:
+            process.latch.acquire()  # wait for first activation
             try:
-                process.resume.acquire()  # wait for first activation
                 if self.stopping:
                     raise SimStopped()
                 fn()
             except SimStopped:
                 pass
+            except BaseException as exc:
+                self._fail(exc)
             finally:
                 process.alive = False
-                self._yield_to_scheduler.release()
+                self._pass_baton(process)
 
         process.thread = threading.Thread(
             target=body, name=f"sim-{name}", daemon=True
         )
         process.thread.start()
-        self.schedule(0.0, lambda: self._activate(process))
+        self.schedule(0.0, process)
 
     # ------------------------------------------------------------------
     # Process-side operations
@@ -107,7 +124,7 @@ class Simulator:
     def sleep(self, duration: float) -> None:
         """Suspend the calling process for ``duration`` simulated seconds."""
         process = self._require_current()
-        self.schedule(duration, lambda: self._activate(process))
+        self.schedule(duration, process)
         self._suspend(process)
 
     def checkpoint(self) -> None:
@@ -124,32 +141,53 @@ class Simulator:
         return process
 
     def _suspend(self, process: _Process) -> None:
-        """Yield to the scheduler until re-activated."""
+        """Give the baton up until re-activated."""
         process.waiting = True
-        self._yield_to_scheduler.release()
-        process.resume.acquire()
+        self._pass_baton(process)
         if self.stopping:
             raise SimStopped()
 
-    def _activate(self, process: _Process) -> None:
-        """(Scheduler context) run ``process`` until it suspends again."""
-        if not process.alive or not process.waiting:
-            return
-        process.waiting = False
-        self._current = process
-        process.resume.release()
-        self._yield_to_scheduler.acquire()
-        self._current = None
+    # ------------------------------------------------------------------
+    # The baton
+    # ------------------------------------------------------------------
+    def _fail(self, exc: BaseException) -> None:
+        """Store ``exc`` for :meth:`run_until` and stop the clock, so the
+        baton goes straight back to the main thread."""
+        self._error = self._error or exc
+        self._deadline = float("-inf")
+
+    def _pass_baton(self, me: Optional[_Process]) -> None:
+        """Called by the baton holder (``None``: the main thread).  Pops due
+        events, running actions inline, up to the first that activates a
+        process, and hands over to it (to the main thread if there is
+        none).  Returns once ``me`` holds the baton again: at once if that
+        process is ``me``, never if ``me`` has finished."""
+        heap = self._heap
+        target = self._current = None  # scheduler context: no primitives
+        try:
+            while heap and heap[0][0] <= self._deadline:
+                self.now, _seq, item = heapq.heappop(heap)
+                process = item if type(item) is _Process else item()
+                if type(process) is _Process and process.alive and process.waiting:
+                    process.waiting = False
+                    target = self._current = process
+                    break
+        except BaseException as exc:
+            self._fail(exc)
+        if target is not me:
+            (target or self._main).latch.release()
+            if me is None or me.alive:
+                (me or self._main).latch.acquire()
 
     # ------------------------------------------------------------------
     # Driving the clock
     # ------------------------------------------------------------------
     def run_until(self, deadline: float) -> None:
-        """Process events up to and including ``deadline``."""
-        while self._heap and self._heap[0][0] <= deadline:
-            time, _seq, action = heapq.heappop(self._heap)
-            self.now = time
-            action()
+        """Process events up to and including ``deadline``; re-raise what
+        an action or a process raised meanwhile."""
+        self._deadline = deadline
+        self._pass_baton(None)
+        self._raise_stored()
         self.now = max(self.now, deadline)
         if not self._heap and any(
             p.alive and p.waiting for p in self._processes
@@ -162,16 +200,21 @@ class Simulator:
     def run_for(self, duration: float) -> None:
         self.run_until(self.now + duration)
 
+    def _raise_stored(self) -> None:
+        error, self._error = self._error, None
+        if error is not None:
+            raise error
+
     def shutdown(self) -> None:
         """Stop every process (they see :class:`SimStopped`) and join."""
         self.stopping = True
+        self._deadline = float("-inf")  # every baton comes straight back
         for process in self._processes:
             if process.alive and process.waiting:
                 process.waiting = False
                 self._current = process
-                process.resume.release()
-                self._yield_to_scheduler.acquire()
-                self._current = None
+                process.latch.release()
+                self._main.latch.acquire()
         for process in self._processes:
             if process.thread is not None:
                 process.thread.join(timeout=self._JOIN_TIMEOUT)
@@ -179,6 +222,7 @@ class Simulator:
                     raise ReproError(
                         f"simulated process {process.name!r} failed to stop"
                     )
+        self._raise_stored()
 
 
 class SimEvent:
@@ -209,4 +253,4 @@ class SimEvent:
         self.fired = True
         waiters, self._waiters = self._waiters, []
         for process in waiters:
-            self.sim.schedule(0.0, lambda p=process: self.sim._activate(p))
+            self.sim.schedule(0.0, process)

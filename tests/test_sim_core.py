@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.sim.core import SimDeadlock, SimEvent, Simulator
@@ -119,6 +121,120 @@ class TestProcesses:
             sim.sleep(1.0)
 
 
+class TestBaton:
+    """Who runs the event loop: whichever thread gives the baton up."""
+
+    def test_lone_sleeper_never_leaves_its_thread(self):
+        sim = Simulator()
+        sleeper: list[int] = []
+        ran_on: set[int] = set()
+
+        def proc():
+            sleeper.append(threading.get_ident())
+            for _ in range(5):
+                sim.schedule(0.5, lambda: ran_on.add(threading.get_ident()))
+                sim.sleep(1.0)
+
+        sim.spawn(proc)
+        sim.run_for(10.0)
+        sim.shutdown()
+        # Every action between two of its wake-ups ran inline on the
+        # sleeper's own thread: it popped its own wake-up each time.
+        assert ran_on == set(sleeper)
+        assert sleeper != [threading.get_ident()]
+
+    def test_finishing_process_hands_the_baton_on(self):
+        sim = Simulator()
+        trace: list[tuple[str, float]] = []
+        threads: dict[str, int] = {}
+
+        def short():
+            threads["short"] = threading.get_ident()
+            sim.sleep(1.0)
+
+        def long():
+            sim.sleep(2.0)
+            trace.append(("long", sim.now))
+
+        def action():
+            threads["action"] = threading.get_ident()
+            trace.append(("action", sim.now))
+
+        sim.spawn(short)
+        sim.spawn(long)
+        sim.schedule(1.5, action)
+        sim.run_for(5.0)
+        sim.shutdown()
+        assert trace == [("action", 1.5), ("long", 2.0)]
+        # ``short`` returned at t=1 and, on its way out, ran the loop up
+        # to the event that woke ``long``.
+        assert threads["action"] == threads["short"]
+
+    def test_action_error_on_a_process_thread_surfaces_from_run_until(self):
+        sim = Simulator()
+        ran_on: list[int] = []
+
+        def boom():
+            ran_on.append(threading.get_ident())
+            raise RuntimeError("boom")
+
+        sim.spawn(lambda: sim.sleep(2.0))
+        sim.schedule(1.0, boom)
+        with pytest.raises(RuntimeError, match="boom"):
+            sim.run_for(5.0)
+        assert ran_on != [threading.get_ident()]  # the sleeper's thread
+        assert sim.now == 1.0
+        sim.run_for(5.0)  # the error was handed over once; the run resumes
+        assert sim.now == 6.0
+        sim.shutdown()
+
+    def test_process_error_surfaces_from_run_for(self):
+        sim = Simulator()
+        ticks = [0]
+
+        def dies():
+            sim.sleep(1.0)
+            raise ValueError("client bug")
+
+        def lives():
+            while True:
+                sim.sleep(0.5)
+                ticks[0] += 1
+
+        started = threading.active_count()
+        sim.spawn(dies)
+        sim.spawn(lives)
+        with pytest.raises(ValueError, match="client bug"):
+            sim.run_for(5.0)
+        assert sim.now == 1.0 and ticks[0] == 1
+        sim.shutdown()  # the dead process passed the baton on: all join
+        assert threading.active_count() == started
+
+    def test_shutdown_with_every_process_parked_joins_all_threads(self):
+        sim = Simulator()
+        event = SimEvent(sim)
+        started = threading.active_count()
+        sim.spawn(lambda: sim.sleep(100.0))
+        sim.spawn(event.wait)
+        sim.spawn(lambda: None)  # never activated: parked before its start
+        assert threading.active_count() == started + 3
+        sim.run_for(0.0)
+        sim.spawn(lambda: None)
+        sim.shutdown()
+        assert threading.active_count() == started
+
+    def test_scheduler_context_refuses_process_primitives(self):
+        sim = Simulator()
+        from repro.errors import ReproError
+
+        sim.spawn(lambda: sim.sleep(2.0))
+        # Runs inline on the sleeper's thread, yet is not "in a process".
+        sim.schedule(1.0, lambda: sim.sleep(1.0))
+        with pytest.raises(ReproError, match="outside a simulated process"):
+            sim.run_for(5.0)
+        sim.shutdown()
+
+
 class TestEvents:
     def test_event_wakes_waiter(self):
         sim = Simulator()
@@ -200,5 +316,15 @@ class TestDeadlockDetection:
 
         sim.spawn(stuck)
         with pytest.raises(SimDeadlock):
+            sim.run_for(1.0)
+        sim.shutdown()
+
+    def test_detected_when_the_last_runnable_process_finishes(self):
+        sim = Simulator()
+        event = SimEvent(sim)  # never fired
+
+        sim.spawn(event.wait, name="stuck")
+        sim.spawn(lambda: sim.sleep(0.5), name="leaves")
+        with pytest.raises(SimDeadlock, match="stuck"):
             sim.run_for(1.0)
         sim.shutdown()

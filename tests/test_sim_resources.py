@@ -1,4 +1,4 @@
-"""Tests for simulated resources: FIFO servers and group-commit log."""
+"""Tests for simulated resources: server pools and group-commit log."""
 
 from __future__ import annotations
 
@@ -62,6 +62,38 @@ class TestResource:
         sim.run_for(20.0)
         sim.shutdown()
         assert order == ["first", "early", "late"]
+
+    def test_releaser_that_reacquires_keeps_the_server(self):
+        """The real discipline is not FIFO: a release *offers* the server
+        to the head waiter one event later, and a waiter that finds it
+        re-taken goes behind whoever arrived meanwhile."""
+        sim = Simulator()
+        cpu = Resource(sim, capacity=1)
+        done: list[tuple[str, float]] = []
+
+        def hog():
+            for _ in range(2):  # releases and re-acquires at t=1
+                cpu.use(1.0)
+                done.append(("hog", sim.now))
+
+        def user(name: str, arrive: float):
+            def proc():
+                sim.sleep(arrive)
+                cpu.use(1.0)
+                done.append((name, sim.now))
+
+            return proc
+
+        sim.spawn(hog)
+        sim.spawn(user("queued", 0.2))
+        # Wakes at t=1 after the hog (spawned later) but before the offer
+        # the hog's release schedules for ``queued``.
+        sim.spawn(user("late", 1.0))
+        sim.run_for(10.0)
+        sim.shutdown()
+        assert done == [
+            ("hog", 1.0), ("hog", 2.0), ("late", 3.0), ("queued", 4.0),
+        ]
 
     def test_utilization_accounting(self):
         sim = Simulator()
