@@ -49,7 +49,7 @@ from repro.errors import (
 )
 from repro.net.client import NetworkConnection, NetworkSession
 from repro.smallbank.schema import ACCOUNT
-from repro.sqlmini.ast import Insert, Select, equality_key, evaluate
+from repro.sqlmini.ast import Insert, Select, compile_expr, equality_key
 from repro.sqlmini.executor import StatementResult, parse_cached
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -443,19 +443,19 @@ class ClusterSession:
     # Mini-SQL
     # ------------------------------------------------------------------
     def _route_meta(self, sql: str):
-        """``(table, partition-key expr)`` for one statement, cached.
+        """``(table, partition-key closure)`` for one statement, cached.
 
-        The expr is the column-free WHERE conjunct constraining the
-        table's partition column (or the INSERT value for it) —
-        evaluating it against the call's parameters names the one shard
-        the statement can touch.
+        The closure is the compiled column-free WHERE conjunct
+        constraining the table's partition column (or the INSERT value
+        for it) — calling it with the call's parameters names the one
+        shard the statement can touch.
         """
         meta = self._cluster._route_meta.get(sql)
         if meta is None:
             statement = parse_cached(sql)
             table = statement.table
             column = PARTITION_COLUMNS.get(table)
-            expr = None
+            expr, by_customer_id = None, False
             if column is not None:
                 if isinstance(statement, Insert):
                     if column in statement.columns:
@@ -471,10 +471,9 @@ class ClusterSession:
                     ):
                         # Account is also uniquely customer-keyed.
                         expr = equality_key(statement.where, "CustomerId")
-                        if expr is not None:
-                            meta = (table, expr, True)
-            if meta is None:
-                meta = (table, expr, False)
+                        by_customer_id = expr is not None
+            key_of = compile_expr(expr) if expr is not None else None
+            meta = (table, key_of, by_customer_id)
             self._cluster._route_meta[sql] = meta
         return meta
 
@@ -484,14 +483,14 @@ class ClusterSession:
         kind: Optional[str],
         params: "dict[str, object]",
     ) -> StatementResult:
-        table, expr, by_customer_id = self._route_meta(sql)
-        if expr is None:
+        table, key_of, by_customer_id = self._route_meta(sql)
+        if key_of is None:
             raise SqlError(
                 f"cannot route statement on {table!r}: WHERE does not "
                 f"constrain the partition column "
                 f"{PARTITION_COLUMNS.get(table)!r} by equality"
             )
-        value = evaluate(expr, None, params)
+        value = key_of(None, params)
         if by_customer_id:
             shard = self._cluster.partitioner.shard_for_customer(int(value))
         else:

@@ -32,13 +32,11 @@ Two optional hooks make the session instrumentable without subclassing:
 from __future__ import annotations
 
 import threading
-from typing import Callable, Hashable, Mapping, Optional, TypeVar, Union
+from typing import Callable, Hashable, Mapping, Optional, Union
 
 from repro.engine.engine import Database, Row, WaitOn
 from repro.engine.transaction import Transaction
 from repro.errors import EngineError, LockTimeout, TransactionStateError
-
-T = TypeVar("T")
 
 Changes = Union[Mapping[str, object], Callable[[Row], Mapping[str, object]]]
 
@@ -155,24 +153,30 @@ class Session:
     ) -> Optional[Row]:
         """Read one row by primary key (snapshot read under SI)."""
         self._charge(kind)
-        return self._run(lambda: self.db.read(self.transaction, table, key))
+        while isinstance(result := self.db.read(self.transaction, table, key), WaitOn):
+            self._wait(result)
+        return result
 
     def select_for_update(
         self, table: str, key: Hashable, *, kind: str = "select-for-update"
     ) -> Optional[Row]:
         self._charge(kind)
-        return self._run(
-            lambda: self.db.select_for_update(self.transaction, table, key)
-        )
+        txn = self.transaction
+        while isinstance(result := self.db.select_for_update(txn, table, key), WaitOn):
+            self._wait(result)
+        return result
 
     def lookup_unique(
         self, table: str, column: str, value: Hashable, *, kind: str = "select"
     ) -> Optional[tuple[Hashable, Row]]:
         """Index lookup by a unique column (e.g. Account.Name)."""
         self._charge(kind)
-        return self._run(
-            lambda: self.db.lookup_unique(self.transaction, table, column, value)
-        )
+        txn = self.transaction
+        while isinstance(
+            result := self.db.lookup_unique(txn, table, column, value), WaitOn
+        ):
+            self._wait(result)
+        return result
 
     def scan(
         self,
@@ -183,9 +187,12 @@ class Session:
         kind: str = "scan",
     ) -> list[tuple[Hashable, Row]]:
         self._charge(kind)
-        return self._run(
-            lambda: self.db.scan(self.transaction, table, predicate, description)
-        )
+        txn = self.transaction
+        while isinstance(
+            result := self.db.scan(txn, table, predicate, description), WaitOn
+        ):
+            self._wait(result)
+        return result
 
     def update(
         self, table: str, key: Hashable, changes: Changes, *, kind: str = "update"
@@ -198,13 +205,13 @@ class Session:
         """
         self._charge(kind)
         txn = self.transaction
-        current = self._run(lambda: self.db.read(txn, table, key))
+        while isinstance(current := self.db.read(txn, table, key), WaitOn):
+            self._wait(current)
         if current is None:
             return False
-        new_values = changes(current) if callable(changes) else changes
         merged = dict(current)
-        merged.update(new_values)
-        self._run(lambda: self.db.write(txn, table, key, merged))
+        merged.update(changes(current) if callable(changes) else changes)
+        self._write(table, key, merged)
         return True
 
     def identity_update(
@@ -233,27 +240,26 @@ class Session:
         the same engine footprint as a local :meth:`update`.
         """
         self._charge(kind)
-        self._run(lambda: self.db.write(self.transaction, table, key, row))
+        self._write(table, key, row)
+
+    def _write(self, table: str, key: Hashable, row: Optional[Row]) -> None:
+        while (wait := self.db.write(self.transaction, table, key, row)) is not None:
+            self._wait(wait)
 
     def insert(self, table: str, row: Row, *, kind: str = "insert") -> None:
         self._charge(kind)
-        self._run(lambda: self.db.insert(self.transaction, table, row))
+        while (wait := self.db.insert(self.transaction, table, row)) is not None:
+            self._wait(wait)
 
     def delete(self, table: str, key: Hashable, *, kind: str = "delete") -> None:
         self._charge(kind)
-        self._run(lambda: self.db.delete(self.transaction, table, key))
+        while (wait := self.db.delete(self.transaction, table, key)) is not None:
+            self._wait(wait)
 
     # ------------------------------------------------------------------
-    # Wait / retry machinery
+    # Waiting (every verb above retries its engine operation while it
+    # answers ``WaitOn``)
     # ------------------------------------------------------------------
-    def _run(self, operation: Callable[[], "T | WaitOn"]) -> T:
-        """Run an engine operation, waiting and retrying while it blocks."""
-        while True:
-            result = operation()
-            if not isinstance(result, WaitOn):
-                return result
-            self._wait(result)
-
     def _wait(self, wait: WaitOn) -> None:
         txn = self.transaction
         faults = self.db.faults

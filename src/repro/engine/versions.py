@@ -28,7 +28,7 @@ def freeze_row(value: Optional[Mapping[str, object]]) -> Optional[Mapping[str, o
     return MappingProxyType(dict(value))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Version:
     """One committed version of a row.
 

@@ -41,7 +41,7 @@ from repro.errors import DatabaseCrashed
 RedoEntry = tuple[RowId, Optional[Mapping[str, object]]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WalRecord:
     """One log record.
 

@@ -94,6 +94,19 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 _NOWAIT = NoWaitWaiter()
 
 
+class _MissingField(KeyError):
+    """A handler read a request field the client did not send."""
+
+
+class _Request(dict):
+    """A decoded request as its handler sees it, so that a missing field
+    cannot be confused with a ``KeyError`` escaping the statement or
+    program the request runs."""
+
+    def __missing__(self, field: str):
+        raise _MissingField(field)
+
+
 class _ClientConnection:
     """Per-connection server state."""
 
@@ -636,8 +649,8 @@ class DatabaseServer:
                 label = message.get("begin")
                 if label is not None and op != "BEGIN" and not session.in_transaction:
                     session.begin(str(label))
-                response = handler(self, conn, message)
-            except KeyError as exc:
+                response = handler(self, conn, _Request(message))
+            except _MissingField as exc:
                 self._note_protocol_error("missing-field")
                 raise ProtocolError(
                     f"request {op} is missing field {exc.args[0]!r}"

@@ -127,6 +127,15 @@ class SmallBankTransactions:
                 )
             else:
                 raise ValueError(f"unknown modification kind {mod.kind!r}")
+        self._bodies: dict[str, ProgramBody] = {
+            names.BALANCE: self.balance,
+            names.DEPOSIT_CHECKING: self.deposit_checking,
+            names.TRANSACT_SAVING: self.transact_saving,
+            names.AMALGAMATE: self.amalgamate,
+            names.WRITE_CHECK: self.write_check,
+            AMALGAMATE_DEBIT: self.amalgamate_debit,
+            AMALGAMATE_CREDIT: self.amalgamate_credit,
+        }
 
     @cached_property
     def _calls(self) -> "dict[str, PreparedStatement]":
@@ -161,11 +170,6 @@ class SmallBankTransactions:
     # ------------------------------------------------------------------
     # Shared helpers
     # ------------------------------------------------------------------
-    def _lookup(
-        self, session: Session, statement: PreparedStatement, params: dict
-    ) -> None:
-        statement.execute(session, params)
-
     def _resolve_customer(
         self, session: Session, params: dict, name_var: str = "N"
     ) -> int:
@@ -314,17 +318,8 @@ class SmallBankTransactions:
     # Dispatch
     # ------------------------------------------------------------------
     def body(self, program: str) -> ProgramBody:
-        bodies: dict[str, ProgramBody] = {
-            names.BALANCE: self.balance,
-            names.DEPOSIT_CHECKING: self.deposit_checking,
-            names.TRANSACT_SAVING: self.transact_saving,
-            names.AMALGAMATE: self.amalgamate,
-            names.WRITE_CHECK: self.write_check,
-            AMALGAMATE_DEBIT: self.amalgamate_debit,
-            AMALGAMATE_CREDIT: self.amalgamate_credit,
-        }
         try:
-            return bodies[program]
+            return self._bodies[program]
         except KeyError:
             raise ValueError(f"unknown SmallBank program {program!r}") from None
 

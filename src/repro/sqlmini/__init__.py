@@ -27,6 +27,7 @@ from repro.sqlmini.ast import (
     UnaryOp,
     Update,
     columns_in,
+    compile_expr,
     equality_key,
     evaluate,
 )
@@ -57,6 +58,7 @@ __all__ = [
     "Update",
     "clear_parse_cache",
     "columns_in",
+    "compile_expr",
     "equality_key",
     "evaluate",
     "execute_sql",

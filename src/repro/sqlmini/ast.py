@@ -10,14 +10,16 @@ and the strategy modifications) need, in PL/pgSQL-flavoured form:
 
 Expressions support column references, ``:parameter`` placeholders, numeric
 and string literals, ``+ - * /``, comparisons and ``AND`` / ``OR`` / ``NOT``.
-Statements are plain immutable dataclasses; the executor interprets them
-against a :class:`~repro.engine.session.Session`.
+Statements are plain immutable dataclasses; the executor plans them once
+per table schema and runs the plan against a
+:class:`~repro.engine.session.Session`.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Mapping, Optional, Union
+from typing import Callable, Mapping, Optional, Union
 
 from repro.errors import SqlError
 
@@ -73,20 +75,77 @@ class UnaryOp:
 
 Expr = Union[Literal, Param, ColumnRef, BinOp, UnaryOp]
 
-_ARITH = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-    "/": lambda a, b: a / b,
+#: A compiled expression: ``fn(row, params)``; ``row`` may be ``None``.
+Evaluator = Callable[[Optional[Mapping[str, object]], Mapping[str, object]], object]
+
+_BINARY = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
 }
-_COMPARE = {
-    "=": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
+
+
+def compile_expr(expr: Expr) -> Evaluator:
+    """Turn ``expr`` into a closure ``fn(row, params)``.
+
+    This is the only implementation of expression semantics: statements
+    compile their expressions when they are planned, and calling the
+    closure walks no tree and tests no node types.
+    """
+    if isinstance(expr, Literal):
+        value = expr.value
+        return lambda row, params: value
+    if isinstance(expr, Param):
+        name = expr.name
+
+        def param(row, params):
+            try:
+                return params[name]
+            except KeyError:
+                raise SqlError(f"unbound parameter :{name}") from None
+
+        return param
+    if isinstance(expr, ColumnRef):
+        name = expr.name
+
+        def column(row, params):
+            if row is None:
+                raise SqlError(f"column {name!r} referenced outside a row context")
+            try:
+                return row[name]
+            except KeyError:
+                raise SqlError(f"unknown column {name!r}") from None
+
+        return column
+    if isinstance(expr, UnaryOp):
+        operand = compile_expr(expr.operand)
+        if expr.op == "NOT":
+            return lambda row, params: not operand(row, params)
+        if expr.op == "-":
+            return lambda row, params: -operand(row, params)
+        raise SqlError(f"unknown unary operator {expr.op!r}")
+    if isinstance(expr, BinOp):
+        left, right = compile_expr(expr.left), compile_expr(expr.right)
+        if expr.op == "AND":
+            return lambda row, params: bool(left(row, params)) and bool(
+                right(row, params)
+            )
+        if expr.op == "OR":
+            return lambda row, params: bool(left(row, params)) or bool(
+                right(row, params)
+            )
+        apply = _BINARY.get(expr.op)
+        if apply is None:
+            raise SqlError(f"unknown operator {expr.op!r}")
+        return lambda row, params: apply(left(row, params), right(row, params))
+    raise SqlError(f"unknown expression node {expr!r}")
 
 
 def evaluate(
@@ -95,44 +154,7 @@ def evaluate(
     params: Mapping[str, object],
 ) -> object:
     """Evaluate ``expr`` against a row (may be None) and bound parameters."""
-    if isinstance(expr, Literal):
-        return expr.value
-    if isinstance(expr, Param):
-        try:
-            return params[expr.name]
-        except KeyError:
-            raise SqlError(f"unbound parameter :{expr.name}") from None
-    if isinstance(expr, ColumnRef):
-        if row is None:
-            raise SqlError(f"column {expr.name!r} referenced outside a row context")
-        try:
-            return row[expr.name]
-        except KeyError:
-            raise SqlError(f"unknown column {expr.name!r}") from None
-    if isinstance(expr, UnaryOp):
-        value = evaluate(expr.operand, row, params)
-        if expr.op == "NOT":
-            return not value
-        if expr.op == "-":
-            return -value  # type: ignore[operator]
-        raise SqlError(f"unknown unary operator {expr.op!r}")
-    if isinstance(expr, BinOp):
-        if expr.op == "AND":
-            return bool(evaluate(expr.left, row, params)) and bool(
-                evaluate(expr.right, row, params)
-            )
-        if expr.op == "OR":
-            return bool(evaluate(expr.left, row, params)) or bool(
-                evaluate(expr.right, row, params)
-            )
-        left = evaluate(expr.left, row, params)
-        right = evaluate(expr.right, row, params)
-        if expr.op in _ARITH:
-            return _ARITH[expr.op](left, right)  # type: ignore[arg-type]
-        if expr.op in _COMPARE:
-            return _COMPARE[expr.op](left, right)  # type: ignore[arg-type]
-        raise SqlError(f"unknown operator {expr.op!r}")
-    raise SqlError(f"unknown expression node {expr!r}")
+    return compile_expr(expr)(row, params)
 
 
 def columns_in(expr: Optional[Expr]) -> frozenset[str]:

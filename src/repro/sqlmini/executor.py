@@ -1,10 +1,11 @@
 """Execution of mini-SQL statements against an engine session.
 
-A :class:`PreparedStatement` is parsed once and executed many times with
-different parameter bindings — the shape of the stored procedures the
-paper's test driver invokes.  ``SELECT ... INTO :var`` writes the result
-into the parameter mapping, mirroring PL/pgSQL, so transaction programs can
-chain statements exactly like Program 1 in the paper.
+A :class:`PreparedStatement` is parsed once, planned once per table
+schema and executed many times with different parameter bindings — the
+shape of the stored procedures the paper's test driver invokes.
+``SELECT ... INTO :var`` writes the result into the parameter mapping,
+mirroring PL/pgSQL, so transaction programs can chain statements exactly
+like Program 1 in the paper.
 
 Planning is deliberately simple: a ``WHERE`` clause that pins the table's
 primary key (or a unique column) with an equality against a column-free
@@ -15,9 +16,10 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Hashable, MutableMapping, Optional
+from typing import Callable, Hashable, Mapping, MutableMapping, Optional
 
 from repro.engine.session import Session
+from repro.engine.storage import TableSchema
 from repro.errors import SqlError
 from repro.sqlmini.ast import (
     Call,
@@ -27,9 +29,8 @@ from repro.sqlmini.ast import (
     Select,
     Statement,
     Update,
-    columns_in,
+    compile_expr,
     equality_key,
-    evaluate,
 )
 from repro.sqlmini.parser import parse
 
@@ -41,8 +42,7 @@ Params = MutableMapping[str, object]
 # ----------------------------------------------------------------------
 # Statement ASTs are frozen dataclasses, so one parse result can safely be
 # shared by every PreparedStatement (and every server-side EXEC) carrying
-# the same SQL text.  Before this cache existed, the facade/wire path — a
-# fresh PreparedStatement per EXEC — re-parsed on every execution.
+# the same SQL text.
 _parse_cache: dict[str, Statement] = {}
 _parse_cache_lock = threading.Lock()
 _parse_misses = 0
@@ -113,6 +113,7 @@ class PreparedStatement:
             self.kind = "identity-update"
         else:
             self.kind = type(self.statement).__name__.lower()
+        self._planned: "tuple[Optional[TableSchema], Optional[Runner]]" = (None, None)
 
     def __str__(self) -> str:
         return str(self.statement)
@@ -134,170 +135,168 @@ class PreparedStatement:
                 )
                 return StatementResult(rows=[{"result": result}])
             return remote(self.sql, self.kind, bound)
-        if isinstance(statement, Select):
-            return self._execute_select(session, statement, bound)
-        if isinstance(statement, Update):
-            return self._execute_update(session, statement, bound)
-        if isinstance(statement, Insert):
-            return self._execute_insert(session, statement, bound)
-        if isinstance(statement, Delete):
-            return self._execute_delete(session, statement, bound)
-        raise SqlError(f"unsupported statement {statement!r}")
+        table = getattr(statement, "table", None)
+        if table is None:
+            raise SqlError(f"unsupported statement {statement!r}")
+        schema = session.db.catalog.table(table).schema
+        # One (schema, runner) pair, swapped whole: this object may be
+        # shared by every database and thread in the process.
+        planned = self._planned
+        if planned[0] is not schema and planned[0] != schema:
+            planned = self._planned = (schema, _plan(statement, self.kind, schema))
+        return planned[1](session, bound)
 
-    # ------------------------------------------------------------------
-    def _schema(self, session: Session, table: str):
-        return session.db.catalog.table(table).schema
 
-    def _resolve_rows(
-        self,
-        session: Session,
-        table: str,
-        where: Optional[Expr],
-        params: Params,
-        *,
-        for_update: bool,
-        kind: str,
-    ) -> list[tuple[Hashable, dict[str, object]]]:
-        """Find the rows a statement targets, preferring key lookups."""
-        schema = self._schema(session, table)
-        pk = schema.primary_key
+Runner = Callable[[Session, Params], StatementResult]
 
-        key_expr = equality_key(where, pk)
-        if key_expr is not None:
-            key = evaluate(key_expr, None, params)
-            if for_update:
-                row = session.select_for_update(table, key, kind=kind)
-            else:
-                row = session.select(table, key, kind=kind)
-            if row is None:
+
+def _access_path(
+    schema: TableSchema,
+    where: Optional[Expr],
+    *,
+    for_update: bool = False,
+    kind: str,
+) -> Callable[[Session, Params], "list[tuple[Hashable, Mapping[str, object]]]"]:
+    """Choose how a statement finds its ``(key, row)`` pairs: primary key,
+    else a unique column, else a predicate scan.  A key lookup re-checks
+    the whole ``WHERE`` on the row it found unless the key equality is
+    all of it."""
+    table = schema.name
+    matches = compile_expr(where) if where is not None else None
+    key_expr = equality_key(where, schema.primary_key)
+    if key_expr is not None:
+        key_of = compile_expr(key_expr)
+        residual = matches if where.op != "=" else None
+        verb = "select_for_update" if for_update else "select"
+
+        def by_key(session, params):
+            key = key_of(None, params)
+            row = getattr(session, verb)(table, key, kind=kind)
+            if row is None or (residual is not None and not residual(row, params)):
                 return []
-            if where is not None and not evaluate(where, row, params):
-                return []
-            return [(key, dict(row))]
+            return [(key, row)]
 
-        for column in schema.unique:
-            value_expr = equality_key(where, column)
-            if value_expr is None:
-                continue
-            value = evaluate(value_expr, None, params)
-            found = session.lookup_unique(table, column, value, kind=kind)
+        return by_key
+
+    for column in schema.unique:
+        value_expr = equality_key(where, column)
+        if value_expr is None:
+            continue
+        value_of = compile_expr(value_expr)
+
+        def by_unique(session, params):
+            found = session.lookup_unique(
+                table, column, value_of(None, params), kind=kind
+            )
             if found is None:
                 return []
             key, row = found
             if for_update:
-                locked = session.select_for_update(table, key)
-                if locked is None:
-                    return []
-                row = locked
-            if where is not None and not evaluate(where, row, params):
+                row = session.select_for_update(table, key)
+            if row is None or not matches(row, params):
                 return []
-            return [(key, dict(row))]
+            return [(key, row)]
 
-        matches = session.scan(
-            table,
-            predicate=(
-                (lambda row: bool(evaluate(where, row, params)))
-                if where is not None
-                else None
-            ),
-            description=str(where) if where is not None else "<all>",
-            kind="scan",
-        )
-        resolved: list[tuple[Hashable, dict[str, object]]] = []
-        for key, row in matches:
-            if for_update:
-                locked = session.select_for_update(table, key)
-                if locked is None:
-                    continue
-                row = locked
-            resolved.append((key, dict(row)))
-        return resolved
+        return by_unique
 
-    def _execute_select(
-        self, session: Session, statement: Select, params: Params
-    ) -> StatementResult:
-        kind = self.kind if self.kind != "select" else (
-            "select-for-update" if statement.for_update else "select"
+    description = str(where) if where is not None else "<all>"
+
+    def by_scan(session, params):
+        predicate = None
+        if matches is not None:
+            predicate = lambda row: bool(matches(row, params))
+        found = session.scan(
+            table, predicate=predicate, description=description, kind="scan"
         )
-        targets = self._resolve_rows(
-            session,
-            statement.table,
-            statement.where,
-            params,
-            for_update=statement.for_update,
-            kind=kind,
-        )
-        schema = self._schema(session, statement.table)
+        if not for_update:
+            return found
+        locked = ((key, session.select_for_update(table, key)) for key, _ in found)
+        return [(key, row) for key, row in locked if row is not None]
+
+    return by_scan
+
+
+def _plan(statement: Statement, kind: str, schema: TableSchema) -> Runner:
+    """Decide everything about ``statement`` that does not depend on the
+    parameters: access path, session verb and ``kind``, projection and
+    ``INTO`` pairs, compiled predicate and assignments."""
+    table = schema.name
+    if isinstance(statement, Select):
         columns = (
-            schema.column_names
-            if statement.columns == ("*",)
-            else statement.columns
+            schema.column_names if statement.columns == ("*",) else statement.columns
         )
-        rows = [{col: row[col] for col in columns} for _, row in targets]
-        if statement.into:
+        for column in columns:
+            if column not in schema.column_name_set:
+                raise SqlError(f"unknown column {column!r}")
+        if statement.into and len(statement.into) != len(columns):
+            raise SqlError("SELECT INTO variable/column count mismatch")
+        into = tuple(zip(columns, statement.into))
+        if kind == "select" and statement.for_update:
+            kind = "select-for-update"
+        rows_of = _access_path(
+            schema, statement.where, for_update=statement.for_update, kind=kind
+        )
+
+        def select(session, params):
+            rows = [
+                {column: row[column] for column in columns}
+                for _, row in rows_of(session, params)
+            ]
             first = rows[0] if rows else None
-            for column, var in zip(columns, statement.into):
+            for column, var in into:
                 params[var] = first[column] if first is not None else None
-        return StatementResult(rows=rows, rowcount=len(rows))
+            return StatementResult(rows, len(rows))
 
-    def _execute_update(
-        self, session: Session, statement: Update, params: Params
-    ) -> StatementResult:
-        schema = self._schema(session, statement.table)
-        pk = schema.primary_key
-        key_expr = equality_key(statement.where, pk)
+        return select
 
-        def changes(row):
-            return {
-                column: evaluate(expr, row, params)
-                for column, expr in statement.assignments
-            }
-
-        count = 0
-        if key_expr is not None and columns_in(statement.where) == {pk}:
-            key = evaluate(key_expr, None, params)
-            if session.update(statement.table, key, changes, kind=self.kind):
-                count = 1
-        else:
-            targets = self._resolve_rows(
-                session,
-                statement.table,
-                statement.where,
-                params,
-                for_update=False,
-                kind="scan",
-            )
-            for key, _row in targets:
-                if session.update(statement.table, key, changes, kind=self.kind):
-                    count += 1
-        return StatementResult(rowcount=count)
-
-    def _execute_insert(
-        self, session: Session, statement: Insert, params: Params
-    ) -> StatementResult:
-        row = {
-            column: evaluate(expr, None, params)
-            for column, expr in zip(statement.columns, statement.values)
-        }
-        session.insert(statement.table, row, kind=self.kind)
-        return StatementResult(rowcount=1)
-
-    def _execute_delete(
-        self, session: Session, statement: Delete, params: Params
-    ) -> StatementResult:
-        targets = self._resolve_rows(
-            session,
-            statement.table,
-            statement.where,
-            params,
-            for_update=False,
-            kind=self.kind,
+    if isinstance(statement, Update):
+        sets = tuple(
+            (column, compile_expr(expr)) for column, expr in statement.assignments
         )
-        count = 0
-        for key, _row in targets:
-            session.delete(statement.table, key, kind=self.kind)
-            count += 1
-        return StatementResult(rowcount=count)
+        where = statement.where
+        key_expr = equality_key(where, schema.primary_key)
+        if key_expr is not None and where.op == "=":
+            # The whole WHERE is the key: ``session.update`` finds the row.
+            key_of = compile_expr(key_expr)
+            rows_of = lambda session, params: ((key_of(None, params), None),)
+        else:
+            rows_of = _access_path(schema, where, kind="scan")
+
+        def update(session, params):
+            changes = lambda row: {column: fn(row, params) for column, fn in sets}
+            count = 0
+            for key, _ in rows_of(session, params):
+                if session.update(table, key, changes, kind=kind):
+                    count += 1
+            return StatementResult(rowcount=count)
+
+        return update
+
+    if isinstance(statement, Insert):
+        values = tuple(
+            (column, compile_expr(expr))
+            for column, expr in zip(statement.columns, statement.values)
+        )
+
+        def insert(session, params):
+            row = {column: fn(None, params) for column, fn in values}
+            session.insert(table, row, kind=kind)
+            return StatementResult(rowcount=1)
+
+        return insert
+
+    if isinstance(statement, Delete):
+        rows_of = _access_path(schema, statement.where, kind=kind)
+
+        def delete(session, params):
+            targets = rows_of(session, params)
+            for key, _ in targets:
+                session.delete(table, key, kind=kind)
+            return StatementResult(rowcount=len(targets))
+
+        return delete
+
+    raise SqlError(f"unsupported statement {statement!r}")
 
 
 def execute_sql(

@@ -241,7 +241,8 @@ class _Parser:
             into.append(self._expect("param").value[1:])
             while self._accept("op", ","):
                 into.append(self._expect("param").value[1:])
-            if len(into) != len(columns):
+            # ``*`` is counted when the statement is planned against a schema.
+            if columns != ["*"] and len(into) != len(columns):
                 raise SqlError("SELECT INTO variable/column count mismatch")
         self._expect("kw", "FROM")
         table = self._name()

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import operator
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import SqlError
 from repro.sqlmini import (
     BinOp,
     ColumnRef,
@@ -13,7 +16,9 @@ from repro.sqlmini import (
     Literal,
     Param,
     Select,
+    UnaryOp,
     Update,
+    compile_expr,
     evaluate,
     parse,
 )
@@ -126,3 +131,97 @@ def test_comparison_evaluation_is_boolean_when_types_align(comparison):
         # errors for both, which is the intended behaviour.
         return
     assert isinstance(result, bool)
+
+
+# ----------------------------------------------------------------------
+# compile_expr against the tree-walking interpreter it replaced
+# ----------------------------------------------------------------------
+_OPERATORS = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "/": operator.truediv, "=": operator.eq, "!=": operator.ne,
+    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+}
+
+
+def reference_evaluate(expr, row, params):
+    """The interpreter ``repro.sqlmini.evaluate`` was until statements
+    were planned: the oracle for what every expression means."""
+    if isinstance(expr, Literal):
+        return expr.value
+    if isinstance(expr, Param):
+        try:
+            return params[expr.name]
+        except KeyError:
+            raise SqlError(f"unbound parameter :{expr.name}") from None
+    if isinstance(expr, ColumnRef):
+        if row is None:
+            raise SqlError(f"column {expr.name!r} referenced outside a row context")
+        try:
+            return row[expr.name]
+        except KeyError:
+            raise SqlError(f"unknown column {expr.name!r}") from None
+    if isinstance(expr, UnaryOp):
+        value = reference_evaluate(expr.operand, row, params)
+        if expr.op == "NOT":
+            return not value
+        if expr.op == "-":
+            return -value
+        raise SqlError(f"unknown unary operator {expr.op!r}")
+    if isinstance(expr, BinOp):
+        if expr.op == "AND":
+            return bool(reference_evaluate(expr.left, row, params)) and bool(
+                reference_evaluate(expr.right, row, params)
+            )
+        if expr.op == "OR":
+            return bool(reference_evaluate(expr.left, row, params)) or bool(
+                reference_evaluate(expr.right, row, params)
+            )
+        left = reference_evaluate(expr.left, row, params)
+        right = reference_evaluate(expr.right, row, params)
+        if expr.op in _OPERATORS:
+            return _OPERATORS[expr.op](left, right)
+        raise SqlError(f"unknown operator {expr.op!r}")
+    raise SqlError(f"unknown expression node {expr!r}")
+
+
+def outcome(evaluator, expr, row, params):
+    """``("value", type, value)`` or ``("error", class, message)``."""
+    try:
+        value = evaluator(expr, row, params)
+    except (SqlError, TypeError, ZeroDivisionError) as exc:
+        return "error", type(exc), str(exc)
+    return "value", type(value), value
+
+
+@st.composite
+def negated(draw):
+    node = draw(st.one_of(expressions(), comparisons()))
+    return UnaryOp(draw(st.sampled_from(["NOT", "-"])), node)
+
+
+values = st.one_of(numbers, st.booleans(), strings)
+# Sometimes no row at all, and often a column or parameter short: the
+# three SqlError cases (unbound parameter, column outside a row context,
+# unknown column) must read the same from both implementations.
+rows = st.one_of(st.none(), st.dictionaries(names, values))
+bindings = st.dictionaries(params, values)
+
+
+@given(st.one_of(expressions(), comparisons(), negated()), rows, bindings)
+@settings(max_examples=600, deadline=None)
+def test_compiled_expression_agrees_with_the_reference_interpreter(
+    expression, row, binding
+):
+    expected = outcome(reference_evaluate, expression, row, binding)
+    assert outcome(evaluate, expression, row, binding) == expected
+    compiled = compile_expr(expression)
+    assert outcome(lambda _e, r, p: compiled(r, p), expression, row, binding) == expected
+
+
+def test_equal_looking_literals_keep_their_own_type():
+    """``Literal(1) == Literal(1.0) == Literal(True)`` as dataclasses,
+    which is why closures are not memoised by node: one would be handed
+    the other's value."""
+    for value in (1, 1.0, True, 0, 0.0, False):
+        result = compile_expr(BinOp("+", Literal(value), Literal(0)))(None, {})
+        assert type(result) is type(value + 0)
