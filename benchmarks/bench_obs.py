@@ -13,8 +13,8 @@ of the observability layer:
 * the trace round-trips through JSONL and its rebuilt committed history
   passes the MVSG serializability checker for S2PL / verifies for SI;
 * exposition works both ways: ``BENCH_obs_metrics.json`` and
-  ``BENCH_obs_metrics.prom`` are written at the repo root (CI uploads
-  them as artifacts).
+  ``BENCH_obs_metrics.prom`` are written at the repo root — generated
+  and git-ignored, not committed; CI uploads them as artifacts.
 
 Run the CI smoke version with::
 

@@ -15,7 +15,6 @@ the reproduction needs.
 
 from __future__ import annotations
 
-import random
 from typing import Optional
 
 from repro.engine import Database, EngineConfig
@@ -25,8 +24,7 @@ from repro.smallbank.schema import (
     CONFLICT,
     SAVING,
     PopulationConfig,
-    customer_name,
-    smallbank_schemas,
+    populated_database,
 )
 
 #: The column whose value determines the owning shard, per table.
@@ -90,36 +88,21 @@ def build_shard_database(
 ) -> Database:
     """One shard's slice of the SmallBank population.
 
-    Draws from the seeded RNG in *exactly* the order of
-    :func:`repro.smallbank.schema.build_database` — both balances for
-    every customer, whether or not the customer lands here — so the
-    union of all shards is bit-identical to the single-node population
-    (``cluster total_money == local total_money`` under the same seed).
-    One shard of several waits at most :data:`SHARD_LOCK_TIMEOUT` for a
-    row lock unless ``config`` sets its own bound.
+    The slice is :func:`repro.smallbank.schema.populated_database`'s —
+    the generator :func:`~repro.smallbank.schema.build_database` is the
+    1-of-1 case of — so the union of all shards is bit-identical to the
+    single-node population (``cluster total_money == local total_money``
+    under the same seed).  One shard of several waits at most
+    :data:`SHARD_LOCK_TIMEOUT` for a row lock unless ``config`` sets its
+    own bound.
     """
     if not 0 <= shard_index < shard_count:
         raise ValueError(
             f"shard_index {shard_index} out of range for {shard_count} shards"
         )
-    population = population or PopulationConfig()
     config = config or EngineConfig.postgres()
     if shard_count > 1 and config.lock_timeout is None:
         config = config.with_lock_timeout(SHARD_LOCK_TIMEOUT)
-    partitioner = HashPartitioner(shard_count)
-    rng = random.Random(population.seed)
-    db = Database(smallbank_schemas(), config)
-    for cid in range(1, population.customers + 1):
-        saving = round(
-            rng.uniform(population.min_saving, population.max_saving), 2
-        )
-        checking = round(
-            rng.uniform(population.min_checking, population.max_checking), 2
-        )
-        if partitioner.shard_for_customer(cid) != shard_index:
-            continue
-        db.load_row(ACCOUNT, {"Name": customer_name(cid), "CustomerId": cid})
-        db.load_row(SAVING, {"CustomerId": cid, "Balance": saving})
-        db.load_row(CHECKING, {"CustomerId": cid, "Balance": checking})
-        db.load_row(CONFLICT, {"Id": cid, "Value": 0})
-    return db
+    return populated_database(
+        config, population or PopulationConfig(), shard_index, shard_count
+    )

@@ -39,12 +39,19 @@ from repro.engine.session import (
     Waiter,
     WouldBlock,
 )
-from repro.engine.storage import Catalog, Column, Table, TableSchema
+from repro.engine.storage import (
+    BootstrapImage,
+    Catalog,
+    Column,
+    Table,
+    TableSchema,
+)
 from repro.engine.transaction import OWN_WRITE, Transaction, TxnStatus
 from repro.engine.versions import UncommittedVersion, Version, VersionChain
 from repro.engine.wal import RedoEntry, WalRecord, WriteAheadLog
 
 __all__ = [
+    "BootstrapImage",
     "Catalog",
     "Column",
     "Database",

@@ -77,6 +77,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Mapping, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - avoids the obs -> analysis cycle
@@ -91,9 +92,14 @@ from repro.engine.config import (
 )
 from repro.engine.locks import LockManager, LockMode, RowId
 from repro.engine.ssi import SsiCertifier
-from repro.engine.storage import Catalog, Table, TableSchema
+from repro.engine.storage import BootstrapImage, Catalog, Table, TableSchema
 from repro.engine.transaction import OWN_WRITE, Transaction, TxnStatus
-from repro.engine.versions import UncommittedVersion, Version, freeze_row
+from repro.engine.versions import (
+    UncommittedVersion,
+    Version,
+    VersionChain,
+    freeze_row,
+)
 from repro.engine.wal import GroupCommitBuffer, WalRecord, WriteAheadLog
 from repro.errors import (
     DatabaseCrashed,
@@ -145,6 +151,11 @@ class Database:
     faults:
         Optional :class:`~repro.faults.FaultPlan`.  With none installed
         (the default) every injection hook is a no-op.
+    image:
+        Optional :class:`~repro.engine.storage.BootstrapImage` to start
+        from (see :meth:`bootstrap_image`): its rows are installed without
+        being validated again.  The frozen versions are shared with the
+        image; chains, indexes and everything else belong to this instance.
     """
 
     def __init__(
@@ -155,9 +166,10 @@ class Database:
             list[Callable[[Transaction], None]]
         ] = None,
         faults: Optional[FaultPlan] = None,
+        image: Optional[BootstrapImage] = None,
     ) -> None:
         self.config = config or EngineConfig.postgres()
-        self.catalog = Catalog(list(schemas))
+        self.catalog = Catalog(list(schemas), image)
         self.clock = LogicalClock()
         self.locks = LockManager(lock_timeout=self.config.lock_timeout)
         self.wal = WriteAheadLog()
@@ -188,7 +200,10 @@ class Database:
         self._crashed = False
         # Bootstrap rows double as the recovery checkpoint: load_row data
         # is "already on disk" and survives crashes without a WAL record.
-        self._bootstrap: list[tuple[str, dict[str, object]]] = []
+        # An image that came in through ``image=`` or went out through
+        # ``bootstrap_image()`` is shared: load_row copies it before writing.
+        self._image = image if image is not None else BootstrapImage()
+        self._image_shared = image is not None
         # Two-phase-commit participant state (DESIGN.md §12) -------------
         #: Live prepared transactions by global transaction id.  A
         #: prepared transaction also stays in ``_active`` (it pins the
@@ -223,21 +238,44 @@ class Database:
         measurements.
         """
         with self._commit_mutex:
-            self._ensure_not_crashed()
+            if self._crashed:
+                self._ensure_not_crashed()
             table = self.catalog.table(table_name)
-            value = table.schema.validate_row(row)
-            key = value[table.schema.primary_key]
-            chain = table.chain_or_create(key)
-            if len(chain) > 0:
+            schema = table.schema
+            value = schema.validate_row(row)
+            key = value[schema.primary_key]
+            # validate_row returned a copy nobody else holds: freeze it as is.
+            version = Version(
+                commit_ts=LogicalClock.BOOTSTRAP_TS,
+                txid=0,
+                value=MappingProxyType(value),
+            )
+            chain = table.rows.get(key)
+            if chain is None:
+                table.rows[key] = VersionChain(version)
+            elif len(chain) > 0:
                 raise IntegrityError(
                     f"row {key!r} already exists in {table_name!r}"
                 )
-            version = Version(
-                commit_ts=LogicalClock.BOOTSTRAP_TS, txid=0, value=freeze_row(value)
-            )
-            chain.append_committed(version)
+            else:  # a writer staged this key first
+                chain.append_committed(version)
             table.index_committed_version(key, version)
-            self._bootstrap.append((table_name, dict(value)))
+            if self._image_shared:
+                self._image = self._image.copy()
+                self._image_shared = False
+            self._image.table(schema).add(key, version)
+
+    def bootstrap_image(self) -> BootstrapImage:
+        """Everything :meth:`load_row` installed here, as an immutable image.
+
+        ``Database(schemas, config, image=...)`` instantiates from it —
+        how :meth:`recover` restores the checkpoint and how a population
+        is built once and used many times.  Rows loaded here afterwards
+        go to a copy, so the returned image never changes.
+        """
+        with self._commit_mutex:
+            self._image_shared = True
+            return self._image
 
     def add_observer(self, observer: Callable[[Transaction], None]) -> None:
         self._observers.append(observer)

@@ -7,8 +7,10 @@ The durability contract (the invariant the recovery tests assert):
   tombstones) are reinstalled with their original commit timestamps;
 * every transaction **outside** the prefix — unflushed, uncommitted, or
   active at the crash — leaves no trace;
-* bootstrap rows (:meth:`Database.load_row`) act as the checkpoint image
-  and are always restored;
+* bootstrap rows (:meth:`Database.load_row`) are the checkpoint image
+  (:meth:`Database.bootstrap_image`) and are always restored — the
+  recovered instance shares their frozen versions with the crashed one
+  and nothing else;
 * the logical clock resumes strictly after the highest replayed commit
   timestamp, so post-recovery transactions can never collide with
   recovered history.
@@ -133,8 +135,7 @@ def recover_database(
         crashed.config,
         observers=list(crashed._observers),
         faults=crashed.faults,
+        image=crashed.bootstrap_image(),
     )
-    for table_name, row in crashed._bootstrap:
-        recovered.load_row(table_name, row)
     prefix = tuple(records) if records is not None else crashed.wal.durable_records
     return replay_records(recovered, prefix)

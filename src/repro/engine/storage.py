@@ -15,6 +15,12 @@ immutable tuple rebuilt on demand, so a reader either sees the old or the
 new value, both internally consistent.  All mutation happens on the writer
 side under the engine's stripe latches (key/chain creation) or commit
 mutex (version publication, index maintenance).
+
+A :class:`BootstrapImage` is the part of a database that
+:meth:`~repro.engine.engine.Database.load_row` installed, in load order:
+the checkpoint that recovery starts from, and what a second database over
+the same data is instantiated from without validating a row again
+(DESIGN.md §8).
 """
 
 from __future__ import annotations
@@ -134,18 +140,107 @@ class TableSchema:
         return dict(row)
 
 
-class Table:
-    """Version-chained rows of one table plus its superset indexes."""
+Indexes = dict[str, dict[Hashable, tuple[Hashable, ...]]]
+
+
+def _index_version(indexes: Indexes, key: Hashable, version: Version) -> None:
+    """Add ``key`` to the superset-index entries of ``version``'s values.
+
+    Entries are copy-on-write: the candidate tuple is replaced, never
+    mutated, so a lock-free lookup always iterates a consistent (and
+    pre-sorted) list — and a tuple may sit in two index dicts at once.
+    """
+    if version.value is None:
+        return
+    for column, index in indexes.items():
+        value = version.value[column]
+        existing = index.get(value)
+        if existing is None:
+            index[value] = (key,)
+        elif key not in existing:
+            index[value] = tuple(sorted((*existing, key), key=repr))
+
+
+class TableImage:
+    """One table's share of a :class:`BootstrapImage`: the bootstrap
+    version of every loaded key (dict order is load order) and the
+    unique-index entries those versions produce."""
+
+    __slots__ = ("schema", "versions", "indexes")
 
     def __init__(self, schema: TableSchema) -> None:
         self.schema = schema
-        self.rows: dict[Hashable, VersionChain] = {}
+        self.versions: dict[Hashable, Version] = {}
+        self.indexes: Indexes = {col: {} for col in schema.unique}
+
+    def add(self, key: Hashable, version: Version) -> None:
+        self.versions[key] = version
+        if self.indexes:
+            _index_version(self.indexes, key, version)
+
+    def copy(self) -> "TableImage":
+        clone = TableImage(self.schema)
+        clone.versions = dict(self.versions)
+        clone.indexes = {col: dict(index) for col, index in self.indexes.items()}
+        return clone
+
+
+class BootstrapImage:
+    """The rows ``load_row`` installed, ready to instantiate from.
+
+    ``Database(schemas, config, image=image)`` builds its version chains
+    and index dicts from one; the frozen :class:`Version` objects (and
+    the index tuples) are all an instance shares with the image and with
+    its siblings.  Whoever holds an image must treat it as immutable: a
+    :class:`~repro.engine.engine.Database` writes only to an image nobody
+    else has seen and copies it first otherwise.
+    """
+
+    __slots__ = ("tables",)
+
+    def __init__(self) -> None:
+        self.tables: dict[str, TableImage] = {}
+
+    def table(self, schema: TableSchema) -> TableImage:
+        """The image of ``schema``'s table, created empty when missing."""
+        image = self.tables.get(schema.name)
+        if image is None:
+            image = self.tables[schema.name] = TableImage(schema)
+        return image
+
+    def copy(self) -> "BootstrapImage":
+        clone = BootstrapImage()
+        clone.tables = {name: t.copy() for name, t in self.tables.items()}
+        return clone
+
+    def __len__(self) -> int:
+        return sum(len(t.versions) for t in self.tables.values())
+
+
+class Table:
+    """Version-chained rows of one table plus its superset indexes."""
+
+    def __init__(
+        self, schema: TableSchema, image: Optional[TableImage] = None
+    ) -> None:
+        self.schema = schema
+        if image is None:
+            image = TableImage(schema)
+        elif image.schema != schema:
+            raise SchemaError(
+                f"bootstrap image of table {schema.name!r} was built "
+                "for a different schema"
+            )
+        self.rows: dict[Hashable, VersionChain] = {
+            key: VersionChain(version)
+            for key, version in image.versions.items()
+        }
         # Superset indexes: column -> value -> tuple of pks that ever had
         # it, kept sorted by repr.  Entries are copy-on-write (replaced,
         # never mutated) so lock-free readers always see a consistent
         # candidate list.
-        self._indexes: dict[str, dict[Hashable, tuple[Hashable, ...]]] = {
-            col: {} for col in schema.unique
+        self._indexes: Indexes = {
+            col: dict(index) for col, index in image.indexes.items()
         }
         # Commercial-platform SELECT FOR UPDATE bookkeeping: pk -> commit_ts
         # of the last transaction that SFU-locked the row (treated like a
@@ -283,18 +378,10 @@ class Table:
     def index_committed_version(self, key: Hashable, version: Version) -> None:
         """Record a freshly committed version in the superset indexes.
 
-        Entries are copy-on-write: the candidate tuple is replaced, never
-        mutated, so concurrent lock-free lookups always iterate a
-        consistent (and pre-sorted) list.  Only the committer mutates the
-        index, under the engine's commit mutex.
+        Only the committer mutates the index, under the engine's commit
+        mutex.
         """
-        if version.value is None:
-            return
-        for column, index in self._indexes.items():
-            value = version.value[column]
-            existing = index.get(value, ())
-            if key not in existing:
-                index[value] = tuple(sorted((*existing, key), key=repr))
+        _index_version(self._indexes, key, version)
 
     def latest_cc_write_ts(self, key: Hashable) -> int:
         """Commit ts of the last committed commercial SFU on ``key`` (0 if none)."""
@@ -304,12 +391,22 @@ class Table:
 class Catalog:
     """The set of tables making up one database."""
 
-    def __init__(self, schemas: tuple[TableSchema, ...] | list[TableSchema]) -> None:
+    def __init__(
+        self,
+        schemas: tuple[TableSchema, ...] | list[TableSchema],
+        image: Optional[BootstrapImage] = None,
+    ) -> None:
         self._tables: dict[str, Table] = {}
+        images = image.tables if image is not None else {}
         for schema in schemas:
             if schema.name in self._tables:
                 raise SchemaError(f"duplicate table {schema.name!r}")
-            self._tables[schema.name] = Table(schema)
+            self._tables[schema.name] = Table(schema, images.get(schema.name))
+        unknown = images.keys() - self._tables.keys()
+        if unknown:
+            raise SchemaError(
+                f"bootstrap image holds unknown table(s) {sorted(unknown)}"
+            )
 
     def table(self, name: str) -> Table:
         try:

@@ -65,8 +65,8 @@ class VersionChain:
 
     __slots__ = ("_committed", "uncommitted")
 
-    def __init__(self) -> None:
-        self._committed: list[Version] = []
+    def __init__(self, first: Optional[Version] = None) -> None:
+        self._committed: list[Version] = [] if first is None else [first]
         self.uncommitted: Optional[UncommittedVersion] = None
 
     # ------------------------------------------------------------------

@@ -11,10 +11,13 @@ accepted connection gets
 * one single-thread executor for the operations that genuinely block.
 
 The server speaks the protocol at the transport level
-(:class:`asyncio.Protocol` + :class:`~repro.net.protocol.FrameDecoder`)
+(:class:`asyncio.BufferedProtocol` + :class:`~repro.net.protocol.FrameDecoder`)
 rather than through ``StreamReader`` — request/response round trips are
 latency-bound, and skipping the stream/coroutine machinery roughly halves
-the per-RPC overhead.
+the per-RPC overhead.  Each connection receives into one reusable buffer:
+the plain-``Protocol`` transport allocates 256 KiB per ``recv``, which is
+above glibc's mmap threshold — a map, a page fault and an unmap per
+request until the process has freed a block that large.
 
 **Inline fast path.**  Engine operations may block (lock waits use
 :class:`ThreadedWaiter`), and a blocking call on the loop thread would
@@ -62,7 +65,7 @@ import asyncio
 import json
 import random
 import threading
-from collections import deque
+from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING, Callable, Optional
 
@@ -93,6 +96,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Shared stateless waiter for the inline fast path (see ``_serve``).
 _NOWAIT = NoWaitWaiter()
 
+#: Per-connection receive buffer (bytes); a longer frame takes several reads.
+_RECV_BUFFER = 64 * 1024
+
 
 class _MissingField(KeyError):
     """A handler read a request field the client did not send."""
@@ -117,15 +123,22 @@ class _ClientConnection:
         self.executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix=f"repro-net-conn-{conn_id}"
         )
+        #: Lifetime counts made on this connection's worker thread, their
+        #: only writer (the loop thread counts in the server's own dict):
+        #: ``stats()`` adds them up, reaping folds them in.
+        self.worker_counts: "Counter[str]" = Counter()
+        #: Where the request being served counts — set by ``_serve``.
+        self.counts: "dict[str, int]" = self.worker_counts
 
 
-class _ServerProtocol(asyncio.Protocol):
+class _ServerProtocol(asyncio.BufferedProtocol):
     """One accepted socket: framing, ordering, admission."""
 
     def __init__(self, server: "DatabaseServer") -> None:
         self.server = server
         self.transport: Optional[asyncio.Transport] = None
         self.decoder = FrameDecoder(server.max_frame)
+        self._recv = memoryview(bytearray(_RECV_BUFFER))
         self.pending: "deque[dict]" = deque()
         self.conn: Optional[_ClientConnection] = None
         self.busy = False  # a blocking request is on the worker thread
@@ -141,11 +154,14 @@ class _ServerProtocol(asyncio.Protocol):
         self.transport = transport
         self.server._on_connection_made(self)
 
-    def data_received(self, data: bytes) -> None:
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self._recv
+
+    def buffer_updated(self, nbytes: int) -> None:
         if self.closed:
             return
         try:
-            messages = self.decoder.feed(data)
+            messages = self.decoder.feed(bytes(self._recv[:nbytes]))
         except ProtocolError as exc:
             self.server._note_protocol_error("framing")
             self._send(error_payload(exc))
@@ -333,7 +349,10 @@ class DatabaseServer:
         # new registry.
         self._sid_base = random.SystemRandom().randrange(1 << 30)
         # Lifetime counters (kept even without an Observability installed;
-        # STATS and the leak assertions read them).
+        # STATS and the leak assertions read them).  Written by the loop
+        # thread only; what worker threads count is in each connection's
+        # ``worker_counts`` until ``_cleanup`` folds it in here.
+        self._reap_lock = threading.Lock()
         self._counters = {
             "connections_total": 0,
             "rejected_total": 0,
@@ -486,6 +505,10 @@ class DatabaseServer:
     # ------------------------------------------------------------------
     def stats(self) -> dict:
         """Server-level counters (also served over the wire as STATS)."""
+        with self._reap_lock:
+            counters = Counter(self._counters)
+            for conn in list(self._connections.values()):
+                counters.update(conn.worker_counts)
         return {
             "connections_active": len(self._connections),
             "connections_parked": len(self._parked),
@@ -502,7 +525,7 @@ class DatabaseServer:
             "backpressure": self.backpressure,
             # Which engine regime this server hosts, for operators.
             "isolation": self.db.config.isolation.value,
-            **self._counters,
+            **counters,
         }
 
     # ------------------------------------------------------------------
@@ -572,7 +595,13 @@ class DatabaseServer:
         except Exception:  # pragma: no cover - close is best-effort
             pass
         conn.executor.shutdown(wait=False)
-        self._connections.pop(conn.conn_id, None)
+        # The worker thread is done (close ran last on it), so its tally
+        # is final; the lock keeps a stats() on another thread from seeing
+        # the connection both listed and folded in.
+        with self._reap_lock:
+            self._connections.pop(conn.conn_id, None)
+            for name, count in conn.worker_counts.items():
+                self._counters[name] += count
         self._counters["sessions_closed"] += 1
         if self.obs is not None:
             self.obs.net_connection_closed(len(self._connections))
@@ -587,8 +616,11 @@ class DatabaseServer:
         self._tasks.add(task)
         task.add_done_callback(self._tasks.discard)
 
-    def _note_protocol_error(self, kind: str) -> None:
-        self._counters["protocol_errors_total"] += 1
+    def _note_protocol_error(
+        self, kind: str, counts: "dict[str, int] | None" = None
+    ) -> None:
+        counts = self._counters if counts is None else counts
+        counts["protocol_errors_total"] += 1
         if self.obs is not None:
             self.obs.net_protocol_error(kind)
 
@@ -631,6 +663,12 @@ class DatabaseServer:
         started = obs.now() if obs is not None else 0.0
         session = conn.session
         session.waiter = conn.blocking_waiter if blocking else _NOWAIT
+        # One writer per dict keeps ``+= 1`` exact without a lock: the loop
+        # thread owns the server's counters, each worker thread its
+        # connection's tally.
+        counts = conn.counts = (
+            conn.worker_counts if blocking else self._counters
+        )
         txn_before = session.txn
         writes_before = (
             len(txn_before.writes)
@@ -640,7 +678,7 @@ class DatabaseServer:
         try:
             handler = self._HANDLERS.get(op)
             if handler is None:
-                self._note_protocol_error("unknown-op")
+                self._note_protocol_error("unknown-op", counts)
                 raise ProtocolError(f"unknown operation {op!r}")
             try:
                 # Piggybacked BEGIN (deferred by the client to save a
@@ -651,12 +689,12 @@ class DatabaseServer:
                     session.begin(str(label))
                 response = handler(self, conn, _Request(message))
             except _MissingField as exc:
-                self._note_protocol_error("missing-field")
+                self._note_protocol_error("missing-field", counts)
                 raise ProtocolError(
                     f"request {op} is missing field {exc.args[0]!r}"
                 ) from None
             response["ok"] = True
-            self._counters["rpcs_total"] += 1
+            counts["rpcs_total"] += 1
             if obs is not None:
                 obs.net_rpc(str(op), obs.now() - started, True)
             return response
@@ -672,7 +710,7 @@ class DatabaseServer:
                 and len(txn_now.writes) != writes_before
             ):  # pragma: no cover - defensive
                 self.db.abort(txn_now, reason="net-retry-unsafe")
-                self._counters["rpcs_total"] += 1
+                counts["rpcs_total"] += 1
                 if obs is not None:
                     obs.net_rpc(str(op or "?"), obs.now() - started, False)
                 return error_payload(
@@ -683,7 +721,7 @@ class DatabaseServer:
                 )
             raise
         except ReproError as exc:
-            self._counters["rpcs_total"] += 1
+            counts["rpcs_total"] += 1
             if obs is not None:
                 obs.net_rpc(str(op or "?"), obs.now() - started, False)
             return error_payload(exc)
@@ -746,8 +784,8 @@ class DatabaseServer:
 
     def _op_vacuum(self, conn: _ClientConnection, msg: dict) -> dict:
         pruned = self.db.vacuum()
-        self._counters["vacuum_runs"] += 1
-        self._counters["vacuum_pruned_total"] += pruned
+        conn.counts["vacuum_runs"] += 1
+        conn.counts["vacuum_pruned_total"] += pruned
         return {"pruned": pruned}
 
     # --- two-phase commit (coordinator -> participant ops) --------------

@@ -42,6 +42,25 @@ def make_bank_db(config: EngineConfig | None = None, customers: int = 3) -> Data
     return db
 
 
+def assert_no_shared_mutable_state(a: Database, b: Database) -> None:
+    """Two databases over one bootstrap image may share the frozen
+    versions and nothing else: no chain, no row dict, no index dict."""
+    for table in a.catalog:
+        twin = b.catalog.table(table.schema.name)
+        assert twin.rows is not table.rows
+        assert not {id(c) for c in table.rows.values()} & {
+            id(c) for c in twin.rows.values()
+        }
+        assert not {id(c._committed) for c in table.rows.values()} & {
+            id(c._committed) for c in twin.rows.values()
+        }
+        assert twin._indexes is not table._indexes
+        for column, index in table._indexes.items():
+            assert twin._indexes[column] is not index
+        assert twin.cc_write_ts is not table.cc_write_ts
+    assert a.wal is not b.wal and a.locks is not b.locks and a.clock is not b.clock
+
+
 @pytest.fixture
 def db() -> Database:
     """A PostgreSQL-style SI database with three customers."""

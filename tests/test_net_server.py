@@ -10,6 +10,8 @@ before anyone else blocks on them, and nothing may leak.
 
 import socket
 import struct
+import sys
+import threading
 import time
 
 import pytest
@@ -20,7 +22,13 @@ from repro.errors import ConnectionClosed, ProtocolError
 from repro.net import DatabaseServer
 from repro.net.client import WireConnection
 from repro.net.protocol import FrameDecoder, encode_frame, read_frame_sync
-from repro.smallbank import PopulationConfig, build_database
+from repro.smallbank import (
+    BALANCE,
+    PopulationConfig,
+    build_database,
+    customer_name,
+    get_strategy,
+)
 
 
 def make_server(config=None, **kwargs):
@@ -283,3 +291,86 @@ class TestProtocolViolations:
             wire.close()
         finally:
             server.shutdown()
+
+
+class TestCountersAreExact:
+    def test_worker_and_inline_rpcs_are_all_counted(self):
+        """``_serve`` runs on the loop thread and on every connection's
+        worker thread.  A ``CALL`` joining an open transaction always takes
+        the worker thread, a ``PING`` never does; with both kinds in
+        flight from many connections, ``rpcs_total`` must still equal the
+        number of requests sent — one writer per tally, no lost update."""
+        program = get_strategy("base-si").transactions()._calls[
+            BALANCE
+        ].statement.program
+        workers, pingers, calls, pings = 6, 3, 150, 400
+        server = make_server()
+        sent = [0] * (workers + pingers)
+        errors: list[BaseException] = []
+
+        def worker(slot):
+            wire = WireConnection("127.0.0.1", server.port)
+            try:
+                pid = wire.call(
+                    "PREPARE_PROGRAM",
+                    {"factory": program.factory, "spec": program.spec},
+                )["pid"]
+                wire.call("BEGIN", {})
+                sent[slot] += 2
+                for _ in range(calls):
+                    wire.call(
+                        "CALL",
+                        {
+                            "pid": pid,
+                            "args": {"N": customer_name(slot + 1)},
+                            "end": "open",
+                        },
+                    )
+                    sent[slot] += 1
+                wire.call("ROLLBACK", {})
+                sent[slot] += 1
+            except BaseException as exc:
+                errors.append(exc)
+            finally:
+                wire.close()
+
+        def pinger(slot):
+            wire = WireConnection("127.0.0.1", server.port)
+            try:
+                for _ in range(pings):
+                    wire.call("PING", {})
+                    sent[slot] += 1
+            except BaseException as exc:
+                errors.append(exc)
+            finally:
+                wire.close()
+
+        threads = [
+            threading.Thread(target=worker, args=(slot,))
+            for slot in range(workers)
+        ] + [
+            threading.Thread(target=pinger, args=(workers + slot,))
+            for slot in range(pingers)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert not errors, errors
+            # Live connections' worker tallies are part of the total ...
+            total = sum(sent)
+            assert total == workers * (calls + 3) + pingers * pings
+            wait_until(
+                lambda: server.stats()["connections_active"] == 0,
+                message="connection reaping",
+            )
+            # ... and reaping folds them in without losing or doubling any.
+            assert server.stats()["rpcs_total"] == total
+        finally:
+            sys.setswitchinterval(interval)
+            server.shutdown()
+        assert server.stats()["rpcs_total"] == total

@@ -32,7 +32,11 @@ from repro.smallbank import (
     total_money,
 )
 
-from tests.conftest import make_bank_db
+from tests.conftest import (
+    assert_no_shared_mutable_state,
+    bank_schemas,
+    make_bank_db,
+)
 
 #: A read timestamp beyond any commit in these tests.
 LATE = 10**9
@@ -212,9 +216,14 @@ txn_strategy = st.lists(op_strategy, min_size=1, max_size=3)
 
 
 @settings(max_examples=25, deadline=None)
-@given(history=st.lists(txn_strategy, min_size=1, max_size=10))
-def test_recovery_from_every_prefix_matches_shadow(history) -> None:
+@given(
+    history=st.lists(txn_strategy, min_size=1, max_size=10),
+    from_image=st.booleans(),
+)
+def test_recovery_from_every_prefix_matches_shadow(history, from_image) -> None:
     db = make_bank_db(customers=3)
+    if from_image:  # instantiated, not loaded: the checkpoint is the image
+        db = Database(bank_schemas(), db.config, image=db.bootstrap_image())
     shadow: dict[tuple[str, object], object] = visible_state(db)
     snapshots = [dict(shadow)]
 
@@ -248,3 +257,4 @@ def test_recovery_from_every_prefix_matches_shadow(history) -> None:
             f"recovery from prefix {k}/{len(records)} diverged"
         )
         assert recovered.wal.durable_records == records[:k]
+        assert_no_shared_mutable_state(db, recovered)
