@@ -14,7 +14,11 @@ scale with shard count on a multi-core host.  Each point reports:
   single-shard and therefore skipped 2PC entirely (COMMIT piggybacked on
   the last statement, no PREPARE round), and
 * the router's raw ``fastpath_commits`` / ``twopc_commits`` /
-  ``twopc_aborts`` counters.
+  ``twopc_aborts`` counters, and
+* printed beside the TPS, not recorded: the shards' **RPCs** and
+  **worker dispatches** (requests a server handed to a connection's
+  worker thread instead of serving them on its loop) per decided
+  transaction — where the work went when a gate fails.
 
 A separate paired microbenchmark quantifies the **2PC overhead** on a
 2-shard cluster: the same connection alternately commits single-shard
@@ -104,6 +108,17 @@ def _drive(conn, mpl: int, duration: float, seed: int) -> dict:
     }
 
 
+def _shard_work(cluster) -> dict:
+    """What the shards did so far, summed: RPCs served and requests
+    handed to a worker thread (the servers' own ``STATS`` counters)."""
+    with cluster.connect() as conn:
+        shards = conn.stats()["shard_stats"]
+    return {
+        name: sum(shard[name] for shard in shards)
+        for name in ("rpcs_total", "worker_dispatches_total")
+    }
+
+
 def _loadgen(args) -> int:
     """Hidden ``--loadgen`` mode: one client subprocess of a multiproc
     measurement point.  Drives the standard mix against an existing
@@ -189,6 +204,7 @@ def measure_shards(
             results = _drive_from_subprocesses(cluster.url, mpl, duration)
         else:
             results = [_drive(cluster.connect(), mpl, duration, seed=7)]
+        work = _shard_work(cluster)
     if procs and (cluster.alive_count or cluster.kill_count):
         raise RuntimeError(
             f"shard process leak: {cluster.alive_count} alive, "
@@ -211,6 +227,10 @@ def measure_shards(
         "fastpath_ratio": round(
             counters["fastpath_commits"] / decided, 4
         ) if decided else 1.0,
+        "per_txn": {
+            "rpcs": work["rpcs_total"] / max(decided, 1),
+            "dispatches": work["worker_dispatches_total"] / max(decided, 1),
+        },
     }
 
 
@@ -286,6 +306,7 @@ def run_curve(
                 r["fastpath_ratio"] for r in runs
             ),
             "counters": runs[-1]["counters"],
+            "per_txn": runs[-1]["per_txn"],
         }
     base = out["points"][str(shards[0])]["tps"]
     for key, point in out["points"].items():
@@ -386,9 +407,12 @@ def main(argv: "list[str] | None" = None) -> int:
     for shard_count in shards:
         point = curve["points"][str(shard_count)]
         counters = point["counters"]
+        per_txn = point.pop("per_txn")  # printed only: the record keeps its shape
         print(
             f"  {shard_count} shard{'s' if shard_count > 1 else ' '}: "
             f"{point['tps']:>8,.0f} tps ({point['speedup']:4.2f}x)   "
+            f"{per_txn['rpcs']:.2f} rpcs/txn   "
+            f"{per_txn['dispatches']:.3f} dispatches/txn   "
             f"fastpath {point['fastpath_ratio']:.1%}   "
             f"2pc {counters['twopc_commits']:>6,d} commits "
             f"/ {counters['twopc_aborts']:,d} aborts"

@@ -43,10 +43,10 @@ caller is holding.
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-from repro.cluster.fanout import FanOutPool, Outcome, first_error
+from repro.cluster.fanout import first_error, scatter_gather
 from repro.cluster.oracle import TimestampOracle
 from repro.errors import (
     CoordinatorCrashed,
@@ -110,25 +110,20 @@ class TwoPhaseCoordinator:
         decision_log: "Optional[DecisionLog]" = None,
         fault_plan: "FaultPlan | None" = None,
         obs: "Observability | None" = None,
-        fanout: "FanOutPool | None" = None,
     ) -> None:
         self.oracle = oracle
         self.decision_hook = decision_hook
-        #: Optional shared fan-out pool: prepares and decision deliveries
-        #: broadcast concurrently across shards when set, serially when
-        #: not (stand-alone coordinators in unit tests stay single-file).
-        self.fanout = fanout
         #: Durable decision store — shareable across coordinator
         #: incarnations (coordinator recovery hands the same log to a
         #: fresh instance).
         self.log = decision_log if decision_log is not None else DecisionLog()
         self.faults = fault_plan
         self.obs = obs
-        self._lock = threading.Lock()
         #: Gtids with a ``commit_two_phase`` currently in flight.  The
         #: background in-doubt resolver must not touch these: a prepared
         #: branch of a live 2PC is not an orphan, its decision broadcast
-        #: just has not reached it yet.
+        #: just has not reached it yet.  (add / discard / copy of a set
+        #: are each atomic under the GIL: no lock.)
         self._in_flight: "set[str]" = set()
 
     def install_faults(self, plan: "FaultPlan | None") -> None:
@@ -139,50 +134,34 @@ class TwoPhaseCoordinator:
 
     @property
     def in_flight(self) -> "frozenset[str]":
-        with self._lock:
-            return frozenset(self._in_flight)
+        return frozenset(self._in_flight)
 
-    def _broadcast(self, tasks, *, op: str) -> "list[Outcome]":
-        """Run per-participant tasks via the fan-out pool (or serially).
+    def track(self, gtid: str) -> None:
+        """Mark ``gtid`` in flight: call before its first prepare, and
+        :meth:`untrack` (in a ``finally``) once its decision has been
+        delivered or given up on."""
+        self._in_flight.add(gtid)
 
-        Either way every task runs to completion and outcomes come back
-        positionally — 2PC must gather *all* votes even when the first
-        one is already a NO.
-        """
-        if self.fanout is not None:
-            return self.fanout.run(tasks, op=op)
-        return [FanOutPool._invoke(task) for task in tasks]
-
-    @contextmanager
-    def tracking(self, gtid: str):
-        """Mark ``gtid`` in flight from before its first prepare until
-        its decision has been delivered (or given up on)."""
-        with self._lock:
-            self._in_flight.add(gtid)
-        try:
-            yield
-        finally:
-            with self._lock:
-                self._in_flight.discard(gtid)
+    def untrack(self, gtid: str) -> None:
+        self._in_flight.discard(gtid)
 
     def commit_two_phase(self, gtid: str, writers: Sequence) -> None:
         """Atomically commit ``writers`` (network sessions) under ``gtid``.
 
-        Phase 1 fans PREPARE out to every writer concurrently (when a
-        pool is installed) and gathers *all* votes; any NO aborts the
-        branches that voted YES and raises the first error in shard
-        order, so presumed-abort semantics are unchanged — a branch that
-        prepared after the decision fell is an orphan the resolver
-        settles from the (already "abort"-recorded) decision log.
+        Phase 1 sends PREPARE to every writer, then gathers *all* votes;
+        any NO aborts the branches that voted YES and raises the first
+        error in shard order, so presumed-abort semantics are unchanged
+        — a branch that prepared after the decision fell is an orphan
+        the resolver settles from the (already "abort"-recorded)
+        decision log.
         """
-        with self.tracking(gtid):
+        self.track(gtid)
+        try:
             writers = list(writers)
-            votes = self._broadcast(
-                [
-                    (lambda b=branch: b.prepare_2pc(gtid))
-                    for branch in writers
-                ],
+            votes = scatter_gather(
+                [partial(branch.start_prepare_2pc, gtid) for branch in writers],
                 op="2pc-prepare",
+                obs=self.obs,
             )
             prepared = [
                 branch for branch, vote in zip(writers, votes) if vote.ok
@@ -192,6 +171,8 @@ class TwoPhaseCoordinator:
                 self.abort(gtid, prepared)
                 raise no_vote
             self.decide_commit(gtid, prepared)
+        finally:
+            self.untrack(gtid)
 
     def abort(self, gtid: str, prepared: Sequence) -> None:
         """Decide abort: log it, then tell the branches that voted YES.
@@ -201,25 +182,20 @@ class TwoPhaseCoordinator:
         from the logged decision; recovery presumes abort anyway.
         """
         self.log.record(gtid, "abort")
-
-        def quiet_abort(branch) -> None:
-            try:
-                branch.abort_2pc(gtid)
-            except ReproError:
-                pass
-
-        self._broadcast(
-            [(lambda b=branch: quiet_abort(b)) for branch in prepared],
+        scatter_gather(  # outcomes gathered and dropped: best effort
+            [partial(branch.start_abort_2pc, gtid) for branch in prepared],
             op="2pc-abort",
+            obs=self.obs,
         )
 
     def decide_commit(self, gtid: str, prepared: Sequence) -> None:
         """Every vote is YES: log the commit, then deliver it.
 
-        Call inside :meth:`tracking`.  Decision delivery errors (a
-        participant crashing *after* the decision was recorded) are
-        re-raised once every reachable participant has been told — the
-        decision stands and recovery re-delivers it to the rest.
+        Call between :meth:`track` and :meth:`untrack`.  Decision
+        delivery errors (a participant crashing *after* the decision was
+        recorded) are re-raised once every reachable participant has
+        been told — the decision stands and recovery re-delivers it to
+        the rest.
         """
         plan = self.faults
         if plan is not None and plan.should_fire("coordinator-crash-window"):
@@ -242,16 +218,23 @@ class TwoPhaseCoordinator:
             )
         self.log.record(gtid, "commit")
 
-        def deliver(branch) -> None:
-            branch.commit_2pc(gtid)
-            if plan is not None and plan.should_fire("net-dup-decision"):
-                if self.obs is not None:
-                    self.obs.fault_injected("net-dup-decision")
-                branch.commit_2pc(gtid)  # idempotent by contract
+        def start_delivery(branch) -> "Callable[[], object]":
+            delivered = branch.start_commit_2pc(gtid)
+            if plan is None:
+                return delivered
+
+            def delivered_maybe_twice() -> None:
+                delivered()
+                if plan.should_fire("net-dup-decision"):
+                    if self.obs is not None:
+                        self.obs.fault_injected("net-dup-decision")
+                    branch.commit_2pc(gtid)  # idempotent by contract
+
+            return delivered_maybe_twice
 
         # The decision is durable *before* any participant hears it
-        # (the presumed-abort ordering argument) — only the delivery
-        # fan-out below runs concurrently, never the log write.
+        # (the presumed-abort ordering argument) — only the deliveries
+        # below overlap, never the log write.
         with self.oracle.decision_window():
             if self.decision_hook is not None:
                 # Test seam: the hook interposes *between* deliveries,
@@ -261,16 +244,18 @@ class TwoPhaseCoordinator:
                     if index:
                         self.decision_hook(gtid, index)
                     try:
-                        deliver(branch)
+                        start_delivery(branch)()
                     except ReproError as exc:
                         if delivery_error is None:
                             delivery_error = exc
             else:
-                outcomes = self._broadcast(
-                    [(lambda b=branch: deliver(b)) for branch in prepared],
-                    op="2pc-decision",
+                delivery_error = first_error(
+                    scatter_gather(
+                        [partial(start_delivery, b) for b in prepared],
+                        op="2pc-decision",
+                        obs=self.obs,
+                    )
                 )
-                delivery_error = first_error(outcomes)
         if delivery_error is not None:
             raise delivery_error
 
@@ -289,7 +274,8 @@ class TwoPhaseCoordinator:
             # recovered coordinator) answers identically.
             self.log.record(gtid, "abort")
 
-        def redeliver(connection) -> None:
+        error: Optional[BaseException] = None
+        for connection in connections:  # each tried, the first error raised
             try:
                 if decision == "commit":
                     connection.commit_2pc(gtid)
@@ -299,12 +285,8 @@ class TwoPhaseCoordinator:
                 # Participant never prepared this gtid (or already
                 # resolved it the same way) — nothing to re-deliver.
                 pass
-
-        outcomes = self._broadcast(
-            [(lambda c=connection: redeliver(c)) for connection in connections],
-            op="2pc-resolve",
-        )
-        error = first_error(outcomes)
+            except ReproError as exc:
+                error = error or exc
         if error is not None:
             raise error
         return decision

@@ -1,25 +1,25 @@
-"""Bounded concurrent fan-out over shard RPCs (DESIGN.md §14.2).
+"""Per-shard broadcasts: gather every outcome, in order (DESIGN.md §14.2).
 
-The router's per-shard broadcasts — 2PC PREPARE rounds, decision
-deliveries, consistent-mode BEGINs, multi-shard scans, heartbeat /
-stats / vacuum sweeps — used to be Python ``for`` loops: one RPC per
-shard, strictly serially, so every broadcast cost ``shards × RTT`` and a
-single slow shard stalled probes of all the others.  With shards in
-their own OS processes (:mod:`repro.cluster.fleet`) those loops are the
-scaling bottleneck: the fleet can execute in parallel but the router
-only ever keeps one shard busy.
-
-:class:`FanOutPool` is a small bounded thread pool purpose-built for
-that shape.  Worker threads spend their lives blocked on socket reads —
-which releases the GIL — so N in-flight RPCs really do overlap across N
-shard processes.  Calls run **inline-first**: the caller's own thread
-executes the first task while the pool runs the rest, so a single-shard
-broadcast (the 1-shard cluster, the fast path) never pays a thread
-hand-off at all and degrades to exactly the old serial code.
-
-Every task's outcome — value or exception — is captured positionally;
+A broadcast costs one round trip, not ``shards × RTT``, when every
+request is out before the first reply is awaited.  Either way every
+task's outcome — value or exception — is captured positionally and
 nothing is raised until the whole broadcast has settled, which is what
 2PC needs (all votes must be gathered even when the first one is a NO).
+
+:func:`scatter_gather` is the transaction path (window BEGINs, round 1
+of a split program, the 2PC rounds): each task is a split-phase
+``start_*`` verb of a :class:`~repro.net.client.NetworkSession`; the
+caller's own thread sends them all, then reads the replies in task
+order, so a round costs no thread hand-off.
+
+:class:`FanOutPool` is for the connection-level sweeps (heartbeat, ping,
+stats, vacuum, the in-doubt scan), whose tasks dial, redial and time out
+on their own (``NetworkConnection._call_once``) and cannot be split: a
+small bounded thread pool.  Worker threads spend their lives blocked on
+socket reads — which releases the GIL — so N in-flight RPCs really do
+overlap across N shard processes.  Calls run **inline-first**: the
+caller's own thread executes the first task while the pool runs the
+rest, so a single-shard broadcast never pays a thread hand-off at all.
 """
 
 from __future__ import annotations
@@ -53,6 +53,13 @@ def first_error(outcomes: "Sequence[Outcome]") -> Optional[BaseException]:
         if outcome.error is not None:
             return outcome.error
     return None
+
+
+def _invoke(task: "Callable[[], Any]") -> Outcome:
+    try:
+        return Outcome(task(), None)
+    except BaseException as exc:  # gathered, re-raised by callers
+        return Outcome(None, exc)
 
 
 class FanOutPool:
@@ -115,38 +122,31 @@ class FanOutPool:
         if not tasks:
             return []
         if len(tasks) == 1:
-            return [self._invoke(tasks[0])]
+            return [_invoke(tasks[0])]
         executor = self._ensure_executor()
         if executor is None:  # closed: serial fallback, same semantics
-            return [self._invoke(task) for task in tasks]
+            return [_invoke(task) for task in tasks]
         # A concurrent shutdown() can reject submits (RuntimeError) or
         # cancel queued futures; both fall back to inline execution so
         # the gather contract — one Outcome per task, in order — holds.
         futures = []
         try:
             for task in tasks[1:]:
-                futures.append((executor.submit(self._invoke, task), task))
+                futures.append((executor.submit(_invoke, task), task))
         except RuntimeError:
             pending = tasks[1 + len(futures) :]
         else:
             pending = ()
-        outcomes = [self._invoke(tasks[0])]
+        outcomes = [_invoke(tasks[0])]
         for future, task in futures:
             try:
                 outcomes.append(future.result())
             except CancelledError:  # never started; run it here
-                outcomes.append(self._invoke(task))
-        outcomes.extend(self._invoke(task) for task in pending)
+                outcomes.append(_invoke(task))
+        outcomes.extend(_invoke(task) for task in pending)
         if self.obs is not None:
             self.obs.cluster_fanout(op, len(tasks))
         return outcomes
-
-    @staticmethod
-    def _invoke(task: "Callable[[], Any]") -> Outcome:
-        try:
-            return Outcome(task(), None)
-        except BaseException as exc:  # gathered, re-raised by callers
-            return Outcome(None, exc)
 
     # ------------------------------------------------------------------
     def shutdown(self) -> None:
@@ -162,3 +162,25 @@ class FanOutPool:
     def __exit__(self, exc_type, exc, tb) -> bool:
         self.shutdown()
         return False
+
+
+def scatter_gather(
+    starts: "Sequence[Callable[[], Callable[[], Any]]]",
+    *,
+    op: str = "broadcast",
+    obs: "Observability | None" = None,
+) -> "list[Outcome]":
+    """Send every request from this thread, then read the replies in order.
+
+    Each ``start`` writes one request and returns the callable reading
+    its reply.  A failed start is that task's outcome; every request that
+    went out is finished whatever the others did (no unread replies).
+    """
+    started = [_invoke(start) for start in starts]
+    outcomes = [
+        sent if sent.error is not None else _invoke(sent.value)
+        for sent in started
+    ]
+    if obs is not None and len(outcomes) > 1:
+        obs.cluster_fanout(op, len(outcomes))
+    return outcomes

@@ -43,7 +43,6 @@ in merged traces.  Two amortisations keep this off the hot path:
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
 
 #: Default gtid block size handed to :meth:`TimestampOracle.lease_gtids`
 #: callers that do not choose their own.  Leaked remainders are fine —
@@ -63,6 +62,12 @@ class TimestampOracle:
         self._snapshots = 0         # open snapshot windows
         self._decisions = 0         # decision broadcasts in progress
         self._decisions_waiting = 0 # decisions queued (blocks new snapshots)
+        self._snapshot_window = _Window(
+            self._enter_snapshot, self._leave_snapshot
+        )
+        self._decision_window = _Window(
+            self._enter_decision, self._leave_decision
+        )
 
     # ------------------------------------------------------------------
     # Gtid allocation
@@ -89,39 +94,59 @@ class TimestampOracle:
     # ------------------------------------------------------------------
     # Snapshot / decision groups
     # ------------------------------------------------------------------
-    @contextmanager
-    def snapshot_window(self):
+    def snapshot_window(self) -> "_Window":
         """Snapshot-group member: hold while broadcasting BEGIN to every
         shard.  Excludes decisions; shares with other snapshots."""
+        return self._snapshot_window
+
+    def _enter_snapshot(self) -> None:
         with self._cond:
             # Decision preference: a queued decision keeps new snapshots
             # out, so a steady stream of begins cannot starve commits.
             while self._decisions or self._decisions_waiting:
                 self._cond.wait()
             self._snapshots += 1
-        try:
-            yield
-        finally:
-            with self._cond:
-                self._snapshots -= 1
-                if self._snapshots == 0:
-                    self._cond.notify_all()
 
-    @contextmanager
-    def decision_window(self):
+    def _leave_snapshot(self) -> None:
+        with self._cond:
+            self._snapshots -= 1
+            if self._snapshots == 0:
+                self._cond.notify_all()
+
+    def decision_window(self) -> "_Window":
         """Decision-group member: hold while delivering one gtid's
         COMMIT_2PC to its participants.  Excludes snapshots; shares with
         other decisions (disjoint gtids commute)."""
+        return self._decision_window
+
+    def _enter_decision(self) -> None:
         with self._cond:
             self._decisions_waiting += 1
             while self._snapshots:
                 self._cond.wait()
             self._decisions_waiting -= 1
             self._decisions += 1
-        try:
-            yield
-        finally:
-            with self._cond:
-                self._decisions -= 1
-                if self._decisions == 0:
-                    self._cond.notify_all()
+
+    def _leave_decision(self) -> None:
+        with self._cond:
+            self._decisions -= 1
+            if self._decisions == 0:
+                self._cond.notify_all()
+
+
+class _Window:
+    """``with`` form of one latch group.  It holds no state of its own
+    (membership is the oracle's counters), so each oracle makes its two
+    once and every ``with`` shares them."""
+
+    __slots__ = ("_enter", "_leave")
+
+    def __init__(self, enter, leave) -> None:
+        self._enter = enter
+        self._leave = leave
+
+    def __enter__(self) -> None:
+        self._enter()
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self._leave()

@@ -28,13 +28,13 @@ The harness that stands up the shards themselves is
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Hashable, Mapping, Optional, Sequence
 
 from repro.api import Connection, Program
 from repro.cluster.coordinator import DecisionLog, TwoPhaseCoordinator
-from repro.cluster.fanout import FanOutPool, first_error
+from repro.cluster.fanout import FanOutPool, first_error, scatter_gather
 from repro.cluster.oracle import TimestampOracle
 from repro.cluster.partition import PARTITION_COLUMNS, HashPartitioner
 from repro.errors import (
@@ -116,17 +116,16 @@ class ClusterSession:
 
     def _begin_together(self, branches: "Sequence[NetworkSession]") -> None:
         """BEGIN on every branch inside one shared snapshot window: no
-        2PC decision broadcast can interleave the snapshots.  The BEGINs
-        fan out concurrently — every statement-by-statement transaction
-        pays for them, so they must not cost ``shards × RTT``.
+        2PC decision broadcast can interleave the snapshots.  Every
+        BEGIN is sent before the first reply is read — every
+        statement-by-statement transaction pays for them, so they must
+        not cost ``shards × RTT``.
         """
         with self._cluster.oracle.snapshot_window():
-            outcomes = self._cluster.fanout.run(
-                [
-                    (lambda b=branch: b.begin_now(self._tagged))
-                    for branch in branches
-                ],
+            outcomes = scatter_gather(
+                [partial(b.start_begin_now, self._tagged) for b in branches],
                 op="begin",
+                obs=self._cluster.obs,
             )
         error = first_error(outcomes)
         if error is not None:
@@ -185,10 +184,11 @@ class ClusterSession:
                 for branch in branches:
                     if branch.is_readonly:
                         branch.commit()
-                with self._cluster._two_phase_outcome():
-                    self._cluster.coordinator.commit_two_phase(
-                        self._gtid, writers
-                    )
+                self._cluster._counted_two_phase(
+                    self._cluster.coordinator.commit_two_phase,
+                    self._gtid,
+                    writers,
+                )
         finally:
             self._in_txn = False
             self._release_branches()
@@ -230,8 +230,9 @@ class ClusterSession:
                     f"cannot route program {label!r}: its arguments name "
                     f"{len(shards)} shards, it has {len(program.parts)} parts"
                 )
-            with cluster._two_phase_outcome():
-                return self._call_split(program.parts, args)
+            return cluster._counted_two_phase(
+                self._call_split, program.parts, args
+            )
         finally:
             self._release_branches()
 
@@ -240,14 +241,17 @@ class ClusterSession:
     ) -> object:
         """A two-shard program as five RPCs in three sequential rounds.
 
-        1. Inside one snapshot window, concurrently: ``CALL first
-           end=prepare:g`` to the first part's shard A (begins, runs,
-           votes) and ``BEGIN`` to the second part's shard B — both
-           snapshots open with no decision broadcast between them.
+        1. Inside one snapshot window: ``CALL first end=prepare:g`` to
+           the first part's shard A (begins, runs, votes) and ``BEGIN``
+           to the second part's shard B, both sent before either reply
+           is read — both snapshots open with no decision broadcast
+           between them.
         2. ``CALL second end=prepare:g`` to B, joining that transaction,
            with the first part's result as ``carry``.
         3. The coordinator's decision: durable log write, then
-           ``COMMIT_2PC`` fanned out to A and B.
+           ``COMMIT_2PC`` sent to A and B and both replies read.
+
+        All from this thread (:func:`~repro.cluster.fanout.scatter_gather`).
 
         Any failure before the decision — a NO vote, an abort or a
         business rollback in either part, a lost shard — aborts both
@@ -270,42 +274,47 @@ class ClusterSession:
         gtid, label = self._gtid, self._tagged
         end = f"prepare:{gtid}"
         prepared: "list[NetworkSession]" = []
-        with coordinator.tracking(gtid):
-            try:
-                branch_a, branch_b = (
-                    self._open(self._shard_for(ACCOUNT, args[part.route[0]]))
-                    for part in parts
+        coordinator.track(gtid)
+        try:
+            branch_a, branch_b = (
+                self._open(self._shard_for(ACCOUNT, args[part.route[0]]))
+                for part in parts
+            )
+            with cluster.oracle.snapshot_window():
+                called, begun = scatter_gather(
+                    [
+                        partial(
+                            branch_a.start_call_program,
+                            first, args, label, end=end, nowait=True,
+                        ),
+                        partial(branch_b.start_begin_now, label),
+                    ],
+                    op="call",
+                    obs=cluster.obs,
                 )
-                with cluster.oracle.snapshot_window():
-                    called, begun = cluster.fanout.run(
-                        [
-                            lambda: branch_a.call_program(
-                                first, args, label, end=end, nowait=True
-                            ),
-                            lambda: branch_b.begin_now(label),
-                        ],
-                        op="call",
-                    )
-                if begun.ok and isinstance(called.error, LockNotAvailable):
-                    branch_b.rollback()
-                    self._begin_together((branch_a, branch_b))
-                    carry = branch_a.call_program(first, args, label, end=end)
+            if begun.ok and isinstance(called.error, LockNotAvailable):
+                branch_b.rollback()
+                self._begin_together((branch_a, branch_b))
+                carry = branch_a.call_program(first, args, label, end=end)
+                prepared.append(branch_a)
+            else:
+                if called.ok:
                     prepared.append(branch_a)
-                else:
-                    if called.ok:
-                        prepared.append(branch_a)
-                    error = first_error((begun, called))
-                    if error is not None:
-                        raise error
-                    carry = called.value
-                result = branch_b.call_program(
-                    second, {**args, "carry": carry}, label, end=end
-                )
-                prepared.append(branch_b)
-            except BaseException:
-                coordinator.abort(gtid, prepared)
-                raise
+                error = first_error((begun, called))
+                if error is not None:
+                    raise error
+                carry = called.value
+            result = branch_b.call_program(
+                second, {**args, "carry": carry}, label, end=end
+            )
+            prepared.append(branch_b)
+        except BaseException:
+            coordinator.abort(gtid, prepared)
+            raise
+        else:
             coordinator.decide_commit(gtid, prepared)
+        finally:
+            coordinator.untrack(gtid)
         return result
 
     def rollback(self) -> None:
@@ -558,11 +567,11 @@ class ClusterConnection(Connection):
         )
         self.partitioner = HashPartitioner(len(addresses))
         self.oracle = TimestampOracle(gtid_base=gtid_base)
-        #: Shared fan-out pool for every per-shard broadcast this
-        #: connection performs (BEGINs, 2PC rounds, scans, sweeps).
-        #: Sized so ~pool_size concurrent sessions can each keep their
-        #: non-inline shards busy; the per-shard wire pools bound socket
-        #: concurrency underneath it.
+        #: Thread pool for the broadcasts that cannot be sent and then
+        #: gathered from one thread: the connection-level sweeps
+        #: (heartbeat / ping / stats / vacuum / in-doubt scan) and the
+        #: statement-path ``lookup_unique`` / ``scan``.  The transaction
+        #: path (BEGINs, program rounds, 2PC) never touches it.
         self.fanout = FanOutPool(max(4, 4 * len(addresses)), obs=obs)
         self.coordinator = TwoPhaseCoordinator(
             self.oracle,
@@ -570,7 +579,6 @@ class ClusterConnection(Connection):
             decision_log=decision_log,
             fault_plan=fault_plan,
             obs=obs,
-            fanout=self.fanout,
         )
         self._counter_lock = threading.Lock()
         self._counters = {
@@ -615,11 +623,10 @@ class ClusterConnection(Connection):
         with self._counter_lock:
             self._counters[name] += 1
 
-    @contextmanager
-    def _two_phase_outcome(self):
-        """Count how one 2PC transaction ended (the body runs it)."""
+    def _counted_two_phase(self, run: Callable, *args: object) -> object:
+        """Run one 2PC transaction (``run(*args)``), counting how it ended."""
         try:
-            yield
+            result = run(*args)
         except CoordinatorCrashed:
             # Outcome *unknown*, deliberately not counted as an abort:
             # the decision log plus the in-doubt resolver settle the gtid
@@ -632,6 +639,7 @@ class ClusterConnection(Connection):
             self._count("twopc_aborts")
             raise
         self._count("twopc_commits")
+        return result
 
     @property
     def shard_count(self) -> int:

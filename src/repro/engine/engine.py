@@ -389,16 +389,17 @@ class Database:
     def begin(self, label: str = "") -> Transaction:
         with self._commit_mutex:
             self._ensure_not_crashed()
-            self._txid_counter += 1
-            txn = Transaction(
-                self._txid_counter, self.clock.next(), label=label
-            )
-            self._active[txn.txid] = txn
-            if self._ssi is not None:
-                self._ssi.on_begin(txn)
-            if self._obs is not None:
-                self._obs.engine_begin(txn)
-            return txn
+            return self._begin_locked(self.clock.next(), label)
+
+    def _begin_locked(self, start_ts: int, label: str) -> Transaction:
+        self._txid_counter += 1
+        txn = Transaction(self._txid_counter, start_ts, label=label)
+        self._active[txn.txid] = txn
+        if self._ssi is not None:
+            self._ssi.on_begin(txn)
+        if self._obs is not None:
+            self._obs.engine_begin(txn)
+        return txn
 
     @property
     def active_transactions(self) -> tuple[Transaction, ...]:
@@ -845,6 +846,24 @@ class Database:
             self._abort_locked(txn, reason=reason)
             callbacks = txn.drain_callbacks()
         self._fire(callbacks, txn)
+
+    def restart(self, txn: Transaction, *, reason: str = "restart") -> Transaction:
+        """Abort ``txn`` and reopen it at the *same* snapshot and label.
+
+        For a caller that must undo an attempt and run it again (the
+        server's inline ``CALL``, DESIGN.md §11.5): the successor enters
+        ``_active`` before the attempt leaves it, under one hold of the
+        commit mutex, so vacuum's horizon never passes the snapshot and
+        the re-run reads exactly what the attempt read.
+        """
+        with self._commit_mutex:
+            self._ensure_not_crashed()
+            txn.ensure_active()
+            successor = self._begin_locked(txn.start_ts, txn.label)
+            self._abort_locked(txn, reason=reason)
+            callbacks = txn.drain_callbacks()
+        self._fire(callbacks, txn)
+        return successor
 
     def _abort_locked(self, txn: Transaction, *, reason: str = "user") -> None:
         # The aborting transaction still holds its row locks, so nobody

@@ -128,6 +128,18 @@ class Transaction:
         return not self.writes and not self.cc_writes
 
     @property
+    def is_untouched(self) -> bool:
+        """True while it has read, written and locked nothing: all it
+        owns is its snapshot (see ``Database.restart``)."""
+        return not (
+            self.reads
+            or self.writes
+            or self.cc_writes
+            or self.sfu_rows
+            or self.predicate_reads
+        )
+
+    @property
     def needs_wal_flush(self) -> bool:
         """True when committing requires a log-disk write.
 

@@ -13,13 +13,16 @@ Semantics notes
 * One wire connection == one server session == at most one transaction,
   exactly the engine's session model.  ``session()`` checks a wire out of
   the pool; ``session.close()`` returns it (rolling back first if a
-  transaction is still open).  Broken wires are discarded, never pooled.
+  transaction is still open).  Broken wires, and wires with a reply
+  still unread, are discarded, never pooled.
 * Every operation is one synchronous request/response round trip — a
   whole transaction program too: :meth:`NetworkSession.call_program`
   sends one ``CALL`` and the server begins, runs the body next to the
   engine and commits (DESIGN.md §11.5).  The statement verbs remain for
   ad-hoc transactions; their only elision is the deferred BEGIN, which
-  rides on the transaction's first request.
+  rides on the transaction's first request.  The verbs the cluster router
+  sends to several shards at once also come split (``start_*``: send
+  now, return the callable that reads the reply).
 * ``timeout`` bounds *connection establishment* (and pool checkout).
   RPCs then block until the server answers: a lock wait on the server can
   legitimately take as long as the engine's ``lock_timeout`` allows, and
@@ -37,6 +40,7 @@ import random
 import socket
 import threading
 import time
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Hashable, Mapping, Optional, Union
 
 from repro.api import Connection, Program
@@ -85,6 +89,9 @@ class WireConnection:
     ) -> None:
         self.max_frame = max_frame
         self.broken = False
+        #: A request is out and its reply unread: until it is read the
+        #: wire takes no other request and is never pooled.
+        self.awaiting_reply = False
         #: Per-RPC response deadline in seconds (None, the default: block
         #: until the server answers; see the module docstring for why).
         self.rpc_deadline = rpc_deadline
@@ -97,7 +104,52 @@ class WireConnection:
         # Frames are small and latency-bound: disable Nagle.
         self.sock.settimeout(rpc_deadline)
         self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._lock = threading.Lock()
+
+    def send(self, op: str, args: Mapping[str, object]) -> None:
+        """First half of :meth:`call`: write the request and return (the
+        cluster router sends to several shards before it reads a reply)."""
+        if self.broken or self.awaiting_reply:
+            self.broken = True  # an unread reply would answer this request
+            raise ConnectionClosed("wire connection already failed")
+        message: dict = {"op": op}
+        message.update(args)
+        try:
+            write_frame_sync(self.sock, message)
+        except ConnectionClosed:
+            self.broken = True
+            raise
+        self.awaiting_reply = True
+
+    def receive(self, deadline: Optional[float] = None) -> dict:
+        """Second half of :meth:`call`: the reply, or the server's error.
+
+        ``deadline`` bounds *this* wait (overriding the wire's
+        ``rpc_deadline`` for its duration).  A transport failure —
+        deadline expiry included — breaks the wire for good: a late
+        response could not be paired with its request anyway.
+        """
+        override = deadline is not None and deadline != self.rpc_deadline
+        try:
+            if override:
+                self.sock.settimeout(deadline)
+            try:
+                response = read_frame_sync(self.sock, self.max_frame)
+            finally:
+                if override:
+                    try:
+                        self.sock.settimeout(self.rpc_deadline)
+                    except OSError:  # pragma: no cover - closed under us
+                        self.broken = True
+            if response is None:
+                raise ConnectionClosed("server closed the connection")
+        except (ConnectionClosed, ProtocolError):
+            self.broken = True
+            raise
+        self.awaiting_reply = False
+        if response.get("ok"):
+            return response
+        raise_error_payload(response.get("error"))
+        raise AssertionError("unreachable")  # pragma: no cover
 
     def call(
         self,
@@ -105,40 +157,9 @@ class WireConnection:
         args: Mapping[str, object],
         deadline: Optional[float] = None,
     ) -> dict:
-        """One request/response round trip; raises the server's error.
-
-        ``deadline`` bounds *this* call's response wait (overriding the
-        wire's ``rpc_deadline`` for its duration).  A transport failure —
-        deadline expiry included — breaks the wire for good: a late
-        response could not be paired with its request anyway.
-        """
-        if self.broken:
-            raise ConnectionClosed("wire connection already failed")
-        message: dict = {"op": op}
-        message.update(args)
-        override = deadline is not None and deadline != self.rpc_deadline
-        try:
-            with self._lock:
-                if override:
-                    self.sock.settimeout(deadline)
-                try:
-                    write_frame_sync(self.sock, message)
-                    response = read_frame_sync(self.sock, self.max_frame)
-                finally:
-                    if override:
-                        try:
-                            self.sock.settimeout(self.rpc_deadline)
-                        except OSError:  # pragma: no cover - closed under us
-                            self.broken = True
-            if response is None:
-                raise ConnectionClosed("server closed the connection")
-        except (ConnectionClosed, ProtocolError):
-            self.broken = True
-            raise
-        if response.get("ok"):
-            return response
-        raise_error_payload(response.get("error"))
-        raise AssertionError("unreachable")  # pragma: no cover
+        """One request/response round trip (:meth:`send`, :meth:`receive`)."""
+        self.send(op, args)
+        return self.receive(deadline)
 
     def close(self) -> None:
         self.broken = True
@@ -187,7 +208,9 @@ class NetworkSession:
             )
         return exc
 
-    def _call(self, op: str, **args: object) -> dict:
+    def _send(self, op: str, args: dict) -> float:
+        """First half of :meth:`_call`; returns when the request left
+        (``obs`` clock), which :meth:`_receive` wants back."""
         wire = self._wire
         if wire is None:
             raise ConnectionClosed("session is closed")
@@ -200,9 +223,30 @@ class NetworkSession:
             self._pending_begin = None
         obs = self._connection.obs
         started = obs.now() if obs is not None else 0.0
+        try:
+            wire.send(op, args)
+        except ConnectionClosed:
+            self._lose(wire)
+            if obs is not None:
+                obs.net_client_rpc(op, obs.now() - started, False)
+            raise
+        return started
+
+    def _lose(self, wire: WireConnection) -> None:
+        self._in_txn = False
+        self._wire = None
+        self._connection._discard(wire)
+
+    def _receive(self, op: str, started: float) -> dict:
+        """Second half of :meth:`_call`: the reply to what :meth:`_send`
+        wrote at ``started``."""
+        wire = self._wire
+        if wire is None:
+            raise ConnectionClosed("session is closed")
+        obs = self._connection.obs
         ok = False
         try:
-            response = wire.call(op, args)
+            response = wire.receive()
             ok = True
             return response
         except TransactionAborted:
@@ -212,9 +256,7 @@ class NetworkSession:
             self._in_txn = False
             raise
         except (ConnectionClosed, ProtocolError) as exc:
-            self._in_txn = False
-            self._wire = None
-            self._connection._discard(wire)
+            self._lose(wire)
             healed = self._stale_id(exc)
             if healed is exc:
                 raise
@@ -222,6 +264,9 @@ class NetworkSession:
         finally:
             if obs is not None:
                 obs.net_client_rpc(op, obs.now() - started, ok)
+
+    def _call(self, op: str, **args: object) -> dict:
+        return self._receive(op, self._send(op, args))
 
     # ------------------------------------------------------------------
     # Transaction control (facade session contract)
@@ -251,9 +296,15 @@ class NetworkSession:
         broadcast window, so the BEGIN cannot ride on a later (arbitrarily
         delayed) first statement the way :meth:`begin` defers it.
         """
+        self.start_begin_now(label)()
+
+    def start_begin_now(self, label: str = "") -> "Callable[[], object]":
+        """:meth:`begin_now`, split like every ``start_*``: the request
+        is sent before this returns, the callable returned reads the
+        reply — so the router can send to all shards, then read."""
         self.begin(label)
         self._pending_begin = None
-        self._call("BEGIN", label=label)
+        return partial(self._receive, "BEGIN", self._send("BEGIN", {"label": label}))
 
     @property
     def in_transaction(self) -> bool:
@@ -284,9 +335,23 @@ class NetworkSession:
         A business rollback, concurrency abort or NO vote arrives as the
         exception a statement-by-statement run would raise, and the
         server has left no transaction behind.  ``nowait``: a call that
-        begins its own transaction raises
-        :class:`~repro.errors.LockNotAvailable` rather than wait for a lock.
+        in a transaction that has done nothing yet (its own, or a bare
+        :meth:`begin_now`) raises :class:`~repro.errors.LockNotAvailable`
+        rather than wait for a lock, leaving no transaction either.
         """
+        return self.start_call_program(
+            program, args, label, end=end, nowait=nowait
+        )()
+
+    def start_call_program(
+        self,
+        program: Program,
+        args: Mapping[str, object],
+        label: str = "",
+        *,
+        end: str = "commit",
+        nowait: bool = False,
+    ) -> "Callable[[], object]":
         if self._pending_begin is not None:  # begin() then call: one txn
             label, self._pending_begin = self._pending_begin, None
         pids = self._connection._pids
@@ -301,10 +366,15 @@ class NetworkSession:
         if nowait:
             request["nowait"] = True
         self._in_txn = False  # unless the call succeeds and ends "open"
-        result = self._call("CALL", **request).get("result")
-        self._in_txn = end == "open"
-        self._readonly = False
-        return result
+        sent = self._send("CALL", request)
+
+        def finish() -> object:
+            result = self._receive("CALL", sent).get("result")
+            self._in_txn = end == "open"
+            self._readonly = False
+            return result
+
+        return finish
 
     # ------------------------------------------------------------------
     # Two-phase commit (cluster coordinator drives these)
@@ -316,17 +386,34 @@ class NetworkSession:
         only coordinator decisions (by gtid) resolve it; on a NO (a
         ``TransactionAborted`` subclass) the engine has rolled it back.
         """
-        self._call("PREPARE_2PC", gtid=gtid)
-        self._in_txn = False
+        self.start_prepare_2pc(gtid)()
+
+    def start_prepare_2pc(self, gtid: str) -> "Callable[[], None]":
+        sent = self._send("PREPARE_2PC", {"gtid": gtid})
+
+        def finish() -> None:
+            self._receive("PREPARE_2PC", sent)
+            self._in_txn = False
+
+        return finish
 
     def commit_2pc(self, gtid: str) -> int:
         """Deliver the commit decision for ``gtid``; returns the shard's
         commit timestamp.  Connection-independent and idempotent."""
-        return int(self._call("COMMIT_2PC", gtid=gtid)["commit_ts"])
+        return self.start_commit_2pc(gtid)()
+
+    def start_commit_2pc(self, gtid: str) -> "Callable[[], int]":
+        sent = self._send("COMMIT_2PC", {"gtid": gtid})
+        return lambda: int(self._receive("COMMIT_2PC", sent)["commit_ts"])
 
     def abort_2pc(self, gtid: str) -> None:
         """Deliver the abort decision for ``gtid`` (presumed abort)."""
-        self._call("ABORT_2PC", gtid=gtid)
+        self.start_abort_2pc(gtid)()
+
+    def start_abort_2pc(self, gtid: str) -> "Callable[[], object]":
+        return partial(
+            self._receive, "ABORT_2PC", self._send("ABORT_2PC", {"gtid": gtid})
+        )
 
     def commit(self) -> None:
         """Commit: one COMMIT round trip — or none, for an empty
@@ -575,7 +662,7 @@ class NetworkConnection(Connection):
 
     def _release(self, wire: WireConnection) -> None:
         returned = False
-        if not wire.broken:
+        if not wire.broken and not wire.awaiting_reply:
             with self._lock:
                 if not self._closed:
                     self._idle.append(wire)

@@ -36,10 +36,11 @@ one connection stay strictly ordered either way.
 registered factory (:data:`repro.api.PROGRAM_FACTORIES`) once per server
 incarnation; ``CALL`` begins, runs the body and commits / prepares in
 one request (``_op_call``).  A body spans many engine operations, so a
-``CALL`` that would block is never resumed: the transaction it began is
-rolled back and the whole program re-run on the worker thread, and a
-``CALL`` joining a transaction it did not begin goes to the worker
-thread directly.
+``CALL`` that would block is never resumed: its transaction — begun by
+the call, or joined while it had still done nothing — is restarted at
+the same snapshot (``Database.restart``) and the whole program re-run on
+the worker thread; a ``CALL`` joining a transaction that has already
+touched anything goes to the worker thread directly.
 
 Robustness contract:
 
@@ -265,6 +266,7 @@ class _ServerProtocol(asyncio.BufferedProtocol):
                 self._send_raw(b"".join(out))
                 out = []
             self.busy = True
+            server._counters["worker_dispatches_total"] += 1
             server._track(asyncio.ensure_future(self._run_blocking(message)))
         if out:
             self._send_raw(b"".join(out))
@@ -358,6 +360,7 @@ class DatabaseServer:
             "rejected_total": 0,
             "protocol_errors_total": 0,
             "rpcs_total": 0,
+            "worker_dispatches_total": 0,  # requests handed to a worker thread
             "sessions_opened": 0,
             "sessions_closed": 0,
             "vacuum_runs": 0,
@@ -637,12 +640,18 @@ class DatabaseServer:
         flush mutex (short, in-memory — the "leader" drains every staged
         record itself, no condition wait), so it is loop-safe too.  EXEC
         spans several engine operations; ``_serve`` guards its retry
-        safety explicitly (see there).  A CALL that begins its own
-        transaction undoes a blocked attempt by rolling that transaction
-        back (``_op_call``); one that joins a transaction begun earlier
-        cannot, so it is the one request that skips the inline attempt.
+        safety explicitly (see there).  A CALL undoes a blocked attempt
+        by restarting its transaction at the same snapshot (``_op_call``),
+        which loses nothing only if the transaction had done nothing
+        before the call: begun by it, or by the bare BEGIN the cluster
+        router sends inside its snapshot window.  A CALL joining a
+        transaction that has touched anything is the one request that
+        skips the inline attempt.
         """
-        return message.get("op") != "CALL" or not conn.session.in_transaction
+        if message.get("op") != "CALL":
+            return True
+        txn = conn.session.txn
+        return txn is None or not txn.is_active or txn.is_untouched
 
     def _serve(self, conn: _ClientConnection, message: dict, blocking: bool) -> dict:
         """Execute one request (loop thread when ``blocking`` is False,
@@ -700,15 +709,17 @@ class DatabaseServer:
             return response
         except WouldBlock:
             # Escalate to the worker thread; not an RPC outcome.  Only
-            # sound when the attempt staged nothing (see docstring) —
-            # unreachable with the current statement grammar, but abort
-            # rather than risk double-applying a partially run statement.
+            # sound when the attempt staged nothing (see docstring) — no
+            # statement of the current grammar can, and a CALL arrives
+            # here with the fresh transaction ``_op_call`` restarted it
+            # into — but abort rather than risk double-applying a
+            # partially run statement.
             txn_now = session.txn
             if (
                 txn_now is not None
                 and txn_now.is_active
                 and len(txn_now.writes) != writes_before
-            ):  # pragma: no cover - defensive
+            ):
                 self.db.abort(txn_now, reason="net-retry-unsafe")
                 counts["rpcs_total"] += 1
                 if obs is not None:
@@ -903,9 +914,11 @@ class DatabaseServer:
         wire), run the program, then commit / prepare / leave open.
 
         However the call fails, no transaction is left behind.  A
-        blocked inline attempt is undone by rolling back the transaction
-        it began — the worker-thread re-run starts the program over, so
-        nothing is applied twice — or, with ``nowait``, reported as
+        blocked inline attempt (``_can_inline``: the transaction had done
+        nothing before the call) is undone by restarting the transaction
+        at its snapshot — the worker-thread re-run joins the successor
+        and starts the program over, so nothing is applied twice and it
+        reads what the attempt read — or, with ``nowait``, reported as
         :class:`LockNotAvailable` instead of waited for.
         """
         pid = msg["pid"]
@@ -916,10 +929,15 @@ class DatabaseServer:
         if end not in ("commit", "open") and not end.startswith("prepare:"):
             raise ProtocolError(f"CALL cannot end a transaction as {end!r}")
         session = conn.session
-        began = not session.in_transaction
-        if began:
+        nowait = bool(msg.get("nowait"))
+        if not session.in_transaction:
             session.begin(str(msg.get("label", "")))
         try:
+            if nowait and not session.txn.is_untouched:
+                raise ProtocolError(
+                    "CALL nowait cannot join a transaction that has "
+                    "already read or written"
+                )
             try:
                 result = self._programs[index](session, msg.get("args") or {})
             except (TypeError, ValueError) as exc:
@@ -931,12 +949,12 @@ class DatabaseServer:
             elif end != "open":
                 self._prepare(session, end.partition(":")[2])
         except WouldBlock:
-            if began:
+            if nowait:
                 self.db.abort(session.txn, reason="call-would-block")
-                if msg.get("nowait"):
-                    raise LockNotAvailable(
-                        "a row lock the program needs is held"
-                    ) from None
+                raise LockNotAvailable(
+                    "a row lock the program needs is held"
+                ) from None
+            session.txn = self.db.restart(session.txn, reason="call-would-block")
             raise
         except BaseException:
             if session.in_transaction:

@@ -400,7 +400,8 @@ class Observability:
         self.cluster_shards_unhealthy.set(unhealthy)
 
     def cluster_fanout(self, op: str, width: int) -> None:
-        """One concurrent per-shard broadcast through the fan-out pool."""
+        """One per-shard broadcast: a ``scatter_gather`` round of the
+        transaction path or a ``FanOutPool`` sweep."""
         self.cluster_fanout_broadcasts.inc()
         self.cluster_fanout_width.observe(width)
         self.metrics.counter(

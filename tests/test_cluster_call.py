@@ -18,6 +18,7 @@ import time
 
 import pytest
 
+from repro.analysis import merge_shard_histories
 from repro.cluster import Cluster
 from repro.cluster.partition import SHARD_LOCK_TIMEOUT
 from repro.errors import ApplicationRollback, TransactionAborted
@@ -90,9 +91,39 @@ class TestOpCounts:
         assert counters["twopc_commits"] == 2
         assert counters["twopc_aborts"] == 0
 
-    def test_branch_labels_carry_the_gtid(self, cluster, conn):
-        from repro.analysis import merge_shard_histories
+    def test_uncontended_cross_shard_costs_no_thread_hand_off(
+        self, cluster, conn
+    ):
+        """Both shards serve all five RPCs on their loop threads — the
+        second part's CALL joins the window's BEGIN inline — and the
+        router sends and gathers every round itself: no pool thread."""
+        txns = get_strategy("base-si").transactions()
+        session = conn.session()
+        try:
+            before = shard_rpcs(cluster)
+            for _ in range(200):
+                txns.run(session, "Amalgamate", CROSS)
+        finally:
+            session.close()
+        # One PREPARE_PROGRAM per part the first time, then 3 + 2 each.
+        assert [a - b for a, b in zip(shard_rpcs(cluster), before)] == [
+            200 * 3 + 1,
+            200 * 2 + 1,
+        ]
+        assert conn.counters()["twopc_commits"] == 200
+        assert conn.fanout._executor is None  # the pool never started
+        assert not [
+            thread.name
+            for thread in threading.enumerate()
+            if thread.name.startswith("repro-fanout")
+        ]
+        # The sweeps are what the pool is for; they carry the counter.
+        assert [
+            shard["worker_dispatches_total"]
+            for shard in conn.stats()["shard_stats"]
+        ] == [0, 0]
 
+    def test_branch_labels_carry_the_gtid(self, cluster, conn):
         txns = get_strategy("promote-all").transactions()
         session = conn.session()
         try:
@@ -240,3 +271,4 @@ class TestDistributedDeadlock:
         assert conn.counters()["twopc_commits"] == 100
         assert cluster.total_money() == money
         assert cluster.pending_2pc_gtids() == set()
+        assert merge_shard_histories(cluster.histories()).serializable

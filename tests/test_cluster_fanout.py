@@ -1,8 +1,11 @@
-"""Concurrent fan-out: pool semantics, oracle groups, router broadcasts.
+"""Per-shard broadcasts: scatter-gather, pool, oracle groups, sweeps.
 
-The pool's gather contract (every outcome, positionally, nothing raised
-early) is what lets 2PC launch all PREPAREs concurrently and still
-reason about votes; the oracle's two-group latch is what lets decision
+The gather contract (every outcome, positionally, nothing raised early)
+is what lets 2PC send all PREPAREs before reading any vote and still
+reason about votes — on the transaction path from the caller's own
+thread (``scatter_gather`` over split-phase session verbs, whose wires
+must never reach a pool with a reply unread), in the connection-level
+sweeps through ``FanOutPool``; the oracle's two-group latch is what lets decision
 broadcasts share a window instead of serialising every cross-shard
 commit; and the router-level tests pin the observable win — a slow
 shard no longer stalls probes of the healthy ones — plus the 2PC
@@ -19,10 +22,11 @@ import time
 import pytest
 
 from repro.cluster import Cluster, TimestampOracle
-from repro.cluster.fanout import FanOutPool, Outcome, first_error
-from repro.errors import ReproError
+from repro.cluster.fanout import FanOutPool, Outcome, first_error, scatter_gather
+from repro.errors import ConnectionClosed, ReproError, TransactionStateError
 from repro.faults import FaultPlan, FaultSpec
 from repro.obs import Observability
+from repro.smallbank import customer_name, get_strategy
 
 
 class TestFanOutPool:
@@ -81,6 +85,187 @@ class TestFanOutPool:
         with FanOutPool(2, obs=obs) as pool:
             pool.run([lambda: 1, lambda: 2], op="stats")
         assert obs.cluster_fanout_broadcasts.value == 1
+
+
+@pytest.fixture
+def cluster():
+    with Cluster(2, customers=4) as cluster:
+        yield cluster
+
+
+def fanout_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("repro-fanout")]
+
+
+class TestScatterGather:
+    """Split-phase hygiene: every request that went out is answered or
+    its wire is gone, whatever happened to the others."""
+
+    def _branches(self, conn):
+        return [shard.session() for shard in conn.shards]
+
+    def test_sends_everything_before_reading_anything(self):
+        events = []
+
+        def start(name):
+            events.append(f"send {name}")
+            return lambda: events.append(f"read {name}") or name
+
+        outcomes = scatter_gather(
+            [lambda: start("a"), lambda: start("b")], op="begin"
+        )
+        assert events == ["send a", "send b", "read a", "read b"]
+        assert [outcome.value for outcome in outcomes] == ["a", "b"]
+
+    def test_failed_second_send_still_reads_the_first_reply(self, cluster):
+        with cluster.connect() as conn:
+            a, b = self._branches(conn)
+            wire_a = a._wire
+            b._wire.sock.close()  # the next write on it fails
+            first, second = scatter_gather(
+                [lambda: a.start_begin_now("t"), lambda: b.start_begin_now("t")]
+            )
+            assert first.ok and isinstance(second.error, ConnectionClosed)
+            assert a.in_transaction and not wire_a.awaiting_reply
+            assert not b.in_transaction and b._wire is None  # discarded
+            a.rollback()
+            a.close()
+            b.close()
+            assert conn.shards[0]._idle == [wire_a]
+            assert conn.shards[1]._idle == []
+
+    def test_error_reply_first_still_reads_the_second(self, cluster):
+        with cluster.connect() as conn:
+            a, b = self._branches(conn)
+            vote, begun = scatter_gather(
+                [
+                    lambda: a.start_prepare_2pc("g1"),  # nothing to prepare
+                    lambda: b.start_begin_now("t"),
+                ]
+            )
+            assert isinstance(vote.error, TransactionStateError)
+            assert begun.ok and b.in_transaction
+            assert not a._wire.awaiting_reply and not b._wire.awaiting_reply
+            assert first_error((vote, begun)) is vote.error
+            b.rollback()
+            for branch in (a, b):
+                branch.close()
+            assert [len(shard._idle) for shard in conn.shards] == [1, 1]
+
+    @pytest.mark.parametrize("fault", ["net-drop-frame", "conn-reset"])
+    def test_transport_failure_mid_gather_discards_only_that_wire(
+        self, cluster, fault
+    ):
+        """Shard 0 executes the BEGIN but its reply never arrives: that
+        wire is gone for good, shard 1's reply is still read, and the
+        next session on shard 0 reads its own replies, not a stale one."""
+        with cluster.connect(rpc_deadline=0.3) as conn:
+            a, b = self._branches(conn)
+            cluster.shards[0].install_faults(
+                FaultPlan([FaultSpec(fault, probability=1.0)], seed=1)
+            )
+            try:
+                first, second = scatter_gather(
+                    [lambda: a.start_begin_now("t"), lambda: b.start_begin_now("t")]
+                )
+            finally:
+                cluster.shards[0].install_faults(None)
+            assert isinstance(first.error, ConnectionClosed)
+            assert second.ok and not b._wire.awaiting_reply
+            assert a._wire is None and conn.shards[0]._idle == []
+            b.rollback()
+            b.close()
+            a.close()
+            with conn.transaction("after") as txn:
+                # Customer 2 lives on shard 0: a fresh wire, its own reply.
+                assert txn.select("Checking", 2)["CustomerId"] == 2
+
+    def test_abandoned_request_never_reaches_the_pool(self, cluster):
+        with cluster.connect() as conn:
+            a, _b = self._branches(conn)
+            wire = a._wire
+            a.start_begin_now("t")  # sent; nobody reads the reply
+            assert wire.awaiting_reply
+            with pytest.raises(ConnectionClosed):
+                wire.send("PING", {})  # would be answered by the BEGIN's reply
+            a.close()
+            assert wire.broken and conn.shards[0]._idle == []
+            # ... and a started-then-released wire is closed, not pooled.
+            c = conn.shards[0].session()
+            wire = c._wire
+            wire.send("PING", {})
+            c.close()
+            assert conn.shards[0]._idle == []
+            with conn.transaction("after") as txn:
+                assert txn.select("Checking", 2)["CustomerId"] == 2
+
+    def test_per_call_deadline_still_bounds_connection_level_rpcs(self, cluster):
+        with cluster.connect() as conn:
+            shard = conn.shards[0]
+            assert shard.stats()["rpcs_total"] >= 0  # prime a wire
+            cluster.shards[0].install_faults(_delay_all_frames(0.5))
+            try:
+                started = time.perf_counter()
+                with pytest.raises(ConnectionClosed):
+                    shard._call_once("PING", _deadline=0.05, _attempts=1)
+                assert time.perf_counter() - started < 0.4
+            finally:
+                cluster.shards[0].install_faults(None)
+            assert shard._idle == []  # the late reply's wire is gone
+            assert shard.ping()
+
+    def test_obs_times_send_to_reply_and_counts_rounds(self, cluster):
+        obs = Observability()
+        txns = get_strategy("base-si").transactions()
+        with cluster.connect(obs=obs) as conn:
+            session = conn.session()
+            cross = {"N1": customer_name(1), "N2": customer_name(2)}
+            txns.run(session, "Amalgamate", cross)  # registers the parts
+            rounds = obs.cluster_fanout_broadcasts.value
+            rpcs = obs.net_client_rpc_latency.count
+            txns.run(session, "Amalgamate", cross)
+            # Round 1 ("call") and the decision; round 2 is one RPC.
+            assert obs.cluster_fanout_broadcasts.value - rounds == 2
+            assert obs.net_client_rpc_latency.count - rpcs == 5
+            by_op = {
+                op: obs.metrics.counter(
+                    "repro_cluster_fanout_broadcasts_total", labels={"op": op}
+                ).value
+                for op in ("call", "2pc-decision", "begin", "2pc-prepare")
+            }
+            assert by_op == {"call": 2, "2pc-decision": 2, "begin": 0, "2pc-prepare": 0}
+            session.begin("CrossTransfer")
+            session.update("Checking", 1, {"Balance": 1.0})
+            session.update("Checking", 2, {"Balance": 2.0})
+            session.commit()
+            session.close()
+            for op in ("begin", "2pc-prepare"):
+                assert obs.metrics.counter(
+                    "repro_cluster_fanout_broadcasts_total", labels={"op": op}
+                ).value == 1
+        assert fanout_threads() == []  # the transaction path has no pool
+
+    def test_obs_clock_starts_at_the_send(self, cluster):
+        """Round 1 reads shard 1's CALL reply before shard 0's BEGIN
+        reply: with shard 1 slow, the BEGIN's reply sits unread that
+        long, and send-to-reply says so (read-to-reply would say ~0)."""
+        obs = Observability()
+        txns = get_strategy("base-si").transactions()
+        cross = {"N1": customer_name(1), "N2": customer_name(2)}
+        with cluster.connect(obs=obs) as conn:
+            session = conn.session()
+            txns.run(session, "Amalgamate", cross)
+            begins = obs.metrics.histogram(
+                "repro_net_client_rpc_seconds", labels={"op": "BEGIN"}
+            )
+            before = begins.sum
+            cluster.shards[1].install_faults(_delay_all_frames(0.2))
+            try:
+                txns.run(session, "Amalgamate", cross)
+            finally:
+                cluster.shards[1].install_faults(None)
+            session.close()
+        assert begins.sum - before >= 0.15
 
 
 class TestOracleGroups:

@@ -14,7 +14,7 @@ from repro.engine import (
     WriteConflictPolicy,
 )
 from repro.engine.transaction import TxnStatus
-from repro.errors import SerializationFailure
+from repro.errors import SerializationFailure, TransactionStateError
 
 
 class TestConfigPresets:
@@ -157,3 +157,61 @@ class TestMixedWorkloads:
         timestamps = [version.commit_ts for version in chain.committed]
         assert timestamps == sorted(timestamps)
         assert len(timestamps) == 6
+
+
+class TestRestart:
+    """``Database.restart``: abort an attempt, reopen it at its snapshot."""
+
+    def _commit_balance(self, db: Database, value: float) -> None:
+        writer = Session(db)
+        writer.begin()
+        writer.update("Saving", 1, {"Balance": value})
+        writer.commit()
+
+    def test_successor_keeps_snapshot_and_label_and_nothing_else(self, db: Database):
+        session = Session(db)
+        attempt = session.begin("Amalgamate#g7")
+        assert attempt.is_untouched
+        self._commit_balance(db, 111.0)  # after the snapshot
+        session.update("Checking", 2, {"Balance": 1.0})
+        assert not attempt.is_untouched
+        successor = db.restart(attempt, reason="call-would-block")
+        assert attempt.status is TxnStatus.ABORTED
+        assert successor.is_active and successor.is_untouched
+        assert successor.txid != attempt.txid
+        assert (successor.snapshot_ts, successor.label) == (
+            attempt.snapshot_ts,
+            "Amalgamate#g7",
+        )
+        assert db.active_transactions == (successor,)
+        # The attempt's write and row lock are gone ...
+        assert db.catalog.table("Checking").chain(2).uncommitted is None
+        assert not db.locks.rows_held_by(attempt.txid)
+        # ... and the successor reads what the attempt would have read.
+        session.txn = successor
+        assert session.select("Saving", 1)["Balance"] == 100.0
+        assert session.select("Checking", 2)["Balance"] == 50.0
+
+    def test_vacuum_horizon_never_passes_the_snapshot(self, db: Database):
+        attempt = db.begin("old")
+        self._commit_balance(db, 111.0)
+        self._commit_balance(db, 222.0)
+        successor = db.restart(attempt)
+        assert db.vacuum() == 0  # the bootstrap version is still someone's
+        db.abort(successor)
+        assert db.vacuum() == 2
+
+    def test_first_updater_wins_still_applies_to_the_successor(self, db: Database):
+        session = Session(db)
+        session.begin()
+        self._commit_balance(db, 111.0)
+        session.txn = db.restart(session.txn)
+        with pytest.raises(SerializationFailure):
+            session.update("Saving", 1, {"Balance": 0.0})
+
+    def test_only_an_active_transaction_restarts(self, db: Database):
+        txn = db.begin()
+        db.abort(txn)
+        with pytest.raises(TransactionStateError):
+            db.restart(txn)
+        assert db.active_transactions == ()

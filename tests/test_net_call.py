@@ -17,7 +17,13 @@ import pytest
 
 from repro.api import connect
 from repro.engine import EngineConfig
-from repro.errors import ApplicationRollback, ConnectionClosed, ProtocolError
+from repro.errors import (
+    ApplicationRollback,
+    ConnectionClosed,
+    LockNotAvailable,
+    ProtocolError,
+    TransactionAborted,
+)
 from repro.net import DatabaseServer
 from repro.net.client import WireConnection
 from repro.net.protocol import encode_frame
@@ -339,4 +345,309 @@ class TestDisconnectMidCall:
             message="reaping of the vanished connection",
         )
         assert server.stats()["active_transactions"] == 0
+        assert snapshot(conn) == before
+
+
+
+def program_of(strategy, name):
+    return get_strategy(strategy).transactions()._calls[name].statement.program
+
+
+def dispatches(server):
+    return server.stats()["worker_dispatches_total"]
+
+
+class TestJoiningCall:
+    """A CALL joining the bare BEGIN the cluster router sends inside its
+    snapshot window (``begin_now``) is attempted on the loop thread like
+    one that begins its own transaction; blocked, the transaction is
+    restarted *at its snapshot* and the program re-run on the worker.
+    Once the transaction has touched anything, a joining CALL goes to
+    the worker directly — a wait never turns into an abort."""
+
+    CROSS = {"N1": customer_name(1), "N2": customer_name(2)}
+
+    def _blocked(self, server, session, program, args, lock, release, **how):
+        """``session.call_program`` behind another session's lock on
+        ``lock``; once the call is seen waiting on the worker thread,
+        ``release(holder)`` lets go.  Returns (result, raised, worker
+        hand-offs the call cost)."""
+        holder = session._connection.session()
+        holder.begin("holder")
+        assert holder.select_for_update(*lock) is not None
+        before = dispatches(server)
+        outcome = []
+
+        def call():
+            try:
+                result = session.call_program(program, args, **how)
+                outcome.append((result, None))
+            except Exception as exc:  # noqa: BLE001 - reported to the test
+                outcome.append((None, exc))
+
+        thread = threading.Thread(target=call)
+        thread.start()
+        wait_until(
+            lambda: dispatches(server) == before + 1,
+            message="the CALL to reach the worker thread",
+        )
+        time.sleep(0.1)
+        assert thread.is_alive(), "the CALL did not wait for the row lock"
+        release(holder)
+        holder.close()
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+        return (*outcome[0], dispatches(server) - before)
+
+    def test_untouched_and_uncontended_is_served_inline(self, server, conn):
+        before = snapshot(conn)["Checking"][1]["Balance"]
+        session = conn.session()
+        try:
+            session.begin_now("joined")
+            handed = dispatches(server)
+            session.call_program(
+                program_of("base-si", DEPOSIT_CHECKING),
+                {"N": customer_name(1), "V": 4.0},
+            )
+            assert not session.in_transaction
+            assert dispatches(server) == handed
+        finally:
+            session.close()
+        assert snapshot(conn)["Checking"][1]["Balance"] == before + 4.0
+        assert server.stats()["active_transactions"] == 0
+
+    def test_blocked_after_a_write_waits_and_applies_it_once(self, server, conn):
+        """Conflict[1] is written, Conflict[2] is held: the attempt is
+        undone, the re-run waits on the worker, and when the holder
+        aborts every write lands exactly once."""
+        before = snapshot(conn)
+        session = conn.session()
+        try:
+            session.begin_now("joined")
+            _result, raised, handed = self._blocked(
+                server,
+                session,
+                program_of("materialize-all", AMALGAMATE),
+                self.CROSS,
+                ("Conflict", 2),
+                lambda holder: holder.rollback(),
+            )
+        finally:
+            session.close()
+        assert raised is None and handed == 1
+        after = snapshot(conn)
+        for cid in (1, 2):
+            assert (
+                after["Conflict"][cid]["Value"]
+                == before["Conflict"][cid]["Value"] + 1
+            )
+        moved = before["Saving"][1]["Balance"] + before["Checking"][1]["Balance"]
+        assert after["Checking"][2]["Balance"] == pytest.approx(
+            before["Checking"][2]["Balance"] + moved
+        )
+        assert server.stats()["active_transactions"] == 0
+
+    def test_rerun_reads_the_snapshot_of_the_begin(self, server, conn):
+        """Saving[3] grows twice after the BEGIN; the blocked WriteCheck
+        is re-run on the worker and a VACUUM passes meanwhile — it still
+        reads the old Saving[3], so the overdraft penalty applies."""
+        start = snapshot(conn)
+        total = start["Saving"][3]["Balance"] + start["Checking"][3]["Balance"]
+        pruned = []
+
+        def vacuum_then_let_go(holder):
+            pruned.append(conn.vacuum())
+            holder.rollback()
+
+        session = conn.session()
+        try:
+            session.begin_now("joined")
+            for _ in range(2):
+                run(conn, "base-si", TRANSACT_SAVING, {"N": customer_name(3), "V": 100.0})
+            # total < V <= total + 200: overdrawn at the old snapshot only.
+            penalised, raised, handed = self._blocked(
+                server,
+                session,
+                program_of("base-si", WRITE_CHECK),
+                {"N": customer_name(3), "V": total + 50.0},
+                ("Checking", 3),
+                vacuum_then_let_go,
+            )
+        finally:
+            session.close()
+        assert raised is None and handed == 1
+        assert penalised is True
+        # With the snapshot out of the engine's sight even for a moment
+        # the two older Saving[3] versions would have gone.
+        assert pruned == [0]
+        assert snapshot(conn)["Checking"][3]["Balance"] == pytest.approx(
+            start["Checking"][3]["Balance"] - (total + 50.0) - 1.0
+        )
+
+    def test_rerun_still_loses_to_the_first_updater(self, server, conn):
+        """Checking[3] is rewritten after the BEGIN.  A re-run on a fresh
+        snapshot would slip past first-updater-wins; at the BEGIN's
+        snapshot it must abort."""
+        start = snapshot(conn)
+        session = conn.session()
+        try:
+            session.begin_now("joined")
+            run(conn, "base-si", DEPOSIT_CHECKING, {"N": customer_name(3), "V": 5.0})
+            _result, raised, handed = self._blocked(
+                server,
+                session,
+                program_of("base-si", WRITE_CHECK),
+                {"N": customer_name(3), "V": 1.0},
+                ("Checking", 3),
+                lambda holder: holder.rollback(),
+            )
+            assert isinstance(raised, TransactionAborted) and handed == 1
+            assert not session.in_transaction
+        finally:
+            session.close()
+        assert snapshot(conn)["Checking"][3]["Balance"] == pytest.approx(
+            start["Checking"][3]["Balance"] + 5.0
+        )
+        assert server.stats()["active_transactions"] == 0
+
+    def test_touched_transaction_goes_to_the_worker_and_waits(self, server, conn):
+        """begin, update, call_program: the update must not be lost to a
+        restart, so the CALL skips the inline attempt — contended or not."""
+        start = snapshot(conn)
+        deposit = program_of("base-si", DEPOSIT_CHECKING)
+        session = conn.session()
+        try:
+            session.begin("touched")
+            session.update("Saving", 5, {"Balance": 77.0})
+            handed = dispatches(server)
+            session.call_program(
+                deposit, {"N": customer_name(4), "V": 1.0}, end="open"
+            )
+            assert dispatches(server) == handed + 1  # uncontended, still handed off
+            _result, raised, handed = self._blocked(
+                server,
+                session,
+                deposit,
+                {"N": customer_name(1), "V": 2.0},
+                ("Checking", 1),
+                lambda holder: holder.commit(),
+                end="open",
+            )
+            assert raised is None and handed == 1
+            assert session.in_transaction
+            session.commit()
+        finally:
+            session.close()
+        after = snapshot(conn)
+        assert after["Saving"][5]["Balance"] == 77.0
+        assert after["Checking"][4]["Balance"] == start["Checking"][4]["Balance"] + 1.0
+        assert after["Checking"][1]["Balance"] == start["Checking"][1]["Balance"] + 2.0
+
+    def test_nowait(self, server, conn):
+        """An untouched join answers LockNotAvailable like a call that
+        began its own transaction, leaving none; a touched one cannot be
+        restarted, so ``nowait`` there is a protocol error."""
+        deposit = program_of("base-si", DEPOSIT_CHECKING)
+        args = {"N": customer_name(1), "V": 2.0}
+        holder = conn.session()
+        holder.begin("holder")
+        assert holder.select_for_update("Checking", 1) is not None
+        try:
+            for begin in (lambda s: None, lambda s: s.begin_now("joined")):
+                session = conn.session()
+                try:
+                    begin(session)
+                    handed = dispatches(server)
+                    with pytest.raises(LockNotAvailable):
+                        session.call_program(deposit, args, nowait=True)
+                    assert dispatches(server) == handed
+                    assert not session.in_transaction
+                    assert server.stats()["active_transactions"] == 1  # holder
+                finally:
+                    session.close()
+            session = conn.session()
+            try:
+                session.begin("touched")
+                assert session.select("Saving", 5) is not None
+                with pytest.raises(ProtocolError, match="nowait"):
+                    session.call_program(deposit, args, nowait=True)
+            finally:
+                session.close()
+            wait_until(
+                lambda: server.stats()["active_transactions"] == 1,
+                message="rollback of the rejected call's transaction",
+            )
+        finally:
+            holder.rollback()
+            holder.close()
+
+    def test_disconnect_during_the_blocked_rerun_leaks_nothing(self, server, conn):
+        program = program_of("materialize-all", AMALGAMATE)
+        before = snapshot(conn)
+        holder = conn.session()
+        holder.begin("holder")
+        assert holder.select_for_update("Conflict", 2) is not None
+        victim = WireConnection("127.0.0.1", server.port)
+        pid = victim.call(
+            "PREPARE_PROGRAM", {"factory": program.factory, "spec": program.spec}
+        )["pid"]
+        victim.call("BEGIN", {"label": "doomed"})
+        handed = dispatches(server)
+        victim.send("CALL", {"pid": pid, "label": "doomed", "args": self.CROSS})
+        wait_until(
+            lambda: dispatches(server) == handed + 1,
+            message="the restarted CALL to block on the worker",
+        )
+        time.sleep(0.1)
+        assert server.stats()["active_transactions"] == 2
+        victim.close()  # vanish without reading the response
+        wait_until(
+            lambda: server.stats()["active_transactions"] == 1,
+            message="server-side abort of the orphaned CALL",
+        )
+        with conn.transaction("probe") as txn:  # its first lock is free
+            assert txn.select_for_update("Conflict", 1) is not None
+        holder.commit()
+        holder.close()
+        wait_until(
+            lambda: server.stats()["sessions_closed"] == 1,
+            message="reaping of the vanished connection",
+        )
+        assert server.stats()["active_transactions"] == 0
+        assert snapshot(conn) == before
+
+
+class TestRetryUnsafeGuard:
+    def test_statement_blocked_after_staging_a_write_is_aborted(
+        self, server, conn, monkeypatch
+    ):
+        """No statement of the grammar writes and *then* blocks, and a
+        CALL restarts instead — so ``_serve``'s guard is driven with a
+        stand-in handler: re-running it on the worker would stage the
+        first write twice, so the transaction is aborted instead."""
+
+        def two_writes(self, conn, msg):
+            conn.session.update("Saving", 1, {"Balance": 1.0})
+            conn.session.update("Saving", 2, {"Balance": 2.0})  # held
+            return {}
+
+        monkeypatch.setitem(DatabaseServer._HANDLERS, "PING", two_writes)
+        before = snapshot(conn)
+        holder = conn.session()
+        holder.begin("holder")
+        assert holder.select_for_update("Saving", 2) is not None
+        session = conn.session()
+        try:
+            session.begin("unsafe")
+            assert session.select("Saving", 3) is not None
+            handed = dispatches(server)
+            with pytest.raises(TransactionAborted, match="after staging writes"):
+                session._call("PING")
+            assert dispatches(server) == handed  # answered, not re-dispatched
+            assert not session.in_transaction
+            assert server.stats()["active_transactions"] == 1  # the holder
+        finally:
+            session.close()
+            holder.rollback()
+            holder.close()
         assert snapshot(conn) == before
