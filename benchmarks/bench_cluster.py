@@ -52,6 +52,7 @@ import sys
 import time
 from pathlib import Path
 
+from repro.bench.harness import append_bench_record
 from repro.cluster import Cluster, ShardFleet
 from repro.smallbank import get_strategy
 from repro.workload.driver import ThreadedDriver, ThreadedDriverConfig
@@ -314,20 +315,6 @@ def run_curve(
     return out
 
 
-def append_bench_record(record: dict, path: Path = BENCH_JSON) -> None:
-    """Append one run record to the BENCH_cluster.json trajectory."""
-    data: dict = {"benchmark": "bench_cluster", "runs": []}
-    if path.exists():
-        try:
-            data = json.loads(path.read_text())
-        except (ValueError, OSError):
-            pass  # corrupt or unreadable trajectory: start fresh
-        if not isinstance(data.get("runs"), list):
-            data = {"benchmark": "bench_cluster", "runs": []}
-    data["runs"].append(record)
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-
-
 # ----------------------------------------------------------------------
 # pytest entry points (not part of tier-1: testpaths excludes benchmarks/)
 # ----------------------------------------------------------------------
@@ -464,11 +451,12 @@ def main(argv: "list[str] | None" = None) -> int:
 
     if not args.no_json:
         append_bench_record(
+            BENCH_JSON,
+            "bench_cluster",
             {
                 "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
                 "mode": "smoke" if args.smoke else "full",
                 "process_model": process_model,
-                "cores": cores,
                 "mix": MIX,
                 "strategy": STRATEGY,
                 "curve": curve,

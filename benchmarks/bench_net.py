@@ -52,6 +52,7 @@ import time
 from pathlib import Path
 
 import repro
+from repro.bench.harness import append_bench_record
 from repro.engine import EngineConfig
 from repro.obs import Observability
 from repro.net import DatabaseServer
@@ -268,20 +269,6 @@ def rpc_latency_snapshot(mpl: int, duration: float) -> dict:
     }
 
 
-def append_bench_record(record: dict, path: Path = BENCH_JSON) -> None:
-    """Append one run record to the BENCH_net.json trajectory."""
-    data: dict = {"benchmark": "bench_net", "runs": []}
-    if path.exists():
-        try:
-            data = json.loads(path.read_text())
-        except (ValueError, OSError):
-            pass  # corrupt or unreadable trajectory: start fresh
-        if not isinstance(data.get("runs"), list):
-            data = {"benchmark": "bench_net", "runs": []}
-    data["runs"].append(record)
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-
-
 # ----------------------------------------------------------------------
 # pytest entry points (not part of tier-1: testpaths excludes benchmarks/)
 # ----------------------------------------------------------------------
@@ -362,6 +349,8 @@ def main(argv: "list[str] | None" = None) -> int:
 
     if not args.no_json:
         append_bench_record(
+            BENCH_JSON,
+            "bench_net",
             {
                 "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
                 "mode": "smoke" if args.smoke else "full",

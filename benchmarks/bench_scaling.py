@@ -6,10 +6,10 @@ benchmark demonstrates is that the lock-free read path and stripe latches
 removed the *engine's own* serialization and convoy overhead):
 
 * **SI read microbenchmark** — MPL long-lived snapshot transactions each
-  hammer ``Database.read`` on a shared table.  Run twice: once on the
-  current engine (lock-free reads) and once on ``GlobalMutexDatabase``, a
-  shim that restores the pre-change discipline of one re-entrant mutex
-  around every operation.  The ratio at MPL 8 is the PR's headline number.
+  hammer ``Database.read`` on a shared table; the gate is that the
+  aggregate rate at MPL 8 stays near the MPL-1 rate (no convoy).  (The
+  comparison with the pre-§9 global-mutex engine, 3.6x at MPL 8, is a
+  dated measurement in EXPERIMENTS.md.)
 
 * **SmallBank TPS curves** — the threaded closed-system driver runs the
   ``readonly`` and ``balance60`` mixes under SI, S2PL and SSI at
@@ -23,7 +23,7 @@ Run the CI smoke version (reduced grid, relaxed assertions) with::
 
     PYTHONPATH=src python benchmarks/bench_scaling.py --smoke
 
-the full version (asserts the >= 3x MPL-8 speedup) with::
+the full version (tighter retention floor, full grid) with::
 
     PYTHONPATH=src python benchmarks/bench_scaling.py
 
@@ -36,11 +36,11 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import threading
 import time
 from pathlib import Path
 
+from repro.bench.harness import append_bench_record
 from repro.engine import EngineConfig
 from repro.engine.engine import Database
 from repro.obs import Observability
@@ -62,74 +62,6 @@ ISOLATION_CONFIGS = {
     "s2pl": EngineConfig.s2pl,
     "ssi": EngineConfig.ssi,
 }
-
-
-# ----------------------------------------------------------------------
-# Legacy shim: the pre-change engine, one global mutex around everything
-# ----------------------------------------------------------------------
-class GlobalMutexDatabase(Database):
-    """The engine as it was before DESIGN.md §9: every operation —
-    including every read — serialized behind a single re-entrant mutex,
-    with the WAL flush inside the commit critical section.  Used as the
-    in-build baseline so both sides of the speedup are measured on the
-    same interpreter and the same code underneath."""
-
-    def _init_legacy(self) -> "GlobalMutexDatabase":
-        self._legacy_mutex = threading.RLock()
-        return self
-
-    def read(self, txn, table_name, key):
-        # The seed engine's read(), verbatim shape: global mutex around
-        # the full check chain plus the nested _read_snapshot helper (the
-        # current engine inlines all of this, mutex-free).
-        with self._legacy_mutex:
-            self._ensure_not_crashed()
-            txn.ensure_active()
-            self._check_doomed(txn)
-            table = self.catalog.table(table_name)
-            row_id = (table_name, key)
-            return self._read_snapshot(txn, table, row_id)
-
-
-def _serialize_through_legacy_mutex(name: str):
-    base = getattr(Database, name)
-
-    def op(self, *args, **kwargs):
-        with self._legacy_mutex:
-            return base(self, *args, **kwargs)
-
-    op.__name__ = name
-    op.__qualname__ = f"GlobalMutexDatabase.{name}"
-    return op
-
-
-# "read" is excluded: GlobalMutexDatabase defines the seed-faithful read
-# above (mutex + nested helper) rather than wrapping the new flat body.
-for _name in (
-    "begin",
-    "lookup_unique",
-    "scan",
-    "select_for_update",
-    "write",
-    "insert",
-    "delete",
-    "commit",
-    "abort",
-):
-    setattr(GlobalMutexDatabase, _name, _serialize_through_legacy_mutex(_name))
-
-
-def build_bench_database(
-    config: EngineConfig, customers: int, *, legacy: bool = False
-) -> Database:
-    db = build_database(config, PopulationConfig(customers=customers))
-    if legacy:
-        # Same populated instance, legacy dispatch: swapping the class is
-        # safe (no __slots__, identical layout) and keeps population
-        # identical between the two measurements.
-        db.__class__ = GlobalMutexDatabase
-        db._init_legacy()
-    return db
 
 
 # ----------------------------------------------------------------------
@@ -187,18 +119,15 @@ def measure_read_rate(
 def run_read_scaling(
     mpls: "tuple[int, ...]", duration: float, customers: int = 100
 ) -> dict:
-    """Reads/second by MPL for the lock-free engine and the legacy shim."""
-    out: dict = {"lockfree": {}, "legacy": {}}
-    for legacy in (False, True):
-        side = "legacy" if legacy else "lockfree"
-        for mpl in mpls:
-            db = build_bench_database(
-                EngineConfig.postgres(), customers, legacy=legacy
-            )
-            out[side][str(mpl)] = round(
-                measure_read_rate(db, mpl, duration, customers)
-            )
-    return out
+    """Reads/second by MPL (``{"lockfree": {mpl: rate}}``, the record
+    shape since the first BENCH_engine.json entry)."""
+    rates = {}
+    for mpl in mpls:
+        db = build_database(
+            EngineConfig.postgres(), PopulationConfig(customers=customers)
+        )
+        rates[str(mpl)] = round(measure_read_rate(db, mpl, duration, customers))
+    return {"lockfree": rates}
 
 
 # ----------------------------------------------------------------------
@@ -308,32 +237,8 @@ def collect_metrics_snapshot(
 
 
 # ----------------------------------------------------------------------
-# Perf-trajectory file
-# ----------------------------------------------------------------------
-def append_bench_record(record: dict, path: Path = BENCH_JSON) -> None:
-    """Append one run record to the BENCH_engine.json trajectory."""
-    data: dict = {"benchmark": "bench_scaling", "runs": []}
-    if path.exists():
-        try:
-            data = json.loads(path.read_text())
-        except (ValueError, OSError):
-            pass  # corrupt or unreadable trajectory: start fresh
-        if not isinstance(data.get("runs"), list):
-            data = {"benchmark": "bench_scaling", "runs": []}
-    data["runs"].append(record)
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-
-
-# ----------------------------------------------------------------------
 # pytest entry points (not part of tier-1: testpaths excludes benchmarks/)
 # ----------------------------------------------------------------------
-def test_lockfree_reads_beat_global_mutex() -> None:
-    """MPL-8 SI reads must clearly outscale the single-mutex engine."""
-    scaling = run_read_scaling((1, 8), duration=0.6)
-    ratio = scaling["lockfree"]["8"] / scaling["legacy"]["8"]
-    assert ratio >= 2.0, f"lock-free/legacy MPL-8 ratio {ratio:.2f} < 2.0"
-
-
 def test_read_throughput_survives_mpl() -> None:
     """No convoy: MPL-8 aggregate read rate stays near the MPL-1 rate."""
     scaling = run_read_scaling((1, 8), duration=0.6)
@@ -375,24 +280,15 @@ def main(argv: "list[str] | None" = None) -> int:
     read_duration = args.read_duration or (0.6 if args.smoke else 1.0)
     tps_duration = args.tps_duration or (0.5 if args.smoke else 1.0)
     mixes = ("readonly",) if args.smoke else ("readonly", "balance60")
-    # Full mode asserts the PR's acceptance ratio; smoke keeps a margin
-    # wide enough for noisy shared CI runners.
-    min_ratio = 1.5 if args.smoke else 3.0
+    # Smoke keeps a margin wide enough for noisy shared CI runners.
     min_retention = 0.5 if args.smoke else 0.6
 
     print(f"== SI read microbenchmark (reads/s, {read_duration:.1f}s/point) ==")
     scaling = run_read_scaling(mpls, read_duration)
     for mpl in mpls:
-        lockfree = scaling["lockfree"][str(mpl)]
-        legacy = scaling["legacy"][str(mpl)]
-        print(
-            f"  MPL {mpl:>2}: lock-free {lockfree:>9,d}/s   "
-            f"global-mutex {legacy:>9,d}/s   ({lockfree / legacy:4.2f}x)"
-        )
-    ratio = scaling["lockfree"]["8"] / scaling["legacy"]["8"]
+        print(f"  MPL {mpl:>2}: {scaling['lockfree'][str(mpl)]:>9,d}/s")
     retention = scaling["lockfree"]["8"] / scaling["lockfree"]["1"]
-    print(f"  MPL-8 lock-free vs global-mutex: {ratio:.2f}x (floor {min_ratio}x)")
-    print(f"  MPL-8 / MPL-1 retention:         {retention:.2f} (floor {min_retention})")
+    print(f"  MPL-8 / MPL-1 retention: {retention:.2f} (floor {min_retention})")
 
     print(f"== SmallBank threaded TPS ({tps_duration:.1f}s/point) ==")
     curves = run_tps_curves(mpls, tps_duration, mixes)
@@ -416,9 +312,6 @@ def main(argv: "list[str] | None" = None) -> int:
         )
 
     failures = 0
-    if ratio < min_ratio:
-        print(f"FAIL: MPL-8 speedup {ratio:.2f}x below the {min_ratio}x floor")
-        failures += 1
     if retention < min_retention:
         print(f"FAIL: MPL-8/MPL-1 retention {retention:.2f} below {min_retention}")
         failures += 1
@@ -430,11 +323,12 @@ def main(argv: "list[str] | None" = None) -> int:
 
     if not args.no_json:
         append_bench_record(
+            BENCH_JSON,
+            "bench_scaling",
             {
                 "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
                 "mode": "smoke" if args.smoke else "full",
                 "read_scaling": scaling,
-                "mpl8_speedup_vs_global_mutex": round(ratio, 2),
                 "mpl8_over_mpl1_retention": round(retention, 2),
                 "smallbank_tps": curves,
                 "metrics": metrics,

@@ -26,9 +26,12 @@ Session contract
 statement surface of :class:`repro.engine.session.Session` (``begin`` /
 ``select`` / ``select_for_update`` / ``lookup_unique`` / ``scan`` /
 ``update`` / ``identity_update`` / ``write`` / ``insert`` / ``delete`` /
-``commit`` / ``rollback`` / ``close`` / ``in_transaction``).  The local
-backend hands out real engine sessions; the network backend hands out
-proxies that speak the wire protocol.  Prepared mini-SQL statements
+``commit`` / ``rollback`` / ``close`` / ``in_transaction``).  The verbs
+have two implementations: :class:`~repro.engine.session.Session`, where
+the rows are (``local://`` hands out real engine sessions), and
+:class:`repro.net.client.RemoteVerbs`, where requests are sent from —
+inherited by the ``tcp://`` and ``cluster://`` sessions (DESIGN.md §11
+says why the two are not one).  Prepared mini-SQL statements
 (:class:`repro.sqlmini.PreparedStatement`) execute against both — the
 network session advertises ``execute_prepared`` and planning moves
 server-side.  The ``tcp://`` and ``cluster://`` sessions additionally

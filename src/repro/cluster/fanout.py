@@ -7,10 +7,11 @@ nothing is raised until the whole broadcast has settled, which is what
 2PC needs (all votes must be gathered even when the first one is a NO).
 
 :func:`scatter_gather` is the transaction path (window BEGINs, round 1
-of a split program, the 2PC rounds): each task is a split-phase
-``start_*`` verb of a :class:`~repro.net.client.NetworkSession`; the
-caller's own thread sends them all, then reads the replies in task
-order, so a round costs no thread hand-off.
+of a split program, the 2PC rounds, a statement no single shard owns):
+each task is a split-phase ``start_*`` verb of a
+:class:`~repro.net.client.NetworkSession`; the caller's own thread sends
+them all, then reads the replies in task order, so a round costs no
+thread hand-off.
 
 :class:`FanOutPool` is for the connection-level sweeps (heartbeat, ping,
 stats, vacuum, the in-doubt scan), whose tasks dial, redial and time out

@@ -72,11 +72,6 @@ class TimestampOracle:
     # ------------------------------------------------------------------
     # Gtid allocation
     # ------------------------------------------------------------------
-    def next_gtid(self) -> int:
-        with self._mutex:
-            self._next_gtid += 1
-            return self._next_gtid
-
     def lease_gtids(self, count: int = DEFAULT_GTID_LEASE) -> range:
         """Grant ``count`` consecutive gtids in one mutex acquisition.
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Hashable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Optional, Sequence
 
 from repro.api import Connection, Program
 from repro.cluster.coordinator import DecisionLog, TwoPhaseCoordinator
@@ -47,7 +47,7 @@ from repro.errors import (
     SqlError,
     TransactionStateError,
 )
-from repro.net.client import NetworkConnection, NetworkSession
+from repro.net.client import NetworkConnection, NetworkSession, RemoteVerbs
 from repro.smallbank.schema import ACCOUNT
 from repro.sqlmini.ast import Insert, Select, compile_expr, equality_key
 from repro.sqlmini.executor import StatementResult, parse_cached
@@ -57,14 +57,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs import Observability
     from repro.workload.retry import RetryPolicy
 
-Row = dict
 
-
-class ClusterSession:
+class ClusterSession(RemoteVerbs):
     """One global transaction at a time across the cluster's shards.
 
-    Mirrors the facade session surface; every operation routes to the
-    branch (per-shard :class:`NetworkSession`) owning its partition key.
+    The facade session surface; every operation routes to the branch
+    (per-shard :class:`NetworkSession`) owning its partition key.
     The branch labels carry the global transaction id
     (``"Amalgamate#g17"``) so per-shard traces merge back into global
     transactions (:func:`repro.analysis.merge_shard_histories`).
@@ -140,10 +138,6 @@ class ClusterSession:
         """The current (or last) global transaction id, e.g. ``"g17"``."""
         return self._gtid
 
-    @property
-    def shards_touched(self) -> tuple[int, ...]:
-        return tuple(sorted(self._branches))
-
     def _open(self, shard: int) -> NetworkSession:
         """Check a session out of ``shard``'s pool; released with the
         transaction (:meth:`_release_branches`)."""
@@ -159,9 +153,6 @@ class ClusterSession:
         if branch is None:
             raise TransactionStateError("no active transaction")
         return branch
-
-    def _all_branches(self) -> "list[NetworkSession]":
-        return [self._branch(s) for s in range(len(self._cluster.shards))]
 
     def commit(self) -> None:
         """Fast path or 2PC, by how many shards this transaction wrote.
@@ -251,7 +242,7 @@ class ClusterSession:
         3. The coordinator's decision: durable log write, then
            ``COMMIT_2PC`` sent to A and B and both replies read.
 
-        All from this thread (:func:`~repro.cluster.fanout.scatter_gather`).
+        All from this thread (:func:`scatter_gather`).
 
         Any failure before the decision — a NO vote, an abort or a
         business rollback in either part, a lost shard — aborts both
@@ -339,120 +330,85 @@ class ClusterSession:
             branches[shard].close()
 
     # ------------------------------------------------------------------
-    # Routing
+    # Routing (the verbs themselves are RemoteVerbs')
     # ------------------------------------------------------------------
-    def _shard_for(self, table: str, key: Hashable) -> int:
-        return self._cluster.partitioner.shard_for_row(table, key)
+    def _shard_for(
+        self, table: str, value: object, column: str = "", *, writing: bool = False
+    ) -> int:
+        """The shard holding ``table``'s row whose ``column`` (default:
+        the partition column) is ``value``.
 
-    def select(
-        self, table: str, key: Hashable, *, kind: str = "select"
-    ) -> Optional[Row]:
-        return self._branch(self._shard_for(table, key)).select(
-            table, key, kind=kind
-        )
-
-    def select_for_update(
-        self, table: str, key: Hashable, *, kind: str = "select-for-update"
-    ) -> Optional[Row]:
-        return self._branch(self._shard_for(table, key)).select_for_update(
-            table, key, kind=kind
-        )
-
-    def lookup_unique(
-        self, table: str, column: str, value: Hashable, *, kind: str = "select"
-    ) -> "Optional[tuple[Hashable, Row]]":
+        A value that encodes no customer names no row on any shard, and
+        a table without a partition rule is on none: every shard gives
+        the same answer ("no such row", ``SchemaError``), so shard 0 is
+        asked — unless the caller is ``writing`` a row, which must not
+        land where no read will look for it.
+        """
         partitioner = self._cluster.partitioner
-        if column == PARTITION_COLUMNS.get(table):
-            shard = partitioner.shard_for_row(table, value)
-            return self._branch(shard).lookup_unique(
-                table, column, value, kind=kind
-            )
-        if table == "Account" and column == "CustomerId":
-            # Unique but not the partition column; still customer-keyed.
-            shard = partitioner.shard_for_customer(int(value))
-            return self._branch(shard).lookup_unique(
-                table, column, value, kind=kind
-            )
-        # No shard-local index: probe all shards concurrently and take
-        # the first hit in shard order (the column is unique, so at most
-        # one shard answers).
-        outcomes = self._cluster.fanout.run(
-            [
-                (lambda b=branch: b.lookup_unique(table, column, value, kind=kind))
-                for branch in self._all_branches()
-            ],
-            op="lookup",
-        )
-        error = first_error(outcomes)
-        if error is not None:
-            raise error
-        for outcome in outcomes:
-            if outcome.value is not None:
-                return outcome.value
-        return None
+        try:
+            if table == ACCOUNT and column == "CustomerId":
+                # Unique but not the partition column; still customer-keyed.
+                return partitioner.shard_for_customer(int(value))
+            return partitioner.shard_for_row(table, value)
+        except (TypeError, ValueError):
+            if writing and table in PARTITION_COLUMNS:
+                raise SqlError(
+                    f"cannot route a write to {table!r}: "
+                    f"{value!r} names no customer"
+                ) from None
+            return 0
 
-    def scan(
-        self,
-        table: str,
-        predicate: "Optional[Callable[[Row], bool]]" = None,
-        description: str = "<scan>",
-        *,
-        kind: str = "scan",
-    ) -> "list[tuple[Hashable, Row]]":
-        outcomes = self._cluster.fanout.run(
-            [
-                (lambda b=branch: b.scan(table, predicate, description, kind=kind))
-                for branch in self._all_branches()
-            ],
-            op="scan",
-        )
-        error = first_error(outcomes)
-        if error is not None:
-            raise error
-        matches: "list[tuple[Hashable, Row]]" = []
-        for outcome in outcomes:
-            matches.extend(outcome.value)
-        matches.sort(key=lambda pair: repr(pair[0]))
-        return matches
-
-    def update(
-        self, table: str, key: Hashable, changes, *, kind: str = "update"
-    ) -> bool:
-        return self._branch(self._shard_for(table, key)).update(
-            table, key, changes, kind=kind
-        )
-
-    def identity_update(
-        self, table: str, key: Hashable, column: str, *, kind: str = "identity-update"
-    ) -> bool:
-        return self._branch(self._shard_for(table, key)).identity_update(
-            table, key, column, kind=kind
-        )
-
-    def write(
-        self, table: str, key: Hashable, row: Optional[Row], *, kind: str = "update"
-    ) -> None:
-        self._branch(self._shard_for(table, key)).write(
-            table, key, row, kind=kind
-        )
-
-    def insert(self, table: str, row: Row, *, kind: str = "insert") -> None:
+    def _owner(self, verb: str, table: str, args: tuple) -> Optional[int]:
+        """The one shard ``verb`` can touch, or ``None`` — no single
+        owner: ``scan``, and ``lookup_unique`` on a column that does not
+        name the customer."""
         column = PARTITION_COLUMNS.get(table)
-        if column is None or column not in row:
-            raise SqlError(
-                f"cannot route INSERT into {table!r}: no partition key"
-            )
-        shard = self._cluster.partitioner.shard_for_row(table, row[column])
-        self._branch(shard).insert(table, row, kind=kind)
+        if column is None:
+            return self._shard_for(table, None)
+        if verb == "scan":
+            return None
+        if verb == "lookup_unique":
+            by, value = args
+            if by == column or (table == ACCOUNT and by == "CustomerId"):
+                return self._shard_for(table, value, by)
+            return None
+        value = args[0].get(column) if verb == "insert" else args[0]
+        return self._shard_for(
+            table, value, writing=verb in ("write", "insert", "delete")
+        )
 
-    def delete(self, table: str, key: Hashable, *, kind: str = "delete") -> None:
-        self._branch(self._shard_for(table, key)).delete(table, key, kind=kind)
+    def _statement(self, verb: str, table: str, *args: object) -> object:
+        """Forward to the owning shard's branch, or ask every branch —
+        all requests sent from this thread before a reply is read — and
+        merge: a scan in key order, a lookup's first hit in shard order
+        (the column is unique, so at most one shard answers)."""
+        shard = self._owner(verb, table, args)
+        if shard is not None:
+            return self._branch(shard)._statement(verb, table, *args)
+        outcomes = scatter_gather(
+            [
+                partial(self._branch(s)._start_statement, verb, table, *args)
+                for s in range(len(self._cluster.shards))
+            ],
+            op="scan" if verb == "scan" else "lookup",
+            obs=self._cluster.obs,
+        )
+        error = first_error(outcomes)
+        if error is not None:
+            raise error
+        if verb == "scan":
+            return sorted(
+                (pair for outcome in outcomes for pair in outcome.value),
+                key=lambda pair: repr(pair[0]),
+            )
+        return next((o.value for o in outcomes if o.value is not None), None)
 
     # ------------------------------------------------------------------
     # Mini-SQL
     # ------------------------------------------------------------------
     def _route_meta(self, sql: str):
-        """``(table, partition-key closure)`` for one statement, cached.
+        """``(table, partition-key closure, its column, is-INSERT)`` for
+        one statement, cached.
 
         The closure is the compiled column-free WHERE conjunct
         constraining the table's partition column (or the INSERT value
@@ -464,25 +420,18 @@ class ClusterSession:
             statement = parse_cached(sql)
             table = statement.table
             column = PARTITION_COLUMNS.get(table)
-            expr, by_customer_id = None, False
-            if column is not None:
-                if isinstance(statement, Insert):
-                    if column in statement.columns:
-                        expr = statement.values[
-                            statement.columns.index(column)
-                        ]
-                else:
+            expr = None
+            if isinstance(statement, Insert):
+                if column in statement.columns:
+                    expr = statement.values[statement.columns.index(column)]
+            elif column is not None:
+                expr = equality_key(statement.where, column)
+                if expr is None and isinstance(statement, Select) and table == ACCOUNT:
+                    # Account is also uniquely customer-keyed.
+                    column = "CustomerId"
                     expr = equality_key(statement.where, column)
-                    if (
-                        expr is None
-                        and isinstance(statement, Select)
-                        and table == "Account"
-                    ):
-                        # Account is also uniquely customer-keyed.
-                        expr = equality_key(statement.where, "CustomerId")
-                        by_customer_id = expr is not None
             key_of = compile_expr(expr) if expr is not None else None
-            meta = (table, key_of, by_customer_id)
+            meta = (table, key_of, column, isinstance(statement, Insert))
             self._cluster._route_meta[sql] = meta
         return meta
 
@@ -492,18 +441,16 @@ class ClusterSession:
         kind: Optional[str],
         params: "dict[str, object]",
     ) -> StatementResult:
-        table, key_of, by_customer_id = self._route_meta(sql)
+        table, key_of, column, inserting = self._route_meta(sql)
         if key_of is None:
             raise SqlError(
                 f"cannot route statement on {table!r}: WHERE does not "
                 f"constrain the partition column "
                 f"{PARTITION_COLUMNS.get(table)!r} by equality"
             )
-        value = key_of(None, params)
-        if by_customer_id:
-            shard = self._cluster.partitioner.shard_for_customer(int(value))
-        else:
-            shard = self._cluster.partitioner.shard_for_row(table, value)
+        shard = self._shard_for(
+            table, key_of(None, params), column, writing=inserting
+        )
         return self._branch(shard).execute_prepared(sql, kind, params)
 
 
@@ -569,9 +516,8 @@ class ClusterConnection(Connection):
         self.oracle = TimestampOracle(gtid_base=gtid_base)
         #: Thread pool for the broadcasts that cannot be sent and then
         #: gathered from one thread: the connection-level sweeps
-        #: (heartbeat / ping / stats / vacuum / in-doubt scan) and the
-        #: statement-path ``lookup_unique`` / ``scan``.  The transaction
-        #: path (BEGINs, program rounds, 2PC) never touches it.
+        #: (heartbeat / ping / stats / vacuum / in-doubt scan).  No
+        #: session touches it.
         self.fanout = FanOutPool(max(4, 4 * len(addresses)), obs=obs)
         self.coordinator = TwoPhaseCoordinator(
             self.oracle,
@@ -589,7 +535,7 @@ class ClusterConnection(Connection):
             "in_doubt_commits": 0,
             "in_doubt_aborts": 0,
         }
-        #: sql -> (table, routing expr, via-CustomerId), shared by sessions.
+        #: sql -> ``ClusterSession._route_meta``'s tuple, shared by sessions.
         self._route_meta: "dict[str, tuple]" = {}
         # --- health / self-healing state ------------------------------
         self.unhealthy_after = unhealthy_after

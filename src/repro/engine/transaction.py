@@ -50,14 +50,6 @@ class PredicateRead:
     matched_keys: tuple[Hashable, ...]
 
 
-@dataclass
-class ReadRecord:
-    """One item read: which version (by commit ts) was observed."""
-
-    row: RowId
-    version_ts: int
-
-
 class Transaction:
     """State of one transaction inside a :class:`~repro.engine.engine.Database`."""
 
@@ -155,14 +147,6 @@ class Transaction:
     @property
     def is_active(self) -> bool:
         return self.status is TxnStatus.ACTIVE
-
-    @property
-    def is_committed(self) -> bool:
-        return self.status is TxnStatus.COMMITTED
-
-    @property
-    def is_prepared(self) -> bool:
-        return self.status is TxnStatus.PREPARED
 
     def ensure_active(self) -> None:
         if self.status is not TxnStatus.ACTIVE:

@@ -142,10 +142,6 @@ class WriteAheadLog:
         return tuple(self._records[: self._flushed])
 
     @property
-    def flushed_count(self) -> int:
-        return self._flushed
-
-    @property
     def unflushed_count(self) -> int:
         """Records staged but not yet durable (lost on crash)."""
         return len(self._records) - self._flushed
@@ -265,8 +261,3 @@ class GroupCommitBuffer:
         with self._flush_mutex:
             while self._pending:
                 wal.append(self._pending.popleft())
-
-    @property
-    def staged_count(self) -> int:
-        """Records staged but not yet drained into the log."""
-        return len(self._pending)

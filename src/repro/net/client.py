@@ -6,6 +6,8 @@ surface over a pool of :class:`WireConnection` sockets;
 that mirrors the statement surface of the in-process
 :class:`~repro.engine.session.Session`, so the SmallBank programs, the
 mini-SQL executor and the threaded driver run against it unmodified.
+That surface is :class:`RemoteVerbs`, written once for every session
+whose engine is elsewhere (the cluster router's too).
 
 Semantics notes
 ---------------
@@ -53,6 +55,7 @@ from repro.errors import (
 )
 from repro.net.protocol import (
     DEFAULT_MAX_FRAME,
+    STATEMENT_OPS,
     raise_error_payload,
     read_frame_sync,
     write_frame_sync,
@@ -169,13 +172,86 @@ class WireConnection:
             pass
 
 
-class NetworkSession:
-    """Session facade speaking the wire protocol (see module docstring).
+class RemoteVerbs:
+    """The ten statement verbs of a session whose engine is elsewhere.
 
-    Statement ``kind`` tags are accepted for signature parity with the
-    in-process session but stay client-side: the server's sessions carry
-    no statement hooks (those exist for the simulator's cost model).
+    Same names, signatures and ``kind=`` keywords as the in-process
+    :class:`~repro.engine.session.Session`; each is written over the one
+    method a subclass supplies, ``_statement(verb, table, *args)``, which
+    runs the :data:`~repro.net.protocol.STATEMENT_OPS` row ``verb``
+    wherever the rows live and returns its result.  ``kind`` tags stay
+    here: remote engine sessions carry no statement hook (those exist for
+    the simulator's cost model).
     """
+
+    def _statement(self, verb: str, table: str, *args: object) -> object:
+        raise NotImplementedError
+
+    def select(
+        self, table: str, key: Hashable, *, kind: str = "select"
+    ) -> Optional[Row]:
+        return self._statement("select", table, key)
+
+    def select_for_update(
+        self, table: str, key: Hashable, *, kind: str = "select-for-update"
+    ) -> Optional[Row]:
+        return self._statement("select_for_update", table, key)
+
+    def lookup_unique(
+        self, table: str, column: str, value: Hashable, *, kind: str = "select"
+    ) -> Optional[tuple[Hashable, Row]]:
+        found = self._statement("lookup_unique", table, column, value)
+        return None if found is None else tuple(found)
+
+    def scan(
+        self,
+        table: str,
+        predicate: Optional[Callable[[Row], bool]] = None,
+        description: str = "<scan>",
+        *,
+        kind: str = "scan",
+    ) -> list[tuple[Hashable, Row]]:
+        # The engine's scan reads every row and filters afterwards, so
+        # applying the (unserializable) predicate here leaves the remote
+        # read footprint identical.
+        return [
+            (key, row)
+            for key, row in self._statement("scan", table, description)
+            if predicate is None or predicate(row)
+        ]
+
+    def update(
+        self, table: str, key: Hashable, changes: Changes, *, kind: str = "update"
+    ) -> bool:
+        """Read, merge here (``changes`` may be a callable), write back:
+        the read-then-write engine footprint of a local ``update``."""
+        current = self._statement("select", table, key)
+        if current is None:
+            return False
+        merged = dict(current)
+        merged.update(changes(current) if callable(changes) else changes)
+        self._statement("write", table, key, merged)
+        return True
+
+    def identity_update(
+        self, table: str, key: Hashable, column: str, *, kind: str = "identity-update"
+    ) -> bool:
+        return self.update(table, key, lambda row: {column: row[column]}, kind=kind)
+
+    def write(
+        self, table: str, key: Hashable, row: Optional[Row], *, kind: str = "update"
+    ) -> None:
+        self._statement("write", table, key, row)
+
+    def insert(self, table: str, row: Row, *, kind: str = "insert") -> None:
+        self._statement("insert", table, row)
+
+    def delete(self, table: str, key: Hashable, *, kind: str = "delete") -> None:
+        self._statement("delete", table, key)
+
+
+class NetworkSession(RemoteVerbs):
+    """Session facade speaking the wire protocol (see module docstring)."""
 
     def __init__(self, connection: "NetworkConnection", wire: WireConnection) -> None:
         self._connection = connection
@@ -456,83 +532,27 @@ class NetworkSession:
         self._connection._release(wire)
 
     # ------------------------------------------------------------------
-    # Statements
+    # Statements (the verbs are RemoteVerbs')
     # ------------------------------------------------------------------
-    def select(
-        self, table: str, key: Hashable, *, kind: str = "select"
-    ) -> Optional[Row]:
-        return self._call("READ", table=table, key=key)["row"]
+    def _start_statement(
+        self, verb: str, table: str, *args: object
+    ) -> "Callable[[], object]":
+        """One :data:`~repro.net.protocol.STATEMENT_OPS` request, split
+        like every ``start_*``: sent now, the callable returned reads the
+        reply and hands back the verb's result."""
+        op, fields, reply, takes_lock = STATEMENT_OPS[verb]
+        if takes_lock:
+            self._readonly = False
+        sent = self._send(op, dict(zip(fields, (table, *args))))
 
-    def select_for_update(
-        self, table: str, key: Hashable, *, kind: str = "select-for-update"
-    ) -> Optional[Row]:
-        self._readonly = False
-        return self._call("SELECT_FOR_UPDATE", table=table, key=key)["row"]
+        def finish() -> object:
+            response = self._receive(op, sent)
+            return None if reply is None else response[reply]
 
-    def lookup_unique(
-        self, table: str, column: str, value: Hashable, *, kind: str = "select"
-    ) -> Optional[tuple[Hashable, Row]]:
-        found = self._call(
-            "LOOKUP_UNIQUE", table=table, column=column, value=value
-        )["found"]
-        if found is None:
-            return None
-        key, row = found
-        return key, row
+        return finish
 
-    def scan(
-        self,
-        table: str,
-        predicate: Optional[Callable[[Row], bool]] = None,
-        description: str = "<scan>",
-        *,
-        kind: str = "scan",
-    ) -> list[tuple[Hashable, Row]]:
-        # The engine's scan reads every row and filters afterwards, so
-        # applying the (unserializable) predicate client-side leaves the
-        # server-side read footprint identical.
-        matches = self._call("SCAN", table=table, description=description)["rows"]
-        rows = [(key, row) for key, row in matches]
-        if predicate is not None:
-            rows = [(key, row) for key, row in rows if predicate(row)]
-        return rows
-
-    def update(
-        self, table: str, key: Hashable, changes: Changes, *, kind: str = "update"
-    ) -> bool:
-        current = self._call("READ", table=table, key=key)["row"]
-        if current is None:
-            return False
-        new_values = changes(current) if callable(changes) else changes
-        merged = dict(current)
-        merged.update(new_values)
-        self._readonly = False
-        self._call("WRITE", table=table, key=key, row=merged, kind=kind)
-        return True
-
-    def identity_update(
-        self, table: str, key: Hashable, column: str, *, kind: str = "identity-update"
-    ) -> bool:
-        return self.update(table, key, lambda row: {column: row[column]}, kind=kind)
-
-    def write(
-        self,
-        table: str,
-        key: Hashable,
-        row: Optional[Row],
-        *,
-        kind: str = "update",
-    ) -> None:
-        self._readonly = False
-        self._call("WRITE", table=table, key=key, row=row, kind=kind)
-
-    def insert(self, table: str, row: Row, *, kind: str = "insert") -> None:
-        self._readonly = False
-        self._call("INSERT", table=table, row=row)
-
-    def delete(self, table: str, key: Hashable, *, kind: str = "delete") -> None:
-        self._readonly = False
-        self._call("DELETE", table=table, key=key)
+    def _statement(self, verb: str, table: str, *args: object) -> object:
+        return self._start_statement(verb, table, *args)()
 
     # ------------------------------------------------------------------
     # Mini-SQL (PreparedStatement.execute dispatches here)

@@ -77,6 +77,22 @@ REQUEST_OPS = (
     "ABORT_2PC",
 )
 
+#: The statement ops, once for both ends of the wire: session verb ->
+#: ``(op, request fields, reply field, takes-a-lock)``.  The fields are
+#: the verb's parameter names in call order: the client zips its
+#: arguments into the frame, the server passes them to the same verb of
+#: its engine session by keyword and answers with what that returns
+#: (``None``: an empty reply).  A lock ends the client's ``is_readonly``.
+STATEMENT_OPS: "dict[str, tuple[str, tuple[str, ...], Optional[str], bool]]" = {
+    "select": ("READ", ("table", "key"), "row", False),
+    "select_for_update": ("SELECT_FOR_UPDATE", ("table", "key"), "row", True),
+    "lookup_unique": ("LOOKUP_UNIQUE", ("table", "column", "value"), "found", False),
+    "scan": ("SCAN", ("table", "description"), "rows", False),
+    "write": ("WRITE", ("table", "key", "row"), None, True),
+    "insert": ("INSERT", ("table", "row"), None, True),
+    "delete": ("DELETE", ("table", "key"), None, True),
+}
+
 
 # ----------------------------------------------------------------------
 # Encoding

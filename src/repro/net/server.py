@@ -83,6 +83,7 @@ from repro.errors import (
 )
 from repro.net.protocol import (
     DEFAULT_MAX_FRAME,
+    STATEMENT_OPS,
     FrameDecoder,
     encode_frame,
     error_payload,
@@ -112,6 +113,18 @@ class _Request(dict):
 
     def __missing__(self, field: str):
         raise _MissingField(field)
+
+
+def _statement_handler(verb: str, fields: "tuple[str, ...]", reply: Optional[str]):
+    """The handler of one :data:`~repro.net.protocol.STATEMENT_OPS` row:
+    the frame's fields go to the session verb by keyword (they are its
+    parameter names) and what it returns is the reply field."""
+
+    def handler(server: "DatabaseServer", conn: _ClientConnection, msg: dict) -> dict:
+        result = getattr(conn.session, verb)(**{name: msg[name] for name in fields})
+        return {} if reply is None else {reply: result}
+
+    return handler
 
 
 class _ClientConnection:
@@ -748,43 +761,6 @@ class DatabaseServer:
         txn = conn.session.begin(str(msg.get("label", "")))
         return {"txid": txn.txid, "snapshot_ts": txn.snapshot_ts}
 
-    def _op_read(self, conn: _ClientConnection, msg: dict) -> dict:
-        row = conn.session.select(msg["table"], msg["key"])
-        return {"row": row}
-
-    def _op_select_for_update(self, conn: _ClientConnection, msg: dict) -> dict:
-        row = conn.session.select_for_update(msg["table"], msg["key"])
-        return {"row": row}
-
-    def _op_lookup_unique(self, conn: _ClientConnection, msg: dict) -> dict:
-        found = conn.session.lookup_unique(
-            msg["table"], msg["column"], msg["value"]
-        )
-        return {"found": list(found) if found is not None else None}
-
-    def _op_scan(self, conn: _ClientConnection, msg: dict) -> dict:
-        matches = conn.session.scan(
-            msg["table"], description=str(msg.get("description", "<scan>"))
-        )
-        return {"rows": [[key, row] for key, row in matches]}
-
-    def _op_write(self, conn: _ClientConnection, msg: dict) -> dict:
-        conn.session.write(
-            msg["table"],
-            msg["key"],
-            msg["row"],
-            kind=str(msg.get("kind", "update")),
-        )
-        return {}
-
-    def _op_insert(self, conn: _ClientConnection, msg: dict) -> dict:
-        conn.session.insert(msg["table"], msg["row"])
-        return {}
-
-    def _op_delete(self, conn: _ClientConnection, msg: dict) -> dict:
-        conn.session.delete(msg["table"], msg["key"])
-        return {}
-
     def _op_commit(self, conn: _ClientConnection, msg: dict) -> dict:
         conn.session.commit()
         return {}
@@ -966,13 +942,10 @@ class DatabaseServer:
         "PING": _op_ping,
         "STATS": _op_stats,
         "BEGIN": _op_begin,
-        "READ": _op_read,
-        "SELECT_FOR_UPDATE": _op_select_for_update,
-        "LOOKUP_UNIQUE": _op_lookup_unique,
-        "SCAN": _op_scan,
-        "WRITE": _op_write,
-        "INSERT": _op_insert,
-        "DELETE": _op_delete,
+        **{
+            op: _statement_handler(verb, fields, reply)
+            for verb, (op, fields, reply, _) in STATEMENT_OPS.items()
+        },
         "COMMIT": _op_commit,
         "ROLLBACK": _op_rollback,
         "EXEC": _op_exec,

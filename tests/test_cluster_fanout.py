@@ -293,7 +293,7 @@ class TestOracleGroups:
 
     def test_gtid_base_offsets_the_whole_space(self):
         oracle = TimestampOracle(gtid_base=10**9)
-        assert oracle.next_gtid() == 10**9 + 1
+        assert oracle.lease_gtids(1) == range(10**9 + 1, 10**9 + 2)
         assert oracle.lease_gtids(4) == range(10**9 + 2, 10**9 + 6)
 
     def test_decision_windows_share_the_group(self):
