@@ -8,19 +8,29 @@ measured twice:
   (``repro.connect("local://")``), and
 * **net** — driver threads on pooled :class:`NetworkSession` proxies
   against a :class:`DatabaseServer` on loopback
-  (``repro.connect("tcp://127.0.0.1:<port>")``).  The server runs on an
-  event-loop thread in this process by default; ``run_curves`` can also
-  target a ``python -m repro.net`` *subprocess* (separate interpreter,
-  no shared GIL) — see its docstring for the single- vs multi-core
-  tradeoff.
+  (``repro.connect("tcp://127.0.0.1:<port>")``), its loop thread in
+  this process.
 
 The per-MPL ratio is the measured cost of the service layer: framing,
 JSON, syscalls and one scheduler hop per transaction (a committing
-program run is one ``CALL`` frame).  On loopback it is bounded
-(acceptance: over-the-wire TPS within 2.5x of in-process at MPL 8)
-— the point of the pairing is that the *shape* of the contention curves
-survives the wire, which is what makes over-the-wire experiments
-comparable to the in-process figures.
+program run is one ``CALL`` frame).  It is printed and recorded, never
+gated: on a 2-core host the *local* side has two GIL-convoy regimes and
+identical code reads 1.3x-4.9x (EXPERIMENTS.md, ISSUE 20) — the point of
+the pairing is that the *shape* of the contention curves survives the
+wire, which is what makes over-the-wire experiments comparable to the
+in-process figures.
+
+What is gated is *work* (``measure_server_work``): against a server
+subprocess driven by :data:`LOADGENS` client processes, the server's CPU
+per RPC at MPL 8 may not exceed :data:`MAX_CPU_GROWTH` times its MPL-1
+figure, its threads may not yield the CPU more than
+:data:`MAX_VOLUNTARY_SWITCHES` times per RPC there — what a server that
+trades the loop for a thread per connection pays in GIL hand-offs
+(DESIGN.md §11: ~3.7 per RPC, 1.6x the CPU) — and a transaction must be
+exactly one RPC.  The same points record involuntary switches per RPC
+and RPCs per loop wake-up.  ``measure_server_work(8, 2.0, OTHER/src)``
+runs the point against another checkout's server (how the
+``mpl8-server-compare`` record in ``BENCH_net.json`` was made).
 
 The run also asserts the server's robustness contract: after every
 driver run the server reports zero active connections/sessions and zero
@@ -49,6 +59,7 @@ import statistics
 import subprocess
 import sys
 import time
+from multiprocessing import get_context
 from pathlib import Path
 
 import repro
@@ -56,7 +67,13 @@ from repro.bench.harness import append_bench_record
 from repro.engine import EngineConfig
 from repro.obs import Observability
 from repro.net import DatabaseServer
-from repro.smallbank import PopulationConfig, build_database, get_strategy
+from repro.net.client import WireConnection
+from repro.smallbank import (
+    PopulationConfig,
+    build_database,
+    customer_name,
+    get_strategy,
+)
 from repro.workload.driver import ThreadedDriver, ThreadedDriverConfig
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -67,22 +84,31 @@ SMOKE_MPLS = (1, 8)
 CUSTOMERS = 100
 MIX = "balance60"
 
-#: MPL-8 acceptance bound, smoke and full run alike: the measured
-#: slowdown with one-RPC programs — 1.84x, 1.94x and 2.08x (the record
-#: in BENCH_net.json) on three undisturbed smoke runs on the 2-vCPU
-#: reference host, against 4.4x-5.3x with statement-by-statement
-#: transactions — plus a 20-30 % margin for that host's speed swings.
-MAX_SLOWDOWN = 2.5
+#: Client processes of a ``measure_server_work`` point (the MPL is split
+#: across them, so the clients do not serialize on one GIL) and its MPLs.
+LOADGENS = 4
+WORK_MPLS = (1, 8)
+#: Ceiling on server CPU per RPC at MPL 8 over MPL 1.  The selector loop
+#: reads 0.67x-0.78x: its MPL-1 figure pays a sleep and a wake-up per RPC
+#: (1.0 voluntary switches), at MPL 8 five RPCs share one.  This catches a
+#: loop whose per-RPC cost grows with the connections it watches.
+MAX_CPU_GROWTH = 1.25
+#: Ceiling on voluntary context switches per RPC at MPL 8 — the quantity
+#: that separates the server models: the loop reads 0.004-0.013 (it sleeps
+#: only when every connection is idle), a thread per connection ~3.7 (one
+#: GIL hand-off per blocking ``recv`` / ``send``), which MAX_CPU_GROWTH
+#: alone would pass (1.6x the loop's MPL-8 CPU is ~1.2x its MPL-1 CPU).
+MAX_VOLUNTARY_SWITCHES = 0.1
 
 
-def _driver_config(mpl: int, duration: float) -> ThreadedDriverConfig:
+def _driver_config(mpl: int, duration: float, seed: int = 7) -> ThreadedDriverConfig:
     return ThreadedDriverConfig(
         mpl=mpl,
         customers=CUSTOMERS,
         hotspot=10,
         mix=MIX,
         duration=duration,
-        seed=7,
+        seed=seed,
     )
 
 
@@ -118,23 +144,30 @@ def measure_net(mpl: int, duration: float, obs: "Observability | None" = None) -
         # connections); the counters below are read on the quiesced server.
         server.shutdown()
     server_stats = server.stats()
-    leaked = {
-        "connections": server_stats["connections_active"],
-        "transactions": server_stats["active_transactions"],
-        "sessions": server_stats["sessions_opened"] - server_stats["sessions_closed"],
-    }
     return {
         "tps": round(stats.tps, 1),
         "aborts": stats.abort_count(),
         "rpcs": server_stats["rpcs_total"],
-        "leaked": leaked,
+        "leaked": _leaked(server_stats),
     }
 
 
-def _spawn_server(mpl: int) -> "tuple[subprocess.Popen, int]":
-    """Launch ``python -m repro.net`` and wait for its LISTENING line."""
+def _leaked(server_stats: dict) -> dict:
+    """What a quiesced server still holds; all zeros or it leaked."""
+    return {
+        "connections": server_stats["connections_active"],
+        "transactions": server_stats["active_transactions"],
+        "sessions": server_stats["sessions_opened"] - server_stats["sessions_closed"],
+    }
+
+
+def _spawn_server(
+    mpl: int, src: "str | None" = None
+) -> "tuple[subprocess.Popen, int]":
+    """Launch ``python -m repro.net`` (from this checkout, or the ``src``
+    directory of another) and wait for its LISTENING line."""
     env = dict(os.environ)
-    src = str(REPO_ROOT / "src")
+    src = src or str(REPO_ROOT / "src")
     existing = env.get("PYTHONPATH")
     env["PYTHONPATH"] = src + (os.pathsep + existing if existing else "")
     proc = subprocess.Popen(
@@ -153,69 +186,105 @@ def _spawn_server(mpl: int) -> "tuple[subprocess.Popen, int]":
     return proc, int(line.split()[1])
 
 
-def measure_net_process(mpl: int, duration: float) -> dict:
-    """Over-the-wire measurement against a server *subprocess*.
+def _process_work(pid: int) -> dict:
+    """CPU seconds of a process and the context switches of its live
+    threads, from ``/proc`` (clock-tick resolution: keep points long)."""
+    fields = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()
+    work = {
+        "cpu_s": (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK"),
+        "voluntary": 0,
+        "involuntary": 0,
+    }
+    for status in Path(f"/proc/{pid}/task").glob("*/status"):
+        for line in status.read_text().splitlines():
+            name, _, value = line.partition(":")
+            if name == "voluntary_ctxt_switches":
+                work["voluntary"] += int(value)
+            elif name == "nonvoluntary_ctxt_switches":
+                work["involuntary"] += int(value)
+    return work
 
-    This is the configuration the acceptance ratio is defined on: driver
-    threads and the server loop in separate interpreters (no shared GIL),
-    which is how the service layer actually deploys.  The subprocess
-    shuts down gracefully on stdin EOF and reports its final counters on
-    stdout, so the leak assertions hold here too.
-    """
-    proc, port = _spawn_server(mpl)
+
+def _loadgen(port: int, mpl: int, duration: float, seed: int, start_at: float) -> dict:
+    """One client process of a ``measure_server_work`` point."""
+    conn = repro.connect(f"tcp://127.0.0.1:{port}", pool_size=mpl, timeout=30.0)
+    driver = ThreadedDriver(
+        None, get_strategy("base-si").transactions(),
+        _driver_config(mpl, duration, seed), connection=conn,
+    )
+    time.sleep(max(0.0, start_at - time.time()))  # all loadgens together
+    stats = driver.run()
+    conn.close()
+    return {"tps": stats.tps, "aborts": stats.abort_count()}
+
+
+def measure_server_work(
+    mpl: int, duration: float, server_src: "str | None" = None
+) -> dict:
+    """What the server *does* per RPC at ``mpl``: a server subprocess,
+    the clients in ``min(LOADGENS, mpl)`` processes of their own, unpinned
+    — CPU and context switches from ``/proc``, RPCs and loop wake-ups
+    from the server's own ``STATS``."""
+    loadgens = min(LOADGENS, mpl)
+    shares = [mpl // loadgens + (i < mpl % loadgens) for i in range(loadgens)]
+    proc, port = _spawn_server(mpl + 1, server_src)
     try:
-        conn = repro.connect(
-            f"tcp://127.0.0.1:{port}", pool_size=mpl, timeout=30.0
-        )
-        driver = ThreadedDriver(
-            None, get_strategy("base-si").transactions(),
-            _driver_config(mpl, duration), connection=conn,
-        )
-        stats = driver.run()
-        conn.close()
+        probe = WireConnection("127.0.0.1", port)
+        with get_context("spawn").Pool(loadgens) as pool:
+            stats0, work0 = probe.call("STATS", {})["stats"], _process_work(proc.pid)
+            start_at = time.time() + 1.0  # the workers import repro first
+            results = pool.starmap(
+                _loadgen,
+                [(port, share, duration, 7 + i, start_at) for i, share in enumerate(shares)],
+            )
+            stats1, work1 = probe.call("STATS", {})["stats"], _process_work(proc.pid)
+        # A transaction is one RPC: counted on a quiet server, exactly.
+        txns = get_strategy("base-si").transactions()
+        with repro.connect(f"tcp://127.0.0.1:{port}") as conn:
+            session = conn.session()
+            customers = [{"N": customer_name(i)} for i in range(1, 11)]
+            txns.run(session, "Balance", customers[0])  # PREPARE_PROGRAM is once
+            before = probe.call("STATS", {})["stats"]["rpcs_total"]
+            for args in customers:
+                txns.run(session, "Balance", args)
+            counted = probe.call("STATS", {})["stats"]["rpcs_total"] - before - 1
+            session.close()
+        probe.close()
         proc.stdin.close()  # EOF → graceful shutdown → STATS line
         tail = proc.stdout.read()
         proc.wait(timeout=30)
     finally:
         if proc.poll() is None:  # pragma: no cover - crash path
             proc.kill()
-    stats_lines = [l for l in tail.splitlines() if l.startswith("STATS ")]
-    if not stats_lines:
+    final = [line for line in tail.splitlines() if line.startswith("STATS ")]
+    if not final:
         raise RuntimeError(
             f"server subprocess exited {proc.returncode} without final stats"
         )
-    server_stats = json.loads(stats_lines[-1][len("STATS "):])
+    rpcs = stats1["rpcs_total"] - stats0["rpcs_total"]
+    wakeups = stats1.get("loop_wakeups_total", 0) - stats0.get("loop_wakeups_total", 0)
     return {
-        "tps": round(stats.tps, 1),
-        "aborts": stats.abort_count(),
-        "rpcs": server_stats["rpcs_total"],
-        "leaked": {
-            "connections": server_stats["connections_active"],
-            "transactions": server_stats["active_transactions"],
-            "sessions": server_stats["sessions_opened"] - server_stats["sessions_closed"],
-        },
+        "mpl": mpl,
+        "loadgens": loadgens,
+        "tps": round(sum(r["tps"] for r in results), 1),
+        "rpcs": rpcs,
+        "server_cpu_us_per_rpc": round(1e6 * (work1["cpu_s"] - work0["cpu_s"]) / rpcs, 2),
+        "voluntary_switches_per_rpc": round((work1["voluntary"] - work0["voluntary"]) / rpcs, 4),
+        "involuntary_switches_per_rpc": round((work1["involuntary"] - work0["involuntary"]) / rpcs, 4),
+        "rpcs_per_wakeup": round(rpcs / wakeups, 3) if wakeups else None,
+        "rpcs_per_txn": counted / len(customers),
+        "leaked": _leaked(json.loads(final[-1][len("STATS "):])),
     }
 
 
-def run_curves(
-    mpls: "tuple[int, ...]", duration: float, rounds: int = 3,
-    server_process: bool = False,
-) -> dict:
+def run_curves(mpls: "tuple[int, ...]", duration: float, rounds: int = 3) -> dict:
     """Measure both backends at each MPL, ``rounds`` times, interleaved.
 
     Local and net are measured back-to-back within a round so that
     machine-wide noise (CPU contention from neighbours) hits both sides
     of a ratio; the reported TPS is the per-backend median across rounds
-    and the reported ratio is the *median of per-round ratios* — the
-    statistic the acceptance bound is checked against.
-
-    ``server_process=True`` runs the server as a subprocess instead of a
-    thread.  On multi-core hosts that is both more realistic and faster
-    (client and server stop sharing a GIL); on a single-core host the
-    extra kernel context switch per round trip makes it strictly slower,
-    so the default keeps the server in-process.
+    and the reported ratio is the *median of per-round ratios*.
     """
-    measure = measure_net_process if server_process else measure_net
     samples: dict = {
         "local": {str(m): [] for m in mpls},
         "net": {str(m): [] for m in mpls},
@@ -224,7 +293,7 @@ def run_curves(
     for _ in range(rounds):
         for mpl in mpls:
             local = measure_local(mpl, duration)
-            net = measure(mpl, duration)
+            net = measure_net(mpl, duration)
             samples["local"][str(mpl)].append(local)
             samples["net"][str(mpl)].append(net)
             ratios[str(mpl)].append(local["tps"] / max(net["tps"], 1e-9))
@@ -272,20 +341,19 @@ def rpc_latency_snapshot(mpl: int, duration: float) -> dict:
 # ----------------------------------------------------------------------
 # pytest entry points (not part of tier-1: testpaths excludes benchmarks/)
 # ----------------------------------------------------------------------
-def test_wire_tps_within_bound_of_local() -> None:
-    curves = run_curves((8,), duration=0.6, rounds=3)
-    assert curves["net"]["8"]["tps"] > 0, "no progress over the wire"
-    slowdown = curves["ratio"]["8"]
-    assert slowdown <= MAX_SLOWDOWN, (
-        f"over-the-wire slowdown {slowdown:.2f}x (median of 3 interleaved "
-        f"rounds) exceeds {MAX_SLOWDOWN}x (local {curves['local']['8']['tps']}, "
-        f"net {curves['net']['8']['tps']})"
-    )
-
-
 def test_server_leaks_nothing_after_driver_run() -> None:
     net = measure_net(8, duration=0.5)
     assert net["leaked"] == {"connections": 0, "transactions": 0, "sessions": 0}
+
+
+def _describe_work(point: dict) -> str:
+    return (
+        f"MPL {point['mpl']:>2}: {point['tps']:>8,.0f} tps   "
+        f"{point['server_cpu_us_per_rpc']:6.1f}us server CPU/RPC   "
+        f"{point['voluntary_switches_per_rpc']:.3f} vol + "
+        f"{point['involuntary_switches_per_rpc']:.3f} invol switches/RPC   "
+        f"{point['rpcs_per_wakeup']} RPCs/wake-up"
+    )
 
 
 # ----------------------------------------------------------------------
@@ -330,13 +398,35 @@ def main(argv: "list[str] | None" = None) -> int:
 
     slowdown = curves["ratio"].get("8", 0.0)
     if "8" in curves["net"]:
-        print(f"  MPL-8 slowdown: {slowdown:.2f}x (ceiling {MAX_SLOWDOWN}x)")
+        print(f"  MPL-8 slowdown: {slowdown:.2f}x (recorded, not gated)")
         if curves["net"]["8"]["tps"] <= 0:
             print("FAIL: over-the-wire run made no progress at MPL 8")
             failures += 1
-        elif slowdown > MAX_SLOWDOWN:
-            print(f"FAIL: slowdown {slowdown:.2f}x exceeds {MAX_SLOWDOWN}x ceiling")
+
+    work_duration = args.duration or 2.0
+    print(f"== Server work per RPC (server process + up to {LOADGENS} client "
+          f"processes, unpinned, {work_duration:.1f}s/point) ==")
+    work = {str(mpl): measure_server_work(mpl, work_duration) for mpl in WORK_MPLS}
+    for point in work.values():
+        print("  " + _describe_work(point))
+        if point["rpcs_per_txn"] != 1:
+            print(f"FAIL: a transaction took {point['rpcs_per_txn']} RPCs, not 1")
             failures += 1
+        if any(point["leaked"].values()):
+            print(f"FAIL: MPL {point['mpl']} server process leaked: {point['leaked']}")
+            failures += 1
+    growth = work["8"]["server_cpu_us_per_rpc"] / work["1"]["server_cpu_us_per_rpc"]
+    print(f"  server CPU per RPC, MPL 8 over MPL 1: {growth:.2f}x "
+          f"(ceiling {MAX_CPU_GROWTH}x)")
+    if growth > MAX_CPU_GROWTH:
+        print(f"FAIL: server CPU per RPC grew {growth:.2f}x from MPL 1 to MPL 8")
+        failures += 1
+    yields = work["8"]["voluntary_switches_per_rpc"]
+    print(f"  voluntary context switches per RPC at MPL 8: {yields} "
+          f"(ceiling {MAX_VOLUNTARY_SWITCHES})")
+    if yields > MAX_VOLUNTARY_SWITCHES:
+        print(f"FAIL: the server's threads yield the CPU {yields} times per RPC")
+        failures += 1
 
     snapshot_mpl = 8
     print(f"== Server RPC service time (MPL {snapshot_mpl}) ==")
@@ -357,6 +447,8 @@ def main(argv: "list[str] | None" = None) -> int:
                 "mix": MIX,
                 "tps": curves,
                 "mpl8_slowdown": round(slowdown, 2),
+                "server_work": work,
+                "server_cpu_growth": round(growth, 3),
                 "rpc_latency": snapshot,
             }
         )

@@ -1,23 +1,25 @@
-"""``repro.net.server`` — asyncio TCP front end for a :class:`Database`.
+"""``repro.net.server`` — selector-loop TCP front end for a :class:`Database`.
 
 Architecture (DESIGN.md §11)
 ----------------------------
 
-The event loop owns *framing, dispatch and connection lifecycle*.  Every
-accepted connection gets
+One loop thread, written directly on :mod:`selectors` and non-blocking
+sockets, owns *framing, dispatch and connection lifecycle*.  Every
+admitted connection gets
 
 * one engine :class:`~repro.engine.session.Session` (per-connection
   sessions: one transaction at a time, exactly the paper's client model),
 * one single-thread executor for the operations that genuinely block.
 
-The server speaks the protocol at the transport level
-(:class:`asyncio.BufferedProtocol` + :class:`~repro.net.protocol.FrameDecoder`)
-rather than through ``StreamReader`` — request/response round trips are
-latency-bound, and skipping the stream/coroutine machinery roughly halves
-the per-RPC overhead.  Each connection receives into one reusable buffer:
-the plain-``Protocol`` transport allocates 256 KiB per ``recv``, which is
-above glibc's mmap threshold — a map, a page fault and an unmap per
-request until the process has freed a block that large.
+A readable socket costs one ``recv_into`` the connection's reusable
+buffer, one :meth:`~repro.net.protocol.FrameDecoder.feed` and one ``send``
+of the joined responses; only what the kernel does not take waits in the
+connection's outbox for writability, so a client that does not read its
+replies costs memory, never the loop.  Other threads reach the loop
+through a deque and one wake-up socket; timed work (``net-delay-frame``,
+autovacuum) is a deadline heap that sets the selector's timeout.  An
+event-loop framework in between cost 1.5-3 us of the 18 per ``PING``, a
+thread per connection far more once connections outnumber cores (DESIGN §11).
 
 **Inline fast path.**  Engine operations may block (lock waits use
 :class:`ThreadedWaiter`), and a blocking call on the loop thread would
@@ -47,27 +49,34 @@ Robustness contract:
 * a client that disconnects mid-transaction has its transaction aborted
   and every row lock / stripe released before the connection is reaped;
 * a framing violation (oversized length, non-JSON payload) poisons only
-  that connection: best-effort error frame, then close;
+  that connection: best-effort error frame, then close; an exception
+  escaping the loop's own work likewise costs at most its connection;
 * a request-level failure (unknown op, engine error) is an error response
   and the connection stays usable — engine errors round-trip losslessly
   via their stable ``code`` (:mod:`repro.net.protocol`);
 * graceful shutdown stops accepting, aborts every in-flight transaction
-  (which also wakes any lock-waiting worker), drains the handlers and
-  asserts nothing leaked (``stats()["connections_active"] == 0``).
+  (which also wakes any lock-waiting worker) and joins the loop thread,
+  which ends once every connection is reaped
+  (``stats()["connections_active"] == 0``).
 
 ``max_connections`` bounds concurrent clients; with ``backpressure=True``
-(default) excess connections are parked (reads paused) until a slot
+(default) excess connections are parked (not read from) until a slot
 frees, with ``backpressure=False`` they are refused with an error frame.
 """
 
 from __future__ import annotations
 
-import asyncio
+import heapq
 import json
 import random
+import selectors
+import socket
 import threading
+import time
+import traceback
 from collections import Counter, deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.api import PROGRAM_FACTORIES
@@ -101,6 +110,9 @@ _NOWAIT = NoWaitWaiter()
 #: Per-connection receive buffer (bytes); a longer frame takes several reads.
 _RECV_BUFFER = 64 * 1024
 
+_READ = selectors.EVENT_READ
+_READ_WRITE = selectors.EVENT_READ | selectors.EVENT_WRITE
+
 
 class _MissingField(KeyError):
     """A handler read a request field the client did not send."""
@@ -128,9 +140,26 @@ def _statement_handler(verb: str, fields: "tuple[str, ...]", reply: Optional[str
 
 
 class _ClientConnection:
-    """Per-connection server state."""
+    """One accepted socket: its framing state and, once admitted, its
+    session and worker.  Everything but ``worker_counts`` belongs to the
+    loop thread."""
 
-    def __init__(self, conn_id: int, session: Session) -> None:
+    def __init__(self, sock: socket.socket, max_frame: int) -> None:
+        self.sock = sock
+        self.decoder = FrameDecoder(max_frame)
+        self.recv = memoryview(bytearray(_RECV_BUFFER))
+        self.pending: "deque[dict]" = deque()
+        self.busy = False  # a blocking request is on the worker thread
+        self.closed = False
+        self.events = 0  # what the selector watches the socket for
+        #: Response bytes not yet written: a burst being gathered, what a
+        #: short ``send`` left, or everything behind a delayed frame
+        #: (``net-delay-frame``) — response order must survive all three.
+        self.outbox = bytearray()
+        self.delayed = False
+        self.session: Optional[Session] = None  # until admitted
+
+    def admit(self, conn_id: int, session: Session) -> None:
         self.conn_id = conn_id
         self.session = session  # one in-flight operation at a time
         self.blocking_waiter = session.waiter
@@ -143,157 +172,6 @@ class _ClientConnection:
         self.worker_counts: "Counter[str]" = Counter()
         #: Where the request being served counts — set by ``_serve``.
         self.counts: "dict[str, int]" = self.worker_counts
-
-
-class _ServerProtocol(asyncio.BufferedProtocol):
-    """One accepted socket: framing, ordering, admission."""
-
-    def __init__(self, server: "DatabaseServer") -> None:
-        self.server = server
-        self.transport: Optional[asyncio.Transport] = None
-        self.decoder = FrameDecoder(server.max_frame)
-        self._recv = memoryview(bytearray(_RECV_BUFFER))
-        self.pending: "deque[dict]" = deque()
-        self.conn: Optional[_ClientConnection] = None
-        self.busy = False  # a blocking request is on the worker thread
-        self.closed = False
-        #: Responses parked behind a delayed frame (``net-delay-frame``):
-        #: per-connection response order must survive the delay, so
-        #: everything queued after a held frame waits with it.
-        self._outbox: "list[bytes]" = []
-        self._delaying = False
-
-    # --- asyncio callbacks (loop thread) -------------------------------
-    def connection_made(self, transport) -> None:
-        self.transport = transport
-        self.server._on_connection_made(self)
-
-    def get_buffer(self, sizehint: int) -> memoryview:
-        return self._recv
-
-    def buffer_updated(self, nbytes: int) -> None:
-        if self.closed:
-            return
-        try:
-            messages = self.decoder.feed(bytes(self._recv[:nbytes]))
-        except ProtocolError as exc:
-            self.server._note_protocol_error("framing")
-            self._send(error_payload(exc))
-            self.kill()
-            return
-        self.pending.extend(messages)
-        self.pump()
-
-    def eof_received(self) -> bool:
-        return False  # close the transport; connection_lost follows
-
-    def connection_lost(self, exc) -> None:
-        self.closed = True
-        self.server._on_connection_lost(self)
-
-    # --- helpers -------------------------------------------------------
-    def _send(self, message: dict) -> None:
-        if self.server.faults is not None:
-            self._deliver(encode_frame(message))
-            return
-        if self.transport is not None and not self.transport.is_closing():
-            self.transport.write(encode_frame(message))
-
-    def _send_raw(self, data: bytes) -> None:
-        if self.transport is not None and not self.transport.is_closing():
-            self.transport.write(data)
-
-    def _deliver(self, data: bytes) -> None:
-        """Outbound response with fault hooks (loop thread only).
-
-        Consulted per response frame *only when a plan is installed* —
-        the no-plan path batches raw writes exactly as before.  The
-        request has already executed by the time its response reaches
-        this point, so every fault here is a lost/late *acknowledgement*,
-        the classic 2PC ambiguity the client stack must absorb.
-        """
-        if self.transport is None or self.transport.is_closing():
-            return
-        plan = self.server.faults
-        if plan is not None:
-            if plan.should_fire("conn-reset"):
-                self.server._note_fault("conn-reset")
-                self.closed = True
-                self.transport.abort()  # RST, not FIN: mid-stream cut
-                return
-            if plan.should_fire("net-drop-frame"):
-                self.server._note_fault("net-drop-frame")
-                return  # executed, but the client never hears back
-            if not self._delaying and plan.should_fire("net-delay-frame"):
-                self.server._note_fault("net-delay-frame")
-                self._delaying = True
-                delay = plan.magnitude("net-delay-frame") or 0.05
-                asyncio.get_running_loop().call_later(delay, self._flush_outbox)
-        if self._delaying:
-            self._outbox.append(data)
-            return
-        self.transport.write(data)
-
-    def _flush_outbox(self) -> None:
-        self._delaying = False
-        out, self._outbox = self._outbox, []
-        if out and self.transport is not None and not self.transport.is_closing():
-            self.transport.write(b"".join(out))
-
-    def kill(self) -> None:
-        self.closed = True
-        if self.transport is not None:
-            self.transport.close()
-
-    def pump(self) -> None:
-        """Serve queued requests in order; synchronous while they stay
-        inline, parking on the worker thread when one would block.
-
-        Responses for a burst of inline requests (a pipelining client
-        sends several frames back-to-back) are batched into a single
-        ``transport.write`` — one syscall, one client wakeup.
-        """
-        server = self.server
-        out: "list[bytes]" = []
-        while not self.busy and self.pending and not self.closed:
-            if self.conn is None:
-                break  # not admitted yet (backpressure parking)
-            message = self.pending.popleft()
-            if server._can_inline(self.conn, message):
-                try:
-                    response = encode_frame(
-                        server._serve(self.conn, message, False)
-                    )
-                    if server.faults is not None:
-                        # Per-frame fault consultation; batching would
-                        # make one drop/delay decision span a burst.
-                        self._deliver(response)
-                    else:
-                        out.append(response)
-                    continue
-                except WouldBlock:
-                    pass
-            # The blocked request's response must follow the inline ones:
-            # flush them before handing the message to the worker thread.
-            if out:
-                self._send_raw(b"".join(out))
-                out = []
-            self.busy = True
-            server._counters["worker_dispatches_total"] += 1
-            server._track(asyncio.ensure_future(self._run_blocking(message)))
-        if out:
-            self._send_raw(b"".join(out))
-
-    async def _run_blocking(self, message: dict) -> None:
-        loop = asyncio.get_running_loop()
-        try:
-            response = await loop.run_in_executor(
-                self.conn.executor, self.server._serve, self.conn, message, True
-            )
-            self._send(response)
-        finally:
-            self.busy = False
-            self.pump()
 
 
 class DatabaseServer:
@@ -331,16 +209,25 @@ class DatabaseServer:
         #: frame`` / ``conn-reset``); None keeps the response path
         #: byte-identical to the pre-chaos server.
         self.faults = fault_plan
-        self._autovacuum_task: "asyncio.Task | None" = None
         if obs is not None:
             db.install_observability(obs)
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._listener: Optional[socket.socket] = None
+        self._selector: Optional[selectors.BaseSelector] = None
         self._thread: Optional[threading.Thread] = None
-        self._protocols: "set[_ServerProtocol]" = set()
-        self._parked: "deque[_ServerProtocol]" = deque()
+        self._vacuum_executor = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="repro-net-vacuum"
+        )
+        #: How other threads reach the loop: ``(function, args)`` pairs it
+        #: runs when the wake-up socket turns readable (``_post``).
+        self._posted: "deque[tuple[Callable, tuple]]" = deque()
+        self._wake_recv: Optional[socket.socket] = None
+        self._wake_send: Optional[socket.socket] = None
+        #: ``(deadline, tie-break, function, args)`` heap; the earliest
+        #: deadline is the selector's timeout.
+        self._timers: "list[tuple[float, int, Callable, tuple]]" = []
+        self._timer_seq = 0
+        self._parked: "deque[_ClientConnection]" = deque()
         self._connections: dict[int, _ClientConnection] = {}
-        self._tasks: "set[asyncio.Task]" = set()
         self._closing = False
         self._conn_counter = 0
         # Server-side statement cache: (sql, kind) -> (sid, PreparedStatement).
@@ -366,7 +253,7 @@ class DatabaseServer:
         # Lifetime counters (kept even without an Observability installed;
         # STATS and the leak assertions read them).  Written by the loop
         # thread only; what worker threads count is in each connection's
-        # ``worker_counts`` until ``_cleanup`` folds it in here.
+        # ``worker_counts`` until ``_reap`` folds it in here.
         self._reap_lock = threading.Lock()
         self._counters = {
             "connections_total": 0,
@@ -374,6 +261,7 @@ class DatabaseServer:
             "protocol_errors_total": 0,
             "rpcs_total": 0,
             "worker_dispatches_total": 0,  # requests handed to a worker thread
+            "loop_wakeups_total": 0,  # returns of the loop's ``select``
             "sessions_opened": 0,
             "sessions_closed": 0,
             "vacuum_runs": 0,
@@ -397,124 +285,131 @@ class DatabaseServer:
     def address(self) -> tuple[str, int]:
         return self.host, self.port
 
-    async def start(self) -> "DatabaseServer":
-        if self._server is not None:
-            raise RuntimeError("server already started")
-        self._loop = asyncio.get_running_loop()
-        self._server = await self._loop.create_server(
-            lambda: _ServerProtocol(self), self.host, self.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-        if self.autovacuum_interval is not None:
-            self._autovacuum_task = self._loop.create_task(
-                self._autovacuum_loop()
-            )
-        return self
-
-    async def _autovacuum_loop(self) -> None:
-        """Periodic vacuum: same engine entry point as the VACUUM op.
-
-        Runs on the connection-agnostic default executor so the (commit-
-        mutex-holding) prune never stalls the event loop.  A crashed
-        database ends the loop; any other engine error is counted and the
-        loop keeps its cadence.
-        """
-        assert self.autovacuum_interval is not None
-        loop = asyncio.get_running_loop()
-        while not self._closing:
-            await asyncio.sleep(self.autovacuum_interval)
-            if self._closing:
-                return
-            try:
-                pruned = await loop.run_in_executor(None, self.db.vacuum)
-            except asyncio.CancelledError:  # pragma: no cover - shutdown
-                raise
-            except ReproError:
-                return  # crashed / shut down underneath us
-            self._counters["vacuum_runs"] += 1
-            self._counters["vacuum_pruned_total"] += pruned
-
-    async def stop(self) -> None:
-        """Graceful shutdown: drain connections, abort in-flight work."""
-        self._closing = True
-        if self._autovacuum_task is not None:
-            self._autovacuum_task.cancel()
-            try:
-                await self._autovacuum_task
-            except asyncio.CancelledError:
-                pass
-            self._autovacuum_task = None
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        # Closing the transports EOFs every client; aborting every active
-        # transaction wakes any worker blocked in a lock wait (its
-        # blockers resolve), so no handler can be stuck past this point.
-        for proto in list(self._protocols):
-            proto.kill()
-        for txn in self.db.active_transactions:
-            self.db.abort(txn, reason="shutdown")
-        for _ in range(600):  # cleanup tasks spawn from connection_lost
-            if not self._tasks and not self._connections:
-                break
-            if self._tasks:
-                await asyncio.wait(list(self._tasks), timeout=1.0)
-            else:
-                await asyncio.sleep(0.05)
-        leaked = len(self._connections)
-        if leaked:  # pragma: no cover - defensive
-            raise RuntimeError(f"shutdown leaked {leaked} connection(s)")
-
-    # --- threaded convenience wrappers (tests, benchmarks, CLI) --------
     def start_in_thread(self) -> "DatabaseServer":
-        """Run the server on a private event loop in a daemon thread.
-
-        Returns once the listening socket is bound (``self.port`` is
-        final).  Pair with :meth:`shutdown`.
-        """
-        if self._thread is not None:
-            raise RuntimeError("server already running in a thread")
-        started = threading.Event()
-        failure: list[BaseException] = []
-
-        def runner() -> None:
-            loop = asyncio.new_event_loop()
-            asyncio.set_event_loop(loop)
-            self._loop = loop
-            try:
-                loop.run_until_complete(self.start())
-            except BaseException as exc:  # pragma: no cover - bind errors
-                failure.append(exc)
-                started.set()
-                return
-            started.set()
-            try:
-                loop.run_forever()
-            finally:
-                loop.run_until_complete(loop.shutdown_asyncgens())
-                loop.close()
-
+        """Bind the listening socket (``self.port`` is final on return)
+        and serve it from a daemon thread.  Pair with :meth:`shutdown`."""
+        if self._listener is not None:
+            raise RuntimeError("server already started")
+        self._listener = socket.create_server((self.host, self.port))
+        self._listener.setblocking(False)
+        self.port = self._listener.getsockname()[1]
+        self._wake_recv, self._wake_send = socket.socketpair()
+        self._wake_recv.setblocking(False)
+        self._wake_send.setblocking(False)
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self._listener, _READ, self._listener)
+        self._selector.register(self._wake_recv, _READ, self._wake_recv)
+        if self.autovacuum_interval is not None:
+            self._call_later(self.autovacuum_interval, self._autovacuum)
         self._thread = threading.Thread(
-            target=runner, name="repro-net-server", daemon=True
+            target=self._run, name="repro-net-server", daemon=True
         )
         self._thread.start()
-        started.wait()
-        if failure:
-            self._thread.join()
-            self._thread = None
-            raise failure[0]
         return self
 
     def shutdown(self, timeout: float = 30.0) -> None:
-        """Stop a :meth:`start_in_thread` server and join its thread."""
-        if self._thread is None or self._loop is None:
+        """Graceful shutdown: stop accepting, abort in-flight work, reap
+        every connection, end the loop thread and join it."""
+        thread, self._thread = self._thread, None
+        if thread is None:
             return
-        loop = self._loop
-        future = asyncio.run_coroutine_threadsafe(self.stop(), loop)
-        future.result(timeout=timeout)
-        loop.call_soon_threadsafe(loop.stop)
-        self._thread.join(timeout=timeout)
-        self._thread = None
+        self._post(self._stop)
+        thread.join(timeout=timeout)
+        if thread.is_alive():  # pragma: no cover - defensive
+            raise RuntimeError(f"shutdown leaked {len(self._connections)} connections")
+        # Closed here, not by the loop: it may run ``_stop`` and end before
+        # the ``_post`` above has sent the wake-up that announces it.
+        self._wake_recv.close()
+        self._wake_send.close()
+
+    # ------------------------------------------------------------------
+    # The loop thread
+    # ------------------------------------------------------------------
+    def _run(self) -> None:
+        select, timers, posted = self._selector.select, self._timers, self._posted
+        listener, wake = self._listener, self._wake_recv
+        while self._connections or not self._closing:
+            timeout = max(0.0, timers[0][0] - time.monotonic()) if timers else None
+            ready = select(timeout)
+            self._counters["loop_wakeups_total"] += 1
+            for key, mask in ready:
+                conn = key.data
+                if conn is listener:
+                    self._guarded(self._accept, ())
+                elif conn is wake:
+                    wake.recv(4096)
+                    while posted:
+                        self._guarded(*posted.popleft())
+                else:
+                    try:
+                        if mask & _READ:
+                            self._on_readable(conn)
+                        if mask & selectors.EVENT_WRITE:
+                            self._flush(conn)
+                    except Exception:  # a decoder or handler bug costs this one
+                        self._contain(conn)
+            while timers and timers[0][0] <= time.monotonic():
+                self._guarded(*heapq.heappop(timers)[2:])
+        self._vacuum_executor.shutdown()
+        self._selector.close()
+
+    def _guarded(self, function: Callable, args: tuple) -> None:
+        try:
+            function(*args)
+        except Exception:
+            self._contain()
+
+    def _contain(self, conn: "_ClientConnection | None" = None) -> None:
+        """An exception escaped a piece of the loop's work (the one being
+        handled): report it and drop the connection it served, if any.  The
+        loop thread is the only one there is; it must outlive every bug."""
+        traceback.print_exc()
+        if conn is not None:
+            self._drop(conn)
+
+    def _stop(self) -> None:
+        self._closing = True
+        self._selector.unregister(self._listener)
+        self._listener.close()
+        self._timers.clear()
+        for conn in [*self._connections.values(), *self._parked]:
+            self._drop(conn)
+        # Aborting every active transaction wakes any worker blocked in a
+        # lock wait (its blockers resolve), so every dropped connection's
+        # worker gets to close its session and post the reaping.
+        for txn in self.db.active_transactions:
+            self.db.abort(txn, reason="shutdown")
+
+    def _call_later(self, delay: float, function: Callable, *args) -> None:
+        self._timer_seq += 1
+        deadline = time.monotonic() + delay
+        heapq.heappush(self._timers, (deadline, self._timer_seq, function, args))
+
+    def _post(self, function: Callable, *args) -> None:
+        """Have the loop thread call ``function(*args)`` (any thread)."""
+        self._posted.append((function, args))
+        try:
+            self._wake_send.send(b"\0")
+        except BlockingIOError:  # a socketful of wake-ups is already due
+            pass
+
+    def _autovacuum(self) -> None:
+        """Periodic vacuum: same engine entry point as the VACUUM op, on a
+        thread of its own so the (commit-mutex-holding) prune never stalls
+        the loop."""
+        self._vacuum_executor.submit(self.db.vacuum).add_done_callback(
+            partial(self._post, self._vacuumed)
+        )
+
+    def _vacuumed(self, prune: "Future[int]") -> None:
+        try:
+            pruned = prune.result()
+        except ReproError:
+            return  # crashed / shut down underneath us: the cadence ends
+        self._counters["vacuum_runs"] += 1
+        self._counters["vacuum_pruned_total"] += pruned
+        if not self._closing:
+            self._call_later(self.autovacuum_interval, self._autovacuum)
 
     # ------------------------------------------------------------------
     # Stats
@@ -525,8 +420,9 @@ class DatabaseServer:
             counters = Counter(self._counters)
             for conn in list(self._connections.values()):
                 counters.update(conn.worker_counts)
+            active = len(self._connections)
         return {
-            "connections_active": len(self._connections),
+            "connections_active": active,
             "connections_parked": len(self._parked),
             "active_transactions": len(self.db.active_transactions),
             "prepared_statements": len(self._prepared),
@@ -547,98 +443,200 @@ class DatabaseServer:
     # ------------------------------------------------------------------
     # Connection admission / reaping (loop thread)
     # ------------------------------------------------------------------
-    def _on_connection_made(self, proto: _ServerProtocol) -> None:
-        if self._closing:
-            proto.kill()
+    def _accept(self) -> None:
+        try:
+            sock, _ = self._listener.accept()
+        except OSError:  # the peer gave up first; nothing to serve
             return
-        self._protocols.add(proto)
+        sock.setblocking(False)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        conn = _ClientConnection(sock, self.max_frame)
         if len(self._connections) < self.max_connections:
-            self._admit(proto)
+            self._admit(conn)
         elif self.backpressure:
-            # Park: stop reading until a slot frees.
-            proto.transport.pause_reading()
-            self._parked.append(proto)
+            # Park: not watched for reads until a slot frees, so what the
+            # client sends meanwhile waits in the kernel's buffer.
+            self._parked.append(conn)
         else:
             self._counters["rejected_total"] += 1
             if self.obs is not None:
                 self.obs.net_connection_rejected()
-            proto._send(
-                error_payload(
-                    ConnectionClosed(
-                        f"server at capacity "
-                        f"({self.max_connections} connections)"
-                    )
-                )
-            )
-            proto.kill()
+            limit = f"server at capacity ({self.max_connections} connections)"
+            self._hang_up(conn, ConnectionClosed(limit))
 
-    def _admit(self, proto: _ServerProtocol) -> None:
+    def _admit(self, conn: _ClientConnection) -> None:
         self._conn_counter += 1
-        conn = _ClientConnection(self._conn_counter, Session(self.db))
-        proto.conn = conn
+        conn.admit(self._conn_counter, Session(self.db))
         self._connections[conn.conn_id] = conn
         self._counters["connections_total"] += 1
         self._counters["sessions_opened"] += 1
         if self.obs is not None:
             self.obs.net_connection_opened(len(self._connections))
-        proto.pump()  # frames may have queued while parked
+        self._watch(conn, _READ)
 
-    def _on_connection_lost(self, proto: _ServerProtocol) -> None:
-        self._protocols.discard(proto)
-        if proto.conn is None:
-            try:
-                self._parked.remove(proto)
-            except ValueError:
-                pass
+    def _watch(self, conn: _ClientConnection, events: int) -> None:
+        if conn.events:
+            self._selector.modify(conn.sock, events, conn)
+        else:
+            self._selector.register(conn.sock, events, conn)
+        conn.events = events
+
+    def _hang_up(self, conn: _ClientConnection, error: ReproError) -> None:
+        """Best-effort error frame, then close."""
+        self._deliver(conn, encode_frame(error_payload(error)))
+        self._flush(conn)
+        self._drop(conn)
+
+    def _drop(self, conn: _ClientConnection) -> None:
+        """The peer is gone, or this end hangs up: close the socket now
+        (unsent outbox bytes go with it), reap once the worker is idle."""
+        if conn.closed:
             return
-        # Abort now rather than in ``_cleanup``, which queues behind a
+        conn.closed = True
+        if conn.events:
+            self._selector.unregister(conn.sock)
+            conn.events = 0
+        conn.sock.close()
+        if conn.session is None:
+            if conn in self._parked:
+                self._parked.remove(conn)
+            return
+        # Abort now rather than in ``close_session``, which queues behind a
         # request still blocked on the worker thread: a vanished client's
         # locks free at once, and a blocked CALL cannot wake up later and
         # commit for nobody.  (Prepared transactions are detached from
         # the session and stay for the coordinator's decision.)
-        txn = proto.conn.session.txn
+        txn = conn.session.txn
         if txn is not None:
             self.db.abort(txn, reason="disconnect")
-        self._track(asyncio.ensure_future(self._cleanup(proto.conn)))
+        # On the connection's executor, so it serializes after any
+        # in-flight statement of the same session.
+        conn.executor.submit(conn.session.close).add_done_callback(
+            partial(self._post, self._reap, conn)
+        )
 
-    async def _cleanup(self, conn: _ClientConnection) -> None:
-        """Reap one connection: abort its transaction, free its slot."""
-        loop = asyncio.get_running_loop()
-        try:
-            # Run on the connection's executor so it serializes after any
-            # in-flight statement of the same session.
-            await loop.run_in_executor(conn.executor, conn.session.close)
-        except Exception:  # pragma: no cover - close is best-effort
-            pass
+    def _reap(self, conn: _ClientConnection, closed: Future) -> None:
+        """Free one dropped connection's slot (closing its session was
+        best-effort).  That ran last on its worker thread, so the tally is
+        final; the lock keeps a ``stats()`` on another thread from seeing
+        the connection both listed and folded in, or gone and not yet
+        counted closed."""
         conn.executor.shutdown(wait=False)
-        # The worker thread is done (close ran last on it), so its tally
-        # is final; the lock keeps a stats() on another thread from seeing
-        # the connection both listed and folded in.
         with self._reap_lock:
-            self._connections.pop(conn.conn_id, None)
+            del self._connections[conn.conn_id]
             for name, count in conn.worker_counts.items():
                 self._counters[name] += count
-        self._counters["sessions_closed"] += 1
+            self._counters["sessions_closed"] += 1
         if self.obs is not None:
             self.obs.net_connection_closed(len(self._connections))
-        while self._parked and len(self._connections) < self.max_connections:
-            waiter = self._parked.popleft()
-            if waiter.closed:
-                continue
-            self._admit(waiter)
-            waiter.transport.resume_reading()
+        if self._parked:  # the slot this freed is the only one there is
+            self._admit(self._parked.popleft())
 
-    def _track(self, task: "asyncio.Task") -> None:
-        self._tasks.add(task)
-        task.add_done_callback(self._tasks.discard)
-
-    def _note_protocol_error(
-        self, kind: str, counts: "dict[str, int] | None" = None
-    ) -> None:
+    def _note_protocol_error(self, kind: str, counts: "dict | None" = None) -> None:
         counts = self._counters if counts is None else counts
         counts["protocol_errors_total"] += 1
         if self.obs is not None:
             self.obs.net_protocol_error(kind)
+
+    # ------------------------------------------------------------------
+    # Bytes in, bytes out (loop thread)
+    # ------------------------------------------------------------------
+    def _on_readable(self, conn: _ClientConnection) -> None:
+        try:
+            nbytes = conn.sock.recv_into(conn.recv)
+        except BlockingIOError:
+            return
+        except OSError:
+            nbytes = 0  # reset by the peer: the same as its EOF
+        if not nbytes:
+            self._drop(conn)
+            return
+        try:
+            conn.pending.extend(conn.decoder.feed(conn.recv[:nbytes]))
+        except ProtocolError as exc:
+            self._note_protocol_error("framing")
+            self._hang_up(conn, exc)
+            return
+        self._pump(conn)
+
+    def _pump(self, conn: _ClientConnection) -> None:
+        """Serve queued requests in order; synchronous while they stay
+        inline, parking on the worker thread when one would block.
+
+        The responses of a burst of inline requests (a pipelining client
+        sends several frames back-to-back) gather in the outbox and leave
+        in a single ``send`` — one syscall, one client wakeup; those ahead
+        of a blocked request leave now, its own follows them later.
+        """
+        while conn.pending and not conn.busy and not conn.closed:
+            message = conn.pending.popleft()
+            if self._can_inline(conn, message):
+                try:
+                    response = encode_frame(self._serve(conn, message, False))
+                except WouldBlock:
+                    pass
+                else:
+                    self._deliver(conn, response)
+                    continue
+            conn.busy = True
+            self._counters["worker_dispatches_total"] += 1
+            conn.executor.submit(self._serve, conn, message, True).add_done_callback(
+                partial(self._post, self._finish_blocking, conn)
+            )
+        self._flush(conn)
+
+    def _finish_blocking(self, conn: _ClientConnection, served: "Future[dict]") -> None:
+        conn.busy = False
+        try:
+            self._deliver(conn, encode_frame(served.result()))
+            self._pump(conn)
+        except Exception:  # a handler bug costs its connection, not the loop
+            self._contain(conn)
+
+    def _deliver(self, conn: _ClientConnection, data: bytes) -> None:
+        """One frame into the outbox, past the hooks of an installed plan.
+        The request has already executed by the time its response gets
+        here, so every fault is a lost/late *acknowledgement*, the classic
+        2PC ambiguity the client stack must absorb."""
+        plan = self.faults
+        if plan is not None and not conn.closed:
+            if plan.should_fire("conn-reset"):
+                self._note_fault("conn-reset")
+                self._drop(conn)  # mid-stream cut: nothing more is sent
+                return
+            if plan.should_fire("net-drop-frame"):
+                self._note_fault("net-drop-frame")
+                return  # executed, but the client never hears back
+            if not conn.delayed and plan.should_fire("net-delay-frame"):
+                self._note_fault("net-delay-frame")
+                conn.delayed = True
+                if conn.events == _READ_WRITE:  # a short send's rest waits too
+                    self._watch(conn, _READ)
+                self._call_later(
+                    plan.magnitude("net-delay-frame") or 0.05, self._release, conn
+                )
+        conn.outbox += data
+
+    def _release(self, conn: _ClientConnection) -> None:
+        conn.delayed = False
+        self._flush(conn)
+
+    def _flush(self, conn: _ClientConnection) -> None:
+        """Write what the kernel takes of the outbox; watch for
+        writability exactly while some of it is left."""
+        if conn.closed or conn.delayed or not conn.outbox:
+            return
+        try:
+            sent = conn.sock.send(conn.outbox)
+        except BlockingIOError:
+            return
+        except OSError:
+            self._drop(conn)
+            return
+        del conn.outbox[:sent]
+        events = _READ_WRITE if conn.outbox else _READ
+        if events != conn.events:
+            self._watch(conn, events)
 
     # ------------------------------------------------------------------
     # Request dispatch
@@ -688,9 +686,7 @@ class DatabaseServer:
         # One writer per dict keeps ``+= 1`` exact without a lock: the loop
         # thread owns the server's counters, each worker thread its
         # connection's tally.
-        counts = conn.counts = (
-            conn.worker_counts if blocking else self._counters
-        )
+        counts = conn.counts = conn.worker_counts if blocking else self._counters
         txn_before = session.txn
         writes_before = (
             len(txn_before.writes)

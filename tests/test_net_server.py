@@ -8,11 +8,14 @@ mid-transaction must have its transaction aborted and its locks released
 before anyone else blocks on them, and nothing may leak.
 """
 
+import os
 import socket
 import struct
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -91,6 +94,35 @@ class TestLifecycle:
         assert server.stats()["active_transactions"] == 0
         assert server.stats()["connections_active"] == 0
         wire.close()
+
+    def test_stop_served_before_its_own_wake_up_is_sent(self):
+        """``shutdown`` posts the stop, then wakes the loop — but a
+        worker's wake-up can get there first, so the loop may serve the
+        stop and end before ``shutdown`` has sent its own.  Forced here:
+        the caller's wake-up waits for a disconnect to do just that."""
+        server = make_server()
+        wire = WireConnection("127.0.0.1", server.port)
+        assert wire.call("PING", {})["pong"]
+        loop_thread, caller, real = server._thread, threading.get_ident(), server._wake_send
+
+        class LateWakeUp:
+            def send(self, data):
+                if threading.get_ident() == caller:
+                    wire.close()  # EOF -> reap, posted by the worker thread
+                    wait_until(
+                        lambda: not loop_thread.is_alive(),
+                        message="the loop to serve the stop and end",
+                    )
+                return real.send(data)
+
+            def close(self):
+                real.close()
+
+        server._wake_send = LateWakeUp()
+        server.shutdown()
+        stats = server.stats()
+        assert stats["connections_active"] == 0
+        assert stats["sessions_opened"] == stats["sessions_closed"] == 1
 
     def test_sessions_do_not_leak(self):
         server = make_server()
@@ -291,6 +323,181 @@ class TestProtocolViolations:
             wire.close()
         finally:
             server.shutdown()
+
+    def test_deeply_nested_frame_kills_only_that_connection(self):
+        """A few kilobytes of ``[`` — far inside ``max_frame`` — make the C
+        JSON scanner raise ``RecursionError``, which is no ``ValueError``:
+        a framing error like any other, not the end of the loop thread."""
+        server = make_server()
+        try:
+            healthy = WireConnection("127.0.0.1", server.port)
+            raw = socket.create_connection(("127.0.0.1", server.port))
+            payload = b'{"a":' + b"[" * 5000
+            raw.sendall(struct.pack(">I", len(payload)) + payload)
+            response = read_frame_sync(raw, max_frame=server.max_frame)
+            assert response["ok"] is False
+            assert response["error"]["code"] == "protocol"
+            assert read_frame_sync(raw, max_frame=server.max_frame) is None
+            raw.close()
+            assert healthy.call("PING", {})["pong"]
+            healthy.close()
+        finally:
+            server.shutdown()
+        stats = server.stats()
+        assert stats["protocol_errors_total"] == 1
+        assert stats["sessions_opened"] == stats["sessions_closed"] == 2
+
+    @pytest.mark.parametrize("encoding", ["utf-8-sig", "utf-16", "utf-32"])
+    def test_payload_that_is_not_plain_utf8_is_a_framing_error(self, encoding):
+        """The wire is UTF-8 without a byte-order mark (what ``encode_frame``
+        writes); ``json.loads`` on bytes would have sniffed these three."""
+        server = make_server()
+        try:
+            raw = socket.create_connection(("127.0.0.1", server.port))
+            payload = '{"op": "PING"}'.encode(encoding)
+            raw.sendall(struct.pack(">I", len(payload)) + payload)
+            response = read_frame_sync(raw, max_frame=server.max_frame)
+            assert response["ok"] is False
+            assert response["error"]["code"] == "protocol"
+            assert read_frame_sync(raw, max_frame=server.max_frame) is None
+            raw.close()
+        finally:
+            server.shutdown()
+
+    def test_exception_on_the_loop_thread_costs_one_connection(self, capsys):
+        """Whatever escapes the loop's own work — here a decoder that
+        breaks, then a posted callback that does — is reported and costs
+        at most the connection it served; the loop thread goes on."""
+        server = make_server()
+        try:
+            healthy = WireConnection("127.0.0.1", server.port)
+            assert healthy.call("PING", {})["pong"]
+            doomed = WireConnection("127.0.0.1", server.port)
+            assert doomed.call("PING", {})["pong"]
+
+            def broken_feed(data):
+                raise RuntimeError("decoder bug")
+
+            victim = server._connections[max(server._connections)]  # the newer one
+            victim.decoder.feed = broken_feed
+            doomed.send("PING", {})
+            with pytest.raises(ConnectionClosed):
+                doomed.receive()
+            doomed.close()
+            server._post(broken_feed, b"")
+            assert healthy.call("PING", {})["pong"]
+            healthy.close()
+        finally:
+            server.shutdown()
+        assert capsys.readouterr().err.count("RuntimeError: decoder bug") == 2
+        stats = server.stats()
+        assert stats["sessions_opened"] == stats["sessions_closed"] == 2
+
+
+BIG_FRAME = 64 * 1024 * 1024
+
+
+def wide_table_server():
+    """A server whose ``SCAN Account`` reply (~12 MB: 100 rows whose
+    60 kB name is both key and column) is more than the kernel buffers of
+    a loopback connection hold, so a client that does not read it leaves
+    the server with bytes it cannot send."""
+    server = make_server(max_frame=BIG_FRAME)
+    wire = WireConnection("127.0.0.1", server.port)
+    wire.call("BEGIN", {"label": "widen"})
+    for i in range(100):
+        row = {"Name": f"{i:03d}" + "x" * 60_000, "CustomerId": 1000 + i}
+        wire.call("INSERT", {"table": "Account", "row": row})
+    wire.call("COMMIT", {})
+    wire.close()
+    return server
+
+
+def slow_reader(server):
+    """A connection that has asked for the big reply and reads none of it."""
+    wire = WireConnection("127.0.0.1", server.port, max_frame=BIG_FRAME)
+    wire.sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 256 * 1024)
+    wire.send("SCAN", {"table": "Account", "description": "everything", "begin": "wide"})
+    return wire
+
+
+class TestSlowReader:
+    def test_unread_reply_waits_in_the_outbox_not_on_the_loop(self):
+        server = wide_table_server()
+        try:
+            slow = slow_reader(server)
+            wait_until(
+                lambda: server.stats()["rpcs_total"] >= 103,
+                message="the SCAN to be served",
+            )
+            # The loop thread is not stuck in that send: others are served.
+            other = WireConnection("127.0.0.1", server.port, timeout=5.0)
+            assert other.call("PING", {})["pong"]
+            other.close()
+            # ... and the reply arrives whole once its reader turns up.
+            rows = slow.receive()["rows"]
+            wide = [key for key, row in rows if len(key) > 60_000]
+            assert len(rows) == 110 and len(wide) == 100
+            assert all(row["Name"] == key for key, row in rows)
+            assert sorted(key[:3] for key in wide) == [f"{i:03d}" for i in range(100)]
+            slow.call("ROLLBACK", {})
+            slow.close()
+        finally:
+            server.shutdown()
+
+    def test_reader_that_vanishes_with_a_full_outbox_is_reaped(self):
+        server = wide_table_server()
+        try:
+            slow = slow_reader(server)
+            wait_until(
+                lambda: server.stats()["rpcs_total"] >= 103,
+                message="the SCAN to be served",
+            )
+            slow.close()  # megabytes of reply still unsent
+            wait_until(
+                lambda: server.stats()["connections_active"] == 0,
+                message="reaping of the vanished reader",
+            )
+            stats = server.stats()
+            assert stats["sessions_opened"] == stats["sessions_closed"] == 2
+            assert stats["active_transactions"] == 0
+        finally:
+            server.shutdown()
+
+
+class TestNoAsyncioNoLeakedDescriptors:
+    def test_importing_the_server_does_not_import_asyncio(self):
+        """The server children of every tcp:// and cluster:// deployment
+        start from this import; a fresh interpreter, so that nothing else
+        this test process imported can hide (or cause) the answer."""
+        probe = (
+            "import sys, repro.net.server, repro.net.__main__; "
+            "sys.exit('asyncio' in sys.modules)"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
+        sources = Path(repro.__file__).parent.rglob("*.py")
+        assert [str(p) for p in sources if "import asyncio" in p.read_text()] == []
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
+    )
+    def test_shutdown_closes_every_descriptor_the_loop_opened(self):
+        """Listener, selector, wake-up pair, admitted and parked sockets:
+        nobody warns about the ones a hand-written loop forgets."""
+        before = len(os.listdir("/proc/self/fd"))
+        server = make_server(max_connections=1)
+        admitted = WireConnection("127.0.0.1", server.port)
+        assert admitted.call("PING", {})["pong"]
+        parked = WireConnection("127.0.0.1", server.port)
+        wait_until(
+            lambda: server.stats()["connections_parked"] == 1,
+            message="second connection to park",
+        )
+        server.shutdown()
+        admitted.close()
+        parked.close()
+        assert len(os.listdir("/proc/self/fd")) == before
 
 
 class TestCountersAreExact:
