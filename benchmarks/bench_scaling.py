@@ -15,6 +15,11 @@ removed the *engine's own* serialization and convoy overhead):
   ``readonly`` and ``balance60`` mixes under SI, S2PL and SSI at
   MPL ∈ {1, 4, 8, 16, 30}.
 
+* **Write path** — what a read, a one-row and a three-row update add to
+  an empty transaction on one thread: microseconds (recorded, never
+  gated) and Python-level call counts (host-independent; gated in tier-1
+  by ``tests/test_engine_write_budget.py``).
+
 Results are appended to ``BENCH_engine.json`` at the repo root so the
 performance trajectory is tracked across PRs (CI uploads it as an
 artifact).
@@ -36,16 +41,20 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import statistics
+import sys
 import threading
 import time
 from pathlib import Path
+from typing import Callable
 
 from repro.bench.harness import append_bench_record
-from repro.engine import EngineConfig
+from repro.engine import EngineConfig, Session
 from repro.engine.engine import Database
 from repro.obs import Observability
 from repro.smallbank import (
     CHECKING,
+    SAVING,
     PopulationConfig,
     build_database,
     get_strategy,
@@ -170,6 +179,88 @@ def run_tps_curves(
                 for mpl in mpls
             }
     return out
+
+
+# ----------------------------------------------------------------------
+# Write path: what a statement adds to an empty transaction
+# ----------------------------------------------------------------------
+def python_calls(body: Callable[..., None], *args: object) -> int:
+    """Python-level function calls (``sys.setprofile`` ``call`` events)
+    made while ``body(*args)`` runs, ``body``'s own frame not counted."""
+    calls = 0
+
+    def profiler(frame, event, arg) -> None:
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profiler)
+    try:
+        body(*args)
+    finally:
+        sys.setprofile(previous)
+    return calls - 1
+
+
+def write_path_shapes() -> "dict[str, Callable[[int], None]]":
+    """One-transaction bodies over a fresh SI SmallBank database with no
+    fault plan, observer or observability installed; the argument picks
+    the customer (any int)."""
+    customers = 100
+    session = Session(
+        build_database(EngineConfig.postgres(), PopulationConfig(customers=customers))
+    )
+
+    def empty(i: int) -> None:
+        session.begin("write-path")
+        session.commit()
+
+    def read(i: int) -> None:
+        session.begin("write-path")
+        session.select(CHECKING, i % customers + 1)
+        session.commit()
+
+    def update(i: int) -> None:
+        session.begin("write-path")
+        session.update(CHECKING, i % customers + 1, {"Balance": float(i)})
+        session.commit()
+
+    def update3(i: int) -> None:
+        session.begin("write-path")
+        session.update(CHECKING, i % customers + 1, {"Balance": float(i)})
+        session.update(SAVING, i % customers + 1, {"Balance": float(i)})
+        session.update(CHECKING, (i + 1) % customers + 1, {"Balance": float(i)})
+        session.commit()
+
+    return {"empty": empty, "read": read, "update": update, "update3": update3}
+
+
+def write_path_calls() -> "dict[str, int]":
+    """Python-level calls per transaction shape (each run once unmeasured
+    first, so nothing done on first use is counted)."""
+    counts = {}
+    for name, shape in write_path_shapes().items():
+        shape(0)
+        counts[name] = python_calls(shape, 1)
+    return counts
+
+
+def measure_write_path() -> dict:
+    """The ``write_path`` block of a run record: microseconds per
+    transaction (median of 9 batches of 300, one thread) and the call
+    counts, for an empty, a one-read, a one-update and a three-update
+    transaction."""
+    micros = {}
+    for name, shape in write_path_shapes().items():
+        samples = []
+        for _ in range(1 + 9):  # the first batch warms up
+            started = time.perf_counter()
+            for i in range(300):
+                shape(i)
+            samples.append((time.perf_counter() - started) / 300 * 1e6)
+        micros[name] = round(statistics.median(samples[1:]), 2)
+    return {"us_per_txn": micros, "python_calls_per_txn": write_path_calls()}
 
 
 # ----------------------------------------------------------------------
@@ -311,6 +402,12 @@ def main(argv: "list[str] | None" = None) -> int:
             f"   ssi aborts {snap['ssi_aborts']}"
         )
 
+    write_path = measure_write_path()
+    print("== Write path (one thread, per transaction; recorded, not gated) ==")
+    for name, micros in write_path["us_per_txn"].items():
+        calls = write_path["python_calls_per_txn"][name]
+        print(f"  {name:<8} {micros:7.2f} us  {calls:3d} Python-level calls")
+
     failures = 0
     if retention < min_retention:
         print(f"FAIL: MPL-8/MPL-1 retention {retention:.2f} below {min_retention}")
@@ -332,6 +429,7 @@ def main(argv: "list[str] | None" = None) -> int:
                 "mpl8_over_mpl1_retention": round(retention, 2),
                 "smallbank_tps": curves,
                 "metrics": metrics,
+                "write_path": write_path,
             }
         )
         print(f"appended run record to {BENCH_JSON.name}")

@@ -114,6 +114,7 @@ from repro.faults import FaultPlan
 Row = Mapping[str, object]
 
 _ACTIVE = TxnStatus.ACTIVE
+_EXCLUSIVE = LockMode.EXCLUSIVE
 
 
 @dataclass(frozen=True)
@@ -183,11 +184,14 @@ class Database:
         self._nstripes = self.config.stripes
         self._stripes = tuple(threading.Lock() for _ in range(self._nstripes))
         self._group_commit = GroupCommitBuffer()
-        # Hot-path accelerators: the isolation test and the table lookup
-        # run on every read, so resolve them to one attribute/dict probe.
-        # _table_map aliases the catalog's own (mutable) mapping, so tables
-        # added later are seen here too.
+        # Hot-path accelerators: the isolation / conflict-policy tests and
+        # the table lookup run on every read or write, so resolve them to
+        # one attribute/dict probe.  _table_map aliases the catalog's own
+        # (mutable) mapping, so tables added later are seen here too.
         self._s2pl = self.config.isolation is IsolationLevel.S2PL
+        policy, Policy = self.config.write_conflict, WriteConflictPolicy
+        self._first_updater_wins = policy is Policy.FIRST_UPDATER_WINS and not self._s2pl
+        self._first_committer_wins = policy is Policy.FIRST_COMMITTER_WINS
         self._table_map = self.catalog._tables
         self._active: dict[int, Transaction] = {}
         self._observers = list(observers or [])
@@ -599,9 +603,7 @@ class Database:
         row_id: RowId = (table_name, key)
         while True:
             with self._stripe(row_id):
-                blockers = self.locks.try_acquire(
-                    txn.txid, row_id, LockMode.EXCLUSIVE
-                )
+                blockers = self.locks.try_acquire(txn.txid, row_id, _EXCLUSIVE)
             if not blockers:
                 break
             wait = self._wait_on(blockers)
@@ -637,44 +639,57 @@ class Database:
         Writers synchronize per-stripe — two writers contend only when
         their rows hash to the same stripe.
         """
-        self._ensure_not_crashed()
-        txn.ensure_active()
-        self._check_doomed(txn)
-        table = self.catalog.table(table_name)
+        if self._crashed:
+            self._ensure_not_crashed()
+        if txn.status is not _ACTIVE:
+            txn.ensure_active()
+        ssi = self._ssi
+        if ssi is not None and ssi.is_doomed(txn):
+            self._check_doomed(txn)
+        table = self._table_map.get(table_name)
+        if table is None:
+            self.catalog.table(table_name)  # raises SchemaError
         if value is not None:
-            value = table.schema.validate_row(value)
-            if value[table.schema.primary_key] != key:
+            schema = table.schema
+            value = schema.validate_row(value)
+            if value[schema.primary_key] != key:
                 raise IntegrityError(
-                    f"row primary key {value[table.schema.primary_key]!r} "
+                    f"row primary key {value[schema.primary_key]!r} "
                     f"does not match write target {key!r}"
                 )
+            # validate_row returned a copy nobody else holds: freeze it as is.
+            value = MappingProxyType(value)
         row_id: RowId = (table_name, key)
-        stripe = self._stripe(row_id)
+        txid = txn.txid
+        stripe = self._stripes[hash(row_id) % self._nstripes]
         while True:
             with stripe:
-                blockers = self.locks.try_acquire(
-                    txn.txid, row_id, LockMode.EXCLUSIVE
-                )
+                blockers = self.locks.try_acquire(txid, row_id, _EXCLUSIVE)
             if not blockers:
                 break
             wait = self._wait_on(blockers)
             if wait is not None:
                 return wait
-        if self.config.isolation is not IsolationLevel.S2PL:
-            if self.config.write_conflict is WriteConflictPolicy.FIRST_UPDATER_WINS:
-                # The exclusive lock pins the chain tip (see the commit
-                # protocol), so this check is race-free without the mutex.
-                self._check_write_conflict(txn, table, key, row_id)
-        frozen = freeze_row(value)
+        if self._first_updater_wins:
+            # The exclusive lock pins the chain tip (see the commit
+            # protocol), so this check is race-free without the mutex.
+            self._check_write_conflict(txn, table, key, row_id)
+        rows = table.rows
         with stripe:
-            chain = table.chain_or_create(key)
-            chain.uncommitted = UncommittedVersion(txn.txid, frozen)
-        txn.record_write(row_id, frozen)
+            chain = rows.get(key)
+            if chain is None:
+                chain = rows[key] = VersionChain()
+            chain.uncommitted = UncommittedVersion(txid, value)
+        writes = txn.writes
+        if row_id not in writes:
+            txn.write_order.append(row_id)
+        writes[row_id] = value
         if self._obs is not None:
             self._obs.engine_write(txn, row_id)
-        if self._ssi is not None:
-            self._ssi.on_write(txn, row_id)
-            self._check_doomed(txn)
+        if ssi is not None:
+            ssi.on_write(txn, row_id)
+            if ssi.is_doomed(txn):
+                self._check_doomed(txn)
         return None
 
     def insert(
@@ -687,9 +702,10 @@ class Database:
         value = table.schema.validate_row(value)
         key = value[table.schema.primary_key]
         row_id: RowId = (table_name, key)
-        existing = self._apply_own_write(
-            txn, row_id, table.visible_row(key, self._read_horizon(txn))
-        )
+        if row_id in txn.writes:
+            existing = txn.writes[row_id]
+        else:
+            existing = table.visible_row(key, self._read_horizon(txn))
         if existing is not None:
             raise IntegrityError(
                 f"duplicate primary key {key!r} in {table_name!r}"
@@ -717,87 +733,87 @@ class Database:
         record's log position is fixed by staging it under the mutex).
         ``commit`` returns only once the record is durable.
         """
-        callbacks: list[Callable[[Transaction], None]]
         record: Optional[WalRecord] = None
         obs = self._obs
         commit_started = obs.now() if obs is not None else 0.0
         with self._commit_mutex:
-            self._ensure_not_crashed()
-            txn.ensure_active()
-            if self.faults is not None and self.faults.should_fire("abort-at-commit"):
+            if self._crashed:
+                self._ensure_not_crashed()
+            if txn.status is not _ACTIVE:
+                txn.ensure_active()
+            faults = self.faults
+            if faults is not None and faults.should_fire("abort-at-commit"):
                 self._abort_locked(txn, reason="fault")
-                callbacks = txn.drain_callbacks()
-                self._fire(callbacks, txn)
+                self._fire(txn.drain_callbacks(), txn)
                 raise FaultInjected(
                     f"txn {txn.txid} ({txn.label}) aborted at commit by fault plan"
                 )
-            if self._ssi is not None and self._ssi.is_doomed(txn):
+            ssi = self._ssi
+            if ssi is not None and ssi.is_doomed(txn):
                 self._abort_locked(txn, reason="ssi")
-                callbacks = txn.drain_callbacks()
-                self._fire(callbacks, txn)
+                self._fire(txn.drain_callbacks(), txn)
                 raise SsiAbort(
                     f"txn {txn.txid} ({txn.label}) is an SSI pivot"
                 )
-            if self.config.write_conflict is WriteConflictPolicy.FIRST_COMMITTER_WINS:
+            if self._first_committer_wins:
                 conflict = self._first_committer_conflict(txn)
                 if conflict is not None:
                     self._abort_locked(txn, reason="serialization")
-                    callbacks = txn.drain_callbacks()
-                    self._fire(callbacks, txn)
+                    self._fire(txn.drain_callbacks(), txn)
                     raise SerializationFailure(conflict)
             # Reserve the commit timestamp without ticking the clock yet:
             # every live snapshot has snapshot_ts <= clock.last < commit_ts,
             # so the versions published below stay invisible until the tick.
             commit_ts = self.clock.peek_next()
-            if txn.writes:
-                # Validate every unique constraint BEFORE publishing
-                # anything: a violation must leave no versions behind (and
-                # consume no timestamp).  ``staged`` lets validation see the
-                # transaction's own writes to other rows.
-                staged_by_table: dict[
-                    str, dict[Hashable, Optional[Row]]
-                ] = {}
-                for (tn, k), v in txn.writes.items():
-                    staged_by_table.setdefault(tn, {})[k] = v
-                for row_id in txn.write_order:
-                    tn, key = row_id
-                    self.catalog.table(tn).check_unique_on_commit(
-                        key, txn.writes[row_id], commit_ts,
-                        staged=staged_by_table[tn],
+            txid = txn.txid
+            writes = txn.writes
+            tables = self._table_map
+            # Validate every unique constraint BEFORE publishing anything:
+            # a violation must leave no versions behind (and consume no
+            # timestamp).  ``staged`` lets validation see the transaction's
+            # own writes to other rows of a table that has unique columns.
+            staged_by_table: dict[str, dict[Hashable, Optional[Row]]] = {}
+            for row_id in txn.write_order:
+                tn, key = row_id
+                if tables[tn].schema.unique:
+                    if tn not in staged_by_table:
+                        staged_by_table[tn] = {
+                            k: v for (t, k), v in writes.items() if t == tn
+                        }
+                    tables[tn].check_unique_on_commit(
+                        key, writes[row_id], commit_ts, staged_by_table[tn]
                     )
             txn.commit_ts = commit_ts
+            redo = []
             for row_id in txn.write_order:
-                table_name, key = row_id
-                table = self.catalog.table(table_name)
-                value = txn.writes[row_id]
-                chain = table.chain_or_create(key)
-                version = Version(commit_ts=commit_ts, txid=txn.txid, value=value)
+                tn, key = row_id
+                table = tables[tn]
+                value = writes[row_id]
+                version = Version(commit_ts, txid, value)
+                chain = table.rows[key]  # write() created it
                 chain.append_committed(version)
-                if chain.uncommitted is not None and chain.uncommitted.txid == txn.txid:
+                uncommitted = chain.uncommitted
+                if uncommitted is not None and uncommitted.txid == txid:
                     chain.uncommitted = None
-                table.index_committed_version(key, version)
-            for table_name, key in txn.cc_writes:
-                table = self.catalog.table(table_name)
-                table.cc_write_ts[key] = commit_ts
+                if table.schema.unique:
+                    table.index_committed_version(key, version)
+                redo.append((row_id, value))
+            for tn, key in txn.cc_writes:
+                tables[tn].cc_write_ts[key] = commit_ts
             issued = self.clock.next()  # the tick that makes it all visible
             assert issued == commit_ts, "commit tick raced the reservation"
-            if txn.writes:
+            if writes:
                 record = WalRecord(
                     commit_ts=commit_ts,
-                    txid=txn.txid,
+                    txid=txid,
                     label=txn.label,
                     rows=tuple(txn.write_order),
-                    redo=tuple(
-                        (row_id, txn.writes[row_id])
-                        for row_id in txn.write_order
-                    ),
+                    redo=tuple(redo),
                 )
                 self._group_commit.stage(record)
                 if obs is not None:
                     obs.engine_wal_stage(txn, record)
-                if self.faults is not None and self.faults.should_fire(
-                    "crash-mid-commit"
-                ):
+                if faults is not None and faults.should_fire("crash-mid-commit"):
                     # Power fails after the record is staged but before the
                     # flush: the commit is NOT durable and must vanish on
                     # recovery, even though versions were already published
@@ -809,10 +825,10 @@ class Database:
                         f"({txn.label}): WAL record staged but not flushed"
                     )
             txn.status = TxnStatus.COMMITTED
-            self._active.pop(txn.txid, None)
-            self._release_locks(txn.txid)
-            if self._ssi is not None:
-                self._ssi.on_resolve(txn, self._active.values())
+            self._active.pop(txid, None)
+            self._release_locks(txid)
+            if ssi is not None:
+                ssi.on_resolve(txn, self._active.values())
             callbacks = txn.drain_callbacks()
         try:
             if record is not None:
@@ -918,8 +934,10 @@ class Database:
         window is acceptable for this reproduction (and documented).
         """
         with self._commit_mutex:
-            self._ensure_not_crashed()
-            txn.ensure_active()
+            if self._crashed:
+                self._ensure_not_crashed()
+            if txn.status is not _ACTIVE:
+                txn.ensure_active()
             if (
                 gtid in self._prepared
                 or gtid in self._in_doubt
@@ -930,40 +948,36 @@ class Database:
                 )
             if self._ssi is not None and self._ssi.is_doomed(txn):
                 self._abort_locked(txn, reason="ssi")
-                callbacks = txn.drain_callbacks()
-                self._fire(callbacks, txn)
+                self._fire(txn.drain_callbacks(), txn)
                 raise SsiAbort(
                     f"txn {txn.txid} ({txn.label}) is an SSI pivot"
                 )
-            if self.config.write_conflict is WriteConflictPolicy.FIRST_COMMITTER_WINS:
+            if self._first_committer_wins:
                 conflict = self._first_committer_conflict(txn)
                 if conflict is not None:
                     self._abort_locked(txn, reason="serialization")
-                    callbacks = txn.drain_callbacks()
-                    self._fire(callbacks, txn)
+                    self._fire(txn.drain_callbacks(), txn)
                     raise SerializationFailure(conflict)
-            if txn.writes:
-                staged_by_table: dict[
-                    str, dict[Hashable, Optional[Row]]
-                ] = {}
-                for (tn, k), v in txn.writes.items():
-                    staged_by_table.setdefault(tn, {})[k] = v
-                probe_ts = self.clock.peek_next()
-                for row_id in txn.write_order:
-                    tn, key = row_id
-                    self.catalog.table(tn).check_unique_on_commit(
-                        key, txn.writes[row_id], probe_ts,
-                        staged=staged_by_table[tn],
+            writes = txn.writes
+            tables = self._table_map
+            probe_ts = self.clock.peek_next()
+            staged_by_table: dict[str, dict[Hashable, Optional[Row]]] = {}
+            for row_id in txn.write_order:
+                tn, key = row_id
+                if tables[tn].schema.unique:
+                    if tn not in staged_by_table:
+                        staged_by_table[tn] = {
+                            k: v for (t, k), v in writes.items() if t == tn
+                        }
+                    tables[tn].check_unique_on_commit(
+                        key, writes[row_id], probe_ts, staged_by_table[tn]
                     )
             record = WalRecord(
                 commit_ts=0,  # no timestamp until the decision
                 txid=txn.txid,
                 label=txn.label,
                 rows=tuple(txn.write_order),
-                redo=tuple(
-                    (row_id, txn.writes[row_id])
-                    for row_id in txn.write_order
-                ),
+                redo=tuple([(row, writes[row]) for row in txn.write_order]),
                 kind="prepare",
                 gtid=gtid,
             )
@@ -995,7 +1009,8 @@ class Database:
         obs = self._obs
         commit_started = obs.now() if obs is not None else 0.0
         with self._commit_mutex:
-            self._ensure_not_crashed()
+            if self._crashed:
+                self._ensure_not_crashed()
             decided = self._resolved_gtids.get(gtid)
             if decided is not None:
                 outcome, decided_ts = decided
@@ -1008,27 +1023,25 @@ class Database:
             commit_ts = self.clock.peek_next()
             if txn is not None:
                 txn.commit_ts = commit_ts
+                txid = txn.txid
+                writes = txn.writes
+                tables = self._table_map
                 for row_id in txn.write_order:
-                    table_name, key = row_id
-                    table = self.catalog.table(table_name)
-                    value = txn.writes[row_id]
-                    chain = table.chain_or_create(key)
-                    version = Version(
-                        commit_ts=commit_ts, txid=txn.txid, value=value
-                    )
+                    tn, key = row_id
+                    table = tables[tn]
+                    version = Version(commit_ts, txid, writes[row_id])
+                    chain = table.rows[key]  # write() created it
                     chain.append_committed(version)
-                    if (
-                        chain.uncommitted is not None
-                        and chain.uncommitted.txid == txn.txid
-                    ):
+                    uncommitted = chain.uncommitted
+                    if uncommitted is not None and uncommitted.txid == txid:
                         chain.uncommitted = None
-                    table.index_committed_version(key, version)
-                for table_name, key in txn.cc_writes:
-                    table = self.catalog.table(table_name)
-                    table.cc_write_ts[key] = commit_ts
+                    if table.schema.unique:
+                        table.index_committed_version(key, version)
+                for tn, key in txn.cc_writes:
+                    tables[tn].cc_write_ts[key] = commit_ts
                 record = WalRecord(
                     commit_ts=commit_ts,
-                    txid=txn.txid,
+                    txid=txid,
                     label=txn.label,
                     rows=(),
                     redo=(),
@@ -1072,8 +1085,8 @@ class Database:
                 if obs is not None:
                     obs.engine_wal_stage(txn, record)
                 txn.status = TxnStatus.COMMITTED
-                self._active.pop(txn.txid, None)
-                self._release_locks(txn.txid)
+                self._active.pop(txid, None)
+                self._release_locks(txid)
                 if self._ssi is not None:
                     self._ssi.on_resolve(txn, self._active.values())
                 callbacks = txn.drain_callbacks()
@@ -1148,9 +1161,7 @@ class Database:
             holder.gtid = gtid
             for row_id, _value in record.redo:
                 with self._stripe(row_id):
-                    self.locks.try_acquire(
-                        holder.txid, row_id, LockMode.EXCLUSIVE
-                    )
+                    self.locks.try_acquire(holder.txid, row_id, _EXCLUSIVE)
             self._active[holder.txid] = holder
             self._in_doubt[gtid] = record
             self._in_doubt_holders[gtid] = holder
@@ -1191,10 +1202,12 @@ class Database:
         ``try_acquire`` on another thread observes either the held or the
         fully-released entry, never a partial state.
         """
-        for row in sorted(self.locks.rows_held_by(txid), key=repr):
-            with self._stripe(row):
-                self.locks.release_one(txid, row)
-        self.locks.finish_release(txid)
+        locks = self.locks
+        rows = locks.rows_held_by(txid)
+        for row in rows if len(rows) < 2 else sorted(rows, key=repr):
+            with self._stripes[hash(row) % self._nstripes]:
+                locks.release_one(txid, row)
+        locks.finish_release(txid)
 
     # ------------------------------------------------------------------
     # Maintenance
@@ -1240,8 +1253,7 @@ class Database:
                 self._abort_locked(
                     txn, reason=getattr(exc, "reason", "deadlock")
                 )
-                callbacks = txn.drain_callbacks()
-                self._fire(callbacks, txn)
+                self._fire(txn.drain_callbacks(), txn)
                 raise
 
     def end_wait(self, txn: Transaction) -> None:
@@ -1311,13 +1323,6 @@ class Database:
         )
         self._record_read(txn, row_id, version.commit_ts if version else 0)
 
-    def _apply_own_write(
-        self, txn: Transaction, row_id: RowId, committed: Optional[Row]
-    ) -> Optional[Row]:
-        if row_id in txn.writes:
-            return txn.writes[row_id]
-        return committed
-
     def _check_write_conflict(
         self, txn: Transaction, table: Table, key: Hashable, row_id: RowId
     ) -> None:
@@ -1329,8 +1334,9 @@ class Database:
         before releasing it.  A version newer than our snapshot means a
         concurrent transaction already won.
         """
-        chain = table.chain(key)
-        newest = chain.latest_commit_ts() if chain is not None else 0
+        chain = table.rows.get(key)
+        committed = chain._committed if chain is not None else ()
+        newest = committed[-1].commit_ts if committed else 0
         if newest > txn.snapshot_ts:
             self._fail_serialization(
                 txn,
@@ -1338,7 +1344,7 @@ class Database:
                 f"by a concurrent transaction (committed at {newest}, "
                 f"snapshot at {txn.snapshot_ts})",
             )
-        cc_ts = table.latest_cc_write_ts(key)
+        cc_ts = table.cc_write_ts.get(key, 0)
         if cc_ts > txn.snapshot_ts:
             self._fail_serialization(
                 txn,
@@ -1351,8 +1357,7 @@ class Database:
         with self._commit_mutex:
             if txn.status is TxnStatus.ACTIVE:
                 self._abort_locked(txn, reason="serialization")
-                callbacks = txn.drain_callbacks()
-                self._fire(callbacks, txn)
+                self._fire(txn.drain_callbacks(), txn)
         raise SerializationFailure(message)
 
     def _first_committer_conflict(self, txn: Transaction) -> Optional[str]:
@@ -1366,7 +1371,7 @@ class Database:
                     f"txn {txn.txid} ({txn.label}): first-committer-wins "
                     f"validation failed on {row_id!r}"
                 )
-            if table.latest_cc_write_ts(key) > txn.snapshot_ts:
+            if table.cc_write_ts.get(key, 0) > txn.snapshot_ts:
                 return (
                     f"txn {txn.txid} ({txn.label}): first-committer-wins "
                     f"validation failed on SFU-marked {row_id!r}"
@@ -1385,8 +1390,7 @@ class Database:
         with self._commit_mutex:
             if txn.status is TxnStatus.ACTIVE:
                 self._abort_locked(txn, reason="ssi")
-                callbacks = txn.drain_callbacks()
-                self._fire(callbacks, txn)
+                self._fire(txn.drain_callbacks(), txn)
         raise SsiAbort(f"txn {txn.txid} ({txn.label}) is an SSI pivot")
 
     def _wait_on(self, blocker_ids: frozenset[int]) -> Optional[WaitOn]:

@@ -17,7 +17,6 @@ performs deadlock detection on the waits-for graph.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Optional
 
 from repro.errors import DeadlockError
@@ -31,24 +30,8 @@ class LockMode(enum.Enum):
     EXCLUSIVE = "exclusive"
 
 
-def _compatible(held: LockMode, requested: LockMode) -> bool:
-    return held is LockMode.SHARED and requested is LockMode.SHARED
-
-
-@dataclass
-class _LockEntry:
-    """Current holders of one row lock."""
-
-    holders: dict[int, LockMode] = field(default_factory=dict)
-
-    def conflicts_with(self, txid: int, mode: LockMode) -> frozenset[int]:
-        """Ids of holders (other than ``txid``) incompatible with ``mode``."""
-        blockers = {
-            holder
-            for holder, held in self.holders.items()
-            if holder != txid and not _compatible(held, mode)
-        }
-        return frozenset(blockers)
+_EXCLUSIVE = LockMode.EXCLUSIVE
+_GRANTED: frozenset[int] = frozenset()
 
 
 class LockManager:
@@ -79,7 +62,8 @@ class LockManager:
         if lock_timeout is not None and lock_timeout <= 0:
             raise ValueError("lock_timeout must be positive (or None to wait forever)")
         self.lock_timeout = lock_timeout
-        self._locks: dict[RowId, _LockEntry] = {}
+        # row -> {holder txid: mode}; a row nobody holds has no entry.
+        self._locks: dict[RowId, dict[int, LockMode]] = {}
         self._held_by_txn: dict[int, set[RowId]] = {}
         # txid -> ids of transactions it currently waits for.
         self._waits_for: dict[int, frozenset[int]] = {}
@@ -95,30 +79,35 @@ class LockManager:
         Lock upgrade (shared -> exclusive) is supported and subject to the
         same conflict rules against *other* holders.
         """
-        entry = self._locks.get(row)
-        if entry is None:
-            entry = _LockEntry()
-            self._locks[row] = entry
-        blockers = entry.conflicts_with(txid, mode)
-        if blockers:
-            return blockers
-        current = entry.holders.get(txid)
-        if current is None or (
-            current is LockMode.SHARED and mode is LockMode.EXCLUSIVE
-        ):
-            entry.holders[txid] = mode
-        self._held_by_txn.setdefault(txid, set()).add(row)
-        return frozenset()
+        holders = self._locks.get(row)
+        if holders is None:
+            self._locks[row] = {txid: mode}
+        else:
+            current = holders.get(txid)
+            if current is None or len(holders) > 1:  # somebody else is here
+                blockers = {
+                    other
+                    for other, held in holders.items()
+                    if other != txid
+                    and (held is _EXCLUSIVE or mode is _EXCLUSIVE)
+                }
+                if blockers:
+                    return frozenset(blockers)
+            if current is not _EXCLUSIVE:  # first grant, or an upgrade
+                holders[txid] = mode
+        held_rows = self._held_by_txn.get(txid)
+        if held_rows is None:
+            self._held_by_txn[txid] = {row}
+        else:
+            held_rows.add(row)
+        return _GRANTED
 
     def holds(self, txid: int, row: RowId, mode: Optional[LockMode] = None) -> bool:
-        entry = self._locks.get(row)
-        if entry is None or txid not in entry.holders:
-            return False
-        return mode is None or entry.holders[txid] is mode
+        held = self._locks.get(row, {}).get(txid)
+        return held is not None and (mode is None or held is mode)
 
     def holders(self, row: RowId) -> dict[int, LockMode]:
-        entry = self._locks.get(row)
-        return dict(entry.holders) if entry else {}
+        return dict(self._locks.get(row, ()))
 
     def rows_held_by(self, txid: int) -> frozenset[RowId]:
         return frozenset(self._held_by_txn.get(txid, ()))
@@ -130,11 +119,11 @@ class LockManager:
         :meth:`try_acquire` cannot observe a half-removed entry) and must
         follow up with :meth:`finish_release` once every row is done.
         """
-        entry = self._locks.get(row)
-        if entry is None:
+        holders = self._locks.get(row)
+        if holders is None:
             return
-        entry.holders.pop(txid, None)
-        if not entry.holders:
+        holders.pop(txid, None)
+        if not holders:
             del self._locks[row]
 
     def finish_release(self, txid: int) -> None:

@@ -203,15 +203,20 @@ class Session:
         changed columns from the current row.  Returns False when the row
         does not exist in the transaction's view (0 rows updated).
         """
-        self._charge(kind)
-        txn = self.transaction
-        while isinstance(current := self.db.read(txn, table, key), WaitOn):
+        txn = self.txn
+        if txn is None:
+            txn = self.transaction  # raises TransactionStateError
+        if self.statement_hook is not None:
+            self.statement_hook(kind, txn)
+        db = self.db
+        while isinstance(current := db.read(txn, table, key), WaitOn):
             self._wait(current)
         if current is None:
             return False
         merged = dict(current)
         merged.update(changes(current) if callable(changes) else changes)
-        self._write(table, key, merged)
+        while (wait := db.write(txn, table, key, merged)) is not None:
+            self._wait(wait)
         return True
 
     def identity_update(
@@ -240,9 +245,6 @@ class Session:
         the same engine footprint as a local :meth:`update`.
         """
         self._charge(kind)
-        self._write(table, key, row)
-
-    def _write(self, table: str, key: Hashable, row: Optional[Row]) -> None:
         while (wait := self.db.write(self.transaction, table, key, row)) is not None:
             self._wait(wait)
 

@@ -31,10 +31,11 @@ from typing import Callable, Hashable, Iterator, Mapping, Optional
 from repro.errors import IntegrityError, SchemaError
 from repro.engine.versions import Version, VersionChain
 
-_TYPE_CHECKS: dict[str, Callable[[object], bool]] = {
-    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "numeric": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
-    "text": lambda v: isinstance(v, str),
+#: Python types a column kind accepts; ``bool`` never counts as a number.
+_KIND_TYPES: dict[str, tuple[type, ...]] = {
+    "int": (int,),
+    "numeric": (int, float),
+    "text": (str,),
 }
 
 
@@ -47,7 +48,7 @@ class Column:
     nullable: bool = False
 
     def __post_init__(self) -> None:
-        if self.kind not in _TYPE_CHECKS:
+        if self.kind not in _KIND_TYPES:
             raise SchemaError(f"unknown column type {self.kind!r}")
 
     def check(self, value: object) -> None:
@@ -55,7 +56,7 @@ class Column:
             if not self.nullable:
                 raise IntegrityError(f"column {self.name!r} is NOT NULL")
             return
-        if not _TYPE_CHECKS[self.kind](value):
+        if not isinstance(value, _KIND_TYPES[self.kind]) or isinstance(value, bool):
             raise IntegrityError(
                 f"column {self.name!r} expects {self.kind}, got {value!r}"
             )
@@ -103,6 +104,8 @@ class TableSchema:
         object.__setattr__(
             self, "_by_name", {c.name: c for c in self.columns}
         )
+        checks = tuple((c.name, _KIND_TYPES[c.kind], c) for c in self.columns)
+        object.__setattr__(self, "_checks", checks)
 
     @property
     def column_names(self) -> tuple[str, ...]:
@@ -121,7 +124,9 @@ class TableSchema:
             ) from None
 
     def validate_row(self, row: Mapping[str, object]) -> dict[str, object]:
-        """Type-check a full row and return a plain-dict copy."""
+        """Type-check a full row and return a plain-dict copy: the copy is
+        what gets checked, so the caller may freeze it as it is."""
+        row = dict(row)
         name_set = self._name_set
         keys = row.keys()
         if keys != name_set:
@@ -135,9 +140,12 @@ class TableSchema:
                 raise IntegrityError(
                     f"missing column(s) {sorted(missing)} for table {self.name!r}"
                 )
-        for col in self.columns:
-            col.check(row[col.name])
-        return dict(row)
+        for name, types, column in self._checks:
+            value = row[name]
+            # Column.check's accepting case inline; it words the rejections.
+            if not isinstance(value, types) or value is True or value is False:
+                column.check(value)
+        return row
 
 
 Indexes = dict[str, dict[Hashable, tuple[Hashable, ...]]]
@@ -382,10 +390,6 @@ class Table:
         mutex.
         """
         _index_version(self._indexes, key, version)
-
-    def latest_cc_write_ts(self, key: Hashable) -> int:
-        """Commit ts of the last committed commercial SFU on ``key`` (0 if none)."""
-        return self.cc_write_ts.get(key, 0)
 
 
 class Catalog:

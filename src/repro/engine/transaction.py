@@ -98,13 +98,6 @@ class Transaction:
         if row not in self.reads:
             self.reads[row] = version_ts
 
-    def record_write(
-        self, row: RowId, value: Optional[Mapping[str, object]]
-    ) -> None:
-        if row not in self.writes:
-            self.write_order.append(row)
-        self.writes[row] = value
-
     def record_predicate(
         self, table: str, description: str, matched: tuple[Hashable, ...]
     ) -> None:

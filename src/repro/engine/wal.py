@@ -76,7 +76,7 @@ class WalRecord:
     gtid: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.redo and tuple(row for row, _ in self.redo) != self.rows:
+        if self.redo and tuple([row for row, _ in self.redo]) != self.rows:
             raise ValueError(
                 "redo payload rows must match the record's row list"
             )

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from repro.api import ISOLATION_CONFIGS
@@ -168,7 +169,12 @@ def main(argv: "list[str] | None" = None) -> int:
     print(f"LISTENING {shard.port}", flush=True)
     _control_loop(shard)
     shard.shutdown()
-    print(f"STATS {json.dumps(shard.stats, sort_keys=True)}", flush=True)
+    try:
+        print(f"STATS {json.dumps(shard.stats, sort_keys=True)}", flush=True)
+    except BrokenPipeError:
+        # The parent is gone, nobody wants the line; stdout goes to /dev/null
+        # so that the interpreter's exit-time flush does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 

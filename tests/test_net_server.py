@@ -465,6 +465,31 @@ class TestSlowReader:
             server.shutdown()
 
 
+class TestStandaloneProcess:
+    def test_parent_already_gone_is_a_clean_exit(self):
+        """stdin at EOF and nobody reading stdout: the shard shuts down and
+        the final ``STATS`` line, which has no reader, must cost neither a
+        traceback nor the exit code."""
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        child = subprocess.Popen(
+            [sys.executable, "-m", "repro.net", "--customers", "5"],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        try:
+            assert child.stdout.readline().startswith(b"LISTENING ")
+            child.stdout.close()
+            child.stdin.close()
+            assert child.wait(timeout=30) == 0
+            assert child.stderr.read() == b""
+        finally:
+            child.kill()
+            child.wait()
+            child.stderr.close()
+
+
 class TestNoAsyncioNoLeakedDescriptors:
     def test_importing_the_server_does_not_import_asyncio(self):
         """The server children of every tcp:// and cluster:// deployment
