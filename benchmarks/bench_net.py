@@ -32,6 +32,12 @@ and RPCs per loop wake-up.  ``measure_server_work(8, 2.0, OTHER/src)``
 runs the point against another checkout's server (how the
 ``mpl8-server-compare`` record in ``BENCH_net.json`` was made).
 
+Recorded beside them, not gated (``measure_codec``): microseconds per
+``encode_frame`` / ``decode_payload`` of a SmallBank ``CALL`` request and
+its reply, and the Python-level calls ``session()`` + PING + ``close()``
+costs on each side of the wire (``ping_calls``, which
+``tests/test_net_rpc_budget.py`` bounds in tier-1).
+
 The run also asserts the server's robustness contract: after every
 driver run the server reports zero active connections/sessions and zero
 active transactions (nothing leaked), and it shuts down cleanly.
@@ -58,6 +64,7 @@ import os
 import statistics
 import subprocess
 import sys
+import threading
 import time
 from multiprocessing import get_context
 from pathlib import Path
@@ -68,6 +75,7 @@ from repro.engine import EngineConfig
 from repro.obs import Observability
 from repro.net import DatabaseServer
 from repro.net.client import WireConnection
+from repro.net.protocol import LENGTH_BYTES, decode_payload, encode_frame
 from repro.smallbank import (
     PopulationConfig,
     build_database,
@@ -277,6 +285,95 @@ def measure_server_work(
     }
 
 
+#: A SmallBank ``CALL`` as a ``tcp://`` client sends it (a Balance; the
+#: pid is a server's, so as wide as a real one) and the reply it gets.
+CALL_REQUEST = {
+    "op": "CALL", "pid": 812_345_678, "args": {"N": customer_name(42)}, "label": "Balance",
+}
+CALL_REPLY = {"result": 12345.67, "ok": True}
+
+
+def measure_codec() -> dict:
+    """The ``codec`` block of a run record: microseconds per
+    ``encode_frame`` / ``decode_payload`` of :data:`CALL_REQUEST` and
+    :data:`CALL_REPLY` (median of 9 batches of 2 000, one thread) and
+    :func:`ping_calls`.  Recorded, not gated."""
+    micros = {}
+    for name, message in (("call_request", CALL_REQUEST), ("call_reply", CALL_REPLY)):
+        payload = encode_frame(message)[LENGTH_BYTES:]
+        for verb, work, arg in (("encode", encode_frame, message), ("decode", decode_payload, payload)):
+            samples = []
+            for _ in range(1 + 9):  # the first batch warms up
+                started = time.perf_counter()
+                for _ in range(2000):
+                    work(arg)
+                samples.append((time.perf_counter() - started) / 2000 * 1e6)
+            micros[f"{verb}_{name}"] = round(statistics.median(samples[1:]), 3)
+    return {"us": micros, "python_calls_per_ping": ping_calls()}
+
+
+def _counting(counts: "list[int]"):
+    """A ``sys.setprofile`` function counting Python-level calls."""
+
+    def profiler(frame, event, arg) -> None:
+        if event == "call":
+            counts[0] += 1
+
+    return profiler
+
+
+def _set_profile(profiler, done: threading.Event) -> None:
+    sys.setprofile(profiler)
+    done.set()
+
+
+def ping_calls(runs: int = 3) -> dict:
+    """Python-level calls (``sys.setprofile`` ``call`` events) that
+    ``session()`` + PING + ``close()`` costs against an in-process server
+    with a pooled wire: on the client thread, and on the server's loop
+    thread through a profiler installed there with ``_post``.  The loop's
+    count is what the PING adds to installing and removing the profiler
+    around nothing, its wake-up included.  Fewest of ``runs``."""
+    db = build_database(EngineConfig.postgres(), PopulationConfig(customers=10))
+    server = DatabaseServer(db).start_in_thread()
+    conn = repro.connect(f"tcp://127.0.0.1:{server.port}")
+
+    def ping() -> None:
+        session = conn.session()
+        session._call("PING")
+        session.close()
+
+    def on_client() -> int:
+        counts = [0]
+        sys.setprofile(_counting(counts))
+        try:
+            ping()
+        finally:
+            sys.setprofile(None)
+        return counts[0] - 1  # ``ping``'s own frame
+
+    def on_loop(body) -> int:
+        counts = [0]
+        for profiler in (_counting(counts), None):
+            done = threading.Event()
+            server._post(_set_profile, profiler, done)
+            if not done.wait(10):
+                raise RuntimeError("the server's loop thread did not run a _post")
+            if profiler is not None:
+                body()
+        return counts[0]
+
+    try:
+        ping()  # from here on the pool holds a wire
+        return {
+            "client": min(on_client() for _ in range(runs)),
+            "server": min(on_loop(ping) - on_loop(lambda: None) for _ in range(runs)),
+        }
+    finally:
+        conn.close()
+        server.shutdown()
+
+
 def run_curves(mpls: "tuple[int, ...]", duration: float, rounds: int = 3) -> dict:
     """Measure both backends at each MPL, ``rounds`` times, interleaved.
 
@@ -437,6 +534,13 @@ def main(argv: "list[str] | None" = None) -> int:
         f"p95 {svc['p95_us']:7.1f}us   p99 {svc['p99_us']:7.1f}us"
     )
 
+    print("== Frame codec and Python calls per PING (recorded, not gated) ==")
+    codec = measure_codec()
+    print("  " + "   ".join(f"{name} {us:.2f}us" for name, us in codec["us"].items()))
+    calls = codec["python_calls_per_ping"]
+    print(f"  session() + PING + close(): {calls['client']} Python calls on the "
+          f"client, {calls['server']} on the server's loop thread")
+
     if not args.no_json:
         append_bench_record(
             BENCH_JSON,
@@ -450,6 +554,7 @@ def main(argv: "list[str] | None" = None) -> int:
                 "server_work": work,
                 "server_cpu_growth": round(growth, 3),
                 "rpc_latency": snapshot,
+                "codec": codec,
             }
         )
         print(f"appended run record to {BENCH_JSON.name}")

@@ -6,7 +6,7 @@ bit-identical to :func:`repro.cluster.partition.build_shard_database`
 under the same seed — and serves it over the wire protocol until stdin
 reaches EOF (the portable subprocess-control convention: the parent
 closes our stdin — or exits, which closes it too — and we shut down
-gracefully).
+gracefully) or a reply finds stdout closed (the parent is gone too).
 
 Protocol with the parent process, line-oriented stdout / stdin::
 
@@ -80,8 +80,19 @@ def _reply(shard: ThreadShard, command: str, rest: str) -> str:
     return f"ERR unknown command {command!r}"
 
 
+def _say(line: str) -> bool:
+    """One line to the parent; False if it is gone (stdout closed; now
+    /dev/null, so the exit-time flush does not fail again)."""
+    try:
+        print(line, flush=True)
+        return True
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return False
+
+
 def _control_loop(shard: ThreadShard) -> None:
-    """Serve until EOF, answering each control line with one reply line."""
+    """Answer each control line with one line until either pipe closes."""
     while True:
         try:
             line = sys.stdin.readline()
@@ -96,7 +107,8 @@ def _control_loop(shard: ThreadShard) -> None:
             reply = _reply(shard, command, rest.strip())
         except ReproError as exc:  # e.g. CRASH while already crashed
             reply = f"ERR {exc}"
-        print(reply, flush=True)
+        if not _say(reply):
+            break
 
 
 def main(argv: "list[str] | None" = None) -> int:
@@ -166,15 +178,10 @@ def main(argv: "list[str] | None" = None) -> int:
         obs=Observability() if args.obs else None,
         autovacuum_interval=args.autovacuum,
     )
-    print(f"LISTENING {shard.port}", flush=True)
-    _control_loop(shard)
+    if _say(f"LISTENING {shard.port}"):
+        _control_loop(shard)
     shard.shutdown()
-    try:
-        print(f"STATS {json.dumps(shard.stats, sort_keys=True)}", flush=True)
-    except BrokenPipeError:
-        # The parent is gone, nobody wants the line; stdout goes to /dev/null
-        # so that the interpreter's exit-time flush does not fail again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    _say(f"STATS {json.dumps(shard.stats, sort_keys=True)}")
     return 0
 
 

@@ -56,9 +56,10 @@ from repro.errors import (
 from repro.net.protocol import (
     DEFAULT_MAX_FRAME,
     STATEMENT_OPS,
+    FrameDecoder,
+    encode_request,
+    next_frame,
     raise_error_payload,
-    read_frame_sync,
-    write_frame_sync,
 )
 from repro.sqlmini.ast import Select
 from repro.sqlmini.executor import StatementResult, parse_cached
@@ -90,7 +91,9 @@ class WireConnection:
         max_frame: int = DEFAULT_MAX_FRAME,
         rpc_deadline: Optional[float] = None,
     ) -> None:
-        self.max_frame = max_frame
+        #: The wire's framing state: a reply may take any number of
+        #: ``recv``s (the server's end parses with the same class).
+        self.decoder = FrameDecoder(max_frame)
         self.broken = False
         #: A request is out and its reply unread: until it is read the
         #: wire takes no other request and is never pooled.
@@ -114,13 +117,12 @@ class WireConnection:
         if self.broken or self.awaiting_reply:
             self.broken = True  # an unread reply would answer this request
             raise ConnectionClosed("wire connection already failed")
-        message: dict = {"op": op}
-        message.update(args)
+        frame = encode_request(op, args)
         try:
-            write_frame_sync(self.sock, message)
-        except ConnectionClosed:
+            self.sock.sendall(frame)
+        except OSError as exc:
             self.broken = True
-            raise
+            raise ConnectionClosed(f"socket error while sending: {exc}") from None
         self.awaiting_reply = True
 
     def receive(self, deadline: Optional[float] = None) -> dict:
@@ -129,30 +131,25 @@ class WireConnection:
         ``deadline`` bounds *this* wait (overriding the wire's
         ``rpc_deadline`` for its duration).  A transport failure —
         deadline expiry included — breaks the wire for good: a late
-        response could not be paired with its request anyway.
+        response could not be paired with its request anyway (so only a
+        wire that got its reply needs its own timeout back).
         """
         override = deadline is not None and deadline != self.rpc_deadline
         try:
             if override:
                 self.sock.settimeout(deadline)
-            try:
-                response = read_frame_sync(self.sock, self.max_frame)
-            finally:
-                if override:
-                    try:
-                        self.sock.settimeout(self.rpc_deadline)
-                    except OSError:  # pragma: no cover - closed under us
-                        self.broken = True
+            response = next_frame(self.sock, self.decoder)
             if response is None:
                 raise ConnectionClosed("server closed the connection")
+            if override:
+                self.sock.settimeout(self.rpc_deadline)
         except (ConnectionClosed, ProtocolError):
             self.broken = True
             raise
         self.awaiting_reply = False
         if response.get("ok"):
             return response
-        raise_error_payload(response.get("error"))
-        raise AssertionError("unreachable")  # pragma: no cover
+        raise raise_error_payload(response.get("error"))
 
     def call(
         self,
@@ -520,14 +517,13 @@ class NetworkSession(RemoteVerbs):
         wire = self._wire
         if wire is None:
             return
-        try:
-            self.rollback()
-        except ReproError:
-            pass  # moot on close; a failed wire was discarded by _call
-        finally:
-            self._in_txn = False
-        if self._wire is None:
-            return  # discarded during rollback
+        if self._in_txn:
+            try:
+                self.rollback()
+            except ReproError:
+                pass  # moot on close; a failed wire was discarded by _call
+            if self._wire is None:
+                return  # discarded during rollback
         self._wire = None
         self._connection._release(wire)
 
@@ -640,7 +636,11 @@ class NetworkConnection(Connection):
         self._backoff_rng = random.Random(f"net-reconnect/{host}:{port}")
         self._idle: list[WireConnection] = []
         self._lock = threading.Lock()
-        self._slots = threading.Semaphore(pool_size)
+        #: Wires out, and callers waiting for one back: an uncontended
+        #: checkout or return is a C lock and a counter, nothing more.
+        self._checked_out = 0
+        self._waiting = 0
+        self._returned = threading.Condition(self._lock)
         self._closed = False
         #: Id caches, (sql, kind) -> server sid and (factory, spec) ->
         #: server pid, shared by every session: ids are server-global and
@@ -654,22 +654,23 @@ class NetworkConnection(Connection):
     def _acquire(self) -> WireConnection:
         if self._closed:
             raise ConnectionClosed(f"connection {self.url} is closed")
-        acquired = (
-            self._slots.acquire(timeout=self.timeout)
-            if self.timeout is not None
-            else self._slots.acquire()
-        )
-        if not acquired:
-            raise ConnectionClosed(
-                f"connection pool exhausted ({self.pool_size} wire "
-                f"connections all checked out for {self.timeout}s)"
-            )
         with self._lock:
-            wire = self._idle.pop() if self._idle else None
-        if wire is not None and not wire.broken:
-            return wire
-        if wire is not None:
-            wire.close()
+            if self._checked_out >= self.pool_size:
+                self._waiting += 1
+                try:
+                    free = self._returned.wait_for(
+                        lambda: self._checked_out < self.pool_size, self.timeout
+                    )
+                finally:
+                    self._waiting -= 1
+                if not free:
+                    raise ConnectionClosed(
+                        f"connection pool exhausted ({self.pool_size} wire "
+                        f"connections all checked out for {self.timeout}s)"
+                    )
+            self._checked_out += 1
+            if self._idle:  # only wires fit for reuse are ever put there
+                return self._idle.pop()
         try:
             return WireConnection(
                 self.host, self.port,
@@ -677,23 +678,26 @@ class NetworkConnection(Connection):
                 rpc_deadline=self.rpc_deadline,
             )
         except BaseException:
-            self._slots.release()
+            self._release(None)
             raise
 
-    def _release(self, wire: WireConnection) -> None:
-        returned = False
-        if not wire.broken and not wire.awaiting_reply:
-            with self._lock:
-                if not self._closed:
-                    self._idle.append(wire)
-                    returned = True
-        if not returned:
+    def _release(self, wire: Optional[WireConnection]) -> None:
+        """Free a slot; pool its wire (None: never dialled) if reusable."""
+        with self._lock:
+            pooled = wire is not None and not (
+                wire.broken or wire.awaiting_reply or self._closed
+            )
+            if pooled:
+                self._idle.append(wire)
+            self._checked_out -= 1
+            if self._waiting:
+                self._returned.notify()
+        if wire is not None and not pooled:
             wire.close()
-        self._slots.release()
 
     def _discard(self, wire: WireConnection) -> None:
-        wire.close()
-        self._slots.release()
+        wire.broken = True  # so ``_release`` closes it
+        self._release(wire)
 
     def _call_once(
         self,

@@ -26,10 +26,9 @@ reconstruct as the *same* exception class on the client via the stable
 :func:`raise_error_payload`), so the wire is lossless for every
 user-facing error class.
 
-This module is transport-agnostic: the server's selector loop feeds
-whatever each ``recv_into`` returned to a per-connection
-:class:`FrameDecoder`, and the synchronous client uses
-:func:`read_frame_sync` / :func:`write_frame_sync`.
+One framing parser serves both ends: each ``recv`` feeds a per-connection
+:class:`FrameDecoder` (the client's through :func:`next_frame`); a frame
+is one C encoder call to write and one C scanner call to parse.
 """
 
 from __future__ import annotations
@@ -38,6 +37,8 @@ import json
 import socket
 import struct
 from typing import Mapping, Optional
+
+from _json import encode_basestring_ascii, make_encoder, make_scanner  # no fallback
 
 from repro.errors import (
     ConnectionClosed,
@@ -105,27 +106,48 @@ def _jsonify(value: object) -> object:
     )
 
 
-#: Reused encoder: ``json.dumps`` with non-default arguments constructs a
-#: fresh ``JSONEncoder`` per call, measurable at wire RPC rates.
-_ENCODER = json.JSONEncoder(separators=(",", ":"), default=_jsonify)
+#: The C encoder ``JSONEncoder(separators=(",", ":"), default=_jsonify)``
+#: builds on every ``encode``, built once — but with no markers.
+_encode = make_encoder(
+    None, _jsonify, encode_basestring_ascii, None, ":", ",", False, False, True
+)
 
 
 def encode_frame(message: Mapping[str, object]) -> bytes:
-    """Serialize one message to its wire representation."""
-    payload = _ENCODER.encode(message).encode("utf-8")
+    """Serialize one message to its wire representation, in one C call:
+    the bytes ``JSONEncoder(separators=(",", ":"), default=_jsonify)``
+    writes, except that a message containing itself raises
+    ``RecursionError``, not ``ValueError`` (no markers to check)."""
+    payload = "".join(_encode(message, 0)).encode()
     return _LENGTH.pack(len(payload)) + payload
 
 
-#: Reused decoder, fed text: ``json.loads`` on bytes sniffs the encoding
-#: (the payload is UTF-8 by definition) before it gets here, and with that
-#: costs twice what the parse itself does on a SmallBank frame.
+def encode_request(op: str, args: Mapping[str, object]) -> bytes:
+    """``encode_frame({"op": op, **args})`` without building that dict."""
+    body = "".join(_encode(args, 0))
+    head = '{"op":' + encode_basestring_ascii(op)
+    payload = (head + "," + body[1:] if len(body) > 2 else head + "}").encode()
+    return _LENGTH.pack(len(payload)) + payload
+
+
+#: Fed text, not bytes (``json.loads`` would sniff the encoding first),
+#: and its C scanner called directly, not through ``decode``'s regexes.
 _DECODER = json.JSONDecoder()
+_scan = make_scanner(_DECODER)
 
 
 def decode_payload(payload: "bytes | bytearray | memoryview") -> dict:
-    """Decode one frame payload; raises :class:`ProtocolError` on garbage."""
+    """Decode one frame payload; raises :class:`ProtocolError` on garbage.
+    Whatever one scan from offset 0 does not consume whole goes through
+    ``JSONDecoder.decode``: same verdicts, same messages."""
     try:
-        message = _DECODER.decode(str(payload, "utf-8"))
+        text = str(payload, "utf-8")
+        try:
+            message, end = _scan(text, 0)
+        except (StopIteration, ValueError):
+            end = -1
+        if end != len(text):
+            message = _DECODER.decode(text)
     except (UnicodeDecodeError, ValueError, RecursionError) as exc:  # too deeply nested
         raise ProtocolError(f"frame payload is not valid JSON: {exc}") from None
     if not isinstance(message, dict):
@@ -173,12 +195,11 @@ class FrameDecoder:
             raise self._error
         if not self._buffer and len(data) >= LENGTH_BYTES:
             # Fast path: the buffer is empty and ``data`` is exactly one
-            # whole frame (the overwhelmingly common case for a
-            # request/response protocol) — skip the bytearray churn.
+            # whole frame of a legal length (the overwhelmingly common case
+            # for a request/response protocol) — skip the bytearray churn.
             (length,) = _LENGTH.unpack_from(data)
-            if LENGTH_BYTES + length == len(data):
+            if LENGTH_BYTES + length == len(data) and 0 < length <= self.max_frame:
                 try:
-                    check_length(length, self.max_frame)
                     return [decode_payload(data[LENGTH_BYTES:])]
                 except ProtocolError as exc:
                     self._error = exc
@@ -227,48 +248,32 @@ class FrameDecoder:
 
 
 # ----------------------------------------------------------------------
-# Synchronous socket helpers (client side)
+# Blocking reads (client side)
 # ----------------------------------------------------------------------
-def _recv_exact(sock: socket.socket, count: int) -> Optional[bytes]:
-    """Read exactly ``count`` bytes; None on clean EOF at a frame boundary."""
-    chunks: list[bytes] = []
-    remaining = count
-    while remaining:
+def next_frame(sock: socket.socket, decoder: FrameDecoder) -> Optional[dict]:
+    """Blocking read of the frame ``decoder`` completes next; ``None`` on
+    clean EOF between frames.  One request is in flight, so two whole
+    frames in one read are a :class:`ProtocolError`."""
+    while True:
         try:
-            chunk = sock.recv(remaining)
-        except (ConnectionError, socket.timeout, OSError) as exc:
+            data = sock.recv(65536)  # any SmallBank reply in one
+        except OSError as exc:  # reset, timeout (a deadline), closed
             raise ConnectionClosed(f"socket error while receiving: {exc}") from None
-        if not chunk:
-            if chunks:
-                raise ConnectionClosed(
-                    f"peer closed mid-frame ({count - remaining}/{count} bytes)"
-                )
+        if not data:
+            decoder.feed_eof()  # raises inside a frame
             return None
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
+        messages = decoder.feed(data)
+        if len(messages) == 1:
+            return messages[0]
+        if messages:
+            raise ProtocolError(f"{len(messages)} frames arrived for one request")
 
 
 def read_frame_sync(
     sock: socket.socket, max_frame: int = DEFAULT_MAX_FRAME
 ) -> Optional[dict]:
-    """Blocking read of one frame; ``None`` on clean EOF between frames."""
-    header = _recv_exact(sock, LENGTH_BYTES)
-    if header is None:
-        return None
-    (length,) = _LENGTH.unpack(header)
-    check_length(length, max_frame)
-    payload = _recv_exact(sock, length)
-    if payload is None:
-        raise ConnectionClosed("peer closed between length prefix and payload")
-    return decode_payload(payload)
-
-
-def write_frame_sync(sock: socket.socket, message: Mapping[str, object]) -> None:
-    try:
-        sock.sendall(encode_frame(message))
-    except (ConnectionError, socket.timeout, OSError) as exc:
-        raise ConnectionClosed(f"socket error while sending: {exc}") from None
+    """:func:`next_frame` with a throwaway decoder (a wire keeps its own)."""
+    return next_frame(sock, FrameDecoder(max_frame))
 
 
 # ----------------------------------------------------------------------

@@ -114,17 +114,16 @@ _READ = selectors.EVENT_READ
 _READ_WRITE = selectors.EVENT_READ | selectors.EVENT_WRITE
 
 
-class _MissingField(KeyError):
-    """A handler read a request field the client did not send."""
-
-
-class _Request(dict):
-    """A decoded request as its handler sees it, so that a missing field
-    cannot be confused with a ``KeyError`` escaping the statement or
-    program the request runs."""
-
-    def __missing__(self, field: str):
-        raise _MissingField(field)
+#: The fields each op's handler reads by subscript.  A ``KeyError`` naming
+#: one the request lacks is a malformed request; any other escaping a
+#: handler came from the statement or program it ran.
+_REQUIRED_FIELDS: "dict[str, tuple[str, ...]]" = {
+    **{op: fields for op, fields, _, _ in STATEMENT_OPS.values()},
+    **dict.fromkeys(("PREPARE_2PC", "COMMIT_2PC", "ABORT_2PC"), ("gtid",)),
+    "EXEC": ("sql",),  # unless it names a statement id
+    "PREPARE_PROGRAM": ("factory", "spec"),
+    "CALL": ("pid",),
+}
 
 
 def _statement_handler(verb: str, fields: "tuple[str, ...]", reply: Optional[str]):
@@ -570,7 +569,7 @@ class DatabaseServer:
         """
         while conn.pending and not conn.busy and not conn.closed:
             message = conn.pending.popleft()
-            if self._can_inline(conn, message):
+            if message.get("op") != "CALL" or self._can_inline_call(conn):
                 try:
                     response = encode_frame(self._serve(conn, message, False))
                 except WouldBlock:
@@ -641,8 +640,9 @@ class DatabaseServer:
     # ------------------------------------------------------------------
     # Request dispatch
     # ------------------------------------------------------------------
-    def _can_inline(self, conn: _ClientConnection, message: dict) -> bool:
-        """Whether this request may be *attempted* on the loop thread.
+    def _can_inline_call(self, conn: _ClientConnection) -> bool:
+        """Whether a CALL may be *attempted* on the loop thread, as every
+        other request is (``_pump``).
 
         Single engine operations are WouldBlock-safe: the non-blocking
         core returns ``WaitOn`` *instead of* applying the operation, so a
@@ -659,8 +659,6 @@ class DatabaseServer:
         transaction that has touched anything is the one request that
         skips the inline attempt.
         """
-        if message.get("op") != "CALL":
-            return True
         txn = conn.session.txn
         return txn is None or not txn.is_active or txn.is_untouched
 
@@ -688,11 +686,7 @@ class DatabaseServer:
         # connection's tally.
         counts = conn.counts = conn.worker_counts if blocking else self._counters
         txn_before = session.txn
-        writes_before = (
-            len(txn_before.writes)
-            if txn_before is not None and txn_before.is_active
-            else 0
-        )
+        staged = len(txn_before.writes) if txn_before is not None else 0
         try:
             handler = self._HANDLERS.get(op)
             if handler is None:
@@ -705,11 +699,14 @@ class DatabaseServer:
                 label = message.get("begin")
                 if label is not None and op != "BEGIN" and not session.in_transaction:
                     session.begin(str(label))
-                response = handler(self, conn, _Request(message))
-            except _MissingField as exc:
+                response = handler(self, conn, message)
+            except KeyError as exc:
+                field = exc.args[0] if exc.args else None
+                if field not in _REQUIRED_FIELDS.get(op, ()) or field in message:
+                    raise
                 self._note_protocol_error("missing-field", counts)
                 raise ProtocolError(
-                    f"request {op} is missing field {exc.args[0]!r}"
+                    f"request {op} is missing field {field!r}"
                 ) from None
             response["ok"] = True
             counts["rpcs_total"] += 1
@@ -727,7 +724,7 @@ class DatabaseServer:
             if (
                 txn_now is not None
                 and txn_now.is_active
-                and len(txn_now.writes) != writes_before
+                and len(txn_now.writes) != (staged if txn_now is txn_before else 0)
             ):
                 self.db.abort(txn_now, reason="net-retry-unsafe")
                 counts["rpcs_total"] += 1
@@ -885,8 +882,8 @@ class DatabaseServer:
         """One whole transaction: begin (unless one is open on this
         wire), run the program, then commit / prepare / leave open.
 
-        However the call fails, no transaction is left behind.  A
-        blocked inline attempt (``_can_inline``: the transaction had done
+        However the call fails, no transaction is left behind.  A blocked
+        inline attempt (``_can_inline_call``: the transaction had done
         nothing before the call) is undone by restarting the transaction
         at its snapshot — the worker-thread re-run joins the successor
         and starts the program over, so nothing is applied twice and it

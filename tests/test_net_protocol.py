@@ -6,7 +6,9 @@ oversized frames, zero-length frames, garbage payloads, and the decoder's
 poisoning behaviour after a violation.
 """
 
+import socket
 import struct
+from types import MappingProxyType
 
 import pytest
 
@@ -26,8 +28,10 @@ from repro.net.protocol import (
     check_length,
     decode_payload,
     encode_frame,
+    encode_request,
     error_payload,
     raise_error_payload,
+    read_frame_sync,
 )
 
 
@@ -66,6 +70,21 @@ class TestFraming:
         decoder = FrameDecoder()
         messages = decoder.feed(data)
         assert [m["i"] for m in messages] == [0, 1, 2, 3, 4]
+
+    @pytest.mark.parametrize("op", ["PING", "CALL", "FROBNICATE", 'é"op'])
+    @pytest.mark.parametrize(
+        "args",
+        [
+            {},
+            {"table": "Saving", "key": 1},
+            {"pid": 812345678, "args": {"N": "Zoë"}, "label": "Balance"},
+            {"row": MappingProxyType({"Balance": float("nan")}), 7: [-0.0]},
+        ],
+    )
+    def test_a_request_is_the_frame_of_op_then_args(self, op, args):
+        """``encode_request`` writes what ``encode_frame`` makes of the
+        dict the client used to build: ``op`` first, then the arguments."""
+        assert encode_request(op, args) == encode_frame({"op": op, **args})
 
     def test_partial_trailing_frame_stays_buffered(self):
         first = encode_frame({"op": "PING", "i": 0})
@@ -142,6 +161,15 @@ class TestFramingViolations:
         ]
         with pytest.raises(ProtocolError):
             FrameDecoder(max_frame=limit - 1).feed(frame)
+
+    def test_two_replies_in_one_read_are_a_violation(self):
+        """A blocking reader has one request in flight: a second whole
+        frame arriving with the first was not asked for."""
+        ours, theirs = socket.socketpair()
+        with ours, theirs:
+            theirs.sendall(encode_frame({"ok": True}) * 2)
+            with pytest.raises(ProtocolError, match="2 frames"):
+                read_frame_sync(ours)
 
     def test_zero_length_frame_rejected(self):
         decoder = FrameDecoder()

@@ -465,21 +465,27 @@ class TestSlowReader:
             server.shutdown()
 
 
+def spawn_standalone() -> subprocess.Popen:
+    """``python -m repro.net`` once it has said LISTENING."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    child = subprocess.Popen(
+        [sys.executable, "-m", "repro.net", "--customers", "5"],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert child.stdout.readline().startswith(b"LISTENING ")
+    return child
+
+
 class TestStandaloneProcess:
     def test_parent_already_gone_is_a_clean_exit(self):
         """stdin at EOF and nobody reading stdout: the shard shuts down and
         the final ``STATS`` line, which has no reader, must cost neither a
         traceback nor the exit code."""
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-        child = subprocess.Popen(
-            [sys.executable, "-m", "repro.net", "--customers", "5"],
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            env=env,
-        )
+        child = spawn_standalone()
         try:
-            assert child.stdout.readline().startswith(b"LISTENING ")
             child.stdout.close()
             child.stdin.close()
             assert child.wait(timeout=30) == 0
@@ -487,6 +493,23 @@ class TestStandaloneProcess:
         finally:
             child.kill()
             child.wait()
+            child.stderr.close()
+
+    def test_stdout_closed_while_stdin_is_open_is_a_clean_exit(self):
+        """Nobody reads the reply to a control line: the parent is gone
+        although our stdin is not at EOF yet.  Shut down gracefully, exit
+        0, say nothing on stderr."""
+        child = spawn_standalone()
+        try:
+            child.stdout.close()
+            child.stdin.write(b"PING\n")
+            child.stdin.flush()
+            assert child.wait(timeout=30) == 0
+            assert child.stderr.read() == b""
+        finally:
+            child.kill()
+            child.wait()
+            child.stdin.close()
             child.stderr.close()
 
 
