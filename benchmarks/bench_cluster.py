@@ -15,10 +15,11 @@ scale with shard count on a multi-core host.  Each point reports:
   the last statement, no PREPARE round), and
 * the router's raw ``fastpath_commits`` / ``twopc_commits`` /
   ``twopc_aborts`` counters, and
-* printed beside the TPS, not recorded: the shards' **RPCs** and
-  **worker dispatches** (requests a server handed to a connection's
-  worker thread instead of serving them on its loop) per decided
-  transaction — where the work went when a gate fails.
+* printed beside the TPS, not recorded: the shards' **RPCs**, **parks**
+  (requests a server held on its loop until a row lock freed) and
+  **lock-wait seconds** per decided transaction, summed over shards,
+  and the point's **lock timeouts** — where the work and the waiting
+  went when a gate fails.
 
 A separate paired microbenchmark quantifies the **2PC overhead** on a
 2-shard cluster: the same connection alternately commits single-shard
@@ -110,13 +111,19 @@ def _drive(conn, mpl: int, duration: float, seed: int) -> dict:
 
 
 def _shard_work(cluster) -> dict:
-    """What the shards did so far, summed: RPCs served and requests
-    handed to a worker thread (the servers' own ``STATS`` counters)."""
+    """What the shards did so far, summed: RPCs served, requests parked
+    for a row lock, the seconds they waited and the waits that timed out
+    (the servers' own ``STATS`` counters)."""
     with cluster.connect() as conn:
         shards = conn.stats()["shard_stats"]
     return {
         name: sum(shard[name] for shard in shards)
-        for name in ("rpcs_total", "worker_dispatches_total")
+        for name in (
+            "rpcs_total",
+            "parked_total",
+            "lock_wait_seconds_total",
+            "lock_timeouts_total",
+        )
     }
 
 
@@ -230,7 +237,9 @@ def measure_shards(
         ) if decided else 1.0,
         "per_txn": {
             "rpcs": work["rpcs_total"] / max(decided, 1),
-            "dispatches": work["worker_dispatches_total"] / max(decided, 1),
+            "parked": work["parked_total"] / max(decided, 1),
+            "lock_wait_s": work["lock_wait_seconds_total"] / max(decided, 1),
+            "lock_timeouts": work["lock_timeouts_total"],  # per point
         },
     }
 
@@ -399,7 +408,9 @@ def main(argv: "list[str] | None" = None) -> int:
             f"  {shard_count} shard{'s' if shard_count > 1 else ' '}: "
             f"{point['tps']:>8,.0f} tps ({point['speedup']:4.2f}x)   "
             f"{per_txn['rpcs']:.2f} rpcs/txn   "
-            f"{per_txn['dispatches']:.3f} dispatches/txn   "
+            f"{per_txn['parked']:.3f} parked/txn   "
+            f"{1e3 * per_txn['lock_wait_s']:.3f} ms lock-wait/txn   "
+            f"{per_txn['lock_timeouts']} lock timeouts   "
             f"fastpath {point['fastpath_ratio']:.1%}   "
             f"2pc {counters['twopc_commits']:>6,d} commits "
             f"/ {counters['twopc_aborts']:,d} aborts"

@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Callable, Mapping, Optional, Sequence
 
 from repro.api import Connection, Program
 from repro.cluster.coordinator import DecisionLog, TwoPhaseCoordinator
-from repro.cluster.fanout import FanOutPool, first_error, scatter_gather
+from repro.cluster.fanout import Outcome, first_error, scatter_gather
 from repro.cluster.oracle import TimestampOracle
 from repro.cluster.partition import PARTITION_COLUMNS, HashPartitioner
 from repro.errors import (
@@ -514,11 +514,6 @@ class ClusterConnection(Connection):
         )
         self.partitioner = HashPartitioner(len(addresses))
         self.oracle = TimestampOracle(gtid_base=gtid_base)
-        #: Thread pool for the broadcasts that cannot be sent and then
-        #: gathered from one thread: the connection-level sweeps
-        #: (heartbeat / ping / stats / vacuum / in-doubt scan).  No
-        #: session touches it.
-        self.fanout = FanOutPool(max(4, 4 * len(addresses)), obs=obs)
         self.coordinator = TwoPhaseCoordinator(
             self.oracle,
             decision_hook=decision_hook,
@@ -647,19 +642,24 @@ class ClusterConnection(Connection):
         if demoted and self.obs is not None:
             self.obs.cluster_shard_health(self._unhealthy_count())
 
+    def _sweep(self, start: Callable, op: str, *args: object) -> "list[Outcome]":
+        """One connection-level RPC to every shard, ``start`` a split
+        :class:`NetworkConnection` verb: all sent, then all read, from
+        this thread."""
+        return scatter_gather(
+            [partial(start, shard, *args) for shard in self.shards],
+            op=op,
+            obs=self.obs,
+        )
+
     def heartbeat(self, deadline: Optional[float] = None) -> "list[bool]":
         """One synchronous health probe of every shard (single attempt).
 
-        Probes fan out concurrently, so one slow or dead shard cannot
-        delay the health verdicts of the others past its own deadline.
+        Every probe is sent before the first reply is read, so the others'
+        replies arrive while a slow shard's is awaited: one slow or dead
+        shard costs the sweep its own deadline, not one per shard.
         """
-        outcomes = self.fanout.run(
-            [
-                (lambda c=connection: c.ping(deadline=deadline))
-                for connection in self.shards
-            ],
-            op="heartbeat",
-        )
+        outcomes = self._sweep(NetworkConnection.start_ping, "heartbeat", deadline)
         results = []
         for shard, outcome in enumerate(outcomes):
             ok = bool(outcome.ok and outcome.value)
@@ -735,10 +735,7 @@ class ClusterConnection(Connection):
         Each probe is bounded by the per-shard connection ``timeout`` —
         a down shard yields ``False``, never an indefinite hang.
         """
-        outcomes = self.fanout.run(
-            [(lambda c=connection: c.ping()) for connection in self.shards],
-            op="ping",
-        )
+        outcomes = self._sweep(NetworkConnection.start_ping, "ping")
         results = [bool(o.ok and o.value) for o in outcomes]
         for shard, ok in enumerate(results):
             if not ok:
@@ -757,10 +754,7 @@ class ClusterConnection(Connection):
             "shards": self.shard_count,
             **self.counters(),
         }
-        outcomes = self.fanout.run(
-            [(lambda c=connection: c.stats()) for connection in self.shards],
-            op="stats",
-        )
+        outcomes = self._sweep(NetworkConnection.start_stats, "stats")
         shard_stats: "list[dict]" = []
         for shard, outcome in enumerate(outcomes):
             if outcome.ok:
@@ -781,10 +775,7 @@ class ClusterConnection(Connection):
         return merged
 
     def vacuum(self) -> int:
-        outcomes = self.fanout.run(
-            [(lambda c=connection: c.vacuum()) for connection in self.shards],
-            op="vacuum",
-        )
+        outcomes = self._sweep(NetworkConnection.start_vacuum, "vacuum")
         error = first_error(outcomes)
         if error is not None:
             raise error
@@ -810,10 +801,7 @@ class ClusterConnection(Connection):
         #: settled exactly once per sweep, with one delivery per shard
         #: (so the in_doubt_* counters count settled *transactions*).
         pending: "dict[str, list[NetworkConnection]]" = {}
-        stat_outcomes = self.fanout.run(
-            [(lambda c=connection: c.stats()) for connection in self.shards],
-            op="resolve-scan",
-        )
+        stat_outcomes = self._sweep(NetworkConnection.start_stats, "resolve-scan")
         # Read *after* the scan: a gtid is in flight from before its
         # first prepare, so one the scan saw prepared and this set no
         # longer holds has had its decision made (or its coordinator
@@ -855,4 +843,3 @@ class ClusterConnection(Connection):
         self.stop_background()
         for shard in self.shards:
             shard.close()
-        self.fanout.shutdown()

@@ -273,7 +273,9 @@ class Session:
                 f"on {sorted(wait.blocker_ids)}"
             )
         timeout = self.db.locks.lock_timeout
-        obs = self.db.obs
+        # A waiter that never waits has no wait to time: whoever catches
+        # its WouldBlock times the real one (the server's park).
+        obs = None if isinstance(self.waiter, NoWaitWaiter) else self.db.obs
         started = 0.0
         timed_out = False
         if obs is not None:

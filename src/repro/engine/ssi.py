@@ -37,6 +37,9 @@ from repro.engine.transaction import Transaction, TxnStatus
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.engine import Database
 
+_UNDECIDED = (TxnStatus.ACTIVE, TxnStatus.PREPARED)
+_VOTED = (TxnStatus.PREPARED, TxnStatus.COMMITTED)
+
 
 class SsiCertifier:
     """Runtime dangerous-structure detection for an SI engine.
@@ -87,10 +90,11 @@ class SsiCertifier:
                 writer = self._txns.get(version.txid)
                 if writer is not None and writer.txid != txn.txid:
                     self._mark_rw(reader=txn, writer=writer)
-            # A concurrent *uncommitted* writer holding the row.
+            # A concurrent *uncommitted* writer holding the row (a
+            # PREPARED one included: it may still commit).
             if chain.uncommitted is not None and chain.uncommitted.txid != txn.txid:
                 writer = self._txns.get(chain.uncommitted.txid)
-                if writer is not None and writer.is_active:
+                if writer is not None and writer.status in _UNDECIDED:
                     self._mark_rw(reader=txn, writer=writer)
 
     def on_write(self, txn: Transaction, row: RowId) -> None:
@@ -143,15 +147,16 @@ class SsiCertifier:
         """Abort somebody once ``txn`` becomes a pivot.
 
         The pivot itself is the victim while it is still active.  When the
-        pivot already committed, the transaction creating the new edge is
-        the only one that can still be stopped — dooming it is Cahill's
-        "abort the transaction setting the flag" rule.
+        pivot already committed — or voted to (PREPARED: only the
+        coordinator can abort it now) — the transaction creating the new
+        edge is the only one that can still be stopped; dooming it is
+        Cahill's "abort the transaction setting the flag" rule.
         """
         if not (txn.in_conflict and txn.out_conflict):
             return
         if txn.is_active:
             self.doomed.add(txn.txid)
-        elif txn.status is TxnStatus.COMMITTED and other.is_active:
+        elif txn.status in _VOTED and other.is_active:
             self.doomed.add(other.txid)
 
     def _forget(self, txid: int) -> None:

@@ -23,8 +23,9 @@ Semantics notes
   engine and commits (DESIGN.md §11.5).  The statement verbs remain for
   ad-hoc transactions; their only elision is the deferred BEGIN, which
   rides on the transaction's first request.  The verbs the cluster router
-  sends to several shards at once also come split (``start_*``: send
-  now, return the callable that reads the reply).
+  sends to several shards at once — its sweeps (ping, stats, vacuum)
+  included — also come split (``start_*``: send now, return the callable
+  that reads the reply).
 * ``timeout`` bounds *connection establishment* (and pool checkout).
   RPCs then block until the server answers: a lock wait on the server can
   legitimately take as long as the engine's ``lock_timeout`` allows, and
@@ -71,7 +72,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids workload cycle)
 Row = dict
 Changes = Union[Mapping[str, object], Callable[[Row], Mapping[str, object]]]
 
-#: Redial policy of ``NetworkConnection._call_once``: up to this many
+#: Redial policy of ``NetworkConnection._start_once``: up to this many
 #: tries, sleeping ``RECONNECT_BACKOFF * 2^n`` seconds (jittered, capped
 #: at ``RECONNECT_BACKOFF_MAX``) between them.
 RECONNECT_ATTEMPTS = 3
@@ -407,8 +408,14 @@ class NetworkSession(RemoteVerbs):
         phase one of 2PC) or ``"open"`` (left for further statements).
         A business rollback, concurrency abort or NO vote arrives as the
         exception a statement-by-statement run would raise, and the
-        server has left no transaction behind.  ``nowait``: a call that
-        in a transaction that has done nothing yet (its own, or a bare
+        server has left no transaction behind.  A call that needs a held
+        row lock waits for it server-side — except one joining a
+        transaction that has already read or written (``begin``,
+        a statement, then this), which cannot be undone to a mark: if it
+        blocks after staging a write of its own, the server aborts the
+        whole transaction (:class:`~repro.errors.TransactionAborted`,
+        "after staging writes") instead.  ``nowait``: a call in a
+        transaction that has done nothing yet (its own, or a bare
         :meth:`begin_now`) raises :class:`~repro.errors.LockNotAvailable`
         rather than wait for a lock, leaving no transaction either.
         """
@@ -699,29 +706,38 @@ class NetworkConnection(Connection):
         wire.broken = True  # so ``_release`` closes it
         self._release(wire)
 
-    def _call_once(
+    def _call_once(self, op: str, *args: object, **kwargs: object) -> dict:
+        """:meth:`_start_once`, sent and read."""
+        return self._start_once(op, *args, **kwargs)()
+
+    def _start_once(
         self,
         op: str,
         _deadline: Optional[float] = None,
         _attempts: int = RECONNECT_ATTEMPTS,
+        _attempt: int = 0,
         **args: object,
-    ) -> dict:
-        """One out-of-session RPC with automatic reconnect.
+    ) -> "Callable[[], dict]":
+        """One out-of-session RPC with automatic reconnect, split like
+        every ``start_*``: sent before this returns, read by the callable
+        returned — so the router can sweep all shards from one thread.
 
-        Every ``_call_once`` operation is idempotent (PING, STATS,
-        VACUUM, 2PC decision delivery — the engine remembers resolved
-        gtids), so a connection failure is retried on a *fresh* wire.
-        Server-side errors (which prove the request arrived) propagate
-        immediately.  ``_attempts=1``: health probes want the fast no.
+        Every such operation is idempotent (PING, STATS, VACUUM, 2PC
+        decision delivery — the engine remembers resolved gtids), so a
+        connection failure in either half is retried on a *fresh* wire
+        while attempts are left.  Server-side errors (which prove the
+        request arrived) propagate immediately.  ``_attempts=1``: health
+        probes want the fast no.
         """
-        backoff = RECONNECT_BACKOFF
         failure: Optional[ConnectionClosed] = None
-        for attempt in range(_attempts):
+        for attempt in range(_attempt, _attempts):
             if attempt:
                 if self.obs is not None:
                     self.obs.net_reconnect(op)
+                backoff = min(
+                    RECONNECT_BACKOFF * 2.0 ** (attempt - 1), RECONNECT_BACKOFF_MAX
+                )
                 time.sleep(backoff * (0.5 + self._backoff_rng.random()))
-                backoff = min(backoff * 2.0, RECONNECT_BACKOFF_MAX)
             if self._closed:
                 raise ConnectionClosed(f"connection {self.url} is closed")
             try:
@@ -730,7 +746,7 @@ class NetworkConnection(Connection):
                 failure = exc
                 continue
             try:
-                response = wire.call(op, args, deadline=_deadline)
+                wire.send(op, args)
             except ConnectionClosed as exc:
                 self._discard(wire)
                 failure = exc
@@ -738,8 +754,24 @@ class NetworkConnection(Connection):
             except BaseException:
                 self._discard(wire)
                 raise
-            self._release(wire)
-            return response
+
+            def finish() -> dict:
+                try:
+                    response = wire.receive(_deadline)
+                except ConnectionClosed:
+                    self._discard(wire)
+                    if attempt + 1 == _attempts:
+                        raise
+                    return self._start_once(
+                        op, _deadline, _attempts, attempt + 1, **args
+                    )()
+                except BaseException:
+                    self._discard(wire)
+                    raise
+                self._release(wire)
+                return response
+
+            return finish
         assert failure is not None
         raise failure
 
@@ -758,25 +790,32 @@ class NetworkConnection(Connection):
     def ping(self, deadline: Optional[float] = None) -> bool:
         """Liveness probe, bounded and never retried: a down server
         answers ``False`` fast instead of hanging."""
-        bound = self._probe_deadline(deadline)
         try:
-            return bool(
-                self._call_once("PING", _deadline=bound, _attempts=1).get("pong")
-            )
+            return self.start_ping(deadline)()
         except ConnectionClosed:
             return False
+
+    def start_ping(self, deadline: Optional[float] = None) -> "Callable[[], bool]":
+        """:meth:`ping` split, its failure raised (``ConnectionClosed``)."""
+        sent = self._start_once("PING", self._probe_deadline(deadline), 1)
+        return lambda: bool(sent().get("pong"))
 
     def stats(self, deadline: Optional[float] = None) -> dict:
         """Server counters; bounded, so a dead server surfaces as
         :class:`ConnectionClosed` instead of an infinite hang."""
-        bound = self._probe_deadline(deadline)
-        stats = dict(self._call_once("STATS", _deadline=bound)["stats"])
-        stats["backend"] = "network"
-        return stats
+        return self.start_stats(deadline)()
+
+    def start_stats(self, deadline: Optional[float] = None) -> "Callable[[], dict]":
+        sent = self._start_once("STATS", self._probe_deadline(deadline))
+        return lambda: {**sent()["stats"], "backend": "network"}
 
     def vacuum(self) -> int:
         """Prune server-side version chains; returns versions dropped."""
-        return int(self._call_once("VACUUM")["pruned"])
+        return self.start_vacuum()()
+
+    def start_vacuum(self) -> "Callable[[], int]":
+        sent = self._start_once("VACUUM")
+        return lambda: int(sent()["pruned"])
 
     def flush(self) -> None:
         """Nothing to settle — every request is answered before its call
@@ -785,15 +824,12 @@ class NetworkConnection(Connection):
     def commit_2pc(self, gtid: str) -> int:
         """Decision delivery outside any session (coordinator recovery);
         retried across reconnects, idempotent by the engine's contract."""
-        return int(
-            self._call_once("COMMIT_2PC", _deadline=self.timeout, gtid=gtid)[
-                "commit_ts"
-            ]
-        )
+        sent = self._start_once("COMMIT_2PC", self.timeout, gtid=gtid)
+        return int(sent()["commit_ts"])
 
     def abort_2pc(self, gtid: str) -> None:
         """Abort-decision delivery outside any session (idempotent)."""
-        self._call_once("ABORT_2PC", _deadline=self.timeout, gtid=gtid)
+        self._start_once("ABORT_2PC", self.timeout, gtid=gtid)()
 
     def close(self) -> None:
         with self._lock:

@@ -3,13 +3,12 @@
 Architecture (DESIGN.md §11)
 ----------------------------
 
-One loop thread, written directly on :mod:`selectors` and non-blocking
-sockets, owns *framing, dispatch and connection lifecycle*.  Every
-admitted connection gets
-
-* one engine :class:`~repro.engine.session.Session` (per-connection
-  sessions: one transaction at a time, exactly the paper's client model),
-* one single-thread executor for the operations that genuinely block.
+One thread, written directly on :mod:`selectors` and non-blocking
+sockets, owns *framing, dispatch, lock waits and connection lifecycle*.
+Every admitted connection gets one engine
+:class:`~repro.engine.session.Session` (per-connection sessions: one
+transaction at a time, exactly the paper's client model) whose waiter
+never waits (:class:`~repro.engine.session.NoWaitWaiter`).
 
 A readable socket costs one ``recv_into`` the connection's reusable
 buffer, one :meth:`~repro.net.protocol.FrameDecoder.feed` and one ``send``
@@ -17,51 +16,49 @@ of the joined responses; only what the kernel does not take waits in the
 connection's outbox for writability, so a client that does not read its
 replies costs memory, never the loop.  Other threads reach the loop
 through a deque and one wake-up socket; timed work (``net-delay-frame``,
-autovacuum) is a deadline heap that sets the selector's timeout.  An
-event-loop framework in between cost 1.5-3 us of the 18 per ``PING``, a
-thread per connection far more once connections outnumber cores (DESIGN §11).
+lock timeouts, autovacuum) is a deadline heap that sets the selector's
+timeout.  An event-loop framework in between cost 1.5-3 us of the 18 per
+``PING``, a thread per connection far more once connections outnumber
+cores (DESIGN §11).
 
-**Inline fast path.**  Engine operations may block (lock waits use
-:class:`ThreadedWaiter`), and a blocking call on the loop thread would
-deadlock the whole server the moment two clients wait on each other.  But
-the engine core is non-blocking by design: an operation that cannot
-proceed returns ``WaitOn`` *instead of* applying itself.  So each request
-is first attempted inline on the loop thread with a
-:class:`~repro.engine.session.NoWaitWaiter`; if it raises
-:class:`~repro.engine.session.WouldBlock`, the same request is re-run on
-the connection's worker thread with a blocking waiter.  Only contended
-operations (and COMMITs that must flush the WAL, which block internally
-in the group-commit buffer) pay for the thread hop.  Requests *within*
-one connection stay strictly ordered either way.
+**Parking.**  The engine core is non-blocking by design: an operation
+that cannot proceed returns ``WaitOn`` *instead of* applying itself, and
+the session raises it as :class:`~repro.engine.session.WouldBlock`.  So
+every request runs on the loop thread, and one that would block is
+undone (``_serve``) and *parked* at the head of its connection's queue:
+each blocker's resolution callback posts a wake-up that serves it again
+the same way, and with a ``lock_timeout`` a deadline answers
+:class:`~repro.errors.LockTimeout`.  A parked request holds up its own
+connection only, whose requests stay strictly ordered.
 
 **Programs.**  ``PREPARE_PROGRAM`` builds a transaction body from a
 registered factory (:data:`repro.api.PROGRAM_FACTORIES`) once per server
 incarnation; ``CALL`` begins, runs the body and commits / prepares in
 one request (``_op_call``).  A body spans many engine operations, so a
-``CALL`` that would block is never resumed: its transaction — begun by
-the call, or joined while it had still done nothing — is restarted at
-the same snapshot (``Database.restart``) and the whole program re-run on
-the worker thread; a ``CALL`` joining a transaction that has already
-touched anything goes to the worker thread directly.
+``CALL`` that would block is never resumed: a transaction it began, or
+joined while that had still done nothing, is restarted at the same
+snapshot (``Database.restart``) and the whole program re-run on wake-up.
+Any other blocked request is re-run as it stands, which is sound because
+it staged nothing; one that did is aborted instead (``_serve``).
 
 Robustness contract:
 
-* a client that disconnects mid-transaction has its transaction aborted
-  and every row lock / stripe released before the connection is reaped;
+* a client that disconnects mid-transaction has its transaction aborted,
+  every row lock / stripe released and its connection reaped at once;
 * a framing violation (oversized length, non-JSON payload) poisons only
   that connection: best-effort error frame, then close; an exception
   escaping the loop's own work likewise costs at most its connection;
 * a request-level failure (unknown op, engine error) is an error response
   and the connection stays usable — engine errors round-trip losslessly
   via their stable ``code`` (:mod:`repro.net.protocol`);
-* graceful shutdown stops accepting, aborts every in-flight transaction
-  (which also wakes any lock-waiting worker) and joins the loop thread,
-  which ends once every connection is reaped
-  (``stats()["connections_active"] == 0``).
+* graceful shutdown stops accepting, drops every connection (aborting
+  its transaction) and joins the loop thread, which ends once every
+  connection is reaped (``stats()["connections_active"] == 0``).
 
 ``max_connections`` bounds concurrent clients; with ``backpressure=True``
-(default) excess connections are parked (not read from) until a slot
-frees, with ``backpressure=False`` they are refused with an error frame.
+(default) excess connections wait in a backlog, not read from, until a
+slot frees (STATS ``connections_parked``), with ``backpressure=False``
+they are refused with an error frame.
 """
 
 from __future__ import annotations
@@ -74,17 +71,20 @@ import socket
 import threading
 import time
 import traceback
-from collections import Counter, deque
+from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 from repro.api import PROGRAM_FACTORIES
-from repro.engine.engine import Database
+from repro.engine.engine import Database, WaitOn
 from repro.engine.session import NoWaitWaiter, Session, WouldBlock
+from repro.engine.transaction import Transaction
 from repro.errors import (
     ConnectionClosed,
+    DeadlockError,
     LockNotAvailable,
+    LockTimeout,
     ProtocolError,
     ReproError,
     TransactionAborted,
@@ -104,7 +104,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults import FaultPlan
     from repro.obs import Observability
 
-#: Shared stateless waiter for the inline fast path (see ``_serve``).
+#: Every server session's waiter: a lock wait parks the request (``_park``).
 _NOWAIT = NoWaitWaiter()
 
 #: Per-connection receive buffer (bytes); a longer frame takes several reads.
@@ -138,17 +138,25 @@ def _statement_handler(verb: str, fields: "tuple[str, ...]", reply: Optional[str
     return handler
 
 
+class _Park(NamedTuple):
+    """The lock wait of a connection's parked request."""
+
+    txn: Transaction
+    wait: WaitOn
+    since: float  # ``time.monotonic()``
+
+
 class _ClientConnection:
     """One accepted socket: its framing state and, once admitted, its
-    session and worker.  Everything but ``worker_counts`` belongs to the
-    loop thread."""
+    session.  All of it belongs to the loop thread."""
 
     def __init__(self, sock: socket.socket, max_frame: int) -> None:
         self.sock = sock
         self.decoder = FrameDecoder(max_frame)
         self.recv = memoryview(bytearray(_RECV_BUFFER))
         self.pending: "deque[dict]" = deque()
-        self.busy = False  # a blocking request is on the worker thread
+        #: Set while the request at the head of ``pending`` waits for a lock.
+        self.parked: Optional[_Park] = None
         self.closed = False
         self.events = 0  # what the selector watches the socket for
         #: Response bytes not yet written: a burst being gathered, what a
@@ -157,20 +165,6 @@ class _ClientConnection:
         self.outbox = bytearray()
         self.delayed = False
         self.session: Optional[Session] = None  # until admitted
-
-    def admit(self, conn_id: int, session: Session) -> None:
-        self.conn_id = conn_id
-        self.session = session  # one in-flight operation at a time
-        self.blocking_waiter = session.waiter
-        self.executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix=f"repro-net-conn-{conn_id}"
-        )
-        #: Lifetime counts made on this connection's worker thread, their
-        #: only writer (the loop thread counts in the server's own dict):
-        #: ``stats()`` adds them up, reaping folds them in.
-        self.worker_counts: "Counter[str]" = Counter()
-        #: Where the request being served counts — set by ``_serve``.
-        self.counts: "dict[str, int]" = self.worker_counts
 
 
 class DatabaseServer:
@@ -225,7 +219,8 @@ class DatabaseServer:
         #: deadline is the selector's timeout.
         self._timers: "list[tuple[float, int, Callable, tuple]]" = []
         self._timer_seq = 0
-        self._parked: "deque[_ClientConnection]" = deque()
+        #: Accepted connections waiting for a slot (``backpressure``).
+        self._backlog: "deque[_ClientConnection]" = deque()
         self._connections: dict[int, _ClientConnection] = {}
         self._closing = False
         self._conn_counter = 0
@@ -237,7 +232,6 @@ class DatabaseServer:
             tuple[str, Optional[str]], tuple[int, PreparedStatement]
         ] = {}
         self._prepared_by_id: "list[PreparedStatement]" = []
-        self._prepared_lock = threading.Lock()
         # Program registry, same shape: (factory, spec) -> pid, and the
         # bodies by dense index.
         self._program_ids: "dict[tuple[str, str], int]" = {}
@@ -250,16 +244,16 @@ class DatabaseServer:
         # new registry.
         self._sid_base = random.SystemRandom().randrange(1 << 30)
         # Lifetime counters (kept even without an Observability installed;
-        # STATS and the leak assertions read them).  Written by the loop
-        # thread only; what worker threads count is in each connection's
-        # ``worker_counts`` until ``_reap`` folds it in here.
-        self._reap_lock = threading.Lock()
+        # STATS and the leak assertions read them), written by the loop
+        # thread only.
         self._counters = {
             "connections_total": 0,
             "rejected_total": 0,
             "protocol_errors_total": 0,
             "rpcs_total": 0,
-            "worker_dispatches_total": 0,  # requests handed to a worker thread
+            "parked_total": 0,  # requests that waited for a row lock
+            "lock_wait_seconds_total": 0.0,  # how long they waited, summed
+            "lock_timeouts_total": 0,  # waits ``lock_timeout`` ended
             "loop_wakeups_total": 0,  # returns of the loop's ``select``
             "sessions_opened": 0,
             "sessions_closed": 0,
@@ -337,8 +331,6 @@ class DatabaseServer:
                     self._guarded(self._accept, ())
                 elif conn is wake:
                     wake.recv(4096)
-                    while posted:
-                        self._guarded(*posted.popleft())
                 else:
                     try:
                         if mask & _READ:
@@ -347,6 +339,12 @@ class DatabaseServer:
                             self._flush(conn)
                     except Exception:  # a decoder or handler bug costs this one
                         self._contain(conn)
+            # Every pass, not only when the wake-up socket reads: what
+            # the work above posted (a commit waking a parked request)
+            # runs now, and so does a post whose wake-up is still on its
+            # way (``shutdown``'s stop may be served before it sends one).
+            while posted:
+                self._guarded(*posted.popleft())
             while timers and timers[0][0] <= time.monotonic():
                 self._guarded(*heapq.heappop(timers)[2:])
         self._vacuum_executor.shutdown()
@@ -371,13 +369,8 @@ class DatabaseServer:
         self._selector.unregister(self._listener)
         self._listener.close()
         self._timers.clear()
-        for conn in [*self._connections.values(), *self._parked]:
+        for conn in [*self._connections.values(), *self._backlog]:
             self._drop(conn)
-        # Aborting every active transaction wakes any worker blocked in a
-        # lock wait (its blockers resolve), so every dropped connection's
-        # worker gets to close its session and post the reaping.
-        for txn in self.db.active_transactions:
-            self.db.abort(txn, reason="shutdown")
 
     def _call_later(self, delay: float, function: Callable, *args) -> None:
         self._timer_seq += 1
@@ -415,14 +408,9 @@ class DatabaseServer:
     # ------------------------------------------------------------------
     def stats(self) -> dict:
         """Server-level counters (also served over the wire as STATS)."""
-        with self._reap_lock:
-            counters = Counter(self._counters)
-            for conn in list(self._connections.values()):
-                counters.update(conn.worker_counts)
-            active = len(self._connections)
         return {
-            "connections_active": active,
-            "connections_parked": len(self._parked),
+            "connections_active": len(self._connections),
+            "connections_parked": len(self._backlog),
             "active_transactions": len(self.db.active_transactions),
             "prepared_statements": len(self._prepared),
             "prepared_2pc": len(self.db.prepared_gtids),
@@ -436,7 +424,7 @@ class DatabaseServer:
             "backpressure": self.backpressure,
             # Which engine regime this server hosts, for operators.
             "isolation": self.db.config.isolation.value,
-            **counters,
+            **self._counters,
         }
 
     # ------------------------------------------------------------------
@@ -453,9 +441,9 @@ class DatabaseServer:
         if len(self._connections) < self.max_connections:
             self._admit(conn)
         elif self.backpressure:
-            # Park: not watched for reads until a slot frees, so what the
-            # client sends meanwhile waits in the kernel's buffer.
-            self._parked.append(conn)
+            # Backlog: not watched for reads until a slot frees, so what
+            # the client sends meanwhile waits in the kernel's buffer.
+            self._backlog.append(conn)
         else:
             self._counters["rejected_total"] += 1
             if self.obs is not None:
@@ -465,7 +453,8 @@ class DatabaseServer:
 
     def _admit(self, conn: _ClientConnection) -> None:
         self._conn_counter += 1
-        conn.admit(self._conn_counter, Session(self.db))
+        conn.conn_id = self._conn_counter
+        conn.session = Session(self.db, _NOWAIT)
         self._connections[conn.conn_id] = conn
         self._counters["connections_total"] += 1
         self._counters["sessions_opened"] += 1
@@ -487,8 +476,12 @@ class DatabaseServer:
         self._drop(conn)
 
     def _drop(self, conn: _ClientConnection) -> None:
-        """The peer is gone, or this end hangs up: close the socket now
-        (unsent outbox bytes go with it), reap once the worker is idle."""
+        """The peer is gone, or this end hangs up: close the socket (unsent
+        outbox bytes go with it), abort the session's transaction — a
+        vanished client's locks free at once, and a parked request never
+        wakes up to commit for nobody — and reap the connection.
+        (Prepared transactions are detached from the session and stay
+        for the coordinator's decision.)"""
         if conn.closed:
             return
         conn.closed = True
@@ -497,43 +490,25 @@ class DatabaseServer:
             conn.events = 0
         conn.sock.close()
         if conn.session is None:
-            if conn in self._parked:
-                self._parked.remove(conn)
+            if conn in self._backlog:
+                self._backlog.remove(conn)
             return
-        # Abort now rather than in ``close_session``, which queues behind a
-        # request still blocked on the worker thread: a vanished client's
-        # locks free at once, and a blocked CALL cannot wake up later and
-        # commit for nobody.  (Prepared transactions are detached from
-        # the session and stay for the coordinator's decision.)
+        if conn.parked is not None:
+            self._unpark(conn, timed_out=False)
         txn = conn.session.txn
         if txn is not None:
             self.db.abort(txn, reason="disconnect")
-        # On the connection's executor, so it serializes after any
-        # in-flight statement of the same session.
-        conn.executor.submit(conn.session.close).add_done_callback(
-            partial(self._post, self._reap, conn)
-        )
-
-    def _reap(self, conn: _ClientConnection, closed: Future) -> None:
-        """Free one dropped connection's slot (closing its session was
-        best-effort).  That ran last on its worker thread, so the tally is
-        final; the lock keeps a ``stats()`` on another thread from seeing
-        the connection both listed and folded in, or gone and not yet
-        counted closed."""
-        conn.executor.shutdown(wait=False)
-        with self._reap_lock:
-            del self._connections[conn.conn_id]
-            for name, count in conn.worker_counts.items():
-                self._counters[name] += count
-            self._counters["sessions_closed"] += 1
+        # Counted closed before it leaves the list: a ``stats()`` on
+        # another thread that sees it gone sees it counted.
+        self._counters["sessions_closed"] += 1
+        del self._connections[conn.conn_id]
         if self.obs is not None:
             self.obs.net_connection_closed(len(self._connections))
-        if self._parked:  # the slot this freed is the only one there is
-            self._admit(self._parked.popleft())
+        if self._backlog and not self._closing:  # the slot it freed
+            self._admit(self._backlog.popleft())
 
-    def _note_protocol_error(self, kind: str, counts: "dict | None" = None) -> None:
-        counts = self._counters if counts is None else counts
-        counts["protocol_errors_total"] += 1
+    def _note_protocol_error(self, kind: str) -> None:
+        self._counters["protocol_errors_total"] += 1
         if self.obs is not None:
             self.obs.net_protocol_error(kind)
 
@@ -559,35 +534,68 @@ class DatabaseServer:
         self._pump(conn)
 
     def _pump(self, conn: _ClientConnection) -> None:
-        """Serve queued requests in order; synchronous while they stay
-        inline, parking on the worker thread when one would block.
+        """Serve queued requests in order until one parks.
 
-        The responses of a burst of inline requests (a pipelining client
-        sends several frames back-to-back) gather in the outbox and leave
-        in a single ``send`` — one syscall, one client wakeup; those ahead
-        of a blocked request leave now, its own follows them later.
+        The responses of a burst of requests (a pipelining client sends
+        several frames back-to-back) gather in the outbox and leave in a
+        single ``send`` — one syscall, one client wakeup; those ahead of a
+        parked request leave now, its own follows them once it is served.
         """
-        while conn.pending and not conn.busy and not conn.closed:
-            message = conn.pending.popleft()
-            if message.get("op") != "CALL" or self._can_inline_call(conn):
-                try:
-                    response = encode_frame(self._serve(conn, message, False))
-                except WouldBlock:
-                    pass
-                else:
-                    self._deliver(conn, response)
-                    continue
-            conn.busy = True
-            self._counters["worker_dispatches_total"] += 1
-            conn.executor.submit(self._serve, conn, message, True).add_done_callback(
-                partial(self._post, self._finish_blocking, conn)
-            )
+        while conn.pending and conn.parked is None and not conn.closed:
+            response = self._serve(conn, conn.pending[0])
+            if response is not None:  # None: parked at the head of the queue
+                conn.pending.popleft()
+                self._deliver(conn, encode_frame(response))
         self._flush(conn)
 
-    def _finish_blocking(self, conn: _ClientConnection, served: "Future[dict]") -> None:
-        conn.busy = False
+    def _park(self, conn: _ClientConnection, txn: Transaction, wait: WaitOn) -> None:
+        """Hold ``conn``'s head request until a blocker of ``txn``
+        resolves or ``lock_timeout`` passes (``_resume``).  The wait-for
+        edge stays registered meanwhile, so the deadlock detector sees
+        cycles through the parked transaction; closing one here raises
+        :class:`DeadlockError` with ``txn`` aborted."""
+        self.db.begin_wait(txn, wait)
+        park = conn.parked = _Park(txn, wait, time.monotonic())
+        self._counters["parked_total"] += 1
+        if self.obs is not None:
+            self.obs.lock_wait_start(txn, wait)
+        timeout = self.db.locks.lock_timeout
+        if timeout is not None:
+            self._call_later(timeout, self._resume, conn, park, True)
+        wake = partial(self._post, self._resume, conn, park, False)
+        for blocker in wait.blockers:
+            blocker.add_resolution_callback(wake)  # crashes fire it too
+
+    def _unpark(self, conn: _ClientConnection, timed_out: bool) -> None:
+        park, conn.parked = conn.parked, None
+        waited = time.monotonic() - park.since
+        self.db.end_wait(park.txn)
+        self._counters["lock_wait_seconds_total"] += waited
+        if self.obs is not None:
+            self.obs.lock_wait_end(park.txn, park.wait, waited, timed_out)
+
+    def _resume(
+        self, conn: _ClientConnection, park: _Park, timed_out: bool, *_blocker
+    ) -> None:
+        """A blocker of the parked request resolved — serve it again — or
+        (``timed_out``) its wait expired: abort and answer
+        :class:`LockTimeout`, as ``Session._wait`` does.  A wake-up or
+        timer for a request no longer parked does nothing."""
+        if conn.parked is not park:
+            return
+        self._unpark(conn, timed_out)
         try:
-            self._deliver(conn, encode_frame(served.result()))
+            if timed_out:
+                txn, wait = park.txn, park.wait
+                self.db.abort(txn, reason="lock-timeout")
+                self._counters["lock_timeouts_total"] += 1
+                expired = LockTimeout(
+                    f"txn {txn.txid} ({txn.label}): lock wait exceeded "
+                    f"{self.db.locks.lock_timeout}s waiting for "
+                    f"{sorted(wait.blocker_ids)}"
+                )
+                op = conn.pending.popleft().get("op")
+                self._deliver(conn, encode_frame(self._failed(op, expired)))
             self._pump(conn)
         except Exception:  # a handler bug costs its connection, not the loop
             self._contain(conn)
@@ -640,62 +648,34 @@ class DatabaseServer:
     # ------------------------------------------------------------------
     # Request dispatch
     # ------------------------------------------------------------------
-    def _can_inline_call(self, conn: _ClientConnection) -> bool:
-        """Whether a CALL may be *attempted* on the loop thread, as every
-        other request is (``_pump``).
+    def _serve(self, conn: _ClientConnection, message: dict) -> Optional[dict]:
+        """Execute one request and build the response — or park it (None).
 
-        Single engine operations are WouldBlock-safe: the non-blocking
-        core returns ``WaitOn`` *instead of* applying the operation, so a
-        retry on the worker thread re-runs it from scratch.  COMMIT never
-        returns ``WaitOn``; its only internal blocking is the group-commit
-        flush mutex (short, in-memory — the "leader" drains every staged
-        record itself, no condition wait), so it is loop-safe too.  EXEC
-        spans several engine operations; ``_serve`` guards its retry
-        safety explicitly (see there).  A CALL undoes a blocked attempt
-        by restarting its transaction at the same snapshot (``_op_call``),
-        which loses nothing only if the transaction had done nothing
-        before the call: begun by it, or by the bare BEGIN the cluster
-        router sends inside its snapshot window.  A CALL joining a
-        transaction that has touched anything is the one request that
-        skips the inline attempt.
-        """
-        txn = conn.session.txn
-        return txn is None or not txn.is_active or txn.is_untouched
-
-    def _serve(self, conn: _ClientConnection, message: dict, blocking: bool) -> dict:
-        """Execute one request (loop thread when ``blocking`` is False,
-        the connection's worker thread when True) and build the response.
-
-        A :class:`WouldBlock` escape from the inline attempt is *not* an
-        RPC outcome — it propagates to the caller, which re-dispatches the
-        same message on the worker thread with the blocking waiter.  That
-        re-dispatch is sound only if the aborted attempt left no staged
-        write behind: engine ops stage nothing when they return ``WaitOn``
-        (reads and lock re-acquisition are idempotent on retry), and a
-        mini-SQL statement stages at most one write as its final effect —
-        but the ``txn.writes`` guard below enforces it rather than trusting
-        the statement grammar.
+        A parked request runs again from the top on wake-up, which is
+        sound only if the blocked attempt left no staged write behind:
+        engine ops stage nothing when they return ``WaitOn`` (reads and
+        lock re-acquisition are idempotent on retry), a mini-SQL statement
+        stages at most one write as its final effect, and a CALL on an
+        untouched transaction restarted it (``_op_call``) — but the
+        ``txn.writes`` guard below enforces it rather than trusting the
+        grammar: a request that blocked after staging a write (a CALL
+        joining a touched transaction can) aborts its transaction.
         """
         op = message.get("op")
         obs = self.obs
         started = obs.now() if obs is not None else 0.0
         session = conn.session
-        session.waiter = conn.blocking_waiter if blocking else _NOWAIT
-        # One writer per dict keeps ``+= 1`` exact without a lock: the loop
-        # thread owns the server's counters, each worker thread its
-        # connection's tally.
-        counts = conn.counts = conn.worker_counts if blocking else self._counters
         txn_before = session.txn
         staged = len(txn_before.writes) if txn_before is not None else 0
         try:
             handler = self._HANDLERS.get(op)
             if handler is None:
-                self._note_protocol_error("unknown-op", counts)
+                self._note_protocol_error("unknown-op")
                 raise ProtocolError(f"unknown operation {op!r}")
             try:
                 # Piggybacked BEGIN (deferred by the client to save a
-                # round trip).  Guarded on in_transaction so a WouldBlock
-                # re-dispatch does not begin twice.
+                # round trip).  Guarded on in_transaction so the re-run of
+                # a parked request does not begin twice.
                 label = message.get("begin")
                 if label is not None and op != "BEGIN" and not session.in_transaction:
                     session.begin(str(label))
@@ -704,44 +684,44 @@ class DatabaseServer:
                 field = exc.args[0] if exc.args else None
                 if field not in _REQUIRED_FIELDS.get(op, ()) or field in message:
                     raise
-                self._note_protocol_error("missing-field", counts)
+                self._note_protocol_error("missing-field")
                 raise ProtocolError(
                     f"request {op} is missing field {field!r}"
                 ) from None
             response["ok"] = True
-            counts["rpcs_total"] += 1
+            self._counters["rpcs_total"] += 1
             if obs is not None:
                 obs.net_rpc(str(op), obs.now() - started, True)
             return response
-        except WouldBlock:
-            # Escalate to the worker thread; not an RPC outcome.  Only
-            # sound when the attempt staged nothing (see docstring) — no
-            # statement of the current grammar can, and a CALL arrives
-            # here with the fresh transaction ``_op_call`` restarted it
-            # into — but abort rather than risk double-applying a
-            # partially run statement.
-            txn_now = session.txn
-            if (
-                txn_now is not None
-                and txn_now.is_active
-                and len(txn_now.writes) != (staged if txn_now is txn_before else 0)
-            ):
-                self.db.abort(txn_now, reason="net-retry-unsafe")
-                counts["rpcs_total"] += 1
-                if obs is not None:
-                    obs.net_rpc(str(op or "?"), obs.now() - started, False)
-                return error_payload(
-                    TransactionAborted(
-                        "statement blocked after staging writes; "
-                        "transaction aborted (not retryable in place)"
-                    )
+        except WouldBlock as blocked:
+            txn = session.txn  # active: it was just waiting
+            if len(txn.writes) != (staged if txn is txn_before else 0):
+                self.db.abort(txn, reason="net-retry-unsafe")
+                error: ReproError = TransactionAborted(
+                    "statement blocked after staging writes; "
+                    "transaction aborted (not retryable in place)"
                 )
-            raise
+            else:
+                try:
+                    self._park(conn, txn, blocked.wait)
+                    return None
+                except DeadlockError as exc:
+                    error = exc
         except ReproError as exc:
-            counts["rpcs_total"] += 1
-            if obs is not None:
-                obs.net_rpc(str(op or "?"), obs.now() - started, False)
-            return error_payload(exc)
+            error = exc
+        return self._failed(op, error, started)
+
+    def _failed(
+        self, op: object, error: ReproError, started: Optional[float] = None
+    ) -> dict:
+        """The error response to one request, counted like any RPC
+        (``started``: when serving it began on the ``obs`` clock)."""
+        self._counters["rpcs_total"] += 1
+        obs = self.obs
+        if obs is not None:
+            seconds = 0.0 if started is None else obs.now() - started
+            obs.net_rpc(str(op or "?"), seconds, False)
+        return error_payload(error)
 
     # --- handlers ------------------------------------------------------
     def _op_ping(self, conn: _ClientConnection, msg: dict) -> dict:
@@ -764,8 +744,8 @@ class DatabaseServer:
 
     def _op_vacuum(self, conn: _ClientConnection, msg: dict) -> dict:
         pruned = self.db.vacuum()
-        conn.counts["vacuum_runs"] += 1
-        conn.counts["vacuum_pruned_total"] += pruned
+        self._counters["vacuum_runs"] += 1
+        self._counters["vacuum_pruned_total"] += pruned
         return {"pruned": pruned}
 
     # --- two-phase commit (coordinator -> participant ops) --------------
@@ -799,16 +779,15 @@ class DatabaseServer:
 
     def _statement(self, sql: str, kind: Optional[str]) -> tuple[int, PreparedStatement]:
         cache_key = (sql, kind)
-        with self._prepared_lock:
-            entry = self._prepared.get(cache_key)
-            if entry is None:
-                statement = PreparedStatement(sql, kind=kind)
-                entry = (
-                    self._sid_base + len(self._prepared_by_id),
-                    statement,
-                )
-                self._prepared_by_id.append(statement)
-                self._prepared[cache_key] = entry
+        entry = self._prepared.get(cache_key)
+        if entry is None:
+            statement = PreparedStatement(sql, kind=kind)
+            entry = (
+                self._sid_base + len(self._prepared_by_id),
+                statement,
+            )
+            self._prepared_by_id.append(statement)
+            self._prepared[cache_key] = entry
         return entry
 
     def _resolve_statement(self, msg: dict) -> tuple[int, PreparedStatement]:
@@ -861,21 +840,20 @@ class DatabaseServer:
         """Build (once per incarnation) the body a factory makes of a
         spec; the id it returns is what CALL frames carry."""
         key = (str(msg["factory"]), str(msg["spec"]))
-        with self._prepared_lock:
-            pid = self._program_ids.get(key)
-            if pid is None:
-                factory = PROGRAM_FACTORIES.get(key[0])
-                if factory is None:
-                    raise ProtocolError(f"unknown program factory {key[0]!r}")
-                try:
-                    body = factory(json.loads(key[1]))
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise ProtocolError(
-                        f"factory {key[0]!r} rejected its spec: {exc!r}"
-                    ) from None
-                pid = self._sid_base + len(self._programs)
-                self._programs.append(body)
-                self._program_ids[key] = pid
+        pid = self._program_ids.get(key)
+        if pid is None:
+            factory = PROGRAM_FACTORIES.get(key[0])
+            if factory is None:
+                raise ProtocolError(f"unknown program factory {key[0]!r}")
+            try:
+                body = factory(json.loads(key[1]))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ProtocolError(
+                    f"factory {key[0]!r} rejected its spec: {exc!r}"
+                ) from None
+            pid = self._sid_base + len(self._programs)
+            self._programs.append(body)
+            self._program_ids[key] = pid
         return {"pid": pid}
 
     def _op_call(self, conn: _ClientConnection, msg: dict) -> dict:
@@ -883,12 +861,14 @@ class DatabaseServer:
         wire), run the program, then commit / prepare / leave open.
 
         However the call fails, no transaction is left behind.  A blocked
-        inline attempt (``_can_inline_call``: the transaction had done
-        nothing before the call) is undone by restarting the transaction
-        at its snapshot — the worker-thread re-run joins the successor
-        and starts the program over, so nothing is applied twice and it
-        reads what the attempt read — or, with ``nowait``, reported as
-        :class:`LockNotAvailable` instead of waited for.
+        attempt on a transaction that had done nothing before the call
+        (begun by it, or the bare BEGIN the cluster router sends inside
+        its snapshot window) is undone by restarting the transaction at
+        its snapshot — the re-run after the park joins the successor and
+        starts the program over, so nothing is applied twice and it reads
+        what the attempt read — or, with ``nowait``, reported as
+        :class:`LockNotAvailable` instead of waited for.  One joining a
+        touched transaction is parked as it stands (``_serve``).
         """
         pid = msg["pid"]
         index = pid - self._sid_base if isinstance(pid, int) else -1
@@ -901,8 +881,9 @@ class DatabaseServer:
         nowait = bool(msg.get("nowait"))
         if not session.in_transaction:
             session.begin(str(msg.get("label", "")))
+        untouched = session.txn.is_untouched
         try:
-            if nowait and not session.txn.is_untouched:
+            if nowait and not untouched:
                 raise ProtocolError(
                     "CALL nowait cannot join a transaction that has "
                     "already read or written"
@@ -923,7 +904,8 @@ class DatabaseServer:
                 raise LockNotAvailable(
                     "a row lock the program needs is held"
                 ) from None
-            session.txn = self.db.restart(session.txn, reason="call-would-block")
+            if untouched:
+                session.txn = self.db.restart(session.txn, reason="call-would-block")
             raise
         except BaseException:
             if session.in_transaction:

@@ -202,7 +202,7 @@ class Observability:
         # Fleet / fan-out instruments (DESIGN.md §14).
         self.cluster_fanout_broadcasts = m.counter(
             "repro_cluster_fanout_broadcasts_total",
-            help="Concurrent per-shard RPC broadcasts through the fan-out pool",
+            help="Per-shard RPC broadcasts, all sent before any reply is read",
         )
         self.cluster_fanout_width = m.histogram(
             "repro_cluster_fanout_width",
@@ -400,8 +400,8 @@ class Observability:
         self.cluster_shards_unhealthy.set(unhealthy)
 
     def cluster_fanout(self, op: str, width: int) -> None:
-        """One per-shard broadcast: a ``scatter_gather`` round of the
-        transaction path or a ``FanOutPool`` sweep."""
+        """One per-shard broadcast (``scatter_gather``): a round of the
+        transaction path or a connection-level sweep."""
         self.cluster_fanout_broadcasts.inc()
         self.cluster_fanout_width.observe(width)
         self.metrics.counter(

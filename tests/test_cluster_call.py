@@ -111,15 +111,14 @@ class TestOpCounts:
             200 * 2 + 1,
         ]
         assert conn.counters()["twopc_commits"] == 200
-        assert conn.fanout._executor is None  # the pool never started
         assert not [
             thread.name
             for thread in threading.enumerate()
             if thread.name.startswith("repro-fanout")
         ]
-        # The sweeps are what the pool is for; they carry the counter.
+        # Nor did a request wait: nothing parked on either shard.
         assert [
-            shard["worker_dispatches_total"]
+            shard["parked_total"]
             for shard in conn.stats()["shard_stats"]
         ] == [0, 0]
 

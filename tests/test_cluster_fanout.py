@@ -1,11 +1,11 @@
-"""Per-shard broadcasts: scatter-gather, pool, oracle groups, sweeps.
+"""Per-shard broadcasts: scatter-gather, oracle groups, sweeps.
 
 The gather contract (every outcome, positionally, nothing raised early)
 is what lets 2PC send all PREPAREs before reading any vote and still
-reason about votes — on the transaction path from the caller's own
-thread (``scatter_gather`` over split-phase session verbs, whose wires
-must never reach a pool with a reply unread), in the connection-level
-sweeps through ``FanOutPool``; the oracle's two-group latch is what lets decision
+reason about votes — from the caller's own thread (``scatter_gather``
+over split-phase verbs, whose wires must never reach a pool with a reply
+unread), on the transaction path and in the connection-level sweeps
+alike; the oracle's two-group latch is what lets decision
 broadcasts share a window instead of serialising every cross-shard
 commit; and the router-level tests pin the observable win — a slow
 shard no longer stalls probes of the healthy ones — plus the 2PC
@@ -22,69 +22,11 @@ import time
 import pytest
 
 from repro.cluster import Cluster, TimestampOracle
-from repro.cluster.fanout import FanOutPool, Outcome, first_error, scatter_gather
+from repro.cluster.fanout import first_error, scatter_gather
 from repro.errors import ConnectionClosed, ReproError, TransactionStateError
 from repro.faults import FaultPlan, FaultSpec
 from repro.obs import Observability
 from repro.smallbank import customer_name, get_strategy
-
-
-class TestFanOutPool:
-    def test_outcomes_are_positional_and_errors_captured(self):
-        boom = ValueError("boom")
-
-        def fail():
-            raise boom
-
-        with FanOutPool(4) as pool:
-            outcomes = pool.run([lambda: "a", fail, lambda: "c"])
-        assert [outcome.value for outcome in outcomes] == ["a", None, "c"]
-        assert outcomes[1].error is boom
-        assert [outcome.ok for outcome in outcomes] == [True, False, True]
-        assert first_error(outcomes) is boom
-
-    def test_first_error_is_task_order_not_completion_order(self):
-        slow = RuntimeError("slow-but-first")
-        fast = RuntimeError("fast-but-second")
-
-        def slow_fail():
-            time.sleep(0.05)
-            raise slow
-
-        def fast_fail():
-            raise fast
-
-        with FanOutPool(4) as pool:
-            assert first_error(pool.run([slow_fail, fast_fail])) is slow
-
-    def test_single_task_runs_inline_without_threads(self):
-        pool = FanOutPool(4)
-        caller = threading.current_thread().name
-        outcomes = pool.run([lambda: threading.current_thread().name])
-        assert outcomes == [Outcome(caller, None)]
-        assert pool._executor is None  # never lazily created
-        pool.shutdown()
-
-    def test_multi_task_broadcast_really_overlaps(self):
-        barrier = threading.Barrier(3, timeout=5.0)
-        with FanOutPool(4) as pool:
-            outcomes = pool.run([barrier.wait] * 3)
-        # All three tasks were inside the barrier simultaneously; a
-        # serial loop would have deadlocked (BrokenBarrierError).
-        assert all(outcome.ok for outcome in outcomes)
-
-    def test_closed_pool_degrades_to_serial_not_an_error(self):
-        pool = FanOutPool(2)
-        pool.run([lambda: 1, lambda: 2])  # force executor creation
-        pool.shutdown()
-        outcomes = pool.run([lambda: 1, lambda: 2, lambda: 3])
-        assert [outcome.value for outcome in outcomes] == [1, 2, 3]
-
-    def test_counts_broadcasts_in_obs(self):
-        obs = Observability()
-        with FanOutPool(2, obs=obs) as pool:
-            pool.run([lambda: 1, lambda: 2], op="stats")
-        assert obs.cluster_fanout_broadcasts.value == 1
 
 
 @pytest.fixture
@@ -103,6 +45,40 @@ class TestScatterGather:
 
     def _branches(self, conn):
         return [shard.session() for shard in conn.shards]
+
+    def test_outcomes_are_positional_and_errors_captured(self):
+        boom = ValueError("boom")
+
+        def fail():
+            raise boom
+
+        outcomes = scatter_gather(
+            [lambda: lambda: "a", lambda: fail, fail, lambda: lambda: "d"]
+        )
+        assert [outcome.value for outcome in outcomes] == ["a", None, None, "d"]
+        assert outcomes[1].error is boom and outcomes[2].error is boom
+        assert [outcome.ok for outcome in outcomes] == [True, False, False, True]
+        assert first_error(outcomes) is boom
+
+    def test_first_error_is_task_order_not_completion_order(self):
+        late = RuntimeError("read-late-but-first")
+        early = RuntimeError("sent-fails-early-but-second")
+
+        def read_fails():
+            raise late
+
+        def send_fails():
+            raise early
+
+        outcomes = scatter_gather([lambda: read_fails, send_fails])
+        assert first_error(outcomes) is late
+
+    def test_counts_broadcasts_in_obs(self):
+        obs = Observability()
+        scatter_gather([lambda: lambda: 1], op="stats", obs=obs)
+        assert obs.cluster_fanout_broadcasts.value == 0  # one shard: none
+        scatter_gather([lambda: lambda: 1, lambda: lambda: 2], op="stats", obs=obs)
+        assert obs.cluster_fanout_broadcasts.value == 1
 
     def test_sends_everything_before_reading_anything(self):
         events = []

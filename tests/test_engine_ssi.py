@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine import Database
+from repro.analysis import record_database
+from repro.analysis.mvsg import MultiVersionSerializationGraph
+from repro.engine import Database, EngineConfig
 from repro.engine.transaction import TxnStatus
 from repro.errors import SsiAbort
+from repro.smallbank import PopulationConfig, build_database
 
 
 def write_balance(db, txn, table, cid, value):
@@ -97,3 +100,43 @@ class TestSsiCertifier:
         # The other two are free to commit.
         db.commit(reader)
         assert reader.status is TxnStatus.COMMITTED
+
+
+class TestPreparedTransactions:
+    """A PREPARED transaction may still commit, and only its coordinator
+    can abort it: the certifier treats it as active where it writes (a
+    reader under its write gains an rw edge) and as committed where it
+    is a pivot (the *other* transaction is doomed)."""
+
+    def test_write_skew_with_one_side_prepared_is_aborted(self):
+        db = build_database(EngineConfig.ssi(), PopulationConfig(customers=4))
+        recorder = record_database(db)
+        t1 = db.begin("wc")
+        t2 = db.begin("ts")  # begun before t1 prepares
+        saving = dict(db.read(t1, "Saving", 1))
+        db.read(t1, "Checking", 1)
+        db.write(t1, "Saving", 1, {**saving, "Balance": 0.0})
+        db.prepare_commit(t1, "g1")
+        db.read(t2, "Saving", 1)  # under t1's prepared write: t2 -rw-> t1
+        checking = dict(db.read(t2, "Checking", 1))
+        with pytest.raises(SsiAbort):
+            db.write(t2, "Checking", 1, {**checking, "Balance": 0.0})
+        db.commit_prepared("g1")
+        assert t2.status is TxnStatus.ABORTED
+        assert MultiVersionSerializationGraph(recorder.committed).find_cycle() is None
+
+    def test_prepared_pivot_dooms_the_other_side(self, ssi_db: Database):
+        db = ssi_db
+        reader = db.begin("reader")
+        db.read(reader, "Checking", 1)
+        pivot = db.begin("pivot")
+        db.read(pivot, "Saving", 1)
+        write_balance(db, pivot, "Checking", 1, 0.0)  # reader -rw-> pivot
+        db.prepare_commit(pivot, "g1")
+        writer = db.begin("writer")
+        with pytest.raises(SsiAbort):  # pivot -rw-> writer: pivot complete
+            write_balance(db, writer, "Saving", 1, 0.0)
+            db.commit(writer)
+        db.commit_prepared("g1")
+        db.commit(reader)
+        assert (pivot.status, reader.status) == (TxnStatus.COMMITTED,) * 2

@@ -134,8 +134,8 @@ class TestParity:
 
 class TestBlockedCall:
     """A CALL spans many engine operations: when one would block, the
-    inline attempt is rolled back and the whole program re-run on the
-    worker thread — never resumed half-way, never applied twice."""
+    attempt is rolled back, parked, and the whole program re-run when
+    the lock frees — never resumed half-way, never applied twice."""
 
     def _run_behind(self, conn, lock, strategy, program, args):
         """Run ``program`` while another session holds ``lock``; returns
@@ -354,24 +354,23 @@ def program_of(strategy, name):
 
 
 def dispatches(server):
-    return server.stats()["worker_dispatches_total"]
+    return server.stats()["parked_total"]
 
 
 class TestJoiningCall:
     """A CALL joining the bare BEGIN the cluster router sends inside its
     snapshot window (``begin_now``) is attempted on the loop thread like
     one that begins its own transaction; blocked, the transaction is
-    restarted *at its snapshot* and the program re-run on the worker.
-    Once the transaction has touched anything, a joining CALL goes to
-    the worker directly — a wait never turns into an abort."""
+    restarted *at its snapshot* and the program re-run after the park.
+    Once the transaction has touched anything, a blocked joining CALL is
+    parked as it stands — it waits if it staged nothing first."""
 
     CROSS = {"N1": customer_name(1), "N2": customer_name(2)}
 
     def _blocked(self, server, session, program, args, lock, release, **how):
         """``session.call_program`` behind another session's lock on
-        ``lock``; once the call is seen waiting on the worker thread,
-        ``release(holder)`` lets go.  Returns (result, raised, worker
-        hand-offs the call cost)."""
+        ``lock``; once the call is seen parked, ``release(holder)`` lets
+        go.  Returns (result, raised, the parks the call cost)."""
         holder = session._connection.session()
         holder.begin("holder")
         assert holder.select_for_update(*lock) is not None
@@ -389,7 +388,7 @@ class TestJoiningCall:
         thread.start()
         wait_until(
             lambda: dispatches(server) == before + 1,
-            message="the CALL to reach the worker thread",
+            message="the CALL to park",
         )
         time.sleep(0.1)
         assert thread.is_alive(), "the CALL did not wait for the row lock"
@@ -418,7 +417,7 @@ class TestJoiningCall:
 
     def test_blocked_after_a_write_waits_and_applies_it_once(self, server, conn):
         """Conflict[1] is written, Conflict[2] is held: the attempt is
-        undone, the re-run waits on the worker, and when the holder
+        undone, the re-run waits parked, and when the holder
         aborts every write lands exactly once."""
         before = snapshot(conn)
         session = conn.session()
@@ -449,7 +448,7 @@ class TestJoiningCall:
 
     def test_rerun_reads_the_snapshot_of_the_begin(self, server, conn):
         """Saving[3] grows twice after the BEGIN; the blocked WriteCheck
-        is re-run on the worker and a VACUUM passes meanwhile — it still
+        is re-run after its park and a VACUUM passes meanwhile — it still
         reads the old Saving[3], so the overdraft penalty applies."""
         start = snapshot(conn)
         total = start["Saving"][3]["Balance"] + start["Checking"][3]["Balance"]
@@ -510,9 +509,12 @@ class TestJoiningCall:
         )
         assert server.stats()["active_transactions"] == 0
 
-    def test_touched_transaction_goes_to_the_worker_and_waits(self, server, conn):
+    def test_touched_transaction_is_served_inline_and_waits_parked(
+        self, server, conn
+    ):
         """begin, update, call_program: the update must not be lost to a
-        restart, so the CALL skips the inline attempt — contended or not."""
+        restart, so a blocked CALL is parked as it stands — it staged
+        nothing before it blocked — and uncontended it never parks."""
         start = snapshot(conn)
         deposit = program_of("base-si", DEPOSIT_CHECKING)
         session = conn.session()
@@ -523,7 +525,7 @@ class TestJoiningCall:
             session.call_program(
                 deposit, {"N": customer_name(4), "V": 1.0}, end="open"
             )
-            assert dispatches(server) == handed + 1  # uncontended, still handed off
+            assert dispatches(server) == handed  # uncontended: no hand-off
             _result, raised, handed = self._blocked(
                 server,
                 session,
@@ -596,7 +598,7 @@ class TestJoiningCall:
         victim.send("CALL", {"pid": pid, "label": "doomed", "args": self.CROSS})
         wait_until(
             lambda: dispatches(server) == handed + 1,
-            message="the restarted CALL to block on the worker",
+            message="the restarted CALL to park",
         )
         time.sleep(0.1)
         assert server.stats()["active_transactions"] == 2
@@ -623,7 +625,7 @@ class TestRetryUnsafeGuard:
     ):
         """No statement of the grammar writes and *then* blocks, and a
         CALL restarts instead — so ``_serve``'s guard is driven with a
-        stand-in handler: re-running it on the worker would stage the
+        stand-in handler: re-running it after a park would stage the
         first write twice, so the transaction is aborted instead."""
 
         def two_writes(self, conn, msg):

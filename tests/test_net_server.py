@@ -96,10 +96,10 @@ class TestLifecycle:
         wire.close()
 
     def test_stop_served_before_its_own_wake_up_is_sent(self):
-        """``shutdown`` posts the stop, then wakes the loop — but a
-        worker's wake-up can get there first, so the loop may serve the
-        stop and end before ``shutdown`` has sent its own.  Forced here:
-        the caller's wake-up waits for a disconnect to do just that."""
+        """``shutdown`` posts the stop, then wakes the loop — but any
+        other wake-up can get there first, so the loop may serve the stop
+        and end before ``shutdown`` has sent its own.  Forced here: the
+        caller's wake-up waits for a disconnect to do just that."""
         server = make_server()
         wire = WireConnection("127.0.0.1", server.port)
         assert wire.call("PING", {})["pong"]
@@ -108,7 +108,7 @@ class TestLifecycle:
         class LateWakeUp:
             def send(self, data):
                 if threading.get_ident() == caller:
-                    wire.close()  # EOF -> reap, posted by the worker thread
+                    wire.close()  # EOF wakes the loop, which serves the stop
                     wait_until(
                         lambda: not loop_thread.is_alive(),
                         message="the loop to serve the stop and end",
@@ -550,11 +550,10 @@ class TestNoAsyncioNoLeakedDescriptors:
 
 class TestCountersAreExact:
     def test_worker_and_inline_rpcs_are_all_counted(self):
-        """``_serve`` runs on the loop thread and on every connection's
-        worker thread.  A ``CALL`` joining an open transaction always takes
-        the worker thread, a ``PING`` never does; with both kinds in
-        flight from many connections, ``rpcs_total`` must still equal the
-        number of requests sent — one writer per tally, no lost update."""
+        """With ``CALL``s joining open transactions and ``PING``s in
+        flight from many connections, ``rpcs_total`` must equal the number
+        of requests sent — no lost update (before ISSUE 26 the joining
+        ``CALL``s ran on worker threads, which kept tallies of their own)."""
         program = get_strategy("base-si").transactions()._calls[
             BALANCE
         ].statement.program

@@ -177,7 +177,6 @@ class TestClusterRouting:
             session.close()
             assert conn.shards[1 - down]._idle == [wires[1 - down]]
             assert conn.shards[down]._idle == []
-            assert conn.fanout._executor is None
             assert fanout_threads() == []
 
     def test_broadcast_lookup_takes_the_first_hit_in_shard_order(self):
