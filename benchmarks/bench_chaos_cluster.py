@@ -16,10 +16,11 @@ the soak drives recovery to a fixed point and certifies:
 * **zero** transactions remain in doubt once the in-doubt resolver has
   swept the decision log.
 
-Each run appends one JSON-lines record to ``BENCH_chaos_cluster.json``
-at the repo root — the same file and format as the CI gate
-``python -m repro.cluster --chaos-smoke`` (one ``to_record()`` object
-per line), so a single artifact accumulates both.  CI smoke::
+Each run appends its ``to_record()`` to the ``runs`` of
+``BENCH_chaos_cluster.json`` at the repo root through
+:func:`repro.bench.harness.append_bench_record` — the same file and
+writer as the CI gate ``python -m repro.cluster --chaos-smoke``, so a
+single artifact accumulates both.  CI smoke::
 
     PYTHONPATH=src python benchmarks/bench_chaos_cluster.py --smoke
 
@@ -39,6 +40,7 @@ import json
 import time
 from pathlib import Path
 
+from repro.bench.harness import append_bench_record
 from repro.cluster.chaos import ChaosConfig, build_fault_plan, run_chaos
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -68,12 +70,6 @@ def soak_config(
         seed=seed,
         strategy=strategy,
     )
-
-
-def append_bench_record(record: dict, path: Path = BENCH_JSON) -> None:
-    """Append one record as a JSON line (same format as --chaos-smoke)."""
-    with path.open("a", encoding="utf-8") as handle:
-        handle.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 def describe(result) -> str:
@@ -110,7 +106,7 @@ def test_smoke_soak_certifies() -> None:
 
 
 def test_record_shape_matches_the_ci_gate() -> None:
-    """One file accumulates bench and --chaos-smoke lines; pin the keys."""
+    """One file accumulates bench and --chaos-smoke records; pin the keys."""
     result = run_chaos(soak_config(seed=17, duration=0.8))
     record = result.to_record()
     assert record["benchmark"] == "chaos_cluster"
@@ -119,7 +115,7 @@ def test_record_shape_matches_the_ci_gate() -> None:
     assert set(record["checks"]) == {
         "serializable", "ledger_conserved", "in_doubt_after_recovery",
     }
-    json.dumps(record)  # must be serializable as a single JSON line
+    json.dumps(record)  # must be serializable as JSON
 
 
 def test_fault_schedule_is_deterministic() -> None:
@@ -185,7 +181,7 @@ def main(argv: "list[str] | None" = None) -> int:
                 "%Y-%m-%dT%H:%M:%SZ", time.gmtime()
             )
             record["mode"] = "smoke" if args.smoke else "full"
-            append_bench_record(record)
+            append_bench_record(BENCH_JSON, "chaos_cluster", record)
     if not args.no_json:
         print(f"appended {len(seeds)} run record(s) to {BENCH_JSON.name}")
     return 1 if failures else 0

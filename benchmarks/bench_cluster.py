@@ -18,8 +18,10 @@ scale with shard count on a multi-core host.  Each point reports:
 * printed beside the TPS, not recorded: the shards' **RPCs**, **parks**
   (requests a server held on its loop until a row lock freed) and
   **lock-wait seconds** per decided transaction, summed over shards,
-  and the point's **lock timeouts** — where the work and the waiting
-  went when a gate fails.
+  the point's **lock timeouts**, and its **aborts by reason** — the
+  shards' engine reason tags and the router's split of ``twopc_aborts``
+  by what ended the attempt — where the work and the waiting went when
+  a gate fails.
 
 A separate paired microbenchmark quantifies the **2PC overhead** on a
 2-shard cluster: the same connection alternately commits single-shard
@@ -51,6 +53,7 @@ import statistics
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 from repro.bench.harness import append_bench_record
@@ -112,11 +115,11 @@ def _drive(conn, mpl: int, duration: float, seed: int) -> dict:
 
 def _shard_work(cluster) -> dict:
     """What the shards did so far, summed: RPCs served, requests parked
-    for a row lock, the seconds they waited and the waits that timed out
-    (the servers' own ``STATS`` counters)."""
+    for a row lock, the seconds they waited, the waits that timed out and
+    the aborts by reason tag (the servers' own ``STATS`` counters)."""
     with cluster.connect() as conn:
         shards = conn.stats()["shard_stats"]
-    return {
+    work = {
         name: sum(shard[name] for shard in shards)
         for name in (
             "rpcs_total",
@@ -125,6 +128,14 @@ def _shard_work(cluster) -> dict:
             "lock_timeouts_total",
         )
     }
+    work["aborts_by_reason"] = dict(
+        sum((Counter(shard["aborts_by_reason"]) for shard in shards), Counter())
+    )
+    return work
+
+
+def _by_reason(counts: dict) -> str:
+    return " ".join(f"{k}={v}" for k, v in sorted(counts.items()) if v) or "none"
 
 
 def _loadgen(args) -> int:
@@ -240,6 +251,7 @@ def measure_shards(
             "parked": work["parked_total"] / max(decided, 1),
             "lock_wait_s": work["lock_wait_seconds_total"] / max(decided, 1),
             "lock_timeouts": work["lock_timeouts_total"],  # per point
+            "shard_aborts": work["aborts_by_reason"],  # per point
         },
     }
 
@@ -403,7 +415,13 @@ def main(argv: "list[str] | None" = None) -> int:
     for shard_count in shards:
         point = curve["points"][str(shard_count)]
         counters = point["counters"]
-        per_txn = point.pop("per_txn")  # printed only: the record keeps its shape
+        # Printed only: the record keeps its shape.
+        per_txn = point.pop("per_txn")
+        split = {
+            key[len("twopc_aborts_"):]: counters.pop(key)
+            for key in list(counters)
+            if key.startswith("twopc_aborts_")
+        }
         print(
             f"  {shard_count} shard{'s' if shard_count > 1 else ' '}: "
             f"{point['tps']:>8,.0f} tps ({point['speedup']:4.2f}x)   "
@@ -414,6 +432,10 @@ def main(argv: "list[str] | None" = None) -> int:
             f"fastpath {point['fastpath_ratio']:.1%}   "
             f"2pc {counters['twopc_commits']:>6,d} commits "
             f"/ {counters['twopc_aborts']:,d} aborts"
+        )
+        print(
+            f"    aborts by reason: shards "
+            f"{_by_reason(per_txn['shard_aborts'])}   2pc {_by_reason(split)}"
         )
         if point["tps"] <= 0:
             print(f"FAIL: no progress at {shard_count} shards")

@@ -27,8 +27,9 @@ requested strategy — the CI cluster smoke job.
 (:mod:`repro.cluster.chaos`): network faults, a shard kill/restart and
 coordinator crashes over ≥ 2 shards at MPL 8, then recovery to a fixed
 point.  Exits non-zero unless the merged MVSG is acyclic, the ledger is
-exactly conserved, and zero transactions remain in doubt.  Writes the
-result record to ``BENCH_chaos_cluster.json`` (``--out`` overrides).
+exactly conserved, and zero transactions remain in doubt.  Appends the
+result record to the ``BENCH_chaos_cluster.json`` trajectory
+(``--out`` overrides).
 
 ``--procs`` switches any of the above from the in-process
 :class:`~repro.cluster.Cluster` to the multi-process
@@ -42,6 +43,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from repro.api import ISOLATION_CONFIGS
 from repro.cluster.fleet import Cluster, ShardFleet
@@ -98,6 +100,7 @@ def _smoke(
 
 def _chaos_smoke(args) -> int:
     """Seeded chaos soak + certification; the CI chaos-cluster gate."""
+    from repro.bench.harness import append_bench_record
     from repro.cluster.chaos import ChaosConfig, run_chaos
 
     config = ChaosConfig(
@@ -112,11 +115,14 @@ def _chaos_smoke(args) -> int:
     )
     result = run_chaos(config)
     record = result.to_record()
-    if args.out:
-        with open(args.out, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
     print(f"CHAOS {result.report_description}", flush=True)
     print("STATS " + json.dumps(record, sort_keys=True), flush=True)
+    if args.out:
+        try:
+            append_bench_record(Path(args.out), "chaos_cluster", record)
+        except ValueError as exc:
+            print(f"FAIL {exc}", file=sys.stderr, flush=True)
+            return 1
     if not result.ok:
         print(
             "FAIL "

@@ -9,7 +9,8 @@ in which case it takes the **fast path**: a plain per-shard COMMIT, no
 prepare round at all.  A whole transaction *program*
 (:meth:`ClusterSession.call_program`) is routed from its arguments
 alone: one ``CALL`` to the owning shard, or — an Amalgamate of customers
-on two shards — its two parts as five RPCs in three rounds.
+on two shards — its two parts as four RPCs in three rounds, both
+parts' snapshots opened inside one snapshot window.
 
 A statement-by-statement transaction opens with BEGIN broadcast to
 every shard inside the oracle's shared snapshot window, so no decision
@@ -41,8 +42,12 @@ from repro.errors import (
     ApplicationRollback,
     ConnectionClosed,
     CoordinatorCrashed,
+    DatabaseCrashed,
+    DeadlockError,
     LockNotAvailable,
+    LockTimeout,
     ReproError,
+    SerializationFailure,
     ShardUnavailable,
     SqlError,
     TransactionStateError,
@@ -56,6 +61,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults import FaultPlan
     from repro.obs import Observability
     from repro.workload.retry import RetryPolicy
+
+#: What ended a 2PC attempt, first match wins: the flat counter keys
+#: ``twopc_aborts`` splits into (anything else is ``twopc_aborts_other``).
+_ABORT_KEYS = (
+    (LockTimeout, "twopc_aborts_lock_timeout"),
+    (SerializationFailure, "twopc_aborts_serialization"),
+    (DeadlockError, "twopc_aborts_deadlock"),
+    ((ConnectionClosed, DatabaseCrashed), "twopc_aborts_unreachable"),
+)
 
 
 class ClusterSession(RemoteVerbs):
@@ -108,23 +122,22 @@ class ClusterSession(RemoteVerbs):
             )
         self._stamp(label)
         self._in_txn = True
-        self._begin_together(
-            [self._open(s) for s in range(len(self._cluster.shards))]
-        )
+        branches = [self._open(s) for s in range(len(self._cluster.shards))]
+        with self._cluster.oracle.snapshot_window():
+            self._begin_together(branches)
 
     def _begin_together(self, branches: "Sequence[NetworkSession]") -> None:
-        """BEGIN on every branch inside one shared snapshot window: no
-        2PC decision broadcast can interleave the snapshots.  Every
+        """BEGIN on every branch; the caller holds the snapshot window,
+        so no 2PC decision broadcast can interleave the snapshots.  Every
         BEGIN is sent before the first reply is read — every
         statement-by-statement transaction pays for them, so they must
         not cost ``shards × RTT``.
         """
-        with self._cluster.oracle.snapshot_window():
-            outcomes = scatter_gather(
-                [partial(b.start_begin_now, self._tagged) for b in branches],
-                op="begin",
-                obs=self._cluster.obs,
-            )
+        outcomes = scatter_gather(
+            [partial(b.start_begin_now, self._tagged) for b in branches],
+            op="begin",
+            obs=self._cluster.obs,
+        )
         error = first_error(outcomes)
         if error is not None:
             raise error
@@ -230,19 +243,17 @@ class ClusterSession(RemoteVerbs):
     def _call_split(
         self, parts: "Sequence[Program]", args: "Mapping[str, object]"
     ) -> object:
-        """A two-shard program as five RPCs in three sequential rounds.
+        """A two-shard program as four RPCs in three sequential rounds.
 
-        1. Inside one snapshot window: ``CALL first end=prepare:g`` to
-           the first part's shard A (begins, runs, votes) and ``BEGIN``
-           to the second part's shard B, both sent before either reply
-           is read — both snapshots open with no decision broadcast
-           between them.
-        2. ``CALL second end=prepare:g`` to B, joining that transaction,
-           with the first part's result as ``carry``.
+        1. ``CALL first end=prepare:g nowait`` to the first part's shard
+           A: begins, runs, votes.
+        2. ``CALL second end=prepare:g nowait`` to the second part's
+           shard B, with the first part's result as ``carry``: begins,
+           runs, votes.  Rounds 1 and 2 share one snapshot window, so
+           both snapshots open with no decision broadcast between them.
         3. The coordinator's decision: durable log write, then
-           ``COMMIT_2PC`` sent to A and B and both replies read.
-
-        All from this thread (:func:`scatter_gather`).
+           ``COMMIT_2PC`` sent to A and B and both replies read
+           (:func:`scatter_gather`, from this thread).
 
         Any failure before the decision — a NO vote, an abort or a
         business rollback in either part, a lost shard — aborts both
@@ -250,14 +261,14 @@ class ClusterSession(RemoteVerbs):
         the abort is logged and delivered to whatever had prepared, and
         an open branch is rolled back when the branches are released.
 
-        Round 1 holds the snapshot window, which every decision
-        broadcast waits for, so its ``CALL`` must not wait for a row
-        lock in turn (the holder may be a prepared transaction whose
-        decision is queued behind this very window).  It runs
-        ``nowait``; told the lock is held, the router takes both
-        snapshots first (``BEGIN`` to A and B in a fresh window) and lets
-        the first part wait outside it — one round more, contended case
-        only.
+        The window is what every decision broadcast waits for, so no
+        ``CALL`` inside it may wait for a row lock in turn (the holder
+        may be a prepared transaction whose decision is queued behind
+        this very window): both run ``nowait``.  Told the lock is held,
+        the router sends ``BEGIN`` to every branch that has not voted
+        yet, still inside the window, and then re-runs the refused part
+        and any after it outside the window, waiting server-side — one
+        RPC more per branch begun, contended case only.
         """
         cluster = self._cluster
         coordinator = cluster.coordinator
@@ -272,33 +283,27 @@ class ClusterSession(RemoteVerbs):
                 for part in parts
             )
             with cluster.oracle.snapshot_window():
-                called, begun = scatter_gather(
-                    [
-                        partial(
-                            branch_a.start_call_program,
-                            first, args, label, end=end, nowait=True,
-                        ),
-                        partial(branch_b.start_begin_now, label),
-                    ],
-                    op="call",
-                    obs=cluster.obs,
-                )
-            if begun.ok and isinstance(called.error, LockNotAvailable):
-                branch_b.rollback()
-                self._begin_together((branch_a, branch_b))
+                try:
+                    carry = branch_a.call_program(
+                        first, args, label, end=end, nowait=True
+                    )
+                    prepared.append(branch_a)
+                    result = branch_b.call_program(
+                        second, {**args, "carry": carry}, label,
+                        end=end, nowait=True,
+                    )
+                    prepared.append(branch_b)
+                except LockNotAvailable:
+                    self._begin_together((branch_a, branch_b)[len(prepared):])
+            # Outside the window: whichever parts have not voted yet.
+            if not prepared:
                 carry = branch_a.call_program(first, args, label, end=end)
                 prepared.append(branch_a)
-            else:
-                if called.ok:
-                    prepared.append(branch_a)
-                error = first_error((begun, called))
-                if error is not None:
-                    raise error
-                carry = called.value
-            result = branch_b.call_program(
-                second, {**args, "carry": carry}, label, end=end
-            )
-            prepared.append(branch_b)
+            if len(prepared) == 1:
+                result = branch_b.call_program(
+                    second, {**args, "carry": carry}, label, end=end
+                )
+                prepared.append(branch_b)
         except BaseException:
             coordinator.abort(gtid, prepared)
             raise
@@ -526,6 +531,8 @@ class ClusterConnection(Connection):
             "fastpath_commits": 0,
             "twopc_commits": 0,
             "twopc_aborts": 0,
+            **{key: 0 for _, key in _ABORT_KEYS},
+            "twopc_aborts_other": 0,
             "coordinator_crashes": 0,
             "in_doubt_commits": 0,
             "in_doubt_aborts": 0,
@@ -560,9 +567,10 @@ class ClusterConnection(Connection):
             self.close()
             raise
 
-    def _count(self, name: str) -> None:
+    def _count(self, *names: str) -> None:
         with self._counter_lock:
-            self._counters[name] += 1
+            for name in names:
+                self._counters[name] += 1
 
     def _counted_two_phase(self, run: Callable, *args: object) -> object:
         """Run one 2PC transaction (``run(*args)``), counting how it ended."""
@@ -576,8 +584,11 @@ class ClusterConnection(Connection):
             raise
         except ApplicationRollback:
             raise  # the program's own decision, not the protocol's
-        except BaseException:
-            self._count("twopc_aborts")
+        except BaseException as exc:
+            self._count("twopc_aborts", next(
+                (key for kind, key in _ABORT_KEYS if isinstance(exc, kind)),
+                "twopc_aborts_other",
+            ))
             raise
         self._count("twopc_commits")
         return result
@@ -587,7 +598,10 @@ class ClusterConnection(Connection):
         return len(self.shards)
 
     def counters(self) -> "dict[str, int]":
-        """Router-side commit-path counters (fast path vs 2PC)."""
+        """Router-side commit-path counters (fast path vs 2PC), flat:
+        ``twopc_aborts`` and its split by what ended the attempt
+        (``twopc_aborts_lock_timeout`` / ``_serialization`` /
+        ``_deadlock`` / ``_unreachable`` / ``_other``)."""
         with self._counter_lock:
             return dict(self._counters)
 

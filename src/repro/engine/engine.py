@@ -200,6 +200,10 @@ class Database:
         # hook below is then a single attribute-load + ``is not None``
         # check, the same zero-overhead discipline as ``faults``.
         self._obs: "Observability | None" = None
+        #: Aborts by ``reason`` tag since this instance was built, counted
+        #: in ``_abort_locked`` — all but the "user" rollbacks a session
+        #: asked for.  A server's ``STATS`` serves it.
+        self.aborts_by_reason: dict[str, int] = {}
         self._txid_counter = 0
         self._crashed = False
         # Bootstrap rows double as the recovery checkpoint: load_row data
@@ -900,6 +904,9 @@ class Database:
         self._release_locks(txn.txid)
         if self._ssi is not None:
             self._ssi.on_resolve(txn, self._active.values())
+        if reason != "user":
+            counts = self.aborts_by_reason
+            counts[reason] = counts.get(reason, 0) + 1
         if self._obs is not None:
             self._obs.engine_abort(txn, reason)
 

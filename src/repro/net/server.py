@@ -424,6 +424,7 @@ class DatabaseServer:
             "backpressure": self.backpressure,
             # Which engine regime this server hosts, for operators.
             "isolation": self.db.config.isolation.value,
+            "aborts_by_reason": dict(self.db.aborts_by_reason),
             **self._counters,
         }
 

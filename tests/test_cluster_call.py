@@ -3,25 +3,40 @@
 The router routes a program from its arguments alone: a program whose
 customers share a shard is one ``CALL`` to that shard and *nothing* to
 any other; an Amalgamate of customers on two shards is its two parts as
-at most five RPCs.  Checked here from the shards' own ``rpcs_total``
-counters, together with: either part's failure aborts both, the
-contended first part falls back to waiting outside the snapshot window,
-and two reversed-pair Amalgamates — a deadlock no shard can see — end in
-a retryable lock timeout rather than hanging for ever.
+four RPCs — a ``CALL`` to each part's shard, both inside one snapshot
+window, then the decision to both — and no ``BEGIN``.  Checked here
+from the shards' own ``rpcs_total`` counters and from the requests the
+router sends, together with: either part's failure aborts both, a part
+refused a row lock inside the window begins the branches that have not
+voted yet there and then waits outside it, the window is held across
+both parts, two reversed-pair Amalgamates — a deadlock no shard can
+see — end in a retryable lock timeout rather than hanging for ever,
+and the aborts are counted by what caused them, on the shards and in
+the router.
 """
 
 from __future__ import annotations
 
+import contextlib
 import random
 import threading
 import time
+from functools import partial
 
 import pytest
 
 from repro.analysis import merge_shard_histories
 from repro.cluster import Cluster
 from repro.cluster.partition import SHARD_LOCK_TIMEOUT
-from repro.errors import ApplicationRollback, TransactionAborted
+from repro.errors import (
+    ApplicationRollback,
+    LockTimeout,
+    SerializationFailure,
+    TransactionAborted,
+)
+from repro.faults import FaultPlan, FaultSpec
+from repro.net.client import NetworkSession
+from repro.obs import Observability
 from repro.smallbank import customer_name, get_strategy
 
 #: Customer 1 lives on shard 1, customers 2 and 4 on shard 0.
@@ -30,6 +45,14 @@ CROSS = {"N1": customer_name(1), "N2": customer_name(2)}
 
 def shard_rpcs(cluster):
     return [shard.server.stats()["rpcs_total"] for shard in cluster.shards]
+
+
+def shard_parked(cluster):
+    return [shard.server.stats()["parked_total"] for shard in cluster.shards]
+
+
+def shard_aborts(conn):
+    return [shard["aborts_by_reason"] for shard in conn.stats()["shard_stats"]]
 
 
 def balances(conn, *cids):
@@ -51,6 +74,32 @@ def cluster():
 def conn(cluster):
     with cluster.connect() as conn:
         yield conn
+
+
+@pytest.fixture
+def log(conn, monkeypatch):
+    """``(thread name, "OP@shard")`` for every request ``conn``'s
+    sessions send, in send order."""
+    entries = []
+    send = NetworkSession._send
+
+    def spy(self, op, args):
+        if self._connection in conn.shards:
+            shard = conn.shards.index(self._connection)
+            entries.append((threading.current_thread().name, f"{op}@{shard}"))
+        return send(self, op, args)
+
+    monkeypatch.setattr(NetworkSession, "_send", spy)
+    return entries
+
+
+def sent_by(log, thread="MainThread"):
+    """What ``thread`` sent, program registrations left out."""
+    return [
+        what
+        for who, what in log
+        if who == thread and not what.startswith("PREPARE_PROGRAM")
+    ]
 
 
 class TestOpCounts:
@@ -83,9 +132,9 @@ class TestOpCounts:
         # [shard 0, shard 1]: the owning shard serves one CALL, the
         # other shard hears nothing at all.
         assert deltas[:5] == [[0, 1], [1, 0], [0, 1], [1, 0], [1, 0]]
-        # Cross-shard: CALL first part + COMMIT_2PC on shard 1, BEGIN +
-        # CALL second part + COMMIT_2PC on shard 0.
-        assert deltas[5] == [3, 2]
+        # Cross-shard: CALL first part + COMMIT_2PC on shard 1, CALL
+        # second part + COMMIT_2PC on shard 0.
+        assert deltas[5] == [2, 2]
         counters = conn.counters()
         assert counters["fastpath_commits"] == 10
         assert counters["twopc_commits"] == 2
@@ -94,9 +143,9 @@ class TestOpCounts:
     def test_uncontended_cross_shard_costs_no_thread_hand_off(
         self, cluster, conn
     ):
-        """Both shards serve all five RPCs on their loop threads — the
-        second part's CALL joins the window's BEGIN inline — and the
-        router sends and gathers every round itself: no pool thread."""
+        """Both shards serve all four RPCs on their loop threads — each
+        part's CALL begins its own transaction inline — and the router
+        sends and gathers every round itself: no pool thread."""
         txns = get_strategy("base-si").transactions()
         session = conn.session()
         try:
@@ -105,9 +154,9 @@ class TestOpCounts:
                 txns.run(session, "Amalgamate", CROSS)
         finally:
             session.close()
-        # One PREPARE_PROGRAM per part the first time, then 3 + 2 each.
+        # One PREPARE_PROGRAM per part the first time, then 2 + 2 each.
         assert [a - b for a, b in zip(shard_rpcs(cluster), before)] == [
-            200 * 3 + 1,
+            200 * 2 + 1,
             200 * 2 + 1,
         ]
         assert conn.counters()["twopc_commits"] == 200
@@ -121,6 +170,23 @@ class TestOpCounts:
             shard["parked_total"]
             for shard in conn.stats()["shard_stats"]
         ] == [0, 0]
+
+    def test_uncontended_cross_shard_sends_no_begin(self, cluster):
+        obs = Observability()
+        txns = get_strategy("base-si").transactions()
+        with cluster.connect(obs=obs) as conn:
+            session = conn.session()
+            try:
+                for _ in range(20):
+                    txns.run(session, "Amalgamate", CROSS)
+            finally:
+                session.close()
+            assert conn.counters()["twopc_commits"] == 20
+        begins = obs.metrics.histogram(
+            "repro_net_client_rpc_seconds", labels={"op": "BEGIN"}
+        )
+        assert begins.count == 0
+        assert shard_parked(cluster) == [0, 0]
 
     def test_branch_labels_carry_the_gtid(self, cluster, conn):
         txns = get_strategy("promote-all").transactions()
@@ -143,43 +209,44 @@ class TestOpCounts:
         assert len(report.transactions) == 2
 
 
+def amalgamate_behind(conn, table, cid):
+    """Cross-shard Amalgamate racing a writer of ``table[cid]`` that
+    commits while the program waits for the row: first updater wins,
+    so the part that touches the row votes NO."""
+    holder = conn.session()
+    holder.begin("Holder")
+    holder.update(table, cid, {"Balance": 1.0})
+    raised = []
+
+    def run():
+        session = conn.session()
+        try:
+            get_strategy("base-si").transactions().run(
+                session, "Amalgamate", CROSS
+            )
+        except Exception as exc:  # noqa: BLE001 - reported to the test
+            raised.append(exc)
+        finally:
+            session.close()
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    time.sleep(SHARD_LOCK_TIMEOUT / 5)
+    holder.commit()
+    holder.close()
+    thread.join(timeout=10.0)
+    assert not thread.is_alive()
+    return raised
+
+
 class TestEitherPartAbortsBoth:
-    def _amalgamate_behind(self, conn, table, cid):
-        """Cross-shard Amalgamate racing a writer of ``table[cid]`` that
-        commits while the program waits for the row: first updater wins,
-        so the part that touches the row votes NO."""
-        holder = conn.session()
-        holder.begin("Holder")
-        holder.update(table, cid, {"Balance": 1.0})
-        raised = []
-
-        def run():
-            session = conn.session()
-            try:
-                get_strategy("base-si").transactions().run(
-                    session, "Amalgamate", CROSS
-                )
-            except Exception as exc:  # noqa: BLE001 - reported to the test
-                raised.append(exc)
-            finally:
-                session.close()
-
-        thread = threading.Thread(target=run)
-        thread.start()
-        time.sleep(SHARD_LOCK_TIMEOUT / 5)
-        holder.commit()
-        holder.close()
-        thread.join(timeout=10.0)
-        assert not thread.is_alive()
-        return raised
-
     def test_first_part_says_no(self, cluster, conn):
         """The debit half finds Saving[1] locked: no waiting inside the
         snapshot window — both snapshots first, then it waits, loses to
         the first updater, and the open branch on the other shard is
         rolled back."""
         before = balances(conn, 1, 2)
-        raised = self._amalgamate_behind(conn, "Saving", 1)
+        raised = amalgamate_behind(conn, "Saving", 1)
         assert len(raised) == 1 and isinstance(raised[0], TransactionAborted)
         after = balances(conn, 1, 2)
         assert after.pop(("Saving", 1)) == 1.0  # the holder's write only
@@ -196,7 +263,7 @@ class TestEitherPartAbortsBoth:
         Checking[2] to the first updater: the abort decision must undo
         the prepared half."""
         before = balances(conn, 1, 2)
-        raised = self._amalgamate_behind(conn, "Checking", 2)
+        raised = amalgamate_behind(conn, "Checking", 2)
         assert len(raised) == 1 and isinstance(raised[0], TransactionAborted)
         after = balances(conn, 1, 2)
         assert after.pop(("Checking", 2)) == 1.0  # the holder's write only
@@ -227,6 +294,132 @@ class TestEitherPartAbortsBoth:
         assert cluster.pending_2pc_gtids() == set()
         for shard in cluster.shards:
             assert shard.server.stats()["active_transactions"] == 0
+
+
+class TestRefusedPart:
+    """Customer 1 (the debit half, shard A) lives on shard 1, customer 2
+    (the credit half, shard B) on shard 0."""
+
+    def _amalgamate_past(self, cluster, conn, log, table, cid, shard):
+        """Cross-shard Amalgamate while another session holds
+        ``table[cid]`` on ``shard``; a second thread rolls the holder
+        back once ``shard`` has parked the program's request for it."""
+        holder = conn.session()
+        holder.begin("Holder")
+        holder.update(table, cid, {"Balance": 1.0})
+        log.clear()
+
+        def release():
+            deadline = time.monotonic() + 5.0
+            while shard_parked(cluster)[shard] == 0 and time.monotonic() < deadline:
+                time.sleep(0.005)
+            holder.rollback()
+
+        releaser = threading.Thread(target=release, name="Releaser")
+        releaser.start()
+        session = conn.session()
+        try:
+            get_strategy("base-si").transactions().run(
+                session, "Amalgamate", CROSS
+            )
+        finally:
+            session.close()
+            releaser.join(timeout=10.0)
+            holder.close()
+        assert conn.counters()["twopc_commits"] == 1
+
+    def test_second_part_refused_begins_only_its_own_branch(
+        self, cluster, conn, log
+    ):
+        """B's CALL is told the row is held: BEGIN to B alone, still in
+        the window (A has voted), then B's part waits outside it."""
+        money = cluster.total_money()
+        self._amalgamate_past(cluster, conn, log, "Checking", 2, shard=0)
+        assert sent_by(log) == [
+            "CALL@1", "CALL@0", "BEGIN@0", "CALL@0",
+            "COMMIT_2PC@1", "COMMIT_2PC@0",
+        ]
+        assert shard_parked(cluster) == [1, 0]
+        assert cluster.total_money() == money
+        assert cluster.pending_2pc_gtids() == set()
+        assert merge_shard_histories(cluster.histories()).serializable
+
+    def test_first_part_refused_begins_both_branches(self, cluster, conn, log):
+        """A's CALL is told the row is held: BEGIN to A and B in the
+        window, then both parts run outside it — no ROLLBACK anywhere."""
+        money = cluster.total_money()
+        self._amalgamate_past(cluster, conn, log, "Checking", 1, shard=1)
+        assert sent_by(log) == [
+            "CALL@1", "BEGIN@1", "BEGIN@0", "CALL@1", "CALL@0",
+            "COMMIT_2PC@1", "COMMIT_2PC@0",
+        ]
+        assert shard_parked(cluster) == [0, 1]
+        assert cluster.total_money() == money
+        assert cluster.pending_2pc_gtids() == set()
+        assert merge_shard_histories(cluster.histories()).serializable
+
+    def test_one_window_spans_both_parts(self, cluster, conn, log, monkeypatch):
+        """T1's reply from B is held back; T2, a cross-shard commit of
+        other rows, decides meanwhile — and enters its decision window
+        only once T1 has left its snapshot window, which spanned both of
+        T1's CALLs."""
+
+        @contextlib.contextmanager
+        def recorded(name, window):
+            me = threading.current_thread().name
+            log.append((me, f"{name}-wait"))
+            with window:
+                log.append((me, f"{name}-enter"))
+                try:
+                    yield
+                finally:
+                    log.append((me, f"{name}-leave"))
+
+        txns = get_strategy("base-si").transactions()
+        session = conn.session()
+        txns.run(session, "Amalgamate", CROSS)  # registers both parts
+        session.close()
+        t2 = conn.session()
+        t2.begin("T2")  # customers 3 (shard 1) and 4 (shard 0)
+        t2.update("Checking", 3, {"Balance": 3.0})
+        t2.update("Checking", 4, {"Balance": 4.0})
+        for name in ("snapshot", "decision"):
+            window = getattr(conn.oracle, f"{name}_window")()
+            monkeypatch.setattr(
+                conn.oracle, f"{name}_window", partial(recorded, name, window)
+            )
+        plan = FaultPlan(
+            [FaultSpec("net-delay-frame", max_fires=1, magnitude=0.3)], seed=1
+        )
+        cluster.shards[0].install_faults(plan)
+
+        def t1():
+            session = conn.session()
+            try:
+                txns.run(session, "Amalgamate", CROSS)
+            finally:
+                session.close()
+
+        thread = threading.Thread(target=t1, name="T1")
+        log.clear()
+        thread.start()
+        try:
+            deadline = time.monotonic() + 5.0
+            while not plan.fired("net-delay-frame"):
+                assert time.monotonic() < deadline, "B's reply never held"
+                time.sleep(0.002)
+            t2.commit()
+        finally:
+            thread.join(timeout=10.0)
+            cluster.shards[0].install_faults(None)
+            t2.close()
+        order = [f"{who}:{what}" for who, what in log if "PREPARE_" not in what]
+        at = order.index
+        assert at("T1:snapshot-enter") < at("T1:CALL@1") < at("T1:CALL@0")
+        assert at("T1:CALL@0") < at("MainThread:decision-wait")
+        assert at("MainThread:decision-wait") < at("T1:snapshot-leave")
+        assert at("T1:snapshot-leave") < at("MainThread:decision-enter")
+        assert conn.counters()["twopc_commits"] == 3
 
 
 class TestDistributedDeadlock:
@@ -271,3 +464,89 @@ class TestDistributedDeadlock:
         assert cluster.total_money() == money
         assert cluster.pending_2pc_gtids() == set()
         assert merge_shard_histories(cluster.histories()).serializable
+
+
+class TestAbortsByReason:
+    """Shard ``STATS`` count aborts by the engine's reason tag; the
+    router splits ``twopc_aborts`` by what ended the attempt."""
+
+    def test_reversed_pair_counts_lock_timeouts(self, cluster, conn, monkeypatch):
+        """Both first parts vote before either second part is sent, so
+        each second part waits on a row the other's prepared first part
+        holds: no shard sees the cycle, and the lock timeout ends it."""
+        barrier = threading.Barrier(2, timeout=5.0)
+        start = NetworkSession.start_call_program
+
+        def meet_first(self, program, args, label="", **kwargs):
+            if "carry" in args and kwargs.get("nowait"):
+                barrier.wait()  # both first parts have voted
+            return start(self, program, args, label, **kwargs)
+
+        monkeypatch.setattr(NetworkSession, "start_call_program", meet_first)
+        money = cluster.total_money()
+        txns = get_strategy("base-si").transactions()
+        raised = []
+
+        def amalgamate(first, second):
+            session = conn.session()
+            try:
+                txns.run(
+                    session,
+                    "Amalgamate",
+                    {"N1": customer_name(first), "N2": customer_name(second)},
+                )
+            except TransactionAborted as exc:
+                raised.append(exc)
+            finally:
+                session.close()
+
+        threads = [
+            threading.Thread(target=amalgamate, args=pair)
+            for pair in ((1, 2), (2, 1))
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10.0)
+        assert raised and all(isinstance(e, LockTimeout) for e in raised)
+        counters = conn.counters()
+        assert counters["twopc_aborts"] == len(raised)
+        assert counters["twopc_aborts_lock_timeout"] == len(raised)
+        assert counters["twopc_commits"] == 2 - len(raised)
+        assert sum(
+            shard.get("lock-timeout", 0) for shard in shard_aborts(conn)
+        ) == len(raised)
+        assert cluster.total_money() == money
+        assert cluster.pending_2pc_gtids() == set()
+
+    def test_first_updater_loss_counts_serialization(self, cluster, conn):
+        raised = amalgamate_behind(conn, "Checking", 2)
+        assert len(raised) == 1 and isinstance(raised[0], SerializationFailure)
+        counters = conn.counters()
+        assert counters["twopc_aborts"] == 1
+        assert counters["twopc_aborts_serialization"] == 1
+        on_b, on_a = shard_aborts(conn)
+        assert on_b["serialization"] == 1
+        assert "serialization" not in on_a
+        assert on_a["2pc-abort"] == 1  # the prepared first part, undone
+
+    def test_business_rollback_counts_under_no_key(self, cluster, conn):
+        """Only the prepared first part the second part's rollback takes
+        down counts, as the decision that aborted it."""
+        txns = get_strategy("base-si").transactions()
+        session = conn.session()
+        try:
+            for args in (
+                {"N1": "cust0000099", "N2": customer_name(2)},  # 99 -> shard 1
+                {"N1": customer_name(1), "N2": "cust0000098"},  # 98 -> shard 0
+            ):
+                with pytest.raises(ApplicationRollback):
+                    txns.run(session, "Amalgamate", args)
+        finally:
+            session.close()
+        assert shard_aborts(conn) == [{}, {"2pc-abort": 1}]
+        assert not any(
+            value
+            for key, value in conn.counters().items()
+            if key.startswith("twopc_aborts")
+        )

@@ -200,16 +200,16 @@ class TestScatterGather:
             rounds = obs.cluster_fanout_broadcasts.value
             rpcs = obs.net_client_rpc_latency.count
             txns.run(session, "Amalgamate", cross)
-            # Round 1 ("call") and the decision; round 2 is one RPC.
-            assert obs.cluster_fanout_broadcasts.value - rounds == 2
-            assert obs.net_client_rpc_latency.count - rpcs == 5
+            # The decision; each part's CALL is one RPC.
+            assert obs.cluster_fanout_broadcasts.value - rounds == 1
+            assert obs.net_client_rpc_latency.count - rpcs == 4
             by_op = {
                 op: obs.metrics.counter(
                     "repro_cluster_fanout_broadcasts_total", labels={"op": op}
                 ).value
                 for op in ("call", "2pc-decision", "begin", "2pc-prepare")
             }
-            assert by_op == {"call": 2, "2pc-decision": 2, "begin": 0, "2pc-prepare": 0}
+            assert by_op == {"call": 0, "2pc-decision": 2, "begin": 0, "2pc-prepare": 0}
             session.begin("CrossTransfer")
             session.update("Checking", 1, {"Balance": 1.0})
             session.update("Checking", 2, {"Balance": 2.0})
@@ -222,26 +222,41 @@ class TestScatterGather:
         assert fanout_threads() == []  # the transaction path has no pool
 
     def test_obs_clock_starts_at_the_send(self, cluster):
-        """Round 1 reads shard 1's CALL reply before shard 0's BEGIN
-        reply: with shard 1 slow, the BEGIN's reply sits unread that
-        long, and send-to-reply says so (read-to-reply would say ~0)."""
+        """A round reads its replies in shard order: with the shard read
+        first slow, the other's reply sits unread that long, and
+        send-to-reply says so (read-to-reply would say ~0).  Driven by
+        the window BEGINs of ``begin`` (shard 0 slow) and by the decision
+        round of a cross-shard Amalgamate (its first part's shard, 1,
+        slow)."""
         obs = Observability()
         txns = get_strategy("base-si").transactions()
         cross = {"N1": customer_name(1), "N2": customer_name(2)}
+
+        def seconds(op):
+            return obs.metrics.histogram(
+                "repro_net_client_rpc_seconds", labels={"op": op}
+            ).sum
+
         with cluster.connect(obs=obs) as conn:
             session = conn.session()
-            txns.run(session, "Amalgamate", cross)
-            begins = obs.metrics.histogram(
-                "repro_net_client_rpc_seconds", labels={"op": "BEGIN"}
-            )
-            before = begins.sum
+            txns.run(session, "Amalgamate", cross)  # every wire primed
+            before = seconds("BEGIN"), seconds("COMMIT_2PC")
+            cluster.shards[0].install_faults(_delay_all_frames(0.2))
+            try:
+                session.begin("Probe")
+            finally:
+                cluster.shards[0].install_faults(None)
+            session.rollback()
             cluster.shards[1].install_faults(_delay_all_frames(0.2))
             try:
                 txns.run(session, "Amalgamate", cross)
             finally:
                 cluster.shards[1].install_faults(None)
             session.close()
-        assert begins.sum - before >= 0.15
+        # Two replies each, both >= the delay: the slow one's own and
+        # the one left unread behind it.
+        assert seconds("BEGIN") - before[0] >= 2 * 0.15
+        assert seconds("COMMIT_2PC") - before[1] >= 2 * 0.15
 
 
 class TestOracleGroups:

@@ -149,6 +149,18 @@ class TestCrossShardWriteSkew:
             # No prepared orphans linger after the aborted 2PC.
             assert cluster.pending_2pc_gtids() == set()
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 2(a): each shard's SSI certifier sees only "
+        "its own rw edges, so a pivot with its in-edge on one shard and "
+        "its out-edge on the other commits",
+    )
+    def test_ssi_aborts_one_side(self):
+        with Cluster(2, customers=4, isolation="ssi") as cluster:
+            outcome, _ = _run_write_skew(cluster, promote=False)
+            assert sorted(outcome.values()) == ["aborted", "committed"]
+            assert merge_shard_histories(cluster.histories()).serializable
+
     def test_global_transactions_carry_their_branches(self):
         with Cluster(2, customers=4) as cluster:
             _run_write_skew(cluster, promote=False)

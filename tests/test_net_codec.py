@@ -21,7 +21,7 @@ import time
 from types import MappingProxyType
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConnectionClosed, ProtocolError
@@ -69,6 +69,18 @@ values = st.recursive(
 messages = st.dictionaries(st.text(max_size=8), values, max_size=6)
 
 
+def keys_encode_apart(value) -> bool:
+    """False if some dictionary in ``value`` has two keys that encode to
+    one JSON key (``True`` and ``"true"``, ``1`` and ``"1"``): no round
+    trip can give such a dictionary back."""
+    if isinstance(value, list):
+        return all(keys_encode_apart(item) for item in value)
+    if not isinstance(value, (dict, MappingProxyType)):
+        return True
+    encoded = {next(iter(json.loads(REFERENCE_ENCODER.encode({key: 0})))) for key in value}
+    return len(encoded) == len(value) and all(map(keys_encode_apart, value.values()))
+
+
 class TestEncode:
     @settings(max_examples=300, deadline=None)
     @given(messages)
@@ -81,6 +93,7 @@ class TestEncode:
     @settings(max_examples=100, deadline=None)
     @given(messages)
     def test_decoding_then_encoding_gives_the_same_bytes(self, message):
+        assume(keys_encode_apart(message))
         frame = encode_frame(message)
         assert encode_frame(decode_payload(frame[LENGTH_BYTES:])) == frame
 
