@@ -102,19 +102,25 @@ class SimulatedClient:
         self.rng = rng
         self.retry = retry or RetryPolicy.paper_default()
         self.obs = obs
-        self._cpu_multiplier = platform.cpu_multiplier(mpl)
+        self._waiter = SimWaiter(sim)
+        # CPU charges, priced once: the platform's cost times the
+        # concurrency multiplier, a constant for the client's lifetime.
+        multiplier = platform.cpu_multiplier(mpl)
+        self._charges = {k: c * multiplier for k, c in platform.statement_costs.items()}
+        self._default_charge = platform.default_statement_cost * multiplier
+        self._commit_charge = platform.commit_cpu * multiplier
+        self._writer_charge = platform.write_txn_overhead * multiplier
 
     # ------------------------------------------------------------------
-    def _charge_cpu(self, seconds: float) -> None:
-        if seconds > 0:
-            self.cpu.use(seconds * self._cpu_multiplier)
-
     def _statement_hook(self, kind: str, _txn) -> None:
-        self._charge_cpu(self.platform.statement_cost(kind))
+        charge = self._charges.get(kind, self._default_charge)
+        if charge > 0:
+            self.cpu.use(charge)
 
     def _commit(self, session: Session) -> None:
         txn = session.transaction
-        self._charge_cpu(self.platform.commit_cpu)
+        if self._commit_charge > 0:
+            self.cpu.use(self._commit_charge)
         flush = self.platform.needs_flush(
             wrote_data=txn.needs_wal_flush,
             used_sfu=bool(txn.sfu_rows or txn.cc_writes),
@@ -122,7 +128,8 @@ class SimulatedClient:
         if flush:
             # Becoming a writer has a fixed price (undo/redo bookkeeping)
             # and the WAL flush; both happen while row locks are held.
-            self._charge_cpu(self.platform.write_txn_overhead)
+            if self._writer_charge > 0:
+                self.cpu.use(self._writer_charge)
             self.wal.commit_flush()
         session.commit()
 
@@ -144,7 +151,7 @@ class SimulatedClient:
                 attempts += 1
                 session = Session(
                     self.db,
-                    waiter=SimWaiter(self.sim),
+                    waiter=self._waiter,
                     statement_hook=self._statement_hook,
                 )
                 self.sim.sleep(self.platform.network_rtt)

@@ -123,9 +123,14 @@ class Simulator:
     # ------------------------------------------------------------------
     def sleep(self, duration: float) -> None:
         """Suspend the calling process for ``duration`` simulated seconds."""
-        process = self._require_current()
-        self.schedule(duration, process)
-        self._suspend(process)
+        process = self._current or self._require_current()
+        if duration < 0:
+            raise ValueError("cannot schedule into the past")
+        heapq.heappush(self._heap, (self.now + duration, next(self._seq), process))
+        process.waiting = True
+        self._pass_baton(process)
+        if self.stopping:
+            raise SimStopped()
 
     def checkpoint(self) -> None:
         """Raise :class:`SimStopped` if the simulation is shutting down."""

@@ -10,9 +10,11 @@ Balance program into an updater.
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
+from heapq import heappush
 from typing import TYPE_CHECKING
 
-from repro.sim.core import SimEvent, Simulator, _Process
+from repro.sim.core import SimEvent, SimStopped, Simulator, _Process
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.faults import FaultPlan
@@ -53,8 +55,7 @@ class Resource:
         self._account()
         self.in_use -= 1
         if self._queue:
-            head = self._queue.popleft()
-            self.sim.schedule(0.0, lambda: self._offer(head))
+            self.sim.schedule(0.0, partial(self._offer, self._queue.popleft()))
 
     def _offer(self, process: _Process) -> _Process | None:
         """(Scheduler context) activate ``process`` if a server is still
@@ -65,25 +66,42 @@ class Resource:
         return process
 
     def use(self, duration: float) -> None:
-        """Hold one server for ``duration`` (the common pattern)."""
-        self.acquire()
+        """Hold one server for ``duration``: ``acquire``, ``Simulator.sleep``
+        and ``release`` (same checks, events and accounting) in one frame."""
+        sim = self.sim
+        process = sim._current or sim._require_current()
+        if duration < 0:
+            raise ValueError("cannot schedule into the past")
+        if self.in_use >= self.capacity:
+            self.acquire()  # queues
+        else:
+            self._busy_time += self.in_use * (sim.now - self._last_change)
+            self._last_change = sim.now
+            self.in_use += 1
         try:
-            self.sim.sleep(duration)
+            heappush(sim._heap, (sim.now + duration, next(sim._seq), process))
+            process.waiting = True
+            sim._pass_baton(process)
+            if sim.stopping:
+                raise SimStopped()
         finally:
-            self.release()
+            self._busy_time += self.in_use * (sim.now - self._last_change)
+            self._last_change = sim.now
+            self.in_use -= 1
+            if self._queue:
+                sim.schedule(0.0, partial(self._offer, self._queue.popleft()))
 
     # ------------------------------------------------------------------
     def _account(self) -> None:
         self._busy_time += self.in_use * (self.sim.now - self._last_change)
         self._last_change = self.sim.now
 
-    def utilization(self, since: float = 0.0) -> float:
-        """Average busy fraction since ``since`` (per server)."""
+    def utilization(self) -> float:
+        """Average busy fraction since t=0 (per server)."""
         self._account()
-        elapsed = self.sim.now - since
-        if elapsed <= 0:
+        if self.sim.now <= 0:
             return 0.0
-        return min(1.0, self._busy_time / (elapsed * self.capacity))
+        return min(1.0, self._busy_time / (self.sim.now * self.capacity))
 
 
 class GroupCommitLog:

@@ -139,11 +139,14 @@ class PreparedStatement:
         if table is None:
             raise SqlError(f"unsupported statement {statement!r}")
         schema = session.db.catalog.table(table).schema
-        # One (schema, runner) pair, swapped whole: this object may be
-        # shared by every database and thread in the process.
+        # One (schema, runner) pair, swapped whole: this object may be shared
+        # by every database and thread; an equal schema is adopted, runner kept.
         planned = self._planned
-        if planned[0] is not schema and planned[0] != schema:
-            planned = self._planned = (schema, _plan(statement, self.kind, schema))
+        if planned[0] is not schema:
+            if planned[0] == schema:
+                planned = self._planned = (schema, planned[1])
+            else:
+                planned = self._planned = (schema, _plan(statement, self.kind, schema))
         return planned[1](session, bound)
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim.core import Simulator
+from repro.sim.core import SimStopped, Simulator
 from repro.sim.resources import GroupCommitLog, Resource
 
 
@@ -105,6 +105,32 @@ class TestResource:
         sim.spawn(user)
         sim.run_for(4.0)
         sim.shutdown()
+        assert cpu.utilization() == pytest.approx(0.5)
+
+    def test_shutdown_in_the_middle_of_use_frees_the_server(self):
+        sim = Simulator()
+        cpu = Resource(sim, capacity=1)
+        stopped: list[tuple[str, float]] = []
+
+        def user(name: str):
+            def proc():
+                try:
+                    cpu.use(10.0)
+                except SimStopped:
+                    stopped.append((name, sim.now))
+                    raise
+
+            return proc
+
+        sim.spawn(user("holder"))
+        sim.spawn(user("queued"))
+        sim.run_for(2.0)
+        assert cpu.in_use == 1
+        sim.shutdown()
+        assert stopped == [("holder", 2.0), ("queued", 2.0)]
+        assert cpu.in_use == 0
+        # Busy over [0, 2], when the stop freed the server; idle after.
+        sim.run_for(2.0)
         assert cpu.utilization() == pytest.approx(0.5)
 
     def test_invalid_capacity_and_release(self):

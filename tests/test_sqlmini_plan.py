@@ -300,6 +300,30 @@ def test_equal_schemas_share_one_plan(monkeypatch):
     assert len(plans) == 1
 
 
+def test_an_equal_schema_is_compared_once_per_database(monkeypatch):
+    """A statement planned on one database and then run against another
+    of the same shape compares the two schemas by value on its first
+    execution there, not on every one (``TableSchema.__eq__`` is a
+    field-by-field dataclass comparison)."""
+    statement = PreparedStatement("SELECT B FROM Thing WHERE A = :a")
+    first, second = _thing_database("A"), _thing_database("A")
+    session = Session(first)
+    session.begin("x")
+    statement.execute(session, {"a": 1})
+    compared = []
+    real = TableSchema.__eq__
+    monkeypatch.setattr(
+        TableSchema,
+        "__eq__",
+        lambda self, other: compared.append(other) or real(self, other),
+    )
+    session = Session(second)
+    session.begin("x")
+    for _ in range(50):
+        assert statement.execute(session, {"a": 2}).first == {"B": 20}
+    assert len(compared) <= 1
+
+
 def test_concurrent_first_execution(bank):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
