@@ -20,6 +20,11 @@ removed the *engine's own* serialization and convoy overhead):
   gated) and Python-level call counts (host-independent; gated in tier-1
   by ``tests/test_engine_write_budget.py``).
 
+* **Statement path** — the same two figures for SmallBank's prepared
+  statements on a ``Session``: a key ``SELECT ... INTO``, its ``FOR
+  UPDATE`` form, a key ``UPDATE``, an empty ``begin`` + ``commit`` and a
+  whole Balance (counts gated by ``tests/test_statement_budget.py``).
+
 Results are appended to ``BENCH_engine.json`` at the repo root so the
 performance trajectory is tracked across PRs (CI uploads it as an
 artifact).
@@ -57,7 +62,14 @@ from repro.smallbank import (
     SAVING,
     PopulationConfig,
     build_database,
+    customer_name,
     get_strategy,
+)
+from repro.smallbank.transactions import (
+    ADD_CHECKING,
+    GET_SAVING,
+    GET_SAVING_SFU,
+    SmallBankTransactions,
 )
 from repro.workload.driver import ThreadedDriver, ThreadedDriverConfig
 
@@ -236,23 +248,57 @@ def write_path_shapes() -> "dict[str, Callable[[int], None]]":
     return {"empty": empty, "read": read, "update": update, "update3": update3}
 
 
-def write_path_calls() -> "dict[str, int]":
-    """Python-level calls per transaction shape (each run once unmeasured
-    first, so nothing done on first use is counted)."""
+def statement_path_shapes() -> "dict[str, Callable[[int], None]]":
+    """SmallBank statement bodies over a fresh SI SmallBank database with
+    no hook, fault plan, observer or observability installed.  The three
+    statements run inside one transaction left open on a session of their
+    own; the empty transaction and Balance run on a second session."""
+    customers = 100
+    db = build_database(EngineConfig.postgres(), PopulationConfig(customers=customers))
+    inside, outside = Session(db), Session(db)
+    inside.begin("statement-path")
+    names = [customer_name(c) for c in range(1, customers + 1)]
+    programs = SmallBankTransactions()
+
+    def get_saving(i: int) -> None:
+        GET_SAVING.execute(inside, {"x": i % customers + 1})
+
+    def get_saving_sfu(i: int) -> None:
+        GET_SAVING_SFU.execute(inside, {"x": i % customers + 1})
+
+    def add_checking(i: int) -> None:
+        ADD_CHECKING.execute(inside, {"x": i % customers + 1, "V": 1.0})
+
+    def begin_commit(i: int) -> None:
+        outside.begin("statement-path")
+        outside.commit()
+
+    def balance(i: int) -> None:
+        programs.run(outside, "Balance", {"N": names[i % customers]})
+
+    return {
+        "get_saving": get_saving,
+        "get_saving_sfu": get_saving_sfu,
+        "add_checking": add_checking,
+        "begin_commit": begin_commit,
+        "balance": balance,
+    }
+
+
+def shape_calls(shapes: "dict[str, Callable[[int], None]]") -> "dict[str, int]":
+    """Python-level calls per shape (each run once unmeasured first, so
+    nothing done on first use is counted)."""
     counts = {}
-    for name, shape in write_path_shapes().items():
+    for name, shape in shapes.items():
         shape(0)
         counts[name] = python_calls(shape, 1)
     return counts
 
 
-def measure_write_path() -> dict:
-    """The ``write_path`` block of a run record: microseconds per
-    transaction (median of 9 batches of 300, one thread) and the call
-    counts, for an empty, a one-read, a one-update and a three-update
-    transaction."""
+def shape_micros(shapes: "dict[str, Callable[[int], None]]") -> "dict[str, float]":
+    """Microseconds per shape: median of 9 batches of 300, one thread."""
     micros = {}
-    for name, shape in write_path_shapes().items():
+    for name, shape in shapes.items():
         samples = []
         for _ in range(1 + 9):  # the first batch warms up
             started = time.perf_counter()
@@ -260,7 +306,34 @@ def measure_write_path() -> dict:
                 shape(i)
             samples.append((time.perf_counter() - started) / 300 * 1e6)
         micros[name] = round(statistics.median(samples[1:]), 2)
-    return {"us_per_txn": micros, "python_calls_per_txn": write_path_calls()}
+    return micros
+
+
+def write_path_calls() -> "dict[str, int]":
+    return shape_calls(write_path_shapes())
+
+
+def statement_path_calls() -> "dict[str, int]":
+    return shape_calls(statement_path_shapes())
+
+
+def measure_write_path() -> dict:
+    """The ``write_path`` block of a run record: microseconds and calls
+    for an empty, a one-read, a one-update and a three-update
+    transaction."""
+    return {
+        "us_per_txn": shape_micros(write_path_shapes()),
+        "python_calls_per_txn": write_path_calls(),
+    }
+
+
+def measure_statement_path() -> dict:
+    """The ``statement_path`` block of a run record: microseconds and
+    calls per statement shape (:func:`statement_path_shapes`)."""
+    return {
+        "us_per_op": shape_micros(statement_path_shapes()),
+        "python_calls_per_op": statement_path_calls(),
+    }
 
 
 # ----------------------------------------------------------------------
@@ -402,11 +475,28 @@ def main(argv: "list[str] | None" = None) -> int:
             f"   ssi aborts {snap['ssi_aborts']}"
         )
 
+    print("== Read-only SSI / SI tps (recorded, not gated) ==")
+    ssi_over_si = {
+        str(mpl): round(
+            curves["ssi"]["readonly"][str(mpl)]["tps"]
+            / curves["si"]["readonly"][str(mpl)]["tps"],
+            3,
+        )
+        for mpl in mpls
+    }
+    for mpl, ratio in ssi_over_si.items():
+        print(f"  MPL {mpl:>2}: {ratio:.3f}")
+
     write_path = measure_write_path()
     print("== Write path (one thread, per transaction; recorded, not gated) ==")
     for name, micros in write_path["us_per_txn"].items():
         calls = write_path["python_calls_per_txn"][name]
         print(f"  {name:<8} {micros:7.2f} us  {calls:3d} Python-level calls")
+    statement_path = measure_statement_path()
+    print("== Statement path (one thread, per operation; recorded, not gated) ==")
+    for name, micros in statement_path["us_per_op"].items():
+        calls = statement_path["python_calls_per_op"][name]
+        print(f"  {name:<14} {micros:7.2f} us  {calls:3d} Python-level calls")
 
     failures = 0
     if retention < min_retention:
@@ -429,7 +519,9 @@ def main(argv: "list[str] | None" = None) -> int:
                 "mpl8_over_mpl1_retention": round(retention, 2),
                 "smallbank_tps": curves,
                 "metrics": metrics,
+                "ssi_over_si_readonly": ssi_over_si,
                 "write_path": write_path,
+                "statement_path": statement_path,
             }
         )
         print(f"appended run record to {BENCH_JSON.name}")

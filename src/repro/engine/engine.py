@@ -396,7 +396,8 @@ class Database:
     # ------------------------------------------------------------------
     def begin(self, label: str = "") -> Transaction:
         with self._commit_mutex:
-            self._ensure_not_crashed()
+            if self._crashed:
+                self._ensure_not_crashed()
             return self._begin_locked(self.clock.next(), label)
 
     def _begin_locked(self, start_ts: int, label: str) -> Transaction:
@@ -598,15 +599,23 @@ class Database:
         Both flavours take the exclusive row lock and fail (first-updater
         style) when the snapshot no longer reflects the newest committed
         state.  In ``CC_WRITE`` mode the row is additionally added to the
-        transaction's concurrency-control write set.
+        transaction's concurrency-control write set.  Flat like
+        :meth:`write`; the row is then read as :meth:`read` reads it.
         """
-        self._ensure_not_crashed()
-        txn.ensure_active()
-        self._check_doomed(txn)
-        table = self.catalog.table(table_name)
+        if self._crashed:
+            self._ensure_not_crashed()
+        if txn.status is not _ACTIVE:
+            txn.ensure_active()
+        ssi = self._ssi
+        if ssi is not None and ssi.is_doomed(txn):
+            self._check_doomed(txn)
+        table = self._table_map.get(table_name)
+        if table is None:
+            self.catalog.table(table_name)  # raises SchemaError
         row_id: RowId = (table_name, key)
+        stripe = self._stripes[hash(row_id) % self._nstripes]
         while True:
-            with self._stripe(row_id):
+            with stripe:
                 blockers = self.locks.try_acquire(txn.txid, row_id, _EXCLUSIVE)
             if not blockers:
                 break
@@ -616,14 +625,14 @@ class Database:
         # Holding the exclusive lock pins the chain tip and the SFU mark:
         # any competing writer must first get this lock, and a committer
         # publishes before releasing it.
-        if self.config.isolation is not IsolationLevel.S2PL:
+        if not self._s2pl:
             self._check_write_conflict(txn, table, key, row_id)
         txn.sfu_rows.add(row_id)
         if self.config.sfu is SfuSemantics.CC_WRITE:
             txn.cc_writes.add(row_id)
-        if self.config.isolation is IsolationLevel.S2PL:
+        if self._s2pl:
             return self._read_latest(txn, table, row_id)
-        return self._read_snapshot(txn, table, row_id)
+        return self.read(txn, table_name, key)
 
     # ------------------------------------------------------------------
     # Writes
@@ -676,8 +685,12 @@ class Database:
                 return wait
         if self._first_updater_wins:
             # The exclusive lock pins the chain tip (see the commit
-            # protocol), so this check is race-free without the mutex.
-            self._check_write_conflict(txn, table, key, row_id)
+            # protocol), so this check is race-free without the mutex;
+            # inlined here, the helper is called only to raise.
+            tip = table.rows.get(key)
+            tip = tip._committed[-1].commit_ts if tip is not None and tip._committed else 0
+            if max(tip, table.cc_write_ts.get(key, 0)) > txn.snapshot_ts:
+                self._check_write_conflict(txn, table, key, row_id)
         rows = table.rows
         with stripe:
             chain = rows.get(key)
@@ -830,7 +843,8 @@ class Database:
                     )
             txn.status = TxnStatus.COMMITTED
             self._active.pop(txid, None)
-            self._release_locks(txid)
+            if txid in self.locks._held_by_txn:  # an SI reader holds none
+                self._release_locks(txid)
             if ssi is not None:
                 ssi.on_resolve(txn, self._active.values())
             callbacks = txn.drain_callbacks()
@@ -850,7 +864,8 @@ class Database:
             if obs is not None:
                 obs.engine_commit(txn, obs.now() - commit_started)
         finally:
-            self._fire(callbacks, txn)
+            if callbacks or self._observers:
+                self._fire(callbacks, txn)
 
     def abort(self, txn: Transaction, *, reason: str = "user") -> None:
         """Abort ``txn``: drop uncommitted versions, release locks.
@@ -1275,21 +1290,6 @@ class Database:
         if self._s2pl:
             return self.clock.last + 1
         return txn.snapshot_ts
-
-    def _read_snapshot(
-        self, txn: Transaction, table: Table, row_id: RowId
-    ) -> Optional[Row]:
-        table_name, key = row_id
-        if row_id in txn.writes:
-            txn.record_read(row_id, OWN_WRITE)
-            return txn.writes[row_id]
-        chain = table.chain(key)
-        version = chain.visible(txn.snapshot_ts) if chain is not None else None
-        if version is None:
-            self._record_read(txn, row_id, 0)
-            return None
-        self._record_read(txn, row_id, version.commit_ts)
-        return None if version.is_tombstone else version.value
 
     def _read_latest(
         self, txn: Transaction, table: Table, row_id: RowId

@@ -24,7 +24,9 @@ Two optional hooks make the session instrumentable without subclassing:
   simulator charges CPU time there); ``kind`` distinguishes ordinary
   statements from the strategy-introduced ones (``"materialize-update"``,
   ``"identity-update"``, ``"select-for-update"``) because the platforms
-  price them differently;
+  price them differently.  ``kind=None`` marks a verb of a statement
+  already charged (a unique-column ``SELECT ... FOR UPDATE``'s row lock);
+  a scan ``FOR UPDATE`` is charged for the scan and for each row it locks;
 * ``pre_commit_hook(txn)`` fires before a commit that requires a WAL flush
   (the simulator waits on the group-commit log disk there).
 """
@@ -35,7 +37,7 @@ import threading
 from typing import Callable, Hashable, Mapping, Optional, Union
 
 from repro.engine.engine import Database, Row, WaitOn
-from repro.engine.transaction import Transaction
+from repro.engine.transaction import Transaction, TxnStatus
 from repro.errors import EngineError, LockTimeout, TransactionStateError
 
 Changes = Union[Mapping[str, object], Callable[[Row], Mapping[str, object]]]
@@ -87,7 +89,9 @@ class Session:
 
     Applications reach sessions through :func:`repro.api.connect`, whose
     connections hand them out with identical semantics against the
-    in-process and the network backends.
+    in-process and the network backends.  Each verb resolves its
+    transaction, then fires ``statement_hook``, then calls the engine;
+    ``self.txn or self.transaction`` reaches the property only to raise.
     """
 
     def __init__(
@@ -107,7 +111,7 @@ class Session:
     # Transaction control
     # ------------------------------------------------------------------
     def begin(self, label: str = "") -> Transaction:
-        if self.txn is not None and self.txn.is_active:
+        if self.txn is not None and self.txn.status is TxnStatus.ACTIVE:
             raise TransactionStateError(
                 "session already has an active transaction"
             )
@@ -126,7 +130,7 @@ class Session:
         return self.txn is not None and self.txn.is_active
 
     def commit(self) -> None:
-        txn = self.transaction
+        txn = self.txn or self.transaction
         if self.pre_commit_hook is not None and txn.needs_wal_flush:
             self.pre_commit_hook(txn)
         self.db.commit(txn)
@@ -152,16 +156,19 @@ class Session:
         self, table: str, key: Hashable, *, kind: str = "select"
     ) -> Optional[Row]:
         """Read one row by primary key (snapshot read under SI)."""
-        self._charge(kind)
-        while isinstance(result := self.db.read(self.transaction, table, key), WaitOn):
+        txn = self.txn or self.transaction
+        if self.statement_hook is not None:
+            self.statement_hook(kind, txn)
+        while isinstance(result := self.db.read(txn, table, key), WaitOn):
             self._wait(result)
         return result
 
     def select_for_update(
         self, table: str, key: Hashable, *, kind: str = "select-for-update"
     ) -> Optional[Row]:
-        self._charge(kind)
-        txn = self.transaction
+        txn = self.txn or self.transaction
+        if self.statement_hook is not None and kind is not None:
+            self.statement_hook(kind, txn)
         while isinstance(result := self.db.select_for_update(txn, table, key), WaitOn):
             self._wait(result)
         return result
@@ -170,8 +177,9 @@ class Session:
         self, table: str, column: str, value: Hashable, *, kind: str = "select"
     ) -> Optional[tuple[Hashable, Row]]:
         """Index lookup by a unique column (e.g. Account.Name)."""
-        self._charge(kind)
-        txn = self.transaction
+        txn = self.txn or self.transaction
+        if self.statement_hook is not None:
+            self.statement_hook(kind, txn)
         while isinstance(
             result := self.db.lookup_unique(txn, table, column, value), WaitOn
         ):
@@ -186,8 +194,9 @@ class Session:
         *,
         kind: str = "scan",
     ) -> list[tuple[Hashable, Row]]:
-        self._charge(kind)
-        txn = self.transaction
+        txn = self.txn or self.transaction
+        if self.statement_hook is not None:
+            self.statement_hook(kind, txn)
         while isinstance(
             result := self.db.scan(txn, table, predicate, description), WaitOn
         ):
@@ -203,9 +212,7 @@ class Session:
         changed columns from the current row.  Returns False when the row
         does not exist in the transaction's view (0 rows updated).
         """
-        txn = self.txn
-        if txn is None:
-            txn = self.transaction  # raises TransactionStateError
+        txn = self.txn or self.transaction
         if self.statement_hook is not None:
             self.statement_hook(kind, txn)
         db = self.db
@@ -244,18 +251,24 @@ class Session:
         service layer can execute a client-composed read-merge-write with
         the same engine footprint as a local :meth:`update`.
         """
-        self._charge(kind)
-        while (wait := self.db.write(self.transaction, table, key, row)) is not None:
+        txn = self.txn or self.transaction
+        if self.statement_hook is not None:
+            self.statement_hook(kind, txn)
+        while (wait := self.db.write(txn, table, key, row)) is not None:
             self._wait(wait)
 
     def insert(self, table: str, row: Row, *, kind: str = "insert") -> None:
-        self._charge(kind)
-        while (wait := self.db.insert(self.transaction, table, row)) is not None:
+        txn = self.txn or self.transaction
+        if self.statement_hook is not None:
+            self.statement_hook(kind, txn)
+        while (wait := self.db.insert(txn, table, row)) is not None:
             self._wait(wait)
 
     def delete(self, table: str, key: Hashable, *, kind: str = "delete") -> None:
-        self._charge(kind)
-        while (wait := self.db.delete(self.transaction, table, key)) is not None:
+        txn = self.txn or self.transaction
+        if self.statement_hook is not None:
+            self.statement_hook(kind, txn)
+        while (wait := self.db.delete(txn, table, key)) is not None:
             self._wait(wait)
 
     # ------------------------------------------------------------------
@@ -300,7 +313,3 @@ class Session:
                 f"txn {txn.txid} ({txn.label}): lock wait exceeded "
                 f"{timeout}s waiting for {sorted(wait.blocker_ids)}"
             )
-
-    def _charge(self, kind: str) -> None:
-        if self.statement_hook is not None:
-            self.statement_hook(kind, self.transaction)

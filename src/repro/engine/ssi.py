@@ -23,7 +23,8 @@ with the MVSG checker.
 
 SIREAD bookkeeping survives commit: a committed reader's entries are kept
 until no overlapping transaction remains active, as in the published
-algorithm.
+algorithm.  Each transaction's entries are forgotten through its own list
+of rows read, so forgetting one costs its reads, not the whole table.
 """
 
 from __future__ import annotations
@@ -60,8 +61,10 @@ class SsiCertifier:
 
     def __init__(self) -> None:
         self._lock = threading.RLock()
-        # row -> ids of transactions that read it (SIREAD "locks").
+        # row -> ids of transactions that read it (SIREAD "locks"), and
+        # txid -> the rows it registered there; no entry is ever empty.
         self._sireads: dict[RowId, set[int]] = {}
+        self._rows_read: dict[int, set[RowId]] = {}
         # Transactions we still track (active, or committed-but-overlapping).
         self._txns: dict[int, Transaction] = {}
         #: Transactions that must abort at their next operation or commit.
@@ -78,6 +81,7 @@ class SsiCertifier:
         """Record a read and derive rw edges toward concurrent writers."""
         with self._lock:
             self._sireads.setdefault(row, set()).add(txn.txid)
+            self._rows_read.setdefault(txn.txid, set()).add(row)
             table = db.catalog.table(row[0])
             chain = table.chain(row[1])
             if chain is None:
@@ -162,10 +166,9 @@ class SsiCertifier:
     def _forget(self, txid: int) -> None:
         self._txns.pop(txid, None)
         self.doomed.discard(txid)
-        for readers in self._sireads.values():
+        sireads = self._sireads
+        for row in self._rows_read.pop(txid, ()):
+            readers = sireads[row]
             readers.discard(txid)
-        # Drop empty entries occasionally to bound memory.
-        if len(self._sireads) > 4096:
-            self._sireads = {
-                row: readers for row, readers in self._sireads.items() if readers
-            }
+            if not readers:
+                del sireads[row]

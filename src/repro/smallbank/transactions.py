@@ -127,6 +127,15 @@ class SmallBankTransactions:
                 )
             else:
                 raise ValueError(f"unknown modification kind {mod.kind!r}")
+        #: program -> its (Saving, Checking) reads, FOR UPDATE where promoted.
+        sfu = lambda program, table: (table, "x") in self._sfu.get(program, ())
+        self._reads = {
+            program: (
+                GET_SAVING_SFU if sfu(program, SAVING) else GET_SAVING,
+                GET_CHECKING_SFU if sfu(program, CHECKING) else GET_CHECKING,
+            )
+            for program in names.PROGRAM_NAMES
+        }
         self._bodies: dict[str, ProgramBody] = {
             names.BALANCE: self.balance,
             names.DEPOSIT_CHECKING: self.deposit_checking,
@@ -201,23 +210,6 @@ class SmallBankTransactions:
             if key in bindings:
                 _IDENTITY[table].execute(session, {"x": bindings[key]})
 
-    def _uses_sfu(self, program: str, table: str, key: str = "x") -> bool:
-        return (table, key) in self._sfu.get(program, set())
-
-    def _get_saving(self, session: Session, program: str, params: dict) -> None:
-        stmt = (
-            GET_SAVING_SFU if self._uses_sfu(program, SAVING) else GET_SAVING
-        )
-        stmt.execute(session, params)
-
-    def _get_checking(self, session: Session, program: str, params: dict) -> None:
-        stmt = (
-            GET_CHECKING_SFU
-            if self._uses_sfu(program, CHECKING)
-            else GET_CHECKING
-        )
-        stmt.execute(session, params)
-
     # ------------------------------------------------------------------
     # The five programs
     # ------------------------------------------------------------------
@@ -226,8 +218,8 @@ class SmallBankTransactions:
         params = {"N": args["N"]}
         x = self._resolve_customer(session, params)
         self._apply_extra_writes(session, names.BALANCE, {"x": x})
-        self._get_saving(session, names.BALANCE, params)
-        self._get_checking(session, names.BALANCE, params)
+        for read in self._reads[names.BALANCE]:
+            read.execute(session, params)
         return float(params["a"]) + float(params["b"])
 
     def deposit_checking(
@@ -251,7 +243,7 @@ class SmallBankTransactions:
         params = {"N": args["N"], "V": value}
         x = self._resolve_customer(session, params)
         self._apply_extra_writes(session, names.TRANSACT_SAVING, {"x": x})
-        self._get_saving(session, names.TRANSACT_SAVING, params)
+        self._reads[names.TRANSACT_SAVING][0].execute(session, params)
         if float(params["a"]) + value < 0:
             session.rollback()
             raise ApplicationRollback("savings would go negative")
@@ -265,8 +257,8 @@ class SmallBankTransactions:
         self._apply_extra_writes(
             session, names.AMALGAMATE, {"x1": x1, "x2": x2}
         )
-        self._get_saving(session, names.AMALGAMATE, params)
-        self._get_checking(session, names.AMALGAMATE, params)
+        for read in self._reads[names.AMALGAMATE]:
+            read.execute(session, params)
         total = float(params["a"]) + float(params["b"])
         ZERO_SAVING.execute(session, {"x": x1})
         ZERO_CHECKING.execute(session, {"x": x1})
@@ -280,8 +272,8 @@ class SmallBankTransactions:
         params: dict = {"N": args["N1"]}
         x1 = self._resolve_customer(session, params)
         self._apply_extra_writes(session, names.AMALGAMATE, {"x1": x1})
-        self._get_saving(session, names.AMALGAMATE, params)
-        self._get_checking(session, names.AMALGAMATE, params)
+        for read in self._reads[names.AMALGAMATE]:
+            read.execute(session, params)
         total = float(params["a"]) + float(params["b"])
         ZERO_SAVING.execute(session, {"x": x1})
         ZERO_CHECKING.execute(session, {"x": x1})
@@ -305,8 +297,8 @@ class SmallBankTransactions:
         params = {"N": args["N"], "V": value}
         x = self._resolve_customer(session, params)
         self._apply_extra_writes(session, names.WRITE_CHECK, {"x": x})
-        self._get_saving(session, names.WRITE_CHECK, params)
-        self._get_checking(session, names.WRITE_CHECK, params)
+        for read in self._reads[names.WRITE_CHECK]:
+            read.execute(session, params)
         total = float(params["a"]) + float(params["b"])
         if total < value:
             DEBIT_CHECKING_PENALTY.execute(session, params)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Hashable, Mapping, MutableMapping, Optional
 
 from repro.engine.session import Session
@@ -26,6 +27,7 @@ from repro.sqlmini.ast import (
     Delete,
     Expr,
     Insert,
+    Param,
     Select,
     Statement,
     Update,
@@ -194,8 +196,8 @@ def _access_path(
             if found is None:
                 return []
             key, row = found
-            if for_update:
-                row = session.select_for_update(table, key)
+            if for_update:  # the lookup above was this statement's charge
+                row = session.select_for_update(table, key, kind=None)
             if row is None or not matches(row, params):
                 return []
             return [(key, row)]
@@ -219,11 +221,25 @@ def _access_path(
     return by_scan
 
 
+def _key_of(where: Optional[Expr], schema: TableSchema) -> Optional[Callable]:
+    """``params -> key`` when the whole ``where`` is ``pk = <expr>``; a bare
+    ``:param`` is a C ``itemgetter`` (no frame) whose ``KeyError`` names it."""
+    key_expr = equality_key(where, schema.primary_key)
+    if key_expr is None or where.op != "=":
+        return None
+    if isinstance(key_expr, Param):
+        return itemgetter(key_expr.name)
+    evaluate = compile_expr(key_expr)
+    return lambda params: evaluate(None, params)
+
+
 def _plan(statement: Statement, kind: str, schema: TableSchema) -> Runner:
     """Decide everything about ``statement`` that does not depend on the
     parameters: access path, session verb and ``kind``, projection and
-    ``INTO`` pairs, compiled predicate and assignments."""
+    ``INTO`` pairs, compiled predicate and assignments.  A SELECT or UPDATE
+    whose whole ``WHERE`` is the key is one runner frame above one verb."""
     table = schema.name
+    key_of = _key_of(getattr(statement, "where", None), schema)
     if isinstance(statement, Select):
         columns = (
             schema.column_names if statement.columns == ("*",) else statement.columns
@@ -236,6 +252,29 @@ def _plan(statement: Statement, kind: str, schema: TableSchema) -> Runner:
         into = tuple(zip(columns, statement.into))
         if kind == "select" and statement.for_update:
             kind = "select-for-update"
+        if key_of is not None:
+            for_update, nulls = statement.for_update, dict.fromkeys(statement.into)
+
+            def select_key(session, params):
+                try:
+                    key = key_of(params)
+                except KeyError as unbound:
+                    raise SqlError(f"unbound parameter :{unbound.args[0]}") from None
+                if for_update:
+                    row = session.select_for_update(table, key, kind=kind)
+                else:
+                    row = session.select(table, key, kind=kind)
+                if row is None:
+                    params.update(nulls)
+                    return StatementResult()
+                first = {}  # plain loops: no comprehension frame, no iterators
+                for column in columns:
+                    first[column] = row[column]
+                for column, var in into:
+                    params[var] = first[column]
+                return StatementResult([first], 1)
+
+            return select_key
         rows_of = _access_path(
             schema, statement.where, for_update=statement.for_update, kind=kind
         )
@@ -256,14 +295,25 @@ def _plan(statement: Statement, kind: str, schema: TableSchema) -> Runner:
         sets = tuple(
             (column, compile_expr(expr)) for column, expr in statement.assignments
         )
-        where = statement.where
-        key_expr = equality_key(where, schema.primary_key)
-        if key_expr is not None and where.op == "=":
+        if key_of is not None:
             # The whole WHERE is the key: ``session.update`` finds the row.
-            key_of = compile_expr(key_expr)
-            rows_of = lambda session, params: ((key_of(None, params), None),)
-        else:
-            rows_of = _access_path(schema, where, kind="scan")
+            def update_key(session, params):
+                try:
+                    key = key_of(params)
+                except KeyError as unbound:
+                    raise SqlError(f"unbound parameter :{unbound.args[0]}") from None
+
+                def changes(row):
+                    new = {}
+                    for column, fn in sets:
+                        new[column] = fn(row, params)
+                    return new
+
+                updated = session.update(table, key, changes, kind=kind)
+                return StatementResult(rowcount=int(updated))
+
+            return update_key
+        rows_of = _access_path(schema, statement.where, kind="scan")
 
         def update(session, params):
             changes = lambda row: {column: fn(row, params) for column, fn in sets}

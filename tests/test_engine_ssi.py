@@ -80,6 +80,37 @@ class TestSsiCertifier:
         final = db.begin()
         assert db.read(final, "Saving", 1)["Balance"] == 105.0
 
+    def test_siread_table_empties_at_mpl_one(self, ssi_db: Database):
+        """Alone, a committed reader overlaps nobody, so its SIREAD
+        entries go at its commit and nothing accumulates — the bound a
+        periodic rebuild of the whole table used to provide."""
+        db = ssi_db
+        for i in range(300):
+            t = db.begin()
+            db.read(t, "Saving", i % 3 + 1)
+            db.read(t, "Checking", i % 3 + 1)
+            if i % 2:
+                write_balance(db, t, "Saving", i % 3 + 1, float(i))
+            db.commit(t)
+        assert db._ssi._sireads == {}
+        assert db._ssi._txns == {}
+
+    def test_siread_retention_rule(self, ssi_db: Database):
+        """A committed reader's entries live while an overlapping
+        transaction is active; an aborted reader's go at once."""
+        db = ssi_db
+        overlapping = db.begin("overlapping")
+        reader = db.begin("reader")
+        db.read(reader, "Saving", 1)
+        db.commit(reader)
+        assert db._ssi._sireads == {("Saving", 1): {reader.txid}}
+        aborted = db.begin("aborted")
+        db.read(aborted, "Checking", 1)
+        db.abort(aborted)
+        assert db._ssi._sireads == {("Saving", 1): {reader.txid}}
+        db.commit(overlapping)
+        assert db._ssi._sireads == {}
+
     def test_doomed_transaction_aborts_at_next_operation(self, ssi_db):
         """A pivot learns of its doom at its next engine call."""
         db = ssi_db

@@ -6,7 +6,9 @@ transaction, and what one ``select`` adds.  Upper bounds only — an
 interpreter that inlines more (3.12's comprehensions) counts fewer.  The
 shapes and the counter are ``benchmarks/bench_scaling.py``'s, which
 records the same numbers in ``BENCH_engine.json``: 51 calls per update
-before the flattening, 18 after; 4 per select both times.
+before the flattening, 18 after; 4 per select both times.  Since an empty
+``begin`` + ``commit`` stopped calling helpers with nothing to do (17 →
+10 calls), the same update reads 20 above it and a select 2.
 """
 
 from __future__ import annotations

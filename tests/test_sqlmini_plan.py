@@ -10,7 +10,12 @@ import pytest
 
 import repro
 from repro.engine import Column, Database, Session, TableSchema
-from repro.errors import ConnectionClosed, ProtocolError, SqlError
+from repro.errors import (
+    ConnectionClosed,
+    ProtocolError,
+    SqlError,
+    TransactionStateError,
+)
 from repro.net import DatabaseServer
 from repro.net.client import WireConnection
 from repro.smallbank import build_database, customer_name
@@ -188,6 +193,26 @@ def test_other_access_paths_verb_sequence(bank, sql, calls, rowcount):
         calls,
         rowcount,
     )
+
+
+def test_unique_column_select_for_update_is_charged_once(bank):
+    """The lookup is the statement's one charge; the row lock it then
+    takes is not a second statement.  A scan ``FOR UPDATE`` is charged
+    for the scan and once per row it locks."""
+    fired = []
+    session = Session(bank, statement_hook=lambda kind, txn: fired.append(kind))
+    session.begin("sfu")
+    params = {"x": 2}
+    PreparedStatement(
+        "SELECT Name INTO :n FROM Account WHERE CustomerId = :x FOR UPDATE"
+    ).execute(session, params)
+    assert fired == ["select-for-update"] and params["n"] == NAME
+    fired.clear()
+    PreparedStatement(
+        "SELECT CustomerId FROM Saving WHERE CustomerId > 3 FOR UPDATE"
+    ).execute(session, {})
+    assert fired == ["scan", "select-for-update", "select-for-update"]
+    session.rollback()
 
 
 def test_update_with_a_second_key_conjunct_checks_it(bank):
@@ -409,3 +434,134 @@ def test_key_error_inside_a_program_is_not_a_missing_request_field():
             assert conn.stats()["protocol_errors_total"] == 1
     finally:
         server.shutdown()
+
+
+# ----------------------------------------------------------------------
+# (e) What a key statement's single runner frame keeps
+# ----------------------------------------------------------------------
+#: The five statement kinds a SmallBank program fires, one statement each.
+FIVE_KINDS = [
+    ("GET_SAVING", "select"),
+    ("GET_CHECKING_SFU", "select-for-update"),
+    ("ADD_CHECKING", "update"),
+    ("IDENTITY_SAVING", "identity-update"),
+    ("TOUCH_CONFLICT", "materialize-update"),
+]
+
+
+@pytest.mark.parametrize("name", ["GET_SAVING", "GET_SAVING_SFU", "ADD_CHECKING"])
+def test_an_unbound_key_parameter_is_a_sql_error(bank, name):
+    session = Session(bank)
+    session.begin("unbound")
+    with pytest.raises(SqlError, match="unbound parameter :x"):
+        getattr(smallbank, name).execute(session, {"V": 1.0})
+    session.rollback()
+
+
+def test_an_unbound_assignment_parameter_is_a_sql_error(bank):
+    session = Session(bank)
+    session.begin("unbound")
+    with pytest.raises(SqlError, match="unbound parameter :V"):
+        smallbank.ADD_CHECKING.execute(session, {"x": 2})
+    session.rollback()
+
+
+@pytest.mark.parametrize("name", ["GET_SAVING", "GET_SAVING_SFU"])
+def test_a_missing_row_unbinds_every_into_variable(bank, name):
+    session = Session(bank)
+    session.begin("missing")
+    params = {"x": 404, "a": "stale"}
+    result = getattr(smallbank, name).execute(session, params)
+    assert (result.rows, result.rowcount, result.first) == ([], 0, None)
+    assert params["a"] is None
+    params = {"x": 3}
+    result = PreparedStatement(
+        "SELECT * INTO :id, :bal FROM Saving WHERE CustomerId = :x"
+    ).execute(session, params)
+    assert result.rowcount == 1 and result.rows == [{"CustomerId": 3, "Balance": params["bal"]}]
+    session.rollback()
+
+
+def test_a_missing_row_updates_nothing(bank):
+    session = Session(bank)
+    session.begin("missing")
+    result = smallbank.ADD_CHECKING.execute(session, {"x": 404, "V": 1.0})
+    assert (result.rows, result.rowcount) == ([], 0)
+    assert not session.txn.writes
+    session.rollback()
+
+
+@pytest.mark.parametrize("name", [name for name, _ in FIVE_KINDS])
+def test_no_transaction_raises_before_the_hook(bank, name):
+    fired = []
+    session = Session(bank, statement_hook=lambda kind, txn: fired.append(kind))
+    with pytest.raises(TransactionStateError):
+        getattr(smallbank, name).execute(session, {"x": 2, "V": 1.0})
+    assert fired == []
+
+
+def test_the_hook_fires_once_per_statement_before_the_engine(bank):
+    """Kinds and order as the simulator prices them; each fire sees the
+    transaction's footprint from the statements before it only."""
+    fired = []
+    session = Session(
+        bank,
+        statement_hook=lambda kind, txn: fired.append(
+            (kind, len(txn.reads), len(txn.writes))
+        ),
+    )
+    session.begin("kinds")
+    for name, _ in FIVE_KINDS:
+        getattr(smallbank, name).execute(session, {"x": 2, "V": 1.0})
+    session.rollback()
+    assert fired == [
+        ("select", 0, 0),
+        ("select-for-update", 1, 0),
+        ("update", 2, 0),
+        ("identity-update", 2, 1),
+        ("materialize-update", 2, 2),
+    ]
+
+
+class CachingProxy:
+    """Forwards to a session the way the end-to-end benchmark's traced
+    pass does: ``__getattr__`` once per name, the wrapper cached on the
+    instance, every method call noted."""
+
+    def __init__(self, session: Session) -> None:
+        self._session = session
+        self.calls: list[str] = []
+
+    def __getattr__(self, name: str):
+        attr = getattr(self._session, name)
+        if not callable(attr):
+            return attr
+
+        def noted(*args, **kwargs):
+            self.calls.append(name)
+            return attr(*args, **kwargs)
+
+        self.__dict__[name] = noted
+        return noted
+
+
+def test_a_proxy_session_sees_one_verb_call_per_statement(bank):
+    proxy = CachingProxy(Session(bank))
+    for _ in range(2):
+        proxy.calls.clear()
+        smallbank.SmallBankTransactions().run(proxy, "Balance", {"N": NAME})
+        assert proxy.calls == ["begin", "select", "select", "select", "commit"]
+    proxy.calls.clear()
+    proxy.begin("five")
+    for name, _ in FIVE_KINDS:
+        getattr(smallbank, name).execute(proxy, {"x": 2, "V": 1.0})
+    proxy.rollback()
+    assert proxy.calls == [
+        "begin",
+        "select",
+        "select_for_update",
+        "update",
+        "update",
+        "update",
+        "rollback",
+    ]
