@@ -17,7 +17,7 @@ SI literature uses:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.analysis.mvsg import Cycle, MultiVersionSerializationGraph
@@ -89,21 +89,11 @@ class SerializabilityChecker:
         )
 
     def report(self) -> SerializabilityReport:
-        graph = self.graph()
-        cycle = graph.find_cycle()
-        if cycle is None:
-            return SerializabilityReport(
-                serializable=True,
-                committed_count=len(self.recorder),
-                aborted_count=self.recorder.aborted_count,
-                serial_order=graph.topological_commit_order(),
-            )
-        return SerializabilityReport(
-            serializable=False,
-            committed_count=len(self.recorder),
+        return replace(
+            check_history(
+                self.recorder.committed, phantom_edges=self.phantom_edges
+            ),
             aborted_count=self.recorder.aborted_count,
-            cycle=cycle,
-            anomalies=classify_cycle(cycle, graph.transactions),
         )
 
 
