@@ -60,7 +60,6 @@ from repro.engine.storage import TableSchema
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids workload cycle)
     from repro.obs import Observability
-    from repro.workload.retry import RetryPolicy
 
 #: ``isolation=`` shorthand accepted by :func:`connect`.
 ISOLATION_CONFIGS = {
@@ -152,13 +151,12 @@ class Connection:
     """A client's handle on one database backend (local or network).
 
     Subclasses implement :meth:`session`, :meth:`ping`, :meth:`stats` and
-    :meth:`close`; everything else is shared.  ``retry_policy`` is carried
-    for drivers (the facade itself never retries — retry semantics belong
-    to the closed-loop driver protocol, see :mod:`repro.workload.retry`).
+    :meth:`close`; everything else is shared.  The facade never retries:
+    retry semantics belong to the closed-loop driver protocol (see
+    :mod:`repro.workload.retry`).
     """
 
     url: str = ""
-    retry_policy: Optional[RetryPolicy] = None
 
     def session(self) -> SessionLike:
         raise NotImplementedError
@@ -208,12 +206,10 @@ class LocalConnection(Connection):
         self,
         database: Database,
         *,
-        retry_policy: Optional[RetryPolicy] = None,
         obs: "Observability | None" = None,
         url: str = "local://",
     ) -> None:
         self.db = database
-        self.retry_policy = retry_policy
         self.url = url
         if obs is not None:
             database.install_observability(obs)
@@ -259,7 +255,6 @@ def connect(
     database: Optional[Database] = None,
     schemas: Optional[Iterable[TableSchema]] = None,
     isolation: "str | EngineConfig | None" = None,
-    retry_policy: Optional[RetryPolicy] = None,
     obs: "Observability | None" = None,
     pool_size: int = 8,
     timeout: Optional[float] = 10.0,
@@ -280,8 +275,6 @@ def connect(
         ``"s2pl"`` / ``"ssi"``, or a full :class:`EngineConfig`) to build a
         fresh one.  The network backend rejects all three — the *server*
         owns its engine configuration.
-    retry_policy:
-        Carried on the connection for closed-loop drivers.
     obs:
         Local: installed on the database.  Network: used for client-side
         instrumentation (the server has its own bundle).
@@ -301,9 +294,7 @@ def connect(
                     "local:// needs database=... or schemas=... to build one"
                 )
             database = Database(list(schemas), _resolve_config(isolation))
-        return LocalConnection(
-            database, retry_policy=retry_policy, obs=obs, url=url
-        )
+        return LocalConnection(database, obs=obs, url=url)
     if scheme == "tcp":
         if database is not None or schemas is not None or isolation is not None:
             raise ValueError(
@@ -322,7 +313,6 @@ def connect(
         return NetworkConnection(
             host,
             port,
-            retry_policy=retry_policy,
             obs=obs,
             pool_size=pool_size,
             timeout=timeout,
@@ -350,7 +340,6 @@ def connect(
 
         return ClusterConnection(
             addresses,
-            retry_policy=retry_policy,
             obs=obs,
             pool_size=pool_size,
             timeout=timeout,

@@ -60,7 +60,6 @@ from repro.sqlmini.executor import StatementResult, parse_cached
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults import FaultPlan
     from repro.obs import Observability
-    from repro.workload.retry import RetryPolicy
 
 #: What ended a 2PC attempt, first match wins: the flat counter keys
 #: ``twopc_aborts`` splits into (anything else is ``twopc_aborts_other``).
@@ -496,7 +495,6 @@ class ClusterConnection(Connection):
         self,
         addresses: "Sequence[tuple[str, int]]",
         *,
-        retry_policy: "Optional[RetryPolicy]" = None,
         obs: "Observability | None" = None,
         pool_size: int = 8,
         timeout: Optional[float] = 10.0,
@@ -512,7 +510,6 @@ class ClusterConnection(Connection):
             raise ValueError("cluster needs at least one shard address")
         if unhealthy_after < 1:
             raise ValueError("unhealthy_after must be >= 1")
-        self.retry_policy = retry_policy
         self.obs = obs
         self.url = url or "cluster://" + ",".join(
             f"{host}:{port}" for host, port in addresses
@@ -556,7 +553,6 @@ class ClusterConnection(Connection):
                     NetworkConnection(
                         host,
                         port,
-                        retry_policy=retry_policy,
                         obs=obs,
                         pool_size=pool_size,
                         timeout=timeout,

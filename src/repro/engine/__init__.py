@@ -47,7 +47,7 @@ from repro.engine.storage import (
     TableSchema,
 )
 from repro.engine.transaction import OWN_WRITE, Transaction, TxnStatus
-from repro.engine.versions import UncommittedVersion, Version, VersionChain
+from repro.engine.versions import Version, VersionChain
 from repro.engine.wal import RedoEntry, WalRecord, WriteAheadLog
 
 __all__ = [
@@ -74,7 +74,6 @@ __all__ = [
     "ThreadedWaiter",
     "Transaction",
     "TxnStatus",
-    "UncommittedVersion",
     "Version",
     "VersionChain",
     "WaitOn",

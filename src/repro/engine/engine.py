@@ -94,12 +94,7 @@ from repro.engine.locks import LockManager, LockMode, RowId
 from repro.engine.ssi import SsiCertifier
 from repro.engine.storage import BootstrapImage, Catalog, Table, TableSchema
 from repro.engine.transaction import OWN_WRITE, Transaction, TxnStatus
-from repro.engine.versions import (
-    UncommittedVersion,
-    Version,
-    VersionChain,
-    freeze_row,
-)
+from repro.engine.versions import Version, VersionChain, freeze_row
 from repro.engine.wal import GroupCommitBuffer, WalRecord, WriteAheadLog
 from repro.errors import (
     DatabaseCrashed,
@@ -155,8 +150,9 @@ class Database:
     image:
         Optional :class:`~repro.engine.storage.BootstrapImage` to start
         from (see :meth:`bootstrap_image`): its rows are installed without
-        being validated again.  The frozen versions are shared with the
-        image; chains, indexes and everything else belong to this instance.
+        being validated again, or copied — the tables read them from the
+        image's own dicts.  Chains, indexes and everything else belong to
+        this instance.
     """
 
     def __init__(
@@ -259,19 +255,21 @@ class Database:
                 value=MappingProxyType(value),
             )
             chain = table.rows.get(key)
-            if chain is None:
-                table.rows[key] = VersionChain(version)
-            elif len(chain) > 0:
+            if key in table.base or (chain is not None and len(chain) > 0):
                 raise IntegrityError(
                     f"row {key!r} already exists in {table_name!r}"
                 )
-            else:  # a writer staged this key first
+            if chain is not None:  # a writer staged this key first
                 chain.append_committed(version)
             table.index_committed_version(key, version)
             if self._image_shared:
+                # Tables still reading the shared dicts see the same rows
+                # in the copy; each moves over on its next load.
                 self._image = self._image.copy()
                 self._image_shared = False
-            self._image.table(schema).add(key, version)
+            image = self._image.table(schema)
+            image.add(key, version)
+            table.base = image.versions
 
     def bootstrap_image(self) -> BootstrapImage:
         """Everything :meth:`load_row` installed here, as an immutable image.
@@ -316,11 +314,12 @@ class Database:
         if obs is None:
             return
         with self._commit_mutex:
-            lengths = [
-                len(chain._committed)
-                for table in self.catalog
-                for chain in table.rows.values()
-            ]
+            lengths = []
+            for table in self.catalog:
+                rows = table.rows
+                lengths += [len(chain._committed) for chain in list(rows.values())]
+                # A row nobody wrote is its bootstrap version alone.
+                lengths += [1 for key in table.base if key not in rows]
         obs.engine_version_stats(lengths)
 
     # ------------------------------------------------------------------
@@ -450,10 +449,11 @@ class Database:
         if table is None:
             self.catalog.table(table_name)  # raises SchemaError
         chain = table.rows.get(key)
-        # Inlined VersionChain.visible(): newest committed version at or
-        # below the snapshot.  _committed is append-only and replaced (not
+        # Inlined Table.visible(): newest committed version at or below
+        # the snapshot.  _committed is append-only and replaced (not
         # mutated) by vacuum, so iterating it lock-free is safe; a
-        # tombstone's value is None, which doubles as "row absent".
+        # tombstone's value is None, which doubles as "row absent".  A row
+        # with no chain is its bootstrap version, at timestamp 0.
         value = None
         version_ts = 0
         if chain is not None:
@@ -463,6 +463,10 @@ class Database:
                     value = version.value
                     version_ts = version.commit_ts
                     break
+        else:
+            version = table.base.get(key)
+            if version is not None:
+                value = version.value
         if row_id not in reads:
             reads[row_id] = version_ts
         if ssi is not None:
@@ -686,7 +690,8 @@ class Database:
         if self._first_updater_wins:
             # The exclusive lock pins the chain tip (see the commit
             # protocol), so this check is race-free without the mutex;
-            # inlined here, the helper is called only to raise.
+            # inlined here, the helper is called only to raise.  A row
+            # with no chain has only its bootstrap version, at 0.
             tip = table.rows.get(key)
             tip = tip._committed[-1].commit_ts if tip is not None and tip._committed else 0
             if max(tip, table.cc_write_ts.get(key, 0)) > txn.snapshot_ts:
@@ -695,8 +700,9 @@ class Database:
         with stripe:
             chain = rows.get(key)
             if chain is None:
-                chain = rows[key] = VersionChain()
-            chain.uncommitted = UncommittedVersion(txid, value)
+                rows[key] = VersionChain(table.base.get(key), (txid, value))
+            else:
+                chain.uncommitted = (txid, value)
         writes = txn.writes
         if row_id not in writes:
             txn.write_order.append(row_id)
@@ -810,7 +816,7 @@ class Database:
                 chain = table.rows[key]  # write() created it
                 chain.append_committed(version)
                 uncommitted = chain.uncommitted
-                if uncommitted is not None and uncommitted.txid == txid:
+                if uncommitted is not None and uncommitted[0] == txid:
                     chain.uncommitted = None
                 if table.schema.unique:
                     table.index_committed_version(key, version)
@@ -907,11 +913,11 @@ class Database:
         # look at (readers only traverse committed versions).
         for row_id in txn.write_order:
             table_name, key = row_id
-            chain = self.catalog.table(table_name).chain(key)
+            chain = self.catalog.table(table_name).rows.get(key)
             if (
                 chain is not None
                 and chain.uncommitted is not None
-                and chain.uncommitted.txid == txn.txid
+                and chain.uncommitted[0] == txn.txid
             ):
                 chain.uncommitted = None
         txn.status = TxnStatus.ABORTED
@@ -1055,7 +1061,7 @@ class Database:
                     chain = table.rows[key]  # write() created it
                     chain.append_committed(version)
                     uncommitted = chain.uncommitted
-                    if uncommitted is not None and uncommitted.txid == txid:
+                    if uncommitted is not None and uncommitted[0] == txid:
                         chain.uncommitted = None
                     if table.schema.unique:
                         table.index_committed_version(key, version)
@@ -1252,8 +1258,8 @@ class Database:
             else:
                 horizon = self.clock.last
             pruned = 0
-            for table in self.catalog:
-                for chain in table.rows.values():
+            for table in self.catalog:  # a row nobody wrote has one version
+                for chain in list(table.rows.values()):
                     pruned += chain.prune(horizon)
             if self._obs is not None:
                 self._obs.engine_vacuum(pruned)
@@ -1299,8 +1305,8 @@ class Database:
         if row_id in txn.writes:
             txn.record_read(row_id, OWN_WRITE)
             return txn.writes[row_id]
-        chain = table.chain(key)
-        version = chain.latest() if chain is not None else None
+        chain = table.rows.get(key)
+        version = table.base.get(key) if chain is None else chain.latest()
         version_ts = 0 if version is None else version.commit_ts
         txn.record_read(row_id, version_ts)
         if self._obs is not None:
@@ -1324,10 +1330,7 @@ class Database:
         if row_id in txn.writes:
             txn.record_read(row_id, OWN_WRITE)
             return
-        chain = table.chain(row_id[1])
-        version = (
-            chain.visible(self._read_horizon(txn)) if chain is not None else None
-        )
+        version = table.visible(row_id[1], self._read_horizon(txn))
         self._record_read(txn, row_id, version.commit_ts if version else 0)
 
     def _check_write_conflict(
@@ -1339,7 +1342,8 @@ class Database:
         committed version is stable: a competing writer would need this
         lock first, and a committer publishes its version (and SFU mark)
         before releasing it.  A version newer than our snapshot means a
-        concurrent transaction already won.
+        concurrent transaction already won.  A row with no chain has only
+        its bootstrap version, at 0.
         """
         chain = table.rows.get(key)
         committed = chain._committed if chain is not None else ()
@@ -1371,8 +1375,8 @@ class Database:
         for row_id in txn.write_order:
             table_name, key = row_id
             table = self.catalog.table(table_name)
-            chain = table.chain(key)
-            newest = chain.latest_commit_ts() if chain is not None else 0
+            chain = table.rows[key]  # write() created it
+            newest = chain.latest_commit_ts()
             if newest > txn.snapshot_ts:
                 return (
                     f"txn {txn.txid} ({txn.label}): first-committer-wins "

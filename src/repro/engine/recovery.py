@@ -9,8 +9,9 @@ The durability contract (the invariant the recovery tests assert):
   active at the crash — leaves no trace;
 * bootstrap rows (:meth:`Database.load_row`) are the checkpoint image
   (:meth:`Database.bootstrap_image`) and are always restored — the
-  recovered instance shares their frozen versions with the crashed one
-  and nothing else;
+  recovered instance reads them from the same image as the crashed one
+  and shares nothing else, so recovery costs the replayed records, not
+  the rows;
 * the logical clock resumes strictly after the highest replayed commit
   timestamp, so post-recovery transactions can never collide with
   recovered history.

@@ -82,13 +82,12 @@ class SsiCertifier:
         with self._lock:
             self._sireads.setdefault(row, set()).add(txn.txid)
             self._rows_read.setdefault(txn.txid, set()).add(row)
-            table = db.catalog.table(row[0])
-            chain = table.chain(row[1])
-            if chain is None:
+            chain = db.catalog.table(row[0]).rows.get(row[1])
+            if chain is None:  # nobody wrote it: no newer version, no writer
                 return
             # Concurrent committed writers that produced a newer version
             # than the one this snapshot read.
-            for version in reversed(chain.committed):
+            for version in reversed(chain._committed):
                 if version.commit_ts <= txn.snapshot_ts:
                     break
                 writer = self._txns.get(version.txid)
@@ -96,8 +95,9 @@ class SsiCertifier:
                     self._mark_rw(reader=txn, writer=writer)
             # A concurrent *uncommitted* writer holding the row (a
             # PREPARED one included: it may still commit).
-            if chain.uncommitted is not None and chain.uncommitted.txid != txn.txid:
-                writer = self._txns.get(chain.uncommitted.txid)
+            uncommitted = chain.uncommitted
+            if uncommitted is not None and uncommitted[0] != txn.txid:
+                writer = self._txns.get(uncommitted[0])
                 if writer is not None and writer.status in _UNDECIDED:
                     self._mark_rw(reader=txn, writer=writer)
 

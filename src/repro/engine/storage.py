@@ -1,6 +1,9 @@
 """Relational storage: schemas, typed columns, tables of version chains.
 
-A :class:`Table` maps primary-key values to :class:`VersionChain` objects.
+A :class:`Table` is its bootstrap rows — ``base``, the image's shared
+``key -> Version`` dict — plus a :class:`VersionChain` for each key this
+instance wrote.  A key with no chain reads its bootstrap version, which
+every snapshot sees (commit timestamp 0).
 Uniqueness of secondary columns (e.g. ``Account.CustomerId`` in SmallBank)
 is enforced at commit time and accelerated by a *superset index*: a map from
 column value to the tuple of primary keys that have **ever** carried that
@@ -12,9 +15,11 @@ readers.  Structures a reader traverses — version chains, the sorted-key
 cache, the superset indexes — are only ever *replaced*, never mutated in
 place: index entries are copy-on-write tuples and the key cache is an
 immutable tuple rebuilt on demand, so a reader either sees the old or the
-new value, both internally consistent.  All mutation happens on the writer
-side under the engine's stripe latches (key/chain creation) or commit
-mutex (version publication, index maintenance).
+new value, both internally consistent.  A chain is created at most once
+per key and starts from the key's bootstrap version, so a reader that
+finds none may read ``base``.  All mutation happens on the writer side
+under the engine's stripe latches (chain creation) or commit mutex
+(version publication, index maintenance).
 
 A :class:`BootstrapImage` is the part of a database that
 :meth:`~repro.engine.engine.Database.load_row` installed, in load order:
@@ -196,10 +201,11 @@ class TableImage:
 class BootstrapImage:
     """The rows ``load_row`` installed, ready to instantiate from.
 
-    ``Database(schemas, config, image=image)`` builds its version chains
-    and index dicts from one; the frozen :class:`Version` objects (and
-    the index tuples) are all an instance shares with the image and with
-    its siblings.  Whoever holds an image must treat it as immutable: a
+    ``Database(schemas, config, image=image)`` reads its tables' bootstrap
+    rows straight from one and copies only the index dicts; the
+    ``key -> Version`` dicts, the frozen versions and the index tuples are
+    all an instance shares with the image and with its siblings.  Whoever
+    holds an image must treat it as immutable: a
     :class:`~repro.engine.engine.Database` writes only to an image nobody
     else has seen and copies it first otherwise.
     """
@@ -226,7 +232,8 @@ class BootstrapImage:
 
 
 class Table:
-    """Version-chained rows of one table plus its superset indexes."""
+    """Bootstrap rows plus the version chains of written rows, and the
+    table's superset indexes."""
 
     def __init__(
         self, schema: TableSchema, image: Optional[TableImage] = None
@@ -239,10 +246,14 @@ class Table:
                 f"bootstrap image of table {schema.name!r} was built "
                 "for a different schema"
             )
-        self.rows: dict[Hashable, VersionChain] = {
-            key: VersionChain(version)
-            for key, version in image.versions.items()
-        }
+        #: key -> bootstrap version, in load order: the image's own dict,
+        #: never written through this table (``Database.load_row`` adds to
+        #: an image nobody else holds and points ``base`` at it).
+        self.base: dict[Hashable, Version] = image.versions
+        #: key -> chain, only for keys this instance wrote, inserted,
+        #: recovered or was asked for through :meth:`chain`; a chain starts
+        #: from the key's bootstrap version.  Keys are never removed.
+        self.rows: dict[Hashable, VersionChain] = {}
         # Superset indexes: column -> value -> tuple of pks that ever had
         # it, kept sorted by repr.  Entries are copy-on-write (replaced,
         # never mutated) so lock-free readers always see a consistent
@@ -254,62 +265,73 @@ class Table:
         # of the last transaction that SFU-locked the row (treated like a
         # write for conflict detection, though no version is created).
         self.cc_write_ts: dict[Hashable, int] = {}
-        # Scan-order cache: (key_count, keys sorted by repr).  Keys are
-        # never removed (deletes are tombstone versions), so the cache is
-        # exactly valid while key_count == len(rows) — no explicit
-        # invalidation hook is needed and a stale rebuild can never mask a
-        # newer insert.
+        # Scan-order cache: (len(base) + len(rows), keys sorted by repr).
+        # Neither dict ever loses a key, so the pair is valid while that
+        # sum holds — no invalidation hook is needed and a stale rebuild
+        # can never mask a newer insert.
         self._sorted_keys: tuple[int, tuple[Hashable, ...]] = (0, ())
 
     # ------------------------------------------------------------------
     # Chains
     # ------------------------------------------------------------------
     def chain(self, key: Hashable) -> Optional[VersionChain]:
-        return self.rows.get(key)
+        """The key's chain, made on first ask; ``None`` for a key this
+        table never held."""
+        if key in self.rows or key in self.base:
+            return self.chain_or_create(key)
+        return None
 
     def chain_or_create(self, key: Hashable) -> VersionChain:
         chain = self.rows.get(key)
         if chain is None:
-            chain = VersionChain()
-            self.rows[key] = chain
+            chain = self.rows[key] = VersionChain(self.base.get(key))
         return chain
 
     def keys(self) -> Iterator[Hashable]:
-        return iter(self.rows)
+        """Every key, committed or in-flight: the loaded ones in load
+        order, then the rest in the order their chains were made."""
+        base = self.base
+        return iter([*base, *[key for key in list(self.rows) if key not in base]])
 
     def sorted_keys(self) -> tuple[Hashable, ...]:
         """All keys (committed or in-flight) sorted by repr.
 
         Scans iterate this cache instead of re-sorting every call.  The
-        rebuild snapshots the key view first (``list(dict)`` is atomic
-        under the GIL) so it is safe against concurrent inserts: a rebuild
-        that raced with an insert publishes a pair whose count no longer
-        matches ``len(rows)``, which simply forces the next call to rebuild
-        again — a stale tuple can never be mistaken for current.
+        stamp is read before the keys are (``list(dict)`` is atomic under
+        the GIL), so it is safe against concurrent inserts: a rebuild that
+        raced with one publishes a stamp that no longer matches, which
+        simply forces the next call to look again — a stale tuple can
+        never be mistaken for current.  A chain made for a loaded key adds
+        no key, so only a longer key list is sorted again.
         """
-        count, keys = self._sorted_keys
-        rows = self.rows
-        if count != len(rows):
-            fresh = list(rows)
-            fresh.sort(key=repr)
-            keys = tuple(fresh)
-            self._sorted_keys = (len(keys), keys)
+        stamp, keys = self._sorted_keys
+        count = len(self.base) + len(self.rows)
+        if count != stamp:
+            fresh = list(self.keys())
+            if len(fresh) != len(keys):
+                fresh.sort(key=repr)
+                keys = tuple(fresh)
+            self._sorted_keys = (count, keys)
         return keys
 
     # ------------------------------------------------------------------
     # Snapshot reads
     # ------------------------------------------------------------------
+    def visible(self, key: Hashable, snapshot_ts: int) -> Optional[Version]:
+        """The version of ``key`` a snapshot at ``snapshot_ts`` sees,
+        tombstones included (None when absent)."""
+        chain = self.rows.get(key)
+        if chain is None:
+            return self.base.get(key)
+        return chain.visible(snapshot_ts)
+
     def visible_row(
         self, key: Hashable, snapshot_ts: int
     ) -> Optional[Mapping[str, object]]:
         """The row value visible at ``snapshot_ts`` (None when absent)."""
-        chain = self.rows.get(key)
-        if chain is None:
-            return None
-        version = chain.visible(snapshot_ts)
-        if version is None or version.is_tombstone:
-            return None
-        return version.value
+        chain = self.rows.get(key)  # visible(), inlined: lookups run it
+        version = self.base.get(key) if chain is None else chain.visible(snapshot_ts)
+        return None if version is None else version.value
 
     def scan_visible(
         self,

@@ -4,9 +4,10 @@ Each logical row (identified by its primary key within a table) owns a
 :class:`VersionChain`:
 
 * an append-only list of *committed* versions ordered by commit timestamp;
-* at most one *uncommitted* version, owned by the transaction currently
-  holding the row's exclusive write lock (SI allows a single in-flight
-  writer per row — that is what the write lock enforces).
+* at most one *uncommitted* version, a ``(txid, value)`` pair owned by
+  the transaction currently holding the row's exclusive write lock (SI
+  allows a single in-flight writer per row — that is what the write lock
+  enforces).
 
 A version's ``value`` is an immutable mapping of column name to value, or
 ``None`` for a deletion tombstone.  Versions never mutate; updates append.
@@ -52,22 +53,20 @@ class Version:
         return self.value is None
 
 
-@dataclass
-class UncommittedVersion:
-    """The single in-flight (locked, not yet committed) version of a row."""
-
-    txid: int
-    value: Optional[Mapping[str, object]]
-
-
 class VersionChain:
     """The full version history of one logical row."""
 
     __slots__ = ("_committed", "uncommitted")
 
-    def __init__(self, first: Optional[Version] = None) -> None:
+    def __init__(
+        self,
+        first: Optional[Version] = None,
+        uncommitted: Optional[tuple[int, Optional[Mapping[str, object]]]] = None,
+    ) -> None:
         self._committed: list[Version] = [] if first is None else [first]
-        self.uncommitted: Optional[UncommittedVersion] = None
+        #: ``(txid, value)`` of the in-flight (locked, not yet committed)
+        #: version, or ``None``.
+        self.uncommitted = uncommitted
 
     # ------------------------------------------------------------------
     # Committed-version access

@@ -67,7 +67,6 @@ from repro.sqlmini.executor import StatementResult, parse_cached
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids workload cycle)
     from repro.obs import Observability
-    from repro.workload.retry import RetryPolicy
 
 Row = dict
 Changes = Union[Mapping[str, object], Callable[[Row], Mapping[str, object]]]
@@ -619,7 +618,6 @@ class NetworkConnection(Connection):
         host: str,
         port: int,
         *,
-        retry_policy: "Optional[RetryPolicy]" = None,
         obs: "Observability | None" = None,
         pool_size: int = 8,
         timeout: Optional[float] = 10.0,
@@ -631,7 +629,6 @@ class NetworkConnection(Connection):
             raise ValueError("pool_size must be at least 1")
         self.host = host
         self.port = port
-        self.retry_policy = retry_policy
         self.obs = obs
         self.pool_size = pool_size
         self.timeout = timeout

@@ -113,8 +113,9 @@ def populated_database(
 
     The first build of a ``(population, shard_index, shard_count)`` loads
     row by row and memoises the database's bootstrap image; later ones
-    instantiate from it (fresh chains and indexes over the same frozen
-    versions), so nothing one database does shows in the next.
+    instantiate from it (their own index dicts and, for the rows they
+    write, their own chains over the same frozen versions), so nothing
+    one database does shows in the next.
     """
     memo_key = (population, shard_index, shard_count)
     with _images_lock:

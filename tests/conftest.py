@@ -43,8 +43,9 @@ def make_bank_db(config: EngineConfig | None = None, customers: int = 3) -> Data
 
 
 def assert_no_shared_mutable_state(a: Database, b: Database) -> None:
-    """Two databases over one bootstrap image may share the frozen
-    versions and nothing else: no chain, no row dict, no index dict."""
+    """Two databases over one bootstrap image may share the image — its
+    ``key -> Version`` dicts (``Table.base``, never written) and frozen
+    versions — and nothing else: no chain, no row dict, no index dict."""
     for table in a.catalog:
         twin = b.catalog.table(table.schema.name)
         assert twin.rows is not table.rows

@@ -4,20 +4,23 @@ A database built from a memoised image must be indistinguishable from one
 loaded row by row, and nothing it does afterwards — commits, further
 ``load_row`` calls, vacuum, a crash and its recovery — may show in a
 sibling built from the same image or in an instance built later.  The
-timing claim is pinned by its deterministic stand-in: a warm
-``build_database`` validates no row.
+timing claims are pinned by their deterministic stand-ins: a warm
+``build_database`` validates no row, and it makes no version chain and
+only a table's worth of collector-tracked objects, however many rows.
 """
 
 from __future__ import annotations
 
+import gc
+import random
 from dataclasses import replace
 
 import pytest
 
 import repro.smallbank.schema as population_memo
 from repro.cluster import build_shard_database
-from repro.engine import Database, EngineConfig, Session, TableSchema
-from repro.errors import IntegrityError, SchemaError
+from repro.engine import Database, EngineConfig, Session, TableSchema, VersionChain
+from repro.errors import IntegrityError, ReproError, SchemaError
 from repro.sim.runner import SimulationConfig, run_once, run_replicated
 from repro.smallbank import (
     ACCOUNT,
@@ -27,9 +30,11 @@ from repro.smallbank import (
     PopulationConfig,
     build_database,
     customer_name,
+    get_strategy,
     smallbank_schemas,
     total_money,
 )
+from repro.workload.mix import UNIFORM_MIX, HotspotConfig, ParameterGenerator
 
 from tests.conftest import (
     assert_no_shared_mutable_state,
@@ -72,7 +77,18 @@ def contents(db: Database) -> dict:
 
 
 def load_order(db: Database) -> dict:
-    return {table.schema.name: list(table.rows) for table in db.catalog}
+    return {table.schema.name: list(table.keys()) for table in db.catalog}
+
+
+def population_order(customers) -> dict:
+    """What ``load_order`` reads after loading ``customers`` in order."""
+    ids = list(customers)
+    return {
+        ACCOUNT: [customer_name(c) for c in ids],
+        SAVING: ids,
+        CHECKING: ids,
+        CONFLICT: ids,
+    }
 
 
 def deposit(db: Database, customer: int, amount: float) -> None:
@@ -102,11 +118,10 @@ class TestImageBuiltEqualsColdBuilt:
         warm = build()
         assert len(population_memo._images) == 1
         assert contents(warm) == contents(cold)
-        assert load_order(warm) == load_order(cold)
+        mine = [c for c in range(1, 25) if c % count == index]
+        assert load_order(cold) == population_order(mine) == load_order(warm)
         assert total_money(warm) == total_money(cold)
-        assert len(contents(cold)[ACCOUNT]) == len(
-            [c for c in range(1, 25) if c % count == index]
-        )
+        assert len(contents(cold)[ACCOUNT]) == len(mine)
         assert_no_shared_mutable_state(cold, warm)
 
     def test_unsharded_build_is_the_one_of_one_shard(self):
@@ -218,7 +233,10 @@ class TestEngineImage:
         image = loaded.bootstrap_image()
         assert len(image) == 12
         twin = Database(bank_schemas(), loaded.config, image=image)
-        assert load_order(twin) == load_order(loaded)
+        ids = [1, 2, 3, 4]
+        assert load_order(loaded) == load_order(twin) == {
+            "Saving": ids, "Checking": ids, "Account": [f"cust{c}" for c in ids]
+        }
         assert_no_shared_mutable_state(loaded, twin)
         txn = twin.begin("probe")
         assert twin.lookup_unique(txn, "Account", "CustomerId", 2) == (
@@ -239,7 +257,7 @@ class TestEngineImage:
         assert len(db.bootstrap_image()) == 7
         assert 9 not in Database(bank_schemas(), image=image).catalog.table(
             "Saving"
-        ).rows
+        ).keys()
 
     def test_image_for_another_schema_is_refused(self):
         image = make_bank_db().bootstrap_image()
@@ -296,3 +314,54 @@ class TestSimulatorOverTheMemo:
             range(50 + population_memo.IMAGE_MEMO_BOUND,
                   50 + 2 * population_memo.IMAGE_MEMO_BOUND)
         )
+
+
+class TestWarmOpenWork:
+    """A warm open costs O(tables), not O(rows): counted, not timed."""
+
+    POPULATION_3600 = PopulationConfig(customers=3600, seed=11)
+
+    def test_warm_open_makes_no_chain_and_few_tracked_objects(self, monkeypatch):
+        build_database(None, self.POPULATION_3600)  # cold: memoises the image
+        chains = []
+        init = VersionChain.__init__
+        monkeypatch.setattr(
+            VersionChain,
+            "__init__",
+            lambda self, *args: chains.append(1) or init(self, *args),
+        )
+        gc.collect()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            warm = build_database(None, self.POPULATION_3600)
+            tracked = len(gc.get_objects()) - before
+        finally:
+            gc.enable()
+        assert chains == []
+        assert tracked < 500, tracked  # ~29 000 when every row got a chain
+        assert len(warm.bootstrap_image()) == 4 * 3600
+
+    @pytest.mark.parametrize("isolation", ["postgres", "ssi"])
+    def test_a_run_makes_one_chain_per_row_it_wrote(self, isolation):
+        build_database(None, POPULATION)
+        config = getattr(EngineConfig, isolation)()
+        db = build_database(config, POPULATION)
+        written = set()
+        db.add_observer(lambda txn: written.update(txn.write_order))
+        transactions = get_strategy("promote-all").transactions()
+        rng = random.Random(5)
+        params = ParameterGenerator(HotspotConfig(24, hotspot=6), rng)
+        session = Session(db)
+        for _ in range(200):
+            program = UNIFORM_MIX.choose(rng)
+            try:
+                transactions.run(session, program, params.args_for(program))
+            except ReproError:  # business rollbacks and conflicts alike
+                if session.in_transaction:
+                    session.rollback()
+        total_money(db)  # a scan reads every row and makes no chain
+        assert 0 < len(written) < 4 * POPULATION.customers
+        assert {
+            (table.schema.name, key) for table in db.catalog for key in table.rows
+        } == written

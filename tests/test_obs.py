@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import math
 import threading
+from collections import Counter
 
 import pytest
 
-from repro.engine import EngineConfig
+from repro.engine import Database, EngineConfig
 from repro.obs import (
     EVENT_KINDS,
     LATENCY_BUCKETS,
@@ -17,7 +18,7 @@ from repro.obs import (
     TraceRecorder,
 )
 from repro.sim.runner import SimulationConfig, run_once
-from tests.conftest import make_bank_db
+from tests.conftest import bank_schemas, make_bank_db
 
 
 # ----------------------------------------------------------------------
@@ -338,6 +339,31 @@ class TestEngineWiring:
         db.observe_version_stats()
         assert obs.metrics.gauge("repro_version_chain_max_length").value >= 3
         assert obs.metrics.gauge("repro_version_chain_mean_length").value >= 1
+
+    def test_cold_and_image_built_feed_the_same_chain_lengths(self) -> None:
+        cold = make_bank_db()
+        warm = Database(bank_schemas(), image=cold.bootstrap_image())
+        fed = {}
+
+        def sample(db) -> Counter:
+            obs = Observability()
+            db.install_observability(obs)
+            obs.engine_version_stats = lambda lengths: fed.__setitem__(
+                db, Counter(lengths)
+            )
+            db.observe_version_stats()
+            return fed[db]
+
+        # Nine rows nobody wrote: each its bootstrap version alone.
+        assert sample(cold) == sample(warm) == Counter({1: 9})
+        for db in (cold, warm):
+            for table, key, balance in (
+                ("Checking", 1, 1.0), ("Checking", 1, 2.0), ("Saving", 2, 3.0)
+            ):
+                txn = db.begin("writer")
+                db.write(txn, table, key, {"CustomerId": key, "Balance": balance})
+                db.commit(txn)
+        assert sample(cold) == sample(warm) == Counter({3: 1, 2: 1, 1: 7})
 
     def test_no_observability_means_no_obs_attribute_cost(self) -> None:
         db = make_bank_db()

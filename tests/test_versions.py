@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine.versions import UncommittedVersion, Version, VersionChain, freeze_row
+from repro.engine.versions import Version, VersionChain, freeze_row
 
 
 def chain_with(*history: tuple[int, int, dict | None]) -> VersionChain:
@@ -75,7 +75,7 @@ def test_frozen_rows_are_read_only():
 
 def test_uncommitted_version_slot():
     chain = chain_with((2, 1, {"v": "a"}))
-    chain.uncommitted = UncommittedVersion(7, freeze_row({"v": "pending"}))
+    chain.uncommitted = (7, freeze_row({"v": "pending"}))
     # Uncommitted data never affects snapshot visibility.
     assert chain.visible(100).value["v"] == "a"
     assert len(chain) == 1
