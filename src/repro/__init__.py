@@ -56,16 +56,28 @@ _EXPORTS = {
 __all__ = ["__version__", *sorted(_EXPORTS)]
 
 
-def __getattr__(name: str):
-    module_name = _EXPORTS.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
+def _lazy_exports(namespace: dict, exports: "dict[str, str]"):
+    """A package's PEP 562 ``__getattr__`` and ``__dir__`` over ``exports``
+    (name -> module): each name is imported on first use and cached in
+    ``namespace``, so ``__getattr__`` fires at most once per name."""
 
-    value = getattr(importlib.import_module(module_name), name)
-    globals()[name] = value  # cache: __getattr__ fires at most once per name
-    return value
+    def __getattr__(name: str):
+        module_name = exports.get(name)
+        if module_name is None:
+            raise AttributeError(
+                f"module {namespace['__name__']!r} has no attribute {name!r}"
+            )
+        import importlib
+
+        value = namespace[name] = getattr(
+            importlib.import_module(module_name), name
+        )
+        return value
+
+    def __dir__() -> "list[str]":
+        return sorted(set(namespace) | set(exports))
+
+    return __getattr__, __dir__
 
 
-def __dir__() -> "list[str]":
-    return sorted(set(globals()) | set(_EXPORTS))
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

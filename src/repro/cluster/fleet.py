@@ -52,8 +52,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs import Observability
 
 #: How long a child gets to bind its socket / finish recovery before the
-#: parent declares the spawn failed.  Population is O(customers) and
-#: interpreter start is the dominant cost; generous beats flaky.
+#: parent declares the spawn failed.  Generous beats flaky: a child of
+#: 3 600 customers is listening after ~0.2-0.3 s on a 2-vCPU host (one
+#: pinned CPU), split as ~55-70 ms interpreter start, ~130-160 ms
+#: compiling and importing its 32 ``repro`` modules and ~35 ms (0-of-2
+#: shard) to ~80 ms (1-of-1) loading its rows.
 STARTUP_DEADLINE = 60.0
 
 #: How long graceful shutdown (stdin EOF → child drains and exits) may

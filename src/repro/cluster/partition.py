@@ -15,16 +15,15 @@ the reproduction needs.
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.engine import Database, EngineConfig
+# The shard loader and its lock bound live next to the population, so a
+# shard process never imports this package; both are re-exported here.
 from repro.smallbank.schema import (
     ACCOUNT,
     CHECKING,
     CONFLICT,
     SAVING,
-    PopulationConfig,
-    populated_database,
+    SHARD_LOCK_TIMEOUT,
+    build_shard_database,
 )
 
 #: The column whose value determines the owning shard, per table.
@@ -34,15 +33,6 @@ PARTITION_COLUMNS = {
     CHECKING: "CustomerId",
     CONFLICT: "Id",
 }
-
-
-#: Lock-wait bound (seconds) on every shard of a *multi-shard* cluster.
-#: Two cross-shard transactions can each hold a row lock on one shard
-#: and wait for the other's on the other; no shard sees the cycle and
-#: there is no global deadlock detector, so a bounded wait is what breaks
-#: it: the loser gets a retryable :class:`~repro.errors.LockTimeout`.
-#: Far above an honest wait (a lock is held for at most a few RPCs).
-SHARD_LOCK_TIMEOUT = 0.25
 
 
 class HashPartitioner:
@@ -77,32 +67,3 @@ class HashPartitioner:
         if table not in PARTITION_COLUMNS:
             raise ValueError(f"no partition rule for table {table!r}")
         return self.shard_for_customer(self.customer_from_key(table, key))
-
-
-def build_shard_database(
-    config: Optional[EngineConfig] = None,
-    population: Optional[PopulationConfig] = None,
-    *,
-    shard_index: int = 0,
-    shard_count: int = 1,
-) -> Database:
-    """One shard's slice of the SmallBank population.
-
-    The slice is :func:`repro.smallbank.schema.populated_database`'s —
-    the generator :func:`~repro.smallbank.schema.build_database` is the
-    1-of-1 case of — so the union of all shards is bit-identical to the
-    single-node population (``cluster total_money == local total_money``
-    under the same seed).  One shard of several waits at most
-    :data:`SHARD_LOCK_TIMEOUT` for a row lock unless ``config`` sets its
-    own bound.
-    """
-    if not 0 <= shard_index < shard_count:
-        raise ValueError(
-            f"shard_index {shard_index} out of range for {shard_count} shards"
-        )
-    config = config or EngineConfig.postgres()
-    if shard_count > 1 and config.lock_timeout is None:
-        config = config.with_lock_timeout(SHARD_LOCK_TIMEOUT)
-    return populated_database(
-        config, population or PopulationConfig(), shard_index, shard_count
-    )

@@ -16,86 +16,49 @@ Typical workflow (this is what ``examples/custom_app_audit.py`` shows)::
         print(plan.describe())
 """
 
-from repro.core.advisor import (
-    Prediction,
-    ProgramProfile,
-    Recommendation,
-    predict,
-    profile_smallbank_strategy,
-    recommend,
-    suggest_edges,
-)
-from repro.core.conflicts import (
-    ConflictItem,
-    EdgeAnalysis,
-    Scenario,
-    ScenarioConflicts,
-    analyze_edge,
-    enumerate_scenarios,
-)
-from repro.core.edge_selection import FixPlan, greedy_fix, minimal_fix
-from repro.core.modify import (
-    CONFLICT_TABLE,
-    CONFLICT_VALUE_COLUMN,
-    Modification,
-    materialize_all,
-    materialize_edge,
-    promote_all,
-    promote_edge,
-    tables_updated_by,
-)
-from repro.core.sdg import (
-    DangerousStructure,
-    StaticDependencyGraph,
-    build_sdg,
-)
-from repro.core.specs import (
-    Access,
-    AccessKind,
-    ProgramSet,
-    ProgramSpec,
-    cc_write,
-    read,
-    read_const,
-    write,
-    write_const,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "Access",
-    "AccessKind",
-    "CONFLICT_TABLE",
-    "CONFLICT_VALUE_COLUMN",
-    "ConflictItem",
-    "DangerousStructure",
-    "EdgeAnalysis",
-    "FixPlan",
-    "Modification",
-    "Prediction",
-    "ProgramProfile",
-    "ProgramSet",
-    "ProgramSpec",
-    "Recommendation",
-    "Scenario",
-    "ScenarioConflicts",
-    "StaticDependencyGraph",
-    "analyze_edge",
-    "build_sdg",
-    "cc_write",
-    "enumerate_scenarios",
-    "greedy_fix",
-    "materialize_all",
-    "materialize_edge",
-    "minimal_fix",
-    "predict",
-    "profile_smallbank_strategy",
-    "promote_all",
-    "promote_edge",
-    "read",
-    "recommend",
-    "suggest_edges",
-    "read_const",
-    "tables_updated_by",
-    "write",
-    "write_const",
-]
+#: Re-exports, resolved on first use (PEP 562): importing one submodule
+#: does not pay for the others.
+_EXPORTS = {
+    "Prediction": "repro.core.advisor",
+    "ProgramProfile": "repro.core.advisor",
+    "Recommendation": "repro.core.advisor",
+    "predict": "repro.core.advisor",
+    "profile_smallbank_strategy": "repro.core.advisor",
+    "recommend": "repro.core.advisor",
+    "suggest_edges": "repro.core.advisor",
+    "ConflictItem": "repro.core.conflicts",
+    "EdgeAnalysis": "repro.core.conflicts",
+    "Scenario": "repro.core.conflicts",
+    "ScenarioConflicts": "repro.core.conflicts",
+    "analyze_edge": "repro.core.conflicts",
+    "enumerate_scenarios": "repro.core.conflicts",
+    "FixPlan": "repro.core.edge_selection",
+    "greedy_fix": "repro.core.edge_selection",
+    "minimal_fix": "repro.core.edge_selection",
+    "CONFLICT_TABLE": "repro.core.modify",
+    "CONFLICT_VALUE_COLUMN": "repro.core.modify",
+    "Modification": "repro.core.modify",
+    "materialize_all": "repro.core.modify",
+    "materialize_edge": "repro.core.modify",
+    "promote_all": "repro.core.modify",
+    "promote_edge": "repro.core.modify",
+    "tables_updated_by": "repro.core.modify",
+    "DangerousStructure": "repro.core.sdg",
+    "StaticDependencyGraph": "repro.core.sdg",
+    "build_sdg": "repro.core.sdg",
+    "Access": "repro.core.specs",
+    "AccessKind": "repro.core.specs",
+    "ProgramSet": "repro.core.specs",
+    "ProgramSpec": "repro.core.specs",
+    "cc_write": "repro.core.specs",
+    "read": "repro.core.specs",
+    "read_const": "repro.core.specs",
+    "write": "repro.core.specs",
+    "write_const": "repro.core.specs",
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

@@ -26,14 +26,14 @@ derived), leaving the input untouched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Literal, Optional
 
 from repro.core.conflicts import analyze_edge
 from repro.core.sdg import StaticDependencyGraph
-from repro.core.specs import (
+from repro.core.specs import (  # Modification is re-exported
     Access,
     AccessKind,
+    Modification,
     ProgramSet,
     ProgramSpec,
     cc_write,
@@ -46,20 +46,6 @@ CONFLICT_TABLE = "Conflict"
 CONFLICT_VALUE_COLUMN = "Value"
 
 PromoteVia = Literal["update", "sfu"]
-
-
-@dataclass(frozen=True)
-class Modification:
-    """One strategy-introduced access, for reporting (Table I)."""
-
-    program: str
-    kind: str  # "materialize" | "promote-upd" | "promote-sfu"
-    table: str
-    key: Optional[str]  # parameter name; None for a constant row
-
-    def describe(self) -> str:
-        key = self.key if self.key is not None else "#shared"
-        return f"{self.program}: {self.kind} on {self.table}[{key}]"
 
 
 def _require_edge(programs: ProgramSet, source: str, target: str) -> None:

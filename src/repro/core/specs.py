@@ -202,3 +202,21 @@ class ProgramSet:
         updated = dict(self._programs)
         updated[program.name] = program
         return ProgramSet(updated.values(), name=self.name)
+
+
+@dataclass(frozen=True)
+class Modification:
+    """One strategy-introduced access, for reporting (Table I).
+
+    Produced by the rewrites of :mod:`repro.core.modify`; lives here so
+    that what executes the records need not import the rewriter.
+    """
+
+    program: str
+    kind: str  # "materialize" | "promote-upd" | "promote-sfu"
+    table: str
+    key: Optional[str]  # parameter name; None for a constant row
+
+    def describe(self) -> str:
+        key = self.key if self.key is not None else "#shared"
+        return f"{self.program}: {self.kind} on {self.table}[{key}]"

@@ -235,7 +235,12 @@ class Database:
     # Bootstrap loading (outside any transaction)
     # ------------------------------------------------------------------
     def load_row(self, table_name: str, row: Row) -> None:
-        """Install a row as pre-existing data (commit timestamp 0).
+        """Install one row as pre-existing data: :meth:`load_rows` of one."""
+        self.load_rows(((table_name, row),))
+
+    def load_rows(self, pairs: Iterable[tuple[str, Row]]) -> None:
+        """Install ``(table, row)`` pairs, in order, as pre-existing data
+        (commit timestamp 0), under one hold of the commit mutex.
 
         Only valid before any transaction has committed to the same key.
         Used by benchmark population so that loading cost never pollutes
@@ -244,32 +249,42 @@ class Database:
         with self._commit_mutex:
             if self._crashed:
                 self._ensure_not_crashed()
-            table = self.catalog.table(table_name)
-            schema = table.schema
-            value = schema.validate_row(row)
-            key = value[schema.primary_key]
-            # validate_row returned a copy nobody else holds: freeze it as is.
-            version = Version(
-                commit_ts=LogicalClock.BOOTSTRAP_TS,
-                txid=0,
-                value=MappingProxyType(value),
-            )
-            chain = table.rows.get(key)
-            if key in table.base or (chain is not None and len(chain) > 0):
-                raise IntegrityError(
-                    f"row {key!r} already exists in {table_name!r}"
-                )
-            if chain is not None:  # a writer staged this key first
-                chain.append_committed(version)
-            table.index_committed_version(key, version)
             if self._image_shared:
                 # Tables still reading the shared dicts see the same rows
-                # in the copy; each moves over on its next load.
+                # in the copy; each moves over on its first load below.
                 self._image = self._image.copy()
                 self._image_shared = False
-            image = self._image.table(schema)
-            image.add(key, version)
-            table.base = image.versions
+            loading = {}  # table name -> (table, its TableImage in _image)
+            for table_name, row in pairs:
+                entry = loading.get(table_name)
+                if entry is None:
+                    table = self.catalog.table(table_name)
+                    entry = loading[table_name] = (
+                        table, self._image.table(table.schema)
+                    )
+                    # Both dicts hold the same rows until the first add.
+                    table.base = entry[1].versions
+                table, image = entry
+                schema = table.schema
+                value = schema.validate_row(row)
+                key = value[schema.primary_key]
+                # validate_row returned a copy nobody else holds: freeze
+                # it as is.
+                version = Version(
+                    commit_ts=LogicalClock.BOOTSTRAP_TS,
+                    txid=0,
+                    value=MappingProxyType(value),
+                )
+                chain = table.rows.get(key)
+                if key in table.base or (chain is not None and len(chain) > 0):
+                    raise IntegrityError(
+                        f"row {key!r} already exists in {table_name!r}"
+                    )
+                if chain is not None:  # a writer staged this key first
+                    chain.append_committed(version)
+                if schema.unique:  # only unique columns are indexed
+                    table.index_committed_version(key, version)
+                image.add(key, version)
 
     def bootstrap_image(self) -> BootstrapImage:
         """Everything :meth:`load_row` installed here, as an immutable image.

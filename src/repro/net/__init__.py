@@ -2,7 +2,9 @@
 
 Server side: :class:`DatabaseServer` hosts one
 :class:`~repro.engine.engine.Database` behind a length-prefixed JSON
-protocol over TCP.  Client side: :class:`NetworkConnection` implements
+protocol over TCP.  Client side: the classes come from
+:mod:`repro.net.client` (not re-exported here, so a server process never
+imports them): :class:`~repro.net.client.NetworkConnection` implements
 the :class:`repro.api.Connection` facade over a pool of framed sockets,
 so ``repro.connect("tcp://host:port")`` is a drop-in replacement for the
 in-process backend.
@@ -11,7 +13,6 @@ The protocol itself (framing, operations, error round-trip) lives in
 :mod:`repro.net.protocol`.
 """
 
-from repro.net.client import NetworkConnection, NetworkSession, WireConnection
 from repro.net.protocol import (
     DEFAULT_MAX_FRAME,
     REQUEST_OPS,
@@ -25,10 +26,7 @@ __all__ = [
     "DatabaseServer",
     "DEFAULT_MAX_FRAME",
     "FrameDecoder",
-    "NetworkConnection",
-    "NetworkSession",
     "REQUEST_OPS",
-    "WireConnection",
     "decode_payload",
     "encode_frame",
 ]

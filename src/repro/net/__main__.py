@@ -2,7 +2,7 @@
 
 Builds a populated SmallBank :class:`~repro.engine.engine.Database` —
 optionally one *shard slice* of a hash-partitioned population,
-bit-identical to :func:`repro.cluster.partition.build_shard_database`
+bit-identical to :func:`repro.smallbank.schema.build_shard_database`
 under the same seed — and serves it over the wire protocol until stdin
 reaches EOF (the portable subprocess-control convention: the parent
 closes our stdin — or exits, which closes it too — and we shut down
@@ -51,7 +51,6 @@ import sys
 from repro.api import ISOLATION_CONFIGS
 from repro.errors import ReproError
 from repro.net.shard import ThreadShard
-from repro.obs import Observability
 
 
 def _reply(shard: ThreadShard, command: str, rest: str) -> str:
@@ -158,11 +157,15 @@ def main(argv: "list[str] | None" = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    plan = None
+    plan = obs = None
     if args.faults:
         from repro.faults import plan_from_json
 
         plan = plan_from_json(args.faults)
+    if args.obs:
+        from repro.obs import Observability
+
+        obs = Observability()
     shard = ThreadShard(
         args.shard_index,
         args.shard_count,
@@ -175,7 +178,7 @@ def main(argv: "list[str] | None" = None) -> int:
         port=args.port,
         max_connections=args.max_connections,
         backpressure=not args.reject,
-        obs=Observability() if args.obs else None,
+        obs=obs,
         autovacuum_interval=args.autovacuum,
     )
     if _say(f"LISTENING {shard.port}"):

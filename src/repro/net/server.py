@@ -72,7 +72,6 @@ import threading
 import time
 import traceback
 from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
 from functools import partial
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
@@ -101,6 +100,8 @@ from repro.sqlmini import PreparedStatement
 from repro.sqlmini.ast import Select
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from concurrent.futures import Future
+
     from repro.faults import FaultPlan
     from repro.obs import Observability
 
@@ -207,9 +208,13 @@ class DatabaseServer:
         self._listener: Optional[socket.socket] = None
         self._selector: Optional[selectors.BaseSelector] = None
         self._thread: Optional[threading.Thread] = None
-        self._vacuum_executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-net-vacuum"
-        )
+        self._vacuum_executor = None
+        if autovacuum_interval is not None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            self._vacuum_executor = ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix="repro-net-vacuum"
+            )
         #: How other threads reach the loop: ``(function, args)`` pairs it
         #: runs when the wake-up socket turns readable (``_post``).
         self._posted: "deque[tuple[Callable, tuple]]" = deque()
@@ -347,7 +352,8 @@ class DatabaseServer:
                 self._guarded(*posted.popleft())
             while timers and timers[0][0] <= time.monotonic():
                 self._guarded(*heapq.heappop(timers)[2:])
-        self._vacuum_executor.shutdown()
+        if self._vacuum_executor is not None:
+            self._vacuum_executor.shutdown()
         self._selector.close()
 
     def _guarded(self, function: Callable, args: tuple) -> None:

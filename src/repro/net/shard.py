@@ -17,7 +17,8 @@ from typing import TYPE_CHECKING, Optional
 from repro.api import ISOLATION_CONFIGS
 from repro.errors import TransactionStateError
 from repro.net.server import DatabaseServer
-from repro.smallbank import PopulationConfig, build_database
+from repro.smallbank.schema import PopulationConfig, build_shard_database
+import repro.smallbank.transactions  # noqa: F401 - registers the CALL factory
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.recorder import CommittedTransaction
@@ -41,7 +42,7 @@ def build_served_database(
 
     With ``shard_count > 1`` this is one shard's slice of the hash
     partitioned population, drawn in exactly the single-node RNG order
-    (:func:`repro.cluster.partition.build_shard_database`); a single
+    (:func:`repro.smallbank.schema.build_shard_database`); a single
     shard is the plain unsharded population.
     """
     population = (
@@ -49,16 +50,12 @@ def build_served_database(
         if seed is None
         else PopulationConfig(customers=customers, seed=seed)
     )
-    if shard_count > 1:
-        from repro.cluster.partition import build_shard_database
-
-        return build_shard_database(
-            ISOLATION_CONFIGS[isolation](),
-            population,
-            shard_index=shard_index,
-            shard_count=shard_count,
-        )
-    return build_database(ISOLATION_CONFIGS[isolation](), population)
+    return build_shard_database(
+        ISOLATION_CONFIGS[isolation](),
+        population,
+        shard_index=shard_index,
+        shard_count=shard_count,
+    )
 
 
 class ThreadShard:

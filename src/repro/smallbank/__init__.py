@@ -13,82 +13,48 @@ Quick use::
     total = txns.run(session, "Balance", {"N": "cust0000001"})
 """
 
-from repro.smallbank.programs import (
-    AMALGAMATE,
-    BALANCE,
-    DEPOSIT_CHECKING,
-    PROGRAM_NAMES,
-    SHORT_NAMES,
-    TRANSACT_SAVING,
-    WRITE_CHECK,
-    smallbank_specs,
-)
-from repro.smallbank.schema import (
-    ACCOUNT,
-    CHECKING,
-    CONFLICT,
-    PAPER_CUSTOMERS,
-    PAPER_HOTSPOT,
-    PAPER_HOTSPOT_HIGH_CONTENTION,
-    SAVING,
-    PopulationConfig,
-    build_database,
-    customer_name,
-    smallbank_schemas,
-    total_money,
-)
-from repro.smallbank.strategies import (
-    ALL_STRATEGIES,
-    BASE_SI,
-    MATERIALIZE_ALL,
-    MATERIALIZE_BW,
-    MATERIALIZE_WT,
-    POSTGRES_STRATEGIES,
-    PROMOTE_ALL,
-    PROMOTE_BW_SFU,
-    PROMOTE_BW_UPD,
-    PROMOTE_WT_SFU,
-    PROMOTE_WT_UPD,
-    STRATEGIES_BY_KEY,
-    Strategy,
-    get_strategy,
-)
-from repro.smallbank.transactions import SmallBankTransactions
+from repro import _lazy_exports
 
-__all__ = [
-    "ACCOUNT",
-    "ALL_STRATEGIES",
-    "AMALGAMATE",
-    "BALANCE",
-    "BASE_SI",
-    "CHECKING",
-    "CONFLICT",
-    "DEPOSIT_CHECKING",
-    "MATERIALIZE_ALL",
-    "MATERIALIZE_BW",
-    "MATERIALIZE_WT",
-    "PAPER_CUSTOMERS",
-    "PAPER_HOTSPOT",
-    "PAPER_HOTSPOT_HIGH_CONTENTION",
-    "POSTGRES_STRATEGIES",
-    "PROGRAM_NAMES",
-    "PROMOTE_ALL",
-    "PROMOTE_BW_SFU",
-    "PROMOTE_BW_UPD",
-    "PROMOTE_WT_SFU",
-    "PROMOTE_WT_UPD",
-    "SAVING",
-    "SHORT_NAMES",
-    "STRATEGIES_BY_KEY",
-    "SmallBankTransactions",
-    "PopulationConfig",
-    "Strategy",
-    "TRANSACT_SAVING",
-    "WRITE_CHECK",
-    "build_database",
-    "customer_name",
-    "get_strategy",
-    "smallbank_schemas",
-    "smallbank_specs",
-    "total_money",
-]
+#: Re-exports, resolved on first use (PEP 562): importing one submodule
+#: does not pay for the others.
+_EXPORTS = {
+    "AMALGAMATE": "repro.smallbank.programs",
+    "BALANCE": "repro.smallbank.programs",
+    "DEPOSIT_CHECKING": "repro.smallbank.programs",
+    "PROGRAM_NAMES": "repro.smallbank.programs",
+    "SHORT_NAMES": "repro.smallbank.programs",
+    "TRANSACT_SAVING": "repro.smallbank.programs",
+    "WRITE_CHECK": "repro.smallbank.programs",
+    "smallbank_specs": "repro.smallbank.programs",
+    "ACCOUNT": "repro.smallbank.schema",
+    "CHECKING": "repro.smallbank.schema",
+    "CONFLICT": "repro.smallbank.schema",
+    "PAPER_CUSTOMERS": "repro.smallbank.schema",
+    "PAPER_HOTSPOT": "repro.smallbank.schema",
+    "PAPER_HOTSPOT_HIGH_CONTENTION": "repro.smallbank.schema",
+    "PopulationConfig": "repro.smallbank.schema",
+    "SAVING": "repro.smallbank.schema",
+    "build_database": "repro.smallbank.schema",
+    "customer_name": "repro.smallbank.schema",
+    "smallbank_schemas": "repro.smallbank.schema",
+    "total_money": "repro.smallbank.schema",
+    "ALL_STRATEGIES": "repro.smallbank.strategies",
+    "BASE_SI": "repro.smallbank.strategies",
+    "MATERIALIZE_ALL": "repro.smallbank.strategies",
+    "MATERIALIZE_BW": "repro.smallbank.strategies",
+    "MATERIALIZE_WT": "repro.smallbank.strategies",
+    "POSTGRES_STRATEGIES": "repro.smallbank.strategies",
+    "PROMOTE_ALL": "repro.smallbank.strategies",
+    "PROMOTE_BW_SFU": "repro.smallbank.strategies",
+    "PROMOTE_BW_UPD": "repro.smallbank.strategies",
+    "PROMOTE_WT_SFU": "repro.smallbank.strategies",
+    "PROMOTE_WT_UPD": "repro.smallbank.strategies",
+    "STRATEGIES_BY_KEY": "repro.smallbank.strategies",
+    "Strategy": "repro.smallbank.strategies",
+    "get_strategy": "repro.smallbank.strategies",
+    "SmallBankTransactions": "repro.smallbank.transactions",
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

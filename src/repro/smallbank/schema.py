@@ -21,7 +21,7 @@ import random
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from repro.engine import (
     BootstrapImage,
@@ -112,10 +112,12 @@ def populated_database(
     the union of all shards is bit-identical to the 1-of-1 build.
 
     The first build of a ``(population, shard_index, shard_count)`` loads
-    row by row and memoises the database's bootstrap image; later ones
-    instantiate from it (their own index dicts and, for the rows they
-    write, their own chains over the same frozen versions), so nothing
-    one database does shows in the next.
+    its rows customer by customer in one
+    :meth:`~repro.engine.engine.Database.load_rows` pass and memoises the
+    database's bootstrap image; later ones instantiate from it (their own
+    index dicts and, for the rows they write, their own chains over the
+    same frozen versions), so nothing one database does shows in the
+    next.
     """
     memo_key = (population, shard_index, shard_count)
     with _images_lock:
@@ -124,8 +126,20 @@ def populated_database(
             _images.move_to_end(memo_key)
     if image is not None:
         return Database(smallbank_schemas(), config, image=image)
-    rng = random.Random(population.seed)
     db = Database(smallbank_schemas(), config)
+    db.load_rows(_population_rows(population, shard_index, shard_count))
+    with _images_lock:
+        _images[memo_key] = db.bootstrap_image()
+        while len(_images) > IMAGE_MEMO_BOUND:
+            _images.popitem(last=False)
+    return db
+
+
+def _population_rows(
+    population: PopulationConfig, shard_index: int, shard_count: int
+) -> Iterator[tuple[str, dict]]:
+    """The ``(table, row)`` pairs of one shard, customer by customer."""
+    rng = random.Random(population.seed)
     for cid in range(1, population.customers + 1):
         saving = round(
             rng.uniform(population.min_saving, population.max_saving), 2
@@ -135,15 +149,10 @@ def populated_database(
         )
         if cid % shard_count != shard_index:
             continue
-        db.load_row(ACCOUNT, {"Name": customer_name(cid), "CustomerId": cid})
-        db.load_row(SAVING, {"CustomerId": cid, "Balance": saving})
-        db.load_row(CHECKING, {"CustomerId": cid, "Balance": checking})
-        db.load_row(CONFLICT, {"Id": cid, "Value": 0})
-    with _images_lock:
-        _images[memo_key] = db.bootstrap_image()
-        while len(_images) > IMAGE_MEMO_BOUND:
-            _images.popitem(last=False)
-    return db
+        yield ACCOUNT, {"Name": customer_name(cid), "CustomerId": cid}
+        yield SAVING, {"CustomerId": cid, "Balance": saving}
+        yield CHECKING, {"CustomerId": cid, "Balance": checking}
+        yield CONFLICT, {"Id": cid, "Value": 0}
 
 
 def build_database(
@@ -156,6 +165,43 @@ def build_database(
     rare, as in the paper's workload.
     """
     return populated_database(config, population or PopulationConfig(), 0, 1)
+
+
+#: Lock-wait bound (seconds) on every shard of a *multi-shard* cluster.
+#: Two cross-shard transactions can each hold a row lock on one shard
+#: and wait for the other's on the other; no shard sees the cycle and
+#: there is no global deadlock detector, so a bounded wait is what breaks
+#: it: the loser gets a retryable :class:`~repro.errors.LockTimeout`.
+#: Far above an honest wait (a lock is held for at most a few RPCs).
+SHARD_LOCK_TIMEOUT = 0.25
+
+
+def build_shard_database(
+    config: Optional[EngineConfig] = None,
+    population: Optional[PopulationConfig] = None,
+    *,
+    shard_index: int = 0,
+    shard_count: int = 1,
+) -> Database:
+    """One shard's slice of the SmallBank population.
+
+    The slice is :func:`populated_database`'s — :func:`build_database`
+    is its 1-of-1 case — so the union of all shards is bit-identical to
+    the single-node population (``cluster total_money == local
+    total_money`` under the same seed).  One shard of several waits at
+    most :data:`SHARD_LOCK_TIMEOUT` for a row lock unless ``config`` sets
+    its own bound.
+    """
+    if not 0 <= shard_index < shard_count:
+        raise ValueError(
+            f"shard_index {shard_index} out of range for {shard_count} shards"
+        )
+    config = config or EngineConfig.postgres()
+    if shard_count > 1 and config.lock_timeout is None:
+        config = config.with_lock_timeout(SHARD_LOCK_TIMEOUT)
+    return populated_database(
+        config, population or PopulationConfig(), shard_index, shard_count
+    )
 
 
 def total_money(db: Database) -> float:

@@ -6,7 +6,7 @@ Each :class:`Strategy` couples
   symbolic program set — from which the SDGs of Figures 2/3 and the rows of
   Table I are **derived**, and
 * the matching *executable* rewrite: the list of
-  :class:`~repro.core.modify.Modification` records is fed into
+  :class:`~repro.core.specs.Modification` records is fed into
   :class:`~repro.smallbank.transactions.SmallBankTransactions`, which adds
   the corresponding SQL statements.
 
@@ -32,6 +32,7 @@ platform (where SFU acts as a concurrency-control write);
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 from repro.core import StaticDependencyGraph, build_sdg
@@ -80,6 +81,12 @@ class Strategy:
         return self.apply()[0]
 
     def modifications(self) -> tuple[Modification, ...]:
+        return self._modifications
+
+    @cached_property
+    def _modifications(self) -> tuple[Modification, ...]:
+        # Derived once per strategy: the rewrite costs milliseconds and
+        # the records are frozen, so every run may share them.
         return self.apply()[1]
 
     def transactions(self) -> SmallBankTransactions:

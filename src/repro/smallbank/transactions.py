@@ -3,7 +3,7 @@
 The bodies are written with :mod:`repro.sqlmini` prepared statements so
 they match the SQL the paper prints (Program 1).  A
 :class:`SmallBankTransactions` instance is parameterized by the list of
-:class:`~repro.core.modify.Modification` records produced by the strategy
+:class:`~repro.core.specs.Modification` records produced by the strategy
 transforms — the *same* records that rewrite the symbolic specs also
 rewrite the executable programs:
 
@@ -34,7 +34,7 @@ from functools import cached_property
 from typing import Callable, Iterable, Mapping
 
 from repro.api import PROGRAM_FACTORIES, Program
-from repro.core.modify import Modification
+from repro.core.specs import Modification
 from repro.engine.session import Session
 from repro.errors import ApplicationRollback
 from repro.smallbank import programs as names

@@ -273,6 +273,78 @@ class TestEngineImage:
             Database(bank_schemas()[:2], image=image)
 
 
+def row_by_row(population: PopulationConfig, index: int, count: int) -> Database:
+    """The population as it was loaded before ``Database.load_rows``: one
+    ``load_row`` per row, customer by customer, same RNG draws."""
+    rng = random.Random(population.seed)
+    db = Database(smallbank_schemas())
+    for cid in range(1, population.customers + 1):
+        saving = round(rng.uniform(population.min_saving, population.max_saving), 2)
+        checking = round(
+            rng.uniform(population.min_checking, population.max_checking), 2
+        )
+        if cid % count != index:
+            continue
+        db.load_row(ACCOUNT, {"Name": customer_name(cid), "CustomerId": cid})
+        db.load_row(SAVING, {"CustomerId": cid, "Balance": saving})
+        db.load_row(CHECKING, {"CustomerId": cid, "Balance": checking})
+        db.load_row(CONFLICT, {"Id": cid, "Value": 0})
+    return db
+
+
+def image_state(image) -> dict:
+    """Per table: keys in load order, each version's stamps and values,
+    and the unique-index entries."""
+    return {
+        name: (
+            [(k, v.commit_ts, v.txid, dict(v.value)) for k, v in t.versions.items()],
+            t.indexes,
+        )
+        for name, t in image.tables.items()
+    }
+
+
+class TestLoadRows:
+    @pytest.mark.parametrize("index, count", [(0, 1), (0, 2)])
+    def test_one_pass_image_equals_the_row_by_row_image(self, index, count):
+        loaded = build_shard_database(
+            None, POPULATION, shard_index=index, shard_count=count
+        )
+        reference = row_by_row(POPULATION, index, count)
+        state = image_state(loaded.bootstrap_image())
+        assert state == image_state(reference.bootstrap_image())
+        assert list(state) == list(TABLES)
+        assert state[ACCOUNT][1]["CustomerId"]  # the index is not empty
+        assert contents(loaded) == contents(reference)
+        assert load_order(loaded) == load_order(reference)
+
+    def test_duplicate_key_inside_one_batch_names_the_key(self):
+        db = Database(bank_schemas())
+        with pytest.raises(IntegrityError, match="'cust7'.*'Account'"):
+            db.load_rows([
+                ("Account", {"Name": "cust7", "CustomerId": 7}),
+                ("Saving", {"CustomerId": 7, "Balance": 1.0}),
+                ("Account", {"Name": "cust7", "CustomerId": 8}),
+            ])
+        with pytest.raises(IntegrityError, match="7"):
+            db.load_rows([("Saving", {"CustomerId": 7, "Balance": 2.0})])
+
+    def test_rows_are_validated_like_load_row(self):
+        db = Database(bank_schemas())
+        with pytest.raises(SchemaError):
+            db.load_rows([("Saving", {"CustomerId": 1, "Balance": 1.0, "x": 0})])
+        with pytest.raises(SchemaError):
+            db.load_rows([("NoSuchTable", {"Id": 1})])
+
+    def test_batch_after_an_image_went_out_goes_to_a_copy(self):
+        db = make_bank_db(customers=2)
+        image = db.bootstrap_image()
+        db.load_rows([("Saving", {"CustomerId": 9, "Balance": 9.0}),
+                      ("Checking", {"CustomerId": 9, "Balance": 3.0})])
+        assert len(image) == 6
+        assert len(db.bootstrap_image()) == 8
+
+
 STRATEGIES = ("base-si", "promote-all", "materialize-all")
 POINT = SimulationConfig(
     mpl=8, customers=400, hotspot=40, ramp_up=0.2, measure=0.6
@@ -296,11 +368,11 @@ class TestSimulatorOverTheMemo:
         first = run_replicated(POINT, repetitions=5)
         assert len(population_memo._images) == 5
         loads = []
-        load_row = Database.load_row
+        load_rows = Database.load_rows
         monkeypatch.setattr(
             Database,
-            "load_row",
-            lambda self, table, row: loads.append(table) or load_row(self, table, row),
+            "load_rows",
+            lambda self, pairs: loads.append(1) or load_rows(self, pairs),
         )
         again = run_replicated(POINT, repetitions=5)
         assert loads == []  # every repetition of the next point is warm

@@ -8,6 +8,7 @@ mid-transaction must have its transaction aborted and its locks released
 before anyone else blocks on them, and nothing may leak.
 """
 
+import json
 import os
 import socket
 import struct
@@ -465,17 +466,17 @@ class TestSlowReader:
             server.shutdown()
 
 
-def spawn_standalone() -> subprocess.Popen:
+def spawn_standalone(*options: str) -> subprocess.Popen:
     """``python -m repro.net`` once it has said LISTENING."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     child = subprocess.Popen(
-        [sys.executable, "-m", "repro.net", "--customers", "5"],
+        [sys.executable, "-m", "repro.net", "--customers", "5", *options],
         stdin=subprocess.PIPE,
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=env,
     )
-    assert child.stdout.readline().startswith(b"LISTENING ")
+    child.port = int(child.stdout.readline().split(b"LISTENING ")[1])
     return child
 
 
@@ -510,6 +511,37 @@ class TestStandaloneProcess:
             child.kill()
             child.wait()
             child.stdin.close()
+            child.stderr.close()
+
+
+    def test_obs_server_serves_pings_and_reports_stats(self):
+        """``--obs`` is the one path on which a server imports
+        ``repro.obs``: its hooks run on every connection and commit."""
+        child = spawn_standalone("--obs")
+        try:
+            with repro.connect(f"tcp://127.0.0.1:{child.port}") as conn:
+                session = conn.session()
+                total = get_strategy("base-si").transactions().run(
+                    session, BALANCE, {"N": customer_name(1)}
+                )
+                session.close()
+                assert total > 0
+            child.stdin.write(b"PING\n")
+            child.stdin.flush()
+            assert child.stdout.readline() == b"PONG\n"
+            child.stdin.close()
+            line = child.stdout.readline()
+            assert line.startswith(b"STATS ")
+            stats = json.loads(line[len(b"STATS "):])
+            assert stats["connections_active"] == 0
+            assert stats["active_transactions"] == 0
+            assert stats["rpcs_total"] >= 1
+            assert child.wait(timeout=30) == 0
+            assert child.stderr.read() == b""
+        finally:
+            child.kill()
+            child.wait()
+            child.stdout.close()
             child.stderr.close()
 
 

@@ -212,6 +212,20 @@ class TestStrategyInjectedStatements:
         assert session.select(CONFLICT, 1)["Value"] == 1
         assert session.select(CONFLICT, 2)["Value"] == 1
 
+    def test_rewrite_is_derived_once_and_runs_share_no_statement(self, monkeypatch):
+        strategy = get_strategy("promote-all")
+        first = strategy.transactions()
+        monkeypatch.setattr(
+            type(strategy), "apply", lambda *a: pytest.fail("rewrite derived again")
+        )
+        second = strategy.transactions()
+        assert strategy.modifications() is first.modifications
+        assert second.modifications is first.modifications
+        assert second is not first
+        assert not {id(c) for c in first._calls.values()} & {
+            id(c) for c in second._calls.values()
+        }
+
     def test_sfu_strategy_uses_select_for_update(self, db):
         txns = get_strategy("promote-wt-sfu").transactions()
         session = Session(db)
