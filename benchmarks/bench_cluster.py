@@ -1,34 +1,35 @@
-"""Cluster benchmark: SmallBank TPS vs shard count at fixed MPL.
+"""Cluster benchmark: SmallBank over a shard fleet at 1, 2 (and 4) shards.
 
-For each shard count the same closed-system :class:`ThreadedDriver` run
-(uniform five-program SmallBank mix, so ~20 % Amalgamates generate
-cross-shard traffic) is driven through the shard router against an
-in-process :class:`~repro.cluster.Cluster` — or, with ``--procs``,
-against a multi-process :class:`~repro.cluster.ShardFleet` (one OS
-process per shard) driven by several load-generator subprocesses, so
-neither the servers nor the clients share a GIL and TPS can actually
-scale with shard count on a multi-core host.  Each point reports:
+Each point stands up a :class:`~repro.cluster.ShardFleet` (one OS process
+per shard) and drives it at a fixed MPL from client processes of a
+``multiprocessing`` spawn pool, each a closed-system
+:class:`ThreadedDriver` on its own :class:`ClusterConnection` — the same
+mechanism ``bench_net.measure_server_work`` uses.  The host decides how
+many: ``min(mpl, max(1, cores - shards))`` loadgens, and each point
+records ``oversubscribed = (loadgens + shards) / cores``.  A curve runs
+two mixes at every shard count: ``readonly`` (Balance only, so zero
+cross-shard programs) and ``uniform`` (~20 % Amalgamates, some of them
+cross-shard).
 
-* **TPS** and aborts at the fixed MPL,
-* the **fast-path ratio** — the fraction of commits that were
-  single-shard and therefore skipped 2PC entirely (COMMIT piggybacked on
-  the last statement, no PREPARE round), and
-* the router's raw ``fastpath_commits`` / ``twopc_commits`` /
-  ``twopc_aborts`` counters, and
-* printed beside the TPS, not recorded: the shards' **RPCs**, **parks**
-  (requests a server held on its loop until a row lock freed) and
-  **lock-wait seconds** per decided transaction, summed over shards,
-  the point's **lock timeouts**, and its **aborts by reason** — the
-  shards' engine reason tags and the router's split of ``twopc_aborts``
-  by what ended the attempt — where the work and the waiting went when
-  a gate fails.
+What is gated (:func:`gate`) are counts the code determines, so a 2-core
+host passes or fails them for a reason: every point makes progress, no
+shard process is orphaned or force-killed, a 1-shard point and a
+read-only point run no 2PC, a read-only point's shards serve at most
+``2 x shards x mpl`` RPCs beyond one per transaction (``PREPARE_PROGRAM``
+and ``STATS``), a multi-shard uniform point runs 2PC, and the paired 2PC
+micro costs more than the fast path.
 
-A separate paired microbenchmark quantifies the **2PC overhead** on a
-2-shard cluster: the same connection alternately commits single-shard
-deposits (fast path) and cross-shard transfers (presumed-abort 2PC:
-per-shard PREPARE, then decision broadcast), and the per-transaction
-latency ratio is the measured price of the second round trip plus the
-prepare record fsync.
+Recorded and printed, never gated: the TPS ratio to the 1-shard point,
+CPU microseconds per transaction summed over the loadgens and the shard
+processes, parked requests and lock-wait per transaction, lock timeouts
+and aborts by reason (the shards' engine tags and the router's
+``twopc_aborts_*`` split).  Every field of a point comes from its
+median-TPS round.
+
+The paired micro (:func:`measure_2pc_overhead`) alternates single-shard
+deposits (fast path) with cross-shard transfers (presumed-abort 2PC)
+on one connection to a 2-shard fleet; the latency ratio is the price of
+the prepare round.
 
 Results are appended to ``BENCH_cluster.json`` at the repo root (CI
 uploads it as an artifact).  CI smoke::
@@ -47,17 +48,15 @@ or via pytest::
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import statistics
-import subprocess
-import sys
 import time
 from collections import Counter
+from multiprocessing import get_context
 from pathlib import Path
 
-from repro.bench.harness import append_bench_record
-from repro.cluster import Cluster, ShardFleet
+from repro.bench.harness import append_bench_record, process_work, split_mpl
+from repro.cluster import ClusterConnection, ShardFleet
 from repro.smallbank import get_strategy
 from repro.workload.driver import ThreadedDriver, ThreadedDriverConfig
 
@@ -66,200 +65,104 @@ BENCH_JSON = REPO_ROOT / "BENCH_cluster.json"
 
 SHARDS = (1, 2, 4)
 SMOKE_SHARDS = (1, 2)
+MIXES = ("readonly", "uniform")
 MPL = 8
 SMOKE_MPL = 4
 CUSTOMERS = 100
-MIX = "uniform"
 STRATEGY = "base-si"
-#: Load-generator subprocesses per multiproc measurement point; the MPL
-#: is split across them so client-side work doesn't serialize on one GIL.
-LOADGENS = 4
 #: Each loadgen leases gtids from a disjoint base so cross-process gtids
 #: can never collide (labels stay ``g<digits>`` for the merged MVSG).
 GTID_STRIDE = 10**9
 
 
-def _harness(shard_count: int, procs: bool):
-    """The cluster under measurement: thread shards, or one OS process
-    per shard with ``procs``; no recorders — only TPS is read."""
-    return (ShardFleet if procs else Cluster)(
-        shard_count, customers=CUSTOMERS, isolation="si", record=False
-    )
+def _fleet(shard_count: int) -> ShardFleet:
+    """The cluster under measurement; no recorders."""
+    return ShardFleet(shard_count, customers=CUSTOMERS, isolation="si", record=False)
 
 
-def _drive(conn, mpl: int, duration: float, seed: int) -> dict:
-    """One closed-loop driver run through ``conn`` (closed afterwards)."""
+def _loadgen(addresses, mix, mpl, duration, seed, gtid_base, start_at) -> dict:
+    """One client process of a point: its TPS, aborts, router counters
+    and the CPU seconds it spent driving."""
+    conn = ClusterConnection(addresses, gtid_base=gtid_base)
     try:
-        stats = ThreadedDriver(
+        driver = ThreadedDriver(
             None,
             get_strategy(STRATEGY).transactions(),
             ThreadedDriverConfig(
-                mpl=mpl,
-                customers=CUSTOMERS,
-                hotspot=10,
-                mix=MIX,
-                duration=duration,
-                seed=seed,
+                mpl=mpl, customers=CUSTOMERS, hotspot=10, mix=mix,
+                duration=duration, seed=seed,
             ),
             connection=conn,
-        ).run()
+        )
+        time.sleep(max(0.0, start_at - time.time()))  # all loadgens together
+        cpu = time.process_time()
+        stats = driver.run()
+        cpu = time.process_time() - cpu
         counters = conn.counters()
     finally:
         conn.close()
-    return {
-        "tps": stats.tps,
-        "aborts": stats.abort_count(),
-        "counters": counters,
-    }
+    return {"tps": stats.tps, "aborts": stats.abort_count(), "counters": counters, "cpu_s": cpu}
 
 
-def _shard_work(cluster) -> dict:
-    """What the shards did so far, summed: RPCs served, requests parked
-    for a row lock, the seconds they waited, the waits that timed out and
-    the aborts by reason tag (the servers' own ``STATS`` counters)."""
-    with cluster.connect() as conn:
+def _shard_work(fleet: ShardFleet) -> dict:
+    """What the shards did, summed: RPCs served, requests parked for a
+    row lock, the seconds they waited, the waits that timed out and the
+    aborts by reason tag (the servers' own ``STATS`` counters)."""
+    with fleet.connect() as conn:
         shards = conn.stats()["shard_stats"]
     work = {
         name: sum(shard[name] for shard in shards)
-        for name in (
-            "rpcs_total",
-            "parked_total",
-            "lock_wait_seconds_total",
-            "lock_timeouts_total",
-        )
+        for name in ("rpcs_total", "parked_total", "lock_wait_seconds_total", "lock_timeouts_total")
     }
-    work["aborts_by_reason"] = dict(
-        sum((Counter(shard["aborts_by_reason"]) for shard in shards), Counter())
-    )
+    work["aborts_by_reason"] = dict(sum((Counter(s["aborts_by_reason"]) for s in shards), Counter()))
     return work
 
 
-def _by_reason(counts: dict) -> str:
-    return " ".join(f"{k}={v}" for k, v in sorted(counts.items()) if v) or "none"
-
-
-def _loadgen(args) -> int:
-    """Hidden ``--loadgen`` mode: one client subprocess of a multiproc
-    measurement point.  Drives the standard mix against an existing
-    fleet and prints its slice of the results as one RESULT line."""
-    from repro.cluster import ClusterConnection
-
-    addresses = [
-        (host, int(port))
-        for host, port in (
-            hostport.rsplit(":", 1)
-            for hostport in args.url[len("cluster://") :].split(",")
-        )
-    ]
-    conn = ClusterConnection(
-        addresses, url=args.url, gtid_base=args.gtid_base
-    )
-    result = _drive(conn, args.mpl, args.duration, args.seed)
-    print("RESULT " + json.dumps(result, sort_keys=True), flush=True)
-    return 0
-
-
-def _drive_from_subprocesses(url: str, mpl: int, duration: float) -> "list[dict]":
-    """The MPL split over :data:`LOADGENS` ``--loadgen`` subprocesses."""
-    loadgens = min(LOADGENS, mpl)
-    shares = [
-        mpl // loadgens + (1 if i < mpl % loadgens else 0)
-        for i in range(loadgens)
-    ]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-    )
-    procs = [
-        subprocess.Popen(
-            [
-                sys.executable,
-                __file__,
-                "--loadgen",
-                "--url",
-                url,
-                "--loadgen-mpl",
-                str(share),
-                "--duration",
-                str(duration),
-                "--seed",
-                str(7 + i),
-                "--gtid-base",
-                str((i + 1) * GTID_STRIDE),
-            ],
-            stdout=subprocess.PIPE,
-            env=env,
-            text=True,
-        )
-        for i, share in enumerate(shares)
-    ]
-    results = []
-    for proc in procs:
-        out, _ = proc.communicate(timeout=duration * 20 + 120)
-        if proc.returncode != 0:
-            raise RuntimeError(
-                f"loadgen exited {proc.returncode}; output: {out!r}"
+def measure_shards(shard_count: int, mix: str, mpl: int, duration: float) -> dict:
+    """One point: a ``shard_count``-shard fleet driven at ``mpl`` from
+    ``min(mpl, max(1, cores - shard_count))`` spawned client processes."""
+    cores = os.cpu_count() or 1
+    shares = split_mpl(mpl, cores - shard_count)
+    with _fleet(shard_count) as fleet:
+        pids = [shard.proc.pid for shard in fleet.shards]
+        with get_context("spawn").Pool(len(shares)) as pool:
+            start_at = time.time() + 1.0  # the workers import repro first
+            shard_cpu = -sum(process_work(pid)["cpu_s"] for pid in pids)
+            results = pool.starmap(
+                _loadgen,
+                [
+                    (fleet.addresses, mix, share, duration, 7 + i, (i + 1) * GTID_STRIDE, start_at)
+                    for i, share in enumerate(shares)
+                ],
             )
-        for line in out.splitlines():
-            if line.startswith("RESULT "):
-                results.append(json.loads(line[len("RESULT ") :]))
-                break
-        else:
-            raise RuntimeError(f"no RESULT line in loadgen output: {out!r}")
-    return results
-
-
-def measure_shards(
-    shard_count: int, mpl: int, duration: float, *, procs: bool = False
-) -> dict:
-    """One measurement point against a ``shard_count``-shard cluster.
-
-    With ``procs`` neither side shares a GIL: the shards are OS
-    processes and the MPL is split over load-generator subprocesses;
-    otherwise one driver in this process runs against thread shards.
-    """
-    with _harness(shard_count, procs) as cluster:
-        if procs:
-            results = _drive_from_subprocesses(cluster.url, mpl, duration)
-        else:
-            results = [_drive(cluster.connect(), mpl, duration, seed=7)]
-        work = _shard_work(cluster)
-    if procs and (cluster.alive_count or cluster.kill_count):
-        raise RuntimeError(
-            f"shard process leak: {cluster.alive_count} alive, "
-            f"{cluster.kill_count} force-killed"
-        )
-    counters = {
-        key: sum(result["counters"].get(key, 0) for result in results)
-        for key in results[0]["counters"]
-    }
-    decided = (
-        counters["fastpath_commits"]
-        + counters["twopc_commits"]
-        + counters["twopc_aborts"]
-    )
+            shard_cpu += sum(process_work(pid)["cpu_s"] for pid in pids)
+        work = _shard_work(fleet)
+    counters = {key: sum(r["counters"][key] for r in results) for key in results[0]["counters"]}
+    decided = counters["fastpath_commits"] + counters["twopc_commits"] + counters["twopc_aborts"]
+    per_txn = max(decided, 1)
     return {
-        "tps": round(sum(result["tps"] for result in results), 1),
-        "aborts": sum(result["aborts"] for result in results),
+        "shards": shard_count,
+        "mix": mix,
+        "mpl": mpl,
+        "loadgens": len(shares),
+        "oversubscribed": round((len(shares) + shard_count) / cores, 2),
+        "tps": round(sum(r["tps"] for r in results), 1),
+        "aborts": sum(r["aborts"] for r in results),
         "counters": counters,
-        "loadgens": len(results),
-        "fastpath_ratio": round(
-            counters["fastpath_commits"] / decided, 4
-        ) if decided else 1.0,
-        "per_txn": {
-            "rpcs": work["rpcs_total"] / max(decided, 1),
-            "parked": work["parked_total"] / max(decided, 1),
-            "lock_wait_s": work["lock_wait_seconds_total"] / max(decided, 1),
-            "lock_timeouts": work["lock_timeouts_total"],  # per point
-            "shard_aborts": work["aborts_by_reason"],  # per point
-        },
+        "decided": decided,
+        "fastpath_ratio": round(counters["fastpath_commits"] / per_txn, 4),
+        "rpcs": work["rpcs_total"],
+        "orphans": fleet.alive_count + fleet.kill_count,
+        "cpu_us_per_txn": round(1e6 * (sum(r["cpu_s"] for r in results) + shard_cpu) / per_txn, 1),
+        "parked_per_txn": round(work["parked_total"] / per_txn, 4),
+        "lock_wait_ms_per_txn": round(1e3 * work["lock_wait_seconds_total"] / per_txn, 4),
+        "lock_timeouts": work["lock_timeouts_total"],
+        "shard_aborts": work["aborts_by_reason"],
     }
 
 
-def measure_2pc_overhead(
-    iterations: int, shard_count: int = 2, *, procs: bool = False
-) -> dict:
-    """Paired per-transaction latency: fast path vs cross-shard 2PC.
+def measure_2pc_overhead(iterations: int, shard_count: int = 2) -> dict:
+    """Paired per-transaction latency on a fleet: fast path vs 2PC.
 
     Customer 1 lives on shard 1 and customer 2 on shard 0 (modular map),
     so the deposit commits via the single-shard fast path while the
@@ -268,29 +171,24 @@ def measure_2pc_overhead(
     """
     fast: "list[float]" = []
     twopc: "list[float]" = []
-    with _harness(shard_count, procs) as cluster:
-        conn = cluster.connect()
-        try:
-            session = conn.session()
-            for i in range(iterations):
-                start = time.perf_counter()
-                session.begin("FastDeposit")
-                session.update("Checking", 1, {"Balance": float(i)})
-                session.commit()
-                fast.append(time.perf_counter() - start)
+    with _fleet(shard_count) as fleet, fleet.connect() as conn:
+        session = conn.session()
+        for i in range(iterations):
+            start = time.perf_counter()
+            session.begin("FastDeposit")
+            session.update("Checking", 1, {"Balance": float(i)})
+            session.commit()
+            fast.append(time.perf_counter() - start)
 
-                start = time.perf_counter()
-                session.begin("CrossTransfer")
-                session.update("Checking", 1, {"Balance": float(i) + 1.0})
-                session.update("Checking", 2, {"Balance": float(i) + 2.0})
-                session.commit()
-                twopc.append(time.perf_counter() - start)
-            session.close()
-            counters = conn.counters()
-        finally:
-            conn.close()
-    assert counters["fastpath_commits"] == iterations
-    assert counters["twopc_commits"] == iterations
+            start = time.perf_counter()
+            session.begin("CrossTransfer")
+            session.update("Checking", 1, {"Balance": float(i) + 1.0})
+            session.update("Checking", 2, {"Balance": float(i) + 2.0})
+            session.commit()
+            twopc.append(time.perf_counter() - start)
+        session.close()
+        counters = conn.counters()
+    assert counters["fastpath_commits"] == counters["twopc_commits"] == iterations
     fast_us = statistics.median(fast) * 1e6
     twopc_us = statistics.median(twopc) * 1e6
     return {
@@ -301,61 +199,74 @@ def measure_2pc_overhead(
     }
 
 
-def run_curve(
-    shards: "tuple[int, ...]",
-    mpl: int,
-    duration: float,
-    rounds: int = 3,
-    *,
-    procs: bool = False,
-) -> dict:
-    """Median-of-rounds TPS per shard count, rounds interleaved so
-    machine-wide noise hits every shard count equally."""
-    samples: dict = {str(s): [] for s in shards}
+def run_curve(shards: "tuple[int, ...]", mpl: int, duration: float, rounds: int = 3) -> "list[dict]":
+    """One point per (mix, shard count), each the whole record of its
+    median-TPS round; rounds interleaved so machine-wide noise hits
+    every point alike.  ``speedup`` is TPS over the mix's first point."""
+    runs: dict = {(mix, count): [] for mix in MIXES for count in shards}
     for _ in range(rounds):
-        for shard_count in shards:
-            samples[str(shard_count)].append(
-                measure_shards(shard_count, mpl, duration, procs=procs)
+        for mix, count in runs:
+            runs[mix, count].append(measure_shards(count, mix, mpl, duration))
+    chosen = {key: sorted(r, key=lambda p: p["tps"])[len(r) // 2] for key, r in runs.items()}
+    for (mix, _), point in chosen.items():
+        point["speedup"] = round(point["tps"] / max(chosen[mix, shards[0]]["tps"], 1e-9), 2)
+    return list(chosen.values())
+
+
+def gate(points: "list[dict]", overhead: dict) -> "list[str]":
+    """What is wrong with a curve and its paired 2PC micro, as counts
+    the code determines; empty when it passes.  No timing is gated."""
+    failures = []
+    for p in points:
+        name = f"{p['mix']} at {p['shards']} shard(s)"
+        twopc = p["counters"]["twopc_commits"] + p["counters"]["twopc_aborts"]
+        if p["tps"] <= 0 or p["decided"] <= 0:
+            failures.append(f"no progress: {name}")
+        if p["orphans"]:
+            failures.append(f"{p['orphans']} orphaned or force-killed shard process(es): {name}")
+        if (p["shards"] == 1 or p["mix"] == "readonly") and twopc:
+            failures.append(f"{twopc} 2PC transaction(s): {name}")
+        if p["mix"] == "readonly" and p["rpcs"] - p["decided"] > 2 * p["shards"] * p["mpl"]:
+            failures.append(
+                f"{p['rpcs'] - p['decided']} RPCs beyond one per transaction "
+                f"(> {2 * p['shards'] * p['mpl']}): {name}"
             )
-    out: dict = {"mpl": mpl, "rounds": rounds, "points": {}}
-    for shard_count in shards:
-        key = str(shard_count)
-        runs = samples[key]
-        out["points"][key] = {
-            "tps": statistics.median(r["tps"] for r in runs),
-            "aborts": max(r["aborts"] for r in runs),
-            "fastpath_ratio": statistics.median(
-                r["fastpath_ratio"] for r in runs
-            ),
-            "counters": runs[-1]["counters"],
-            "per_txn": runs[-1]["per_txn"],
-        }
-    base = out["points"][str(shards[0])]["tps"]
-    for key, point in out["points"].items():
-        point["speedup"] = round(point["tps"] / max(base, 1e-9), 2)
-    return out
+        if p["shards"] > 1 and p["mix"] == "uniform" and not p["counters"]["twopc_commits"]:
+            failures.append(f"no 2PC commit: {name}")
+    if overhead["overhead"] <= 1.0:
+        failures.append(f"2PC measured no dearer than the fast path ({overhead['overhead']}x)")
+    return failures
+
+
+def _by_reason(counts: dict) -> str:
+    return " ".join(f"{k}={v}" for k, v in sorted(counts.items()) if v) or "none"
+
+
+def _describe(p: dict) -> str:
+    counters = p["counters"]
+    split = {k[len("twopc_aborts_"):]: v for k, v in counters.items() if k.startswith("twopc_aborts_")}
+    return (
+        f"  {p['mix']:<8} {p['shards']} shard{'s' if p['shards'] > 1 else ' '}: "
+        f"{p['tps']:>8,.0f} tps ({p['speedup']:4.2f}x)   {p['loadgens']} loadgen(s), "
+        f"{p['oversubscribed']:.2f}x oversubscribed   {p['cpu_us_per_txn']:7.1f}us CPU/txn   "
+        f"{p['rpcs'] - p['decided']} RPCs beyond 1/txn   {p['parked_per_txn']:.3f} parked/txn   "
+        f"{p['lock_wait_ms_per_txn']:.3f} ms lock-wait/txn   {p['lock_timeouts']} lock timeouts   "
+        f"fastpath {p['fastpath_ratio']:.1%}   2pc {counters['twopc_commits']:,d} commits "
+        f"/ {counters['twopc_aborts']:,d} aborts\n"
+        f"    aborts by reason: shards {_by_reason(p['shard_aborts'])}   2pc {_by_reason(split)}"
+    )
 
 
 # ----------------------------------------------------------------------
 # pytest entry points (not part of tier-1: testpaths excludes benchmarks/)
 # ----------------------------------------------------------------------
 def test_cluster_makes_progress_at_every_shard_count() -> None:
-    for shard_count in (1, 2):
-        point = measure_shards(shard_count, mpl=4, duration=0.5)
-        assert point["tps"] > 0
-        if shard_count == 1:
-            # A 1-shard cluster never needs 2PC.
-            assert point["counters"]["twopc_commits"] == 0
-            assert point["fastpath_ratio"] == 1.0
-        else:
-            # The uniform mix's Amalgamates produce real 2PC traffic.
-            assert point["counters"]["twopc_commits"] > 0
-            assert 0.0 < point["fastpath_ratio"] < 1.0
+    points = [measure_shards(count, mix, mpl=4, duration=0.5) for mix in MIXES for count in (1, 2)]
+    assert gate(points, measure_2pc_overhead(iterations=50)) == []
 
 
 def test_2pc_costs_more_than_the_fast_path() -> None:
-    overhead = measure_2pc_overhead(iterations=50)
-    assert overhead["overhead"] > 1.0
+    assert measure_2pc_overhead(iterations=50)["overhead"] > 1.0
 
 
 # ----------------------------------------------------------------------
@@ -375,112 +286,41 @@ def main(argv: "list[str] | None" = None) -> int:
         "--no-json", action="store_true",
         help="skip appending to BENCH_cluster.json",
     )
-    parser.add_argument(
-        "--procs", action="store_true",
-        help="multi-process mode: one OS process per shard, MPL split "
-        "across loadgen subprocesses",
-    )
-    # Hidden plumbing for the multiproc mode's client subprocesses.
-    parser.add_argument("--loadgen", action="store_true", help=argparse.SUPPRESS)
-    parser.add_argument("--url", default="", help=argparse.SUPPRESS)
-    parser.add_argument(
-        "--loadgen-mpl", type=int, default=2, help=argparse.SUPPRESS
-    )
-    parser.add_argument("--seed", type=int, default=7, help=argparse.SUPPRESS)
-    parser.add_argument(
-        "--gtid-base", type=int, default=0, help=argparse.SUPPRESS
-    )
     args = parser.parse_args(argv)
-
-    if args.loadgen:
-        args.mpl = args.loadgen_mpl
-        args.duration = args.duration or 1.0
-        return _loadgen(args)
 
     shards = SMOKE_SHARDS if args.smoke else SHARDS
     mpl = SMOKE_MPL if args.smoke else MPL
     duration = args.duration or (0.6 if args.smoke else 1.5)
     rounds = 3
-    overhead_iterations = 100 if args.smoke else 400
     cores = os.cpu_count() or 1
-    process_model = "multiproc" if args.procs else "inproc"
 
     print(
-        f"== SmallBank {MIX} TPS vs shard count, MPL {mpl}, {process_model} "
-        f"({duration:.1f}s/point, median of {rounds} interleaved rounds, "
-        f"{cores} cores) =="
+        f"== SmallBank {' / '.join(MIXES)} over a shard fleet, MPL {mpl}, {cores} cores "
+        f"({duration:.1f}s/point, median-TPS of {rounds} interleaved rounds) =="
     )
-    curve = run_curve(shards, mpl, duration, rounds=rounds, procs=args.procs)
-    failures = 0
-    for shard_count in shards:
-        point = curve["points"][str(shard_count)]
-        counters = point["counters"]
-        # Printed only: the record keeps its shape.
-        per_txn = point.pop("per_txn")
-        split = {
-            key[len("twopc_aborts_"):]: counters.pop(key)
-            for key in list(counters)
-            if key.startswith("twopc_aborts_")
-        }
-        print(
-            f"  {shard_count} shard{'s' if shard_count > 1 else ' '}: "
-            f"{point['tps']:>8,.0f} tps ({point['speedup']:4.2f}x)   "
-            f"{per_txn['rpcs']:.2f} rpcs/txn   "
-            f"{per_txn['parked']:.3f} parked/txn   "
-            f"{1e3 * per_txn['lock_wait_s']:.3f} ms lock-wait/txn   "
-            f"{per_txn['lock_timeouts']} lock timeouts   "
-            f"fastpath {point['fastpath_ratio']:.1%}   "
-            f"2pc {counters['twopc_commits']:>6,d} commits "
-            f"/ {counters['twopc_aborts']:,d} aborts"
-        )
-        print(
-            f"    aborts by reason: shards "
-            f"{_by_reason(per_txn['shard_aborts'])}   2pc {_by_reason(split)}"
-        )
-        if point["tps"] <= 0:
-            print(f"FAIL: no progress at {shard_count} shards")
-            failures += 1
-        if shard_count == 1 and counters["twopc_commits"] > 0:
-            print("FAIL: a 1-shard cluster ran 2PC")
-            failures += 1
-        if shard_count > 1 and counters["twopc_commits"] == 0:
-            print(f"FAIL: no cross-shard traffic at {shard_count} shards")
-            failures += 1
+    points = run_curve(shards, mpl, duration, rounds=rounds)
+    for point in points:
+        print(_describe(point))
+    ratios = {p["mix"]: p["speedup"] for p in points if p["shards"] == 2}
+    print(
+        "  2-shard/1-shard TPS: "
+        + ", ".join(f"{mix} {ratio:.2f}x" for mix, ratio in ratios.items())
+        + "; oversubscribed "
+        + ", ".join(f"{p['oversubscribed']:.2f}x" for p in points if p["mix"] == MIXES[0])
+        + f" at {', '.join(map(str, shards))} shards (recorded, not gated)"
+    )
 
-    # Scaling gate.  Sharding only buys real parallelism when there are
-    # cores for the shard processes to land on, so the monotonic-TPS
-    # requirement is enforced on multi-core hosts (CI runners); a single
-    # core can only check that fan-out overhead didn't regress TPS badly.
-    points = [curve["points"][str(s)]["tps"] for s in shards]
-    if args.procs and cores >= 2:
-        if len(points) > 1 and points[1] < 1.15 * points[0]:
-            print(
-                f"FAIL: 2-shard TPS {points[1]:.0f} < 1.15x "
-                f"1-shard TPS {points[0]:.0f}"
-            )
-            failures += 1
-        for prev, nxt, count in zip(points[1:], points[2:], shards[2:]):
-            if nxt < prev:
-                print(f"FAIL: TPS fell from {prev:.0f} to {nxt:.0f} "
-                      f"at {count} shards")
-                failures += 1
-    elif len(points) > 1 and points[1] < 0.5 * points[0]:
-        print(
-            f"FAIL: 2-shard TPS {points[1]:.0f} regressed below 0.5x "
-            f"1-shard TPS {points[0]:.0f} (single-core guard)"
-        )
-        failures += 1
-
-    print("== 2PC overhead (paired single-shard vs cross-shard commits) ==")
-    overhead = measure_2pc_overhead(overhead_iterations, procs=args.procs)
+    print("== 2PC overhead (paired single-shard vs cross-shard commits, 2-shard fleet) ==")
+    overhead = measure_2pc_overhead(100 if args.smoke else 400)
     print(
         f"  fast path {overhead['fastpath_us']:7.1f}us   "
         f"2PC {overhead['twopc_us']:7.1f}us   "
         f"({overhead['overhead']:.2f}x per transaction)"
     )
-    if overhead["overhead"] <= 1.0:
-        print("FAIL: 2PC measured no more expensive than the fast path")
-        failures += 1
+
+    failures = gate(points, overhead)
+    for failure in failures:
+        print(f"FAIL: {failure}")
 
     if not args.no_json:
         append_bench_record(
@@ -489,12 +329,14 @@ def main(argv: "list[str] | None" = None) -> int:
             {
                 "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
                 "mode": "smoke" if args.smoke else "full",
-                "process_model": process_model,
-                "mix": MIX,
                 "strategy": STRATEGY,
-                "curve": curve,
+                "mpl": mpl,
+                "rounds": rounds,
+                "duration_s": duration,
+                "points": points,
+                "tps_ratio_2_over_1": ratios,
                 "twopc_overhead": overhead,
-            }
+            },
         )
         print(f"appended run record to {BENCH_JSON.name}")
 

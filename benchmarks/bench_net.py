@@ -70,7 +70,7 @@ from multiprocessing import get_context
 from pathlib import Path
 
 import repro
-from repro.bench.harness import append_bench_record
+from repro.bench.harness import append_bench_record, process_work, split_mpl
 from repro.engine import EngineConfig
 from repro.obs import Observability
 from repro.net import DatabaseServer
@@ -194,25 +194,6 @@ def _spawn_server(
     return proc, int(line.split()[1])
 
 
-def _process_work(pid: int) -> dict:
-    """CPU seconds of a process and the context switches of its live
-    threads, from ``/proc`` (clock-tick resolution: keep points long)."""
-    fields = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()
-    work = {
-        "cpu_s": (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK"),
-        "voluntary": 0,
-        "involuntary": 0,
-    }
-    for status in Path(f"/proc/{pid}/task").glob("*/status"):
-        for line in status.read_text().splitlines():
-            name, _, value = line.partition(":")
-            if name == "voluntary_ctxt_switches":
-                work["voluntary"] += int(value)
-            elif name == "nonvoluntary_ctxt_switches":
-                work["involuntary"] += int(value)
-    return work
-
-
 def _loadgen(port: int, mpl: int, duration: float, seed: int, start_at: float) -> dict:
     """One client process of a ``measure_server_work`` point."""
     conn = repro.connect(f"tcp://127.0.0.1:{port}", pool_size=mpl, timeout=30.0)
@@ -233,19 +214,18 @@ def measure_server_work(
     the clients in ``min(LOADGENS, mpl)`` processes of their own, unpinned
     — CPU and context switches from ``/proc``, RPCs and loop wake-ups
     from the server's own ``STATS``."""
-    loadgens = min(LOADGENS, mpl)
-    shares = [mpl // loadgens + (i < mpl % loadgens) for i in range(loadgens)]
+    shares = split_mpl(mpl, LOADGENS)
     proc, port = _spawn_server(mpl + 1, server_src)
     try:
         probe = WireConnection("127.0.0.1", port)
-        with get_context("spawn").Pool(loadgens) as pool:
-            stats0, work0 = probe.call("STATS", {})["stats"], _process_work(proc.pid)
+        with get_context("spawn").Pool(len(shares)) as pool:
+            stats0, work0 = probe.call("STATS", {})["stats"], process_work(proc.pid)
             start_at = time.time() + 1.0  # the workers import repro first
             results = pool.starmap(
                 _loadgen,
                 [(port, share, duration, 7 + i, start_at) for i, share in enumerate(shares)],
             )
-            stats1, work1 = probe.call("STATS", {})["stats"], _process_work(proc.pid)
+            stats1, work1 = probe.call("STATS", {})["stats"], process_work(proc.pid)
         # A transaction is one RPC: counted on a quiet server, exactly.
         txns = get_strategy("base-si").transactions()
         with repro.connect(f"tcp://127.0.0.1:{port}") as conn:
@@ -273,7 +253,7 @@ def measure_server_work(
     wakeups = stats1.get("loop_wakeups_total", 0) - stats0.get("loop_wakeups_total", 0)
     return {
         "mpl": mpl,
-        "loadgens": loadgens,
+        "loadgens": len(shares),
         "tps": round(sum(r["tps"] for r in results), 1),
         "rpcs": rpcs,
         "server_cpu_us_per_rpc": round(1e6 * (work1["cpu_s"] - work0["cpu_s"]) / rpcs, 2),

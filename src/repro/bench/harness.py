@@ -1,5 +1,7 @@
 """What the ``benchmarks/bench_*.py`` scripts share (ROADMAP item 3):
-so far the one writer of the ``BENCH_*.json`` trajectories."""
+the one writer of the ``BENCH_*.json`` trajectories, and what their
+multi-process points use to split an MPL over client processes and to
+read a process's CPU and context switches."""
 
 from __future__ import annotations
 
@@ -44,3 +46,29 @@ def append_bench_record(path: Path, benchmark: str, record: dict) -> None:
             )
     data["runs"].append({**stamp, **record})
     path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+
+
+def split_mpl(mpl: int, processes: int) -> "list[int]":
+    """``mpl`` clients over ``processes`` client processes (at least
+    one, at most ``mpl``), the first ones taking the remainder."""
+    processes = max(1, min(processes, mpl))
+    return [mpl // processes + (i < mpl % processes) for i in range(processes)]
+
+
+def process_work(pid: int) -> dict:
+    """CPU seconds of a process and the context switches of its live
+    threads, from ``/proc`` (clock-tick resolution: keep points long)."""
+    fields = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()
+    work = {
+        "cpu_s": (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK"),
+        "voluntary": 0,
+        "involuntary": 0,
+    }
+    for status in Path(f"/proc/{pid}/task").glob("*/status"):
+        for line in status.read_text().splitlines():
+            name, _, value = line.partition(":")
+            if name == "voluntary_ctxt_switches":
+                work["voluntary"] += int(value)
+            elif name == "nonvoluntary_ctxt_switches":
+                work["involuntary"] += int(value)
+    return work
