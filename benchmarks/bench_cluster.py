@@ -327,7 +327,6 @@ def main(argv: "list[str] | None" = None) -> int:
             BENCH_JSON,
             "bench_cluster",
             {
-                "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
                 "mode": "smoke" if args.smoke else "full",
                 "strategy": STRATEGY,
                 "mpl": mpl,

@@ -526,7 +526,6 @@ def main(argv: "list[str] | None" = None) -> int:
             BENCH_JSON,
             "bench_net",
             {
-                "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
                 "mode": "smoke" if args.smoke else "full",
                 "mix": MIX,
                 "tps": curves,

@@ -513,7 +513,6 @@ def main(argv: "list[str] | None" = None) -> int:
             BENCH_JSON,
             "bench_scaling",
             {
-                "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
                 "mode": "smoke" if args.smoke else "full",
                 "read_scaling": scaling,
                 "mpl8_over_mpl1_retention": round(retention, 2),

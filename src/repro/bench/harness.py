@@ -9,17 +9,18 @@ import json
 import os
 import platform
 import subprocess
+import time
 from pathlib import Path
 
 
 def append_bench_record(path: Path, benchmark: str, record: dict) -> None:
     """Append ``record`` to ``path``, a ``{"benchmark", "runs": [...]}``
-    trajectory, stamped with where it was measured: the commit of the
-    checkout holding ``path`` (``None`` outside a git work tree), the
-    Python version and the host's core count.  A missing or empty
-    ``path`` starts a trajectory; any other file that is not one (an
-    older JSON-lines record file, say) raises ``ValueError`` and is left
-    as it was."""
+    trajectory, stamped with when and where it was measured: the UTC
+    time, the commit of the checkout holding ``path`` (``None`` outside a
+    git work tree), the Python version and the host's core count.  A
+    missing or empty ``path`` starts a trajectory; any other file that
+    is not one (an older JSON-lines record file, say) raises
+    ``ValueError`` and is left as it was."""
     try:
         sha = subprocess.run(
             ["git", "rev-parse", "HEAD"],
@@ -28,6 +29,7 @@ def append_bench_record(path: Path, benchmark: str, record: dict) -> None:
     except (OSError, subprocess.SubprocessError):
         sha = None
     stamp = {
+        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "git_sha": sha,
         "python": platform.python_version(),
         "cores": os.cpu_count() or 1,

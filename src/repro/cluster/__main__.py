@@ -24,12 +24,16 @@ global trace, and exits non-zero if it is not serializable under the
 requested strategy — the CI cluster smoke job.
 
 ``--chaos-smoke`` runs the seeded distributed chaos soak
-(:mod:`repro.cluster.chaos`): network faults, a shard kill/restart and
-coordinator crashes over ≥ 2 shards at MPL 8, then recovery to a fixed
-point.  Exits non-zero unless the merged MVSG is acyclic, the ledger is
-exactly conserved, and zero transactions remain in doubt.  Appends the
-result record to the ``BENCH_chaos_cluster.json`` trajectory
-(``--out`` overrides).
+(:mod:`repro.cluster.chaos`) once per ``--seed``: network faults, a
+shard kill/restart and coordinator crashes over ``--shards`` (≥ 2) at
+MPL 8 unless ``--mpl`` says otherwise, then recovery to a fixed point.
+Exits non-zero unless every soak ends with the merged MVSG acyclic, the
+ledger exactly conserved and zero transactions in doubt.  Appends one
+record per seed to the ``BENCH_chaos_cluster.json`` trajectory
+(``--out`` overrides).  The multi-seed soak::
+
+    PYTHONPATH=src python -m repro.cluster --chaos-smoke \
+        --seed 11 17 23 --duration 4 --customers 40
 
 ``--procs`` switches any of the above from the in-process
 :class:`~repro.cluster.Cluster` to the multi-process
@@ -99,39 +103,42 @@ def _smoke(
 
 
 def _chaos_smoke(args) -> int:
-    """Seeded chaos soak + certification; the CI chaos-cluster gate."""
+    """One seeded chaos soak per ``--seed``, certified; the CI gate."""
     from repro.bench.harness import append_bench_record
     from repro.cluster.chaos import ChaosConfig, run_chaos
 
-    config = ChaosConfig(
-        shards=max(2, args.shards),
-        customers=args.customers,
-        mpl=max(8, args.mpl),
-        duration=3.0 if args.duration is None else args.duration,
-        seed=args.seed,
-        isolation=args.isolation,
-        strategy=args.strategy,
-        process_model="multiproc" if args.procs else "inproc",
-    )
-    result = run_chaos(config)
-    record = result.to_record()
-    print(f"CHAOS {result.report_description}", flush=True)
-    print("STATS " + json.dumps(record, sort_keys=True), flush=True)
-    if args.out:
-        try:
-            append_bench_record(Path(args.out), "chaos_cluster", record)
-        except ValueError as exc:
-            print(f"FAIL {exc}", file=sys.stderr, flush=True)
-            return 1
-    if not result.ok:
-        print(
-            "FAIL "
-            + json.dumps(record["checks"], sort_keys=True),
-            file=sys.stderr,
-            flush=True,
+    failures = 0
+    for seed in args.seed:
+        result = run_chaos(
+            ChaosConfig(
+                shards=args.shards,
+                customers=args.customers,
+                mpl=8 if args.mpl is None else args.mpl,
+                duration=3.0 if args.duration is None else args.duration,
+                seed=seed,
+                isolation=args.isolation,
+                strategy=args.strategy,
+                process_model="multiproc" if args.procs else "inproc",
+            )
         )
-        return 1
-    return 0
+        record = result.to_record()
+        print(f"CHAOS seed {seed}: {result.report_description}", flush=True)
+        print("STATS " + json.dumps(record, sort_keys=True), flush=True)
+        if args.out:
+            try:
+                append_bench_record(Path(args.out), "chaos_cluster", record)
+            except ValueError as exc:
+                print(f"FAIL {exc}", file=sys.stderr, flush=True)
+                return 1
+        if not result.ok:
+            failures += 1
+            print(
+                f"FAIL seed {seed} "
+                + json.dumps(record["checks"], sort_keys=True),
+                file=sys.stderr,
+                flush=True,
+            )
+    return 1 if failures else 0
 
 
 def main(argv: "list[str] | None" = None) -> int:
@@ -160,7 +167,10 @@ def main(argv: "list[str] | None" = None) -> int:
         help="one OS process per shard (multi-process fleet) instead of "
         "in-process servers",
     )
-    parser.add_argument("--mpl", type=int, default=4)
+    parser.add_argument(
+        "--mpl", type=int, default=None,
+        help="concurrent clients (default 4, chaos 8)",
+    )
     parser.add_argument(
         "--duration", type=float, default=None,
         help="workload duration in seconds (default 1.0, chaos 3.0)",
@@ -170,8 +180,9 @@ def main(argv: "list[str] | None" = None) -> int:
         help="SmallBank strategy key for --smoke (e.g. base-si, promote-all)",
     )
     parser.add_argument(
-        "--seed", type=int, default=11,
-        help="fault-schedule / population seed for --chaos-smoke",
+        "--seed", type=int, nargs="+", default=[11],
+        help="fault-schedule / population seeds for --chaos-smoke, one "
+        "soak each",
     )
     parser.add_argument(
         "--out", default="BENCH_chaos_cluster.json", metavar="PATH",
@@ -180,6 +191,9 @@ def main(argv: "list[str] | None" = None) -> int:
     args = parser.parse_args(argv)
 
     if args.chaos_smoke:
+        if args.shards < 2:
+            parser.error("--chaos-smoke needs --shards >= 2 (a 1-shard "
+                         "storm has no 2PC to certify)")
         return _chaos_smoke(args)
 
     cluster = (ShardFleet if args.procs else Cluster)(
@@ -195,7 +209,7 @@ def main(argv: "list[str] | None" = None) -> int:
         if args.smoke:
             code = _smoke(
                 cluster,
-                args.mpl,
+                4 if args.mpl is None else args.mpl,
                 1.0 if args.duration is None else args.duration,
                 args.strategy,
                 args.customers,

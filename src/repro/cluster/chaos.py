@@ -26,12 +26,13 @@ effects are durable and its absence from the merged graph cannot
 manufacture a cycle (a missing node only removes edges); the run's
 ``in_doubt_commits`` counter bounds how many such gaps exist.
 
-Entry points: :func:`run_chaos` (used by ``python -m repro.cluster
---chaos-smoke`` and ``benchmarks/bench_chaos_cluster.py``).
+Entry point: :func:`run_chaos`, run once per seed by ``python -m
+repro.cluster --chaos-smoke [--seed S ...]``.
 """
 
 from __future__ import annotations
 
+import json
 import random
 import threading
 import time
@@ -55,7 +56,9 @@ from repro.smallbank.strategies import get_strategy
 
 @dataclass(frozen=True)
 class ChaosConfig:
-    """One chaos soak: cluster shape, workload, and fault schedule."""
+    """One chaos soak: cluster shape, workload and storm length.  The
+    fault schedule is fixed by :func:`build_fault_plan` and scales with
+    :attr:`duration`."""
 
     shards: int = 2
     customers: int = 40
@@ -69,32 +72,10 @@ class ChaosConfig:
     #: one OS process per shard (:class:`~repro.cluster.fleet.ShardFleet`)
     #: and drives crash/recovery over the control channel.
     process_model: str = "inproc"
-    #: Fraction of transactions that are read-mostly Balance checks; the
-    #: rest are cross-shard-capable Amalgamates (the 2PC drivers).
-    balance_fraction: float = 0.4
-    # --- network faults (per outbound response frame) -----------------
-    drop_rate: float = 0.01
-    delay_rate: float = 0.01
-    delay_magnitude: float = 0.01
-    reset_rate: float = 0.005
-    #: Probability a delivered commit decision is delivered twice.
-    dup_rate: float = 0.1
-    #: Response frames to let through before network chaos starts.
-    net_warmup_frames: int = 200
-    # --- process faults -----------------------------------------------
-    shard_crashes: int = 1
-    shard_downtime: float = 0.3
-    #: Controller polls before the first shard crash (poll = 50 ms).
-    crash_after_polls: int = 16
-    coordinator_crashes: int = 2
-    coordinator_crash_rate: float = 0.25
-    # --- client hardening ---------------------------------------------
-    rpc_deadline: float = 0.5
-    heartbeat_interval: float = 0.05
-    resolver_interval: float = 0.05
-    unhealthy_after: int = 2
-    #: Recovery fixed-point deadline (seconds) after the storm.
-    recovery_deadline: float = 10.0
+
+
+#: Seconds between the chaos controller's looks at the shard-crash point.
+POLL = 0.05
 
 
 @dataclass
@@ -132,6 +113,7 @@ class ChaosResult:
         )
 
     def to_record(self) -> dict:
+        plan = build_fault_plan(self.config)
         return {
             "benchmark": "chaos_cluster",
             "config": asdict(self.config),
@@ -146,6 +128,7 @@ class ChaosResult:
             "counters": dict(self.counters),
             "router": dict(self.router_counters),
             "faults": {
+                "plan": json.loads(plan.to_json())["specs"],
                 "injections": dict(self.fault_injections),
                 "opportunities": dict(self.fault_opportunities),
             },
@@ -160,38 +143,36 @@ class ChaosResult:
 
 
 def build_fault_plan(config: ChaosConfig) -> FaultPlan:
-    """The seeded fault schedule for one soak."""
+    """The seeded fault schedule for one soak.
+
+    Network faults hit outbound response frames once 200 have passed
+    (resets after 400); every delivered commit decision may be delivered
+    twice; the coordinator crashes inside its in-doubt window at most
+    twice; one shard dies for 0.3 s a fifth of the way into the storm.
+    """
     return FaultPlan(
         [
-            FaultSpec(
-                "net-drop-frame",
-                probability=config.drop_rate,
-                start_after=config.net_warmup_frames,
-            ),
+            FaultSpec("net-drop-frame", probability=0.01, start_after=200),
             FaultSpec(
                 "net-delay-frame",
-                probability=config.delay_rate,
-                magnitude=config.delay_magnitude,
-                start_after=config.net_warmup_frames,
+                probability=0.01,
+                magnitude=0.01,
+                start_after=200,
             ),
-            FaultSpec(
-                "conn-reset",
-                probability=config.reset_rate,
-                start_after=2 * config.net_warmup_frames,
-            ),
-            FaultSpec("net-dup-decision", probability=config.dup_rate),
+            FaultSpec("conn-reset", probability=0.005, start_after=400),
+            FaultSpec("net-dup-decision", probability=0.1),
             FaultSpec(
                 "coordinator-crash-window",
-                probability=config.coordinator_crash_rate,
-                max_fires=config.coordinator_crashes,
+                probability=0.25,
+                max_fires=2,
                 start_after=2,
             ),
             FaultSpec(
                 "shard-crash",
                 probability=1.0,
-                start_after=config.crash_after_polls,
-                max_fires=config.shard_crashes,
-                magnitude=config.shard_downtime,
+                start_after=round(0.2 * config.duration / POLL),
+                max_fires=1,
+                magnitude=0.3,
             ),
         ],
         seed=config.seed,
@@ -228,9 +209,10 @@ def _worker_loop(
 
     session = connection.session()
     while not stop.is_set():
-        # Customer ids are 1-based (the SmallBank population loads
-        # customers 1..N).
-        if rng.random() < config.balance_fraction:
+        # 40 % read-mostly Balance checks, the rest cross-shard-capable
+        # Amalgamates (the 2PC drivers).  Customer ids are 1-based (the
+        # SmallBank population loads customers 1..N).
+        if rng.random() < 0.4:
             program = names.BALANCE
             args: dict = {"N": customer_name(rng.randint(1, config.customers))}
         else:
@@ -275,7 +257,6 @@ def _chaos_controller(
     stop: threading.Event,
     counters: "dict[str, int]",
     lock: threading.Lock,
-    poll: float = 0.05,
 ) -> None:
     """Crash/restart shards on the plan's schedule (round-robin victims).
 
@@ -284,7 +265,7 @@ def _chaos_controller(
     shard dark.
     """
     victim = 0
-    while not stop.wait(poll):
+    while not stop.wait(POLL):
         if not plan.should_fire("shard-crash"):
             continue
         shard = victim % cluster.shard_count
@@ -292,7 +273,7 @@ def _chaos_controller(
         cluster.crash_shard(shard)
         with lock:
             counters["shard_crashes"] += 1
-        stop.wait(plan.magnitude("shard-crash") or 0.2)
+        stop.wait(plan.magnitude("shard-crash"))
         cluster.restart_shard(shard)
         with lock:
             counters["shard_restarts"] += 1
@@ -354,12 +335,12 @@ def run_chaos(config: ChaosConfig = ChaosConfig(), *, obs=None) -> ChaosResult:
             fault_plan=plan,
             obs=obs,
             pool_size=config.mpl,
-            rpc_deadline=config.rpc_deadline,
-            unhealthy_after=config.unhealthy_after,
+            rpc_deadline=0.5,
+            unhealthy_after=2,
         )
         try:
-            connection.start_heartbeats(config.heartbeat_interval)
-            connection.start_in_doubt_resolver(config.resolver_interval)
+            connection.start_heartbeats(0.05)
+            connection.start_in_doubt_resolver(0.05)
             stop = threading.Event()
             workers = [
                 threading.Thread(
@@ -386,7 +367,7 @@ def run_chaos(config: ChaosConfig = ChaosConfig(), *, obs=None) -> ChaosResult:
             controller.join(timeout=30.0)
             # --- recovery to a fixed point ----------------------------
             cluster.recover_crashed()  # controller normally restarts all
-            deadline = time.monotonic() + config.recovery_deadline
+            deadline = time.monotonic() + 10.0
             while True:
                 _quiet(connection.resolve_in_doubt)
                 pending = cluster.pending_2pc_gtids()

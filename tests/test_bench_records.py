@@ -10,6 +10,7 @@ trajectories.
 from __future__ import annotations
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -48,6 +49,8 @@ def test_records_append_in_order(tmp_path):
     data = json.loads(path.read_text())
     assert data["benchmark"] == "chaos_cluster"
     assert [run["seed"] for run in data["runs"]] == [11, 17]
+    for run in data["runs"]:
+        time.strptime(run["timestamp"], "%Y-%m-%dT%H:%M:%SZ")
 
 
 @pytest.mark.parametrize(

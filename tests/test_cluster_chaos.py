@@ -12,6 +12,7 @@ seeded ``run_chaos`` soak asserting the full certification contract.
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 
@@ -341,41 +342,87 @@ class TestCrashWakesWaiters:
 # ----------------------------------------------------------------------
 # The seeded soak (short configuration of the CI gate)
 # ----------------------------------------------------------------------
+#: Every distributed fault point the soak's schedule drives.
+POINTS = (
+    "net-drop-frame",
+    "net-delay-frame",
+    "net-dup-decision",
+    "conn-reset",
+    "shard-crash",
+    "coordinator-crash-window",
+)
+
+
 class TestChaosSoak:
     def test_short_soak_certifies(self):
         config = ChaosConfig(
-            shards=2,
-            customers=16,
-            mpl=4,
-            duration=1.0,
-            seed=7,
-            crash_after_polls=4,
-            shard_downtime=0.2,
-            coordinator_crashes=1,
+            shards=2, customers=16, mpl=4, duration=1.0, seed=7
         )
         result = run_chaos(config)
         assert result.serializable
         assert result.ledger_conserved
         assert result.in_doubt_after_recovery == 0
         assert result.ok
-        assert result.counters["shard_restarts"] == result.counters[
-            "shard_crashes"
-        ]
+        # The storm happened: the shard died and came back, and the
+        # coordinator crashed inside its in-doubt window.
+        assert result.shard_restarts == result.counters["shard_crashes"] == 1
+        assert result.counters["coordinator_crashes_seen"] > 0
         record = result.to_record()
         assert record["benchmark"] == "chaos_cluster"
-        assert record["checks"]["serializable"] is True
-        assert record["checks"]["ledger_conserved"] is True
-        assert record["checks"]["in_doubt_after_recovery"] == 0
+        for key in ("config", "ok", "checks", "counters", "router", "faults"):
+            assert key in record
+        assert record["checks"] == {
+            "serializable": True,
+            "ledger_conserved": True,
+            "in_doubt_after_recovery": 0,
+        }
         assert record["final_money"] == record["initial_money"]
+        # The schedule is recorded, not just its effects.
+        assert {spec["point"] for spec in record["faults"]["plan"]} == set(
+            POINTS
+        )
+        json.dumps(record)
 
     def test_fault_plan_covers_every_distributed_point(self):
         plan = build_fault_plan(ChaosConfig())
-        for point in (
-            "net-drop-frame",
-            "net-delay-frame",
-            "net-dup-decision",
-            "conn-reset",
-            "shard-crash",
-            "coordinator-crash-window",
-        ):
+        for point in POINTS:
             assert plan.covers(point)
+
+    def test_fault_schedule_is_deterministic(self):
+        """Same seed → the same firing decisions in the same consult order."""
+        config = ChaosConfig(seed=23, duration=1.0)
+        decisions = [
+            [plan.should_fire(point) for _ in range(400) for point in POINTS]
+            for plan in (build_fault_plan(config), build_fault_plan(config))
+        ]
+        assert decisions[0] == decisions[1]
+        assert any(decisions[0])  # the schedule is not vacuously quiet
+
+    def test_shard_crash_fires_a_fifth_into_the_storm(self):
+        """The controller polls every 50 ms, so the crash waits for
+        ``round(0.2 × duration / 0.05)`` polls."""
+        for duration, polls in ((1.0, 4), (3.0, 12), (4.0, 16)):
+            plan = json.loads(
+                build_fault_plan(ChaosConfig(duration=duration)).to_json()
+            )
+            (crash,) = (
+                spec for spec in plan["specs"] if spec["point"] == "shard-crash"
+            )
+            assert crash["start_after"] == polls
+
+
+class TestChaosCli:
+    def test_a_one_shard_storm_is_refused_before_any_cluster_starts(
+        self, monkeypatch, capsys
+    ):
+        import repro.cluster.chaos as chaos
+        from repro.cluster.__main__ import main
+
+        def no_soak(*args, **kwargs):
+            raise AssertionError("a cluster was started")
+
+        monkeypatch.setattr(chaos, "run_chaos", no_soak)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--chaos-smoke", "--shards", "1"])
+        assert exit_info.value.code == 2
+        assert "--shards >= 2" in capsys.readouterr().err
