@@ -36,7 +36,7 @@ Recorded beside them, not gated (``measure_codec``): microseconds per
 ``encode_frame`` / ``decode_payload`` of a SmallBank ``CALL`` request and
 its reply, and the Python-level calls ``session()`` + PING + ``close()``
 costs on each side of the wire (``ping_calls``, which
-``tests/test_net_rpc_budget.py`` bounds in tier-1).
+``tests/test_work_budget.py`` bounds in tier-1).
 
 The run also asserts the server's robustness contract: after every
 driver run the server reports zero active connections/sessions and zero
@@ -64,13 +64,12 @@ import os
 import statistics
 import subprocess
 import sys
-import threading
 import time
 from multiprocessing import get_context
 from pathlib import Path
 
 import repro
-from repro.bench.harness import append_bench_record, process_work, split_mpl
+from repro.bench.harness import append_bench_record, count_calls, process_work, split_mpl
 from repro.engine import EngineConfig
 from repro.obs import Observability
 from repro.net import DatabaseServer
@@ -292,28 +291,10 @@ def measure_codec() -> dict:
     return {"us": micros, "python_calls_per_ping": ping_calls()}
 
 
-def _counting(counts: "list[int]"):
-    """A ``sys.setprofile`` function counting Python-level calls."""
-
-    def profiler(frame, event, arg) -> None:
-        if event == "call":
-            counts[0] += 1
-
-    return profiler
-
-
-def _set_profile(profiler, done: threading.Event) -> None:
-    sys.setprofile(profiler)
-    done.set()
-
-
-def ping_calls(runs: int = 3) -> dict:
-    """Python-level calls (``sys.setprofile`` ``call`` events) that
-    ``session()`` + PING + ``close()`` costs against an in-process server
-    with a pooled wire: on the client thread, and on the server's loop
-    thread through a profiler installed there with ``_post``.  The loop's
-    count is what the PING adds to installing and removing the profiler
-    around nothing, its wake-up included.  Fewest of ``runs``."""
+def ping_calls() -> dict:
+    """Python-level calls (``count_calls``) ``session()`` + PING +
+    ``close()`` costs on a pooled wire to an in-process server, on the
+    client thread and on the server's loop thread."""
     db = build_database(EngineConfig.postgres(), PopulationConfig(customers=10))
     server = DatabaseServer(db).start_in_thread()
     conn = repro.connect(f"tcp://127.0.0.1:{server.port}")
@@ -323,32 +304,10 @@ def ping_calls(runs: int = 3) -> dict:
         session._call("PING")
         session.close()
 
-    def on_client() -> int:
-        counts = [0]
-        sys.setprofile(_counting(counts))
-        try:
-            ping()
-        finally:
-            sys.setprofile(None)
-        return counts[0] - 1  # ``ping``'s own frame
-
-    def on_loop(body) -> int:
-        counts = [0]
-        for profiler in (_counting(counts), None):
-            done = threading.Event()
-            server._post(_set_profile, profiler, done)
-            if not done.wait(10):
-                raise RuntimeError("the server's loop thread did not run a _post")
-            if profiler is not None:
-                body()
-        return counts[0]
-
     try:
         ping()  # from here on the pool holds a wire
-        return {
-            "client": min(on_client() for _ in range(runs)),
-            "server": min(on_loop(ping) - on_loop(lambda: None) for _ in range(runs)),
-        }
+        calls = count_calls(ping, servers=(server,))
+        return {"client": sum(calls["caller"].values()), "server": sum(calls["servers"].values())}
     finally:
         conn.close()
         server.shutdown()

@@ -18,12 +18,16 @@ removed the *engine's own* serialization and convoy overhead):
 * **Write path** — what a read, a one-row and a three-row update add to
   an empty transaction on one thread: microseconds (recorded, never
   gated) and Python-level call counts (host-independent; gated in tier-1
-  by ``tests/test_engine_write_budget.py``).
+  by ``tests/test_work_budget.py``).
 
 * **Statement path** — the same two figures for SmallBank's prepared
   statements on a ``Session``: a key ``SELECT ... INTO``, its ``FOR
   UPDATE`` form, a key ``UPDATE``, an empty ``begin`` + ``commit`` and a
-  whole Balance (counts gated by ``tests/test_statement_budget.py``).
+  whole Balance (counts gated by the same file).
+
+* **Layer budget** — the calls of each SmallBank program by ``repro``
+  layer on ``local://``, ``tcp://`` and ``cluster://`` at 1 and 2 shards
+  (totals gated by the same file).  Every count is ``count_calls``'s.
 
 Results are appended to ``BENCH_engine.json`` at the repo root so the
 performance trajectory is tracked across PRs (CI uploads it as an
@@ -45,20 +49,26 @@ or the pytest variant with::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import statistics
-import sys
 import threading
 import time
 from pathlib import Path
 from typing import Callable
 
-from repro.bench.harness import append_bench_record
+import repro
+from repro.bench.harness import append_bench_record, count_calls
+from repro.cluster import Cluster
 from repro.engine import EngineConfig, Session
 from repro.engine.engine import Database
+from repro.net import DatabaseServer
 from repro.obs import Observability
 from repro.smallbank import (
+    AMALGAMATE,
+    BALANCE,
     CHECKING,
+    PROGRAM_NAMES,
     SAVING,
     PopulationConfig,
     build_database,
@@ -196,59 +206,44 @@ def run_tps_curves(
 # ----------------------------------------------------------------------
 # Write path: what a statement adds to an empty transaction
 # ----------------------------------------------------------------------
-def python_calls(body: Callable[..., None], *args: object) -> int:
-    """Python-level function calls (``sys.setprofile`` ``call`` events)
-    made while ``body(*args)`` runs, ``body``'s own frame not counted."""
-    calls = 0
-
-    def profiler(frame, event, arg) -> None:
-        nonlocal calls
-        if event == "call":
-            calls += 1
-
-    previous = sys.getprofile()
-    sys.setprofile(profiler)
-    try:
-        body(*args)
-    finally:
-        sys.setprofile(previous)
-    return calls - 1
-
-
-def write_path_shapes() -> "dict[str, Callable[[int], None]]":
+def write_path_shapes() -> "dict[str, Callable[[], None]]":
     """One-transaction bodies over a fresh SI SmallBank database with no
-    fault plan, observer or observability installed; the argument picks
-    the customer (any int)."""
+    fault plan, observer or observability installed.  Each call moves on
+    to the next customer: ``update`` writes a row not written before
+    (until 100 have been), ``update3`` two such rows and the one the call
+    before it wrote."""
     customers = 100
     session = Session(
         build_database(EngineConfig.postgres(), PopulationConfig(customers=customers))
     )
+    fresh = itertools.count(1)
 
-    def empty(i: int) -> None:
+    def empty() -> None:
         session.begin("write-path")
         session.commit()
 
-    def read(i: int) -> None:
+    def read() -> None:
         session.begin("write-path")
-        session.select(CHECKING, i % customers + 1)
+        session.select(CHECKING, next(fresh) % customers + 1)
         session.commit()
 
-    def update(i: int) -> None:
+    def update() -> None:
         session.begin("write-path")
-        session.update(CHECKING, i % customers + 1, {"Balance": float(i)})
+        session.update(CHECKING, next(fresh) % customers + 1, {"Balance": 1.0})
         session.commit()
 
-    def update3(i: int) -> None:
+    def update3() -> None:
+        c = next(fresh) % customers + 1
         session.begin("write-path")
-        session.update(CHECKING, i % customers + 1, {"Balance": float(i)})
-        session.update(SAVING, i % customers + 1, {"Balance": float(i)})
-        session.update(CHECKING, (i + 1) % customers + 1, {"Balance": float(i)})
+        session.update(CHECKING, c, {"Balance": 1.0})
+        session.update(SAVING, c, {"Balance": 1.0})
+        session.update(CHECKING, c % customers + 1, {"Balance": 1.0})
         session.commit()
 
     return {"empty": empty, "read": read, "update": update, "update3": update3}
 
 
-def statement_path_shapes() -> "dict[str, Callable[[int], None]]":
+def statement_path_shapes() -> "dict[str, Callable[[], None]]":
     """SmallBank statement bodies over a fresh SI SmallBank database with
     no hook, fault plan, observer or observability installed.  The three
     statements run inside one transaction left open on a session of their
@@ -257,24 +252,25 @@ def statement_path_shapes() -> "dict[str, Callable[[int], None]]":
     db = build_database(EngineConfig.postgres(), PopulationConfig(customers=customers))
     inside, outside = Session(db), Session(db)
     inside.begin("statement-path")
+    fresh = itertools.count(1)
     names = [customer_name(c) for c in range(1, customers + 1)]
     programs = SmallBankTransactions()
 
-    def get_saving(i: int) -> None:
-        GET_SAVING.execute(inside, {"x": i % customers + 1})
+    def get_saving() -> None:
+        GET_SAVING.execute(inside, {"x": next(fresh) % customers + 1})
 
-    def get_saving_sfu(i: int) -> None:
-        GET_SAVING_SFU.execute(inside, {"x": i % customers + 1})
+    def get_saving_sfu() -> None:
+        GET_SAVING_SFU.execute(inside, {"x": next(fresh) % customers + 1})
 
-    def add_checking(i: int) -> None:
-        ADD_CHECKING.execute(inside, {"x": i % customers + 1, "V": 1.0})
+    def add_checking() -> None:
+        ADD_CHECKING.execute(inside, {"x": next(fresh) % customers + 1, "V": 1.0})
 
-    def begin_commit(i: int) -> None:
+    def begin_commit() -> None:
         outside.begin("statement-path")
         outside.commit()
 
-    def balance(i: int) -> None:
-        programs.run(outside, "Balance", {"N": names[i % customers]})
+    def balance() -> None:
+        programs.run(outside, "Balance", {"N": names[next(fresh) % customers]})
 
     return {
         "get_saving": get_saving,
@@ -285,36 +281,27 @@ def statement_path_shapes() -> "dict[str, Callable[[int], None]]":
     }
 
 
-def shape_calls(shapes: "dict[str, Callable[[int], None]]") -> "dict[str, int]":
-    """Python-level calls per shape (each run once unmeasured first, so
-    nothing done on first use is counted)."""
+def shape_calls(shapes: "dict[str, Callable[[], None]]") -> "dict[str, int]":
+    """Python-level calls per shape, after one unmeasured run."""
     counts = {}
     for name, shape in shapes.items():
-        shape(0)
-        counts[name] = python_calls(shape, 1)
+        shape()
+        counts[name] = sum(count_calls(shape)["caller"].values())
     return counts
 
 
-def shape_micros(shapes: "dict[str, Callable[[int], None]]") -> "dict[str, float]":
+def shape_micros(shapes: "dict[str, Callable[[], None]]") -> "dict[str, float]":
     """Microseconds per shape: median of 9 batches of 300, one thread."""
     micros = {}
     for name, shape in shapes.items():
         samples = []
         for _ in range(1 + 9):  # the first batch warms up
             started = time.perf_counter()
-            for i in range(300):
-                shape(i)
+            for _ in range(300):
+                shape()
             samples.append((time.perf_counter() - started) / 300 * 1e6)
         micros[name] = round(statistics.median(samples[1:]), 2)
     return micros
-
-
-def write_path_calls() -> "dict[str, int]":
-    return shape_calls(write_path_shapes())
-
-
-def statement_path_calls() -> "dict[str, int]":
-    return shape_calls(statement_path_shapes())
 
 
 def measure_write_path() -> dict:
@@ -323,7 +310,7 @@ def measure_write_path() -> dict:
     transaction."""
     return {
         "us_per_txn": shape_micros(write_path_shapes()),
-        "python_calls_per_txn": write_path_calls(),
+        "python_calls_per_txn": shape_calls(write_path_shapes()),
     }
 
 
@@ -332,8 +319,49 @@ def measure_statement_path() -> dict:
     calls per statement shape (:func:`statement_path_shapes`)."""
     return {
         "us_per_op": shape_micros(statement_path_shapes()),
-        "python_calls_per_op": statement_path_calls(),
+        "python_calls_per_op": shape_calls(statement_path_shapes()),
     }
+
+
+# ----------------------------------------------------------------------
+# Layer budget: one SmallBank program on every URL, by layer
+# ----------------------------------------------------------------------
+#: ``layer_budget``'s URLs and the shards behind each (``None``: ``local://``).
+LAYER_URLS = {"local": None, "tcp": 0, "cluster1": 1, "cluster2": 2}
+
+
+def layer_budget() -> dict:
+    """``{program: {url: {layer: calls}}}``: one ``base-si`` run of each
+    SmallBank program after an unmeasured one, counted on this thread
+    plus every server loop behind the URL.  Customers 1 and 2 live on
+    different shards of ``cluster2``: its Amalgamate commits across both."""
+    customers = 10
+    txns = get_strategy("base-si").transactions()
+    one, two = customer_name(1), customer_name(2)
+    args = {program: {"N": one, "V": 1.0} for program in PROGRAM_NAMES}
+    args.update({BALANCE: {"N": one}, AMALGAMATE: {"N1": one, "N2": two}})
+    budget: dict = {program: {} for program in PROGRAM_NAMES}
+    for url, shards in LAYER_URLS.items():
+        with contextlib.ExitStack() as stack:
+            db = build_database(EngineConfig.postgres(), PopulationConfig(customers=customers))
+            if shards is None:
+                servers, conn = (), repro.connect("local://", database=db)
+            elif shards == 0:
+                servers = (DatabaseServer(db).start_in_thread(),)
+                stack.callback(servers[0].shutdown)
+                conn = repro.connect(f"tcp://127.0.0.1:{servers[0].port}")
+            else:
+                cluster = stack.enter_context(Cluster(shards, customers=customers, record=False))
+                servers, conn = [shard.server for shard in cluster.shards], cluster.connect()
+            session = stack.enter_context(conn).session()
+            stack.callback(session.close)
+            for program, run_args in args.items():
+                txns.run(session, program, run_args)
+                sides = count_calls(lambda: txns.run(session, program, run_args), servers=servers)
+                layers = sides["caller"].copy()
+                layers.update(sides["servers"])  # exact: no layer clipped at 0
+                budget[program][url] = {layer: n for layer, n in layers.items() if n}
+    return budget
 
 
 # ----------------------------------------------------------------------
@@ -497,6 +525,11 @@ def main(argv: "list[str] | None" = None) -> int:
     for name, micros in statement_path["us_per_op"].items():
         calls = statement_path["python_calls_per_op"][name]
         print(f"  {name:<14} {micros:7.2f} us  {calls:3d} Python-level calls")
+    budget = layer_budget()
+    print("== Python-level calls per program, by URL (recorded, not gated) ==")
+    print(f"  {'':<16}" + "".join(f"{url:>10}" for url in LAYER_URLS))
+    for program, row in budget.items():
+        print(f"  {program:<16}" + "".join(f"{sum(row[url].values()):>10}" for url in LAYER_URLS))
 
     failures = 0
     if retention < min_retention:
@@ -521,6 +554,7 @@ def main(argv: "list[str] | None" = None) -> int:
                 "ssi_over_si_readonly": ssi_over_si,
                 "write_path": write_path,
                 "statement_path": statement_path,
+                "layer_budget": budget,
             }
         )
         print(f"appended run record to {BENCH_JSON.name}")

@@ -1,7 +1,7 @@
 """What the ``benchmarks/bench_*.py`` scripts share (ROADMAP item 3):
-the one writer of the ``BENCH_*.json`` trajectories, and what their
-multi-process points use to split an MPL over client processes and to
-read a process's CPU and context switches."""
+the one writer of the ``BENCH_*.json`` trajectories, the one counter of
+Python-level calls, and what their multi-process points use to split an
+MPL over client processes and to read a process's CPU and switches."""
 
 from __future__ import annotations
 
@@ -9,8 +9,14 @@ import json
 import os
 import platform
 import subprocess
+import sys
+import threading
 import time
+from collections import Counter
 from pathlib import Path
+
+COUNT_RUNS = 5  # :func:`count_calls` keeps the fewest of this many runs
+POST_TIMEOUT = 10.0  # seconds :func:`count_calls` waits for a server loop
 
 
 def append_bench_record(path: Path, benchmark: str, record: dict) -> None:
@@ -74,3 +80,67 @@ def process_work(pid: int) -> dict:
             elif name == "nonvoluntary_ctxt_switches":
                 work["involuntary"] += int(value)
     return work
+
+
+def count_calls(body, *args, servers=()) -> "dict[str, Counter]":
+    """Python-level calls (profiler ``call`` events) ``body(*args)`` makes,
+    per ``repro.<package>`` layer (``other`` outside ``repro``): on this
+    thread, ``body``'s own frame not counted (``"caller"``), and on the
+    loop threads of the in-process servers ``servers``, less what
+    installing and removing a profiler there costs (``"servers"``).
+    Each side is the fewest of ``COUNT_RUNS`` runs."""
+
+    def profile(modules, done=None) -> None:
+        """Record the module of each call on this thread into ``modules``
+        (stop recording if it is ``None``), then set ``done``."""
+        if modules is None:
+            sys.setprofile(None)
+        else:
+
+            def profiler(frame, event, arg) -> None:
+                if event == "call":
+                    modules.append(frame.f_globals.get("__name__", ""))
+
+            sys.setprofile(profiler)
+        if done is not None:
+            done.set()
+
+    def post(loops: list) -> None:
+        """Run ``profile`` on each server's loop with its ``loops`` entry.
+        It is posted only while the loop waits in its selector, so each
+        post costs the loop exactly one wake-up."""
+        for server, modules in zip(servers, loops):
+            waiting = type(server._selector).select.__code__
+            deadline = time.monotonic() + POST_TIMEOUT
+            while sys._current_frames()[server._thread.ident].f_code is not waiting:
+                if time.monotonic() > deadline:
+                    raise RuntimeError("a server's loop did not return to its select")
+                time.sleep(1e-4)
+            done = threading.Event()
+            server._post(profile, modules, done)
+            if not done.wait(POST_TIMEOUT):
+                raise RuntimeError("a server's loop did not run a _post")
+
+    def layer(module: str) -> str:
+        return module.split(".")[1] if module.startswith("repro.") else "other"
+
+    def run(work) -> "tuple[Counter, Counter]":
+        caller, loops = [], [[] for _ in servers]
+        post(loops)
+        profile(caller)
+        try:
+            work(*args)
+        finally:
+            sys.setprofile(None)
+            post([None] * len(servers))
+        on_loops = Counter(layer(module) for modules in loops for module in modules)
+        return Counter(map(layer, caller[1:])), on_loops
+
+    def fewest(counts) -> Counter:
+        return min(counts, key=lambda layers: sum(layers.values()))
+
+    runs = [run(body) for _ in range(COUNT_RUNS)]
+    on_loops = fewest(loops for _, loops in runs)
+    if servers:
+        on_loops.subtract(fewest(run(lambda *_: None)[1] for _ in range(COUNT_RUNS)))
+    return {"caller": fewest(caller for caller, _ in runs), "servers": on_loops}

@@ -190,6 +190,10 @@ def main(argv: "list[str] | None" = None) -> int:
     )
     args = parser.parse_args(argv)
 
+    if args.shards < 1:
+        parser.error("--shards must be at least 1")
+    if (args.smoke or args.chaos_smoke) and args.customers < 2:
+        parser.error("--smoke and --chaos-smoke need --customers >= 2")
     if args.chaos_smoke:
         if args.shards < 2:
             parser.error("--chaos-smoke needs --shards >= 2 (a 1-shard "

@@ -17,7 +17,8 @@ settled through the coordinator's decision log — and then certifies:
   durable per-shard histories, salvaged across crashes by
   :meth:`~repro.cluster.fleet.Cluster.crash_shard`;
 * the **ledger is exactly conserved**: final balance sum equals the
-  initial one.
+  initial one;
+* every storm thread ended: none raised or outlived its join.
 
 One known observability gap, by design: an in-doubt gtid whose commit is
 re-delivered *after* a shard restart replays from the durable prepare's
@@ -100,29 +101,35 @@ class ChaosResult:
     #: always 0 inproc).  Any non-zero value is a process-leak bug.
     orphan_processes: int = 0
     elapsed: float = 0.0
+    #: ``"<thread>: <why>"`` per storm thread that raised or outlived its join.
+    thread_failures: "list[str]" = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         """The CI gate: serializable, conserved, nothing left in doubt,
-        no shard process left behind."""
+        no shard process left behind, every storm thread ended cleanly."""
         return (
             self.serializable
             and self.ledger_conserved
             and self.in_doubt_after_recovery == 0
             and self.orphan_processes == 0
+            and not self.thread_failures
         )
 
     def to_record(self) -> dict:
         plan = build_fault_plan(self.config)
+        checks = {
+            "serializable": self.serializable,
+            "ledger_conserved": self.ledger_conserved,
+            "in_doubt_after_recovery": self.in_doubt_after_recovery,
+        }
+        if self.thread_failures:
+            checks["thread_failures"] = self.thread_failures
         return {
             "benchmark": "chaos_cluster",
             "config": asdict(self.config),
             "ok": self.ok,
-            "checks": {
-                "serializable": self.serializable,
-                "ledger_conserved": self.ledger_conserved,
-                "in_doubt_after_recovery": self.in_doubt_after_recovery,
-            },
+            "checks": checks,
             "initial_money": self.initial_money,
             "final_money": self.final_money,
             "counters": dict(self.counters),
@@ -342,29 +349,40 @@ def run_chaos(config: ChaosConfig = ChaosConfig(), *, obs=None) -> ChaosResult:
             connection.start_heartbeats(0.05)
             connection.start_in_doubt_resolver(0.05)
             stop = threading.Event()
+            failures: "list[str]" = []
+
+            def guarded(target, *args) -> None:
+                """``target(*args)``; an exception it raises fails the soak."""
+                try:
+                    target(*args)
+                except BaseException as exc:
+                    failures.append(f"{threading.current_thread().name}: {exc!r}")
+                    raise
+
             workers = [
                 threading.Thread(
-                    target=_worker_loop,
-                    args=(i, connection, config, stop, counters, lock, txns),
+                    target=guarded,
+                    args=(_worker_loop, i, connection, config, stop, counters, lock, txns),
                     name=f"chaos-worker-{i}",
                     daemon=True,
                 )
                 for i in range(config.mpl)
             ]
             controller = threading.Thread(
-                target=_chaos_controller,
-                args=(cluster, plan, stop, counters, lock),
+                target=guarded,
+                args=(_chaos_controller, cluster, plan, stop, counters, lock),
                 name="chaos-controller",
                 daemon=True,
             )
-            for worker in workers:
-                worker.start()
-            controller.start()
+            threads = [*workers, controller]
+            for thread in threads:
+                thread.start()
             time.sleep(config.duration)
             stop.set()
-            for worker in workers:
-                worker.join(timeout=30.0)
-            controller.join(timeout=30.0)
+            for thread in threads:
+                thread.join(timeout=30.0)
+                if thread.is_alive():
+                    failures.append(f"{thread.name}: still running after its join")
             # --- recovery to a fixed point ----------------------------
             cluster.recover_crashed()  # controller normally restarts all
             deadline = time.monotonic() + 10.0
@@ -403,6 +421,7 @@ def run_chaos(config: ChaosConfig = ChaosConfig(), *, obs=None) -> ChaosResult:
             global_transactions=len(report.transactions),
             cross_shard_transactions=distributed,
             elapsed=time.monotonic() - started,
+            thread_failures=failures,
         )
     finally:
         cluster.shutdown()

@@ -383,6 +383,28 @@ class TestChaosSoak:
         )
         json.dumps(record)
 
+    @pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
+    def test_a_worker_that_dies_fails_the_soak(self, monkeypatch):
+        from repro.smallbank.transactions import SmallBankTransactions
+
+        run, raised = SmallBankTransactions.run, []
+
+        def run_once_broken(self, *args, **kwargs):
+            if not raised:
+                raised.append(True)
+                raise TypeError("a bug in a program")
+            return run(self, *args, **kwargs)
+
+        monkeypatch.setattr(SmallBankTransactions, "run", run_once_broken)
+        result = run_chaos(
+            ChaosConfig(shards=2, customers=16, mpl=2, duration=0.5, seed=7)
+        )
+        assert result.serializable and result.ledger_conserved
+        assert not result.ok
+        (failure,) = result.to_record()["checks"]["thread_failures"]
+        assert failure.startswith("chaos-worker-")
+        assert "TypeError('a bug in a program')" in failure
+
     def test_fault_plan_covers_every_distributed_point(self):
         plan = build_fault_plan(ChaosConfig())
         for point in POINTS:
@@ -426,3 +448,27 @@ class TestChaosCli:
             main(["--chaos-smoke", "--shards", "1"])
         assert exit_info.value.code == 2
         assert "--shards >= 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, why",
+        [
+            (["--chaos-smoke", "--customers", "1"], "--customers >= 2"),
+            (["--smoke", "--customers", "1"], "--customers >= 2"),
+            (["--shards", "0"], "--shards must be at least 1"),
+        ],
+    )
+    def test_a_bad_size_is_refused_before_any_cluster_starts(
+        self, monkeypatch, capsys, argv, why
+    ):
+        import repro.cluster.__main__ as cli
+        import repro.cluster.chaos as chaos
+
+        def no_cluster(*args, **kwargs):
+            raise AssertionError("a cluster was started")
+
+        for module, name in ((chaos, "run_chaos"), (cli, "Cluster"), (cli, "ShardFleet")):
+            monkeypatch.setattr(module, name, no_cluster)
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(argv)
+        assert exit_info.value.code == 2
+        assert why in capsys.readouterr().err
