@@ -402,17 +402,13 @@ def main(argv: "list[str] | None" = None) -> int:
         help="reduced grid (MPL 1, 8) with shorter measurement windows",
     )
     parser.add_argument(
-        "--duration", type=float, default=None,
-        help="seconds per TPS measurement point",
-    )
-    parser.add_argument(
         "--no-json", action="store_true",
         help="skip appending to BENCH_net.json",
     )
     args = parser.parse_args(argv)
 
     mpls = SMOKE_MPLS if args.smoke else MPLS
-    duration = args.duration or (0.6 if args.smoke else 1.5)
+    duration = 0.6 if args.smoke else 1.5
 
     rounds = 3
     print(f"== SmallBank {MIX} TPS, in-process vs over-the-wire "
@@ -439,7 +435,7 @@ def main(argv: "list[str] | None" = None) -> int:
             print("FAIL: over-the-wire run made no progress at MPL 8")
             failures += 1
 
-    work_duration = args.duration or 2.0
+    work_duration = 2.0
     print(f"== Server work per RPC (server process + up to {LOADGENS} client "
           f"processes, unpinned, {work_duration:.1f}s/point) ==")
     work = {str(mpl): measure_server_work(mpl, work_duration) for mpl in WORK_MPLS}

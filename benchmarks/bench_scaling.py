@@ -29,6 +29,10 @@ removed the *engine's own* serialization and convoy overhead):
   layer on ``local://``, ``tcp://`` and ``cluster://`` at 1 and 2 shards
   (totals gated by the same file).  Every count is ``count_calls``'s.
 
+* **Latency histograms** — SI, S2PL and SSI on ``balance60`` with an
+  :class:`~repro.obs.Observability` installed; each registry must pass
+  :func:`check_metrics` (the run exits non-zero otherwise).
+
 Results are appended to ``BENCH_engine.json`` at the repo root so the
 performance trajectory is tracked across PRs (CI uploads it as an
 artifact).
@@ -367,6 +371,39 @@ def layer_budget() -> dict:
 # ----------------------------------------------------------------------
 # Observability snapshot (latency histograms per isolation level)
 # ----------------------------------------------------------------------
+#: Instruments both expositions must carry, whether or not they fired.
+EXPOSED_METRICS = (
+    "repro_wal_batch_size",
+    "repro_ssi_aborts_total",
+    "repro_response_time_seconds",
+    "repro_lock_wait_seconds",
+)
+
+
+def check_metrics(isolation: str, obs: Observability) -> "list[str]":
+    """What is wrong with the registry of one threaded ``balance60`` run
+    under ``isolation``; empty when it passes.  Only S2PL must have
+    waited for a row lock."""
+    failures = []
+    rt = obs.response_time
+    if rt.count == 0:
+        failures.append("response-time histogram is empty")
+    if not 0.0 < rt.p95 <= 10.0:
+        failures.append(f"response-time p95 {rt.p95} outside (0, 10s]")
+    if isolation == "s2pl" and obs.lock_wait.count == 0:
+        failures.append("no lock waits recorded under S2PL")
+    if obs.wal_batch.count == 0:
+        failures.append("WAL batch-size histogram is empty")
+    if obs.commits.value == 0:
+        failures.append("no commits counted")
+    expositions = {"JSON": obs.metrics.to_json(), "Prometheus": obs.metrics.to_prometheus()}
+    for name in EXPOSED_METRICS:
+        for kind, exposition in expositions.items():
+            if name not in exposition:
+                failures.append(f"{name} missing from the {kind} exposition")
+    return [f"{isolation}: {failure}" for failure in failures]
+
+
 def _histogram_summary(h) -> dict:
     return {
         "count": h.count,
@@ -379,12 +416,14 @@ def _histogram_summary(h) -> dict:
 
 def collect_metrics_snapshot(
     mpl: int, duration: float, customers: int = 100
-) -> dict:
+) -> "tuple[dict, list[str]]":
     """Run SI, S2PL and SSI on the balance60 mix with an
     :class:`~repro.obs.Observability` installed and distill the histograms
     the trajectory tracks: response time, lock wait, commit path, WAL
-    group-commit batch size and the SSI false-positive abort counter."""
+    group-commit batch size and the SSI false-positive abort counter.
+    Returns the snapshot and every run's :func:`check_metrics` failures."""
     out: dict = {"mpl": mpl, "mix": "balance60"}
+    failures: list[str] = []
     for isolation in ISOLATION_CONFIGS:
         obs = Observability()
         db = build_database(
@@ -405,6 +444,7 @@ def collect_metrics_snapshot(
             obs=obs,
         )
         driver.run()
+        failures += check_metrics(isolation, obs)
         m = obs.metrics
         wal_batch = m.histogram("repro_wal_batch_size")
         out[isolation] = {
@@ -425,7 +465,7 @@ def collect_metrics_snapshot(
             "lock_waits": int(m.counter("repro_lock_waits_total").value),
             "ssi_aborts": int(m.counter("repro_ssi_aborts_total").value),
         }
-    return out
+    return out, failures
 
 
 # ----------------------------------------------------------------------
@@ -455,22 +495,14 @@ def main(argv: "list[str] | None" = None) -> int:
         help="reduced grid + CI-safe assertion margins",
     )
     parser.add_argument(
-        "--read-duration", type=float, default=None,
-        help="seconds per read-microbenchmark point",
-    )
-    parser.add_argument(
-        "--tps-duration", type=float, default=None,
-        help="seconds per driver TPS point",
-    )
-    parser.add_argument(
         "--no-json", action="store_true",
         help="skip appending to BENCH_engine.json",
     )
     args = parser.parse_args(argv)
 
     mpls = SMOKE_MPLS if args.smoke else MPLS
-    read_duration = args.read_duration or (0.6 if args.smoke else 1.0)
-    tps_duration = args.tps_duration or (0.5 if args.smoke else 1.0)
+    read_duration = 0.6 if args.smoke else 1.0
+    tps_duration = 0.5 if args.smoke else 1.0
     mixes = ("readonly",) if args.smoke else ("readonly", "balance60")
     # Smoke keeps a margin wide enough for noisy shared CI runners.
     min_retention = 0.5 if args.smoke else 0.6
@@ -493,7 +525,7 @@ def main(argv: "list[str] | None" = None) -> int:
 
     metrics_mpl = 8 if args.smoke else 20
     print(f"== Latency histograms (balance60, MPL {metrics_mpl}) ==")
-    metrics = collect_metrics_snapshot(metrics_mpl, tps_duration)
+    metrics, metric_failures = collect_metrics_snapshot(metrics_mpl, tps_duration)
     for isolation in ISOLATION_CONFIGS:
         snap = metrics[isolation]
         print(
@@ -540,6 +572,9 @@ def main(argv: "list[str] | None" = None) -> int:
             if any(p["tps"] <= 0 for p in by_mpl.values()):
                 print(f"FAIL: {isolation}/{mix} made no progress")
                 failures += 1
+    for failure in metric_failures:
+        print(f"FAIL: {failure}")
+        failures += 1
 
     if not args.no_json:
         append_bench_record(

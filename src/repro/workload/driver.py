@@ -166,10 +166,10 @@ class ThreadedDriver:
                 program = mix.choose(rng)
                 args = generator.args_for(program)
                 attempts = 0
+                started = clock()  # the request, not its last attempt
                 while True:
                     attempts += 1
                     session = self.connection.session()
-                    started = clock()
                     try:
                         try:
                             self.transactions.run(session, program, args)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.bench import FIGURES, Claim, FigureSpec, get_figure, run_figure
@@ -176,3 +178,16 @@ class TestCli:
 
         with pytest.raises(SystemExit):
             main(["fig77"])
+
+    @pytest.mark.parametrize("suffix", [".json", ".prom"])
+    def test_metrics_out_writes_the_exposition(self, tmp_path, suffix):
+        from repro.bench.__main__ import main
+
+        path = tmp_path / f"metrics{suffix}"
+        # The claims may fail at this size: the exit code is not the point.
+        main(["fig6", "--reps", "1", "--measure", "0.2", "--ramp-up", "0.05",
+              "--quiet", "--metrics-out", str(path)])
+        if suffix == ".json":
+            assert "repro_wal_batch_size" in json.loads(path.read_text())
+        else:
+            assert "# TYPE " in path.read_text()

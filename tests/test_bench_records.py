@@ -3,8 +3,6 @@
 Each is what :func:`repro.bench.harness.append_bench_record` writes: one
 JSON document ``{"benchmark": <name>, "runs": [<record>, ...]}``, which
 ``json.load`` reads whole and a new run extends rather than starts over.
-Files the repo ignores (metric dumps a bench leaves behind) are not
-trajectories.
 """
 
 from __future__ import annotations
@@ -18,10 +16,7 @@ import pytest
 from repro.bench.harness import append_bench_record
 
 ROOT = Path(__file__).resolve().parent.parent
-IGNORED = set((ROOT / ".gitignore").read_text().split())
-TRAJECTORIES = sorted(
-    path for path in ROOT.glob("BENCH_*.json") if path.name not in IGNORED
-)
+TRAJECTORIES = sorted(ROOT.glob("BENCH_*.json"))
 
 
 def test_every_bench_writes_a_trajectory():

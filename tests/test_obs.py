@@ -1,4 +1,5 @@
-"""The observability layer: metrics instruments, trace events, engine wiring."""
+"""The observability layer: metrics instruments, trace events, engine
+wiring, and a traced threaded run certified after the fact."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ from collections import Counter
 
 import pytest
 
+from benchmarks.bench_scaling import check_metrics
 from repro.engine import Database, EngineConfig
 from repro.obs import (
     EVENT_KINDS,
@@ -18,6 +20,9 @@ from repro.obs import (
     TraceRecorder,
 )
 from repro.sim.runner import SimulationConfig, run_once
+from repro.smallbank import PopulationConfig, build_database, get_strategy
+from repro.workload.driver import ThreadedDriver, ThreadedDriverConfig
+from repro.workload.retry import RetryPolicy
 from tests.conftest import bank_schemas, make_bank_db
 
 
@@ -409,3 +414,48 @@ class TestSimulatorWiring:
         assert plain.commits == instrumented.commits
         assert plain.aborts == instrumented.aborts
         assert plain.response_time_sum == instrumented.response_time_sum
+
+
+# ----------------------------------------------------------------------
+# Threaded wiring: a traced run, certified from its JSONL dump
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("config", [EngineConfig.s2pl, EngineConfig.ssi],
+                         ids=["s2pl", "ssi"])
+def test_traced_threaded_run_certifies_from_jsonl(config, tmp_path) -> None:
+    trace = TraceRecorder()
+    driver = ThreadedDriver(
+        build_database(config(), PopulationConfig(customers=50)),
+        get_strategy("base-si").transactions(),
+        ThreadedDriverConfig(
+            mpl=4,
+            customers=50,
+            hotspot=5,
+            mix="balance60",
+            duration=0.3,
+            seed=11,
+            retry=RetryPolicy.exponential(max_attempts=3, base_backoff=0.0005),
+        ),
+        obs=Observability(trace=trace),
+    )
+    driver.run()
+    commits = len(trace.events_of("commit"))
+    assert commits > 0
+
+    path = tmp_path / "trace.jsonl"
+    written = trace.dump_jsonl(path)
+    reloaded = TraceRecorder.load_jsonl(path)
+    assert written == len(trace) == len(reloaded)
+
+    report = reloaded.check_serializability()
+    assert report.committed_count == commits
+    assert report.serializable, report
+
+
+def test_metric_checks_fail_on_a_registry_where_nothing_ran() -> None:
+    assert check_metrics("s2pl", Observability()) == [
+        "s2pl: response-time histogram is empty",
+        "s2pl: response-time p95 0.0 outside (0, 10s]",
+        "s2pl: no lock waits recorded under S2PL",
+        "s2pl: WAL batch-size histogram is empty",
+        "s2pl: no commits counted",
+    ]

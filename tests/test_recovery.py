@@ -16,13 +16,15 @@ state.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import Database, Session, recover_database, replay_records
 from repro.engine.wal import WalRecord
-from repro.errors import DatabaseCrashed, RecoveryError
+from repro.errors import ApplicationRollback, DatabaseCrashed, RecoveryError
 from repro.faults import FaultPlan, FaultSpec
 from repro.smallbank import (
     PopulationConfig,
@@ -176,28 +178,67 @@ class TestCrashRecovery:
 # ----------------------------------------------------------------------
 # SmallBank money conservation across crash/recover cycles
 # ----------------------------------------------------------------------
-def test_smallbank_money_survives_crash_cycles() -> None:
-    strategy = get_strategy("base-si")
-    txns = strategy.transactions()
-    db = build_database(None, PopulationConfig(customers=10, seed=7))
-    expected = total_money(db)
+def test_money_conserved_across_crash_cycles() -> None:
+    """Sequential SmallBank under a mid-commit crash every 7th commit.
 
-    # Crash mid-commit on the 3rd writing commit.
-    db.install_faults(
-        FaultPlan([FaultSpec("crash-mid-commit", start_after=2, max_fires=1)])
-    )
-    deposits = 0.0
-    for i in range(1, 9):
-        name = customer_name((i % 10) + 1)
+    The shadow ledger tracks only *acknowledged* commits, so equality of
+    the two totals is exactly the durability invariant.
+    """
+    requests, crash_every, seed = 60, 7, 3
+    rng = random.Random(f"chaos-crash/{seed}")
+    customers = 12
+    txns = get_strategy("base-si").transactions()
+    db = build_database(None, PopulationConfig(customers=customers, seed=seed))
+    expected = total_money(db)
+    crashes = 0
+
+    def install() -> None:
+        db.install_faults(
+            FaultPlan(
+                [
+                    FaultSpec(
+                        "crash-mid-commit",
+                        start_after=crash_every - 1,
+                        max_fires=1,
+                    )
+                ],
+                seed=seed + crashes,
+            )
+        )
+
+    install()
+    for _ in range(requests):
+        name = customer_name(rng.randint(1, customers))
+        other = customer_name(rng.randint(1, customers))
+        program, args, delta = rng.choice(
+            [
+                ("DepositChecking", {"N": name, "V": 10.0}, 10.0),
+                ("TransactSaving", {"N": name, "V": 5.0}, 5.0),
+                ("WriteCheck", {"N": name, "V": 15.0}, None),
+                ("Amalgamate", {"N1": name, "N2": other}, 0.0),
+            ]
+        )
+        if program == "Amalgamate" and name == other:
+            continue
         try:
             session = Session(db)
-            txns.run(session, "DepositChecking", {"N": name, "V": 10.0})
-            deposits += 10.0
+            result = txns.run(session, program, args)
+        except ApplicationRollback:
+            continue
         except DatabaseCrashed:
-            # The in-flight deposit was never acknowledged: not durable.
+            # The in-flight commit was never acknowledged: the shadow
+            # ledger ignores it, and so must the recovered database.
+            crashes += 1
             db = db.recover()
-            db.install_faults(None)
-    assert total_money(db) == pytest.approx(expected + deposits, abs=1e-6)
+            install()
+            continue
+        if program == "WriteCheck":
+            # Overdraws pay a penalty of V + 1 instead of V.
+            expected -= 15.0 + (1.0 if result else 0.0)
+        elif delta is not None:
+            expected += delta
+    assert crashes >= 2  # the fault plan actually crashed the engine
+    assert total_money(db) == pytest.approx(expected, abs=1e-6)
 
 
 # ----------------------------------------------------------------------

@@ -17,6 +17,7 @@ from repro.errors import (
     SsiAbort,
 )
 from repro.faults import FaultPlan, FaultSpec
+from repro.obs import Observability
 from repro.smallbank.transactions import SmallBankTransactions
 from repro.workload.driver import (
     ThreadedDriver,
@@ -167,6 +168,44 @@ def test_driver_gives_up_when_attempts_exhausted() -> None:
     assert stats.total_giveups == 2
     assert stats.total_retries == 3
     assert stats.attempts_histogram[2] == 1  # request 3 committed on retry
+
+
+class RecordingObservability(Observability):
+    """Keeps each committed request's (response time, attempts)."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.requests: list[tuple[float, int]] = []
+
+    def driver_commit(self, program: str, response_time: float, attempts: int) -> None:
+        super().driver_commit(program, response_time, attempts)
+        self.requests.append((response_time, attempts))
+
+
+def test_retried_request_is_timed_from_its_first_attempt() -> None:
+    """A retried request's response time spans its failed attempt and the
+    backoff sleep, not only the attempt that committed."""
+    db = smallbank_db()
+    db.install_faults(FaultPlan([FaultSpec("abort-at-commit", max_fires=1)]))
+    obs = RecordingObservability()
+    driver = ThreadedDriver(
+        db,
+        SmallBankTransactions(),
+        ThreadedDriverConfig(
+            mpl=1,
+            customers=10,
+            hotspot=3,
+            duration=0.3,
+            join_grace=10.0,
+            retry=RetryPolicy.exponential(
+                max_attempts=3, base_backoff=0.05, max_backoff=0.05
+            ),
+        ),
+        obs=obs,
+    )
+    driver.run()
+    (retried,) = [rt for rt, attempts in obs.requests if attempts == 2]
+    assert retried >= 0.05
 
 
 def test_driver_default_policy_surfaces_every_abort() -> None:
