@@ -5,15 +5,11 @@ loop: "each thread runs the selected transaction and waits for the reply,
 after which it immediately (with no think time) initiates another
 transaction".  Statements charge the platform's CPU; commits of writing
 transactions wait on the group-commit WAL disk; lock waits suspend in
-simulated time; serialization failures and deadlocks count as aborts and
-the client moves on to a fresh transaction.
-
-The retry layer rides on top: with a non-default
-:class:`~repro.workload.retry.RetryPolicy` the client retries the *same*
-request (program + arguments) as a new transaction, backing off in
-simulated time, before giving up and drawing a fresh request.  The default
-policy (``max_attempts=1``) reproduces the paper's protocol exactly —
-including the random streams, since no extra draws or sleeps happen.
+simulated time.  Each request runs through
+:func:`~repro.workload.retry.run_request` on simulated time, its backoff
+jitter drawn from the client's own stream; the default policy
+(``max_attempts=1``) reproduces the paper's protocol exactly — including
+the random streams, since no extra draws or sleeps happen.
 
 A :class:`~repro.faults.FaultPlan` installed on the database can kill the
 client (``client-death``) or force lock-wait expiry; WAL stalls are
@@ -34,7 +30,7 @@ from repro.sim.platform import PlatformModel
 from repro.sim.resources import GroupCommitLog, Resource
 from repro.smallbank.transactions import SmallBankTransactions
 from repro.workload.mix import ParameterGenerator, TransactionMix
-from repro.workload.retry import RetryPolicy
+from repro.workload.retry import RetryPolicy, run_request
 from repro.workload.stats import RunStats
 
 
@@ -133,64 +129,38 @@ class SimulatedClient:
             self.wal.commit_flush()
         session.commit()
 
+    def _attempt(self, program: str, args: dict) -> None:
+        session = Session(
+            self.db,
+            waiter=self._waiter,
+            statement_hook=self._statement_hook,
+        )
+        self.sim.sleep(self.platform.network_rtt)
+        try:
+            session.begin(program)
+            self.transactions.body(program)(session, args)
+            self._commit(session)
+        except (ApplicationRollback, TransactionAborted):
+            session.rollback()
+            raise
+
     # ------------------------------------------------------------------
     def run(self) -> None:
         """Process body: loop until the simulation shuts down."""
-        policy = self.retry
-        obs = self.obs
         while True:
             self.sim.checkpoint()
             faults = self.db.faults
             if faults is not None and faults.should_fire("client-death"):
                 return
             program = self.mix.choose(self.rng)
-            args = self.generator.args_for(program)
-            started = self.sim.now
-            attempts = 0
-            while True:
-                attempts += 1
-                session = Session(
-                    self.db,
-                    waiter=self._waiter,
-                    statement_hook=self._statement_hook,
-                )
-                self.sim.sleep(self.platform.network_rtt)
-                try:
-                    session.begin(program)
-                    self.transactions.body(program)(session, args)
-                    self._commit(session)
-                    response = self.sim.now - started
-                    self.stats.record_commit(
-                        program, response, self.sim.now, attempts
-                    )
-                    if obs is not None:
-                        obs.driver_commit(program, response, attempts)
-                    break
-                except ApplicationRollback:
-                    session.rollback()
-                    self.stats.record_rollback(program, self.sim.now)
-                    if obs is not None:
-                        obs.driver_rollback(program)
-                    break
-                except TransactionAborted as exc:
-                    session.rollback()
-                    self.stats.record_abort(program, exc.reason, self.sim.now)
-                    if obs is not None:
-                        obs.driver_abort(program, exc.reason)
-                    if not policy.should_retry(exc, attempts):
-                        self.stats.record_giveup(program, self.sim.now, attempts)
-                        if obs is not None:
-                            obs.driver_giveup(program)
-                        break
-                    # Jitter draws share the client's stream; they only
-                    # happen under a non-default policy, where exact figure
-                    # reproduction is not expected (still deterministic).
-                    delay = policy.backoff(attempts, self.rng)
-                    if delay > 0:
-                        self.sim.sleep(delay)
-                    # Recorded after the backoff sleep: a retry only counts
-                    # once the extra attempt actually starts (a simulation
-                    # shutdown mid-backoff must not inflate total_retries).
-                    self.stats.record_retry(program, self.sim.now)
-                    if obs is not None:
-                        obs.driver_retry(program)
+            run_request(
+                program,
+                self.generator.args_for(program),
+                self._attempt,
+                policy=self.retry,
+                stats=self.stats,
+                obs=self.obs,
+                now=lambda: self.sim.now,
+                sleep=self.sim.sleep,
+                rng=self.rng,
+            )

@@ -15,18 +15,15 @@ Robustness contract:
   deflate the run's TPS: per-thread exceptions are captured and re-raised
   (as :class:`ThreadedDriverError`) after all threads are joined, and
   threads still alive after the join timeout are reported the same way;
-* retries follow the shared :class:`~repro.workload.retry.RetryPolicy`
-  (default: the paper's retry-as-new-transaction protocol), and a
+* each request runs through :func:`~repro.workload.retry.run_request`
+  under the shared :class:`~repro.workload.retry.RetryPolicy` (default:
+  the paper's retry-as-new-transaction protocol), and a
   :class:`~repro.faults.FaultPlan` installed on the database can kill
-  clients mid-run (``client-death``);
-* retry accounting is exact: a retry is recorded only once the extra
-  attempt actually starts, so within one measurement window
-  ``RunStats.total_retries == RunStats.accounted_retries`` — a request
-  whose deadline expires mid-backoff counts as a give-up, not a retry.
+  clients mid-run (``client-death``).
 
 Handing the driver an :class:`~repro.obs.Observability` installs it on
-the database and additionally populates program-labelled driver metrics
-(response-time histograms, commit/abort/retry/give-up counters) per run.
+the database, and the request loop fills its program-labelled driver
+metrics (response-time histograms, commit/abort/retry/give-up counters).
 
 Backends: the driver runs against any :class:`repro.api.Connection` —
 pass ``connection=`` (e.g. ``repro.connect("tcp://host:port")``) to push
@@ -49,7 +46,7 @@ from repro.errors import ApplicationRollback, ReproError, TransactionAborted
 from repro.obs import Observability
 from repro.smallbank.transactions import SmallBankTransactions
 from repro.workload.mix import HotspotConfig, ParameterGenerator, get_mix
-from repro.workload.retry import RetryPolicy
+from repro.workload.retry import RetryPolicy, run_request
 from repro.workload.stats import RunStats
 
 
@@ -100,8 +97,7 @@ class ThreadedDriverConfig:
     retry: Optional[RetryPolicy] = None
     #: Override for the stats measurement window ``(start, end)`` on the
     #: run clock; ``None`` means the standard ``[ramp_up, ramp_up +
-    #: duration)``.  The retry-accounting tests pass ``(0.0, inf)`` so no
-    #: event falls outside the window and the reconciliation is exact.
+    #: duration)``; ``(0.0, inf)`` keeps every event, for exact accounting.
     stats_window: Optional[tuple[float, float]] = None
 
 
@@ -134,9 +130,18 @@ class ThreadedDriver:
         if obs is not None and db is not None:
             db.install_observability(obs)
 
+    def _attempt(self, program: str, args: dict) -> None:
+        session = self.connection.session()
+        try:
+            self.transactions.run(session, program, args)
+        except (ApplicationRollback, TransactionAborted):
+            session.rollback()
+            raise
+        finally:
+            session.close()
+
     def run(self) -> RunStats:
         config = self.config
-        obs = self.obs
         policy = config.retry or RetryPolicy.paper_default()
         window = config.stats_window or (
             config.ramp_up,
@@ -155,65 +160,30 @@ class ThreadedDriver:
         def clock() -> float:
             return time.monotonic() - epoch
 
+        def expired() -> bool:
+            return time.monotonic() >= deadline
+
         def worker(client_id: int) -> None:
             rng = random.Random(f"{config.seed}/{client_id}")
             backoff_rng = random.Random(f"{config.seed}/backoff/{client_id}")
             generator = ParameterGenerator(hotspot, rng)
             faults = self.db.faults if self.db is not None else None
-            while time.monotonic() < deadline:
+            while not expired():
                 if faults is not None and faults.should_fire("client-death"):
                     return
                 program = mix.choose(rng)
-                args = generator.args_for(program)
-                attempts = 0
-                started = clock()  # the request, not its last attempt
-                while True:
-                    attempts += 1
-                    session = self.connection.session()
-                    try:
-                        try:
-                            self.transactions.run(session, program, args)
-                            response = clock() - started
-                            stats.record_commit(program, response, clock(), attempts)
-                            if obs is not None:
-                                obs.driver_commit(program, response, attempts)
-                            break
-                        except ApplicationRollback:
-                            session.rollback()
-                            stats.record_rollback(program, clock())
-                            if obs is not None:
-                                obs.driver_rollback(program)
-                            break
-                        except TransactionAborted as exc:
-                            session.rollback()
-                            stats.record_abort(program, exc.reason, clock())
-                            if obs is not None:
-                                obs.driver_abort(program, exc.reason)
-                            if not policy.should_retry(exc, attempts):
-                                stats.record_giveup(program, clock(), attempts)
-                                if obs is not None:
-                                    obs.driver_giveup(program)
-                                break
-                            delay = policy.backoff(attempts, backoff_rng)
-                            if time.monotonic() >= deadline:
-                                # The run ended before the extra attempt
-                                # could start: a give-up, not a retry.
-                                stats.record_giveup(program, clock(), attempts)
-                                if obs is not None:
-                                    obs.driver_giveup(program)
-                                break
-                            if delay > 0:
-                                time.sleep(delay)
-                                if time.monotonic() >= deadline:
-                                    stats.record_giveup(program, clock(), attempts)
-                                    if obs is not None:
-                                        obs.driver_giveup(program)
-                                    break
-                            stats.record_retry(program, clock())
-                            if obs is not None:
-                                obs.driver_retry(program)
-                    finally:
-                        session.close()
+                run_request(
+                    program,
+                    generator.args_for(program),
+                    self._attempt,
+                    policy=policy,
+                    stats=stats,
+                    obs=self.obs,
+                    now=clock,
+                    sleep=time.sleep,
+                    rng=backoff_rng,
+                    expired=expired,
+                )
 
         failures: dict[int, BaseException] = {}
         failures_lock = threading.Lock()
@@ -233,9 +203,7 @@ class ThreadedDriver:
         }
         for thread in threads.values():
             thread.start()
-        join_deadline = (
-            epoch + config.ramp_up + config.duration + config.join_grace
-        )
+        join_deadline = deadline + config.join_grace
         for thread in threads.values():
             thread.join(timeout=max(0.0, join_deadline - time.monotonic()))
         stuck = tuple(
@@ -243,7 +211,7 @@ class ThreadedDriver:
             for client_id, thread in threads.items()
             if thread.is_alive()
         )
-        if obs is not None and self.db is not None:
+        if self.obs is not None and self.db is not None:
             self.db.observe_version_stats()
         if failures or stuck:
             raise ThreadedDriverError(failures, stuck)

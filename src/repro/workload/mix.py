@@ -134,9 +134,9 @@ class ParameterGenerator:
 
         The rejection loop needs at least two reachable customers or it
         would spin forever: with ``customers == 1`` every draw returns
-        customer 1, and with ``hotspot_probability == 1.0`` and a
-        one-customer hotspot every draw returns the hotspot customer.
-        Both configurations are rejected up front.
+        customer 1; a ``hotspot_probability`` of 1.0 sends every draw into
+        the hotspot and 0.0 every draw outside it, so that side needs two.
+        These configurations are rejected up front.
         """
         cfg = self.config
         if cfg.customers < 2:
@@ -145,11 +145,13 @@ class ParameterGenerator:
                 f"(got {cfg.customers}); Amalgamate requires two distinct "
                 "accounts"
             )
-        if cfg.hotspot < 2 and cfg.hotspot_probability >= 1.0:
+        if (cfg.hotspot < 2 and cfg.hotspot_probability >= 1.0) or (
+            cfg.customers - cfg.hotspot == 1 and cfg.hotspot_probability <= 0.0
+        ):
             raise ValueError(
                 "pick_two_customers cannot draw two distinct customers: "
-                f"hotspot_probability=1.0 confines every draw to the "
-                f"{cfg.hotspot}-customer hotspot"
+                f"hotspot_probability={cfg.hotspot_probability} confines every "
+                "draw to one side of the hotspot, which holds one customer"
             )
         first = self.pick_customer()
         second = self.pick_customer()

@@ -25,16 +25,17 @@ policy object:
 The seed protocol — :meth:`RetryPolicy.paper_default` — is ``max_attempts=1``
 with no backoff: each abort surfaces immediately and the closed-loop client
 moves on to a fresh transaction, which reproduces the paper's figures
-bit-for-bit.  Both the threaded driver and the simulated client consume
-this module; only the ``sleep`` function differs (wall clock vs simulated
-time).
+bit-for-bit.  :func:`run_request` is the one request loop: the threaded
+driver and the simulated client each hand it one ``attempt`` and their own
+clock (wall clock vs simulated time).
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.errors import (
     ApplicationRollback,
@@ -43,7 +44,12 @@ from repro.errors import (
     IntegrityError,
     LockTimeout,
     SerializationFailure,
+    TransactionAborted,
 )
+
+if TYPE_CHECKING:
+    from repro.obs import Observability
+    from repro.workload.stats import RunStats
 
 #: Default error-class split.  ``SerializationFailure`` covers ``SsiAbort``.
 DEFAULT_RETRYABLE: tuple[type, ...] = (
@@ -124,12 +130,8 @@ class RetryPolicy:
 
         Deterministic when ``jitter`` is zero or no ``rng`` is supplied;
         never draws from ``rng`` unless jitter actually applies, so
-        installing a zero-backoff policy perturbs no random stream.
-
-        The clamp to ``max_backoff`` happens *after* jitter so the
-        configured ceiling is a hard bound on the returned delay (clamping
-        first would let jitter inflate a delay up to
-        ``max_backoff * (1 + jitter)``).
+        installing a zero-backoff policy perturbs no random stream.  The
+        clamp follows the jitter (see the module docstring).
         """
         if attempt < 1:
             raise ValueError("attempt is 1-based")
@@ -139,3 +141,63 @@ class RetryPolicy:
         if self.jitter > 0 and rng is not None:
             delay *= 1.0 + self.jitter * rng.random()
         return min(delay, self.max_backoff)
+
+
+def run_request(
+    program: str,
+    args: dict,
+    attempt: Callable[[str, dict], None],
+    *,
+    policy: RetryPolicy,
+    stats: "RunStats",
+    obs: "Optional[Observability]",
+    now: Callable[[], float],
+    sleep: Callable[[float], None],
+    rng: Optional[random.Random],
+    expired: Callable[[], bool] = lambda: False,
+) -> None:
+    """Run one request of a closed-loop client to its end.
+
+    ``attempt(program, args)`` runs the request as a new transaction and
+    returns on commit; on a business rollback or an abort it rolls back and
+    re-raises.  An abort is retried while ``policy`` allows, after
+    ``policy.backoff`` (jitter from ``rng``) spent in ``sleep``; otherwise
+    the request gives up.  Each outcome goes to ``stats`` at ``now()`` and
+    to ``obs`` if installed; the response time spans the whole request.
+
+    A retry is recorded only once the extra attempt starts, so within one
+    measurement window ``stats.total_retries == stats.accounted_retries``;
+    a request whose run ends (``expired()``) before or during its backoff
+    is a give-up, not a retry.
+    """
+    started = now()
+    for attempts in itertools.count(1):
+        try:
+            attempt(program, args)
+        except ApplicationRollback:
+            stats.record_rollback(program, now())
+            if obs is not None:
+                obs.driver_rollback(program)
+            return
+        except TransactionAborted as exc:
+            stats.record_abort(program, exc.reason, now())
+            if obs is not None:
+                obs.driver_abort(program, exc.reason)
+            if policy.should_retry(exc, attempts) and not expired():
+                delay = policy.backoff(attempts, rng)
+                if delay > 0:
+                    sleep(delay)
+                if not expired():
+                    stats.record_retry(program, now())
+                    if obs is not None:
+                        obs.driver_retry(program)
+                    continue
+            stats.record_giveup(program, now(), attempts)
+            if obs is not None:
+                obs.driver_giveup(program)
+            return
+        response = now() - started
+        stats.record_commit(program, response, now(), attempts)
+        if obs is not None:
+            obs.driver_commit(program, response, attempts)
+        return

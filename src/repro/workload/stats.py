@@ -201,10 +201,8 @@ class RunStats:
 
         A request that needed ``n`` attempts performed ``n - 1`` retries,
         whether it eventually committed (``attempts_histogram``) or was
-        abandoned (``giveup_attempts_histogram``).  The driver records a
-        retry only when the extra attempt actually starts, so within one
-        measurement window ``total_retries == accounted_retries`` — the
-        invariant the retry-accounting tests assert.
+        abandoned (``giveup_attempts_histogram``).  Within one window it
+        equals ``total_retries`` (see :func:`~repro.workload.retry.run_request`).
         """
         return sum(
             (attempts - 1) * count

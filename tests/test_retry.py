@@ -15,6 +15,7 @@ from repro.errors import (
     LockTimeout,
     SerializationFailure,
     SsiAbort,
+    TransactionAborted,
 )
 from repro.faults import FaultPlan, FaultSpec
 from repro.obs import Observability
@@ -25,7 +26,8 @@ from repro.workload.driver import (
     ThreadedDriverError,
 )
 from repro.smallbank import PopulationConfig, build_database
-from repro.workload.retry import RetryPolicy
+from repro.workload.retry import RetryPolicy, run_request
+from repro.workload.stats import RunStats
 
 
 # ----------------------------------------------------------------------
@@ -113,6 +115,127 @@ class TestRetryPolicy:
             for _ in range(20):
                 delay = policy.backoff(attempt, rng)
                 assert base <= delay <= base * 1.5
+
+
+# ----------------------------------------------------------------------
+# The request loop, on a scripted attempt and a fake clock
+# ----------------------------------------------------------------------
+class IntegrityAbort(IntegrityError, TransactionAborted):
+    """An abort that is also a constraint violation: never retryable."""
+
+    reason = "integrity"
+
+
+ABORT = SerializationFailure("write-write conflict")
+#: Backoff 2 s, then 4 s, then 8 s: no jitter, so no draw.
+BACKOFF = RetryPolicy(max_attempts=4, base_backoff=2.0, max_backoff=8.0)
+
+
+@pytest.mark.parametrize(
+    "outcomes, policy, deadline, expected",
+    [
+        pytest.param(
+            [ABORT, ABORT, None],
+            BACKOFF,
+            float("inf"),
+            {"commits": 1, "aborts": 2, "retries": 2, "sleeps": [2.0, 4.0]},
+            id="abort-abort-commit",
+        ),
+        pytest.param(
+            [ABORT] * 3,
+            RetryPolicy(max_attempts=3),
+            float("inf"),
+            {"aborts": 3, "retries": 2, "giveups": 1},
+            id="attempts-exhausted",
+        ),
+        pytest.param(
+            [ApplicationRollback("overdrawn")],
+            BACKOFF,
+            float("inf"),
+            {"rollbacks": 1},
+            id="business-rollback",
+        ),
+        pytest.param(
+            [IntegrityAbort("duplicate key")],
+            BACKOFF,
+            float("inf"),
+            {"aborts": 1, "giveups": 1},
+            id="non-retryable",
+        ),
+        pytest.param(
+            [ABORT],
+            BACKOFF,
+            1.0,
+            {"aborts": 1, "giveups": 1, "sleeps": [2.0]},
+            id="expired-during-backoff",
+        ),
+    ],
+)
+def test_run_request_attempts_retries_and_accounts(
+    outcomes, policy, deadline, expected
+) -> None:
+    """One request through :func:`run_request`: each attempt takes 0.5 s
+    of a fake clock, each backoff sleeps on it, and the outcome lands in
+    ``RunStats`` and in the driver metrics alike."""
+    clock, sleeps, script = [0.0], [], list(outcomes)
+
+    def attempt(program, args) -> None:
+        assert (program, args) == ("Balance", {"name": 1})
+        clock[0] += 0.5
+        outcome = script.pop(0)
+        if outcome is not None:
+            raise outcome
+
+    def sleep(delay: float) -> None:
+        sleeps.append(delay)
+        clock[0] += delay
+
+    stats = RunStats(window_start=0.0, window_end=float("inf"))
+    obs = Observability()
+    run_request(
+        "Balance",
+        {"name": 1},
+        attempt,
+        policy=policy,
+        stats=stats,
+        obs=obs,
+        now=lambda: clock[0],
+        sleep=sleep,
+        rng=random.Random(1),
+        expired=lambda: clock[0] >= deadline,
+    )
+
+    assert script == []  # every scripted attempt ran, and no more
+    assert sleeps == expected.get("sleeps", [])
+    counts = {
+        "commits": stats.total_commits,
+        "aborts": sum(stats.aborts.values()),
+        "rollbacks": sum(stats.rollbacks.values()),
+        "retries": stats.total_retries,
+        "giveups": stats.total_giveups,
+    }
+    assert counts == {name: expected.get(name, 0) for name in counts}
+    assert stats.total_retries == stats.accounted_retries
+    if not counts["rollbacks"]:
+        # The request's attempts: its aborts, plus the commit if any.
+        histogram = (
+            stats.attempts_histogram
+            if counts["commits"]
+            else stats.giveup_attempts_histogram
+        )
+        assert dict(histogram) == {counts["aborts"] + counts["commits"]: 1}
+    if counts["commits"]:
+        # Timed from the first attempt: every attempt and every backoff.
+        assert stats.response_time_sum == clock[0] == 6.0 + 1.5
+    driver_counts = {
+        name: sum(
+            instrument.value
+            for instrument in obs.metrics
+            if instrument.name == f"repro_driver_{name}_total"
+        )
+        for name in counts
+    }
+    assert driver_counts == counts
 
 
 # ----------------------------------------------------------------------

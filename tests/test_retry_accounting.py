@@ -158,6 +158,16 @@ class TestPickTwoCustomers:
         with pytest.raises(ValueError, match="hotspot"):
             generator.pick_two_customers()
 
+    def test_mirrored_degenerate_hotspot_raises_instead_of_hanging(self) -> None:
+        """Probability 0.0 sends every draw outside the hotspot, where only
+        customer 11 lives."""
+        generator = ParameterGenerator(
+            HotspotConfig(customers=11, hotspot=10, hotspot_probability=0.0),
+            random.Random(0),
+        )
+        with pytest.raises(ValueError, match="hotspot"):
+            generator.pick_two_customers()
+
     def test_amalgamate_args_surface_the_error(self) -> None:
         generator = ParameterGenerator(
             HotspotConfig(customers=1, hotspot=1), random.Random(0)
