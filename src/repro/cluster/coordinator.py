@@ -8,9 +8,18 @@ itself); a participant votes YES by making the prepare record durable and
 moving the transaction to PREPARED, or votes NO by aborting it (any engine
 error — serialization failure, SSI doom, integrity violation — IS the NO
 vote).  Phase 2 records the decision on the coordinator's
-:class:`DecisionLog`, then delivers it: ``COMMIT_2PC`` to every prepared
-branch under the oracle's exclusive decision window, or ``ABORT_2PC`` to
-the branches already prepared when some later vote came back NO.
+:class:`DecisionLog`, then delivers it.
+
+Every decision — the live commit, the abort, the in-doubt re-delivery —
+leaves through one method, :meth:`TwoPhaseCoordinator._deliver`: one
+:func:`~repro.cluster.fanout.scatter_gather` round of ``COMMIT_2PC`` or
+``ABORT_2PC`` to its targets, a commit under the oracle's decision
+window so no consistent snapshot opens between two of its deliveries.
+Its targets are sessions (:class:`~repro.net.client.NetworkSession`) —
+the branches on the live path, one fresh session per shard for a
+re-delivery — whose wires were checked out before the window: inside it,
+a wait for a pool wire could be a wait on a session that is itself
+waiting for the window.
 
 *Presumed abort*: participants never ask the coordinator — a durable
 prepare followed by a durable decision record in the participant's WAL
@@ -18,10 +27,9 @@ means committed; a durable prepare with no decision means aborted.  The
 :class:`DecisionLog` is the coordinator half of that story: a commit
 decision is recorded there *before* any participant hears it, so a
 coordinator crash after the record still commits on recovery
-(:meth:`resolve_in_doubt` re-delivers), while a crash before it presumes
-abort.  The log models the force-write a real coordinator performs; it
-outlives any one :class:`TwoPhaseCoordinator` instance, which is exactly
-the coordinator-recovery contract.
+(:meth:`~TwoPhaseCoordinator.resolve_in_doubt` re-delivers), while a
+crash before it presumes abort.  The log models the force-write a real
+coordinator performs.
 
 Fault injection (DESIGN.md §13): with a :class:`~repro.faults.FaultPlan`
 installed, ``coordinator-crash-window`` kills the coordinator after all
@@ -29,15 +37,8 @@ prepares and before any decision lands (alternating fires cover both
 sides of the log write), surfacing :class:`~repro.errors.CoordinatorCrashed`
 — an *outcome-unknown* error, deliberately not a
 :class:`~repro.errors.TransactionAborted`.  ``net-dup-decision``
-re-delivers a commit decision immediately, exercising the participants'
-idempotent-redelivery contract on the live path.
-
-``decision_hook`` is a test seam: called between per-participant
-COMMIT_2PC deliveries so a reader that bypasses the router (two plain
-``tcp://`` snapshots) can be wedged into the middle of a decision
-broadcast — the fractured-read demonstration.  It must never begin a
-``cluster://`` transaction: that blocks on the oracle latch the hook's
-caller is holding.
+delivers a commit decision a second time right after the first,
+exercising the participants' idempotent-redelivery contract.
 """
 
 from __future__ import annotations
@@ -46,13 +47,9 @@ import threading
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-from repro.cluster.fanout import first_error, scatter_gather
+from repro.cluster.fanout import Outcome, first_error, scatter_gather
 from repro.cluster.oracle import TimestampOracle
-from repro.errors import (
-    CoordinatorCrashed,
-    ReproError,
-    TransactionStateError,
-)
+from repro.errors import CoordinatorCrashed, TransactionStateError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults import FaultPlan
@@ -63,10 +60,10 @@ class DecisionLog:
     """The coordinator's durable decision store (one per cluster).
 
     Stand-in for the force-written log record a real coordinator hardens
-    before broadcasting a commit: decisions recorded here survive the
-    coordinator *object* dying (our model of a coordinator process
-    crash), so a recovered coordinator — or the in-doubt resolver acting
-    on its behalf — re-reads the same outcomes.  Append-only per gtid: a
+    before broadcasting a commit: decisions recorded here survive a
+    :class:`~repro.errors.CoordinatorCrashed` (our model of a coordinator
+    process crash), so the in-doubt resolver, acting for the recovered
+    coordinator, re-reads the same outcomes.  Append-only per gtid: a
     decision can be re-recorded identically (idempotent) but never
     flipped.
     """
@@ -106,17 +103,12 @@ class TwoPhaseCoordinator:
         self,
         oracle: TimestampOracle,
         *,
-        decision_hook: "Optional[Callable[[str, int], None]]" = None,
-        decision_log: "Optional[DecisionLog]" = None,
         fault_plan: "FaultPlan | None" = None,
         obs: "Observability | None" = None,
     ) -> None:
         self.oracle = oracle
-        self.decision_hook = decision_hook
-        #: Durable decision store — shareable across coordinator
-        #: incarnations (coordinator recovery hands the same log to a
-        #: fresh instance).
-        self.log = decision_log if decision_log is not None else DecisionLog()
+        #: Durable decision store.
+        self.log = DecisionLog()
         self.faults = fault_plan
         self.obs = obs
         #: Gtids with a ``commit_two_phase`` currently in flight.  The
@@ -174,6 +166,48 @@ class TwoPhaseCoordinator:
         finally:
             self.untrack(gtid)
 
+    def _deliver(
+        self, gtid: str, decision: str, targets: Sequence
+    ) -> "list[Outcome]":
+        """Send ``decision`` for ``gtid`` to every target; the outcomes,
+        in target order.
+
+        All requests go out before the first reply is read.  A commit is
+        delivered inside the oracle's decision window, so no consistent
+        snapshot can open between two of its deliveries and see it half
+        applied; with a fault plan, ``net-dup-decision`` may deliver it to
+        a target a second time once the first reply is in.
+        """
+        if decision == "abort":
+            return scatter_gather(
+                [partial(target.start_abort_2pc, gtid) for target in targets],
+                op="2pc-abort",
+                obs=self.obs,
+            )
+        plan = self.faults
+
+        def start_commit(target) -> "Callable[[], object]":
+            delivered = target.start_commit_2pc(gtid)
+            if plan is None:
+                return delivered
+
+            def delivered_maybe_twice() -> object:
+                commit_ts = delivered()
+                if plan.should_fire("net-dup-decision"):
+                    if self.obs is not None:
+                        self.obs.fault_injected("net-dup-decision")
+                    target.start_commit_2pc(gtid)()  # idempotent by contract
+                return commit_ts
+
+            return delivered_maybe_twice
+
+        with self.oracle.decision_window():
+            return scatter_gather(
+                [partial(start_commit, target) for target in targets],
+                op="2pc-decision",
+                obs=self.obs,
+            )
+
     def abort(self, gtid: str, prepared: Sequence) -> None:
         """Decide abort: log it, then tell the branches that voted YES.
 
@@ -182,20 +216,15 @@ class TwoPhaseCoordinator:
         from the logged decision; recovery presumes abort anyway.
         """
         self.log.record(gtid, "abort")
-        scatter_gather(  # outcomes gathered and dropped: best effort
-            [partial(branch.start_abort_2pc, gtid) for branch in prepared],
-            op="2pc-abort",
-            obs=self.obs,
-        )
+        self._deliver(gtid, "abort", prepared)
 
     def decide_commit(self, gtid: str, prepared: Sequence) -> None:
         """Every vote is YES: log the commit, then deliver it.
 
-        Call between :meth:`track` and :meth:`untrack`.  Decision
-        delivery errors (a participant crashing *after* the decision was
-        recorded) are re-raised once every reachable participant has
-        been told — the decision stands and recovery re-delivers it to
-        the rest.
+        Call between :meth:`track` and :meth:`untrack`.  A delivery error
+        (a participant crashing *after* the decision was recorded) is
+        raised once every participant has been told — the decision
+        stands and the resolver re-delivers it to the rest.
         """
         plan = self.faults
         if plan is not None and plan.should_fire("coordinator-crash-window"):
@@ -216,77 +245,34 @@ class TwoPhaseCoordinator:
                 f"decision log write)",
                 gtid=gtid,
             )
-        self.log.record(gtid, "commit")
-
-        def start_delivery(branch) -> "Callable[[], object]":
-            delivered = branch.start_commit_2pc(gtid)
-            if plan is None:
-                return delivered
-
-            def delivered_maybe_twice() -> None:
-                delivered()
-                if plan.should_fire("net-dup-decision"):
-                    if self.obs is not None:
-                        self.obs.fault_injected("net-dup-decision")
-                    branch.commit_2pc(gtid)  # idempotent by contract
-
-            return delivered_maybe_twice
-
         # The decision is durable *before* any participant hears it
-        # (the presumed-abort ordering argument) — only the deliveries
-        # below overlap, never the log write.
-        with self.oracle.decision_window():
-            if self.decision_hook is not None:
-                # Test seam: the hook interposes *between* deliveries,
-                # which only means anything serially.
-                delivery_error: Optional[BaseException] = None
-                for index, branch in enumerate(prepared):
-                    if index:
-                        self.decision_hook(gtid, index)
-                    try:
-                        start_delivery(branch)()
-                    except ReproError as exc:
-                        if delivery_error is None:
-                            delivery_error = exc
-            else:
-                delivery_error = first_error(
-                    scatter_gather(
-                        [partial(start_delivery, b) for b in prepared],
-                        op="2pc-decision",
-                        obs=self.obs,
-                    )
-                )
-        if delivery_error is not None:
-            raise delivery_error
+        # (the presumed-abort ordering argument).
+        self.log.record(gtid, "commit")
+        error = first_error(self._deliver(gtid, "commit", prepared))
+        if error is not None:
+            raise error
 
-    def resolve_in_doubt(self, gtid: str, connections: Sequence) -> str:
+    def resolve_in_doubt(self, gtid: str, sessions: Sequence) -> str:
         """Re-deliver the outcome of ``gtid`` to recovered participants.
 
-        ``connections`` are shard *connections* (not sessions): decision
-        ops address transactions by gtid, independent of any wire
-        session.  A gtid with no logged decision is presumed aborted —
-        exactly the protocol's answer to "prepared, but the coordinator
-        never hardened a commit".
+        ``sessions``: one per shard to tell, any session on it (decision
+        ops address transactions by gtid, not by wire).  A gtid with no
+        logged decision is presumed aborted — exactly the protocol's
+        answer to "prepared, but the coordinator never hardened a
+        commit".  Every session is told before the first error is
+        raised; one that answers
+        :class:`~repro.errors.TransactionStateError` never prepared the
+        gtid (or already settled it the same way): nothing to re-deliver.
         """
         decision = self.log.decision_for(gtid) or "abort"
         if decision == "abort":
             # Harden the presumption so a later resolver pass (or a
             # recovered coordinator) answers identically.
             self.log.record(gtid, "abort")
-
-        error: Optional[BaseException] = None
-        for connection in connections:  # each tried, the first error raised
-            try:
-                if decision == "commit":
-                    connection.commit_2pc(gtid)
-                else:
-                    connection.abort_2pc(gtid)
-            except TransactionStateError:
-                # Participant never prepared this gtid (or already
-                # resolved it the same way) — nothing to re-deliver.
-                pass
-            except ReproError as exc:
-                error = error or exc
+        error = first_error([
+            outcome for outcome in self._deliver(gtid, decision, sessions)
+            if not isinstance(outcome.error, TransactionStateError)
+        ])
         if error is not None:
             raise error
         return decision

@@ -34,7 +34,7 @@ from functools import partial
 from typing import TYPE_CHECKING, Callable, Mapping, Optional, Sequence
 
 from repro.api import Connection, Program
-from repro.cluster.coordinator import DecisionLog, TwoPhaseCoordinator
+from repro.cluster.coordinator import TwoPhaseCoordinator
 from repro.cluster.fanout import Outcome, first_error, scatter_gather
 from repro.cluster.oracle import TimestampOracle
 from repro.cluster.partition import PARTITION_COLUMNS, HashPartitioner
@@ -499,8 +499,6 @@ class ClusterConnection(Connection):
         pool_size: int = 8,
         timeout: Optional[float] = 10.0,
         url: str = "",
-        decision_hook: "Optional[Callable[[str, int], None]]" = None,
-        decision_log: "Optional[DecisionLog]" = None,
         fault_plan: "FaultPlan | None" = None,
         rpc_deadline: Optional[float] = None,
         unhealthy_after: int = 3,
@@ -517,11 +515,7 @@ class ClusterConnection(Connection):
         self.partitioner = HashPartitioner(len(addresses))
         self.oracle = TimestampOracle(gtid_base=gtid_base)
         self.coordinator = TwoPhaseCoordinator(
-            self.oracle,
-            decision_hook=decision_hook,
-            decision_log=decision_log,
-            fault_plan=fault_plan,
-            obs=obs,
+            self.oracle, fault_plan=fault_plan, obs=obs
         )
         self._counter_lock = threading.Lock()
         self._counters = {
@@ -722,7 +716,9 @@ class ClusterConnection(Connection):
         self._resolver_thread.start()
 
     def stop_background(self) -> None:
-        """Stop the heartbeat and resolver threads (idempotent)."""
+        """Stop the heartbeat and resolver threads (idempotent); with no
+        heartbeats left to revise a verdict, fail-fast stops too."""
+        self._health_enforced = False
         self._stop_background.set()
         for thread in (self._heartbeat_thread, self._resolver_thread):
             if thread is not None:
@@ -835,10 +831,18 @@ class ClusterConnection(Connection):
             for gtid in gtids:
                 pending.setdefault(gtid, []).append(shard)
         for gtid, shards in pending.items():
+            # Wires are checked out before the coordinator takes the
+            # decision window (see repro.cluster.coordinator).
+            sessions: "list[NetworkSession]" = []
             try:
-                outcome = self.coordinator.resolve_in_doubt(gtid, shards)
+                for shard in shards:
+                    sessions.append(shard.session())
+                outcome = self.coordinator.resolve_in_doubt(gtid, sessions)
             except ConnectionClosed:  # shard died mid-resolution
                 continue
+            finally:
+                for session in sessions:
+                    session.close()
             outcomes[gtid] = outcome
             self._count(
                 "in_doubt_commits"

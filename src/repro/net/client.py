@@ -23,9 +23,10 @@ Semantics notes
   engine and commits (DESIGN.md §11.5).  The statement verbs remain for
   ad-hoc transactions; their only elision is the deferred BEGIN, which
   rides on the transaction's first request.  The verbs the cluster router
-  sends to several shards at once — its sweeps (ping, stats, vacuum)
-  included — also come split (``start_*``: send now, return the callable
-  that reads the reply).
+  sends to several shards at once — the window BEGIN, the 2PC votes and
+  decisions, its sweeps (ping, stats, vacuum) — exist only split
+  (``start_*``: send now, return the callable that reads the reply;
+  ``start_*(...)()`` is the blocking call).
 * ``timeout`` bounds *connection establishment* (and pool checkout).
   RPCs then block until the server answers: a lock wait on the server can
   legitimately take as long as the engine's ``lock_timeout`` allows, and
@@ -361,20 +362,16 @@ class NetworkSession(RemoteVerbs):
         self._in_txn = True
         self._readonly = True
 
-    def begin_now(self, label: str = "") -> None:
-        """Open a transaction and send the BEGIN immediately.
+    def start_begin_now(self, label: str = "") -> "Callable[[], object]":
+        """Open a transaction and send its BEGIN now; the callable
+        returned reads the reply (so the router sends to all shards,
+        then reads).
 
         Used by the cluster router's *consistent* snapshot mode: every
         shard's branch must take its snapshot inside the oracle's
         broadcast window, so the BEGIN cannot ride on a later (arbitrarily
         delayed) first statement the way :meth:`begin` defers it.
         """
-        self.start_begin_now(label)()
-
-    def start_begin_now(self, label: str = "") -> "Callable[[], object]":
-        """:meth:`begin_now`, split like every ``start_*``: the request
-        is sent before this returns, the callable returned reads the
-        reply — so the router can send to all shards, then read."""
         self.begin(label)
         self._pending_begin = None
         return partial(self._receive, "BEGIN", self._send("BEGIN", {"label": label}))
@@ -402,7 +399,7 @@ class NetworkSession(RemoteVerbs):
         """Run a whole registered program server-side in one ``CALL``.
 
         The server begins a transaction labelled ``label`` — or joins
-        the one :meth:`begin_now` opened — runs the body and ends it as
+        the one :meth:`start_begin_now` opened — runs the body and ends it as
         ``end`` says: ``"commit"``, ``"prepare:<gtid>"`` (vote and detach,
         phase one of 2PC) or ``"open"`` (left for further statements).
         A business rollback, concurrency abort or NO vote arrives as the
@@ -415,22 +412,10 @@ class NetworkSession(RemoteVerbs):
         whole transaction (:class:`~repro.errors.TransactionAborted`,
         "after staging writes") instead.  ``nowait``: a call in a
         transaction that has done nothing yet (its own, or a bare
-        :meth:`begin_now`) raises :class:`~repro.errors.LockNotAvailable`
-        rather than wait for a lock, leaving no transaction either.
+        :meth:`start_begin_now`) raises
+        :class:`~repro.errors.LockNotAvailable` rather than wait for a
+        lock, leaving no transaction either.
         """
-        return self.start_call_program(
-            program, args, label, end=end, nowait=nowait
-        )()
-
-    def start_call_program(
-        self,
-        program: Program,
-        args: Mapping[str, object],
-        label: str = "",
-        *,
-        end: str = "commit",
-        nowait: bool = False,
-    ) -> "Callable[[], object]":
         if self._pending_begin is not None:  # begin() then call: one txn
             label, self._pending_begin = self._pending_begin, None
         pids = self._connection._pids
@@ -445,29 +430,21 @@ class NetworkSession(RemoteVerbs):
         if nowait:
             request["nowait"] = True
         self._in_txn = False  # unless the call succeeds and ends "open"
-        sent = self._send("CALL", request)
-
-        def finish() -> object:
-            result = self._receive("CALL", sent).get("result")
-            self._in_txn = end == "open"
-            self._readonly = False
-            return result
-
-        return finish
+        result = self._receive("CALL", self._send("CALL", request)).get("result")
+        self._in_txn = end == "open"
+        self._readonly = False
+        return result
 
     # ------------------------------------------------------------------
     # Two-phase commit (cluster coordinator drives these)
     # ------------------------------------------------------------------
-    def prepare_2pc(self, gtid: str) -> None:
+    def start_prepare_2pc(self, gtid: str) -> "Callable[[], None]":
         """Vote on this session's transaction under ``gtid`` (phase one).
 
         On a YES the server detaches the transaction from this wire —
         only coordinator decisions (by gtid) resolve it; on a NO (a
         ``TransactionAborted`` subclass) the engine has rolled it back.
         """
-        self.start_prepare_2pc(gtid)()
-
-    def start_prepare_2pc(self, gtid: str) -> "Callable[[], None]":
         sent = self._send("PREPARE_2PC", {"gtid": gtid})
 
         def finish() -> None:
@@ -476,20 +453,15 @@ class NetworkSession(RemoteVerbs):
 
         return finish
 
-    def commit_2pc(self, gtid: str) -> int:
-        """Deliver the commit decision for ``gtid``; returns the shard's
-        commit timestamp.  Connection-independent and idempotent."""
-        return self.start_commit_2pc(gtid)()
-
     def start_commit_2pc(self, gtid: str) -> "Callable[[], int]":
+        """Deliver the commit decision for ``gtid``; the reply is the
+        shard's commit timestamp.  Idempotent, and any session on the
+        shard will do: the gtid, not the wire, names the transaction."""
         sent = self._send("COMMIT_2PC", {"gtid": gtid})
         return lambda: int(self._receive("COMMIT_2PC", sent)["commit_ts"])
 
-    def abort_2pc(self, gtid: str) -> None:
-        """Deliver the abort decision for ``gtid`` (presumed abort)."""
-        self.start_abort_2pc(gtid)()
-
     def start_abort_2pc(self, gtid: str) -> "Callable[[], object]":
+        """Deliver the abort decision for ``gtid`` (presumed abort)."""
         return partial(
             self._receive, "ABORT_2PC", self._send("ABORT_2PC", {"gtid": gtid})
         )
@@ -703,10 +675,6 @@ class NetworkConnection(Connection):
         wire.broken = True  # so ``_release`` closes it
         self._release(wire)
 
-    def _call_once(self, op: str, *args: object, **kwargs: object) -> dict:
-        """:meth:`_start_once`, sent and read."""
-        return self._start_once(op, *args, **kwargs)()
-
     def _start_once(
         self,
         op: str,
@@ -719,8 +687,7 @@ class NetworkConnection(Connection):
         every ``start_*``: sent before this returns, read by the callable
         returned — so the router can sweep all shards from one thread.
 
-        Every such operation is idempotent (PING, STATS, VACUUM, 2PC
-        decision delivery — the engine remembers resolved gtids), so a
+        Every such operation is idempotent (PING, STATS, VACUUM), so a
         connection failure in either half is retried on a *fresh* wire
         while attempts are left.  Server-side errors (which prove the
         request arrived) propagate immediately.  ``_attempts=1``: health
@@ -817,16 +784,6 @@ class NetworkConnection(Connection):
     def flush(self) -> None:
         """Nothing to settle — every request is answered before its call
         returns; kept for callers that flush before reading server state."""
-
-    def commit_2pc(self, gtid: str) -> int:
-        """Decision delivery outside any session (coordinator recovery);
-        retried across reconnects, idempotent by the engine's contract."""
-        sent = self._start_once("COMMIT_2PC", self.timeout, gtid=gtid)
-        return int(sent()["commit_ts"])
-
-    def abort_2pc(self, gtid: str) -> None:
-        """Abort-decision delivery outside any session (idempotent)."""
-        self._start_once("ABORT_2PC", self.timeout, gtid=gtid)()
 
     def close(self) -> None:
         with self._lock:

@@ -17,11 +17,24 @@ from repro.engine import EngineConfig, Session
 from repro.engine.session import NoWaitWaiter, WouldBlock
 from repro.engine.recovery import recover_database
 from repro.errors import (
+    ConnectionClosed,
     SerializationFailure,
     TransactionAborted,
     TransactionStateError,
 )
 from repro.smallbank import PopulationConfig, build_database
+
+
+def _decide(conn, decision, gtid):
+    """Deliver ``decision`` for ``gtid`` on a fresh session of ``conn``:
+    a decision names its transaction by gtid, not by wire."""
+    session = conn.session()
+    try:
+        if decision == "commit":
+            return session.start_commit_2pc(gtid)()
+        return session.start_abort_2pc(gtid)()
+    finally:
+        session.close()
 
 
 def small_db():
@@ -268,12 +281,12 @@ class TestWire2pc:
                 session = conn.session()
                 session.begin("T1")
                 session.update("Checking", 1, {"Balance": 500.0})
-                session.prepare_2pc("gx")
+                session.start_prepare_2pc("gx")()
                 session.close()
                 assert conn.stats()["prepared_2pc"] == 1
-                ts = conn.commit_2pc("gx")
+                ts = _decide(conn, "commit", "gx")
                 assert ts > 0
-                assert conn.commit_2pc("gx") == ts  # idempotent re-delivery
+                assert _decide(conn, "commit", "gx") == ts  # idempotent re-delivery
                 assert conn.stats()["prepared_2pc"] == 0
                 with conn.transaction("check") as txn:
                     assert txn.select("Checking", 1)["Balance"] == 500.0
@@ -296,12 +309,13 @@ class TestWire2pc:
                     # or surface at the prepare's drain — either way the
                     # vote is NO and nothing stays prepared.
                     loser.update("Checking", 1, {"Balance": 20.0})
-                    loser.prepare_2pc("gno")
+                    loser.start_prepare_2pc("gno")()
                 loser.close()
+                winner.close()
                 stats = conn.stats()
                 assert stats["prepared_2pc"] == 0
                 with pytest.raises(TransactionStateError):
-                    conn.commit_2pc("gno")
+                    _decide(conn, "commit", "gno")
 
     def test_abort_decision_over_the_wire(self):
         with Cluster(1, customers=2) as cluster:
@@ -310,10 +324,10 @@ class TestWire2pc:
                 session = conn.session()
                 session.begin("T1")
                 session.update("Checking", 1, {"Balance": 500.0})
-                session.prepare_2pc("gx")
+                session.start_prepare_2pc("gx")()
                 session.close()
-                conn.abort_2pc("gx")
-                conn.abort_2pc("gx")  # idempotent
+                _decide(conn, "abort", "gx")
+                _decide(conn, "abort", "gx")  # idempotent
                 assert conn.stats()["prepared_2pc"] == 0
                 with conn.transaction("check") as txn:
                     assert txn.select("Checking", 1)["Balance"] != 500.0
@@ -327,46 +341,53 @@ class TestWire2pc:
         with Cluster(1, customers=2) as cluster:
             host, port = cluster.addresses[0]
             with repro.connect(f"tcp://{host}:{port}") as conn:
-                conn.abort_2pc("never-prepared")  # presumed abort: no-op
-                conn.abort_2pc("never-prepared")  # idempotent too
+                _decide(conn, "abort", "never-prepared")  # presumed abort: no-op
+                _decide(conn, "abort", "never-prepared")  # idempotent too
                 with pytest.raises(TransactionStateError):
-                    conn.commit_2pc("never-prepared")
+                    _decide(conn, "commit", "never-prepared")
 
                 session = conn.session()
                 session.begin("T1")
                 session.update("Checking", 1, {"Balance": 123.0})
-                session.prepare_2pc("gdup")
+                session.start_prepare_2pc("gdup")()
                 session.close()
                 coordinator = TwoPhaseCoordinator(TimestampOracle())
                 coordinator.log.record("gdup", "commit")
+                shard = conn.session()
                 assert (
-                    coordinator.resolve_in_doubt("gdup", [conn]) == "commit"
+                    coordinator.resolve_in_doubt("gdup", [shard]) == "commit"
                 )
-                conn.commit_2pc("gdup")  # duplicate delivery
+                _decide(conn, "commit", "gdup")  # duplicate delivery
                 assert (
-                    coordinator.resolve_in_doubt("gdup", [conn]) == "commit"
+                    coordinator.resolve_in_doubt("gdup", [shard]) == "commit"
                 )
+                shard.close()
                 with conn.transaction("check") as txn:
                     assert txn.select("Checking", 1)["Balance"] == 123.0
 
 
 class _FakeParticipant:
-    """Records decision deliveries; optionally unaware of the gtid."""
+    """Records decision deliveries; each reply raises ``error`` if given."""
 
-    def __init__(self, known=True):
-        self.known = known
+    def __init__(self, error=None):
+        self.error = error
         self.calls = []
 
-    def commit_2pc(self, gtid):
-        self.calls.append(("commit", gtid))
-        if not self.known:
-            raise TransactionStateError(f"no prepared transaction for {gtid!r}")
-        return 7
+    def _start(self, decision, gtid):
+        self.calls.append((decision, gtid))
 
-    def abort_2pc(self, gtid):
-        self.calls.append(("abort", gtid))
-        if not self.known:
-            raise TransactionStateError(f"no prepared transaction for {gtid!r}")
+        def reply():
+            if self.error is not None:
+                raise self.error
+            return 7
+
+        return reply
+
+    def start_commit_2pc(self, gtid):
+        return self._start("commit", gtid)
+
+    def start_abort_2pc(self, gtid):
+        return self._start("abort", gtid)
 
 
 class TestCoordinatorResolution:
@@ -388,5 +409,17 @@ class TestCoordinatorResolution:
     def test_resolution_tolerates_already_resolved_participants(self):
         coordinator = TwoPhaseCoordinator(TimestampOracle())
         coordinator.log.record("g1", "abort")
-        participant = _FakeParticipant(known=False)
+        participant = _FakeParticipant(
+            TransactionStateError("no prepared transaction for 'g1'")
+        )
         assert coordinator.resolve_in_doubt("g1", [participant]) == "abort"
+
+    def test_every_participant_is_told_before_an_error_is_raised(self):
+        coordinator = TwoPhaseCoordinator(TimestampOracle())
+        coordinator.log.record("g1", "commit")
+        lost = ConnectionClosed("shard went away")
+        first, second = _FakeParticipant(lost), _FakeParticipant()
+        with pytest.raises(ConnectionClosed) as excinfo:
+            coordinator.resolve_in_doubt("g1", [first, second])
+        assert excinfo.value is lost
+        assert first.calls == second.calls == [("commit", "g1")]

@@ -475,14 +475,14 @@ class TestAbortsByReason:
         each second part waits on a row the other's prepared first part
         holds: no shard sees the cycle, and the lock timeout ends it."""
         barrier = threading.Barrier(2, timeout=5.0)
-        start = NetworkSession.start_call_program
+        call = NetworkSession.call_program
 
         def meet_first(self, program, args, label="", **kwargs):
             if "carry" in args and kwargs.get("nowait"):
                 barrier.wait()  # both first parts have voted
-            return start(self, program, args, label, **kwargs)
+            return call(self, program, args, label, **kwargs)
 
-        monkeypatch.setattr(NetworkSession, "start_call_program", meet_first)
+        monkeypatch.setattr(NetworkSession, "call_program", meet_first)
         money = cluster.total_money()
         txns = get_strategy("base-si").transactions()
         raised = []

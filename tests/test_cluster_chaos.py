@@ -12,6 +12,7 @@ seeded ``run_chaos`` soak asserting the full certification contract.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import threading
 import time
@@ -30,11 +31,12 @@ from repro.errors import (
 )
 from repro.faults import FaultPlan, FaultSpec
 from repro.net import DatabaseServer
-from repro.net.client import NetworkConnection
+from repro.net.client import NetworkConnection, WireConnection
 from repro.smallbank import PopulationConfig, build_database, customer_name
 from repro.smallbank.strategies import get_strategy
 
 from tests.conftest import make_bank_db
+from tests.test_cluster_router import _observed_total, _transfer
 
 
 def wait_until(predicate, timeout=5.0, message="condition"):
@@ -128,6 +130,23 @@ class TestNetworkFaults:
 # ----------------------------------------------------------------------
 # Coordinator crash window + in-doubt resolution
 # ----------------------------------------------------------------------
+def _crash_twice():
+    return FaultPlan([FaultSpec("coordinator-crash-window", max_fires=2)])
+
+
+def _leave_a_logged_commit_undelivered(conn):
+    """Two cross-shard transfers under :func:`_crash_twice`: the first
+    crashes before the decision log write (settled here, presumed
+    abort), the second after it — its commit is logged and no shard has
+    heard it."""
+    with pytest.raises(CoordinatorCrashed):
+        _transfer(conn, 10.0)
+    conn.resolve_in_doubt()
+    with pytest.raises(CoordinatorCrashed) as excinfo:
+        _transfer(conn, 10.0)
+    assert "after the decision log write" in str(excinfo.value)
+
+
 class TestCoordinatorCrash:
     def test_both_crash_flavors_resolve_from_the_decision_log(self):
         """Two forced crashes in the in-doubt window: the first dies
@@ -187,6 +206,75 @@ class TestCoordinatorCrash:
                 assert conn.resolve_in_doubt() == {}
                 session.close()
             assert cluster.total_money() == initial
+
+    def test_redelivered_commit_is_not_seen_half_applied(self, monkeypatch):
+        """The resolver re-delivers a logged commit under the decision
+        window: a consistent-snapshot reader that starts between its two
+        deliveries waits for the window, so it sees the transfer on both
+        shards or on neither — never one shard's half."""
+        with Cluster(2, customers=4) as cluster:
+            with cluster.connect(fault_plan=_crash_twice()) as conn:
+                conserved = _observed_total(conn)
+                _leave_a_logged_commit_undelivered(conn)
+                totals, readers, commits = [], [], []
+                send = WireConnection.send
+
+                def wedge_a_reader(wire, op, args):
+                    if op == "COMMIT_2PC":
+                        commits.append(args["gtid"])
+                        if len(commits) == 2:
+                            reader = threading.Thread(
+                                target=lambda: totals.append(
+                                    _observed_total(conn)
+                                )
+                            )
+                            reader.start()
+                            readers.append(reader)
+                            reader.join(0.5)
+                    return send(wire, op, args)
+
+                monkeypatch.setattr(WireConnection, "send", wedge_a_reader)
+                assert list(conn.resolve_in_doubt().values()) == ["commit"]
+                monkeypatch.undo()
+                for reader in readers:
+                    reader.join(5.0)
+                assert len(commits) == 2 and len(readers) == 1
+                assert totals == [conserved]
+                assert _observed_total(conn) == conserved
+
+    def test_redelivery_waits_for_no_wire_inside_the_window(self):
+        """A session checks its wires out before it waits for a snapshot
+        window, so the resolver must hold its own before it takes the
+        decision window: with one wire per shard, a session that arrives
+        mid-re-delivery would otherwise hold the wire the resolver waits
+        for while it waits for the resolver's window."""
+        with Cluster(2, customers=4) as cluster:
+            with cluster.connect(
+                fault_plan=_crash_twice(), pool_size=1, timeout=2.0
+            ) as conn:
+                _leave_a_logged_commit_undelivered(conn)
+                window, late = conn.oracle.decision_window(), []
+
+                def begin_late():
+                    session = conn.session()
+                    session.begin("late")
+                    session.rollback()
+                    session.close()
+                    late.append(True)
+
+                arrival = threading.Thread(target=begin_late)
+
+                @contextlib.contextmanager
+                def a_session_arrives_inside():
+                    with window:
+                        arrival.start()
+                        arrival.join(0.3)
+                        yield
+
+                conn.oracle.decision_window = a_session_arrives_inside
+                assert list(conn.resolve_in_doubt().values()) == ["commit"]
+                arrival.join(5.0)
+                assert late == [True]
 
     def test_background_resolver_settles_without_manual_sweeps(self):
         plan = FaultPlan(
@@ -257,6 +345,27 @@ class TestShardHealth:
                     lambda: conn.shard_health()[0]["healthy"],
                     message="first successful heartbeat restoring health",
                 )
+                session = conn.session()
+                session.begin("revived")
+                session.rollback()
+                session.close()
+
+    def test_stopping_heartbeats_ends_failfast(self):
+        """A verdict heartbeats can no longer revise is not enforced: a
+        shard demoted before ``stop_background`` serves again once it is
+        back, with no heartbeat to restore it."""
+        with Cluster(2, customers=8) as cluster:
+            with cluster.connect(
+                timeout=1.0, rpc_deadline=0.3, unhealthy_after=2
+            ) as conn:
+                conn.start_heartbeats(interval=0.05, deadline=0.3)
+                cluster.crash_shard(0)
+                wait_until(
+                    lambda: not conn.shard_health()[0]["healthy"],
+                    message="heartbeats demoting the crashed shard",
+                )
+                conn.stop_background()
+                cluster.restart_shard(0)
                 session = conn.session()
                 session.begin("revived")
                 session.rollback()

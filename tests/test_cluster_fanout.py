@@ -158,13 +158,14 @@ class TestScatterGather:
 
     def test_abandoned_request_never_reaches_the_pool(self, cluster):
         with cluster.connect() as conn:
-            a, _b = self._branches(conn)
+            a, b = self._branches(conn)
             wire = a._wire
             a.start_begin_now("t")  # sent; nobody reads the reply
             assert wire.awaiting_reply
             with pytest.raises(ConnectionClosed):
                 wire.send("PING", {})  # would be answered by the BEGIN's reply
             a.close()
+            b.close()
             assert wire.broken and conn.shards[0]._idle == []
             # ... and a started-then-released wire is closed, not pooled.
             c = conn.shards[0].session()
@@ -183,7 +184,7 @@ class TestScatterGather:
             try:
                 started = time.perf_counter()
                 with pytest.raises(ConnectionClosed):
-                    shard._call_once("PING", _deadline=0.05, _attempts=1)
+                    shard.start_ping(0.05)()
                 assert time.perf_counter() - started < 0.4
             finally:
                 cluster.shards[0].install_faults(None)

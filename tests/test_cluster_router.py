@@ -17,6 +17,7 @@ import pytest
 import repro
 from repro.cluster import Cluster, ClusterConnection
 from repro.errors import IntegrityError, SerializationFailure, SqlError
+from repro.net.client import NetworkSession
 from repro.smallbank import (
     PopulationConfig,
     build_database,
@@ -333,18 +334,28 @@ def _per_shard_total(cluster):
 
 
 class TestSnapshotWindow:
-    def test_per_shard_snapshots_admit_a_fractured_read(self):
+    def test_per_shard_snapshots_admit_a_fractured_read(self, monkeypatch):
         """Why cluster-begin cannot skip the snapshot window: a reader
         whose per-shard snapshots open *between* the two decision
         deliveries sees half the transfer — shard 0's new value next to
         shard 1's old one."""
         with Cluster(2, customers=4) as cluster:
-            observed = []
+            observed, landed = [], []
+            start = NetworkSession.start_commit_2pc
 
-            def hook(gtid, index):
+            def hold_the_second_delivery(self, gtid):
+                if not landed:
+                    # The first delivery is sent and read right here, so
+                    # its shard has committed before the second is sent.
+                    landed.append(start(self, gtid)())
+                    return lambda: landed[0]
                 observed.append(_per_shard_total(cluster))
+                return start(self, gtid)
 
-            with cluster.connect(decision_hook=hook) as conn:
+            monkeypatch.setattr(
+                NetworkSession, "start_commit_2pc", hold_the_second_delivery
+            )
+            with cluster.connect() as conn:
                 before = _observed_total(conn)
                 assert _per_shard_total(cluster) == before
                 _transfer(conn, 10.0)

@@ -359,7 +359,7 @@ def dispatches(server):
 
 class TestJoiningCall:
     """A CALL joining the bare BEGIN the cluster router sends inside its
-    snapshot window (``begin_now``) is attempted on the loop thread like
+    snapshot window (``start_begin_now``) is attempted on the loop thread like
     one that begins its own transaction; blocked, the transaction is
     restarted *at its snapshot* and the program re-run after the park.
     Once the transaction has touched anything, a blocked joining CALL is
@@ -402,7 +402,7 @@ class TestJoiningCall:
         before = snapshot(conn)["Checking"][1]["Balance"]
         session = conn.session()
         try:
-            session.begin_now("joined")
+            session.start_begin_now("joined")()
             handed = dispatches(server)
             session.call_program(
                 program_of("base-si", DEPOSIT_CHECKING),
@@ -422,7 +422,7 @@ class TestJoiningCall:
         before = snapshot(conn)
         session = conn.session()
         try:
-            session.begin_now("joined")
+            session.start_begin_now("joined")()
             _result, raised, handed = self._blocked(
                 server,
                 session,
@@ -460,7 +460,7 @@ class TestJoiningCall:
 
         session = conn.session()
         try:
-            session.begin_now("joined")
+            session.start_begin_now("joined")()
             for _ in range(2):
                 run(conn, "base-si", TRANSACT_SAVING, {"N": customer_name(3), "V": 100.0})
             # total < V <= total + 200: overdrawn at the old snapshot only.
@@ -490,7 +490,7 @@ class TestJoiningCall:
         start = snapshot(conn)
         session = conn.session()
         try:
-            session.begin_now("joined")
+            session.start_begin_now("joined")()
             run(conn, "base-si", DEPOSIT_CHECKING, {"N": customer_name(3), "V": 5.0})
             _result, raised, handed = self._blocked(
                 server,
@@ -555,7 +555,7 @@ class TestJoiningCall:
         holder.begin("holder")
         assert holder.select_for_update("Checking", 1) is not None
         try:
-            for begin in (lambda s: None, lambda s: s.begin_now("joined")):
+            for begin in (lambda s: None, lambda s: s.start_begin_now("joined")()):
                 session = conn.session()
                 try:
                     begin(session)
