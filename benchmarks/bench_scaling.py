@@ -25,6 +25,10 @@ removed the *engine's own* serialization and convoy overhead):
   UPDATE`` form, a key ``UPDATE``, an empty ``begin`` + ``commit`` and a
   whole Balance (counts gated by the same file).
 
+* **Draw** — the same two figures for the driver's pick of each
+  request's program, ``TransactionMix.choose`` on the ``balance60`` mix
+  (count gated by the same file).
+
 * **Layer budget** — the calls of each SmallBank program by ``repro``
   layer on ``local://``, ``tcp://`` and ``cluster://`` at 1 and 2 shards
   (totals gated by the same file).  Every count is ``count_calls``'s.
@@ -55,6 +59,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import itertools
+import random
 import statistics
 import threading
 import time
@@ -86,6 +91,7 @@ from repro.smallbank.transactions import (
     SmallBankTransactions,
 )
 from repro.workload.driver import ThreadedDriver, ThreadedDriverConfig
+from repro.workload.mix import BALANCE60_MIX
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BENCH_JSON = REPO_ROOT / "BENCH_engine.json"
@@ -285,6 +291,13 @@ def statement_path_shapes() -> "dict[str, Callable[[], None]]":
     }
 
 
+def draw_shapes() -> "dict[str, Callable[[], None]]":
+    """One program drawn by the ``balance60`` mix, as every driver draws
+    each request's program."""
+    rng = random.Random(1)
+    return {"choose": lambda: BALANCE60_MIX.choose(rng)}
+
+
 def shape_calls(shapes: "dict[str, Callable[[], None]]") -> "dict[str, int]":
     """Python-level calls per shape, after one unmeasured run."""
     counts = {}
@@ -318,12 +331,13 @@ def measure_write_path() -> dict:
     }
 
 
-def measure_statement_path() -> dict:
-    """The ``statement_path`` block of a run record: microseconds and
-    calls per statement shape (:func:`statement_path_shapes`)."""
+def measure_per_op(shapes: "Callable[[], dict[str, Callable[[], None]]]") -> dict:
+    """The ``statement_path`` (:func:`statement_path_shapes`) or ``draw``
+    (:func:`draw_shapes`) block of a run record: microseconds and calls
+    per operation."""
     return {
-        "us_per_op": shape_micros(statement_path_shapes()),
-        "python_calls_per_op": shape_calls(statement_path_shapes()),
+        "us_per_op": shape_micros(shapes()),
+        "python_calls_per_op": shape_calls(shapes()),
     }
 
 
@@ -552,11 +566,12 @@ def main(argv: "list[str] | None" = None) -> int:
     for name, micros in write_path["us_per_txn"].items():
         calls = write_path["python_calls_per_txn"][name]
         print(f"  {name:<8} {micros:7.2f} us  {calls:3d} Python-level calls")
-    statement_path = measure_statement_path()
-    print("== Statement path (one thread, per operation; recorded, not gated) ==")
-    for name, micros in statement_path["us_per_op"].items():
-        calls = statement_path["python_calls_per_op"][name]
-        print(f"  {name:<14} {micros:7.2f} us  {calls:3d} Python-level calls")
+    statement_path, draw = measure_per_op(statement_path_shapes), measure_per_op(draw_shapes)
+    for title, block in (("Statement path", statement_path), ("Draw", draw)):
+        print(f"== {title} (one thread, per operation; recorded, not gated) ==")
+        for name, micros in block["us_per_op"].items():
+            calls = block["python_calls_per_op"][name]
+            print(f"  {name:<14} {micros:7.2f} us  {calls:3d} Python-level calls")
     budget = layer_budget()
     print("== Python-level calls per program, by URL (recorded, not gated) ==")
     print(f"  {'':<16}" + "".join(f"{url:>10}" for url in LAYER_URLS))
@@ -589,6 +604,7 @@ def main(argv: "list[str] | None" = None) -> int:
                 "ssi_over_si_readonly": ssi_over_si,
                 "write_path": write_path,
                 "statement_path": statement_path,
+                "draw": draw,
                 "layer_budget": budget,
             }
         )

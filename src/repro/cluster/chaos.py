@@ -383,7 +383,10 @@ def run_chaos(config: ChaosConfig = ChaosConfig(), *, obs=None) -> ChaosResult:
                 thread.join(timeout=30.0)
                 if thread.is_alive():
                     failures.append(f"{thread.name}: still running after its join")
-            # --- recovery to a fixed point ----------------------------
+            # --- recovery to a fixed point, with no fault armed -------
+            # (a dropped STATS reply would cost the check an RPC deadline)
+            cluster.install_faults(None)
+            connection.install_faults(None)
             cluster.recover_crashed()  # controller normally restarts all
             deadline = time.monotonic() + 10.0
             while True:
@@ -395,7 +398,6 @@ def run_chaos(config: ChaosConfig = ChaosConfig(), *, obs=None) -> ChaosResult:
             router_counters = connection.counters()
         finally:
             connection.close()
-        cluster.install_faults(None)
         final_money = cluster.total_money()
         report = merge_shard_histories(cluster.histories())
         distributed = sum(

@@ -121,7 +121,7 @@ class ClusterSession(RemoteVerbs):
             )
         self._stamp(label)
         self._in_txn = True
-        branches = [self._open(s) for s in range(len(self._cluster.shards))]
+        branches = self._open_in_order(range(len(self._cluster.shards)))
         with self._cluster.oracle.snapshot_window():
             self._begin_together(branches)
 
@@ -157,6 +157,21 @@ class ClusterSession(RemoteVerbs):
         branch = self._cluster.shards[shard].session()
         self._branches[shard] = branch
         return branch
+
+    def _open_in_order(self, shards: "Sequence[int]") -> "list[NetworkSession]":
+        """:meth:`_open` every shard of ``shards``, in ascending shard order,
+        and return the branches in the order given.
+
+        Whatever holds wires on more than one shard takes them in
+        ascending shard order, so no two holders can each wait for the
+        other's: this method for a transaction's branches, and
+        :meth:`ClusterConnection._sweep` and
+        :meth:`ClusterConnection.resolve_in_doubt`'s per-shard sessions
+        by walking :attr:`ClusterConnection.shards` in order.
+        """
+        for shard in sorted(shards):
+            self._open(shard)
+        return [self._branches[shard] for shard in shards]
 
     def _branch(self, shard: int) -> NetworkSession:
         """``shard``'s branch of the open transaction (:meth:`begin`
@@ -277,9 +292,8 @@ class ClusterSession(RemoteVerbs):
         prepared: "list[NetworkSession]" = []
         coordinator.track(gtid)
         try:
-            branch_a, branch_b = (
-                self._open(self._shard_for(ACCOUNT, args[part.route[0]]))
-                for part in parts
+            branch_a, branch_b = self._open_in_order(
+                [self._shard_for(ACCOUNT, args[part.route[0]]) for part in parts]
             )
             with cluster.oracle.snapshot_window():
                 try:

@@ -10,8 +10,11 @@ uniformly outside it.
 
 from __future__ import annotations
 
+import math
 import random
+from bisect import bisect
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Mapping
 
 from repro.smallbank.programs import (
@@ -27,7 +30,7 @@ from repro.smallbank.schema import customer_name
 
 @dataclass(frozen=True)
 class TransactionMix:
-    """Relative weights of the five programs."""
+    """Relative weights of the five programs, read once at construction."""
 
     name: str
     weights: Mapping[str, float]
@@ -38,11 +41,23 @@ class TransactionMix:
             raise ValueError(f"unknown programs in mix: {sorted(unknown)}")
         if not self.weights or min(self.weights.values()) < 0:
             raise ValueError("mix weights must be non-negative and non-empty")
+        # The table ``random.choices(programs, weights=...)`` builds on
+        # every call, built once, and refused here as it refuses it there.
+        cumulative = list(accumulate(self.weights.values()))
+        total = cumulative[-1] + 0.0
+        if total <= 0.0:
+            raise ValueError("Total of weights must be greater than zero")
+        if not math.isfinite(total):
+            raise ValueError("Total of weights must be finite")
+        table = (tuple(self.weights), cumulative, total, len(cumulative) - 1)
+        object.__setattr__(self, "_table", table)
 
     def choose(self, rng: random.Random) -> str:
-        programs = list(self.weights)
-        weights = [self.weights[p] for p in programs]
-        return rng.choices(programs, weights=weights, k=1)[0]
+        """The program ``rng.choices(programs, weights=...)[0]`` draws, from
+        the same one ``rng.random()``: the paper figures and the simulator's
+        goldens depend on that stream."""
+        programs, cumulative, total, hi = self._table
+        return programs[bisect(cumulative, rng.random() * total, 0, hi)]
 
 
 UNIFORM_MIX = TransactionMix(

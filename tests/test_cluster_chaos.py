@@ -21,6 +21,7 @@ import pytest
 
 from repro.cluster import Cluster
 from repro.cluster.chaos import ChaosConfig, build_fault_plan, run_chaos
+from repro.cluster.router import ClusterSession
 from repro.engine import Database, EngineConfig, Session
 from repro.errors import (
     ConnectionClosed,
@@ -275,6 +276,46 @@ class TestCoordinatorCrash:
                 assert list(conn.resolve_in_doubt().values()) == ["commit"]
                 arrival.join(5.0)
                 assert late == [True]
+
+    def test_a_split_program_and_a_sweep_take_wires_in_one_order(self):
+        """With one wire per shard, a cross-shard Amalgamate whose first
+        part lives on shard 1 and a STATS sweep (shard 0, then shard 1)
+        must not each hold the wire the other waits for: the program
+        checks its branches out in ascending shard order, as the sweep
+        does, whatever order its parts run in."""
+        txns = get_strategy("base-si").transactions()
+        with Cluster(2, customers=4) as cluster:
+            with cluster.connect(pool_size=1, timeout=1.0) as conn:
+                assert [conn.partitioner.shard_for_customer(c) for c in (1, 2)] == [1, 0]
+                swept, asked = [], [threading.Event() for _ in conn.shards]
+                sweep = threading.Thread(target=lambda: swept.append(conn.stats()))
+                for index, shard in enumerate(conn.shards):
+
+                    def acquire(index=index, inner=shard._acquire):
+                        if threading.current_thread() is sweep:
+                            asked[index].set()
+                        return inner()
+
+                    shard._acquire = acquire
+                open_branch, opened = ClusterSession._open, []
+
+                def open_then_wedge(session, shard):
+                    branch = open_branch(session, shard)
+                    if not opened:  # the program's first checkout
+                        opened.append(shard)
+                        sweep.start()
+                        assert asked[shard].wait(5.0)  # the sweep wants it too
+                    return branch
+
+                session = conn.session()
+                session._open = open_then_wedge.__get__(session)
+                try:
+                    txns.run(session, "Amalgamate", {"N1": customer_name(1), "N2": customer_name(2)})
+                finally:
+                    session.close()
+                sweep.join(10.0)
+                assert opened == [0]
+                assert [s["backend"] for s in swept[0]["shard_stats"]] == ["network"] * 2
 
     def test_background_resolver_settles_without_manual_sweeps(self):
         plan = FaultPlan(

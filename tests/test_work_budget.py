@@ -16,6 +16,7 @@ import pytest
 from benchmarks.bench_net import ping_calls
 from benchmarks.bench_scaling import (
     LAYER_URLS,
+    draw_shapes,
     layer_budget,
     shape_calls,
     statement_path_shapes,
@@ -54,6 +55,8 @@ BUDGETS = {
         "begin_commit": 12,  # session.begin() + session.commit(), nothing between
         "balance": 42,  # SmallBankTransactions.run(session, "Balance", ...)
     },
+    # TransactionMix.choose: its own frame, the draw and bisection in C; 1 today.
+    "draw": {"choose": 1},
     # session() + PING + close() on a pooled wire, client and server loop apart; 14 / 11 today.
     "ping": {"client": 16, "server": 11},
     # One simulated charge; 2 / 2 / 3 today.
@@ -113,6 +116,8 @@ def measured(group: str) -> "dict[str, int]":
         }
     if group == "statement":
         return shape_calls(statement_path_shapes())
+    if group == "draw":
+        return shape_calls(draw_shapes())
     return ping_calls() if group == "ping" else charge_path_calls()
 
 

@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.engine import EngineConfig
 from repro.smallbank import PROGRAM_NAMES, PopulationConfig, build_database
 from repro.smallbank.strategies import get_strategy
 from repro.workload import (
     BALANCE60_MIX,
+    MIXES,
     UNIFORM_MIX,
     HotspotConfig,
     ParameterGenerator,
@@ -45,6 +49,63 @@ class TestMix:
             TransactionMix("bad", {"NotAProgram": 1.0})
         with pytest.raises(ValueError):
             TransactionMix("bad", {})
+
+
+#: Weight maps over any non-empty subset of the programs, in any order,
+#: zero weights included (a map whose weights are all zero is refused).
+weight_maps = st.lists(
+    st.tuples(
+        st.sampled_from(PROGRAM_NAMES),
+        st.one_of(
+            st.just(0.0),
+            st.integers(min_value=0, max_value=100),
+            st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
+        ),
+    ),
+    min_size=1,
+    max_size=len(PROGRAM_NAMES),
+    unique_by=lambda item: item[0],
+).map(dict)
+
+
+def assert_draws_like_choices(mix, seed, draws=50):
+    """``mix.choose`` takes the program ``random.choices`` takes, from the
+    same state, and leaves the generator where ``random.choices`` does."""
+    ours, theirs = random.Random(seed), random.Random(seed)
+    programs = list(mix.weights)
+    weights = [mix.weights[p] for p in programs]
+    for _ in range(draws):
+        assert mix.choose(ours) == theirs.choices(programs, weights=weights)[0]
+    assert ours.getstate() == theirs.getstate()
+
+
+class TestDrawStream:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32), name=st.sampled_from(sorted(MIXES)))
+    def test_registered_mixes_draw_what_choices_draws(self, seed, name):
+        assert_draws_like_choices(MIXES[name], seed)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32), weights=weight_maps)
+    def test_any_weights_draw_what_choices_draws(self, seed, weights):
+        assume(sum(weights.values()) > 0)
+        assert_draws_like_choices(TransactionMix("generated", weights), seed)
+
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            {"Balance": 0.0},
+            {"Balance": 0.0, "WriteCheck": 0},
+            {"Balance": math.inf},
+            {"Balance": 1.0, "WriteCheck": math.nan},
+        ],
+    )
+    def test_a_total_choices_refuses_is_refused_at_construction(self, weights):
+        with pytest.raises(ValueError) as choices_error:
+            random.Random(1).choices(list(weights), weights=list(weights.values()))
+        with pytest.raises(ValueError) as mix_error:
+            TransactionMix("refused", weights)
+        assert str(mix_error.value) == str(choices_error.value)
 
 
 class TestHotspot:
