@@ -1,4 +1,4 @@
-"""Dynamic serializability analysis: MVSG checking and exploration.
+"""Dynamic serializability analysis: MVSG certification and exploration.
 
 Check any workload after the fact::
 
@@ -21,14 +21,11 @@ Or model-check a small scenario exhaustively::
 """
 
 from repro.analysis.checker import (
+    GlobalTransaction,
     SerializabilityChecker,
     SerializabilityReport,
     check_history,
     classify_cycle,
-)
-from repro.analysis.distributed import (
-    DistributedReport,
-    GlobalTransaction,
     global_id,
     merge_shard_histories,
     split_label,
@@ -68,7 +65,6 @@ __all__ = [
     "CommittedTransaction",
     "Cycle",
     "DependencyEdge",
-    "DistributedReport",
     "ExecutionRecorder",
     "ExplorationSummary",
     "GlobalTransaction",

@@ -202,7 +202,6 @@ class InterleavingExplorer:
         programs: Sequence[ScriptedProgram],
         *,
         max_schedules: int = 20_000,
-        phantom_edges: bool = False,
         gate_kinds: frozenset[str] = DEFAULT_GATE_KINDS,
     ) -> None:
         if not programs:
@@ -210,7 +209,6 @@ class InterleavingExplorer:
         self.make_db = make_db
         self.programs = tuple(programs)
         self.max_schedules = max_schedules
-        self.phantom_edges = phantom_edges
         self.gate_kinds = frozenset(gate_kinds)
 
     # ------------------------------------------------------------------
@@ -257,13 +255,10 @@ class InterleavingExplorer:
         taken, decision_points = controller.drive(choices)
         for thread in threads:
             thread.join(timeout=30)
-        report = check_history(
-            list(recorder.committed), phantom_edges=self.phantom_edges
-        )
         return ScheduleOutcome(
             choices=tuple(taken),
             decision_points=tuple(decision_points),
-            report=report,
+            report=check_history(recorder.committed),
             aborted_labels=tuple(sorted(aborted)),
         )
 

@@ -30,8 +30,8 @@ from repro.engine.locks import RowId
 class DependencyEdge:
     """One dependency between committed transactions."""
 
-    source: int
-    target: int
+    source: Hashable  # a txid, or a global id in the merged graph
+    target: Hashable
     kind: str  # "wr" | "ww" | "rw" | "predicate-rw"
     item: Optional[RowId] = None
 
@@ -47,10 +47,6 @@ class Cycle:
     edges: tuple[DependencyEdge, ...]
 
     @property
-    def transactions(self) -> tuple[int, ...]:
-        return tuple(edge.source for edge in self.edges)
-
-    @property
     def kinds(self) -> tuple[str, ...]:
         return tuple(edge.kind for edge in self.edges)
 
@@ -60,25 +56,18 @@ class Cycle:
 
 def find_cycle_in(
     adjacency: "Mapping[Hashable, Sequence[DependencyEdge]]",
-    roots: "Optional[Sequence[Hashable]]" = None,
+    roots: "Sequence[Hashable]",
 ) -> Optional[Cycle]:
     """A cycle witness in an arbitrary dependency adjacency, or ``None``.
 
-    Shared by the per-history graph below (integer txids) and the
-    cluster-wide global graph (string global transaction ids) — node ids
-    only need to be hashable.  ``roots`` fixes the DFS start order (the
-    per-history graph passes its txids in numeric order so witnesses stay
-    deterministic); by default every node reachable in ``adjacency`` is a
-    root, in ``repr`` order.
+    Shared by the per-shard graph below (integer txids) and the
+    certifier's merged graph (string global transaction ids) — node ids
+    only need to be hashable.  ``roots`` lists every node, in the DFS
+    start order that keeps witnesses deterministic.
 
     Iterative DFS with colouring; reconstructs the edge sequence of the
     first back-edge found.
     """
-    if roots is None:
-        nodes = set(adjacency)
-        for edges in adjacency.values():
-            nodes.update(edge.target for edge in edges)
-        roots = sorted(nodes, key=repr)
     WHITE, GREY, BLACK = 0, 1, 2
     colour = {node: WHITE for node in roots}
     for root in roots:
@@ -203,35 +192,6 @@ class MultiVersionSerializationGraph:
         return best.txid if best is not None else None
 
     # ------------------------------------------------------------------
-    def successors(self, txid: int) -> tuple[DependencyEdge, ...]:
-        return tuple(self._adjacency.get(txid, ()))
-
     def find_cycle(self) -> Optional[Cycle]:
         """A cycle witness, or None when the history is serializable."""
         return find_cycle_in(self._adjacency, roots=sorted(self.transactions))
-
-    @property
-    def is_serializable(self) -> bool:
-        return self.find_cycle() is None
-
-    def topological_commit_order(self) -> Optional[tuple[int, ...]]:
-        """An equivalent serial order (by Kahn's algorithm), or None."""
-        indegree: dict[int, int] = {txid: 0 for txid in self.transactions}
-        for edge in self.edges:
-            indegree[edge.target] += 1
-        ready = sorted(
-            (txid for txid, degree in indegree.items() if degree == 0),
-            key=lambda t: self.transactions[t].commit_ts,
-        )
-        order: list[int] = []
-        while ready:
-            node = ready.pop(0)
-            order.append(node)
-            for edge in self._adjacency.get(node, ()):
-                indegree[edge.target] -= 1
-                if indegree[edge.target] == 0:
-                    ready.append(edge.target)
-            ready.sort(key=lambda t: self.transactions[t].commit_ts)
-        if len(order) != len(self.transactions):
-            return None
-        return tuple(order)

@@ -20,17 +20,18 @@ Quickstart::
 
 ``--smoke`` instead runs a short self-contained workload (all five
 SmallBank programs at MPL 4) against the cluster, certifies the merged
-global trace, and exits non-zero if it is not serializable under the
-requested strategy — the CI cluster smoke job.
+global trace, and exits non-zero unless it is SI, and serializable
+too unless ``--strategy`` is the plain-SI baseline ``base-si`` — the CI
+cluster smoke job.
 
 ``--chaos-smoke`` runs the seeded distributed chaos soak
 (:mod:`repro.cluster.chaos`) once per ``--seed``: network faults, a
 shard kill/restart and coordinator crashes over ``--shards`` (≥ 2) at
 MPL 8 unless ``--mpl`` says otherwise, then recovery to a fixed point.
-Exits non-zero unless every soak ends with the merged MVSG acyclic, the
-ledger exactly conserved and zero transactions in doubt.  Appends one
-record per seed to the ``BENCH_chaos_cluster.json`` trajectory
-(``--out`` overrides).  The multi-seed soak::
+Exits non-zero unless every soak ends with the merged history certified
+as for ``--smoke``, the ledger exactly conserved and zero transactions
+in doubt.  Appends one record per seed to the ``BENCH_chaos_cluster.json``
+trajectory (``--out`` overrides).  The multi-seed soak::
 
     PYTHONPATH=src python -m repro.cluster --chaos-smoke \
         --seed 11 17 23 --duration 4 --customers 40
@@ -92,6 +93,7 @@ def _smoke(
                 "commits": stats.total_commits,
                 "aborts": stats.abort_count(),
                 "serializable": report.serializable,
+                "snapshot_isolated": report.snapshot_isolated,
                 "strategy": strategy_key,
                 **counters,
             },
@@ -99,7 +101,7 @@ def _smoke(
         ),
         flush=True,
     )
-    return 0 if report.serializable else 1
+    return 0 if strategy.certifies(report) else 1
 
 
 def _chaos_smoke(args) -> int:

@@ -13,7 +13,9 @@ crashed shard restarted, every in-doubt or orphaned-prepared gtid
 settled through the coordinator's decision log — and then certifies:
 
 * **zero in-doubt transactions** remain anywhere;
-* the **merged MVSG is acyclic** (cluster-serializable) over the
+* the **merged history is SI**, and serializable unless the strategy is
+  the plain-SI baseline
+  (:meth:`~repro.smallbank.strategies.Strategy.certifies`), over the
   durable per-shard histories, salvaged across crashes by
   :meth:`~repro.cluster.fleet.Cluster.crash_shard`;
 * the **ledger is exactly conserved**: final balance sum equals the
@@ -85,6 +87,7 @@ class ChaosResult:
 
     config: ChaosConfig
     serializable: bool
+    snapshot_isolated: bool
     ledger_conserved: bool
     initial_money: float
     final_money: float
@@ -106,10 +109,11 @@ class ChaosResult:
 
     @property
     def ok(self) -> bool:
-        """The CI gate: serializable, conserved, nothing left in doubt,
-        no shard process left behind, every storm thread ended cleanly."""
+        """The CI gate: the strategy's certificate holds, the ledger is
+        conserved, nothing is left in doubt, no shard process is left
+        behind, every storm thread ended cleanly."""
         return (
-            self.serializable
+            get_strategy(self.config.strategy).certifies(self)
             and self.ledger_conserved
             and self.in_doubt_after_recovery == 0
             and self.orphan_processes == 0
@@ -120,6 +124,7 @@ class ChaosResult:
         plan = build_fault_plan(self.config)
         checks = {
             "serializable": self.serializable,
+            "snapshot_isolated": self.snapshot_isolated,
             "ledger_conserved": self.ledger_conserved,
             "in_doubt_after_recovery": self.in_doubt_after_recovery,
         }
@@ -406,6 +411,7 @@ def run_chaos(config: ChaosConfig = ChaosConfig(), *, obs=None) -> ChaosResult:
         result = ChaosResult(
             config=config,
             serializable=report.serializable,
+            snapshot_isolated=report.snapshot_isolated,
             ledger_conserved=final_money == initial_money,
             initial_money=initial_money,
             final_money=final_money,

@@ -28,9 +28,9 @@ Because read events carry the commit timestamp of the version read and
 commit events the commit timestamp, a trace is sufficient to rebuild the
 :class:`~repro.analysis.recorder.CommittedTransaction` footprints the
 multi-version serialization graph needs —
-:meth:`TraceRecorder.committed_transactions` does exactly that, and
-:meth:`TraceRecorder.check_serializability` feeds them to the existing
-MVSG checker.  A trace dumped to JSONL and reloaded verifies the same way.
+:meth:`TraceRecorder.committed_transactions` does exactly that, ready for
+:func:`repro.analysis.check_history`.  A trace dumped to JSONL and
+reloaded verifies the same way.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Mapping, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle (analysis -> engine)
-    from repro.analysis.checker import SerializabilityReport
     from repro.analysis.recorder import CommittedTransaction
 
 #: Every event kind the engine, session layer and drivers emit.
@@ -191,8 +190,7 @@ class TraceRecorder:
         first read of a row wins — later re-reads see the same snapshot
         version under SI), writes in event order, begin/commit
         timestamps.  ``cc_writes`` and predicate reads are not traced, so
-        footprints built here support the item-level MVSG analysis
-        (``phantom_edges=False``).
+        footprints built here support the item-level MVSG analysis.
         """
         from repro.analysis.recorder import CommittedTransaction
 
@@ -239,9 +237,3 @@ class TraceRecorder:
                     )
                 )
         return committed
-
-    def check_serializability(self) -> "SerializabilityReport":
-        """Run the MVSG checker over the traced committed history."""
-        from repro.analysis.checker import check_history
-
-        return check_history(self.committed_transactions())

@@ -101,6 +101,14 @@ class Strategy:
     def is_baseline(self) -> bool:
         return self.transform is None
 
+    def certifies(self, verdicts) -> bool:
+        """Whether a run's certificate (anything with ``serializable`` and
+        ``snapshot_isolated``) holds what this strategy promises: SI
+        always, serializability too unless this is the plain-SI baseline."""
+        return verdicts.snapshot_isolated and (
+            verdicts.serializable or self.is_baseline
+        )
+
     @property
     def serializable_on_postgres(self) -> bool:
         """Does the strategy guarantee serializability on PostgreSQL?

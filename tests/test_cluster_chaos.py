@@ -19,6 +19,7 @@ import time
 
 import pytest
 
+from repro.analysis import merge_shard_histories
 from repro.cluster import Cluster
 from repro.cluster.chaos import ChaosConfig, build_fault_plan, run_chaos
 from repro.cluster.router import ClusterSession
@@ -242,6 +243,7 @@ class TestCoordinatorCrash:
                 assert len(commits) == 2 and len(readers) == 1
                 assert totals == [conserved]
                 assert _observed_total(conn) == conserved
+            assert merge_shard_histories(cluster.histories()).snapshot_isolated
 
     def test_redelivery_waits_for_no_wire_inside_the_window(self):
         """A session checks its wires out before it waits for a snapshot
@@ -523,6 +525,7 @@ class TestChaosSoak:
             assert key in record
         assert record["checks"] == {
             "serializable": True,
+            "snapshot_isolated": True,
             "ledger_conserved": True,
             "in_doubt_after_recovery": 0,
         }

@@ -20,14 +20,29 @@ import pytest
 
 from repro.analysis import (
     GlobalTransaction,
+    check_history,
     global_id,
     merge_shard_histories,
     split_label,
 )
 from repro.analysis.recorder import CommittedTransaction
 from repro.cluster import Cluster
-from repro.errors import TransactionAborted
+from repro.errors import AnalysisError, TransactionAborted
 from repro.smallbank import customer_name, get_strategy
+
+
+def _branch(txid, label, *, commit=5, reads=(), writes=()):
+    return CommittedTransaction(
+        txid=txid,
+        label=label,
+        start_ts=1,
+        snapshot_ts=1,
+        commit_ts=commit,
+        reads=tuple(reads),
+        writes=tuple(writes),
+        cc_writes=(),
+        predicate_reads=(),
+    )
 
 
 class TestLabelTagging:
@@ -40,29 +55,60 @@ class TestLabelTagging:
         assert split_label("odd#gX") == ("odd#gX", None)
         assert split_label("") == ("", None)
 
-    @staticmethod
-    def _txn(label):
-        return CommittedTransaction(
-            txid=3,
-            label=label,
-            start_ts=1,
-            snapshot_ts=1,
-            commit_ts=5,
-            reads=(),
-            writes=(),
-            cc_writes=(),
-            predicate_reads=(),
-        )
-
     def test_global_id_falls_back_to_a_per_shard_id(self):
-        assert global_id(0, self._txn("Bal#g9")) == "g9"
-        assert global_id(1, self._txn("Bal")) == "s1-t3"
+        assert global_id(0, _branch(3, "Bal#g9")) == "g9"
+        assert global_id(1, _branch(3, "Bal")) == "s1-t3"
 
     def test_merge_of_empty_histories_is_serializable(self):
         report = merge_shard_histories({0: (), 1: ()})
         assert report.serializable
         assert report.transactions == {}
         assert report.edges == ()
+
+
+
+class TestSnapshotIsolationVerdict:
+    def test_a_two_shard_fractured_read_is_not_si(self):
+        """Writer T has a branch on both shards; reader R sees T's version
+        on shard 0 and the version before it on shard 1 — half of T."""
+        x, y = ("Checking", 2), ("Checking", 1)
+        report = merge_shard_histories(
+            {
+                0: (
+                    _branch(1, "T#g1", commit=5, writes=(x,)),
+                    _branch(2, "R#g2", commit=6, reads=((x, 5),)),
+                ),
+                1: (
+                    _branch(1, "T#g1", commit=5, writes=(y,)),
+                    _branch(2, "R#g2", commit=6, reads=((y, 0),)),
+                ),
+            }
+        )
+        assert not report.serializable and report.cross_shard_only
+        assert not report.snapshot_isolated
+        assert sorted(report.si_cycle.kinds) == ["rw", "wr"]
+        assert {edge.source for edge in report.si_cycle.edges} == {"g1", "g2"}
+
+
+class TestDuplicateBranchRefusal:
+    def test_two_routers_leasing_one_gtid_are_refused(self):
+        """Each router's oracle starts at gtid_base=0, so both lease g1;
+        merging would fold the two writers into one transaction and drop
+        the ww edge between them."""
+        with Cluster(2, customers=4) as cluster:
+            for value in (1.0, 2.0):
+                with cluster.connect() as conn:
+                    with conn.transaction("Deposit") as txn:
+                        txn.update("Checking", 2, {"Balance": value})
+            with pytest.raises(
+                AnalysisError, match="shard 0 holds two branches of g1"
+            ):
+                merge_shard_histories(cluster.histories())
+
+    def test_a_repeated_txid_is_refused(self):
+        twice = (_branch(3, "Bal", commit=5), _branch(3, "Bal", commit=7))
+        with pytest.raises(AnalysisError, match="two branches of s0-t3"):
+            check_history(twice)
 
 
 def _run_write_skew(cluster, *, promote):

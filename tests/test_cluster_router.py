@@ -15,6 +15,7 @@ import time
 import pytest
 
 import repro
+from repro.analysis import merge_shard_histories
 from repro.cluster import Cluster, ClusterConnection
 from repro.errors import IntegrityError, SerializationFailure, SqlError
 from repro.net.client import NetworkSession
@@ -391,6 +392,42 @@ class TestSnapshotWindow:
                 assert conn.counters()["twopc_commits"] == 15
                 assert totals  # the reader did race the commits
                 assert set(totals) == {before}
+            assert merge_shard_histories(cluster.histories()).snapshot_isolated
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="ROADMAP item 16: the snapshot window orders snapshots "
+        "against decisions through one router only, so a second "
+        "router's reader sees half a transfer",
+    )
+    def test_a_second_router_never_sees_a_fractured_read(self, monkeypatch):
+        """The wedge of the per-shard test above, with the reader a
+        cluster transaction on a second router: its snapshot window is
+        its own, so nothing holds its begin back from the first router's
+        half-delivered decision."""
+        with Cluster(2, customers=4) as cluster:
+            with cluster.connect() as conn, cluster.connect(
+                gtid_base=10**6
+            ) as other:
+                observed, landed = [], []
+                start = NetworkSession.start_commit_2pc
+
+                def hold_the_second_delivery(self, gtid):
+                    if not landed:
+                        landed.append(start(self, gtid)())
+                        return lambda: landed[0]
+                    observed.append(_observed_total(other))
+                    return start(self, gtid)
+
+                before = _observed_total(conn)
+                monkeypatch.setattr(
+                    NetworkSession, "start_commit_2pc", hold_the_second_delivery
+                )
+                _transfer(conn, 10.0)
+            assert len(observed) == 1
+            assert merge_shard_histories(cluster.histories()).snapshot_isolated
+            assert observed == [before]
 
 
 class TestTwoPhaseAbort:

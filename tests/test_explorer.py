@@ -98,9 +98,13 @@ WC = ScriptedProgram("WriteCheck", write_check_body)
 
 
 def explore(config: EngineConfig, programs, max_schedules=20_000):
-    return InterleavingExplorer(
+    summary = InterleavingExplorer(
         make_db_factory(config), programs, max_schedules=max_schedules
     ).explore()
+    # Whatever an engine admits stays SI (Cerone & Gotsman): every
+    # non-serializable schedule is one of plain SI's own anomalies.
+    assert all(o.report.snapshot_isolated for o in summary.non_serializable)
+    return summary
 
 
 class TestExplorerMechanics:

@@ -12,7 +12,7 @@ class TestClassicHistories:
     def test_serial_history_is_serializable(self):
         report = check_history_text("r1(x) w1(x) c1 r2(x) w2(x) c2")
         assert report.serializable
-        assert report.serial_order == (1, 2)
+        assert report.serial_order == ("s0-t1", "s0-t2")
 
     def test_berenson_write_skew(self):
         """A5B from 'A Critique of ANSI SQL Isolation Levels' (1995)."""
@@ -59,6 +59,32 @@ class TestClassicHistories:
         )
         assert report.serializable
         assert report.committed_count == 1
+
+
+class TestSnapshotIsolationVerdict:
+    """Cerone & Gotsman: a history is SI iff every MVSG cycle has two
+    adjacent rw edges — plain SI's own anomalies pass, a lost update
+    does not."""
+
+    def test_lost_update_is_not_si(self):
+        report = check_history_text("r1(x) r2(x) w1(x) c1 w2(x) c2")
+        assert not report.snapshot_isolated
+        assert sorted(report.si_cycle.kinds) == ["rw", "ww"]
+        assert "NOT SI" in report.describe()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "r1(x) r1(y) r2(x) r2(y) w1(x) w2(y) c1 c2",
+            "r2(x) r2(y) r1(x) w1(x) c1 r3(x) r3(y) c3 w2(y) c2",
+        ],
+        ids=["berenson-write-skew", "fekete-oneil-read-only-anomaly"],
+    )
+    def test_si_anomalies_are_si_but_not_serializable(self, text):
+        report = check_history_text(text)
+        assert not report.serializable
+        assert report.snapshot_isolated and report.si_cycle is None
+        assert report.describe().endswith("; SI")
 
 
 class TestParsing:

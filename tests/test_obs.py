@@ -10,6 +10,7 @@ from collections import Counter
 import pytest
 
 from benchmarks.bench_scaling import check_metrics
+from repro.analysis import check_history
 from repro.engine import Database, EngineConfig
 from repro.obs import (
     EVENT_KINDS,
@@ -202,7 +203,7 @@ class TestTrace:
         recorder.emit("write", 2, "T2", at=0.2, row=("T", "y"))
         recorder.emit("commit", 1, "T1", at=0.3, commit_ts=1)
         recorder.emit("commit", 2, "T2", at=0.4, commit_ts=2)
-        report = recorder.check_serializability()
+        report = check_history(recorder.committed_transactions())
         assert not report.serializable
 
     def test_serial_trace_is_serializable(self) -> None:
@@ -213,7 +214,7 @@ class TestTrace:
         recorder.emit("begin", 2, "T2", at=0.3, snapshot_ts=1)
         recorder.emit("read", 2, "T2", at=0.4, row=("T", "x"), version_ts=1)
         recorder.emit("commit", 2, "T2", at=0.5, commit_ts=2)
-        report = recorder.check_serializability()
+        report = check_history(recorder.committed_transactions())
         assert report.serializable and report.committed_count == 2
 
     def test_own_write_reads_excluded_from_footprint(self) -> None:
@@ -446,7 +447,7 @@ def test_traced_threaded_run_certifies_from_jsonl(config, tmp_path) -> None:
     reloaded = TraceRecorder.load_jsonl(path)
     assert written == len(trace) == len(reloaded)
 
-    report = reloaded.check_serializability()
+    report = check_history(reloaded.committed_transactions())
     assert report.committed_count == commits
     assert report.serializable, report
 

@@ -101,11 +101,7 @@ def test_sequential_histories_are_serializable(workload):
         # transactions ran one at a time.
         assert list(report.serial_order) == sorted(
             report.serial_order,
-            key=lambda txid: next(
-                t.commit_ts
-                for t in recorder.committed
-                if t.txid == txid
-            ),
+            key=lambda gid: report.transactions[gid].branches[0][1].commit_ts,
         )
 
 
