@@ -29,6 +29,12 @@ removed the *engine's own* serialization and convoy overhead):
   request's program, ``TransactionMix.choose`` on the ``balance60`` mix
   (count gated by the same file).
 
+* **Hand-off** — one simulated baton pass (``repro.sim``, what every
+  figure runs on) on one pinned CPU: microseconds and kernel context
+  switches per pass in a ring of 2 and of 20 processes.  A pass is one
+  switch when the processes run under ``SCHED_BATCH``; the run exits
+  non-zero above :data:`MAX_SWITCHES_PER_PASS`.
+
 * **Layer budget** — the calls of each SmallBank program by ``repro``
   layer on ``local://``, ``tcp://`` and ``cluster://`` at 1 and 2 shards
   (totals gated by the same file).  Every count is ``count_calls``'s.
@@ -59,7 +65,9 @@ from __future__ import annotations
 import argparse
 import contextlib
 import itertools
+import os
 import random
+import resource
 import statistics
 import threading
 import time
@@ -73,6 +81,7 @@ from repro.engine import EngineConfig, Session
 from repro.engine.engine import Database
 from repro.net import DatabaseServer
 from repro.obs import Observability
+from repro.sim.core import Simulator
 from repro.smallbank import (
     AMALGAMATE,
     BALANCE,
@@ -342,6 +351,48 @@ def measure_per_op(shapes: "Callable[[], dict[str, Callable[[], None]]]") -> dic
 
 
 # ----------------------------------------------------------------------
+# Hand-off: one simulated baton pass
+# ----------------------------------------------------------------------
+#: Ceiling on kernel context switches per baton pass on one CPU.  Under
+#: ``SCHED_BATCH`` a pass reads 1.00-1.02; under the default policy 3.2-3.4
+#: (the woken thread preempts its waker, finds the GIL held and sleeps
+#: again: DESIGN.md §3).
+MAX_SWITCHES_PER_PASS = 1.2
+HANDOFF_PROCESSES = (2, 20)
+
+
+def handoff(processes: int, passes: int = 4000) -> dict:
+    """Microseconds and context switches (``ru_nvcsw + ru_nivcsw`` of the
+    whole process) per baton pass: a ring of ``processes`` simulated
+    processes, each calling ``sim.sleep(1e-6)`` ``passes // processes``
+    times, so every sleep hands the baton to the next thread.  The
+    calling thread, and so every process thread, is pinned to one
+    allowed CPU for the ring."""
+    sim, laps = Simulator(), passes // processes
+
+    def ring() -> None:
+        for _ in range(laps):
+            sim.sleep(1e-6)
+
+    affinity = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(affinity)})
+    try:
+        for _ in range(processes):
+            sim.spawn(ring)
+        before, started = resource.getrusage(resource.RUSAGE_SELF), time.perf_counter()
+        sim.run_for(1.0)
+        wall, after = time.perf_counter() - started, resource.getrusage(resource.RUSAGE_SELF)
+        sim.shutdown()
+    finally:
+        os.sched_setaffinity(0, affinity)
+    switches = after.ru_nvcsw + after.ru_nivcsw - before.ru_nvcsw - before.ru_nivcsw
+    return {
+        "us_per_pass": round(wall / (laps * processes) * 1e6, 2),
+        "switches_per_pass": round(switches / (laps * processes), 3),
+    }
+
+
+# ----------------------------------------------------------------------
 # Layer budget: one SmallBank program on every URL, by layer
 # ----------------------------------------------------------------------
 #: ``layer_budget``'s URLs and the shards behind each (``None``: ``local://``).
@@ -572,6 +623,11 @@ def main(argv: "list[str] | None" = None) -> int:
         for name, micros in block["us_per_op"].items():
             calls = block["python_calls_per_op"][name]
             print(f"  {name:<14} {micros:7.2f} us  {calls:3d} Python-level calls")
+    handoffs = {str(n): handoff(n) for n in HANDOFF_PROCESSES}
+    print("== Hand-off (one simulated baton pass, one pinned CPU) ==")
+    for n, point in handoffs.items():
+        print(f"  {n:>2} processes {point['us_per_pass']:7.2f} us  "
+              f"{point['switches_per_pass']:5.3f} context switches")
     budget = layer_budget()
     print("== Python-level calls per program, by URL (recorded, not gated) ==")
     print(f"  {'':<16}" + "".join(f"{url:>10}" for url in LAYER_URLS))
@@ -590,6 +646,12 @@ def main(argv: "list[str] | None" = None) -> int:
     for failure in metric_failures:
         print(f"FAIL: {failure}")
         failures += 1
+    for n, point in handoffs.items():
+        if point["switches_per_pass"] > MAX_SWITCHES_PER_PASS:
+            print(f"FAIL: a baton pass among {n} processes took "
+                  f"{point['switches_per_pass']} context switches "
+                  f"(ceiling {MAX_SWITCHES_PER_PASS})")
+            failures += 1
 
     if not args.no_json:
         append_bench_record(
@@ -605,6 +667,7 @@ def main(argv: "list[str] | None" = None) -> int:
                 "write_path": write_path,
                 "statement_path": statement_path,
                 "draw": draw,
+                "handoff": handoffs,
                 "layer_budget": budget,
             }
         )

@@ -15,9 +15,15 @@ or finishing process, or the main thread inside :meth:`run_until` — pops
 the heap itself and runs scheduler-context actions inline until an event
 activates a process.  If that process is the caller it simply returns (no
 thread switch); otherwise it releases the target's latch and parks on its
-own (one switch; a latch is a plain lock used as a binary semaphore).  The
-main thread gets the baton back when the heap is empty, the next event is
-past the deadline, or something raised (re-raised from :meth:`run_until`).
+own (a latch is a plain lock used as a binary semaphore).  The release
+wakes the target while the releaser still holds the GIL, so a target that
+preempts its waker finds the GIL taken and sleeps again: on one CPU a pass
+cost 3.26 context switches.  Process threads therefore run under Linux
+``SCHED_BATCH``, which does not preempt the waker: it runs on to its own
+latch wait and drops the GIL first, and a pass is one switch (1.02 on one
+CPU; ~1.0 across two CPUs, as before).  The main thread gets the baton
+back when the heap is empty, the next event is past the deadline, or
+something raised (re-raised from :meth:`run_until`).
 
 Public surface:
 
@@ -33,6 +39,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import os
 import threading
 from typing import Callable, Optional
 
@@ -99,6 +106,10 @@ class Simulator:
         self._processes.append(process)
 
         def body() -> None:
+            try:  # a batch thread does not preempt its waker: see module doc
+                os.sched_setscheduler(0, os.SCHED_BATCH, os.sched_param(0))
+            except (AttributeError, OSError):
+                pass
             process.latch.acquire()  # wait for first activation
             try:
                 if self.stopping:

@@ -2,11 +2,33 @@
 
 from __future__ import annotations
 
+import os
 import threading
+from typing import Optional
 
 import pytest
 
+from benchmarks.bench_scaling import MAX_SWITCHES_PER_PASS, handoff
 from repro.sim.core import SimDeadlock, SimEvent, Simulator
+
+
+def batch_refusal() -> Optional[str]:
+    """Why a thread here cannot be put under ``SCHED_BATCH``; ``None``
+    when it can (probed on a throwaway thread)."""
+    if not hasattr(os, "SCHED_BATCH"):
+        return "os.SCHED_BATCH is absent on this platform"
+    refusals: list[str] = []
+
+    def probe() -> None:
+        try:
+            os.sched_setscheduler(0, os.SCHED_BATCH, os.sched_param(0))
+        except OSError as exc:
+            refusals.append(f"sched_setscheduler(SCHED_BATCH) refused: {exc}")
+
+    thread = threading.Thread(target=probe)
+    thread.start()
+    thread.join()
+    return refusals[0] if refusals else None
 
 
 class TestScheduling:
@@ -222,6 +244,16 @@ class TestBaton:
         sim.spawn(lambda: None)
         sim.shutdown()
         assert threading.active_count() == started
+
+    def test_a_pass_is_one_context_switch_on_one_cpu(self):
+        """A ring of 20 processes x 200 sleeps, pinned to one CPU.  Under
+        the default policy the woken thread preempts its waker, finds the
+        GIL held and sleeps again: 3.4 switches per pass."""
+        refusal = batch_refusal()
+        if refusal:
+            pytest.skip(refusal)
+        point = handoff(20)
+        assert point["switches_per_pass"] <= MAX_SWITCHES_PER_PASS, point
 
     def test_scheduler_context_refuses_process_primitives(self):
         sim = Simulator()

@@ -10,6 +10,8 @@ baton-passing hand-off replaced the scheduler thread; any change to
 
 from __future__ import annotations
 
+import errno
+import os
 import sys
 
 import pytest
@@ -90,3 +92,28 @@ def test_outcome_is_independent_of_thread_switch_timing():
         assert outcome(config, keywords) == expected
     finally:
         sys.setswitchinterval(interval)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no sched_getaffinity")
+def test_the_caller_keeps_its_scheduling_policy_and_affinity():
+    """Only the simulator's own process threads go under ``SCHED_BATCH``."""
+    before = os.sched_getscheduler(0), os.sched_getaffinity(0)
+    config, keywords, expected = POINTS["postgres-mpl20"]
+    assert outcome(config, keywords) == expected
+    assert (os.sched_getscheduler(0), os.sched_getaffinity(0)) == before
+
+
+def _refuse(*args):
+    raise OSError(errno.EPERM, "not permitted")
+
+
+@pytest.mark.parametrize("without", ["refused", "absent"])
+def test_outcome_does_not_depend_on_the_batch_policy(monkeypatch, without):
+    """The baton orders execution, not the kernel: where ``SCHED_BATCH``
+    is refused or does not exist the numbers are the same."""
+    if without == "refused":
+        monkeypatch.setattr(os, "sched_setscheduler", _refuse, raising=False)
+    else:
+        monkeypatch.delattr(os, "SCHED_BATCH", raising=False)
+    config, keywords, expected = POINTS["postgres-mpl20"]
+    assert outcome(config, keywords) == expected
