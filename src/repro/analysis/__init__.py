@@ -20,6 +20,7 @@ Or model-check a small scenario exhaustively::
     assert summary.all_serializable
 """
 
+from repro import _lazy_exports
 from repro.analysis.checker import (
     GlobalTransaction,
     SerializabilityChecker,
@@ -36,12 +37,6 @@ from repro.analysis.extract import (
     extracted_smallbank_program_set,
     footprint_signature,
     merge_specs,
-)
-from repro.analysis.explorer import (
-    ExplorationSummary,
-    InterleavingExplorer,
-    ScheduleOutcome,
-    ScriptedProgram,
 )
 from repro.analysis.history import check_history_text, parse_history
 from repro.analysis.mvsg import (
@@ -94,3 +89,15 @@ __all__ = [
     "salvage_durable_history",
     "split_label",
 ]
+
+#: The explorer runs on :mod:`repro.sim`, whose package imports the whole
+#: simulator, so its names resolve on first use (PEP 562): a recording
+#: server that imports ``repro.analysis.recorder`` does not pay for it.
+__getattr__, __dir__ = _lazy_exports(
+    globals(),
+    dict.fromkeys(
+        ["ExplorationSummary", "InterleavingExplorer", "ScheduleOutcome",
+         "ScriptedProgram"],
+        "repro.analysis.explorer",
+    ),
+)

@@ -8,27 +8,34 @@ committed history with the MVSG analysis.  This is how the test-suite
 strategy X admits no non-serializable schedule of this scenario" instead
 of sampling a few lucky thread timings.
 
-Mechanics: each program runs on its own thread whose session gates before
-``begin``, before every statement, and before a flushing commit.  A
-controller wakes exactly one gated thread at a time, so execution is a
-deterministic function of the *choice sequence* (which thread to step at
-each decision point).  Lock waits integrate with the controller: a blocked
-thread is resumable only after some executed step resolved its blocker, so
-blocking never hides schedules.  Exploration is depth-first over choice
+Mechanics: each program is a process of one :class:`repro.sim.Simulator`
+per schedule, so exactly one runs at a time (the simulator's baton), all
+at simulated time 0.  Its session parks it on a fresh :class:`SimEvent`
+before ``begin``, before every gated statement and before a flushing
+commit; when the last running program parks or finishes, an action in
+scheduler context picks the next one and fires its event, so execution is
+a deterministic function of the *choice sequence* (which program to step
+at each decision point).  A lock wait parks the same way and is resumable
+only after some executed step resolved its blocker, so blocking never
+hides schedules; a schedule in which every unfinished program waits on a
+lock ends in :class:`~repro.sim.SimDeadlock`.  A program's own exception
+(other than an abort) comes out of :meth:`InterleavingExplorer.run_schedule`
+after every process has stopped.  Exploration is depth-first over choice
 prefixes, which enumerates every schedule exactly once.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 from repro.analysis.checker import SerializabilityReport, check_history
 from repro.analysis.recorder import ExecutionRecorder
 from repro.engine.engine import Database, WaitOn
 from repro.engine.session import Session, Waiter
-from repro.errors import ApplicationRollback, ReproError, TransactionAborted
+from repro.errors import ApplicationRollback, TransactionAborted
+from repro.sim.core import SimEvent, Simulator
 
 ProgramBody = Callable[[Session], None]
 
@@ -77,101 +84,68 @@ class ExplorationSummary:
         return f"{self.schedules} schedules explored{extra}: {status}"
 
 
-class _Controller:
-    """Grants one thread at a time permission to execute one step."""
+class _Schedule:
+    """The scheduler of one run: which program steps next, and when.
 
-    _STEP_TIMEOUT = 30.0
+    A program parks at each gate (or lock wait) on a fresh
+    :class:`SimEvent`; when the last one running parks or finishes,
+    :meth:`choose` runs in scheduler context and fires one event.
+    """
 
-    def __init__(self, count: int) -> None:
-        self.cond = threading.Condition()
-        self.states = ["ready"] * count  # ready | running | blocked | done
+    def __init__(self, sim: Simulator, count: int, choices: Sequence[int]) -> None:
+        self.sim = sim
+        # running | ready | blocked | done; each runs to its first gate.
+        self.states = ["running"] * count
         self.wakeable = [False] * count
-        self.go = [threading.Event() for _ in range(count)]
-        self.failure: Optional[BaseException] = None
+        self.events: list[Optional[SimEvent]] = [None] * count
+        self.choices = iter(choices)
+        self.taken: list[int] = []
+        self.decision_points: list[tuple[int, ...]] = []
 
-    # -- worker side ----------------------------------------------------
-    def gate(self, tid: int) -> None:
-        with self.cond:
-            self.states[tid] = "ready"
-            self.cond.notify_all()
-        if not self.go[tid].wait(timeout=self._STEP_TIMEOUT):
-            raise ReproError(f"explorer thread {tid} starved at gate")
-        self.go[tid].clear()
+    def park(self, tid: int, state: str) -> None:
+        event = self.events[tid] = SimEvent(self.sim)
+        self.settle(tid, state)
+        event.wait()
 
-    def block(self, tid: int) -> None:
-        with self.cond:
-            self.states[tid] = "blocked"
-            self.cond.notify_all()
-        if not self.go[tid].wait(timeout=self._STEP_TIMEOUT):
-            raise ReproError(f"explorer thread {tid} starved while blocked")
-        self.go[tid].clear()
+    def settle(self, tid: int, state: str) -> None:
+        self.states[tid] = state
+        if "running" not in self.states:
+            self.sim.schedule(0.0, self.choose)
 
-    def mark_wakeable(self, tid: int) -> None:
-        with self.cond:
-            self.wakeable[tid] = True
-            self.cond.notify_all()
-
-    def finish(self, tid: int, error: Optional[BaseException] = None) -> None:
-        with self.cond:
-            self.states[tid] = "done"
-            if error is not None and self.failure is None:
-                self.failure = error
-            self.cond.notify_all()
-
-    # -- scheduler side --------------------------------------------------
-    def _settled(self) -> bool:
-        return all(state != "running" for state in self.states)
-
-    def runnable(self) -> list[int]:
-        return [
+    def choose(self) -> None:
+        """In scheduler context: let the next program step."""
+        ready = [
             tid
             for tid, state in enumerate(self.states)
             if state == "ready" or (state == "blocked" and self.wakeable[tid])
         ]
-
-    def drive(self, choices: Sequence[int]) -> tuple[list[int], list[tuple[int, ...]]]:
-        taken: list[int] = []
-        decision_points: list[tuple[int, ...]] = []
-        position = 0
-        while True:
-            with self.cond:
-                if not self.cond.wait_for(self._settled, timeout=self._STEP_TIMEOUT):
-                    raise ReproError("explorer scheduler timed out")
-                if self.failure is not None:
-                    raise self.failure
-                ready = self.runnable()
-                if not ready:
-                    if all(state == "done" for state in self.states):
-                        return taken, decision_points
-                    raise ReproError(
-                        f"explorer wedged: states={self.states}"
-                    )
-                decision_points.append(tuple(ready))
-                if position < len(choices) and choices[position] in ready:
-                    pick = choices[position]
-                else:
-                    pick = ready[0]
-                position += 1
-                taken.append(pick)
-                self.wakeable[pick] = False
-                self.states[pick] = "running"
-            self.go[pick].set()
+        if not ready:  # all done, or a wedge the simulator reports
+            return
+        self.decision_points.append(tuple(ready))
+        pick = next(self.choices, None)  # one forced choice per decision
+        if pick not in ready:
+            pick = ready[0]
+        self.taken.append(pick)
+        self.wakeable[pick] = False
+        self.states[pick] = "running"
+        self.events[pick].fire()
 
 
-class _ControlledWaiter(Waiter):
-    """Session waiter that routes lock waits through the controller."""
+@dataclass
+class _ScheduledWaiter(Waiter):
+    """Session waiter that parks a lock wait until a step resolves it."""
 
-    def __init__(self, controller: _Controller, tid: int) -> None:
-        self.controller = controller
-        self.tid = tid
+    schedule: _Schedule
+    tid: int
 
     def wait_any(self, wait: WaitOn, timeout=None) -> bool:
         for blocker in wait.blockers:
-            blocker.add_resolution_callback(
-                lambda _txn: self.controller.mark_wakeable(self.tid)
-            )
-        self.controller.block(self.tid)
+            blocker.add_resolution_callback(self._wake)
+        self.schedule.park(self.tid, "blocked")
         return True
+
+    def _wake(self, _txn) -> None:
+        self.schedule.wakeable[self.tid] = True
 
 
 #: Statement kinds that are scheduling points by default.  Plain reads are
@@ -216,48 +190,43 @@ class InterleavingExplorer:
         """Execute one schedule (fresh database) and analyze it."""
         db = self.make_db()
         recorder = ExecutionRecorder().attach(db)
-        controller = _Controller(len(self.programs))
+        sim = Simulator()
+        schedule = _Schedule(sim, len(self.programs), choices)
         aborted: list[str] = []
-        aborted_lock = threading.Lock()
 
-        def worker(tid: int, program: ScriptedProgram) -> None:
+        def program_process(tid: int, program: ScriptedProgram) -> None:
+            def gate(_txn=None) -> None:
+                schedule.park(tid, "ready")
+
             def statement_gate(kind: str, txn) -> None:
                 if kind in self.gate_kinds:
-                    controller.gate(tid)
+                    gate()
 
             session = Session(
                 db,
-                waiter=_ControlledWaiter(controller, tid),
+                waiter=_ScheduledWaiter(schedule, tid),
                 statement_hook=statement_gate,
-                pre_commit_hook=lambda txn: controller.gate(tid),
+                pre_commit_hook=gate,
             )
             try:
-                controller.gate(tid)  # schedule the begin (snapshot point)
+                gate()  # schedule the begin (snapshot point)
                 session.begin(program.label)
                 program.body(session)
                 session.commit()
-                controller.finish(tid)
             except (TransactionAborted, ApplicationRollback):
                 session.rollback()
-                with aborted_lock:
-                    aborted.append(program.label)
-                controller.finish(tid)
-            except BaseException as exc:  # pragma: no cover - plumbing
-                session.rollback()
-                controller.finish(tid, exc)
+                aborted.append(program.label)
+            schedule.settle(tid, "done")
 
-        threads = [
-            threading.Thread(target=worker, args=(tid, program), daemon=True)
-            for tid, program in enumerate(self.programs)
-        ]
-        for thread in threads:
-            thread.start()
-        taken, decision_points = controller.drive(choices)
-        for thread in threads:
-            thread.join(timeout=30)
+        for tid, program in enumerate(self.programs):
+            sim.spawn(partial(program_process, tid, program), name=program.label)
+        try:
+            sim.run_until(0.0)
+        finally:
+            sim.shutdown()
         return ScheduleOutcome(
-            choices=tuple(taken),
-            decision_points=tuple(decision_points),
+            choices=tuple(schedule.taken),
+            decision_points=tuple(schedule.decision_points),
             report=check_history(recorder.committed),
             aborted_labels=tuple(sorted(aborted)),
         )

@@ -12,8 +12,13 @@ schedule space stays exhaustive-friendly) and establish:
 
 from __future__ import annotations
 
+import threading
+
+import pytest
+
 from repro.analysis import InterleavingExplorer, ScriptedProgram
 from repro.engine import Database, EngineConfig, Session
+from repro.sim import SimDeadlock
 from repro.smallbank import CHECKING, SAVING, PopulationConfig, build_database
 
 CID = 1
@@ -92,6 +97,19 @@ def materialized(body):
     return wrapped
 
 
+def broken_body(session: Session) -> None:
+    session.update(CHECKING, CID, lambda row: {"Balance": row["Balance"] + 1.0})
+    raise RuntimeError("broken program")
+
+
+def stuck_body(session: Session) -> None:
+    """Waits on a transaction outside the schedule, which never ends."""
+    holder = Session(session.db)
+    holder.begin("holder")
+    holder.update(CHECKING, CID, lambda row: {"Balance": 1.0})
+    session.update(CHECKING, CID, lambda row: {"Balance": 2.0})
+
+
 BAL = ScriptedProgram("Balance", balance_body)
 TS = ScriptedProgram("TransactSaving", transact_saving_body)
 WC = ScriptedProgram("WriteCheck", write_check_body)
@@ -147,6 +165,29 @@ class TestExplorerMechanics:
         second = explorer.run_schedule((1, 0, 1))
         assert first.choices == second.choices
         assert first.report.serializable == second.report.serializable
+
+    @pytest.mark.parametrize(
+        "body, error, match",
+        [
+            (broken_body, RuntimeError, "broken program"),
+            (stuck_body, SimDeadlock, r"blocked: \['Failing'"),
+        ],
+        ids=["own-exception", "wait-nothing-ends"],
+    )
+    def test_a_program_that_cannot_finish_raises_and_leaves_no_thread(
+        self, body, error, match
+    ):
+        """A program's own exception (not an abort), or a lock wait no
+        step can end, comes out of run_schedule, and the programs parked
+        beside it are stopped."""
+        explorer = InterleavingExplorer(
+            make_db_factory(EngineConfig.postgres()),
+            [ScriptedProgram("Failing", body), WC, TS],
+        )
+        before = threading.active_count()
+        with pytest.raises(error, match=match):
+            explorer.run_schedule((0, 0, 0))
+        assert threading.active_count() == before
 
 
 class TestPlainSiAdmitsTheAnomaly:

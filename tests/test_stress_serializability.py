@@ -1,17 +1,23 @@
-"""Threaded stress tests: MVSG verdicts under real concurrency.
+"""Stress tests: MVSG verdicts under heavy, replayable concurrency.
 
-A small hotspot and many client threads hammer the SmallBank mix: under
-every fixing strategy — and under the SSI and S2PL engines — all committed
-histories must be serializable, every time.  That plain SI does admit a
-non-serializable history (the whole point of the paper) does not wait for
-a lucky thread timing: the interleaving explorer produces the schedule.
+A small hotspot and many clients hammer the SmallBank mix: under every
+fixing strategy — and under the SSI and S2PL engines — all committed
+histories must be serializable, every time.  Each client is a
+:mod:`repro.sim` process: exactly one runs at a time, lock waits suspend
+it in simulated time and a random pause before every statement makes the
+clients overlap, so a seed is one schedule, replayed exactly (real OS
+threads are ``tests/test_stress_highmpl.py``'s).  That plain SI does admit
+a non-serializable history (the whole point of the paper) is shown twice:
+the mix itself at a pinned seed, and the interleaving explorer, which
+produces the schedule without any seed.
 """
 
 from __future__ import annotations
 
 import random
-import threading
-import time
+from collections import Counter
+from functools import partial
+from typing import Callable, Optional
 
 import pytest
 
@@ -19,9 +25,11 @@ from repro.analysis import (
     InterleavingExplorer,
     ScriptedProgram,
     SerializabilityChecker,
+    committed_to_dict,
 )
 from repro.engine import Database, EngineConfig, Session
 from repro.errors import ApplicationRollback, TransactionAborted
+from repro.sim import Simulator, SimWaiter
 from repro.smallbank import (
     PopulationConfig,
     build_database,
@@ -31,54 +39,89 @@ from repro.smallbank import (
 )
 
 CUSTOMERS = 4  # tiny hotspot: everyone collides
-THREADS = 6
-TXNS_PER_THREAD = 30
+CLIENTS = 6
+TXNS_PER_CLIENT = 30
+#: Longest pause before a statement, in simulated seconds.  Without it a
+#: client would run each transaction to its end unless a lock stopped it.
+JITTER = 0.0005
+
+Request = Optional[tuple[str, dict]]
 
 
-def run_mix(db: Database, txns, seed: int) -> None:
-    """Each thread runs a random SmallBank mix, retrying nothing: aborts
-    are simply abandoned (the checker only examines committed history)."""
+def simulate(
+    db: Database,
+    txns,
+    rngs: list[random.Random],
+    requests: int,
+    draw: Callable[[random.Random], Request],
+) -> Counter:
+    """Run one simulated client per entry of ``rngs``, each making
+    ``requests`` draws of ``draw(rng)`` (``None``: skip the draw) and
+    retrying nothing: aborts are simply abandoned (the checker only
+    examines committed history).  Returns the commits and the engine's
+    aborts (business rollbacks apart)."""
+    sim = Simulator()
+    counts: Counter = Counter()
 
-    def worker(worker_seed: int) -> None:
-        rng = random.Random(worker_seed)
-        # Per-statement jitter: without it the transactions are so short
-        # (microseconds) that threads barely overlap and no interesting
-        # interleavings occur.
-        jitter = lambda kind, txn: time.sleep(rng.random() * 0.0005)
-        for _ in range(TXNS_PER_THREAD):
-            session = Session(db, statement_hook=jitter)
-            name = customer_name(rng.randint(1, CUSTOMERS))
-            other = customer_name(rng.randint(1, CUSTOMERS))
-            program = rng.choice(
-                ["Balance", "DepositChecking", "TransactSaving",
-                 "WriteCheck", "Amalgamate"]
-            )
-            args = {
-                "Balance": {"N": name},
-                "DepositChecking": {"N": name, "V": rng.uniform(1, 50)},
-                "TransactSaving": {"N": name, "V": rng.uniform(-20, 50)},
-                "WriteCheck": {"N": name, "V": rng.uniform(1, 50)},
-                "Amalgamate": {"N1": name, "N2": other},
-            }[program]
-            if program == "Amalgamate" and name == other:
+    def client(rng: random.Random) -> None:
+        jitter = lambda kind, txn: sim.sleep(rng.random() * JITTER)
+        for _ in range(requests):
+            request = draw(rng)
+            if request is None:
                 continue
+            session = Session(db, waiter=SimWaiter(sim), statement_hook=jitter)
             try:
-                txns.run(session, program, args)
-            except (TransactionAborted, ApplicationRollback):
+                txns.run(session, *request)
+                counts["commits"] += 1
+            except TransactionAborted:
                 session.rollback()
+                counts["aborts"] += 1
+            except ApplicationRollback:
+                session.rollback()
+                counts["rollbacks"] += 1
 
-    pool = [
-        threading.Thread(target=worker, args=(seed * 1000 + i,))
-        for i in range(THREADS)
-    ]
-    for thread in pool:
-        thread.start()
-    for thread in pool:
-        thread.join(timeout=120)
-        assert not thread.is_alive(), "stress worker hung"
+    for index, rng in enumerate(rngs):
+        sim.spawn(partial(client, rng), name=f"client-{index}")
+    try:
+        sim.run_until(float("inf"))
+    finally:
+        sim.shutdown()
+    return counts
+
+
+def draw_mix(rng: random.Random) -> Request:
+    name = customer_name(rng.randint(1, CUSTOMERS))
+    other = customer_name(rng.randint(1, CUSTOMERS))
+    program = rng.choice(
+        ["Balance", "DepositChecking", "TransactSaving",
+         "WriteCheck", "Amalgamate"]
+    )
+    args = {
+        "Balance": {"N": name},
+        "DepositChecking": {"N": name, "V": rng.uniform(1, 50)},
+        "TransactSaving": {"N": name, "V": rng.uniform(-20, 50)},
+        "WriteCheck": {"N": name, "V": rng.uniform(1, 50)},
+        "Amalgamate": {"N1": name, "N2": other},
+    }[program]
+    if program == "Amalgamate" and name == other:
+        return None
+    return program, args
+
+
+def draw_transfer(rng: random.Random) -> Request:
+    a = customer_name(rng.randint(1, CUSTOMERS))
+    b = customer_name(rng.randint(1, CUSTOMERS))
+    return None if a == b else ("Amalgamate", {"N1": a, "N2": b})
+
+
+def run_mix(db: Database, txns, seed: int) -> Counter:
+    """Each client runs a random SmallBank mix from its own stream."""
+    rngs = [random.Random(seed * 1000 + i) for i in range(CLIENTS)]
+    return simulate(db, txns, rngs, TXNS_PER_CLIENT, draw_mix)
 
 
 def stress(config: EngineConfig, strategy_key: str, seed: int):
+    """Run the mix once; returns the committed history and its report."""
     db = build_database(
         config,
         PopulationConfig(customers=CUSTOMERS, min_saving=500.0,
@@ -87,8 +130,10 @@ def stress(config: EngineConfig, strategy_key: str, seed: int):
     )
     checker = SerializabilityChecker(db)
     txns = get_strategy(strategy_key).transactions()
-    run_mix(db, txns, seed)
-    return db, checker.report()
+    counts = run_mix(db, txns, seed)
+    # The clients overlapped: some transaction lost a conflict.
+    assert counts["aborts"] > 0, (strategy_key, seed, counts)
+    return checker.recorder.committed, checker.report()
 
 
 class TestStrategiesUnderRealConcurrency:
@@ -105,23 +150,23 @@ class TestStrategiesUnderRealConcurrency:
     )
     def test_strategy_keeps_history_serializable_postgres(self, key):
         for seed in (1, 2):
-            _db, report = stress(EngineConfig.postgres(), key, seed)
+            _history, report = stress(EngineConfig.postgres(), key, seed)
             assert report.serializable, (key, seed, report.describe())
             assert report.committed_count > 0
 
     @pytest.mark.parametrize("key", ["promote-wt-sfu", "promote-bw-sfu"])
     def test_sfu_strategies_on_commercial(self, key):
         for seed in (1, 2):
-            _db, report = stress(EngineConfig.commercial(), key, seed)
+            _history, report = stress(EngineConfig.commercial(), key, seed)
             assert report.serializable, (key, seed, report.describe())
 
     def test_ssi_engine_keeps_history_serializable(self):
         for seed in (1, 2):
-            _db, report = stress(EngineConfig.ssi(), "base-si", seed)
+            _history, report = stress(EngineConfig.ssi(), "base-si", seed)
             assert report.serializable, (seed, report.describe())
 
     def test_s2pl_engine_keeps_history_serializable(self):
-        _db, report = stress(EngineConfig.s2pl(), "base-si", 3)
+        _history, report = stress(EngineConfig.s2pl(), "base-si", 3)
         assert report.serializable, report.describe()
 
     def test_plain_si_eventually_shows_anomalies(self):
@@ -158,6 +203,24 @@ class TestStrategiesUnderRealConcurrency:
         assert "dangerous-structure" in replay.report.anomalies
 
 
+class TestOneSeedOneSchedule:
+    def test_a_seed_replays_the_same_committed_history(self):
+        first, _ = stress(EngineConfig.postgres(), "promote-all", 1)
+        second, _ = stress(EngineConfig.postgres(), "promote-all", 1)
+        assert first
+        assert [committed_to_dict(t) for t in first] == [
+            committed_to_dict(t) for t in second
+        ]
+
+    def test_plain_si_mix_is_not_serializable(self):
+        """Positive control: the harness sees the anomaly the strategies
+        must close.  Seeds 2, 3 and 4 are non-serializable under plain SI
+        (seed 1 happens to be serializable)."""
+        _history, report = stress(EngineConfig.postgres(), "base-si", 2)
+        assert not report.serializable, report.describe()
+        assert "dangerous-structure" in report.anomalies
+
+
 class TestMoneyConservation:
     def test_deposits_and_transfers_balance_out(self):
         """With only money-conserving programs (no WriteCheck penalties or
@@ -172,22 +235,6 @@ class TestMoneyConservation:
             before = total_money(db)
             txns = get_strategy(key).transactions()
             rng = random.Random(42)
-
-            def worker() -> None:
-                for _ in range(20):
-                    session = Session(db)
-                    a = customer_name(rng.randint(1, CUSTOMERS))
-                    b = customer_name(rng.randint(1, CUSTOMERS))
-                    if a == b:
-                        continue
-                    try:
-                        txns.run(session, "Amalgamate", {"N1": a, "N2": b})
-                    except (TransactionAborted, ApplicationRollback):
-                        session.rollback()
-
-            pool = [threading.Thread(target=worker) for _ in range(4)]
-            for t in pool:
-                t.start()
-            for t in pool:
-                t.join(timeout=60)
+            counts = simulate(db, txns, [rng] * 4, 20, draw_transfer)
+            assert counts["aborts"] > 0, (key, counts)
             assert total_money(db) == pytest.approx(before), key
