@@ -90,9 +90,9 @@ __all__ = [
     "split_label",
 ]
 
-#: The explorer runs on :mod:`repro.sim`, whose package imports the whole
-#: simulator, so its names resolve on first use (PEP 562): a recording
-#: server that imports ``repro.analysis.recorder`` does not pay for it.
+#: The explorer runs on :mod:`repro.sim.core`, which a server never
+#: loads, so its names resolve on first use (PEP 562): a recording server
+#: that imports ``repro.analysis.recorder`` does not pay for it.
 __getattr__, __dir__ = _lazy_exports(
     globals(),
     dict.fromkeys(

@@ -1,12 +1,14 @@
 """Seeded distributed chaos harness (DESIGN.md §13).
 
-Runs a money-conserving SmallBank mix (Balance + Amalgamate, so the
-cluster-wide balance sum is invariant under *any* interleaving of commits
-and aborts — atomicity, not luck, is what the ledger check certifies) at
-MPL :attr:`ChaosConfig.mpl` over a live :class:`~repro.cluster.Cluster`
-while a fault plan injects network faults (dropped / delayed / duplicated
-frames, connection resets), kills and restarts shards mid-flight, and
-crashes the 2PC coordinator inside its in-doubt window.
+Runs the money-conserving SmallBank mix (``"conserving"``: Balance +
+Amalgamate, so the cluster-wide balance sum is invariant under *any*
+interleaving of commits and aborts — atomicity, not luck, is what the
+ledger check certifies) at MPL :attr:`ChaosConfig.mpl` over a live
+:class:`~repro.cluster.Cluster` while a fault plan injects network faults
+(dropped / delayed / duplicated frames, connection resets), kills and
+restarts shards mid-flight, and crashes the 2PC coordinator inside its
+in-doubt window.  The clients are a
+:class:`~repro.workload.driver.ThreadedDriver` under :data:`CHAOS_RETRY`.
 
 After the storm the harness drives recovery to a fixed point — every
 crashed shard restarted, every in-doubt or orphaned-prepared gtid
@@ -20,7 +22,8 @@ settled through the coordinator's decision log — and then certifies:
   :meth:`~repro.cluster.fleet.Cluster.crash_shard`;
 * the **ledger is exactly conserved**: final balance sum equals the
   initial one;
-* every storm thread ended: none raised or outlived its join.
+* every storm thread ended: no client and not the controller raised
+  or outlived its join (an error no recovery names kills its client).
 
 One known observability gap, by design: an in-doubt gtid whose commit is
 re-delivered *after* a shard restart replays from the durable prepare's
@@ -35,26 +38,29 @@ repro.cluster --chaos-smoke [--seed S ...]``.
 
 from __future__ import annotations
 
+import contextlib
 import json
-import random
 import threading
 import time
 from dataclasses import asdict, dataclass, field
 
 from repro.cluster.fleet import Cluster, ShardFleet
-from repro.cluster.router import ClusterConnection
 from repro.errors import (
+    ApplicationRollback,
     ConnectionClosed,
     CoordinatorCrashed,
     DatabaseCrashed,
     ReproError,
     ShardUnavailable,
-    TransactionAborted,
 )
 from repro.faults import FaultPlan, FaultSpec
-from repro.smallbank import programs as names
-from repro.smallbank.schema import customer_name
 from repro.smallbank.strategies import get_strategy
+from repro.workload.driver import (
+    ThreadedDriver,
+    ThreadedDriverConfig,
+    ThreadedDriverError,
+)
+from repro.workload.retry import RetryPolicy
 
 
 @dataclass(frozen=True)
@@ -93,6 +99,8 @@ class ChaosResult:
     final_money: float
     in_doubt_after_recovery: int
     report_description: str
+    #: The clients' request counters (none when a client died) and the
+    #: controller's ``shard_crashes`` / ``shard_restarts``.
     counters: "dict[str, int]" = field(default_factory=dict)
     router_counters: "dict[str, int]" = field(default_factory=dict)
     fault_injections: "dict[str, int]" = field(default_factory=dict)
@@ -191,76 +199,25 @@ def build_fault_plan(config: ChaosConfig) -> FaultPlan:
     )
 
 
-def _quiet(callable_) -> None:
-    try:
-        callable_()
-    except ReproError:
-        pass
+#: The storm's recovery from each error: an ordinary abort moves on to a
+#: new request, a lost wire or shard is retried after 10 then 20 ms, and a
+#: coordinator crash is never re-run (the in-doubt resolver settles it).
+CHAOS_RETRY = RetryPolicy(
+    max_attempts=3,
+    base_backoff=0.01,
+    max_backoff=0.02,
+    retryable=(ConnectionClosed, DatabaseCrashed),
+    non_retryable=(ApplicationRollback, CoordinatorCrashed),
+)
 
-
-def _worker_loop(
-    index: int,
-    connection: ClusterConnection,
-    config: ChaosConfig,
-    stop: threading.Event,
-    counters: "dict[str, int]",
-    lock: threading.Lock,
-    txns,
-) -> None:
-    """One MPL slot: run random conserving programs until told to stop.
-
-    Every error class has a recovery action — retry, re-session, back
-    off — so the worker survives anything the fault plan throws and the
-    soak measures the *system's* self-healing, not the client's luck.
-    """
-    rng = random.Random(f"chaos-worker/{config.seed}/{index}")
-
-    def bump(key: str) -> None:
-        with lock:
-            counters[key] += 1
-
-    session = connection.session()
-    while not stop.is_set():
-        # 40 % read-mostly Balance checks, the rest cross-shard-capable
-        # Amalgamates (the 2PC drivers).  Customer ids are 1-based (the
-        # SmallBank population loads customers 1..N).
-        if rng.random() < 0.4:
-            program = names.BALANCE
-            args: dict = {"N": customer_name(rng.randint(1, config.customers))}
-        else:
-            first = rng.randint(1, config.customers)
-            second = rng.randint(1, config.customers - 1)
-            if second >= first:
-                second += 1
-            program = names.AMALGAMATE
-            args = {"N1": customer_name(first), "N2": customer_name(second)}
-        try:
-            txns.run(session, program, args)
-            bump("commits")
-        except TransactionAborted:
-            bump("aborts")  # ordinary serialization/SSI abort: just retry
-            _quiet(session.rollback)
-        except CoordinatorCrashed:
-            # Outcome unknown; the resolver settles the gtid from the
-            # decision log.  Nothing for the worker to do but move on.
-            bump("coordinator_crashes_seen")
-            _quiet(session.rollback)
-        except ShardUnavailable:
-            bump("fail_fast")  # health said "down" without dialing
-            _quiet(session.rollback)
-            stop.wait(0.01)
-        except DatabaseCrashed:
-            bump("crashed_ops")  # shard died mid-operation
-            _quiet(session.rollback)
-            stop.wait(0.02)
-        except ConnectionClosed:
-            bump("disconnects")  # dropped frame deadline, reset, EOF
-            _quiet(session.rollback)
-            stop.wait(0.02)
-        except ReproError:
-            bump("other_errors")
-            _quiet(session.rollback)
-    _quiet(session.close)
+#: Chaos counter -> the wire code it counts in the run's abort breakdown;
+#: ``aborts`` counts every other reason.
+FAILURE_COUNTERS = {
+    "coordinator_crashes_seen": CoordinatorCrashed.code,
+    "fail_fast": ShardUnavailable.code,
+    "crashed_ops": DatabaseCrashed.code,
+    "disconnects": ConnectionClosed.code,
+}
 
 
 def _chaos_controller(
@@ -268,13 +225,12 @@ def _chaos_controller(
     plan: FaultPlan,
     stop: threading.Event,
     counters: "dict[str, int]",
-    lock: threading.Lock,
 ) -> None:
     """Crash/restart shards on the plan's schedule (round-robin victims).
 
     The restart always happens — even when the stop flag is raised
     during the downtime window — so the controller never exits leaving a
-    shard dark.
+    shard dark.  It is the only writer of ``counters``.
     """
     victim = 0
     while not stop.wait(POLL):
@@ -283,12 +239,10 @@ def _chaos_controller(
         shard = victim % cluster.shard_count
         victim += 1
         cluster.crash_shard(shard)
-        with lock:
-            counters["shard_crashes"] += 1
+        counters["shard_crashes"] += 1
         stop.wait(plan.magnitude("shard-crash"))
         cluster.restart_shard(shard)
-        with lock:
-            counters["shard_restarts"] += 1
+        counters["shard_restarts"] += 1
 
 
 #: The harness class behind each :attr:`ChaosConfig.process_model`.
@@ -325,19 +279,9 @@ def run_chaos(config: ChaosConfig = ChaosConfig(), *, obs=None) -> ChaosResult:
     from repro.analysis import merge_shard_histories
 
     plan = build_fault_plan(config)
-    txns = get_strategy(config.strategy).transactions()
-    counters = {
-        "commits": 0,
-        "aborts": 0,
-        "coordinator_crashes_seen": 0,
-        "fail_fast": 0,
-        "crashed_ops": 0,
-        "disconnects": 0,
-        "other_errors": 0,
-        "shard_crashes": 0,
-        "shard_restarts": 0,
-    }
-    lock = threading.Lock()
+    storm = {"shard_crashes": 0, "shard_restarts": 0}
+    requests: "dict[str, int]" = {}
+    failures: "list[str]" = []
     started = time.monotonic()
     cluster = _build_cluster(config, obs=obs)
     try:
@@ -354,40 +298,55 @@ def run_chaos(config: ChaosConfig = ChaosConfig(), *, obs=None) -> ChaosResult:
             connection.start_heartbeats(0.05)
             connection.start_in_doubt_resolver(0.05)
             stop = threading.Event()
-            failures: "list[str]" = []
 
-            def guarded(target, *args) -> None:
-                """``target(*args)``; an exception it raises fails the soak."""
+            def control() -> None:
                 try:
-                    target(*args)
-                except BaseException as exc:
-                    failures.append(f"{threading.current_thread().name}: {exc!r}")
-                    raise
+                    _chaos_controller(cluster, plan, stop, storm)
+                except Exception as exc:  # fails the soak, by name
+                    failures.append(f"chaos-controller: {exc!r}")
 
-            workers = [
-                threading.Thread(
-                    target=guarded,
-                    args=(_worker_loop, i, connection, config, stop, counters, lock, txns),
-                    name=f"chaos-worker-{i}",
-                    daemon=True,
-                )
-                for i in range(config.mpl)
-            ]
             controller = threading.Thread(
-                target=guarded,
-                args=(_chaos_controller, cluster, plan, stop, counters, lock),
-                name="chaos-controller",
-                daemon=True,
+                target=control, name="chaos-controller", daemon=True
             )
-            threads = [*workers, controller]
-            for thread in threads:
-                thread.start()
-            time.sleep(config.duration)
-            stop.set()
-            for thread in threads:
-                thread.join(timeout=30.0)
-                if thread.is_alive():
-                    failures.append(f"{thread.name}: still running after its join")
+            controller.start()
+            driver = ThreadedDriver(
+                None,
+                get_strategy(config.strategy).transactions(),
+                ThreadedDriverConfig(
+                    mix="conserving",
+                    customers=config.customers,
+                    hotspot=config.customers,
+                    mpl=config.mpl,
+                    duration=config.duration,
+                    seed=config.seed,
+                    join_grace=30.0,
+                    stats_window=(0.0, float("inf")),
+                    retry=CHAOS_RETRY,
+                ),
+                connection=connection,
+            )
+            try:
+                stats = driver.run()
+            except ThreadedDriverError as exc:
+                failures.extend(
+                    f"chaos-worker-{client}: {error!r}"
+                    for client, error in sorted(exc.failures.items())
+                )
+                failures.extend(
+                    f"chaos-worker-{client}: still running after its join"
+                    for client in exc.stuck
+                )
+            else:
+                aborts = stats.abort_breakdown()
+                requests = {"commits": stats.total_commits}
+                for name, code in FAILURE_COUNTERS.items():
+                    requests[name] = aborts.pop(code, 0)
+                requests["aborts"] = sum(aborts.values())
+            finally:
+                stop.set()
+                controller.join(timeout=30.0)
+            if controller.is_alive():
+                failures.append("chaos-controller: still running after its join")
             # --- recovery to a fixed point, with no fault armed -------
             # (a dropped STATS reply would cost the check an RPC deadline)
             cluster.install_faults(None)
@@ -395,7 +354,8 @@ def run_chaos(config: ChaosConfig = ChaosConfig(), *, obs=None) -> ChaosResult:
             cluster.recover_crashed()  # controller normally restarts all
             deadline = time.monotonic() + 10.0
             while True:
-                _quiet(connection.resolve_in_doubt)
+                with contextlib.suppress(ReproError):
+                    connection.resolve_in_doubt()
                 pending = cluster.pending_2pc_gtids()
                 if not pending or time.monotonic() > deadline:
                     break
@@ -417,7 +377,7 @@ def run_chaos(config: ChaosConfig = ChaosConfig(), *, obs=None) -> ChaosResult:
             final_money=final_money,
             in_doubt_after_recovery=len(pending),
             report_description=report.describe(),
-            counters=counters,
+            counters={**requests, **storm},
             router_counters=router_counters,
             fault_injections={
                 point: count
@@ -425,7 +385,7 @@ def run_chaos(config: ChaosConfig = ChaosConfig(), *, obs=None) -> ChaosResult:
                 if count
             },
             fault_opportunities=dict(plan.opportunities),
-            shard_restarts=counters["shard_restarts"],
+            shard_restarts=storm["shard_restarts"],
             global_transactions=len(report.transactions),
             cross_shard_transactions=distributed,
             elapsed=time.monotonic() - started,

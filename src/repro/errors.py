@@ -217,8 +217,9 @@ class ConnectionClosed(ReproError):
     Raised by the client when a request cannot be sent or its response
     never arrives.  If a transaction was in flight, the server has aborted
     it and released its locks — the request may or may not have executed,
-    so blind retry is only safe for idempotent operations (the closed-loop
-    drivers treat it as a failed attempt and start a fresh transaction).
+    so blind retry is only safe for idempotent operations.  The closed-loop
+    drivers re-raise it under the default retry policy; one that lists it
+    as retryable (the chaos storm's) reruns the request afresh.
     """
 
     code = "connection-closed"

@@ -8,45 +8,29 @@ Reproduce one data point::
     print(result.describe())
 """
 
-from repro.sim.client import SimulatedClient, SimWaiter
-from repro.sim.core import SimDeadlock, SimEvent, SimStopped, Simulator
-from repro.sim.platform import (
-    PLATFORMS,
-    PlatformModel,
-    commercial_platform,
-    get_platform,
-    postgres_platform,
-)
-from repro.sim.resources import GroupCommitLog, Resource
-from repro.sim.runner import (
-    DEFAULT_CUSTOMERS,
-    DEFAULT_HOTSPOT,
-    PAPER_CUSTOMERS,
-    PAPER_HOTSPOT,
-    SimulationConfig,
-    run_once,
-    run_replicated,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "DEFAULT_CUSTOMERS",
-    "DEFAULT_HOTSPOT",
-    "GroupCommitLog",
-    "PAPER_CUSTOMERS",
-    "PAPER_HOTSPOT",
-    "PLATFORMS",
-    "PlatformModel",
-    "Resource",
-    "SimDeadlock",
-    "SimEvent",
-    "SimStopped",
-    "SimWaiter",
-    "SimulatedClient",
-    "SimulationConfig",
-    "Simulator",
-    "commercial_platform",
-    "get_platform",
-    "postgres_platform",
-    "run_once",
-    "run_replicated",
-]
+#: Re-exports, resolved on first use (PEP 562): ``repro.sim.core``, which
+#: the interleaving explorer runs on, does not pay for the runner's
+#: workload, SmallBank and observability imports.
+_EXPORTS = {
+    **dict.fromkeys(("SimWaiter", "SimulatedClient"), "repro.sim.client"),
+    **dict.fromkeys(
+        ("SimDeadlock", "SimEvent", "SimStopped", "Simulator"), "repro.sim.core"
+    ),
+    **dict.fromkeys(
+        ("PLATFORMS", "PlatformModel", "commercial_platform", "get_platform",
+         "postgres_platform"),
+        "repro.sim.platform",
+    ),
+    **dict.fromkeys(("GroupCommitLog", "Resource"), "repro.sim.resources"),
+    **dict.fromkeys(
+        ("DEFAULT_CUSTOMERS", "DEFAULT_HOTSPOT", "PAPER_CUSTOMERS",
+         "PAPER_HOTSPOT", "SimulationConfig", "run_once", "run_replicated"),
+        "repro.sim.runner",
+    ),
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

@@ -8,9 +8,10 @@ benchmarks of the engine itself.
 
 Robustness contract:
 
-* every transaction outcome releases its session — aborts *and* business
-  rollbacks call ``session.rollback()`` so no locks or uncommitted
-  versions leak into later requests;
+* every transaction outcome releases its session — a failed attempt
+  calls ``session.rollback()`` and ``close()`` so no locks or uncommitted
+  versions leak into later requests, and a clean-up that fails on a
+  broken wire does not replace the error the attempt failed with;
 * a worker thread that dies on an unexpected exception does not silently
   deflate the run's TPS: per-thread exceptions are captured and re-raised
   (as :class:`ThreadedDriverError`) after all threads are joined, and
@@ -34,6 +35,7 @@ bare :class:`Database` keeps the historical behaviour (an in-process
 
 from __future__ import annotations
 
+import contextlib
 import random
 import threading
 import time
@@ -42,7 +44,7 @@ from typing import Optional
 
 from repro.api import Connection, LocalConnection
 from repro.engine.engine import Database
-from repro.errors import ApplicationRollback, ReproError, TransactionAborted
+from repro.errors import ReproError
 from repro.obs import Observability
 from repro.smallbank.transactions import SmallBankTransactions
 from repro.workload.mix import HotspotConfig, ParameterGenerator, get_mix
@@ -134,11 +136,14 @@ class ThreadedDriver:
         session = self.connection.session()
         try:
             self.transactions.run(session, program, args)
-        except (ApplicationRollback, TransactionAborted):
-            session.rollback()
+        except BaseException:
+            # Clean-up on a broken wire can fail too; the error that ended
+            # the attempt is the one the request loop counts.
+            for release in (session.rollback, session.close):
+                with contextlib.suppress(ReproError):
+                    release()
             raise
-        finally:
-            session.close()
+        session.close()
 
     def run(self) -> RunStats:
         config = self.config

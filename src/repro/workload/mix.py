@@ -80,7 +80,11 @@ BALANCE60_MIX = TransactionMix(
 #: used by the scaling benchmark to measure lock-free read throughput.
 READONLY_MIX = TransactionMix("readonly", {BALANCE: 1.0})
 
-MIXES = {mix.name: mix for mix in (UNIFORM_MIX, BALANCE60_MIX, READONLY_MIX)}
+#: Balance and Amalgamate only, so the balance sum is invariant under any
+#: interleaving of commits and aborts: the chaos storm's ledger check.
+CONSERVING_MIX = TransactionMix("conserving", {BALANCE: 0.4, AMALGAMATE: 0.6})
+
+MIXES = {m.name: m for m in (UNIFORM_MIX, BALANCE60_MIX, READONLY_MIX, CONSERVING_MIX)}
 
 
 def get_mix(name: str) -> TransactionMix:

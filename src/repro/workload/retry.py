@@ -9,17 +9,20 @@ policy object:
   (:class:`~repro.errors.SerializationFailure` including SSI,
   :class:`~repro.errors.DeadlockError`, :class:`~repro.errors.LockTimeout`,
   injected :class:`~repro.errors.FaultInjected` aborts) are retryable;
-  business outcomes (:class:`~repro.errors.ApplicationRollback`) and
-  constraint violations (:class:`~repro.errors.IntegrityError`) are not —
-  retrying them would repeat the same deterministic failure;
+  business outcomes (:class:`~repro.errors.ApplicationRollback`) are not —
+  retrying them would repeat the same deterministic failure.  A policy
+  may name further error classes on either side: the chaos storm
+  (:data:`repro.cluster.chaos.CHAOS_RETRY`) retries a dropped connection
+  and gives up on a crashed 2PC coordinator; any other error that is not
+  a :class:`~repro.errors.TransactionAborted` propagates;
 * **bounded attempts** — ``max_attempts`` caps how often one logical
   request is retried before the driver *gives up* (recorded separately in
   :class:`~repro.workload.stats.RunStats`);
-* **exponential backoff with jitter** — ``base_backoff`` doubles (by
-  ``multiplier``) per failed attempt; ``jitter`` multiplies the delay by a
-  uniform factor in ``[1, 1 + jitter]`` so synchronized retry storms
-  decorrelate (multiplicative jitter, not AWS-style "full jitter"), and
-  the result is clamped to ``max_backoff`` *after* jitter is applied, so
+* **exponential backoff with jitter** — ``base_backoff`` doubles per
+  failed attempt; ``jitter`` multiplies the delay by a uniform factor in
+  ``[1, 1 + jitter]`` so synchronized retry storms decorrelate
+  (multiplicative jitter, not AWS-style "full jitter"), and the result is
+  clamped to ``max_backoff`` *after* jitter is applied, so
   ``max_backoff`` is a hard ceiling on every sleep.
 
 The seed protocol — :meth:`RetryPolicy.paper_default` — is ``max_attempts=1``
@@ -41,7 +44,6 @@ from repro.errors import (
     ApplicationRollback,
     DeadlockError,
     FaultInjected,
-    IntegrityError,
     LockTimeout,
     SerializationFailure,
     TransactionAborted,
@@ -58,7 +60,7 @@ DEFAULT_RETRYABLE: tuple[type, ...] = (
     LockTimeout,
     FaultInjected,
 )
-DEFAULT_NON_RETRYABLE: tuple[type, ...] = (ApplicationRollback, IntegrityError)
+DEFAULT_NON_RETRYABLE: tuple[type, ...] = (ApplicationRollback,)
 
 
 @dataclass(frozen=True)
@@ -71,7 +73,6 @@ class RetryPolicy:
 
     max_attempts: int = 1
     base_backoff: float = 0.0
-    multiplier: float = 2.0
     max_backoff: float = 0.1
     jitter: float = 0.0
     retryable: tuple[type, ...] = field(default=DEFAULT_RETRYABLE)
@@ -82,8 +83,6 @@ class RetryPolicy:
             raise ValueError("max_attempts must be at least 1")
         if self.base_backoff < 0 or self.max_backoff < 0:
             raise ValueError("backoff durations must be non-negative")
-        if self.multiplier < 1.0:
-            raise ValueError("multiplier must be >= 1")
         if not 0.0 <= self.jitter <= 1.0:
             raise ValueError("jitter must be in [0, 1]")
 
@@ -137,7 +136,7 @@ class RetryPolicy:
             raise ValueError("attempt is 1-based")
         if self.base_backoff <= 0:
             return 0.0
-        delay = self.base_backoff * self.multiplier ** (attempt - 1)
+        delay = self.base_backoff * 2.0 ** (attempt - 1)
         if self.jitter > 0 and rng is not None:
             delay *= 1.0 + self.jitter * rng.random()
         return min(delay, self.max_backoff)
@@ -159,11 +158,14 @@ def run_request(
     """Run one request of a closed-loop client to its end.
 
     ``attempt(program, args)`` runs the request as a new transaction and
-    returns on commit; on a business rollback or an abort it rolls back and
-    re-raises.  An abort is retried while ``policy`` allows, after
+    returns on commit; on an error it rolls back and re-raises.  A failed
+    attempt is an abort, or an error whose class ``policy`` names as
+    retryable or non-retryable; it is recorded under its ``reason`` (an
+    abort's) or wire ``code``, and retried while ``policy`` allows, after
     ``policy.backoff`` (jitter from ``rng``) spent in ``sleep``; otherwise
-    the request gives up.  Each outcome goes to ``stats`` at ``now()`` and
-    to ``obs`` if installed; the response time spans the whole request.
+    the request gives up.  Any other error propagates.  Each outcome goes
+    to ``stats`` at ``now()`` and to ``obs`` if installed; the response
+    time spans the whole request.
 
     A retry is recorded only once the extra attempt starts, so within one
     measurement window ``stats.total_retries == stats.accounted_retries``;
@@ -179,10 +181,11 @@ def run_request(
             if obs is not None:
                 obs.driver_rollback(program)
             return
-        except TransactionAborted as exc:
-            stats.record_abort(program, exc.reason, now())
+        except (TransactionAborted, *policy.retryable, *policy.non_retryable) as exc:
+            reason = getattr(exc, "reason", exc.code)
+            stats.record_abort(program, reason, now())
             if obs is not None:
-                obs.driver_abort(program, exc.reason)
+                obs.driver_abort(program, reason)
             if policy.should_retry(exc, attempts) and not expired():
                 delay = policy.backoff(attempts, rng)
                 if delay > 0:

@@ -536,7 +536,6 @@ class TestChaosSoak:
         )
         json.dumps(record)
 
-    @pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
     def test_a_worker_that_dies_fails_the_soak(self, monkeypatch):
         from repro.smallbank.transactions import SmallBankTransactions
 

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import contextlib
 import random
 import time
 
 import pytest
 
+from repro.cluster.chaos import CHAOS_RETRY
 from repro.errors import (
     ApplicationRollback,
+    ConnectionClosed,
+    CoordinatorCrashed,
     DeadlockError,
     FaultInjected,
     IntegrityError,
@@ -80,15 +84,12 @@ class TestRetryPolicy:
         with pytest.raises(ValueError):
             RetryPolicy(base_backoff=-1.0)
         with pytest.raises(ValueError):
-            RetryPolicy(multiplier=0.5)
-        with pytest.raises(ValueError):
             RetryPolicy(jitter=-0.1)
 
     def test_backoff_progression_and_cap(self) -> None:
         policy = RetryPolicy(
             max_attempts=10,
             base_backoff=0.01,
-            multiplier=2.0,
             max_backoff=0.05,
             jitter=0.0,
         )
@@ -169,6 +170,45 @@ BACKOFF = RetryPolicy(max_attempts=4, base_backoff=2.0, max_backoff=8.0)
             {"aborts": 1, "giveups": 1, "sleeps": [2.0]},
             id="expired-during-backoff",
         ),
+        pytest.param(
+            [ConnectionClosed("reset"), None],
+            RetryPolicy(
+                max_attempts=2,
+                base_backoff=2.0,
+                max_backoff=8.0,
+                retryable=(ConnectionClosed,),
+            ),
+            float("inf"),
+            {
+                "commits": 1,
+                "aborts": 1,
+                "retries": 1,
+                "sleeps": [2.0],
+                "reasons": {"connection-closed": 1},
+            },
+            id="listed-connection-closed-is-retried",
+        ),
+        pytest.param(
+            [CoordinatorCrashed()],
+            RetryPolicy(max_attempts=3, non_retryable=(CoordinatorCrashed,)),
+            float("inf"),
+            {"aborts": 1, "giveups": 1, "reasons": {"coordinator-crashed": 1}},
+            id="listed-coordinator-crash-gives-up",
+        ),
+        pytest.param(
+            [IntegrityError("duplicate key")],
+            RetryPolicy(),
+            float("inf"),
+            {"raises": IntegrityError},
+            id="default-policy-raises-integrity-error",
+        ),
+        pytest.param(
+            [ConnectionClosed("reset")],
+            RetryPolicy(),
+            float("inf"),
+            {"raises": ConnectionClosed},
+            id="default-policy-raises-connection-closed",
+        ),
     ],
 )
 def test_run_request_attempts_retries_and_accounts(
@@ -176,7 +216,8 @@ def test_run_request_attempts_retries_and_accounts(
 ) -> None:
     """One request through :func:`run_request`: each attempt takes 0.5 s
     of a fake clock, each backoff sleeps on it, and the outcome lands in
-    ``RunStats`` and in the driver metrics alike."""
+    ``RunStats`` and in the driver metrics alike.  An error the policy
+    does not name propagates, and nothing is recorded for it."""
     clock, sleeps, script = [0.0], [], list(outcomes)
 
     def attempt(program, args) -> None:
@@ -192,18 +233,20 @@ def test_run_request_attempts_retries_and_accounts(
 
     stats = RunStats(window_start=0.0, window_end=float("inf"))
     obs = Observability()
-    run_request(
-        "Balance",
-        {"name": 1},
-        attempt,
-        policy=policy,
-        stats=stats,
-        obs=obs,
-        now=lambda: clock[0],
-        sleep=sleep,
-        rng=random.Random(1),
-        expired=lambda: clock[0] >= deadline,
-    )
+    raises = expected.get("raises")
+    with pytest.raises(raises) if raises else contextlib.nullcontext():
+        run_request(
+            "Balance",
+            {"name": 1},
+            attempt,
+            policy=policy,
+            stats=stats,
+            obs=obs,
+            now=lambda: clock[0],
+            sleep=sleep,
+            rng=random.Random(1),
+            expired=lambda: clock[0] >= deadline,
+        )
 
     assert script == []  # every scripted attempt ran, and no more
     assert sleeps == expected.get("sleeps", [])
@@ -216,7 +259,9 @@ def test_run_request_attempts_retries_and_accounts(
     }
     assert counts == {name: expected.get(name, 0) for name in counts}
     assert stats.total_retries == stats.accounted_retries
-    if not counts["rollbacks"]:
+    if "reasons" in expected:
+        assert stats.abort_breakdown() == expected["reasons"]
+    if counts["commits"] or counts["giveups"]:
         # The request's attempts: its aborts, plus the commit if any.
         histogram = (
             stats.attempts_histogram
@@ -226,7 +271,9 @@ def test_run_request_attempts_retries_and_accounts(
         assert dict(histogram) == {counts["aborts"] + counts["commits"]: 1}
     if counts["commits"]:
         # Timed from the first attempt: every attempt and every backoff.
-        assert stats.response_time_sum == clock[0] == 6.0 + 1.5
+        assert stats.response_time_sum == clock[0] == (
+            0.5 * len(outcomes) + sum(sleeps)
+        )
     driver_counts = {
         name: sum(
             instrument.value
@@ -371,6 +418,60 @@ def test_application_rollback_releases_the_session() -> None:
     # stayed locked, both workers wedged, and active txns lingered.
     assert db.active_transactions == ()
     assert sum(stats.rollbacks.values()) > 2
+
+
+class CoordinatorCrashing(SmallBankTransactions):
+    def run(self, session, program, args, *, commit=True):
+        raise CoordinatorCrashed(gtid="g1")
+
+
+class BrokenWireSession:
+    """A session whose wire died with the attempt: clean-up raises too."""
+
+    def __init__(self, released: list) -> None:
+        self.released = released
+
+    def rollback(self) -> None:
+        self.released.append("rollback")
+        raise ConnectionClosed("wire gone")
+
+    def close(self) -> None:
+        self.released.append("close")
+        raise ConnectionClosed("wire gone")
+
+
+class BrokenWireConnection:
+    def __init__(self) -> None:
+        self.released: list = []
+
+    def session(self) -> BrokenWireSession:
+        return BrokenWireSession(self.released)
+
+
+def test_clean_up_on_a_broken_wire_keeps_the_attempts_error() -> None:
+    """Under the chaos storm's policy, a rollback and close that fail after
+    a coordinator crash must not turn it into a retried ConnectionClosed:
+    the request gives up under the crash's code, after trying both
+    releases once."""
+    connection = BrokenWireConnection()
+    driver = ThreadedDriver(
+        None, CoordinatorCrashing(), ThreadedDriverConfig(), connection=connection
+    )
+    stats = RunStats(window_start=0.0, window_end=float("inf"))
+    run_request(
+        "Amalgamate",
+        {},
+        driver._attempt,
+        policy=CHAOS_RETRY,
+        stats=stats,
+        obs=None,
+        now=time.monotonic,
+        sleep=time.sleep,
+        rng=None,
+    )
+    assert stats.abort_breakdown() == {"coordinator-crashed": 1}
+    assert (stats.total_retries, stats.total_giveups) == (0, 1)
+    assert connection.released == ["rollback", "close"]
 
 
 class Exploding(SmallBankTransactions):

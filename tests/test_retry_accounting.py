@@ -103,19 +103,17 @@ class TestBackoffClamp:
     @given(
         attempt=st.integers(min_value=1, max_value=12),
         base=st.floats(min_value=1e-4, max_value=1.0),
-        multiplier=st.floats(min_value=1.0, max_value=4.0),
         cap=st.floats(min_value=1e-4, max_value=1.0),
         jitter=st.floats(min_value=0.0, max_value=1.0),
         seed=st.integers(min_value=0, max_value=2**16),
     )
     @settings(max_examples=200, deadline=None)
     def test_backoff_bounded_by_max_backoff(
-        self, attempt, base, multiplier, cap, jitter, seed
+        self, attempt, base, cap, jitter, seed
     ) -> None:
         policy = RetryPolicy(
             max_attempts=5,
             base_backoff=base,
-            multiplier=multiplier,
             max_backoff=cap,
             jitter=jitter,
         )

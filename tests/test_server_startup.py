@@ -81,7 +81,7 @@ class TestServerImportClosure:
         assert "repro.smallbank.transactions" in server_modules
 
 
-PACKAGES = ("repro.core", "repro.smallbank", "repro.net")
+PACKAGES = ("repro.core", "repro.smallbank", "repro.net", "repro.sim")
 
 
 class TestDeferredReExports:

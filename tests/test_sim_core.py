@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import threading
 from typing import Optional
@@ -360,3 +361,21 @@ class TestDeadlockDetection:
         with pytest.raises(SimDeadlock, match="stuck"):
             sim.run_for(1.0)
         sim.shutdown()
+
+
+class TestImportClosure:
+    def test_the_core_loads_only_the_error_model(self):
+        """The interleaving explorer imports ``repro.sim.core``; the
+        package's re-exports must not pull the runner's workload,
+        SmallBank and observability modules in behind it."""
+        from tests.test_server_startup import fresh_interpreter
+
+        loaded = json.loads(
+            fresh_interpreter(
+                "import json, sys\n"
+                "from repro.sim.core import Simulator\n"
+                "print(json.dumps(sorted(m for m in sys.modules"
+                " if m.split('.')[0] == 'repro')))\n"
+            )
+        )
+        assert len(loaded) <= 5, loaded
