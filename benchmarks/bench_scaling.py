@@ -7,7 +7,9 @@ removed the *engine's own* serialization and convoy overhead):
 
 * **SI read microbenchmark** — MPL long-lived snapshot transactions each
   hammer ``Database.read`` on a shared table; the gate is that the
-  aggregate rate at MPL 8 stays near the MPL-1 rate (no convoy).  (The
+  aggregate rate at MPL 8 stays near the MPL-1 rate (no convoy).  Each
+  point, like each TPS point below, runs pinned to one allowed CPU
+  (:func:`pinned`; the record's ``affinity`` block says which).  (The
   comparison with the pre-§9 global-mutex engine, 3.6x at MPL 8, is a
   dated measurement in EXPERIMENTS.md.)
 
@@ -26,8 +28,9 @@ removed the *engine's own* serialization and convoy overhead):
   whole Balance (counts gated by the same file).
 
 * **Draw** — the same two figures for the driver's pick of each
-  request's program, ``TransactionMix.choose`` on the ``balance60`` mix
-  (count gated by the same file).
+  request's program, ``TransactionMix.choose`` on the ``balance60`` mix,
+  and for each program's ``ParameterGenerator.args_for`` (counts gated
+  by the same file).
 
 * **Hand-off** — one simulated baton pass (``repro.sim``, what every
   figure runs on) on one pinned CPU: microseconds and kernel context
@@ -100,7 +103,7 @@ from repro.smallbank.transactions import (
     SmallBankTransactions,
 )
 from repro.workload.driver import ThreadedDriver, ThreadedDriverConfig
-from repro.workload.mix import BALANCE60_MIX
+from repro.workload.mix import BALANCE60_MIX, HotspotConfig, ParameterGenerator
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BENCH_JSON = REPO_ROOT / "BENCH_engine.json"
@@ -112,6 +115,30 @@ ISOLATION_CONFIGS = {
     "s2pl": EngineConfig.s2pl,
     "ssi": EngineConfig.ssi,
 }
+
+
+# ----------------------------------------------------------------------
+# Pinning: one allowed CPU while a threaded point measures
+# ----------------------------------------------------------------------
+@contextlib.contextmanager
+def pinned():
+    """Pin this thread -- and so every thread it starts -- to the lowest
+    CPU it may run on, restoring its affinity on exit.  A Python process
+    runs its threads on one CPU at a time anyway; pinned, a threaded
+    point measures the engine, not the GIL moving between CPUs."""
+    affinity = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(affinity)})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, affinity)
+
+
+def affinity_block() -> dict:
+    """What the record says about pinning: the CPUs this process may run
+    on, and the one :func:`pinned` measures on."""
+    allowed = sorted(os.sched_getaffinity(0))
+    return {"allowed_cpus": allowed, "pinned_cpu": allowed[0]}
 
 
 # ----------------------------------------------------------------------
@@ -170,13 +197,15 @@ def run_read_scaling(
     mpls: "tuple[int, ...]", duration: float, customers: int = 100
 ) -> dict:
     """Reads/second by MPL (``{"lockfree": {mpl: rate}}``, the record
-    shape since the first BENCH_engine.json entry)."""
+    shape since the first BENCH_engine.json entry), each point
+    :func:`pinned`."""
     rates = {}
     for mpl in mpls:
         db = build_database(
             EngineConfig.postgres(), PopulationConfig(customers=customers)
         )
-        rates[str(mpl)] = round(measure_read_rate(db, mpl, duration, customers))
+        with pinned():
+            rates[str(mpl)] = round(measure_read_rate(db, mpl, duration, customers))
     return {"lockfree": rates}
 
 
@@ -200,7 +229,8 @@ def measure_tps(
             seed=7,
         ),
     )
-    stats = driver.run()
+    with pinned():
+        stats = driver.run()
     return {
         "tps": round(stats.tps, 1),
         "aborts": stats.abort_count(),
@@ -302,9 +332,14 @@ def statement_path_shapes() -> "dict[str, Callable[[], None]]":
 
 def draw_shapes() -> "dict[str, Callable[[], None]]":
     """One program drawn by the ``balance60`` mix, as every driver draws
-    each request's program."""
+    each request's program, and one draw of each program's parameters
+    (``args_for <program>``), as every driver draws them."""
     rng = random.Random(1)
-    return {"choose": lambda: BALANCE60_MIX.choose(rng)}
+    generator = ParameterGenerator(HotspotConfig(customers=100, hotspot=10), rng)
+    shapes = {"choose": lambda: BALANCE60_MIX.choose(rng)}
+    for program in PROGRAM_NAMES:
+        shapes[f"args_for {program}"] = lambda p=program: generator.args_for(p)
+    return shapes
 
 
 def shape_calls(shapes: "dict[str, Callable[[], None]]") -> "dict[str, int]":
@@ -374,17 +409,13 @@ def handoff(processes: int, passes: int = 4000) -> dict:
         for _ in range(laps):
             sim.sleep(1e-6)
 
-    affinity = os.sched_getaffinity(0)
-    os.sched_setaffinity(0, {min(affinity)})
-    try:
+    with pinned():
         for _ in range(processes):
             sim.spawn(ring)
         before, started = resource.getrusage(resource.RUSAGE_SELF), time.perf_counter()
         sim.run_for(1.0)
         wall, after = time.perf_counter() - started, resource.getrusage(resource.RUSAGE_SELF)
         sim.shutdown()
-    finally:
-        os.sched_setaffinity(0, affinity)
     switches = after.ru_nvcsw + after.ru_nivcsw - before.ru_nvcsw - before.ru_nivcsw
     return {
         "us_per_pass": round(wall / (laps * processes) * 1e6, 2),
@@ -572,14 +603,16 @@ def main(argv: "list[str] | None" = None) -> int:
     # Smoke keeps a margin wide enough for noisy shared CI runners.
     min_retention = 0.5 if args.smoke else 0.6
 
-    print(f"== SI read microbenchmark (reads/s, {read_duration:.1f}s/point) ==")
+    affinity = affinity_block()
+    print(f"== SI read microbenchmark (reads/s, {read_duration:.1f}s/point, "
+          f"pinned to CPU {affinity['pinned_cpu']}) ==")
     scaling = run_read_scaling(mpls, read_duration)
     for mpl in mpls:
         print(f"  MPL {mpl:>2}: {scaling['lockfree'][str(mpl)]:>9,d}/s")
     retention = scaling["lockfree"]["8"] / scaling["lockfree"]["1"]
     print(f"  MPL-8 / MPL-1 retention: {retention:.2f} (floor {min_retention})")
 
-    print(f"== SmallBank threaded TPS ({tps_duration:.1f}s/point) ==")
+    print(f"== SmallBank threaded TPS ({tps_duration:.1f}s/point, pinned) ==")
     curves = run_tps_curves(mpls, tps_duration, mixes)
     for isolation, by_mix in curves.items():
         for mix, by_mpl in by_mix.items():
@@ -622,7 +655,7 @@ def main(argv: "list[str] | None" = None) -> int:
         print(f"== {title} (one thread, per operation; recorded, not gated) ==")
         for name, micros in block["us_per_op"].items():
             calls = block["python_calls_per_op"][name]
-            print(f"  {name:<14} {micros:7.2f} us  {calls:3d} Python-level calls")
+            print(f"  {name:<26} {micros:7.2f} us  {calls:3d} Python-level calls")
     handoffs = {str(n): handoff(n) for n in HANDOFF_PROCESSES}
     print("== Hand-off (one simulated baton pass, one pinned CPU) ==")
     for n, point in handoffs.items():
@@ -659,6 +692,7 @@ def main(argv: "list[str] | None" = None) -> int:
             "bench_scaling",
             {
                 "mode": "smoke" if args.smoke else "full",
+                "affinity": affinity,
                 "read_scaling": scaling,
                 "mpl8_over_mpl1_retention": round(retention, 2),
                 "smallbank_tps": curves,

@@ -17,31 +17,25 @@ materialization strategies restore acyclicity of the *merged* graph.
 prints its ``cluster://`` URL.
 """
 
-from repro.cluster.chaos import ChaosConfig, ChaosResult, run_chaos
-from repro.cluster.coordinator import DecisionLog, TwoPhaseCoordinator
-from repro.cluster.fleet import Cluster, ShardFleet, ShardProcess
-from repro.cluster.oracle import TimestampOracle
-from repro.cluster.partition import (
-    PARTITION_COLUMNS,
-    HashPartitioner,
-    build_shard_database,
-)
-from repro.cluster.router import ClusterConnection, ClusterSession, ShardHealth
+from repro import _lazy_exports
 
-__all__ = [
-    "ChaosConfig",
-    "ChaosResult",
-    "Cluster",
-    "ClusterConnection",
-    "ClusterSession",
-    "DecisionLog",
-    "HashPartitioner",
-    "PARTITION_COLUMNS",
-    "ShardFleet",
-    "ShardHealth",
-    "ShardProcess",
-    "TimestampOracle",
-    "TwoPhaseCoordinator",
-    "build_shard_database",
-    "run_chaos",
-]
+#: Re-exports, resolved on first use (PEP 562): the router, which every
+#: ``cluster://`` connection imports, does not pay for the chaos harness
+#: and the threaded driver behind it.
+_EXPORTS = {
+    **dict.fromkeys(("ChaosConfig", "ChaosResult", "run_chaos"), "repro.cluster.chaos"),
+    **dict.fromkeys(("DecisionLog", "TwoPhaseCoordinator"), "repro.cluster.coordinator"),
+    **dict.fromkeys(("Cluster", "ShardFleet", "ShardProcess"), "repro.cluster.fleet"),
+    "TimestampOracle": "repro.cluster.oracle",
+    **dict.fromkeys(
+        ("PARTITION_COLUMNS", "HashPartitioner", "build_shard_database"),
+        "repro.cluster.partition",
+    ),
+    **dict.fromkeys(
+        ("ClusterConnection", "ClusterSession", "ShardHealth"), "repro.cluster.router"
+    ),
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

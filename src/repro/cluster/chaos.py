@@ -99,7 +99,7 @@ class ChaosResult:
     final_money: float
     in_doubt_after_recovery: int
     report_description: str
-    #: The clients' request counters (none when a client died) and the
+    #: The clients' request counters (also when one died) and the
     #: controller's ``shard_crashes`` / ``shard_restarts``.
     counters: "dict[str, int]" = field(default_factory=dict)
     router_counters: "dict[str, int]" = field(default_factory=dict)
@@ -280,7 +280,6 @@ def run_chaos(config: ChaosConfig = ChaosConfig(), *, obs=None) -> ChaosResult:
 
     plan = build_fault_plan(config)
     storm = {"shard_crashes": 0, "shard_restarts": 0}
-    requests: "dict[str, int]" = {}
     failures: "list[str]" = []
     started = time.monotonic()
     cluster = _build_cluster(config, obs=obs)
@@ -328,6 +327,7 @@ def run_chaos(config: ChaosConfig = ChaosConfig(), *, obs=None) -> ChaosResult:
             try:
                 stats = driver.run()
             except ThreadedDriverError as exc:
+                stats = exc.stats
                 failures.extend(
                     f"chaos-worker-{client}: {error!r}"
                     for client, error in sorted(exc.failures.items())
@@ -336,15 +336,14 @@ def run_chaos(config: ChaosConfig = ChaosConfig(), *, obs=None) -> ChaosResult:
                     f"chaos-worker-{client}: still running after its join"
                     for client in exc.stuck
                 )
-            else:
-                aborts = stats.abort_breakdown()
-                requests = {"commits": stats.total_commits}
-                for name, code in FAILURE_COUNTERS.items():
-                    requests[name] = aborts.pop(code, 0)
-                requests["aborts"] = sum(aborts.values())
             finally:
                 stop.set()
                 controller.join(timeout=30.0)
+            aborts = stats.abort_breakdown()
+            requests = {"commits": stats.total_commits}
+            for name, code in FAILURE_COUNTERS.items():
+                requests[name] = aborts.pop(code, 0)
+            requests["aborts"] = sum(aborts.values())
             if controller.is_alive():
                 failures.append("chaos-controller: still running after its join")
             # --- recovery to a fixed point, with no fault armed -------

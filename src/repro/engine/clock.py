@@ -9,29 +9,31 @@ engine, which keeps executions deterministic and replayable.
 from __future__ import annotations
 
 import itertools
-import threading
 
 
 class LogicalClock:
-    """Thread-safe monotonic counter used for start and commit timestamps.
+    """Monotonic counter used for start and commit timestamps.
 
     Timestamps start at 1 so that 0 can serve as a "before everything"
     sentinel (the timestamp of bootstrap data loaded outside any
     transaction).
+
+    A tick is one ``next`` of an ``itertools.count`` (atomic under the
+    GIL), so no timestamp is issued twice; :attr:`last` and
+    :meth:`peek_next` are exact while one caller at a time ticks, as the
+    engine does under its commit mutex, so the clock has no lock.
     """
 
     BOOTSTRAP_TS = 0
 
     def __init__(self) -> None:
         self._counter = itertools.count(1)
-        self._lock = threading.Lock()
         self._last = 0
 
     def next(self) -> int:
         """Return the next timestamp (strictly greater than all before)."""
-        with self._lock:
-            self._last = next(self._counter)
-            return self._last
+        self._last = issued = next(self._counter)
+        return issued
 
     @property
     def last(self) -> int:
@@ -52,10 +54,10 @@ class LogicalClock:
     def advance_to(self, ts: int) -> None:
         """Ensure future timestamps are strictly greater than ``ts``.
 
-        Used by crash recovery: after replaying a WAL prefix the clock must
-        not reissue any timestamp at or below the replayed horizon.
+        Used by crash recovery, before the recovered engine serves: after
+        replaying a WAL prefix the clock must not reissue any timestamp at
+        or below the replayed horizon.
         """
-        with self._lock:
-            if ts > self._last:
-                self._last = ts
-                self._counter = itertools.count(ts + 1)
+        if ts > self._last:
+            self._last = ts
+            self._counter = itertools.count(ts + 1)

@@ -412,7 +412,12 @@ class Database:
         with self._commit_mutex:
             if self._crashed:
                 self._ensure_not_crashed()
-            return self._begin_locked(self.clock.next(), label)
+            if self._ssi is not None or self._obs is not None:
+                return self._begin_locked(self.clock.next(), label)
+            # ``_begin_locked`` with nobody to tell, in this frame.
+            txid = self._txid_counter = self._txid_counter + 1
+            txn = self._active[txid] = Transaction(txid, self.clock.next(), label=label)
+            return txn
 
     def _begin_locked(self, start_ts: int, label: str) -> Transaction:
         self._txid_counter += 1
@@ -646,9 +651,9 @@ class Database:
         # publishes before releasing it.
         if not self._s2pl:
             self._check_write_conflict(txn, table, key, row_id)
-        txn.sfu_rows.add(row_id)
+        txn.sfu_rows = {*txn.sfu_rows, row_id}
         if self.config.sfu is SfuSemantics.CC_WRITE:
-            txn.cc_writes.add(row_id)
+            txn.cc_writes = {*txn.cc_writes, row_id}
         if self._s2pl:
             return self._read_latest(txn, table, row_id)
         return self.read(txn, table_name, key)
@@ -799,76 +804,80 @@ class Database:
                     self._abort_locked(txn, reason="serialization")
                     self._fire(txn.drain_callbacks(), txn)
                     raise SerializationFailure(conflict)
-            # Reserve the commit timestamp without ticking the clock yet:
-            # every live snapshot has snapshot_ts <= clock.last < commit_ts,
-            # so the versions published below stay invisible until the tick.
-            commit_ts = self.clock.peek_next()
             txid = txn.txid
             writes = txn.writes
-            tables = self._table_map
-            # Validate every unique constraint BEFORE publishing anything:
-            # a violation must leave no versions behind (and consume no
-            # timestamp).  ``staged`` lets validation see the transaction's
-            # own writes to other rows of a table that has unique columns.
-            staged_by_table: dict[str, dict[Hashable, Optional[Row]]] = {}
-            for row_id in txn.write_order:
-                tn, key = row_id
-                if tables[tn].schema.unique:
-                    if tn not in staged_by_table:
-                        staged_by_table[tn] = {
-                            k: v for (t, k), v in writes.items() if t == tn
-                        }
-                    tables[tn].check_unique_on_commit(
-                        key, writes[row_id], commit_ts, staged_by_table[tn]
+            if not (writes or txn.cc_writes):  # nothing to publish: tick once
+                txn.commit_ts = self.clock.next()
+            else:
+                # Reserve the commit timestamp without ticking the clock yet:
+                # every live snapshot has snapshot_ts <= clock.last < commit_ts,
+                # so the versions published below stay invisible until the tick.
+                commit_ts = self.clock.peek_next()
+                tables = self._table_map
+                # Validate every unique constraint BEFORE publishing anything:
+                # a violation must leave no versions behind (and consume no
+                # timestamp).  ``staged`` lets validation see the transaction's
+                # own writes to other rows of a table that has unique columns.
+                staged_by_table: dict[str, dict[Hashable, Optional[Row]]] = {}
+                for row_id in txn.write_order:
+                    tn, key = row_id
+                    if tables[tn].schema.unique:
+                        if tn not in staged_by_table:
+                            staged_by_table[tn] = {
+                                k: v for (t, k), v in writes.items() if t == tn
+                            }
+                        tables[tn].check_unique_on_commit(
+                            key, writes[row_id], commit_ts, staged_by_table[tn]
+                        )
+                txn.commit_ts = commit_ts
+                redo = []
+                for row_id in txn.write_order:
+                    tn, key = row_id
+                    table = tables[tn]
+                    value = writes[row_id]
+                    version = Version(commit_ts, txid, value)
+                    chain = table.rows[key]  # write() created it
+                    chain.append_committed(version)
+                    uncommitted = chain.uncommitted
+                    if uncommitted is not None and uncommitted[0] == txid:
+                        chain.uncommitted = None
+                    if table.schema.unique:
+                        table.index_committed_version(key, version)
+                    redo.append((row_id, value))
+                for tn, key in txn.cc_writes:
+                    tables[tn].cc_write_ts[key] = commit_ts
+                issued = self.clock.next()  # the tick that makes it all visible
+                assert issued == commit_ts, "commit tick raced the reservation"
+                if writes:
+                    record = WalRecord(
+                        commit_ts=commit_ts,
+                        txid=txid,
+                        label=txn.label,
+                        rows=tuple(txn.write_order),
+                        redo=tuple(redo),
                     )
-            txn.commit_ts = commit_ts
-            redo = []
-            for row_id in txn.write_order:
-                tn, key = row_id
-                table = tables[tn]
-                value = writes[row_id]
-                version = Version(commit_ts, txid, value)
-                chain = table.rows[key]  # write() created it
-                chain.append_committed(version)
-                uncommitted = chain.uncommitted
-                if uncommitted is not None and uncommitted[0] == txid:
-                    chain.uncommitted = None
-                if table.schema.unique:
-                    table.index_committed_version(key, version)
-                redo.append((row_id, value))
-            for tn, key in txn.cc_writes:
-                tables[tn].cc_write_ts[key] = commit_ts
-            issued = self.clock.next()  # the tick that makes it all visible
-            assert issued == commit_ts, "commit tick raced the reservation"
-            if writes:
-                record = WalRecord(
-                    commit_ts=commit_ts,
-                    txid=txid,
-                    label=txn.label,
-                    rows=tuple(txn.write_order),
-                    redo=tuple(redo),
-                )
-                self._group_commit.stage(record)
-                if obs is not None:
-                    obs.engine_wal_stage(txn, record)
-                if faults is not None and faults.should_fire("crash-mid-commit"):
-                    # Power fails after the record is staged but before the
-                    # flush: the commit is NOT durable and must vanish on
-                    # recovery, even though versions were already published
-                    # in (now lost) memory.  _crash_locked spills the staged
-                    # records into the volatile tail and truncates it away.
-                    self._crash_locked()
-                    raise DatabaseCrashed(
-                        f"crash injected during commit of txn {txn.txid} "
-                        f"({txn.label}): WAL record staged but not flushed"
-                    )
+                    self._group_commit.stage(record)
+                    if obs is not None:
+                        obs.engine_wal_stage(txn, record)
+                    if faults is not None and faults.should_fire("crash-mid-commit"):
+                        # Power fails after the record is staged but before the
+                        # flush: the commit is NOT durable and must vanish on
+                        # recovery, even though versions were already published
+                        # in (now lost) memory.  _crash_locked spills the staged
+                        # records into the volatile tail and truncates it away.
+                        self._crash_locked()
+                        raise DatabaseCrashed(
+                            f"crash injected during commit of txn {txn.txid} "
+                            f"({txn.label}): WAL record staged but not flushed"
+                        )
             txn.status = TxnStatus.COMMITTED
             self._active.pop(txid, None)
             if txid in self.locks._held_by_txn:  # an SI reader holds none
                 self._release_locks(txid)
             if ssi is not None:
                 ssi.on_resolve(txn, self._active.values())
-            callbacks = txn.drain_callbacks()
+            with txn._callback_lock:  # ``txn.drain_callbacks()``, in this frame
+                callbacks, txn._resolution_callbacks = txn._resolution_callbacks, []
         try:
             if record is not None:
                 # Durability point: batch-flush outside the critical
@@ -1246,11 +1255,10 @@ class Database:
         fully-released entry, never a partial state.
         """
         locks = self.locks
-        rows = locks.rows_held_by(txid)
+        rows = locks.detach(txid)
         for row in rows if len(rows) < 2 else sorted(rows, key=repr):
             with self._stripes[hash(row) % self._nstripes]:
                 locks.release_one(txid, row)
-        locks.finish_release(txid)
 
     # ------------------------------------------------------------------
     # Maintenance

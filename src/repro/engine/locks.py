@@ -49,7 +49,7 @@ class LockManager:
       session thread (acquire) and its commit/abort path (release), which
       run on the same thread;
     * the waits-for graph — mutated only under the engine's commit mutex
-      (:meth:`begin_wait` / :meth:`end_wait` / :meth:`finish_release`).
+      (:meth:`begin_wait` / :meth:`end_wait` / :meth:`detach`).
 
     ``lock_timeout`` is the maximum time (seconds) a session may wait for a
     lock before the wait expires with :class:`~repro.errors.LockTimeout`.
@@ -116,8 +116,7 @@ class LockManager:
         """Release ``txid``'s lock on one row.
 
         The caller must hold the row's stripe latch (so a concurrent
-        :meth:`try_acquire` cannot observe a half-removed entry) and must
-        follow up with :meth:`finish_release` once every row is done.
+        :meth:`try_acquire` cannot observe a half-removed entry).
         """
         holders = self._locks.get(row)
         if holders is None:
@@ -126,23 +125,23 @@ class LockManager:
         if not holders:
             del self._locks[row]
 
-    def finish_release(self, txid: int) -> None:
-        """Drop ``txid``'s per-transaction bookkeeping after its row locks
-        were released via :meth:`release_one` (commit mutex held)."""
-        self._held_by_txn.pop(txid, None)
+    def detach(self, txid: int) -> "set[RowId]":
+        """Drop ``txid``'s per-transaction bookkeeping (commit mutex held)
+        and return the rows it holds, for the caller to release one by
+        one with :meth:`release_one`."""
         self._waits_for.pop(txid, None)
+        return self._held_by_txn.pop(txid, set())
 
     def release_all(self, txid: int) -> list[RowId]:
         """Release every lock held by ``txid``; returns the freed rows.
 
         Single-structure-owner variant used by tests and tools that drive
         the manager directly; the engine itself releases per-stripe via
-        :meth:`release_one` + :meth:`finish_release`.
+        :meth:`detach` + :meth:`release_one`.
         """
-        rows = self._held_by_txn.pop(txid, set())
+        rows = self.detach(txid)
         for row in rows:
             self.release_one(txid, row)
-        self._waits_for.pop(txid, None)
         return sorted(rows, key=repr)
 
     # ------------------------------------------------------------------

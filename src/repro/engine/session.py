@@ -146,7 +146,7 @@ class Session:
         wire connection to the pool here); on an in-process session this is
         rollback-if-active and the object stays technically usable.
         """
-        if self.txn is not None and self.txn.is_active:
+        if self.txn is not None and self.txn.status is TxnStatus.ACTIVE:
             self.rollback()
 
     # ------------------------------------------------------------------

@@ -53,6 +53,13 @@ class PredicateRead:
 class Transaction:
     """State of one transaction inside a :class:`~repro.engine.engine.Database`."""
 
+    # Rare footprints and the SSI flags: shared empty values until written.
+    cc_writes: "set[RowId] | frozenset[RowId]" = frozenset()
+    sfu_rows: "set[RowId] | frozenset[RowId]" = frozenset()
+    predicate_reads: "list[PredicateRead] | tuple[()]" = ()
+    in_conflict = False  # SSI: some concurrent txn has an rw edge INTO us
+    out_conflict = False  # SSI: we have an rw edge OUT to a concurrent txn
+
     def __init__(self, txid: int, start_ts: int, *, label: str = "") -> None:
         self.txid = txid
         self.start_ts = start_ts
@@ -72,13 +79,6 @@ class Transaction:
         self.reads: dict[RowId, int] = {}
         self.writes: dict[RowId, Optional[Mapping[str, object]]] = {}
         self.write_order: list[RowId] = []
-        self.cc_writes: set[RowId] = set()
-        self.sfu_rows: set[RowId] = set()
-        self.predicate_reads: list[PredicateRead] = []
-
-        # SSI certifier flags (engine mode ``SSI``) ----------------------
-        self.in_conflict = False  # some concurrent txn has an rw edge INTO us
-        self.out_conflict = False  # we have an rw edge OUT to a concurrent txn
 
         self._resolution_callbacks: list[Callable[["Transaction"], None]] = []
         # Guards the callback list against the register/drain race: a
@@ -101,6 +101,8 @@ class Transaction:
     def record_predicate(
         self, table: str, description: str, matched: tuple[Hashable, ...]
     ) -> None:
+        if not self.predicate_reads:
+            self.predicate_reads = []
         self.predicate_reads.append(PredicateRead(table, description, matched))
 
     @property

@@ -268,5 +268,6 @@ class SimEvent:
             return
         self.fired = True
         waiters, self._waiters = self._waiters, []
-        for process in waiters:
-            self.sim.schedule(0.0, process)
+        sim = self.sim
+        for process in waiters:  # ``sim.schedule(0.0, process)`` each
+            heapq.heappush(sim._heap, (sim.now, next(sim._seq), process))

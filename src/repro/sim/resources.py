@@ -14,7 +14,7 @@ from functools import partial
 from heapq import heappush
 from typing import TYPE_CHECKING
 
-from repro.sim.core import SimEvent, SimStopped, Simulator, _Process
+from repro.sim.core import SimStopped, Simulator, _Process
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.faults import FaultPlan
@@ -36,9 +36,9 @@ class Resource:
         self.name = name
         self.in_use = 0
         self._queue: deque[_Process] = deque()
-        # Utilization accounting (busy integral over time).
+        # Busy integral: each hold adds its release time less its acquire
+        # time, so a hold in progress counts ``-acquired`` until released.
         self._busy_time = 0.0
-        self._last_change = 0.0
 
     # ------------------------------------------------------------------
     def acquire(self) -> None:
@@ -46,16 +46,18 @@ class Resource:
             process = self.sim._require_current()
             self._queue.append(process)
             self.sim._suspend(process)  # until _offer finds a server free
-        self._account()
+        self._busy_time -= self.sim.now
         self.in_use += 1
 
     def release(self) -> None:
         if self.in_use <= 0:
             raise RuntimeError(f"release of idle resource {self.name!r}")
-        self._account()
+        sim = self.sim
+        self._busy_time += sim.now
         self.in_use -= 1
-        if self._queue:
-            self.sim.schedule(0.0, partial(self._offer, self._queue.popleft()))
+        if self._queue:  # ``sim.schedule(0.0, offer)``
+            offer = partial(self._offer, self._queue.popleft())
+            heappush(sim._heap, (sim.now, next(sim._seq), offer))
 
     def _offer(self, process: _Process) -> _Process | None:
         """(Scheduler context) activate ``process`` if a server is still
@@ -75,8 +77,7 @@ class Resource:
         if self.in_use >= self.capacity:
             self.acquire()  # queues
         else:
-            self._busy_time += self.in_use * (sim.now - self._last_change)
-            self._last_change = sim.now
+            self._busy_time -= sim.now
             self.in_use += 1
         try:
             heappush(sim._heap, (sim.now + duration, next(sim._seq), process))
@@ -85,23 +86,20 @@ class Resource:
             if sim.stopping:
                 raise SimStopped()
         finally:
-            self._busy_time += self.in_use * (sim.now - self._last_change)
-            self._last_change = sim.now
+            self._busy_time += sim.now
             self.in_use -= 1
             if self._queue:
-                sim.schedule(0.0, partial(self._offer, self._queue.popleft()))
+                offer = partial(self._offer, self._queue.popleft())
+                heappush(sim._heap, (sim.now, next(sim._seq), offer))
 
     # ------------------------------------------------------------------
-    def _account(self) -> None:
-        self._busy_time += self.in_use * (self.sim.now - self._last_change)
-        self._last_change = self.sim.now
-
     def utilization(self) -> float:
         """Average busy fraction since t=0 (per server)."""
-        self._account()
-        if self.sim.now <= 0:
+        now = self.sim.now
+        if now <= 0:
             return 0.0
-        return min(1.0, self._busy_time / (self.sim.now * self.capacity))
+        busy = self._busy_time + self.in_use * now
+        return min(1.0, busy / (now * self.capacity))
 
 
 class GroupCommitLog:
@@ -129,7 +127,7 @@ class GroupCommitLog:
         self.flush_time = flush_time
         self.commit_delay = commit_delay
         self.faults = faults
-        self._pending: list[SimEvent] = []
+        self._pending: list[_Process] = []  # parked until their flush lands
         self._active = False  # a gather window or flush is in progress
         self.flush_count = 0
         self.commits_flushed = 0
@@ -139,12 +137,13 @@ class GroupCommitLog:
     # ------------------------------------------------------------------
     def commit_flush(self) -> None:
         """(Process) wait until this commit's log record is durable."""
-        event = SimEvent(self.sim)
-        self._pending.append(event)
+        sim = self.sim
+        process = sim._current or sim._require_current()
+        self._pending.append(process)
         if not self._active:
             self._active = True
-            self.sim.schedule(self.commit_delay, self._start_flush)
-        event.wait()
+            sim.schedule(self.commit_delay, self._start_flush)
+        sim._suspend(process)
 
     # -- scheduler-context machinery ------------------------------------
     def _start_flush(self) -> None:
@@ -162,13 +161,12 @@ class GroupCommitLog:
             flush_time += stall
             self.stall_count += 1
             self.stall_time += stall
-        self.sim.schedule(
-            flush_time, lambda: self._finish_flush(batch)
-        )
+        self.sim.schedule(flush_time, partial(self._finish_flush, batch))
 
-    def _finish_flush(self, batch: list[SimEvent]) -> None:
-        for event in batch:
-            event.fire()
+    def _finish_flush(self, batch: list[_Process]) -> None:
+        sim = self.sim
+        for process in batch:  # ``sim.schedule(0.0, process)`` each
+            heappush(sim._heap, (sim.now, next(sim._seq), process))
         if self._pending:
             # Commits queued during the flush form the next batch at once:
             # under load the disk streams back-to-back group flushes.

@@ -57,13 +57,15 @@ class ThreadedDriverError(ReproError):
 
     ``failures`` maps client id to the exception that killed the worker;
     ``stuck`` lists client ids whose threads were still alive after the
-    join timeout.
+    join timeout; ``stats`` is the run's :class:`RunStats` as the other
+    clients left it.
     """
 
     def __init__(
         self,
         failures: "dict[int, BaseException]",
-        stuck: "tuple[int, ...]" = (),
+        stuck: "tuple[int, ...]",
+        stats: RunStats,
     ) -> None:
         parts = []
         if failures:
@@ -80,6 +82,7 @@ class ThreadedDriverError(ReproError):
         super().__init__("; ".join(parts) or "threaded driver failure")
         self.failures = dict(failures)
         self.stuck = tuple(stuck)
+        self.stats = stats
 
 
 @dataclass(frozen=True)
@@ -219,5 +222,5 @@ class ThreadedDriver:
         if self.obs is not None and self.db is not None:
             self.db.observe_version_stats()
         if failures or stuck:
-            raise ThreadedDriverError(failures, stuck)
+            raise ThreadedDriverError(failures, stuck, stats)
         return stats

@@ -126,6 +126,14 @@ class HotspotConfig:
             raise ValueError("hotspot probability must be in [0, 1]")
 
 
+#: Each amount-taking program's range of ``V``, drawn uniformly.
+AMOUNT_RANGES = {
+    DEPOSIT_CHECKING: (1.0, 100.0),
+    TRANSACT_SAVING: (-50.0, 100.0),
+    WRITE_CHECK: (1.0, 50.0),
+}
+
+
 class ParameterGenerator:
     """Random customers (hotspot-skewed) and amounts for each program.
 
@@ -139,14 +147,21 @@ class ParameterGenerator:
         self.rng = rng
 
     def pick_customer(self) -> int:
-        cfg = self.config
-        in_hotspot = (
-            cfg.hotspot >= cfg.customers
-            or self.rng.random() < cfg.hotspot_probability
-        )
-        if in_hotspot:
-            return self.rng.randint(1, cfg.hotspot)
-        return self.rng.randint(cfg.hotspot + 1, cfg.customers)
+        """A customer id: in the hotspot with ``hotspot_probability``, else
+        uniform outside it.  The id is the one ``rng.randint`` would return,
+        drawn by the same ``getrandbits`` rejection loop (CPython's
+        ``_randbelow_with_getrandbits``) in this one frame: the paper
+        figures and the simulator's goldens depend on that stream."""
+        cfg, rng = self.config, self.rng
+        if cfg.hotspot >= cfg.customers or rng.random() < cfg.hotspot_probability:
+            first, span = 1, cfg.hotspot
+        else:
+            first, span = cfg.hotspot + 1, cfg.customers - cfg.hotspot
+        bits = span.bit_length()
+        drawn = rng.getrandbits(bits)
+        while drawn >= span:
+            drawn = rng.getrandbits(bits)
+        return first + drawn
 
     def pick_two_customers(self) -> tuple[int, int]:
         """Two *distinct* customers for Amalgamate.
@@ -179,25 +194,15 @@ class ParameterGenerator:
         return first, second
 
     def args_for(self, program: str) -> dict[str, object]:
-        rng = self.rng
         if program == BALANCE:
             return {"N": customer_name(self.pick_customer())}
-        if program == DEPOSIT_CHECKING:
-            return {
-                "N": customer_name(self.pick_customer()),
-                "V": round(rng.uniform(1.0, 100.0), 2),
-            }
-        if program == TRANSACT_SAVING:
-            return {
-                "N": customer_name(self.pick_customer()),
-                "V": round(rng.uniform(-50.0, 100.0), 2),
-            }
         if program == AMALGAMATE:
             first, second = self.pick_two_customers()
             return {"N1": customer_name(first), "N2": customer_name(second)}
-        if program == WRITE_CHECK:
-            return {
-                "N": customer_name(self.pick_customer()),
-                "V": round(rng.uniform(1.0, 50.0), 2),
-            }
-        raise ValueError(f"unknown program {program!r}")
+        try:
+            low, high = AMOUNT_RANGES[program]
+        except KeyError:
+            raise ValueError(f"unknown program {program!r}") from None
+        name = customer_name(self.pick_customer())
+        # ``rng.uniform(low, high)``, by its documented formula.
+        return {"N": name, "V": round(low + (high - low) * self.rng.random(), 2)}

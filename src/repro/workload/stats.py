@@ -174,7 +174,8 @@ class RunStats:
         """Abort counts keyed by reason tag (``serialization``, ``deadlock``,
         ``ssi``, ``lock-timeout``, ``fault``, ...)."""
         breakdown: dict[str, int] = {}
-        for (prog, reason), count in self.aborts.items():
+        # Copied in one step: a client stuck past its join may still count.
+        for (prog, reason), count in list(self.aborts.items()):
             if program is None or prog == program:
                 breakdown[reason] = breakdown.get(reason, 0) + count
         return breakdown

@@ -556,6 +556,8 @@ class TestChaosSoak:
         (failure,) = result.to_record()["checks"]["thread_failures"]
         assert failure.startswith("chaos-worker-")
         assert "TypeError('a bug in a program')" in failure
+        # The surviving client's requests are still counted.
+        assert result.counters["commits"] > 0
 
     def test_fault_plan_covers_every_distributed_point(self):
         plan = build_fault_plan(ChaosConfig())

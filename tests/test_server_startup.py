@@ -81,7 +81,22 @@ class TestServerImportClosure:
         assert "repro.smallbank.transactions" in server_modules
 
 
-PACKAGES = ("repro.core", "repro.smallbank", "repro.net", "repro.sim")
+PACKAGES = (
+    "repro.core", "repro.smallbank", "repro.net", "repro.sim",
+    "repro.workload", "repro.cluster",
+)
+
+#: An import and the modules it must not load: a package's re-exports
+#: resolve on first use, so one module of it does not pay for the rest.
+LEAN_IMPORTS = {
+    "from repro.workload.retry import RetryPolicy": (
+        "repro.workload.driver", "repro.obs",
+    ),
+    "import repro.cluster.router": (
+        "repro.cluster.chaos", "repro.workload.driver", "repro.obs",
+        "repro.smallbank.strategies",
+    ),
+}
 
 
 class TestDeferredReExports:
@@ -100,6 +115,16 @@ class TestDeferredReExports:
             f"import {package} as package\n"
             "assert set(package.__all__) <= set(globals())\n"
         )
+
+    @pytest.mark.parametrize("statement", LEAN_IMPORTS)
+    def test_one_module_does_not_load_its_siblings(self, statement):
+        loaded = json.loads(
+            fresh_interpreter(
+                f"import json, sys\n{statement}\n"
+                "print(json.dumps(sorted(sys.modules)))\n"
+            )
+        )
+        assert [m for m in LEAN_IMPORTS[statement] if m in loaded] == []
 
     def test_unknown_name_is_an_attribute_error(self):
         import repro.smallbank

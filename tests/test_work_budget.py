@@ -45,22 +45,33 @@ PROGRAM_CALLS = {
 PROGRAM_MARGIN = 1.1
 
 BUDGETS = {
-    # Added to an empty begin + commit (10 calls); 2 / 20 today.
+    # Added to an empty begin + commit (7 calls); 2 / 20 today.
     "write": {"read": 5, "update": 30},
-    # 6 / 9 / 14 / 10 / 33 today.
+    # 6 / 9 / 14 / 7 / 30 today.
     "statement": {
         "get_saving": 6,  # GET_SAVING.execute: a key SELECT ... INTO
         "get_saving_sfu": 14,  # GET_SAVING_SFU.execute: the same, FOR UPDATE
         "add_checking": 14,  # ADD_CHECKING.execute: a key UPDATE
-        "begin_commit": 12,  # session.begin() + session.commit(), nothing between
+        "begin_commit": 7,  # session.begin() + session.commit(), nothing between (10 before)
         "balance": 42,  # SmallBankTransactions.run(session, "Balance", ...)
     },
     # TransactionMix.choose: its own frame, the draw and bisection in C; 1 today.
-    "draw": {"choose": 1},
+    # ParameterGenerator.args_for: its frame, one pick_customer frame per
+    # customer (the draw in C) and one customer_name per name; 6 / 7 / 7 /
+    # 12 / 7 before the draw moved into pick_customer.
+    "draw": {
+        "choose": 1,
+        "args_for Balance": 3,
+        "args_for DepositChecking": 3,
+        "args_for TransactSaving": 3,
+        "args_for Amalgamate": 6,
+        "args_for WriteCheck": 3,
+    },
     # session() + PING + close() on a pooled wire, client and server loop apart; 14 / 11 today.
     "ping": {"client": 16, "server": 11},
-    # One simulated charge; 2 / 2 / 3 today.
-    "sim": {"use": 3, "sleep": 3, "statement": 4},
+    # One simulated charge and one group-commit flush wait; 2 / 2 / 3 / 7
+    # today (the flush was 13 with a SimEvent per waiter).
+    "sim": {"use": 3, "sleep": 3, "statement": 4, "flush": 7},
     "program": {
         f"{program} {url}": math.floor(PROGRAM_MARGIN * calls)
         for program, row in PROGRAM_CALLS.items()
@@ -70,14 +81,17 @@ BUDGETS = {
 
 
 def charge_path_calls() -> "dict[str, int]":
-    """Calls per ``Resource.use``, ``Simulator.sleep`` and statement charge,
-    the operation's frame counted, inside one simulated process alone in
-    its simulation (a profiler sees one thread), after a warm-up."""
+    """Calls per ``Resource.use``, ``Simulator.sleep``, statement charge
+    and ``GroupCommitLog.commit_flush``, the operation's frame counted,
+    inside one simulated process alone in its simulation (a profiler sees
+    one thread, and the flush's scheduler work runs on it), after a
+    warm-up."""
     platform, sim, rng = postgres_platform(), Simulator(), random.Random(1)
     cpu = Resource(sim, capacity=platform.cpu_servers, name="cpu")
+    wal = GroupCommitLog(sim, flush_time=platform.wal_flush_time)
     client = SimulatedClient(
         sim, build_database(platform.engine_config, PopulationConfig(customers=10)),
-        platform, cpu, GroupCommitLog(sim, flush_time=platform.wal_flush_time),
+        platform, cpu, wal,
         get_strategy("base-si").transactions(), get_mix("uniform"),
         ParameterGenerator(HotspotConfig(customers=10, hotspot=2), rng),
         RunStats(window_start=0.0, window_end=1.0), mpl=1, rng=rng,
@@ -86,6 +100,7 @@ def charge_path_calls() -> "dict[str, int]":
         "use": lambda: cpu.use(0.001),
         "sleep": lambda: sim.sleep(0.001),
         "statement": lambda: client._statement_hook("select", None),
+        "flush": lambda: wal.commit_flush(),
     }
     calls: "dict[str, int]" = {}
 

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.engine import EngineConfig
-from repro.smallbank import PROGRAM_NAMES, PopulationConfig, build_database
+from repro.smallbank import PROGRAM_NAMES, PopulationConfig, build_database, customer_name
 from repro.smallbank.strategies import get_strategy
 from repro.workload import (
     BALANCE60_MIX,
@@ -106,6 +106,79 @@ class TestDrawStream:
         with pytest.raises(ValueError) as mix_error:
             TransactionMix("refused", weights)
         assert str(mix_error.value) == str(choices_error.value)
+
+
+class ReferenceGenerator:
+    """The parameter draw as ``ParameterGenerator`` once wrote it, on
+    ``randint`` and ``uniform``: the stream the paper figures and the
+    simulator's goldens were made with."""
+
+    def __init__(self, config, rng):
+        self.config, self.rng = config, rng
+
+    def pick_customer(self):
+        cfg = self.config
+        if cfg.hotspot >= cfg.customers or self.rng.random() < cfg.hotspot_probability:
+            return self.rng.randint(1, cfg.hotspot)
+        return self.rng.randint(cfg.hotspot + 1, cfg.customers)
+
+    def pick_two_customers(self):
+        cfg = self.config
+        if cfg.customers < 2 or (cfg.hotspot < 2 and cfg.hotspot_probability >= 1.0) or (
+            cfg.customers - cfg.hotspot == 1 and cfg.hotspot_probability <= 0.0
+        ):
+            raise ValueError("refused")
+        first = self.pick_customer()
+        second = self.pick_customer()
+        while second == first:
+            second = self.pick_customer()
+        return first, second
+
+    def args_for(self, program):
+        rng, name = self.rng, customer_name
+        if program == "Balance":
+            return {"N": name(self.pick_customer())}
+        if program == "DepositChecking":
+            return {"N": name(self.pick_customer()), "V": round(rng.uniform(1.0, 100.0), 2)}
+        if program == "TransactSaving":
+            return {"N": name(self.pick_customer()), "V": round(rng.uniform(-50.0, 100.0), 2)}
+        if program == "Amalgamate":
+            first, second = self.pick_two_customers()
+            return {"N1": name(first), "N2": name(second)}
+        if program == "WriteCheck":
+            return {"N": name(self.pick_customer()), "V": round(rng.uniform(1.0, 50.0), 2)}
+        raise ValueError(f"unknown program {program!r}")
+
+
+@st.composite
+def hotspot_configs(draw):
+    customers = draw(st.one_of(st.integers(1, 70), st.integers(1, 5000)))
+    hotspot = draw(st.integers(1, customers))
+    probability = draw(st.one_of(st.sampled_from([0.0, 0.9, 1.0]), st.floats(0.0, 1.0)))
+    return HotspotConfig(customers, hotspot, probability)
+
+
+class TestParameterStream:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32),
+        config=hotspot_configs(),
+        programs=st.lists(st.sampled_from([*PROGRAM_NAMES, "Nope"]), min_size=1, max_size=40),
+    )
+    def test_args_for_draws_what_the_reference_draws(self, seed, config, programs):
+        """Same dicts, same refusals, and the generator left in the same
+        state, request after request."""
+        ours, theirs = random.Random(seed), random.Random(seed)
+        generator, reference = ParameterGenerator(config, ours), ReferenceGenerator(config, theirs)
+        for program in programs:
+            try:
+                expected = reference.args_for(program)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    generator.args_for(program)
+            else:
+                assert generator.args_for(program) == expected
+            assert ours.getstate() == theirs.getstate()
 
 
 class TestHotspot:
