@@ -1,9 +1,10 @@
-"""Scaling benchmark: threaded throughput of the striped, lock-free engine.
+"""Scaling benchmark: threaded throughput of the one-latch engine.
 
 Two measurements, both on real OS threads (the GIL serializes the
 interpreter, so the engine cannot exceed single-core throughput — what the
-benchmark demonstrates is that the lock-free read path and stripe latches
-removed the *engine's own* serialization and convoy overhead):
+benchmark demonstrates is that the latch-free SI read path and the one
+short-held commit mutex, DESIGN.md §9, add no serialization or convoy
+overhead of the *engine's own*):
 
 * **SI read microbenchmark** — MPL long-lived snapshot transactions each
   hammer ``Database.read`` on a shared table; the gate is that the
@@ -15,7 +16,8 @@ removed the *engine's own* serialization and convoy overhead):
 
 * **SmallBank TPS curves** — the threaded closed-system driver runs the
   ``readonly`` and ``balance60`` mixes under SI, S2PL and SSI at
-  MPL ∈ {1, 4, 8, 16, 30}.
+  MPL ∈ {1, 4, 8, 16, 30} (the smoke run: both mixes at MPL 1 and 8, so
+  CI's MPL-8 points exercise the write path too).
 
 * **Write path** — what a read, a one-row and a three-row update add to
   an empty transaction on one thread: microseconds (recorded, never
@@ -238,13 +240,11 @@ def measure_tps(
     }
 
 
-def run_tps_curves(
-    mpls: "tuple[int, ...]", duration: float, mixes: "tuple[str, ...]"
-) -> dict:
+def run_tps_curves(mpls: "tuple[int, ...]", duration: float) -> dict:
     out: dict = {}
     for isolation in ISOLATION_CONFIGS:
         out[isolation] = {}
-        for mix in mixes:
+        for mix in ("readonly", "balance60"):
             out[isolation][mix] = {
                 str(mpl): measure_tps(isolation, mpl, mix, duration)
                 for mpl in mpls
@@ -599,7 +599,6 @@ def main(argv: "list[str] | None" = None) -> int:
     mpls = SMOKE_MPLS if args.smoke else MPLS
     read_duration = 0.6 if args.smoke else 1.0
     tps_duration = 0.5 if args.smoke else 1.0
-    mixes = ("readonly",) if args.smoke else ("readonly", "balance60")
     # Smoke keeps a margin wide enough for noisy shared CI runners.
     min_retention = 0.5 if args.smoke else 0.6
 
@@ -613,7 +612,7 @@ def main(argv: "list[str] | None" = None) -> int:
     print(f"  MPL-8 / MPL-1 retention: {retention:.2f} (floor {min_retention})")
 
     print(f"== SmallBank threaded TPS ({tps_duration:.1f}s/point, pinned) ==")
-    curves = run_tps_curves(mpls, tps_duration, mixes)
+    curves = run_tps_curves(mpls, tps_duration)
     for isolation, by_mix in curves.items():
         for mix, by_mpl in by_mix.items():
             points = "  ".join(

@@ -61,23 +61,12 @@ class EngineConfig:
     the simulator).  ``None`` (the default, matching PostgreSQL's
     ``lock_timeout = 0``) waits forever; an expired wait aborts the waiter
     with :class:`~repro.errors.LockTimeout`.
-
-    ``stripes`` is the number of row-latch stripes the engine hashes
-    ``(table, key)`` row ids onto (DESIGN.md §9).  Writers contend only
-    per-stripe; SI readers take no latch at all.  The default is generous
-    for the benchmark MPLs — contention on a stripe latch is already rare
-    at 64 stripes and 30 clients.
     """
 
     isolation: IsolationLevel = IsolationLevel.SI
     write_conflict: WriteConflictPolicy = WriteConflictPolicy.FIRST_UPDATER_WINS
     sfu: SfuSemantics = SfuSemantics.LOCK_ONLY
     lock_timeout: "float | None" = None
-    stripes: int = 64
-
-    def __post_init__(self) -> None:
-        if self.stripes < 1:
-            raise ValueError("stripes must be at least 1")
 
     def with_lock_timeout(self, lock_timeout: "float | None") -> "EngineConfig":
         """This configuration with a different lock-wait timeout."""

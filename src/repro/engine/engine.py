@@ -31,32 +31,23 @@ Concurrency-control semantics implemented here (see
 Threading model (DESIGN.md §9)
 ------------------------------
 
-The engine used to serialize *every* operation behind one re-entrant
-mutex.  It now uses a two-level scheme that leaves the SI read path
-entirely lock-free:
+One latch, the commit mutex (``_commit_mutex``), guards everything the
+engine mutates: ``begin`` (snapshot acquisition), the row locks and the
+waits-for graph, staging an uncommitted version, the SSI certifier's
+state, commit validation + version publication, abort, the registration
+of resolution callbacks and :meth:`vacuum`.  A blocked operation builds
+its :class:`WaitOn` in the same hold as the failed acquire, so every
+blocker it names is still active.  Python runs one thread at a time, so
+finer latches would buy no parallelism and cost an acquisition per row.
 
-* **SI/SSI reads take no lock at all.**  They traverse only structures
-  that are published atomically and never mutated in place: version
-  chains (append-only lists of frozen :class:`Version` objects), the
-  tables' key dictionaries (CPython dict get/set are atomic under the
-  GIL), copy-on-write index tuples and the sorted-key cache.  The commit
-  protocol below guarantees a reader can never observe a version whose
-  commit timestamp its snapshot covers *partially*.
-* **A small commit mutex** (``_commit_mutex``) serializes the events that
-  define the global timestamp order: ``begin`` (snapshot acquisition),
-  commit validation + version publication, abort, the waits-for graph,
-  and :meth:`vacuum`.
-* **N stripe latches** (``config.stripes``) hash ``(table, key)`` row ids
-  onto a small lock array.  They serialize lock-manager operations on a
-  row (``try_acquire`` vs ``release_one``) and in-place chain mutation by
-  the *owning* writer (creating the chain, staging the uncommitted
-  version).  Writers therefore contend only when their rows share a
-  stripe, never on a global lock.
-
-Lock ordering: the commit mutex may be taken alone or *before* a stripe
-latch (commit/abort release row locks per-stripe while holding it); a
-stripe latch is never held while acquiring the commit mutex, and stripes
-are never nested.
+**SI/SSI reads take no latch** to find their version.  They traverse only
+structures that are published atomically and never mutated in place:
+version chains (append-only lists of frozen :class:`Version` objects),
+the tables' key dictionaries (CPython dict get/set are atomic under the
+GIL), copy-on-write index tuples and the sorted-key cache.  The commit
+protocol below guarantees a reader can never observe a version whose
+commit timestamp its snapshot covers *partially*.  (SSI then records the
+read with its certifier, under the commit mutex.)
 
 Snapshot-consistent publication: a committing transaction *reserves*
 ``commit_ts = clock.peek_next()`` under the commit mutex, publishes its
@@ -171,14 +162,9 @@ class Database:
         self.locks = LockManager(lock_timeout=self.config.lock_timeout)
         self.wal = WriteAheadLog()
         self.faults = faults
-        # Serializes begin / commit / abort / waits-for-graph mutation —
-        # everything that defines the global timestamp order.  Re-entrant
-        # because abort paths nest inside commit paths.
+        # The engine's one latch (see the module docstring).  Re-entrant
+        # because abort paths nest inside commit and write paths.
         self._commit_mutex = threading.RLock()
-        # Row-latch stripes: hash((table, key)) picks one.  See the module
-        # docstring for the lock ordering rules.
-        self._nstripes = self.config.stripes
-        self._stripes = tuple(threading.Lock() for _ in range(self._nstripes))
         self._group_commit = GroupCommitBuffer()
         # Hot-path accelerators: the isolation / conflict-policy tests and
         # the table lookup run on every read or write, so resolve them to
@@ -227,9 +213,6 @@ class Database:
         #: idempotent decision re-delivery (a coordinator may retry after
         #: a timeout and must get the same answer).
         self._resolved_gtids: dict[str, tuple[str, int]] = {}
-
-    def _stripe(self, row_id: RowId) -> threading.Lock:
-        return self._stripes[hash(row_id) % self._nstripes]
 
     # ------------------------------------------------------------------
     # Bootstrap loading (outside any transaction)
@@ -416,12 +399,14 @@ class Database:
                 return self._begin_locked(self.clock.next(), label)
             # ``_begin_locked`` with nobody to tell, in this frame.
             txid = self._txid_counter = self._txid_counter + 1
-            txn = self._active[txid] = Transaction(txid, self.clock.next(), label=label)
+            txn = self._active[txid] = Transaction(
+                txid, self.clock.next(), self._commit_mutex, label=label
+            )
             return txn
 
     def _begin_locked(self, start_ts: int, label: str) -> Transaction:
         self._txid_counter += 1
-        txn = Transaction(self._txid_counter, start_ts, label=label)
+        txn = Transaction(self._txid_counter, start_ts, self._commit_mutex, label=label)
         self._active[txn.txid] = txn
         if self._ssi is not None:
             self._ssi.on_begin(txn)
@@ -490,7 +475,8 @@ class Database:
         if row_id not in reads:
             reads[row_id] = version_ts
         if ssi is not None:
-            ssi.on_read(txn, row_id, self)
+            with self._commit_mutex:
+                ssi.on_read(txn, row_id, self)
         obs = self._obs
         if obs is not None:
             obs.engine_read(txn, row_id, version_ts)
@@ -499,23 +485,16 @@ class Database:
     def _read_s2pl(
         self, txn: Transaction, table_name: str, key: Hashable
     ) -> "Row | None | WaitOn":
-        """S2PL read: share-lock the row (per-stripe), read latest."""
+        """S2PL read: share-lock the row, read latest."""
         self._ensure_not_crashed()
         txn.ensure_active()
         table = self.catalog.table(table_name)
         row_id: RowId = (table_name, key)
-        while True:
-            with self._stripe(row_id):
-                blockers = self.locks.try_acquire(
-                    txn.txid, row_id, LockMode.SHARED
-                )
-            if not blockers:
-                return self._read_latest(txn, table, row_id)
-            wait = self._wait_on(blockers)
-            if wait is not None:
-                return wait
-            # Every blocker resolved between the failed acquire and the
-            # lookup: just retry the acquire.
+        with self._commit_mutex:
+            blockers = self.locks.try_acquire(txn.txid, row_id, LockMode.SHARED)
+            if blockers:
+                return self._blocked(blockers)
+        return self._read_latest(txn, table, row_id)
 
     def lookup_unique(
         self, txn: Transaction, table_name: str, column: str, value: Hashable
@@ -565,49 +544,41 @@ class Database:
         txn.ensure_active()
         self._check_doomed(txn)
         table = self.catalog.table(table_name)
-        s2pl = self._s2pl
-        while True:
-            snapshot = self._read_horizon(txn)
-            keys: "tuple[Hashable, ...] | list[Hashable]" = table.sorted_keys()
-            # Own writes always have a chain (write() creates it), so the
-            # cache already covers them; the guard below only fires if that
-            # invariant is ever broken.
-            extra = [
-                k
-                for tn, k in txn.writes
-                if tn == table_name and k not in table.rows
-            ]
-            if extra:
-                keys = sorted([*keys, *extra], key=repr)
-            matches: list[tuple[Hashable, Row]] = []
-            for key in keys:
-                row_id = (table_name, key)
-                if row_id in txn.writes:
-                    merged = txn.writes[row_id]
-                else:
-                    merged = table.visible_row(key, snapshot)
-                if merged is None:
-                    continue
-                if predicate is not None and not predicate(merged):
-                    continue
-                matches.append((key, merged))
-            if not s2pl:
-                break
+        snapshot = self._read_horizon(txn)
+        keys: "tuple[Hashable, ...] | list[Hashable]" = table.sorted_keys()
+        # Own writes always have a chain (write() creates it), so the
+        # cache already covers them; the guard below only fires if that
+        # invariant is ever broken.
+        extra = [
+            k
+            for tn, k in txn.writes
+            if tn == table_name and k not in table.rows
+        ]
+        if extra:
+            keys = sorted([*keys, *extra], key=repr)
+        matches: list[tuple[Hashable, Row]] = []
+        for key in keys:
+            row_id = (table_name, key)
+            if row_id in txn.writes:
+                merged = txn.writes[row_id]
+            else:
+                merged = table.visible_row(key, snapshot)
+            if merged is None:
+                continue
+            if predicate is not None and not predicate(merged):
+                continue
+            matches.append((key, merged))
+        if self._s2pl:
             blocker_ids: set[int] = set()
-            for key, _ in matches:
-                row_id = (table_name, key)
-                with self._stripe(row_id):
-                    conflict = self.locks.try_acquire(
-                        txn.txid, row_id, LockMode.SHARED
+            with self._commit_mutex:
+                for key, _ in matches:
+                    blocker_ids.update(
+                        self.locks.try_acquire(
+                            txn.txid, (table_name, key), LockMode.SHARED
+                        )
                     )
-                blocker_ids.update(conflict)
-            if not blocker_ids:
-                break
-            wait = self._wait_on(frozenset(blocker_ids))
-            if wait is not None:
-                return wait
-            # All blockers resolved already: rescan (their commits may have
-            # changed the match set) and re-attempt the locks.
+                if blocker_ids:
+                    return self._blocked(blocker_ids)
         txn.record_predicate(
             table_name, description, tuple(key for key, _ in matches)
         )
@@ -637,15 +608,10 @@ class Database:
         if table is None:
             self.catalog.table(table_name)  # raises SchemaError
         row_id: RowId = (table_name, key)
-        stripe = self._stripes[hash(row_id) % self._nstripes]
-        while True:
-            with stripe:
-                blockers = self.locks.try_acquire(txn.txid, row_id, _EXCLUSIVE)
-            if not blockers:
-                break
-            wait = self._wait_on(blockers)
-            if wait is not None:
-                return wait
+        with self._commit_mutex:
+            blockers = self.locks.try_acquire(txn.txid, row_id, _EXCLUSIVE)
+            if blockers:
+                return self._blocked(blockers)
         # Holding the exclusive lock pins the chain tip and the SFU mark:
         # any competing writer must first get this lock, and a committer
         # publishes before releasing it.
@@ -673,8 +639,8 @@ class Database:
         Returns ``WaitOn`` when blocked behind another writer; raises
         :class:`SerializationFailure` on a first-updater-wins conflict.
         The value becomes visible to other transactions only at commit.
-        Writers synchronize per-stripe — two writers contend only when
-        their rows hash to the same stripe.
+        One hold of the commit mutex covers the lock, the
+        first-updater-wins check and the staging.
         """
         if self._crashed:
             self._ensure_not_crashed()
@@ -698,41 +664,36 @@ class Database:
             value = MappingProxyType(value)
         row_id: RowId = (table_name, key)
         txid = txn.txid
-        stripe = self._stripes[hash(row_id) % self._nstripes]
-        while True:
-            with stripe:
-                blockers = self.locks.try_acquire(txid, row_id, _EXCLUSIVE)
-            if not blockers:
-                break
-            wait = self._wait_on(blockers)
-            if wait is not None:
-                return wait
-        if self._first_updater_wins:
-            # The exclusive lock pins the chain tip (see the commit
-            # protocol), so this check is race-free without the mutex;
-            # inlined here, the helper is called only to raise.  A row
-            # with no chain has only its bootstrap version, at 0.
-            tip = table.rows.get(key)
-            tip = tip._committed[-1].commit_ts if tip is not None and tip._committed else 0
-            if max(tip, table.cc_write_ts.get(key, 0)) > txn.snapshot_ts:
-                self._check_write_conflict(txn, table, key, row_id)
         rows = table.rows
-        with stripe:
+        with self._commit_mutex:
+            blockers = self.locks.try_acquire(txid, row_id, _EXCLUSIVE)
+            if blockers:
+                return self._blocked(blockers)
             chain = rows.get(key)
+            if self._first_updater_wins:
+                # Inlined, the helper is called only to raise.  A row with
+                # no chain has only its bootstrap version, at 0.
+                tip = (
+                    chain._committed[-1].commit_ts
+                    if chain is not None and chain._committed
+                    else 0
+                )
+                if max(tip, table.cc_write_ts.get(key, 0)) > txn.snapshot_ts:
+                    self._check_write_conflict(txn, table, key, row_id)
             if chain is None:
                 rows[key] = VersionChain(table.base.get(key), (txid, value))
             else:
                 chain.uncommitted = (txid, value)
+            if ssi is not None:
+                ssi.on_write(txn, row_id)
         writes = txn.writes
         if row_id not in writes:
             txn.write_order.append(row_id)
         writes[row_id] = value
         if self._obs is not None:
             self._obs.engine_write(txn, row_id)
-        if ssi is not None:
-            ssi.on_write(txn, row_id)
-            if ssi.is_doomed(txn):
-                self._check_doomed(txn)
+        if ssi is not None and ssi.is_doomed(txn):
+            self._check_doomed(txn)
         return None
 
     def insert(
@@ -853,7 +814,6 @@ class Database:
                         commit_ts=commit_ts,
                         txid=txid,
                         label=txn.label,
-                        rows=tuple(txn.write_order),
                         redo=tuple(redo),
                     )
                     self._group_commit.stage(record)
@@ -873,11 +833,11 @@ class Database:
             txn.status = TxnStatus.COMMITTED
             self._active.pop(txid, None)
             if txid in self.locks._held_by_txn:  # an SI reader holds none
-                self._release_locks(txid)
+                self.locks.release_all(txid)
             if ssi is not None:
                 ssi.on_resolve(txn, self._active.values())
-            with txn._callback_lock:  # ``txn.drain_callbacks()``, in this frame
-                callbacks, txn._resolution_callbacks = txn._resolution_callbacks, []
+            # ``txn.drain_callbacks()``, in this frame.
+            callbacks, txn._resolution_callbacks = txn._resolution_callbacks, []
         try:
             if record is not None:
                 # Durability point: batch-flush outside the critical
@@ -946,7 +906,7 @@ class Database:
                 chain.uncommitted = None
         txn.status = TxnStatus.ABORTED
         self._active.pop(txn.txid, None)
-        self._release_locks(txn.txid)
+        self.locks.release_all(txn.txid)
         if self._ssi is not None:
             self._ssi.on_resolve(txn, self._active.values())
         if reason != "user":
@@ -1028,7 +988,6 @@ class Database:
                 commit_ts=0,  # no timestamp until the decision
                 txid=txn.txid,
                 label=txn.label,
-                rows=tuple(txn.write_order),
                 redo=tuple([(row, writes[row]) for row in txn.write_order]),
                 kind="prepare",
                 gtid=gtid,
@@ -1095,8 +1054,6 @@ class Database:
                     commit_ts=commit_ts,
                     txid=txid,
                     label=txn.label,
-                    rows=(),
-                    redo=(),
                     kind="commit-2pc",
                     gtid=gtid,
                 )
@@ -1124,8 +1081,6 @@ class Database:
                     commit_ts=commit_ts,
                     txid=stash.txid,
                     label=stash.label,
-                    rows=(),
-                    redo=(),
                     kind="commit-2pc",
                     gtid=gtid,
                 )
@@ -1138,7 +1093,7 @@ class Database:
                     obs.engine_wal_stage(txn, record)
                 txn.status = TxnStatus.COMMITTED
                 self._active.pop(txid, None)
-                self._release_locks(txid)
+                self.locks.release_all(txid)
                 if self._ssi is not None:
                     self._ssi.on_resolve(txn, self._active.values())
                 callbacks = txn.drain_callbacks()
@@ -1207,13 +1162,13 @@ class Database:
         with self._commit_mutex:
             self._txid_counter += 1
             holder = Transaction(
-                self._txid_counter, self.clock.last, label=record.label
+                self._txid_counter, self.clock.last, self._commit_mutex,
+                label=record.label,
             )
             holder.status = TxnStatus.PREPARED
             holder.gtid = gtid
             for row_id, _value in record.redo:
-                with self._stripe(row_id):
-                    self.locks.try_acquire(holder.txid, row_id, _EXCLUSIVE)
+                self.locks.try_acquire(holder.txid, row_id, _EXCLUSIVE)
             self._active[holder.txid] = holder
             self._in_doubt[gtid] = record
             self._in_doubt_holders[gtid] = holder
@@ -1226,7 +1181,7 @@ class Database:
         holder = self._in_doubt_holders.pop(gtid)
         holder.status = TxnStatus.ABORTED
         self._active.pop(holder.txid, None)
-        self._release_locks(holder.txid)
+        self.locks.release_all(holder.txid)
         for callback in holder.drain_callbacks():
             callback(holder)
 
@@ -1246,19 +1201,6 @@ class Database:
         """Gtids of live prepared transactions, sorted (for stats/tests)."""
         with self._commit_mutex:
             return tuple(sorted(self._prepared))
-
-    def _release_locks(self, txid: int) -> None:
-        """Release all row locks per-stripe (commit mutex held).
-
-        Each row's release happens under its stripe latch so a concurrent
-        ``try_acquire`` on another thread observes either the held or the
-        fully-released entry, never a partial state.
-        """
-        locks = self.locks
-        rows = locks.detach(txid)
-        for row in rows if len(rows) < 2 else sorted(rows, key=repr):
-            with self._stripes[hash(row) % self._nstripes]:
-                locks.release_one(txid, row)
 
     # ------------------------------------------------------------------
     # Maintenance
@@ -1343,7 +1285,8 @@ class Database:
     ) -> None:
         txn.record_read(row_id, version_ts)
         if self._ssi is not None:
-            self._ssi.on_read(txn, row_id, self)
+            with self._commit_mutex:
+                self._ssi.on_read(txn, row_id, self)
         if self._obs is not None:
             self._obs.engine_read(txn, row_id, version_ts)
 
@@ -1427,20 +1370,14 @@ class Database:
                 self._fire(txn.drain_callbacks(), txn)
         raise SsiAbort(f"txn {txn.txid} ({txn.label}) is an SSI pivot")
 
-    def _wait_on(self, blocker_ids: frozenset[int]) -> Optional[WaitOn]:
-        """Resolve blocker ids to live transactions (commit mutex).
-
-        Returns ``None`` when every blocker already resolved between the
-        failed acquire and this lookup — with lock-free paths that is a
-        normal race, and the caller simply retries the acquire.
-        """
-        with self._commit_mutex:
-            blockers = frozenset(
-                self._active[txid] for txid in blocker_ids if txid in self._active
-            )
-        if not blockers:
-            return None
-        return WaitOn(blockers)
+    def _blocked(self, blocker_ids: Iterable[int]) -> WaitOn:
+        """The wait for a failed acquire, built in its hold of the commit
+        mutex: a lock holder leaves ``_active`` only in the hold that
+        releases its locks, or in a crash, which this raises for."""
+        if self._crashed:
+            self._ensure_not_crashed()
+        active = self._active
+        return WaitOn(frozenset([active[txid] for txid in blocker_ids]))
 
     def _fire(
         self, callbacks: list[Callable[[Transaction], None]], txn: Transaction

@@ -38,18 +38,8 @@ class LockManager:
     """Tracks row locks and the waits-for graph.
 
     The caller (the :class:`~repro.engine.engine.Database`) serializes
-    access, so this class needs no internal locking.  Since the engine
-    dropped its global mutex the serialization contract is per-structure
-    (DESIGN.md §9):
-
-    * per-row lock entries — :meth:`try_acquire` and :meth:`release_one`
-      on the same row are serialized by the engine's stripe latch for that
-      row;
-    * ``_held_by_txn[txid]`` — only ever touched by the transaction's own
-      session thread (acquire) and its commit/abort path (release), which
-      run on the same thread;
-    * the waits-for graph — mutated only under the engine's commit mutex
-      (:meth:`begin_wait` / :meth:`end_wait` / :meth:`detach`).
+    access — every call runs under the engine's commit mutex (DESIGN.md
+    §9) — so this class needs no internal locking.
 
     ``lock_timeout`` is the maximum time (seconds) a session may wait for a
     lock before the wait expires with :class:`~repro.errors.LockTimeout`.
@@ -112,37 +102,18 @@ class LockManager:
     def rows_held_by(self, txid: int) -> frozenset[RowId]:
         return frozenset(self._held_by_txn.get(txid, ()))
 
-    def release_one(self, txid: int, row: RowId) -> None:
-        """Release ``txid``'s lock on one row.
-
-        The caller must hold the row's stripe latch (so a concurrent
-        :meth:`try_acquire` cannot observe a half-removed entry).
-        """
-        holders = self._locks.get(row)
-        if holders is None:
-            return
-        holders.pop(txid, None)
-        if not holders:
-            del self._locks[row]
-
-    def detach(self, txid: int) -> "set[RowId]":
-        """Drop ``txid``'s per-transaction bookkeeping (commit mutex held)
-        and return the rows it holds, for the caller to release one by
-        one with :meth:`release_one`."""
-        self._waits_for.pop(txid, None)
-        return self._held_by_txn.pop(txid, set())
-
     def release_all(self, txid: int) -> list[RowId]:
-        """Release every lock held by ``txid``; returns the freed rows.
-
-        Single-structure-owner variant used by tests and tools that drive
-        the manager directly; the engine itself releases per-stripe via
-        :meth:`detach` + :meth:`release_one`.
-        """
-        rows = self.detach(txid)
+        """Release every lock held by ``txid`` and drop its waits-for
+        edges; returns the freed rows, in no particular order."""
+        self._waits_for.pop(txid, None)
+        rows = self._held_by_txn.pop(txid, ())
+        locks = self._locks
         for row in rows:
-            self.release_one(txid, row)
-        return sorted(rows, key=repr)
+            holders = locks[row]
+            del holders[txid]
+            if not holders:
+                del locks[row]
+        return list(rows)
 
     # ------------------------------------------------------------------
     # Waits-for graph / deadlock detection

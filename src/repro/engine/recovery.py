@@ -43,8 +43,7 @@ def replay_records(db: "Database", records: Sequence[WalRecord]) -> "Database":
 
     ``db`` must contain only bootstrap data.  Records are validated to be a
     well-formed prefix: strictly increasing commit timestamps (for records
-    that carry one — 2PC ``prepare`` records do not) and a redo payload for
-    every record that wrote rows.
+    that carry one — 2PC ``prepare`` records do not).
 
     Two-phase-commit records (DESIGN.md §12, presumed abort): a
     ``prepare`` record is *stashed* by gtid, not applied — nothing of it
@@ -64,11 +63,6 @@ def replay_records(db: "Database", records: Sequence[WalRecord]) -> "Database":
                 raise RecoveryError(
                     f"duplicate prepare record for gtid {record.gtid!r}"
                 )
-            if not record.has_redo:
-                raise RecoveryError(
-                    f"prepare record for gtid {record.gtid!r} carries no "
-                    "redo payload; cannot replay"
-                )
             in_doubt[record.gtid] = record
             db.wal.append(record)
             db.wal.flush()
@@ -79,28 +73,19 @@ def replay_records(db: "Database", records: Sequence[WalRecord]) -> "Database":
                 f"after {last_ts}"
             )
         last_ts = record.commit_ts
+        source = record  # the record whose redo this one applies
         if record.kind == "commit-2pc":
-            prepared = in_doubt.pop(record.gtid, None)
-            if prepared is None:
+            source = in_doubt.pop(record.gtid, None)
+            if source is None:
                 raise RecoveryError(
                     f"commit-2pc record for gtid {record.gtid!r} has no "
                     "matching prepare in the durable prefix"
                 )
-            redo = prepared.redo
-            txid = prepared.txid
-        else:
-            if not record.has_redo:
-                raise RecoveryError(
-                    f"WAL record for txn {record.txid} (commit_ts "
-                    f"{record.commit_ts}) carries no redo payload; cannot replay"
-                )
-            redo = record.redo
-            txid = record.txid
-        for (table_name, key), value in redo:
+        for (table_name, key), value in source.redo:
             table = db.catalog.table(table_name)
             version = Version(
                 commit_ts=record.commit_ts,
-                txid=txid,
+                txid=source.txid,
                 value=freeze_row(value),
             )
             chain = table.chain_or_create(key)

@@ -29,7 +29,6 @@ of rows read, so forgetting one costs its reads, not the whole table.
 
 from __future__ import annotations
 
-import threading
 from typing import TYPE_CHECKING, Iterable
 
 from repro.engine.locks import RowId
@@ -45,22 +44,16 @@ _VOTED = (TxnStatus.PREPARED, TxnStatus.COMMITTED)
 class SsiCertifier:
     """Runtime dangerous-structure detection for an SI engine.
 
-    The certifier carries its own re-entrant lock: since the engine's SI
-    read path became lock-free (DESIGN.md §9), ``on_read`` is invoked by
-    concurrent reader threads, while ``on_write``/``on_begin``/
-    ``on_resolve`` arrive from writer threads and the commit path.  The
-    lock serializes all mutation of the SIREAD table and the tracked-txn
-    map.  :meth:`is_doomed` stays lock-free — a set-membership probe is
+    The certifier takes no lock of its own: the engine calls every hook
+    but :meth:`is_doomed` under its commit mutex (DESIGN.md §9), and that
+    mutex serializes all mutation of the SIREAD table and the tracked-txn
+    map.
+    :meth:`is_doomed` is called without it — a set-membership probe is
     atomic under the GIL, and a doom raced past the probe is still caught
-    at commit (which re-checks under the engine's commit mutex).
-
-    Lock ordering: the engine may hold its commit mutex when calling in
-    here; the certifier never calls back into the engine's locks, so the
-    order is strictly ``commit mutex -> certifier lock``.
+    at commit (which re-checks under the commit mutex).
     """
 
     def __init__(self) -> None:
-        self._lock = threading.RLock()
         # row -> ids of transactions that read it (SIREAD "locks"), and
         # txid -> the rows it registered there; no entry is ever empty.
         self._sireads: dict[RowId, set[int]] = {}
@@ -74,44 +67,41 @@ class SsiCertifier:
     # Lifecycle hooks (called by the engine)
     # ------------------------------------------------------------------
     def on_begin(self, txn: Transaction) -> None:
-        with self._lock:
-            self._txns[txn.txid] = txn
+        self._txns[txn.txid] = txn
 
     def on_read(self, txn: Transaction, row: RowId, db: "Database") -> None:
         """Record a read and derive rw edges toward concurrent writers."""
-        with self._lock:
-            self._sireads.setdefault(row, set()).add(txn.txid)
-            self._rows_read.setdefault(txn.txid, set()).add(row)
-            chain = db.catalog.table(row[0]).rows.get(row[1])
-            if chain is None:  # nobody wrote it: no newer version, no writer
-                return
-            # Concurrent committed writers that produced a newer version
-            # than the one this snapshot read.
-            for version in reversed(chain._committed):
-                if version.commit_ts <= txn.snapshot_ts:
-                    break
-                writer = self._txns.get(version.txid)
-                if writer is not None and writer.txid != txn.txid:
-                    self._mark_rw(reader=txn, writer=writer)
-            # A concurrent *uncommitted* writer holding the row (a
-            # PREPARED one included: it may still commit).
-            uncommitted = chain.uncommitted
-            if uncommitted is not None and uncommitted[0] != txn.txid:
-                writer = self._txns.get(uncommitted[0])
-                if writer is not None and writer.status in _UNDECIDED:
-                    self._mark_rw(reader=txn, writer=writer)
+        self._sireads.setdefault(row, set()).add(txn.txid)
+        self._rows_read.setdefault(txn.txid, set()).add(row)
+        chain = db.catalog.table(row[0]).rows.get(row[1])
+        if chain is None:  # nobody wrote it: no newer version, no writer
+            return
+        # Concurrent committed writers that produced a newer version
+        # than the one this snapshot read.
+        for version in reversed(chain._committed):
+            if version.commit_ts <= txn.snapshot_ts:
+                break
+            writer = self._txns.get(version.txid)
+            if writer is not None and writer.txid != txn.txid:
+                self._mark_rw(reader=txn, writer=writer)
+        # A concurrent *uncommitted* writer holding the row (a
+        # PREPARED one included: it may still commit).
+        uncommitted = chain.uncommitted
+        if uncommitted is not None and uncommitted[0] != txn.txid:
+            writer = self._txns.get(uncommitted[0])
+            if writer is not None and writer.status in _UNDECIDED:
+                self._mark_rw(reader=txn, writer=writer)
 
     def on_write(self, txn: Transaction, row: RowId) -> None:
         """Record a write and derive rw edges from concurrent readers."""
-        with self._lock:
-            for reader_id in self._sireads.get(row, ()):
-                if reader_id == txn.txid:
-                    continue
-                reader = self._txns.get(reader_id)
-                if reader is None:
-                    continue
-                if reader.is_active or reader.concurrent_with(txn):
-                    self._mark_rw(reader=reader, writer=txn)
+        for reader_id in self._sireads.get(row, ()):
+            if reader_id == txn.txid:
+                continue
+            reader = self._txns.get(reader_id)
+            if reader is None:
+                continue
+            if reader.is_active or reader.concurrent_with(txn):
+                self._mark_rw(reader=reader, writer=txn)
 
     def on_resolve(self, txn: Transaction, active_txns: Iterable[Transaction]) -> None:
         """Prune state once transactions can no longer matter.
@@ -120,19 +110,18 @@ class SsiCertifier:
         retained while any active transaction overlaps it; an aborted
         transaction is dropped immediately.
         """
-        with self._lock:
-            if txn.status is TxnStatus.ABORTED:
-                self._forget(txn.txid)
-            starts = [t.start_ts for t in active_txns if t.is_active]
-            watermark = min(starts) if starts else None
-            stale = [
-                txid
-                for txid, tracked in self._txns.items()
-                if tracked.status is TxnStatus.COMMITTED
-                and (watermark is None or (tracked.commit_ts or 0) <= watermark)
-            ]
-            for txid in stale:
-                self._forget(txid)
+        if txn.status is TxnStatus.ABORTED:
+            self._forget(txn.txid)
+        starts = [t.start_ts for t in active_txns if t.is_active]
+        watermark = min(starts) if starts else None
+        stale = [
+            txid
+            for txid, tracked in self._txns.items()
+            if tracked.status is TxnStatus.COMMITTED
+            and (watermark is None or (tracked.commit_ts or 0) <= watermark)
+        ]
+        for txid in stale:
+            self._forget(txid)
 
     def is_doomed(self, txn: Transaction) -> bool:
         return txn.txid in self.doomed

@@ -18,8 +18,8 @@ immutable tuple rebuilt on demand, so a reader either sees the old or the
 new value, both internally consistent.  A chain is created at most once
 per key and starts from the key's bootstrap version, so a reader that
 finds none may read ``base``.  All mutation happens on the writer side
-under the engine's stripe latches (chain creation) or commit mutex
-(version publication, index maintenance).
+under the engine's commit mutex (chain creation and staging, version
+publication, index maintenance).
 
 A :class:`BootstrapImage` is the part of a database that
 :meth:`~repro.engine.engine.Database.load_row` installed, in load order:

@@ -11,14 +11,14 @@ to rebuild a multi-version serialization graph after the fact:
 * ``predicate_reads`` — predicate evaluations, for phantom-aware analysis.
 
 Waiters (sessions blocked on this transaction's row locks) subscribe via
-:meth:`add_resolution_callback`; the engine fires the callbacks once the
-transaction commits or aborts.
+:meth:`add_resolution_callback`, under the engine's commit mutex; the
+engine fires the callbacks once the transaction commits or aborts.
 """
 
 from __future__ import annotations
 
 import enum
-import threading
+from contextlib import AbstractContextManager
 from dataclasses import dataclass
 from typing import Callable, Hashable, Mapping, Optional
 
@@ -60,7 +60,14 @@ class Transaction:
     in_conflict = False  # SSI: some concurrent txn has an rw edge INTO us
     out_conflict = False  # SSI: we have an rw edge OUT to a concurrent txn
 
-    def __init__(self, txid: int, start_ts: int, *, label: str = "") -> None:
+    def __init__(
+        self,
+        txid: int,
+        start_ts: int,
+        latch: AbstractContextManager,
+        *,
+        label: str = "",
+    ) -> None:
         self.txid = txid
         self.start_ts = start_ts
         #: Snapshot timestamp: this transaction sees versions committed at or
@@ -81,9 +88,10 @@ class Transaction:
         self.write_order: list[RowId] = []
 
         self._resolution_callbacks: list[Callable[["Transaction"], None]] = []
-        # Guards the callback list against the register/drain race: a
-        # waiter thread subscribes while the owner thread resolves.
-        self._callback_lock = threading.Lock()
+        # The engine's commit mutex, which every resolution holds while it
+        # changes the status and drains the callbacks: a waiter thread
+        # subscribes under it while the owner thread resolves.
+        self._latch = latch
 
     # ------------------------------------------------------------------
     # Footprint recording
@@ -172,8 +180,9 @@ class Transaction:
         """Invoke ``callback(self)`` when this transaction commits or aborts.
 
         If the transaction is already resolved, the callback fires
-        immediately (so waiters never miss the wake-up).  Registration is
-        synchronized with :meth:`drain_callbacks`: either the callback lands
+        immediately (so waiters never miss the wake-up).  Registration holds
+        the engine's commit mutex, as every resolution does from its status
+        change to :meth:`drain_callbacks`: either the callback lands
         in the list the resolver drains, or it observes the resolved status
         and fires here — it can never be appended to an already-drained
         list and silently lost.
@@ -183,7 +192,7 @@ class Transaction:
         them against the held lock) until the coordinator's decision
         commits or aborts it.
         """
-        with self._callback_lock:
+        with self._latch:
             if self.status in (TxnStatus.ACTIVE, TxnStatus.PREPARED):
                 self._resolution_callbacks.append(callback)
                 return
@@ -192,14 +201,13 @@ class Transaction:
     def drain_callbacks(self) -> list[Callable[["Transaction"], None]]:
         """Detach and return the pending callbacks (engine commit/abort).
 
-        Must be called *after* :attr:`status` left ``ACTIVE``: the status
-        change plus the lock ensure late subscribers self-fire instead of
-        appending to the drained list.
+        Must be called under the commit mutex, in the hold that moved
+        :attr:`status` out of ``ACTIVE``: late subscribers then self-fire
+        instead of appending to the drained list.
         """
-        with self._callback_lock:
-            callbacks = self._resolution_callbacks
-            self._resolution_callbacks = []
-            return callbacks
+        callbacks = self._resolution_callbacks
+        self._resolution_callbacks = []
+        return callbacks
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

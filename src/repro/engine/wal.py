@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional
 
 from repro.engine.locks import RowId
@@ -45,10 +45,8 @@ RedoEntry = tuple[RowId, Optional[Mapping[str, object]]]
 class WalRecord:
     """One log record.
 
-    ``rows`` names the rows written (in write order); ``redo`` carries the
-    matching after-images.  ``redo`` may be empty for hand-built records in
-    tests that only exercise the logical stream — the recovery layer
-    requires it and checks.
+    ``redo`` pairs each row written, in write order, with its after-image;
+    :attr:`rows` names the rows alone.
 
     ``kind`` distinguishes the three record types of the presumed-abort
     two-phase-commit protocol (DESIGN.md §12):
@@ -70,25 +68,20 @@ class WalRecord:
     commit_ts: int
     txid: int
     label: str
-    rows: tuple[RowId, ...]
-    redo: tuple[RedoEntry, ...] = field(default=())
+    redo: tuple[RedoEntry, ...] = ()
     kind: str = "commit"
     gtid: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.redo and tuple([row for row, _ in self.redo]) != self.rows:
-            raise ValueError(
-                "redo payload rows must match the record's row list"
-            )
         if self.kind not in ("commit", "prepare", "commit-2pc"):
             raise ValueError(f"unknown WAL record kind {self.kind!r}")
         if self.kind != "commit" and self.gtid is None:
             raise ValueError(f"{self.kind} records require a gtid")
 
     @property
-    def has_redo(self) -> bool:
-        """True when the record can be replayed (payload present or empty write set)."""
-        return not self.rows or bool(self.redo)
+    def rows(self) -> tuple[RowId, ...]:
+        """The rows written, in write order."""
+        return tuple([row for row, _ in self.redo])
 
 
 class WriteAheadLog:

@@ -44,7 +44,7 @@ it staged nothing; one that did is aborted instead (``_serve``).
 Robustness contract:
 
 * a client that disconnects mid-transaction has its transaction aborted,
-  every row lock / stripe released and its connection reaped at once;
+  every row lock released and its connection reaped at once;
 * a framing violation (oversized length, non-JSON payload) poisons only
   that connection: best-effort error frame, then close; an exception
   escaping the loop's own work likewise costs at most its connection;

@@ -270,7 +270,7 @@ class Observability:
         self.wal_records.inc()
         self._emit(
             "wal-stage", txn.txid, txn.label,
-            commit_ts=record.commit_ts, rows=len(record.rows),
+            commit_ts=record.commit_ts, rows=len(record.redo),
         )
 
     def engine_wal_flush(

@@ -1,12 +1,12 @@
-"""Engine-level tests of the lock-free / striped concurrency model.
+"""Engine-level tests of the one-latch concurrency model.
 
-The engine's SI read path takes no lock at all (DESIGN.md §9), so these
-tests attack exactly the guarantees that design leans on:
+The engine's SI read path takes no latch at all, and everything it
+mutates runs under its one commit mutex (DESIGN.md §9), so these tests
+attack exactly the guarantees that design leans on:
 
 * commits become visible *atomically* — a concurrent snapshot reader can
   never observe half of a transaction's writes (torn commit);
-* writers contending on striped row latches never lose a lock hand-off or
-  an update;
+* writers contending on one row never lose a lock hand-off or an update;
 * :meth:`Database.vacuum` never changes what any live snapshot sees;
 * the group-commit WAL keeps records in commit-timestamp order and every
   acknowledged commit durable;
@@ -16,11 +16,12 @@ tests attack exactly the guarantees that design leans on:
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
 
-from repro.engine import Column, Database, EngineConfig, TableSchema
+from repro.engine import Column, Database, EngineConfig, Session, TableSchema
 from repro.engine.engine import WaitOn
 from repro.engine.storage import Table
 from repro.engine.versions import Version, VersionChain
@@ -142,9 +143,9 @@ class TestSnapshotAtomicity:
 
 
 # ----------------------------------------------------------------------
-# Striped write locks
+# Contended writers
 # ----------------------------------------------------------------------
-class TestStripedWriters:
+class TestContendedWriters:
     def test_contended_increments_are_never_lost(self) -> None:
         """Many threads increment one hot row; the final balance counts
         every acknowledged commit exactly once (no lost lock hand-off)."""
@@ -188,26 +189,45 @@ class TestStripedWriters:
             500.0 + threads * rounds
         )
 
-    def test_single_stripe_still_correct(self) -> None:
-        """stripes=1 degenerates to one writer latch but must stay correct
-        (and SI reads still take no latch at all)."""
-        from dataclasses import replace
-
-        db = Database(
-            [ACCOUNTS], replace(EngineConfig.postgres(), stripes=1)
-        )
-        for i in range(2):
-            db.load_row("Accounts", {"Id": i, "Balance": 500.0})
+    @pytest.mark.parametrize("preset", ["postgres", "s2pl", "ssi"])
+    def test_lock_waiters_on_one_row_are_all_woken(self, preset) -> None:
+        """Sessions queue for one hot row's lock, with the interpreter
+        switching threads every microsecond: each wake-up registers under
+        the commit mutex that the holder resolves under, so no waiter
+        sleeps through its blocker's commit and no increment is lost."""
+        db = make_db(getattr(EngineConfig, preset)(), rows=1)
+        threads, rounds = 6, 15
         failures: list = []
-        transfer_forever(db, 0, 1, 25, failures)
-        assert not failures
-        txn = db.begin("check")
-        assert db.read(txn, "Accounts", 0)["Balance"] == 475.0
-        assert db.read(txn, "Accounts", 1)["Balance"] == 525.0
 
-    def test_vanished_blockers_mean_retry_not_error(self) -> None:
-        db = make_db()
-        assert db._wait_on(frozenset({424242})) is None
+        def bump() -> None:
+            session, committed = Session(db), 0
+            while committed < rounds:
+                session.begin("bump")
+                try:
+                    row = session.select_for_update("Accounts", 0)
+                    session.update("Accounts", 0, {"Balance": row["Balance"] + 1.0})
+                    session.commit()
+                    committed += 1
+                except TransactionAborted:
+                    pass
+                except BaseException as exc:  # pragma: no cover
+                    failures.append(exc)
+                    return
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pool = [threading.Thread(target=bump) for _ in range(threads)]
+            for t in pool:
+                t.start()
+            for t in pool:
+                t.join(timeout=120)
+                assert not t.is_alive(), "a lock waiter was never woken"
+        finally:
+            sys.setswitchinterval(interval)
+        assert not failures, failures
+        txn = db.begin("check")
+        assert db.read(txn, "Accounts", 0)["Balance"] == 500.0 + threads * rounds
 
 
 # ----------------------------------------------------------------------
@@ -307,8 +327,8 @@ class TestGroupCommit:
     def test_group_commit_leader_covers_followers(self) -> None:
         wal = WriteAheadLog()
         buffer = GroupCommitBuffer()
-        first = WalRecord(commit_ts=1, txid=1, label="a", rows=())
-        second = WalRecord(commit_ts=2, txid=2, label="b", rows=())
+        first = WalRecord(commit_ts=1, txid=1, label="a")
+        second = WalRecord(commit_ts=2, txid=2, label="b")
         buffer.stage(first)
         buffer.stage(second)
         buffer.sync(wal, second)  # leader drains both and flushes once
@@ -319,7 +339,7 @@ class TestGroupCommit:
     def test_sync_raises_when_record_lost_to_crash(self) -> None:
         wal = WriteAheadLog()
         buffer = GroupCommitBuffer()
-        record = WalRecord(commit_ts=1, txid=1, label="a", rows=())
+        record = WalRecord(commit_ts=1, txid=1, label="a")
         buffer.stage(record)
         buffer.spill_unflushed(wal)  # crash path: append without flush
         wal.truncate_to_flushed()

@@ -2,10 +2,11 @@
 clients (ISSUE 2's lock-free-read engine under real contention).
 
 Complements :mod:`tests.test_stress_serializability` (6 threads) by pushing
-the striped-latch engine to CI's practical thread ceiling and adding a
-*shadow ledger*: each worker accumulates the money delta its committed
-programs report (DepositChecking +V, TransactSaving +V, WriteCheck −V or
-−(V+1) when the overdraft penalty fired, Balance/Amalgamate 0), and the
+the one-latch engine (DESIGN.md §9) to CI's practical thread ceiling and
+adding a *shadow ledger*: each worker accumulates the money delta its
+committed programs report (DepositChecking +V, TransactSaving +V,
+WriteCheck −V or −(V+1) when the overdraft penalty fired,
+Balance/Amalgamate 0), and the
 final ``total_money`` must match exactly.  That catches lost updates and
 torn commits even in runs whose MVSG happens to be acyclic.
 

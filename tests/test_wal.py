@@ -11,8 +11,8 @@ from repro.engine.wal import WalRecord, WriteAheadLog
 class TestWalStructure:
     def test_records_ordered_by_commit_ts(self):
         wal = WriteAheadLog()
-        wal.append(WalRecord(1, 10, "a", (("T", 1),)))
-        wal.append(WalRecord(5, 11, "b", (("T", 2),)))
+        wal.append(WalRecord(1, 10, "a", ((("T", 1), None),)))
+        wal.append(WalRecord(5, 11, "b", ((("T", 2), None),)))
         with pytest.raises(ValueError):
             wal.append(WalRecord(5, 12, "c", ()))
         with pytest.raises(ValueError):

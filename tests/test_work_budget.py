@@ -1,7 +1,8 @@
 """Work-count gates.  A count of Python-level calls (profiler ``call``
-events) does not depend on the host, so a 2-core runner passes or fails
-it for a reason.  Every count is :func:`repro.bench.harness.count_calls`'s
-over a shape ``bench_scaling.py`` or ``bench_net.py`` records.  Upper
+events) or of lock acquisitions does not depend on the host, so a 2-core
+runner passes or fails it for a reason.  Every call count is
+:func:`repro.bench.harness.count_calls`'s over a shape ``bench_scaling.py``
+or ``bench_net.py`` records; :func:`latch_counts` counts the locks.  Upper
 bounds only: an interpreter that inlines more counts fewer."""
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import threading
 
 import pytest
 
+import repro
 from benchmarks.bench_net import ping_calls
 from benchmarks.bench_scaling import (
     LAYER_URLS,
@@ -22,6 +24,7 @@ from benchmarks.bench_scaling import (
     statement_path_shapes,
     write_path_shapes,
 )
+from repro.api import ISOLATION_CONFIGS
 from repro.bench import harness
 from repro.bench.harness import count_calls
 from repro.net import DatabaseServer
@@ -29,7 +32,13 @@ from repro.sim.client import SimulatedClient
 from repro.sim.core import Simulator
 from repro.sim.platform import postgres_platform
 from repro.sim.resources import GroupCommitLog, Resource
-from repro.smallbank import PopulationConfig, build_database, get_strategy
+from repro.smallbank import (
+    CHECKING,
+    SAVING,
+    PopulationConfig,
+    build_database,
+    get_strategy,
+)
 from repro.workload.mix import HotspotConfig, ParameterGenerator, get_mix
 from repro.workload.stats import RunStats
 
@@ -77,7 +86,68 @@ BUDGETS = {
         for program, row in PROGRAM_CALLS.items()
         for url, calls in zip(LAYER_URLS, row)
     },
+    # Lock acquisitions per transaction on local:// (the commit mutex for
+    # begin, each S2PL lock or SSI read, each write and commit; the WAL
+    # flush mutex for a writer); 3 / 7 / 7 and 7 with 64 row-latch
+    # stripes, a certifier lock and a lock per transaction.
+    "latch": {"select2 si": 2, "select2 s2pl": 4, "select2 ssi": 4, "update si": 4},
 }
+
+
+class _CountingLock:
+    """A lock that counts its acquisitions into ``counter[0]``."""
+
+    def __init__(self, lock, counter: "list[int]") -> None:
+        self._lock, self._counter = lock, counter
+
+    def acquire(self, *args, **kwargs) -> bool:
+        self._counter[0] += 1
+        return self._lock.acquire(*args, **kwargs)
+
+    def release(self) -> None:
+        self._lock.release()
+
+    def __enter__(self) -> bool:
+        return self.acquire()
+
+    def __exit__(self, *exc) -> None:
+        self._lock.release()
+
+
+def latch_counts() -> "dict[str, int]":
+    """Lock acquisitions per transaction on one ``local://`` session, after
+    a warm-up: begin, two key selects and commit under SI, S2PL and SSI,
+    and begin, a one-row update and commit under SI.  Every lock built from
+    ``threading.Lock`` / ``threading.RLock`` while the database is built
+    and used counts; module-level ones built at import do not."""
+    counter = [0]
+    factories = threading.Lock, threading.RLock
+    counts = {}
+    threading.Lock = lambda: _CountingLock(factories[0](), counter)
+    threading.RLock = lambda: _CountingLock(factories[1](), counter)
+    try:
+        for isolation in ("si", "s2pl", "ssi"):
+            session = repro.connect(
+                "local://",
+                database=build_database(
+                    ISOLATION_CONFIGS[isolation](), PopulationConfig(customers=10)
+                ),
+            ).session()
+            shapes = {
+                "select2": lambda c: (session.select(CHECKING, c), session.select(SAVING, c))
+            }
+            if isolation == "si":
+                shapes["update"] = lambda c: session.update(CHECKING, c, {"Balance": 1.0})
+            for name, body in shapes.items():
+                for customer in (1, 2):  # the first is the warm-up
+                    counter[0] = 0
+                    session.begin("latch")
+                    body(customer)
+                    session.commit()
+                counts[f"{name} {isolation}"] = counter[0]
+    finally:
+        threading.Lock, threading.RLock = factories
+    return counts
 
 
 def charge_path_calls() -> "dict[str, int]":
@@ -133,6 +203,8 @@ def measured(group: str) -> "dict[str, int]":
         return shape_calls(statement_path_shapes())
     if group == "draw":
         return shape_calls(draw_shapes())
+    if group == "latch":
+        return latch_counts()
     return ping_calls() if group == "ping" else charge_path_calls()
 
 
