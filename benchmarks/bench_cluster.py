@@ -70,7 +70,7 @@ MPL = 8
 SMOKE_MPL = 4
 CUSTOMERS = 100
 STRATEGY = "base-si"
-#: Each loadgen leases gtids from a disjoint base so cross-process gtids
+#: Each loadgen counts gtids from a disjoint base so cross-process gtids
 #: can never collide (labels stay ``g<digits>`` for the merged MVSG).
 GTID_STRIDE = 10**9
 

@@ -9,8 +9,8 @@ overhead of the *engine's own*):
 * **SI read microbenchmark** — MPL long-lived snapshot transactions each
   hammer ``Database.read`` on a shared table; the gate is that the
   aggregate rate at MPL 8 stays near the MPL-1 rate (no convoy).  Each
-  point, like each TPS point below, runs pinned to one allowed CPU
-  (:func:`pinned`; the record's ``affinity`` block says which).  (The
+  point, like each TPS point below, runs pinned to the lowest allowed
+  CPU (:func:`pinned`; the record's ``provenance`` block lists them).  (The
   comparison with the pre-§9 global-mutex engine, 3.6x at MPL 8, is a
   dated measurement in EXPERIMENTS.md.)
 
@@ -134,13 +134,6 @@ def pinned():
         yield
     finally:
         os.sched_setaffinity(0, affinity)
-
-
-def affinity_block() -> dict:
-    """What the record says about pinning: the CPUs this process may run
-    on, and the one :func:`pinned` measures on."""
-    allowed = sorted(os.sched_getaffinity(0))
-    return {"allowed_cpus": allowed, "pinned_cpu": allowed[0]}
 
 
 # ----------------------------------------------------------------------
@@ -602,9 +595,8 @@ def main(argv: "list[str] | None" = None) -> int:
     # Smoke keeps a margin wide enough for noisy shared CI runners.
     min_retention = 0.5 if args.smoke else 0.6
 
-    affinity = affinity_block()
     print(f"== SI read microbenchmark (reads/s, {read_duration:.1f}s/point, "
-          f"pinned to CPU {affinity['pinned_cpu']}) ==")
+          f"pinned to CPU {min(os.sched_getaffinity(0))}) ==")
     scaling = run_read_scaling(mpls, read_duration)
     for mpl in mpls:
         print(f"  MPL {mpl:>2}: {scaling['lockfree'][str(mpl)]:>9,d}/s")
@@ -691,7 +683,6 @@ def main(argv: "list[str] | None" = None) -> int:
             "bench_scaling",
             {
                 "mode": "smoke" if args.smoke else "full",
-                "affinity": affinity,
                 "read_scaling": scaling,
                 "mpl8_over_mpl1_retention": round(retention, 2),
                 "smallbank_tps": curves,

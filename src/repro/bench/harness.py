@@ -5,6 +5,7 @@ MPL over client processes and to read a process's CPU and switches."""
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import platform
@@ -16,6 +17,8 @@ from collections import Counter
 from pathlib import Path
 
 COUNT_RUNS = 5  # :func:`count_calls` keeps the fewest of this many runs
+#: Where the end-to-end benchmark's host probes live in a source checkout.
+_E2E = Path(__file__).resolve().parents[3] / "benchmarks" / "e2e"
 POST_TIMEOUT = 10.0  # seconds :func:`count_calls` waits for a server loop
 
 
@@ -23,7 +26,8 @@ def append_bench_record(path: Path, benchmark: str, record: dict) -> None:
     """Append ``record`` to ``path``, a ``{"benchmark", "runs": [...]}``
     trajectory, stamped with when and where it was measured: the UTC
     time, the commit of the checkout holding ``path`` (``None`` outside a
-    git work tree), the Python version and the host's core count.  A
+    git work tree), the Python version, the host's core count and the
+    :func:`provenance` block.  A
     missing or empty ``path`` starts a trajectory; any other file that
     is not one (an older JSON-lines record file, say) raises
     ``ValueError`` and is left as it was."""
@@ -52,8 +56,33 @@ def append_bench_record(path: Path, benchmark: str, record: dict) -> None:
                 f"{path} exists and is not a trajectory "
                 '({"benchmark", "runs": [...]}); not overwriting it'
             )
-    data["runs"].append({**stamp, **record})
+    data["runs"].append({**stamp, "provenance": provenance(), **record})
     path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+
+
+def _e2e_module(name: str):
+    """``benchmarks/e2e/<name>.py`` of this checkout, imported by path."""
+    spec = importlib.util.spec_from_file_location(f"_e2e_{name}", _E2E / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def provenance() -> "dict | None":
+    """How the host stood as a record was written: the CPUs this process
+    may run on, the 1-minute load average and the speed factor of one
+    reference probe taken now (``benchmarks/e2e/calibrate.py``: 1.0 at
+    the reference host's undisturbed speed, lower when it runs slower).
+    ``None`` where the checkout has no ``benchmarks/e2e``."""
+    if not _E2E.is_dir():
+        return None
+    host, calibrate = _e2e_module("host"), _e2e_module("calibrate")
+    probe = calibrate.probe()
+    return {
+        "allowed_cpus": host.cpus(),
+        "loadavg_1m": os.getloadavg()[0],
+        "speed_factor": round(calibrate.factor(probe, probe), 3),
+    }
 
 
 def split_mpl(mpl: int, processes: int) -> "list[int]":

@@ -27,38 +27,24 @@ concurrently.  Decision preference is kept from the reader-writer
 original: a queued decision blocks *new* snapshots, so a steady stream
 of begins cannot starve commits.
 
-The oracle also hands out the monotonically increasing global
-transaction ids (``gtid``) that name distributed transactions in 2PC and
-in merged traces.  Two amortisations keep this off the hot path:
-
-* :meth:`lease_gtids` grants a contiguous *block* of gtids in one
-  mutex acquisition; each :class:`~repro.cluster.ClusterSession` leases
-  a block and stamps transactions from it locally.
-* ``gtid_base`` offsets the whole gtid space, so independent router
-  processes (multi-process load generators sharing one shard fleet) can
-  carve disjoint gtid ranges without a shared oracle.  Bases must keep
-  gtids numeric: merged-trace labels are ``"<label>#g<digits>"``.
+The global transaction ids (``gtid``) that name distributed
+transactions in 2PC and in merged traces are not the oracle's: each
+:class:`~repro.cluster.ClusterConnection` counts its own from
+``gtid_base + 1``, so independent router processes (multi-process load
+generators sharing one shard fleet) carve disjoint ranges by base.
 """
 
 from __future__ import annotations
 
 import threading
 
-#: Default gtid block size handed to :meth:`TimestampOracle.lease_gtids`
-#: callers that do not choose their own.  Leaked remainders are fine —
-#: gtids only need to be unique and monotonic per oracle, not dense.
-DEFAULT_GTID_LEASE = 16
-
 
 class TimestampOracle:
-    """Gtid source + snapshot/decision two-group latch."""
+    """The snapshot/decision two-group latch."""
 
-    def __init__(self, *, gtid_base: int = 0) -> None:
-        if gtid_base < 0:
-            raise ValueError(f"gtid_base must be >= 0, got {gtid_base}")
+    def __init__(self) -> None:
         self._mutex = threading.Lock()
         self._cond = threading.Condition(self._mutex)
-        self._next_gtid = gtid_base
         self._snapshots = 0         # open snapshot windows
         self._decisions = 0         # decision broadcasts in progress
         self._decisions_waiting = 0 # decisions queued (blocks new snapshots)
@@ -68,23 +54,6 @@ class TimestampOracle:
         self._decision_window = _Window(
             self._enter_decision, self._leave_decision
         )
-
-    # ------------------------------------------------------------------
-    # Gtid allocation
-    # ------------------------------------------------------------------
-    def lease_gtids(self, count: int = DEFAULT_GTID_LEASE) -> range:
-        """Grant ``count`` consecutive gtids in one mutex acquisition.
-
-        The caller owns the returned half-open range exclusively and may
-        stamp transactions from it without further coordination;
-        unconsumed ids are simply never used.
-        """
-        if count < 1:
-            raise ValueError(f"lease count must be >= 1, got {count}")
-        with self._mutex:
-            start = self._next_gtid + 1
-            self._next_gtid += count
-            return range(start, start + count)
 
     # ------------------------------------------------------------------
     # Snapshot / decision groups

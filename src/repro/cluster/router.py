@@ -28,6 +28,7 @@ The harness that stands up the shards themselves is
 
 from __future__ import annotations
 
+import itertools
 import threading
 from dataclasses import dataclass
 from functools import partial
@@ -87,31 +88,13 @@ class ClusterSession(RemoteVerbs):
         self._in_txn = False
         self._tagged = ""
         self._gtid = ""
-        #: Locally owned gtid block (oracle lease); refilled on exhaustion.
-        self._gtid_lease: "range" = range(0)
-        self._gtid_lease_pos = 0
 
     # ------------------------------------------------------------------
     # Transaction control
     # ------------------------------------------------------------------
-    def _next_gtid_number(self) -> int:
-        """Next gtid from this session's leased block (amortised oracle).
-
-        One oracle mutex acquisition per
-        :data:`~repro.cluster.oracle.DEFAULT_GTID_LEASE` transactions
-        instead of one per transaction; unconsumed ids of a discarded
-        session's block are simply never used.
-        """
-        if self._gtid_lease_pos >= len(self._gtid_lease):
-            self._gtid_lease = self._cluster.oracle.lease_gtids()
-            self._gtid_lease_pos = 0
-        number = self._gtid_lease[self._gtid_lease_pos]
-        self._gtid_lease_pos += 1
-        return number
-
     def _stamp(self, label: str) -> None:
         """Name the next global transaction: ``label#g<n>`` on every branch."""
-        self._gtid = f"g{self._next_gtid_number()}"
+        self._gtid = f"g{next(self._cluster._gtids)}"
         self._tagged = f"{label}#{self._gtid}"
 
     def begin(self, label: str = "") -> None:
@@ -527,7 +510,13 @@ class ClusterConnection(Connection):
             f"{host}:{port}" for host, port in addresses
         )
         self.partitioner = HashPartitioner(len(addresses))
-        self.oracle = TimestampOracle(gtid_base=gtid_base)
+        if gtid_base < 0:
+            raise ValueError(f"gtid_base must be >= 0, got {gtid_base}")
+        self.oracle = TimestampOracle()
+        #: This connection's gtid numbers, shared by its sessions and
+        #: threads: ``next`` on a count is one atomic C call.  Another
+        #: router process sharing the shards gives another base.
+        self._gtids = itertools.count(gtid_base + 1)
         self.coordinator = TwoPhaseCoordinator(
             self.oracle, fault_plan=fault_plan, obs=obs
         )

@@ -20,6 +20,9 @@ Concurrency-control semantics implemented here (see
   blocked re-checks after waking, so a holder's commit kills the waiter —
   exactly PostgreSQL's behaviour.  Under *first-committer-wins* the check
   moves to commit time.
+* **UPDATE** is one call, :meth:`Database.update`: the row is read as a
+  read reads it, the changes are applied to one copy and it is staged as
+  a write stages it.
 * **SELECT FOR UPDATE** takes the exclusive lock and performs the snapshot
   check; in ``CC_WRITE`` mode (the commercial platform) it additionally
   publishes a concurrency-control write at commit so that later concurrent
@@ -42,7 +45,7 @@ finer latches would buy no parallelism and cost an acquisition per row.
 
 **SI/SSI reads take no latch** to find their version.  They traverse only
 structures that are published atomically and never mutated in place:
-version chains (append-only lists of frozen :class:`Version` objects),
+version chains (append-only lists of immutable :class:`Version` tuples),
 the tables' key dictionaries (CPython dict get/set are atomic under the
 GIL), copy-on-write index tuples and the sorted-key cache.  The commit
 protocol below guarantees a reader can never observe a version whose
@@ -69,7 +72,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Mapping, Optional
+from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Mapping, Optional, Union
 
 if TYPE_CHECKING:  # pragma: no cover - avoids the obs -> analysis cycle
     from repro.obs import Observability
@@ -91,6 +94,7 @@ from repro.errors import (
     DatabaseCrashed,
     FaultInjected,
     IntegrityError,
+    SchemaError,
     SerializationFailure,
     SsiAbort,
     TransactionStateError,
@@ -98,9 +102,15 @@ from repro.errors import (
 from repro.faults import FaultPlan
 
 Row = Mapping[str, object]
+#: What an UPDATE sets: a column mapping, or a callable computing one from
+#: the current row.
+Changes = Union[Mapping[str, object], Callable[[Row], Mapping[str, object]]]
 
 _ACTIVE = TxnStatus.ACTIVE
 _EXCLUSIVE = LockMode.EXCLUSIVE
+#: ``_built(Version, fields)`` is ``Version(*fields)`` without the Python
+#: frame of a NamedTuple's ``__new__``: a commit builds one per row written.
+_built = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -639,8 +649,6 @@ class Database:
         Returns ``WaitOn`` when blocked behind another writer; raises
         :class:`SerializationFailure` on a first-updater-wins conflict.
         The value becomes visible to other transactions only at commit.
-        One hold of the commit mutex covers the lock, the
-        first-updater-wins check and the staging.
         """
         if self._crashed:
             self._ensure_not_crashed()
@@ -653,18 +661,61 @@ class Database:
         if table is None:
             self.catalog.table(table_name)  # raises SchemaError
         if value is not None:
-            schema = table.schema
-            value = schema.validate_row(value)
-            if value[schema.primary_key] != key:
-                raise IntegrityError(
-                    f"row primary key {value[schema.primary_key]!r} "
-                    f"does not match write target {key!r}"
-                )
             # validate_row returned a copy nobody else holds: freeze it as is.
-            value = MappingProxyType(value)
-        row_id: RowId = (table_name, key)
+            value = MappingProxyType(table.schema.validate_row(value))
+        return self._stage(txn, table, (table_name, key), value)
+
+    def update(
+        self, txn: Transaction, table_name: str, key: Hashable, changes: Changes
+    ) -> "bool | WaitOn":
+        """``UPDATE table SET ... WHERE pk = key`` in one call.
+
+        Reads the row as :meth:`read` does (under S2PL, shared lock
+        first), applies ``changes`` to one copy, type-checking only the
+        changed columns, and stages it as :meth:`write` does.  Returns
+        False when no row is visible, True once staged; on ``WaitOn`` the
+        caller waits and calls again, which reads the row again.
+        """
+        current = self.read(txn, table_name, key)
+        if current is None:
+            return False
+        if current.__class__ is WaitOn:
+            return current
+        ssi = self._ssi
+        if ssi is not None and ssi.is_doomed(txn):
+            self._check_doomed(txn)
+        table = self._table_map[table_name]  # read() found it
+        new = changes(current) if callable(changes) else changes
+        types = table.schema._types
+        for name, value in new.items():
+            if name not in types:
+                raise SchemaError(
+                    f"unknown column(s) {sorted(new.keys() - types.keys())} "
+                    f"for table {table_name!r}"
+                )
+            kinds, column = types[name]
+            # Column.check's accepting case inline; it words the rejections.
+            if not isinstance(value, kinds) or value is True or value is False:
+                column.check(value)
+        row = current.copy()  # the frozen row's own dict, copied in C
+        row.update(new)
+        return self._stage(txn, table, (table_name, key), MappingProxyType(row)) or True
+
+    def _stage(
+        self, txn: Transaction, table: Table, row_id: RowId, value: Optional[Row]
+    ) -> "None | WaitOn":
+        """Stage ``value`` as the row's uncommitted version: one hold of the
+        commit mutex covers the lock, the first-updater-wins check and the
+        staging.  The second half of :meth:`write` and :meth:`update`."""
+        key = row_id[1]
+        if value is not None and value[table.schema.primary_key] != key:
+            raise IntegrityError(
+                f"row primary key {value[table.schema.primary_key]!r} "
+                f"does not match write target {key!r}"
+            )
         txid = txn.txid
         rows = table.rows
+        ssi = self._ssi
         with self._commit_mutex:
             blockers = self.locks.try_acquire(txid, row_id, _EXCLUSIVE)
             if blockers:
@@ -796,7 +847,7 @@ class Database:
                     tn, key = row_id
                     table = tables[tn]
                     value = writes[row_id]
-                    version = Version(commit_ts, txid, value)
+                    version = _built(Version, (commit_ts, txid, value))
                     chain = table.rows[key]  # write() created it
                     chain.append_committed(version)
                     uncommitted = chain.uncommitted
@@ -804,17 +855,14 @@ class Database:
                         chain.uncommitted = None
                     if table.schema.unique:
                         table.index_committed_version(key, version)
-                    redo.append((row_id, value))
+                    redo.append((tn, key, value))
                 for tn, key in txn.cc_writes:
                     tables[tn].cc_write_ts[key] = commit_ts
                 issued = self.clock.next()  # the tick that makes it all visible
                 assert issued == commit_ts, "commit tick raced the reservation"
                 if writes:
-                    record = WalRecord(
-                        commit_ts=commit_ts,
-                        txid=txid,
-                        label=txn.label,
-                        redo=tuple(redo),
+                    record = _built(
+                        WalRecord, (commit_ts, txid, txn.label, tuple(redo), "commit", None)
                     )
                     self._group_commit.stage(record)
                     if obs is not None:
@@ -988,7 +1036,7 @@ class Database:
                 commit_ts=0,  # no timestamp until the decision
                 txid=txn.txid,
                 label=txn.label,
-                redo=tuple([(row, writes[row]) for row in txn.write_order]),
+                redo=tuple([(tn, key, writes[tn, key]) for tn, key in txn.write_order]),
                 kind="prepare",
                 gtid=gtid,
             )
@@ -1066,16 +1114,7 @@ class Database:
                 # Recovery hook: the prepare survived a crash; apply its
                 # redo payload at a fresh timestamp on this (recovered)
                 # instance — same effect the live publish would have had.
-                for row_id, value in stash.redo:
-                    table_name, key = row_id
-                    table = self.catalog.table(table_name)
-                    frozen = freeze_row(value)
-                    version = Version(
-                        commit_ts=commit_ts, txid=stash.txid, value=frozen
-                    )
-                    chain = table.chain_or_create(key)
-                    chain.append_committed(version)
-                    table.index_committed_version(key, version)
+                self._apply_redo(stash.redo, commit_ts, stash.txid)
                 self._release_in_doubt(gtid)
                 record = WalRecord(
                     commit_ts=commit_ts,
@@ -1167,11 +1206,20 @@ class Database:
             )
             holder.status = TxnStatus.PREPARED
             holder.gtid = gtid
-            for row_id, _value in record.redo:
-                self.locks.try_acquire(holder.txid, row_id, _EXCLUSIVE)
+            for table_name, key, _value in record.redo:
+                self.locks.try_acquire(holder.txid, (table_name, key), _EXCLUSIVE)
             self._active[holder.txid] = holder
             self._in_doubt[gtid] = record
             self._in_doubt_holders[gtid] = holder
+
+    def _apply_redo(self, redo: Iterable, commit_ts: int, txid: int) -> None:
+        """Publish a record's ``(table, key, after_image)`` triples as
+        versions at ``commit_ts`` (recovery and in-doubt replay)."""
+        for table_name, key, value in redo:
+            table = self.catalog.table(table_name)
+            version = Version(commit_ts, txid, freeze_row(value))
+            table.chain_or_create(key).append_committed(version)
+            table.index_committed_version(key, version)
 
     def _release_in_doubt(self, gtid: str) -> None:
         """A decided in-doubt prepare lets go of its rows (commit mutex

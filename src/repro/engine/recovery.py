@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from repro.engine.versions import Version, freeze_row
 from repro.engine.wal import WalRecord
 from repro.errors import RecoveryError
 
@@ -64,8 +63,7 @@ def replay_records(db: "Database", records: Sequence[WalRecord]) -> "Database":
                     f"duplicate prepare record for gtid {record.gtid!r}"
                 )
             in_doubt[record.gtid] = record
-            db.wal.append(record)
-            db.wal.flush()
+            db.wal.append(record, durable=True)
             continue
         if record.commit_ts <= last_ts:
             raise RecoveryError(
@@ -81,20 +79,10 @@ def replay_records(db: "Database", records: Sequence[WalRecord]) -> "Database":
                     f"commit-2pc record for gtid {record.gtid!r} has no "
                     "matching prepare in the durable prefix"
                 )
-        for (table_name, key), value in source.redo:
-            table = db.catalog.table(table_name)
-            version = Version(
-                commit_ts=record.commit_ts,
-                txid=source.txid,
-                value=freeze_row(value),
-            )
-            chain = table.chain_or_create(key)
-            chain.append_committed(version)
-            table.index_committed_version(key, version)
+        db._apply_redo(source.redo, record.commit_ts, source.txid)
         # The replayed record is durable in the recovered instance too:
         # recovering from a recovered database is a no-op.
-        db.wal.append(record)
-        db.wal.flush()
+        db.wal.append(record, durable=True)
     db.clock.advance_to(last_ts)
     # Survivors are in-doubt: resolvable by coordinator decision
     # re-delivery, dead by presumed abort otherwise — and until then

@@ -7,9 +7,11 @@ the SmallBank programs (and the mini SQL executor) are written against:
 ``update`` / ``identity_update`` / ``insert`` / ``delete`` / ``commit`` /
 ``rollback``.
 
-When the engine returns :class:`~repro.engine.engine.WaitOn`, the session
-registers the wait (deadlock detection happens there) and delegates the
-actual waiting to its :class:`Waiter` policy:
+Each verb is one engine call — ``update`` too, which reads, merges and
+stages in :meth:`~repro.engine.engine.Database.update`.  When the engine
+returns :class:`~repro.engine.engine.WaitOn`, the session registers the
+wait (deadlock detection happens there), delegates the actual waiting to
+its :class:`Waiter` policy and calls the engine again:
 
 * :class:`ThreadedWaiter` — block the calling OS thread until any blocker
   resolves (used by the threaded correctness/stress driver);
@@ -34,13 +36,11 @@ Two optional hooks make the session instrumentable without subclassing:
 from __future__ import annotations
 
 import threading
-from typing import Callable, Hashable, Mapping, Optional, Union
+from typing import Callable, Hashable, Optional
 
-from repro.engine.engine import Database, Row, WaitOn
+from repro.engine.engine import Changes, Database, Row, WaitOn
 from repro.engine.transaction import Transaction, TxnStatus
 from repro.errors import EngineError, LockTimeout, TransactionStateError
-
-Changes = Union[Mapping[str, object], Callable[[Row], Mapping[str, object]]]
 
 
 class WouldBlock(EngineError):
@@ -206,7 +206,9 @@ class Session:
     def update(
         self, table: str, key: Hashable, changes: Changes, *, kind: str = "update"
     ) -> bool:
-        """``UPDATE table SET ... WHERE pk = key``.
+        """``UPDATE table SET ... WHERE pk = key``: one
+        :meth:`Database.update <repro.engine.engine.Database.update>` call,
+        made again after each wait.
 
         ``changes`` is either a column mapping or a callable computing the
         changed columns from the current row.  Returns False when the row
@@ -215,16 +217,9 @@ class Session:
         txn = self.txn or self.transaction
         if self.statement_hook is not None:
             self.statement_hook(kind, txn)
-        db = self.db
-        while isinstance(current := db.read(txn, table, key), WaitOn):
-            self._wait(current)
-        if current is None:
-            return False
-        merged = dict(current)
-        merged.update(changes(current) if callable(changes) else changes)
-        while (wait := db.write(txn, table, key, merged)) is not None:
-            self._wait(wait)
-        return True
+        while isinstance(result := self.db.update(txn, table, key, changes), WaitOn):
+            self._wait(result)
+        return result
 
     def identity_update(
         self, table: str, key: Hashable, column: str, *, kind: str = "identity-update"
@@ -247,9 +242,9 @@ class Session:
     ) -> None:
         """Stage a full-row write (``row=None`` deletes) without reading.
 
-        The raw building block under :meth:`update`; exposed so the network
-        service layer can execute a client-composed read-merge-write with
-        the same engine footprint as a local :meth:`update`.
+        Exposed so the network service layer can execute a client-composed
+        read-merge-write with the same engine footprint (a read, then a
+        staged row) as a local :meth:`update`.
         """
         txn = self.txn or self.transaction
         if self.statement_hook is not None:

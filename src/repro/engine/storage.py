@@ -111,6 +111,11 @@ class TableSchema:
         )
         checks = tuple((c.name, _KIND_TYPES[c.kind], c) for c in self.columns)
         object.__setattr__(self, "_checks", checks)
+        # name -> (accepted types, column): how an UPDATE checks the
+        # columns it changes (Database.update).
+        object.__setattr__(
+            self, "_types", {name: (types, c) for name, types, c in checks}
+        )
 
     @property
     def column_names(self) -> tuple[str, ...]:

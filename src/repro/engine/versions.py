@@ -15,9 +15,8 @@ A version's ``value`` is an immutable mapping of column name to value, or
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 
 def freeze_row(value: Optional[Mapping[str, object]]) -> Optional[Mapping[str, object]]:
@@ -29,9 +28,9 @@ def freeze_row(value: Optional[Mapping[str, object]]) -> Optional[Mapping[str, o
     return MappingProxyType(dict(value))
 
 
-@dataclass(frozen=True, slots=True)
-class Version:
-    """One committed version of a row.
+class Version(NamedTuple):
+    """One committed version of a row: a tuple, so building one sets no
+    attribute one at a time, and it cannot be changed once built.
 
     Attributes
     ----------

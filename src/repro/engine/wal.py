@@ -13,8 +13,8 @@ payloads of a WAL prefix in order rebuilds the committed state as of that
 prefix — the contract :mod:`repro.engine.recovery` relies on.
 
 Durability is modelled with a *flush boundary*: :meth:`WriteAheadLog.append`
-stages a record in the volatile tail and :meth:`WriteAheadLog.flush` moves
-the boundary past everything staged so far.  A crash discards the tail;
+stages a record in the volatile tail, and an append with ``durable=True``
+moves the boundary past everything staged so far.  A crash discards the tail;
 only :attr:`WriteAheadLog.durable_records` survive.  In normal operation the
 engine flushes at every commit (the client only sees the commit succeed once
 the record is durable); a fault plan may crash the engine between the append
@@ -30,23 +30,24 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional
+from typing import Hashable, Iterator, Mapping, NamedTuple, Optional
 
 from repro.engine.locks import RowId
 from repro.errors import DatabaseCrashed
 
-#: One redo entry: the row written and its full after-image (``None`` for a
-#: deletion tombstone).
-RedoEntry = tuple[RowId, Optional[Mapping[str, object]]]
+#: One redo entry: the table, the key and the row's full after-image
+#: (``None`` for a deletion tombstone), as one flat triple.
+RedoEntry = tuple[str, Hashable, Optional[Mapping[str, object]]]
+
+_KINDS = ("commit", "prepare", "commit-2pc")
 
 
-@dataclass(frozen=True, slots=True)
-class WalRecord:
-    """One log record.
+class WalRecord(NamedTuple):
+    """One log record: a tuple, so building one sets no attribute one at a
+    time, and it cannot be changed once built.
 
-    ``redo`` pairs each row written, in write order, with its after-image;
-    :attr:`rows` names the rows alone.
+    ``redo`` holds one ``(table, key, after_image)`` triple per row
+    written, in write order; :attr:`rows` names the rows alone.
 
     ``kind`` distinguishes the three record types of the presumed-abort
     two-phase-commit protocol (DESIGN.md §12):
@@ -63,6 +64,8 @@ class WalRecord:
 
     There is deliberately *no* abort record: under presumed abort, a
     prepare with no decision in the durable log **is** the abort.
+    ``kind`` and ``gtid`` are checked where a record enters the log
+    (:meth:`WriteAheadLog.append`).
     """
 
     commit_ts: int
@@ -72,58 +75,51 @@ class WalRecord:
     kind: str = "commit"
     gtid: Optional[str] = None
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("commit", "prepare", "commit-2pc"):
-            raise ValueError(f"unknown WAL record kind {self.kind!r}")
-        if self.kind != "commit" and self.gtid is None:
-            raise ValueError(f"{self.kind} records require a gtid")
-
     @property
     def rows(self) -> tuple[RowId, ...]:
         """The rows written, in write order."""
-        return tuple([row for row, _ in self.redo])
+        return tuple([(table, key) for table, key, _ in self.redo])
 
 
 class WriteAheadLog:
     """Append-only list of commit records, ordered by commit timestamp.
 
-    Records sit in a volatile tail until :meth:`flush` advances the flush
-    boundary past them; :meth:`truncate_to_flushed` models a crash by
+    Records sit in a volatile tail until a durable :meth:`append` advances
+    the flush boundary past them; :meth:`truncate_to_flushed` models a crash by
     discarding the tail.
     """
 
     def __init__(self) -> None:
         self._records: list[WalRecord] = []
         self._flushed = 0
+        # Commit timestamp of the newest decision-bearing record (0 if none).
+        self._decided_ts = 0
 
-    def append(self, record: WalRecord) -> None:
-        # Prepare records carry no commit timestamp (their position in the
-        # log is irrelevant — recovery matches them to decisions by gtid),
-        # so only decision-bearing records participate in the monotonicity
-        # invariant, and they compare against the last decision-bearing
-        # record, skipping any interleaved prepares.
-        if record.kind != "prepare":
-            if record.commit_ts <= self._last_decision_ts():
+    def append(self, record: WalRecord, *, durable: bool = False) -> None:
+        """Stage ``record`` in the volatile tail, or with ``durable`` make
+        everything staged so far durable too (the append, then the flush).
+
+        Prepare records carry no commit timestamp (their position in the
+        log is irrelevant — recovery matches them to decisions by gtid),
+        so only decision-bearing records must come in increasing
+        timestamp order, skipping any interleaved prepares.
+        """
+        kind = record.kind
+        if kind != "commit":
+            if kind not in _KINDS:
+                raise ValueError(f"unknown WAL record kind {kind!r}")
+            if record.gtid is None:
+                raise ValueError(f"{kind} records require a gtid")
+        if kind != "prepare":
+            if record.commit_ts <= self._decided_ts:
                 raise ValueError(
                     "WAL records must have increasing commit timestamps"
                 )
-        self._records.append(record)
-
-    def _last_decision_ts(self) -> int:
-        """Commit timestamp of the newest non-prepare record (0 if none).
-
-        Scans back over trailing prepare records only — in practice zero
-        or a handful, since prepares are short-lived.
-        """
-        for record in reversed(self._records):
-            if record.kind != "prepare":
-                return record.commit_ts
-        return 0
-
-    def flush(self) -> int:
-        """Make every staged record durable; returns the flush boundary."""
-        self._flushed = len(self._records)
-        return self._flushed
+            self._decided_ts = record.commit_ts
+        records = self._records
+        records.append(record)
+        if durable:
+            self._flushed = len(records)
 
     @property
     def records(self) -> tuple[WalRecord, ...]:
@@ -143,6 +139,9 @@ class WriteAheadLog:
         """Discard the volatile tail (crash); returns the dropped records."""
         dropped = tuple(self._records[self._flushed :])
         del self._records[self._flushed :]
+        self._decided_ts = next(
+            (r.commit_ts for r in reversed(self._records) if r.kind != "prepare"), 0
+        )
         return dropped
 
     def __len__(self) -> int:
@@ -208,8 +207,7 @@ class GroupCommitBuffer:
         (durability is monotone).
         """
         with self._flush_mutex:
-            wal.append(record)
-            wal.flush()
+            wal.append(record, durable=True)
 
     def sync(self, wal: WriteAheadLog, record: WalRecord) -> int:
         """Block until ``record`` is durable, flushing a batch if needed.
@@ -229,18 +227,17 @@ class GroupCommitBuffer:
             if record.commit_ts <= self._flushed_through:
                 return 0  # another leader's batch already covered us
             pending = self._pending
-            batch = 0
-            while pending:
-                staged = pending.popleft()
-                wal.append(staged)
-                self._flushed_through = staged.commit_ts
-                batch += 1
-            if record.commit_ts > self._flushed_through:
+            batch = len(pending)
+            if record.commit_ts > (pending[-1].commit_ts if pending else 0):
                 raise DatabaseCrashed(
                     f"commit {record.commit_ts} (txn {record.txid}) was "
                     "staged but lost to a crash before the group flush"
                 )
-            wal.flush()
+            # The last append flushes the whole batch: one call per record.
+            while pending:
+                staged = pending.popleft()
+                wal.append(staged, durable=not pending)
+            self._flushed_through = staged.commit_ts
             return batch
 
     def spill_unflushed(self, wal: WriteAheadLog) -> None:

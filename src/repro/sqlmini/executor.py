@@ -1,8 +1,9 @@
 """Execution of mini-SQL statements against an engine session.
 
-A :class:`PreparedStatement` is parsed once, planned once per table
-schema and executed many times with different parameter bindings — the
-shape of the stored procedures the paper's test driver invokes.
+A :class:`PreparedStatement` is parsed once, planned once per database
+(one with an equal table schema reuses the plan) and executed many times
+with different parameter bindings — the shape of the stored procedures
+the paper's test driver invokes.
 ``SELECT ... INTO :var`` writes the result into the parameter mapping,
 mirroring PL/pgSQL, so transaction programs can chain statements exactly
 like Program 1 in the paper.
@@ -15,9 +16,9 @@ expression becomes a key lookup; anything else is a predicate scan.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+import weakref
 from operator import itemgetter
-from typing import Callable, Hashable, Mapping, MutableMapping, Optional
+from typing import Callable, Hashable, Mapping, MutableMapping, NamedTuple, Optional, Sequence
 
 from repro.engine.session import Session
 from repro.engine.storage import TableSchema
@@ -76,11 +77,12 @@ def clear_parse_cache() -> None:
         _parse_misses = 0
 
 
-@dataclass
-class StatementResult:
-    """Outcome of one statement execution."""
+class StatementResult(NamedTuple):
+    """Outcome of one statement execution: a tuple, so a key runner builds
+    one without a Python frame.  The executor's ``rows`` is always a list
+    (the field's default, for other builders, is an empty tuple)."""
 
-    rows: list[dict[str, object]] = field(default_factory=list)
+    rows: "Sequence[dict[str, object]]" = ()
     rowcount: int = 0
 
     @property
@@ -115,7 +117,10 @@ class PreparedStatement:
             self.kind = "identity-update"
         else:
             self.kind = type(self.statement).__name__.lower()
-        self._planned: "tuple[Optional[TableSchema], Optional[Runner]]" = (None, None)
+        # (weak reference to the database planned for, its table's schema,
+        # runner), swapped whole: this object may be shared by every
+        # database and thread, and must not keep a database alive.
+        self._planned: tuple = (lambda: None, None, None)  # planned for no database
 
     def __str__(self) -> str:
         return str(self.statement)
@@ -137,22 +142,29 @@ class PreparedStatement:
                 )
                 return StatementResult(rows=[{"result": result}])
             return remote(self.sql, self.kind, bound)
+        db = session.db
+        planned = self._planned
+        if planned[0]() is not db:
+            planned = self._plan_for(db)
+        return planned[2](session, bound)
+
+    def _plan_for(self, db) -> tuple:
+        """Plan for ``db``, keeping the runner when its table's schema
+        equals the one planned for last."""
+        statement = self.statement
         table = getattr(statement, "table", None)
         if table is None:
             raise SqlError(f"unsupported statement {statement!r}")
-        schema = session.db.catalog.table(table).schema
-        # One (schema, runner) pair, swapped whole: this object may be shared
-        # by every database and thread; an equal schema is adopted, runner kept.
-        planned = self._planned
-        if planned[0] is not schema:
-            if planned[0] == schema:
-                planned = self._planned = (schema, planned[1])
-            else:
-                planned = self._planned = (schema, _plan(statement, self.kind, schema))
-        return planned[1](session, bound)
+        schema = db.catalog.table(table).schema
+        _, planned_schema, runner = self._planned
+        if planned_schema is not schema and planned_schema != schema:
+            runner = _plan(statement, self.kind, schema)
+        planned = self._planned = (weakref.ref(db), schema, runner)
+        return planned
 
 
 Runner = Callable[[Session, Params], StatementResult]
+_built = tuple.__new__  # ``_built(StatementResult, (rows, count))``, no frame
 
 
 def _access_path(
@@ -266,13 +278,13 @@ def _plan(statement: Statement, kind: str, schema: TableSchema) -> Runner:
                     row = session.select(table, key, kind=kind)
                 if row is None:
                     params.update(nulls)
-                    return StatementResult()
+                    return _built(StatementResult, ([], 0))
                 first = {}  # plain loops: no comprehension frame, no iterators
                 for column in columns:
                     first[column] = row[column]
                 for column, var in into:
                     params[var] = first[column]
-                return StatementResult([first], 1)
+                return _built(StatementResult, ([first], 1))
 
             return select_key
         rows_of = _access_path(
@@ -310,7 +322,7 @@ def _plan(statement: Statement, kind: str, schema: TableSchema) -> Runner:
                     return new
 
                 updated = session.update(table, key, changes, kind=kind)
-                return StatementResult(rowcount=int(updated))
+                return _built(StatementResult, ([], int(updated)))
 
             return update_key
         rows_of = _access_path(schema, statement.where, kind="scan")
@@ -321,7 +333,7 @@ def _plan(statement: Statement, kind: str, schema: TableSchema) -> Runner:
             for key, _ in rows_of(session, params):
                 if session.update(table, key, changes, kind=kind):
                     count += 1
-            return StatementResult(rowcount=count)
+            return StatementResult([], count)
 
         return update
 
@@ -334,7 +346,7 @@ def _plan(statement: Statement, kind: str, schema: TableSchema) -> Runner:
         def insert(session, params):
             row = {column: fn(None, params) for column, fn in values}
             session.insert(table, row, kind=kind)
-            return StatementResult(rowcount=1)
+            return StatementResult([], 1)
 
         return insert
 
@@ -345,7 +357,7 @@ def _plan(statement: Statement, kind: str, schema: TableSchema) -> Runner:
             targets = rows_of(session, params)
             for key, _ in targets:
                 session.delete(table, key, kind=kind)
-            return StatementResult(rowcount=len(targets))
+            return StatementResult([], len(targets))
 
         return delete
 

@@ -170,7 +170,11 @@ class ParameterGenerator:
         would spin forever: with ``customers == 1`` every draw returns
         customer 1; a ``hotspot_probability`` of 1.0 sends every draw into
         the hotspot and 0.0 every draw outside it, so that side needs two.
-        These configurations are rejected up front.
+        These configurations are rejected up front.  When the first
+        customer is alone on its side of the hotspot and the second draw
+        repeats it, the second is drawn uniformly from the other side:
+        where the loop would end, without spinning for as long as a
+        probability just short of 1.0 (or above 0.0) keeps it there.
         """
         cfg = self.config
         if cfg.customers < 2:
@@ -189,6 +193,11 @@ class ParameterGenerator:
             )
         first = self.pick_customer()
         second = self.pick_customer()
+        if second == first and cfg.hotspot < cfg.customers:
+            if first == cfg.hotspot == 1:
+                return first, self.rng.randint(2, cfg.customers)
+            if first == cfg.customers == cfg.hotspot + 1:
+                return first, self.rng.randint(1, cfg.hotspot)
         while second == first:
             second = self.pick_customer()
         return first, second

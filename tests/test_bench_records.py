@@ -8,6 +8,7 @@ JSON document ``{"benchmark": <name>, "runs": [<record>, ...]}``, which
 from __future__ import annotations
 
 import json
+import os
 import time
 from pathlib import Path
 
@@ -46,6 +47,10 @@ def test_records_append_in_order(tmp_path):
     assert [run["seed"] for run in data["runs"]] == [11, 17]
     for run in data["runs"]:
         time.strptime(run["timestamp"], "%Y-%m-%dT%H:%M:%SZ")
+        block = run["provenance"]
+        assert set(block) == {"allowed_cpus", "loadavg_1m", "speed_factor"}
+        assert block["allowed_cpus"] == sorted(os.sched_getaffinity(0))
+        assert block["loadavg_1m"] >= 0 and block["speed_factor"] > 0
 
 
 @pytest.mark.parametrize(

@@ -21,7 +21,7 @@ import time
 
 import pytest
 
-from repro.cluster import Cluster, TimestampOracle
+from repro.cluster import Cluster, ClusterConnection, TimestampOracle
 from repro.cluster.fanout import first_error, scatter_gather
 from repro.errors import ConnectionClosed, ReproError, TransactionStateError
 from repro.faults import FaultPlan, FaultSpec
@@ -260,33 +260,58 @@ class TestScatterGather:
         assert seconds("COMMIT_2PC") - before[1] >= 2 * 0.15
 
 
+class TestGtidSource:
+    def test_a_negative_gtid_base_is_refused(self):
+        with pytest.raises(ValueError, match="gtid_base"):
+            ClusterConnection([("127.0.0.1", 1)], gtid_base=-1)
+
+
 class TestOracleGroups:
+    """The oracle hands out no gtids: each connection counts its own,
+    shared by its sessions. These tests hold that count to what the
+    oracle's leases promised: disjoint across threads, offset by the
+    base."""
+
     def test_gtid_leases_are_disjoint_across_threads(self):
-        oracle = TimestampOracle()
-        leases: "list[range]" = []
-        lock = threading.Lock()
+        """A session per transaction, as the threaded driver opens them,
+        wastes no id, and each thread sees its own increase from
+        ``gtid_base + 1`` on."""
+        base, threads, rounds = 10**6, 4, 6
+        taken: "dict[int, list[int]]" = {}
+        with Cluster(2, customers=4) as cluster, cluster.connect(gtid_base=base) as conn:
 
-        def grab():
-            for _ in range(10):
-                lease = oracle.lease_gtids(16)
-                with lock:
-                    leases.append(lease)
+            def take(index: int) -> None:
+                mine = taken[index] = []
+                for _ in range(rounds):
+                    session = conn.session()
+                    try:
+                        session.begin("gtid")
+                        mine.append(int(session.gtid[1:]))
+                        session.rollback()
+                    finally:
+                        session.close()
 
-        threads = [threading.Thread(target=grab) for _ in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        seen: "set[int]" = set()
-        for lease in leases:
-            assert len(lease) == 16
-            assert not seen & set(lease)
-            seen.update(lease)
+            workers = [threading.Thread(target=take, args=(i,)) for i in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join()
+        assert all(mine == sorted(mine) for mine in taken.values()), taken
+        every = sorted(g for mine in taken.values() for g in mine)
+        assert every == list(range(base + 1, base + 1 + threads * rounds))
 
     def test_gtid_base_offsets_the_whole_space(self):
-        oracle = TimestampOracle(gtid_base=10**9)
-        assert oracle.lease_gtids(1) == range(10**9 + 1, 10**9 + 2)
-        assert oracle.lease_gtids(4) == range(10**9 + 2, 10**9 + 6)
+        with Cluster(2, customers=4) as cluster, cluster.connect(gtid_base=10**9) as conn:
+            session = conn.session()
+            try:
+                seen = []
+                for _ in range(2):
+                    session.begin("gtid")
+                    seen.append(session.gtid)
+                    session.rollback()
+            finally:
+                session.close()
+        assert seen == [f"g{10**9 + 1}", f"g{10**9 + 2}"]
 
     def test_decision_windows_share_the_group(self):
         """Two decision broadcasts may overlap (disjoint gtids commute);

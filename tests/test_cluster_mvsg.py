@@ -92,7 +92,7 @@ class TestSnapshotIsolationVerdict:
 
 class TestDuplicateBranchRefusal:
     def test_two_routers_leasing_one_gtid_are_refused(self):
-        """Each router's oracle starts at gtid_base=0, so both lease g1;
+        """Each router counts gtids from gtid_base=0, so both take g1;
         merging would fold the two writers into one transaction and drop
         the ww edge between them."""
         with Cluster(2, customers=4) as cluster:

@@ -45,7 +45,7 @@ class TestStagedRowBelongsToTheEngine:
         assert committed == {"CustomerId": 1, "Balance": 7.0}
         with pytest.raises(TypeError):
             committed["Balance"] = 0.0
-        assert db.wal.records[-1].redo == ((("Saving", 1), committed),)
+        assert db.wal.records[-1].redo == (("Saving", 1, committed),)
 
     def test_insert(self):
         def stage(db, txn, row):
@@ -244,8 +244,8 @@ class TestCommitValidation:
         (record,) = db.wal.records
         assert record.rows == (("Saving", 2), ("Checking", 1))
         assert record.redo == (
-            (("Saving", 2), {"CustomerId": 2, "Balance": 3.0}),
-            (("Checking", 1), {"CustomerId": 1, "Balance": 2.0}),
+            ("Saving", 2, {"CustomerId": 2, "Balance": 3.0}),
+            ("Checking", 1, {"CustomerId": 1, "Balance": 2.0}),
         )
         assert len(db.catalog.table("Saving").chain(2)) == 2  # one new version
 
@@ -259,6 +259,7 @@ class TestCommitValidation:
         prepare, decision = db.wal.records
         assert (prepare.kind, prepare.commit_ts, prepare.gtid) == ("prepare", 0, "g")
         assert prepare.rows == (("Saving", 2), ("Checking", 1))
-        assert prepare.redo[0] == (("Saving", 2), {"CustomerId": 2, "Balance": 3.0})
+        assert prepare.redo[0] == ("Saving", 2, {"CustomerId": 2, "Balance": 3.0})
         assert (decision.kind, decision.commit_ts) == ("commit-2pc", commit_ts)
         assert decision.rows == () and decision.redo == ()
+

@@ -151,8 +151,8 @@ class TestCrashRecovery:
 
     def test_replay_rejects_unordered_prefix(self, db: Database) -> None:
         records = [
-            WalRecord(5, 1, "a", ((("Saving", 1), {"CustomerId": 1, "Balance": 1.0}),)),
-            WalRecord(3, 2, "b", ((("Saving", 2), {"CustomerId": 2, "Balance": 2.0}),)),
+            WalRecord(5, 1, "a", (("Saving", 1, {"CustomerId": 1, "Balance": 1.0}),)),
+            WalRecord(3, 2, "b", (("Saving", 2, {"CustomerId": 2, "Balance": 2.0}),)),
         ]
         with pytest.raises(RecoveryError):
             recover_database(db, records)

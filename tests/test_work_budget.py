@@ -2,15 +2,18 @@
 events) or of lock acquisitions does not depend on the host, so a 2-core
 runner passes or fails it for a reason.  Every call count is
 :func:`repro.bench.harness.count_calls`'s over a shape ``bench_scaling.py``
-or ``bench_net.py`` records; :func:`latch_counts` counts the locks.  Upper
-bounds only: an interpreter that inlines more counts fewer."""
+or ``bench_net.py`` records; :func:`latch_counts` counts the locks and
+:func:`retained_bytes` the memory a commit leaves behind.  Upper bounds
+only: an interpreter that inlines more counts fewer."""
 
 from __future__ import annotations
 
 import functools
+import gc
 import math
 import random
 import threading
+import tracemalloc
 
 import pytest
 
@@ -27,6 +30,7 @@ from benchmarks.bench_scaling import (
 from repro.api import ISOLATION_CONFIGS
 from repro.bench import harness
 from repro.bench.harness import count_calls
+from repro.errors import ApplicationRollback
 from repro.net import DatabaseServer
 from repro.sim.client import SimulatedClient
 from repro.sim.core import Simulator
@@ -42,27 +46,34 @@ from repro.smallbank import (
 from repro.workload.mix import HotspotConfig, ParameterGenerator, get_mix
 from repro.workload.stats import RunStats
 
-#: Calls per program and URL of :func:`layer_budget` when first counted
-#: (client and every server loop); each is gated at PROGRAM_MARGIN times it.
+#: Calls per program and URL of :func:`layer_budget` (client and every
+#: server loop); each is gated at PROGRAM_MARGIN times it.  Counted again
+#: once an UPDATE became one engine call, a statement's plan was kept per
+#: database and its result and a commit's records became tuples built
+#: without a frame (Balance 30 / 55 / 72 / 72 and a cross-shard
+#: Amalgamate 300 before).
 PROGRAM_CALLS = {
-    "Balance": (33, 60, 77, 77),
-    "DepositChecking": (48, 75, 92, 92),
-    "TransactSaving": (54, 81, 98, 98),
-    "Amalgamate": (95, 122, 143, 314),
-    "WriteCheck": (62, 89, 106, 106),
+    "Balance": (24, 49, 65, 65),
+    "DepositChecking": (33, 58, 74, 74),
+    "TransactSaving": (37, 62, 78, 78),
+    "Amalgamate": (66, 91, 111, 275),
+    "WriteCheck": (43, 68, 84, 84),
 }
 PROGRAM_MARGIN = 1.1
 
 BUDGETS = {
-    # Added to an empty begin + commit (7 calls); 2 / 20 today.
-    "write": {"read": 5, "update": 30},
-    # 6 / 9 / 14 / 7 / 30 today.
+    # Added to an empty begin + commit (7 calls); 2 / 12 today (17 when
+    # an UPDATE was a read and a write, its records dataclasses).
+    "write": {"read": 5, "update": 12},
+    # 4 / 7 / 12 / 7 / 24 today (6 / 9 / 14 / 7 / 30 before the plan was
+    # kept per database, a result became a tuple and an UPDATE one
+    # engine call).
     "statement": {
-        "get_saving": 6,  # GET_SAVING.execute: a key SELECT ... INTO
-        "get_saving_sfu": 14,  # GET_SAVING_SFU.execute: the same, FOR UPDATE
-        "add_checking": 14,  # ADD_CHECKING.execute: a key UPDATE
+        "get_saving": 4,  # GET_SAVING.execute: a key SELECT ... INTO
+        "get_saving_sfu": 7,  # GET_SAVING_SFU.execute: the same, FOR UPDATE
+        "add_checking": 12,  # ADD_CHECKING.execute: a key UPDATE
         "begin_commit": 7,  # session.begin() + session.commit(), nothing between (10 before)
-        "balance": 42,  # SmallBankTransactions.run(session, "Balance", ...)
+        "balance": 24,  # SmallBankTransactions.run(session, "Balance", ...)
     },
     # TransactionMix.choose: its own frame, the draw and bisection in C; 1 today.
     # ParameterGenerator.args_for: its frame, one pick_customer frame per
@@ -91,6 +102,10 @@ BUDGETS = {
     # flush mutex for a writer); 3 / 7 / 7 and 7 with 64 row-latch
     # stripes, a certifier lock and a lock per transaction.
     "latch": {"select2 si": 2, "select2 s2pl": 4, "select2 ssi": 4, "update si": 4},
+    # Bytes a committed balance60 request leaves behind on local://: its
+    # versions, WAL record and redo entries; 333 today, 346 when records
+    # were dataclasses and a redo entry nested its row id.
+    "retained": {"balance60 local": 346},
 }
 
 
@@ -187,6 +202,42 @@ def charge_path_calls() -> "dict[str, int]":
     return calls
 
 
+def retained_bytes(requests: int = 5_000) -> "dict[str, float]":
+    """Bytes still allocated (``tracemalloc``, after a collection) per
+    committed request once ``requests`` ``balance60`` requests have run
+    on one ``local://`` session, after a warm-up: what each commit leaves
+    in the database until it is torn down."""
+    customers, rng = 3_600, random.Random(7)
+    session = repro.connect(
+        "local://", database=build_database(population=PopulationConfig(customers=customers))
+    ).session()
+    mix, draw = get_mix("balance60"), ParameterGenerator(HotspotConfig(customers, 200), rng)
+    programs = get_strategy("base-si").transactions()
+
+    def run(count: int) -> int:
+        committed = 0
+        for _ in range(count):
+            program = mix.choose(rng)
+            try:
+                programs.run(session, program, draw.args_for(program))
+                committed += 1
+            except ApplicationRollback:
+                session.rollback()
+        return committed
+
+    run(500)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        committed = run(requests)
+        gc.collect()
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return {"balance60 local": (after - before) / committed}
+
+
 @functools.cache
 def measured(group: str) -> "dict[str, int]":
     """The gated numbers of one :data:`BUDGETS` group."""
@@ -205,6 +256,8 @@ def measured(group: str) -> "dict[str, int]":
         return shape_calls(draw_shapes())
     if group == "latch":
         return latch_counts()
+    if group == "retained":
+        return retained_bytes()
     return ping_calls() if group == "ping" else charge_path_calls()
 
 

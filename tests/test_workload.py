@@ -130,6 +130,12 @@ class ReferenceGenerator:
             raise ValueError("refused")
         first = self.pick_customer()
         second = self.pick_customer()
+        if second == first and cfg.hotspot < cfg.customers:
+            # Alone on its side of the hotspot: the other side's draw.
+            if first == cfg.hotspot == 1:
+                return first, self.rng.randint(2, cfg.customers)
+            if first == cfg.customers == cfg.hotspot + 1:
+                return first, self.rng.randint(1, cfg.hotspot)
         while second == first:
             second = self.pick_customer()
         return first, second
@@ -207,6 +213,17 @@ class TestHotspot:
         for _ in range(200):
             first, second = generator.pick_two_customers()
             assert first != second
+
+    @pytest.mark.parametrize(
+        "config",
+        [HotspotConfig(10, 1, 0.9999999999999999), HotspotConfig(10, 9, 5e-324)],
+    )
+    def test_a_customer_alone_on_its_side_still_gets_a_partner(self, config):
+        """The rejection loop would spin for ~2**53 draws here."""
+        generator = ParameterGenerator(config, random.Random(7))
+        pairs = [generator.pick_two_customers() for _ in range(200)]
+        assert all(first != second for first, second in pairs)
+        assert len({second for _, second in pairs}) == 9  # the whole other side
 
     def test_args_for_every_program(self):
         config = HotspotConfig(customers=100, hotspot=10)
