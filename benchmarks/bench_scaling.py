@@ -469,10 +469,48 @@ EXPOSED_METRICS = (
 )
 
 
+def scripted_lock_wait(db: Database, timeout: float = 10.0) -> None:
+    """One row-lock wait on ``db``, whatever the scheduler does: a session
+    holds Checking row 1's lock until a second session's identity update
+    of that row is seen waiting for it, then commits and lets it through.
+    Under S2PL both commit.  Raises ``RuntimeError`` if no wait shows
+    within ``timeout`` seconds."""
+    holder, waiter = Session(db), Session(db)
+    holder.begin("scripted-holder")
+    holder.identity_update(CHECKING, 1, "Balance")
+    begun, failures = threading.Event(), []
+
+    def wait_for_the_row() -> None:
+        try:
+            waiter.begin("scripted-waiter")
+            begun.set()
+            waiter.identity_update(CHECKING, 1, "Balance")
+            waiter.commit()
+        except Exception as exc:  # reported by the caller below
+            failures.append(exc)
+            begun.set()
+
+    thread = threading.Thread(target=wait_for_the_row, name="scripted-waiter")
+    thread.start()
+    begun.wait(timeout)
+    deadline = time.monotonic() + timeout
+    while not failures and not db.locks.waiting_for(waiter.txn.txid):
+        if time.monotonic() > deadline:
+            break
+        time.sleep(0.001)
+    waited = bool(db.locks.waiting_for(waiter.txn.txid))
+    holder.commit()
+    thread.join(timeout)
+    if failures or not waited or thread.is_alive():
+        raise RuntimeError(f"scripted lock wait failed: waited={waited} {failures!r}")
+
+
 def check_metrics(isolation: str, obs: Observability) -> "list[str]":
     """What is wrong with the registry of one threaded ``balance60`` run
     under ``isolation``; empty when it passes.  Only S2PL must have
-    waited for a row lock."""
+    waited for a row lock: its run ends with :func:`scripted_lock_wait`,
+    so a working lock-wait histogram is never empty there, however the
+    threads interleaved."""
     failures = []
     rt = obs.response_time
     if rt.count == 0:
@@ -533,6 +571,8 @@ def collect_metrics_snapshot(
             obs=obs,
         )
         driver.run()
+        if isolation == "s2pl":
+            scripted_lock_wait(db)
         failures += check_metrics(isolation, obs)
         m = obs.metrics
         wal_batch = m.histogram("repro_wal_batch_size")

@@ -121,15 +121,17 @@ def salvage_durable_history(
 ) -> "list[CommittedTransaction]":
     """The recorder's history truncated to the crashed WAL's durable horizon.
 
-    Call on a *crashed* database.  The recorder observes a commit when
-    the status flips, which happens before the group-commit WAL sync — a
-    crash can therefore revoke the durability of the newest recorded
-    write commits.  Writes past the horizon are dropped (their
-    committers saw :class:`~repro.errors.DatabaseCrashed` from the
-    sync), and so are read-only commits that *observed* a revoked
-    version — their reads would otherwise be misattributed to
-    post-restart writers, whose timestamps reuse the crashed clock's
-    lost range.  ``txid_offset`` shifts the salvaged txids into a
+    Call on a *crashed* database.  The engine flushes a commit's WAL
+    record in the hold of its commit mutex that publishes the commit,
+    and the recorder hears of a commit after that hold, so on this
+    engine nothing the recorder saw lies past the durable horizon and
+    the filter below drops nothing.  It stays as the guard for a log
+    that flushes outside that hold: writes past the horizon are dropped
+    (their committers saw :class:`~repro.errors.DatabaseCrashed`), and
+    so are read-only commits that *observed* a revoked version — their
+    reads would otherwise be misattributed to post-restart writers,
+    whose timestamps reuse the crashed clock's lost range.
+    ``txid_offset`` shifts the salvaged txids into a
     disjoint per-crash epoch range: recovery restarts the txid counter
     at 0 and the MVSG keys nodes by txid.
     """

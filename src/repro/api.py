@@ -224,7 +224,7 @@ class LocalConnection(Connection):
         return {
             "backend": "local",
             "active_transactions": len(self.db.active_transactions),
-            "clock": self.db.clock.last,
+            "clock": self.db.last_ts,
             "crashed": self.db.is_crashed,
         }
 

@@ -26,21 +26,32 @@ def append_bench_record(path: Path, benchmark: str, record: dict) -> None:
     """Append ``record`` to ``path``, a ``{"benchmark", "runs": [...]}``
     trajectory, stamped with when and where it was measured: the UTC
     time, the commit of the checkout holding ``path`` (``None`` outside a
-    git work tree), the Python version, the host's core count and the
+    git work tree) and ``git_dirty``, whether a tracked file other than
+    ``path`` differed from that commit (so the numbers are not the
+    commit's own), the Python version, the host's core count and the
     :func:`provenance` block.  A
     missing or empty ``path`` starts a trajectory; any other file that
     is not one (an older JSON-lines record file, say) raises
     ``ValueError`` and is left as it was."""
-    try:
-        sha = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=path.parent, capture_output=True, text=True, timeout=10,
-        ).stdout.strip() or None
-    except (OSError, subprocess.SubprocessError):
-        sha = None
+    def git(*args: str) -> "str | None":
+        try:
+            done = subprocess.run(
+                ["git", *args], cwd=path.parent,
+                capture_output=True, text=True, timeout=10,
+            )
+        except (OSError, subprocess.SubprocessError):
+            return None
+        return done.stdout if done.returncode == 0 else None
+
+    sha = (git("rev-parse", "HEAD") or "").strip() or None
+    changed = git(
+        "status", "--porcelain", "--untracked-files=no", "--",
+        ":(top)", f":(exclude){path.resolve()}",
+    )
     stamp = {
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "git_sha": sha,
+        "git_dirty": None if sha is None or changed is None else bool(changed.strip()),
         "python": platform.python_version(),
         "cores": os.cpu_count() or 1,
     }

@@ -22,7 +22,6 @@ Quick tour::
 :class:`Session` directly is deprecated.)
 """
 
-from repro.engine.clock import LogicalClock
 from repro.engine.config import (
     EngineConfig,
     IsolationLevel,
@@ -59,7 +58,6 @@ __all__ = [
     "IsolationLevel",
     "LockManager",
     "LockMode",
-    "LogicalClock",
     "NoWaitWaiter",
     "OWN_WRITE",
     "RedoEntry",

@@ -52,32 +52,31 @@ protocol below guarantees a reader can never observe a version whose
 commit timestamp its snapshot covers *partially*.  (SSI then records the
 read with its certifier, under the commit mutex.)
 
-Snapshot-consistent publication: a committing transaction *reserves*
-``commit_ts = clock.peek_next()`` under the commit mutex, publishes its
-versions carrying that timestamp, and only then ticks the clock.  Every
-snapshot in existence satisfies ``snapshot_ts <= clock.last < commit_ts``,
-so the in-flight versions are invisible until the tick makes them
-atomically visible; ``begin`` also runs under the commit mutex, so no new
-snapshot can land between the reservation and the tick.
+The clock is one integer, :attr:`Database.last_ts`, ticked under the
+commit mutex.  Snapshot-consistent publication: a committing transaction
+*reserves* ``commit_ts = last_ts + 1`` under the commit mutex, publishes
+its versions carrying that timestamp, and only then ticks the clock.
+Every snapshot in existence satisfies ``snapshot_ts <= last_ts <
+commit_ts``, so the in-flight versions are invisible until the tick makes
+them atomically visible; ``begin`` also runs under the commit mutex, so
+no new snapshot can land between the reservation and the tick.
 
-Group commit: the WAL record is *staged* under the commit mutex (fixing
-its position in the log) but appended + flushed outside it, batched with
-any records staged by commits racing right behind
-(:class:`~repro.engine.wal.GroupCommitBuffer`).  ``commit`` still returns
-only after the record is durable.
+Durability: the WAL record is appended and flushed
+(``WriteAheadLog.append(record, durable=True)``) in the same hold of the
+commit mutex that publishes the commit, so the log is in timestamp order
+and a commit is durable before any snapshot can see it.  The log is in
+memory, so there is nothing to batch: one record is one flush.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Mapping, Optional, Union
 
 if TYPE_CHECKING:  # pragma: no cover - avoids the obs -> analysis cycle
     from repro.obs import Observability
 
-from repro.engine.clock import LogicalClock
 from repro.engine.config import (
     EngineConfig,
     IsolationLevel,
@@ -88,8 +87,8 @@ from repro.engine.locks import LockManager, LockMode, RowId
 from repro.engine.ssi import SsiCertifier
 from repro.engine.storage import BootstrapImage, Catalog, Table, TableSchema
 from repro.engine.transaction import OWN_WRITE, Transaction, TxnStatus
-from repro.engine.versions import Version, VersionChain, freeze_row
-from repro.engine.wal import GroupCommitBuffer, WalRecord, WriteAheadLog
+from repro.engine.versions import FrozenRow, Version, VersionChain, freeze_row
+from repro.engine.wal import WalRecord, WriteAheadLog
 from repro.errors import (
     DatabaseCrashed,
     FaultInjected,
@@ -111,6 +110,8 @@ _EXCLUSIVE = LockMode.EXCLUSIVE
 #: ``_built(Version, fields)`` is ``Version(*fields)`` without the Python
 #: frame of a NamedTuple's ``__new__``: a commit builds one per row written.
 _built = tuple.__new__
+#: Fills the :class:`FrozenRow` an UPDATE has just built.
+_dict_update = dict.update
 
 
 @dataclass(frozen=True)
@@ -168,14 +169,21 @@ class Database:
     ) -> None:
         self.config = config or EngineConfig.postgres()
         self.catalog = Catalog(list(schemas), image)
-        self.clock = LogicalClock()
-        self.locks = LockManager(lock_timeout=self.config.lock_timeout)
+        #: The logical clock: the most recently issued start or commit
+        #: timestamp (0, the bootstrap data's, before any).  Ticked only
+        #: under the commit mutex, so no timestamp is issued twice.
+        self.last_ts = 0
+        self.locks = LockManager(self.config.lock_timeout)
+        # The lock table's two dicts, aliased: ``_stage`` grants a row
+        # nobody holds and ``commit`` frees a transaction's rows on them
+        # in their own frames (see LockManager).
+        self._row_locks = self.locks.table
+        self._locks_held = self.locks.held
         self.wal = WriteAheadLog()
         self.faults = faults
         # The engine's one latch (see the module docstring).  Re-entrant
         # because abort paths nest inside commit and write paths.
         self._commit_mutex = threading.RLock()
-        self._group_commit = GroupCommitBuffer()
         # Hot-path accelerators: the isolation / conflict-policy tests and
         # the table lookup run on every read or write, so resolve them to
         # one attribute/dict probe.  _table_map aliases the catalog's own
@@ -259,15 +267,9 @@ class Database:
                     table.base = entry[1].versions
                 table, image = entry
                 schema = table.schema
-                value = schema.validate_row(row)
+                value = FrozenRow(schema.validate_row(row))
                 key = value[schema.primary_key]
-                # validate_row returned a copy nobody else holds: freeze
-                # it as is.
-                version = Version(
-                    commit_ts=LogicalClock.BOOTSTRAP_TS,
-                    txid=0,
-                    value=MappingProxyType(value),
-                )
+                version = Version(commit_ts=0, txid=0, value=value)
                 chain = table.rows.get(key)
                 if key in table.base or (chain is not None and len(chain) > 0):
                     raise IntegrityError(
@@ -325,7 +327,7 @@ class Database:
             lengths = []
             for table in self.catalog:
                 rows = table.rows
-                lengths += [len(chain._committed) for chain in list(rows.values())]
+                lengths += [len(chain.versions) for chain in list(rows.values())]
                 # A row nobody wrote is its bootstrap version alone.
                 lengths += [1 for key in table.base if key not in rows]
         obs.engine_version_stats(lengths)
@@ -373,11 +375,8 @@ class Database:
             txn.status = TxnStatus.ABORTED
             for callback in txn.drain_callbacks():
                 callback(txn)
-        # Records staged for group commit were never flushed: spill them
-        # into the volatile tail so the truncation below discards them —
-        # their committers learn the commit was lost when their sync sees
-        # the record gone (GroupCommitBuffer.sync raises DatabaseCrashed).
-        self._group_commit.spill_unflushed(self.wal)
+        # Every acknowledged record was flushed in its commit's hold of the
+        # mutex; only a crash-mid-commit record sits in the volatile tail.
         self.wal.truncate_to_flushed()
 
     def recover(self) -> "Database":
@@ -405,12 +404,13 @@ class Database:
         with self._commit_mutex:
             if self._crashed:
                 self._ensure_not_crashed()
+            start_ts = self.last_ts = self.last_ts + 1
             if self._ssi is not None or self._obs is not None:
-                return self._begin_locked(self.clock.next(), label)
+                return self._begin_locked(start_ts, label)
             # ``_begin_locked`` with nobody to tell, in this frame.
             txid = self._txid_counter = self._txid_counter + 1
             txn = self._active[txid] = Transaction(
-                txid, self.clock.next(), self._commit_mutex, label=label
+                txid, start_ts, self._commit_mutex, label=label
             )
             return txn
 
@@ -465,7 +465,7 @@ class Database:
             self.catalog.table(table_name)  # raises SchemaError
         chain = table.rows.get(key)
         # Inlined Table.visible(): newest committed version at or below
-        # the snapshot.  _committed is append-only and replaced (not
+        # the snapshot.  chain.versions is append-only and replaced (not
         # mutated) by vacuum, so iterating it lock-free is safe; a
         # tombstone's value is None, which doubles as "row absent".  A row
         # with no chain is its bootstrap version, at timestamp 0.
@@ -473,7 +473,7 @@ class Database:
         version_ts = 0
         if chain is not None:
             snapshot_ts = txn.snapshot_ts
-            for version in reversed(chain._committed):
+            for version in reversed(chain.versions):
                 if version.commit_ts <= snapshot_ts:
                     value = version.value
                     version_ts = version.commit_ts
@@ -661,8 +661,8 @@ class Database:
         if table is None:
             self.catalog.table(table_name)  # raises SchemaError
         if value is not None:
-            # validate_row returned a copy nobody else holds: freeze it as is.
-            value = MappingProxyType(table.schema.validate_row(value))
+            # The checked copy, frozen: what the caller holds never changes it.
+            value = FrozenRow(table.schema.validate_row(value))
         return self._stage(txn, table, (table_name, key), value)
 
     def update(
@@ -697,9 +697,9 @@ class Database:
             # Column.check's accepting case inline; it words the rejections.
             if not isinstance(value, kinds) or value is True or value is False:
                 column.check(value)
-        row = current.copy()  # the frozen row's own dict, copied in C
-        row.update(new)
-        return self._stage(txn, table, (table_name, key), MappingProxyType(row)) or True
+        row = FrozenRow(current)  # one copy, in C
+        _dict_update(row, new)  # dict's own update: FrozenRow's refuses
+        return self._stage(txn, table, (table_name, key), row) or True
 
     def _stage(
         self, txn: Transaction, table: Table, row_id: RowId, value: Optional[Row]
@@ -717,16 +717,25 @@ class Database:
         rows = table.rows
         ssi = self._ssi
         with self._commit_mutex:
-            blockers = self.locks.try_acquire(txid, row_id, _EXCLUSIVE)
-            if blockers:
-                return self._blocked(blockers)
+            row_locks = self._row_locks
+            if row_id not in row_locks:  # nobody holds it: grant it here
+                row_locks[row_id] = {txid: _EXCLUSIVE}
+                held = self._locks_held.get(txid)
+                if held is None:
+                    self._locks_held[txid] = {row_id}
+                else:
+                    held.add(row_id)
+            else:
+                blockers = self.locks.try_acquire(txid, row_id, _EXCLUSIVE)
+                if blockers:
+                    return self._blocked(blockers)
             chain = rows.get(key)
             if self._first_updater_wins:
                 # Inlined, the helper is called only to raise.  A row with
                 # no chain has only its bootstrap version, at 0.
                 tip = (
-                    chain._committed[-1].commit_ts
-                    if chain is not None and chain._committed
+                    chain.versions[-1].commit_ts
+                    if chain is not None and chain.versions
                     else 0
                 )
                 if max(tip, table.cc_write_ts.get(key, 0)) > txn.snapshot_ts:
@@ -782,13 +791,12 @@ class Database:
         transaction) when first-committer-wins validation or the SSI
         certifier rejects it.
 
-        The critical section covers validation, timestamping and version
-        publication only; the WAL append + flush happen *after* the commit
-        mutex is released, batched by :class:`GroupCommitBuffer` (the
-        record's log position is fixed by staging it under the mutex).
-        ``commit`` returns only once the record is durable.
+        One hold of the commit mutex validates, timestamps, publishes the
+        versions, appends and flushes the WAL record and frees the locks,
+        so ``commit`` returns with the record durable.  The uncontended
+        path calls no helper per row: the version goes onto its chain and
+        the row lock comes off in this frame.
         """
-        record: Optional[WalRecord] = None
         obs = self._obs
         commit_started = obs.now() if obs is not None else 0.0
         with self._commit_mutex:
@@ -819,12 +827,12 @@ class Database:
             txid = txn.txid
             writes = txn.writes
             if not (writes or txn.cc_writes):  # nothing to publish: tick once
-                txn.commit_ts = self.clock.next()
+                txn.commit_ts = self.last_ts = self.last_ts + 1
             else:
                 # Reserve the commit timestamp without ticking the clock yet:
-                # every live snapshot has snapshot_ts <= clock.last < commit_ts,
+                # every live snapshot has snapshot_ts <= last_ts < commit_ts,
                 # so the versions published below stay invisible until the tick.
-                commit_ts = self.clock.peek_next()
+                commit_ts = self.last_ts + 1
                 tables = self._table_map
                 # Validate every unique constraint BEFORE publishing anything:
                 # a violation must leave no versions behind (and consume no
@@ -849,7 +857,10 @@ class Database:
                     value = writes[row_id]
                     version = _built(Version, (commit_ts, txid, value))
                     chain = table.rows[key]  # write() created it
-                    chain.append_committed(version)
+                    versions = chain.versions
+                    if versions and versions[-1].commit_ts > commit_ts:
+                        chain.append_committed(version)  # raises
+                    versions.append(version)
                     uncommitted = chain.uncommitted
                     if uncommitted is not None and uncommitted[0] == txid:
                         chain.uncommitted = None
@@ -858,47 +869,49 @@ class Database:
                     redo.append((tn, key, value))
                 for tn, key in txn.cc_writes:
                     tables[tn].cc_write_ts[key] = commit_ts
-                issued = self.clock.next()  # the tick that makes it all visible
-                assert issued == commit_ts, "commit tick raced the reservation"
+                self.last_ts = commit_ts  # the tick that makes it all visible
                 if writes:
                     record = _built(
                         WalRecord, (commit_ts, txid, txn.label, tuple(redo), "commit", None)
                     )
-                    self._group_commit.stage(record)
-                    if obs is not None:
-                        obs.engine_wal_stage(txn, record)
                     if faults is not None and faults.should_fire("crash-mid-commit"):
-                        # Power fails after the record is staged but before the
-                        # flush: the commit is NOT durable and must vanish on
-                        # recovery, even though versions were already published
-                        # in (now lost) memory.  _crash_locked spills the staged
-                        # records into the volatile tail and truncates it away.
+                        # Power fails after the append but before the flush:
+                        # the commit is NOT durable and must vanish on
+                        # recovery, even though versions were already
+                        # published in (now lost) memory.  _crash_locked
+                        # truncates the volatile tail, this record with it.
+                        if obs is not None:
+                            obs.engine_wal_stage(txn, record)
+                        self.wal.append(record)
                         self._crash_locked()
                         raise DatabaseCrashed(
                             f"crash injected during commit of txn {txn.txid} "
-                            f"({txn.label}): WAL record staged but not flushed"
+                            f"({txn.label}): WAL record appended but not flushed"
                         )
+                    if obs is None:
+                        self.wal.append(record, durable=True)
+                    else:
+                        self._log_observed(obs, txn, record)
             txn.status = TxnStatus.COMMITTED
             self._active.pop(txid, None)
-            if txid in self.locks._held_by_txn:  # an SI reader holds none
-                self.locks.release_all(txid)
+            # ``self.locks.release_all(txid)``, in this frame.  A committing
+            # transaction waits for nobody (every wait ends before its verb
+            # returns), so it has no waits-for edge to drop.
+            held = self._locks_held.pop(txid, None)
+            if held is not None:  # an SI reader holds none
+                row_locks = self._row_locks
+                for row_id in held:
+                    holders = row_locks[row_id]
+                    del holders[txid]
+                    if not holders:
+                        del row_locks[row_id]
             if ssi is not None:
                 ssi.on_resolve(txn, self._active.values())
             # ``txn.drain_callbacks()``, in this frame.
-            callbacks, txn._resolution_callbacks = txn._resolution_callbacks, []
+            callbacks = txn._resolution_callbacks
+            if callbacks:
+                txn._resolution_callbacks = ()
         try:
-            if record is not None:
-                # Durability point: batch-flush outside the critical
-                # section.  Raises DatabaseCrashed if a concurrent injected
-                # crash discarded the staged record — the commit was lost.
-                if obs is not None:
-                    flush_started = obs.now()
-                    batch = self._group_commit.sync(self.wal, record)
-                    obs.engine_wal_flush(
-                        txn, batch, obs.now() - flush_started
-                    )
-                else:
-                    self._group_commit.sync(self.wal, record)
             if obs is not None:
                 obs.engine_commit(txn, obs.now() - commit_started)
         finally:
@@ -1020,7 +1033,7 @@ class Database:
                     raise SerializationFailure(conflict)
             writes = txn.writes
             tables = self._table_map
-            probe_ts = self.clock.peek_next()
+            probe_ts = self.last_ts + 1
             staged_by_table: dict[str, dict[Hashable, Optional[Row]]] = {}
             for row_id in txn.write_order:
                 tn, key = row_id
@@ -1048,9 +1061,9 @@ class Database:
             # in _active so vacuum and the SSI certifier keep seeing it.
             if self._obs is not None:
                 self._obs.engine_wal_stage(txn, record)
-        # Durability point of the YES vote: the prepare record must be on
-        # stable storage before the coordinator may count the vote.
-        self._group_commit.append_durable(self.wal, record)
+            # Durability point of the YES vote: the prepare record must be
+            # on stable storage before the coordinator may count the vote.
+            self.wal.append(record, durable=True)
 
     def commit_prepared(self, gtid: str) -> int:
         """Phase two, commit decision: publish and timestamp ``gtid``.
@@ -1079,7 +1092,7 @@ class Database:
                     f"global transaction {gtid!r} was already aborted"
                 )
             txn = self._prepared.pop(gtid, None)
-            commit_ts = self.clock.peek_next()
+            commit_ts = self.last_ts + 1
             if txn is not None:
                 txn.commit_ts = commit_ts
                 txid = txn.txid
@@ -1123,31 +1136,26 @@ class Database:
                     kind="commit-2pc",
                     gtid=gtid,
                 )
-            issued = self.clock.next()  # the tick that makes it visible
-            assert issued == commit_ts, "commit tick raced the reservation"
-            self._group_commit.stage(record)
+            self.last_ts = commit_ts  # the tick that makes it visible
+            # Durability point of the decision.  Presumed abort makes this
+            # record tiny — no redo, just (gtid, commit_ts).
+            if obs is not None and txn is not None:
+                self._log_observed(obs, txn, record)
+            else:
+                self.wal.append(record, durable=True)
             self._resolved_gtids[gtid] = ("committed", commit_ts)
             if txn is not None:
-                if obs is not None:
-                    obs.engine_wal_stage(txn, record)
                 txn.status = TxnStatus.COMMITTED
                 self._active.pop(txid, None)
                 self.locks.release_all(txid)
                 if self._ssi is not None:
                     self._ssi.on_resolve(txn, self._active.values())
                 callbacks = txn.drain_callbacks()
-        try:
-            # Durability point of the decision.  Presumed abort makes this
-            # record tiny — no redo, just (gtid, commit_ts).
-            if obs is not None and txn is not None:
-                flush_started = obs.now()
-                batch = self._group_commit.sync(self.wal, record)
-                obs.engine_wal_flush(txn, batch, obs.now() - flush_started)
-                obs.engine_commit(txn, obs.now() - commit_started)
-            else:
-                self._group_commit.sync(self.wal, record)
-        finally:
-            if txn is not None:
+        if txn is not None:
+            try:
+                if obs is not None:
+                    obs.engine_commit(txn, obs.now() - commit_started)
+            finally:
                 self._fire(callbacks, txn)
         return commit_ts
 
@@ -1201,7 +1209,7 @@ class Database:
         with self._commit_mutex:
             self._txid_counter += 1
             holder = Transaction(
-                self._txid_counter, self.clock.last, self._commit_mutex,
+                self._txid_counter, self.last_ts, self._commit_mutex,
                 label=record.label,
             )
             holder.status = TxnStatus.PREPARED
@@ -1269,7 +1277,7 @@ class Database:
             if self._active:
                 horizon = min(t.snapshot_ts for t in self._active.values())
             else:
-                horizon = self.clock.last
+                horizon = self.last_ts
             pruned = 0
             for table in self.catalog:  # a row nobody wrote has one version
                 for chain in list(table.rows.values()):
@@ -1307,7 +1315,7 @@ class Database:
     def _read_horizon(self, txn: Transaction) -> int:
         """Timestamp bound for reads: snapshot under SI, 'now' under S2PL."""
         if self._s2pl:
-            return self.clock.last + 1
+            return self.last_ts + 1
         return txn.snapshot_ts
 
     def _read_latest(
@@ -1360,7 +1368,7 @@ class Database:
         its bootstrap version, at 0.
         """
         chain = table.rows.get(key)
-        committed = chain._committed if chain is not None else ()
+        committed = chain.versions if chain is not None else ()
         newest = committed[-1].commit_ts if committed else 0
         if newest > txn.snapshot_ts:
             self._fail_serialization(
@@ -1377,6 +1385,16 @@ class Database:
                 f"SELECT-FOR-UPDATE locked by a concurrent transaction "
                 f"(committed at {cc_ts}, snapshot at {txn.snapshot_ts})",
             )
+
+    def _log_observed(
+        self, obs: "Observability", txn: Transaction, record: WalRecord
+    ) -> None:
+        """Append and flush ``record`` (commit mutex held), telling ``obs``:
+        the stage, then a flush of a batch of one."""
+        obs.engine_wal_stage(txn, record)
+        started = obs.now()
+        self.wal.append(record, durable=True)
+        obs.engine_wal_flush(txn, 1, obs.now() - started)
 
     def _fail_serialization(self, txn: Transaction, message: str) -> None:
         with self._commit_mutex:
@@ -1428,7 +1446,7 @@ class Database:
         return WaitOn(frozenset([active[txid] for txid in blocker_ids]))
 
     def _fire(
-        self, callbacks: list[Callable[[Transaction], None]], txn: Transaction
+        self, callbacks: Iterable[Callable[[Transaction], None]], txn: Transaction
     ) -> None:
         for observer in self._observers:
             observer(txn)

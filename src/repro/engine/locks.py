@@ -46,15 +46,23 @@ class LockManager:
     The manager itself never blocks, so enforcement happens in the waiting
     layer (:mod:`repro.engine.session`); the value lives here because it is
     lock-manager policy, alongside deadlock detection.
+
+    The lock table is two public dicts, :attr:`table` and :attr:`held`.
+    The :class:`~repro.engine.engine.Database` runs two fast paths on
+    them in its own frames: ``_stage`` has an inlined copy of
+    :meth:`try_acquire`'s grant of a row nobody holds, and ``commit`` one
+    of :meth:`release_all`.  A change to the table's format changes those
+    copies with the methods.
     """
 
     def __init__(self, lock_timeout: Optional[float] = None) -> None:
         if lock_timeout is not None and lock_timeout <= 0:
             raise ValueError("lock_timeout must be positive (or None to wait forever)")
         self.lock_timeout = lock_timeout
-        # row -> {holder txid: mode}; a row nobody holds has no entry.
-        self._locks: dict[RowId, dict[int, LockMode]] = {}
-        self._held_by_txn: dict[int, set[RowId]] = {}
+        #: row -> ``{holder txid: mode}``; a row nobody holds has no entry.
+        self.table: dict[RowId, dict[int, LockMode]] = {}
+        #: txid -> the rows it holds; a transaction holding none has no entry.
+        self.held: dict[int, set[RowId]] = {}
         # txid -> ids of transactions it currently waits for.
         self._waits_for: dict[int, frozenset[int]] = {}
 
@@ -69,9 +77,9 @@ class LockManager:
         Lock upgrade (shared -> exclusive) is supported and subject to the
         same conflict rules against *other* holders.
         """
-        holders = self._locks.get(row)
-        if holders is None:
-            self._locks[row] = {txid: mode}
+        holders = self.table.get(row)
+        if holders is None:  # ``Database._stage`` inlines this grant
+            self.table[row] = {txid: mode}
         else:
             current = holders.get(txid)
             if current is None or len(holders) > 1:  # somebody else is here
@@ -85,29 +93,31 @@ class LockManager:
                     return frozenset(blockers)
             if current is not _EXCLUSIVE:  # first grant, or an upgrade
                 holders[txid] = mode
-        held_rows = self._held_by_txn.get(txid)
+        held_rows = self.held.get(txid)
         if held_rows is None:
-            self._held_by_txn[txid] = {row}
+            self.held[txid] = {row}
         else:
             held_rows.add(row)
         return _GRANTED
 
     def holds(self, txid: int, row: RowId, mode: Optional[LockMode] = None) -> bool:
-        held = self._locks.get(row, {}).get(txid)
+        held = self.table.get(row, {}).get(txid)
         return held is not None and (mode is None or held is mode)
 
     def holders(self, row: RowId) -> dict[int, LockMode]:
-        return dict(self._locks.get(row, ()))
+        return dict(self.table.get(row, ()))
 
     def rows_held_by(self, txid: int) -> frozenset[RowId]:
-        return frozenset(self._held_by_txn.get(txid, ()))
+        return frozenset(self.held.get(txid, ()))
 
     def release_all(self, txid: int) -> list[RowId]:
         """Release every lock held by ``txid`` and drop its waits-for
-        edges; returns the freed rows, in no particular order."""
+        edges; returns the freed rows, in no particular order.
+        ``Database.commit`` inlines this, less the waits-for edges: a
+        committing transaction waits for nobody."""
         self._waits_for.pop(txid, None)
-        rows = self._held_by_txn.pop(txid, ())
-        locks = self._locks
+        rows = self.held.pop(txid, ())
+        locks = self.table
         for row in rows:
             holders = locks[row]
             del holders[txid]

@@ -83,7 +83,7 @@ def replay_records(db: "Database", records: Sequence[WalRecord]) -> "Database":
         # The replayed record is durable in the recovered instance too:
         # recovering from a recovered database is a no-op.
         db.wal.append(record, durable=True)
-    db.clock.advance_to(last_ts)
+    db.last_ts = max(db.last_ts, last_ts)  # never reissue a replayed timestamp
     # Survivors are in-doubt: resolvable by coordinator decision
     # re-delivery, dead by presumed abort otherwise — and until then
     # their rows stay locked, as they were before the crash.

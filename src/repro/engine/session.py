@@ -77,6 +77,10 @@ class ThreadedWaiter(Waiter):
         return event.wait(timeout)
 
 
+#: The waiter of every session built without one: it holds no state.
+_THREADED_WAITER = ThreadedWaiter()
+
+
 class NoWaitWaiter(Waiter):
     """Never wait; surface the block to the caller as :class:`WouldBlock`."""
 
@@ -102,7 +106,7 @@ class Session:
         pre_commit_hook: Optional[Callable[[Transaction], None]] = None,
     ) -> None:
         self.db = db
-        self.waiter = waiter or ThreadedWaiter()
+        self.waiter = waiter or _THREADED_WAITER
         self.statement_hook = statement_hook
         self.pre_commit_hook = pre_commit_hook
         self.txn: Optional[Transaction] = None

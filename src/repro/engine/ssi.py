@@ -78,7 +78,7 @@ class SsiCertifier:
             return
         # Concurrent committed writers that produced a newer version
         # than the one this snapshot read.
-        for version in reversed(chain._committed):
+        for version in reversed(chain.versions):
             if version.commit_ts <= txn.snapshot_ts:
                 break
             writer = self._txns.get(version.txid)

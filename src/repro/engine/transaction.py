@@ -53,10 +53,12 @@ class PredicateRead:
 class Transaction:
     """State of one transaction inside a :class:`~repro.engine.engine.Database`."""
 
-    # Rare footprints and the SSI flags: shared empty values until written.
+    # Rare footprints, waiters and the SSI flags: shared empty values
+    # until written.
     cc_writes: "set[RowId] | frozenset[RowId]" = frozenset()
     sfu_rows: "set[RowId] | frozenset[RowId]" = frozenset()
     predicate_reads: "list[PredicateRead] | tuple[()]" = ()
+    _resolution_callbacks: "list[Callable[[Transaction], None]] | tuple[()]" = ()
     in_conflict = False  # SSI: some concurrent txn has an rw edge INTO us
     out_conflict = False  # SSI: we have an rw edge OUT to a concurrent txn
 
@@ -87,7 +89,6 @@ class Transaction:
         self.writes: dict[RowId, Optional[Mapping[str, object]]] = {}
         self.write_order: list[RowId] = []
 
-        self._resolution_callbacks: list[Callable[["Transaction"], None]] = []
         # The engine's commit mutex, which every resolution holds while it
         # changes the status and drains the callbacks: a waiter thread
         # subscribes under it while the owner thread resolves.
@@ -194,11 +195,15 @@ class Transaction:
         """
         with self._latch:
             if self.status in (TxnStatus.ACTIVE, TxnStatus.PREPARED):
+                if not self._resolution_callbacks:
+                    self._resolution_callbacks = []
                 self._resolution_callbacks.append(callback)
                 return
         callback(self)
 
-    def drain_callbacks(self) -> list[Callable[["Transaction"], None]]:
+    def drain_callbacks(
+        self,
+    ) -> "list[Callable[[Transaction], None]] | tuple[()]":
         """Detach and return the pending callbacks (engine commit/abort).
 
         Must be called under the commit mutex, in the hold that moved
@@ -206,7 +211,7 @@ class Transaction:
         instead of appending to the drained list.
         """
         callbacks = self._resolution_callbacks
-        self._resolution_callbacks = []
+        self._resolution_callbacks = ()
         return callbacks
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

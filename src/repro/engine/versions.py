@@ -9,23 +9,44 @@ Each logical row (identified by its primary key within a table) owns a
   allows a single in-flight writer per row — that is what the write lock
   enforces).
 
-A version's ``value`` is an immutable mapping of column name to value, or
+A version's ``value`` is a :class:`FrozenRow` (column name -> value), or
 ``None`` for a deletion tombstone.  Versions never mutate; updates append.
 """
 
 from __future__ import annotations
 
-from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional
 
 
+class FrozenRow(dict):
+    """A row as the engine stores and hands it out: a ``dict`` whose
+    mutating methods raise ``TypeError``.
+
+    One object per row version, with no read-only view wrapped around a
+    private dict (a ``MappingProxyType`` cost 40 bytes more per version,
+    and a method call per ``copy``); ``copy()`` gives a plain, mutable
+    ``dict``.  Read-only by contract: ``dict.__setitem__(row, ...)``
+    still writes, and nothing in the engine does it to a row it has
+    handed out."""
+
+    __slots__ = ()
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("a stored row is read-only; copy() it to change it")
+
+    __setitem__ = __delitem__ = _read_only
+    clear = pop = popitem = setdefault = update = __ior__ = _read_only
+
+    def __reduce__(self):
+        return FrozenRow, (dict(self),)
+
+
 def freeze_row(value: Optional[Mapping[str, object]]) -> Optional[Mapping[str, object]]:
-    """Return a read-only view of a row mapping (``None`` passes through)."""
-    if value is None:
-        return None
-    if isinstance(value, MappingProxyType):
+    """Return a read-only copy of a row mapping (``None`` and a row that
+    is already frozen pass through)."""
+    if value is None or value.__class__ is FrozenRow:
         return value
-    return MappingProxyType(dict(value))
+    return FrozenRow(value)
 
 
 class Version(NamedTuple):
@@ -55,14 +76,19 @@ class Version(NamedTuple):
 class VersionChain:
     """The full version history of one logical row."""
 
-    __slots__ = ("_committed", "uncommitted")
+    __slots__ = ("versions", "uncommitted")
 
     def __init__(
         self,
         first: Optional[Version] = None,
         uncommitted: Optional[tuple[int, Optional[Mapping[str, object]]]] = None,
     ) -> None:
-        self._committed: list[Version] = [] if first is None else [first]
+        #: The committed versions, oldest first: appended to in place (the
+        #: engine's commit does it itself, under its commit mutex, with the
+        #: timestamp check :meth:`append_committed` makes) and replaced
+        #: whole by :meth:`prune`, so a lock-free reader may iterate the
+        #: list it loaded.
+        self.versions: list[Version] = [] if first is None else [first]
         #: ``(txid, value)`` of the in-flight (locked, not yet committed)
         #: version, or ``None``.
         self.uncommitted = uncommitted
@@ -72,20 +98,20 @@ class VersionChain:
     # ------------------------------------------------------------------
     def append_committed(self, version: Version) -> None:
         """Append a committed version; commit timestamps must increase."""
-        if self._committed and version.commit_ts < self._committed[-1].commit_ts:
+        if self.versions and version.commit_ts < self.versions[-1].commit_ts:
             raise ValueError(
                 "commit timestamps must be appended in increasing order: "
-                f"{version.commit_ts} < {self._committed[-1].commit_ts}"
+                f"{version.commit_ts} < {self.versions[-1].commit_ts}"
             )
-        self._committed.append(version)
+        self.versions.append(version)
 
     @property
     def committed(self) -> tuple[Version, ...]:
-        return tuple(self._committed)
+        return tuple(self.versions)
 
     def latest(self) -> Optional[Version]:
         """The newest committed version, or ``None`` if the row never existed."""
-        return self._committed[-1] if self._committed else None
+        return self.versions[-1] if self.versions else None
 
     def latest_commit_ts(self) -> int:
         """Commit timestamp of the newest committed version (0 if none)."""
@@ -102,7 +128,7 @@ class VersionChain:
         """
         # Linear scan from the tail: chains are short and the newest
         # versions are by far the most frequently requested.
-        for version in reversed(self._committed):
+        for version in reversed(self.versions):
             if version.commit_ts <= snapshot_ts:
                 return version
         return None
@@ -114,14 +140,14 @@ class VersionChain:
         transaction that read the version at ``commit_ts`` has an
         anti-dependency toward the writer of the successor.
         """
-        for version in self._committed:
+        for version in self.versions:
             if version.commit_ts > commit_ts:
                 return version
         return None
 
     def version_at(self, commit_ts: int) -> Optional[Version]:
         """The committed version created exactly at ``commit_ts``."""
-        for version in reversed(self._committed):
+        for version in reversed(self.versions):
             if version.commit_ts == commit_ts:
                 return version
             if version.commit_ts < commit_ts:
@@ -144,7 +170,7 @@ class VersionChain:
         published as a *new* list — concurrent lock-free readers keep
         traversing whichever (immutable-element) list they already hold.
         """
-        committed = self._committed
+        committed = self.versions
         keep_from = 0
         for i in range(len(committed) - 1, -1, -1):
             if committed[i].commit_ts <= horizon_ts:
@@ -152,16 +178,16 @@ class VersionChain:
                 break
         if keep_from == 0:
             return 0
-        self._committed = committed[keep_from:]
+        self.versions = committed[keep_from:]
         return keep_from
 
     def __len__(self) -> int:
-        return len(self._committed)
+        return len(self.versions)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         tip = self.latest()
         return (
-            f"VersionChain(n={len(self._committed)}, tip_ts="
+            f"VersionChain(n={len(self.versions)}, tip_ts="
             f"{tip.commit_ts if tip else None}, "
             f"uncommitted={self.uncommitted is not None})"
         )

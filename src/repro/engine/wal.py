@@ -16,9 +16,11 @@ Durability is modelled with a *flush boundary*: :meth:`WriteAheadLog.append`
 stages a record in the volatile tail, and an append with ``durable=True``
 moves the boundary past everything staged so far.  A crash discards the tail;
 only :attr:`WriteAheadLog.durable_records` survive.  In normal operation the
-engine flushes at every commit (the client only sees the commit succeed once
-the record is durable); a fault plan may crash the engine between the append
-and the flush — exactly the window a real power failure hits.
+engine appends and flushes each record in the hold of its commit mutex that
+decides the commit (the client only sees the commit succeed once the record
+is durable), so records arrive in timestamp order and one flush covers one
+record; a fault plan may crash the engine between the append and the flush —
+exactly the window a real power failure hits.
 
 The performance simulator does not move bytes; it charges the *flush* to a
 group-commit disk resource (:class:`repro.sim.resources.GroupCommitLog`).
@@ -28,12 +30,9 @@ which transactions would have forced a flush.
 
 from __future__ import annotations
 
-import threading
-from collections import deque
 from typing import Hashable, Iterator, Mapping, NamedTuple, Optional
 
 from repro.engine.locks import RowId
-from repro.errors import DatabaseCrashed
 
 #: One redo entry: the table, the key and the row's full after-image
 #: (``None`` for a deletion tombstone), as one flat triple.
@@ -153,101 +152,3 @@ class WriteAheadLog:
     def records_for(self, label: str) -> tuple[WalRecord, ...]:
         """All records written by transactions with the given label."""
         return tuple(r for r in self._records if r.label == label)
-
-
-class GroupCommitBuffer:
-    """Batches WAL appends + flushes outside the engine's commit mutex.
-
-    The commit protocol (DESIGN.md §9) *stages* a record while holding the
-    commit mutex — that fixes the record's position in the log, because
-    staging happens in commit-timestamp order — and performs the actual
-    append + flush after the mutex is released, via :meth:`sync`.  The
-    first committer to reach :meth:`sync` becomes the *leader*: it drains
-    every staged record (its own and any staged by commits racing behind
-    the mutex) into the log and flushes once.  Followers find their record
-    already durable and return without touching the log — the classic
-    group-commit pattern, which keeps the commit critical section free of
-    log work.
-
-    A commit is only acknowledged (``Database.commit`` returns) after its
-    record is durable, so the client-visible durability contract is
-    unchanged from flush-per-commit.
-    """
-
-    def __init__(self) -> None:
-        self._pending: "deque[WalRecord]" = deque()
-        self._flush_mutex = threading.Lock()
-        self._flushed_through = 0  # commit_ts of the newest durable record
-
-    def stage(self, record: WalRecord) -> None:
-        """Enqueue a record for the next flush.
-
-        Must be called under the engine's commit mutex so records enter
-        the queue in commit-timestamp order.  Only decision-bearing
-        records (``kind`` ``"commit"`` / ``"commit-2pc"``) may be staged:
-        the leader-election dedup in :meth:`sync` is keyed by
-        ``commit_ts``, which a prepare record does not have — prepares go
-        through :meth:`append_durable` instead.
-        """
-        if record.kind == "prepare":
-            raise ValueError(
-                "prepare records bypass group commit; use append_durable"
-            )
-        self._pending.append(record)
-
-    def append_durable(self, wal: WriteAheadLog, record: WalRecord) -> None:
-        """Append + flush one record immediately (2PC prepare path).
-
-        A participant's YES vote must be durable *before* it is returned
-        to the coordinator, and a prepare record has no commit timestamp
-        to batch under, so it takes the flush mutex and goes straight to
-        the log.  Holding the mutex also serializes the append against a
-        concurrent leader's drain loop; the flush makes any records the
-        leader already appended durable a moment early, which is safe
-        (durability is monotone).
-        """
-        with self._flush_mutex:
-            wal.append(record, durable=True)
-
-    def sync(self, wal: WriteAheadLog, record: WalRecord) -> int:
-        """Block until ``record`` is durable, flushing a batch if needed.
-
-        Returns the number of records *this* call drained and flushed —
-        the group-commit batch size when the caller became the leader, 0
-        when it was a follower whose record another leader's batch already
-        covered.  (The observability layer feeds this into the
-        ``repro_wal_batch_size`` histogram.)
-
-        Raises :class:`~repro.errors.DatabaseCrashed` when the record is
-        neither durable nor pending: an injected crash spilled it into the
-        WAL's (then truncated) volatile tail, so the commit was lost and
-        must not be acknowledged to the client.
-        """
-        with self._flush_mutex:
-            if record.commit_ts <= self._flushed_through:
-                return 0  # another leader's batch already covered us
-            pending = self._pending
-            batch = len(pending)
-            if record.commit_ts > (pending[-1].commit_ts if pending else 0):
-                raise DatabaseCrashed(
-                    f"commit {record.commit_ts} (txn {record.txid}) was "
-                    "staged but lost to a crash before the group flush"
-                )
-            # The last append flushes the whole batch: one call per record.
-            while pending:
-                staged = pending.popleft()
-                wal.append(staged, durable=not pending)
-            self._flushed_through = staged.commit_ts
-            return batch
-
-    def spill_unflushed(self, wal: WriteAheadLog) -> None:
-        """Crash path: append staged records *without* flushing.
-
-        Models power failing between the append and the flush — the
-        records land in the WAL's volatile tail, which the crash then
-        discards.  Called under the commit mutex while crashing, so no
-        concurrent :meth:`sync` can flush them first.
-        """
-        with self._flush_mutex:
-            while self._pending:
-                wal.append(self._pending.popleft())

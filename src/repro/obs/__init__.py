@@ -114,11 +114,11 @@ class Observability:
             "repro_lock_timeouts_total", help="Lock waits that expired"
         )
         self.wal_flush = m.histogram(
-            "repro_wal_flush_seconds", help="Group-commit flush durations"
+            "repro_wal_flush_seconds", help="WAL flush durations"
         )
         self.wal_batch = m.histogram(
             "repro_wal_batch_size",
-            help="Records per group-commit flush (leader batches)",
+            help="Records per WAL flush",
             buckets=SIZE_BUCKETS,
         )
         self.wal_last_batch = m.gauge(
@@ -276,17 +276,17 @@ class Observability:
     def engine_wal_flush(
         self, txn: "Transaction", batch: int, seconds: float
     ) -> None:
-        """One :meth:`GroupCommitBuffer.sync` returned; ``batch`` is the
-        number of records this caller flushed (0 = follower, its record was
-        covered by another leader's batch)."""
-        if batch > 0:
-            self.wal_batch.observe(batch)
-            self.wal_last_batch.set(batch)
-            self.wal_flush.observe(seconds)
-            self._emit(
-                "wal-flush", txn.txid, txn.label,
-                batch=batch, seconds=round(seconds, 9),
-            )
+        """A commit's WAL record was flushed; ``batch`` is the number of
+        records the flush covered — 1 on the engine's in-memory log, which
+        flushes each record in the hold of the commit mutex that appends
+        it."""
+        self.wal_batch.observe(batch)
+        self.wal_last_batch.set(batch)
+        self.wal_flush.observe(seconds)
+        self._emit(
+            "wal-flush", txn.txid, txn.label,
+            batch=batch, seconds=round(seconds, 9),
+        )
 
     def lock_wait_start(self, txn: "Transaction", wait: "WaitOn") -> None:
         self.lock_waits_total.inc()

@@ -26,7 +26,7 @@ interpolated inside the bucket that contains the target rank, which is the
 same estimate ``histogram_quantile`` computes server-side in PromQL.
 Buckets therefore should bracket the latencies of interest —
 :data:`LATENCY_BUCKETS` spans 50 µs to 10 s logarithmically, and
-:data:`SIZE_BUCKETS` covers small integer sizes (group-commit batches,
+:data:`SIZE_BUCKETS` covers small integer sizes (WAL flush batches,
 attempts).
 """
 

@@ -99,15 +99,25 @@ ProgramBody = Callable[[Session, Mapping[str, object]], object]
 AMALGAMATE_DEBIT = "Amalgamate/debit"
 AMALGAMATE_CREDIT = "Amalgamate/credit"
 
+#: program -> the customer variables it resolves.
+_RESOLVES = {program: ("x",) for program in names.PROGRAM_NAMES}
+_RESOLVES[names.AMALGAMATE] = ("x1", "x2")
+
 
 class SmallBankTransactions:
     """The five programs, optionally rewritten by strategy modifications."""
 
     def __init__(self, modifications: Iterable[Modification] = ()) -> None:
         self.modifications = tuple(modifications)
-        # program -> ordered extra operations; program -> sfu'd reads.
-        self._materialize: dict[str, list[str]] = {}
-        self._promote: dict[str, list[tuple[str, str]]] = {}
+        #: program -> the statements the strategy adds to it, in the order
+        #: of the modifications, each with the customer variable it binds
+        #: ``:x`` to (one the program does not resolve binds nothing).
+        #: Decided here, so a program the strategy leaves alone loops over
+        #: an empty tuple.
+        self._extras: "dict[str, tuple[tuple[PreparedStatement, str], ...]]" = (
+            dict.fromkeys(names.PROGRAM_NAMES, ())
+        )
+        # program -> sfu'd reads.
         self._sfu: dict[str, set[tuple[str, str]]] = {}
         for mod in self.modifications:
             if mod.kind == "materialize":
@@ -116,11 +126,13 @@ class SmallBankTransactions:
                         "SmallBank materialization is keyed per customer; "
                         f"got a constant-row modification for {mod.program}"
                     )
-                self._materialize.setdefault(mod.program, []).append(mod.key)
+                if mod.key in _RESOLVES.get(mod.program, ()):
+                    self._extras[mod.program] += ((TOUCH_CONFLICT, mod.key),)
             elif mod.kind == "promote-upd":
-                self._promote.setdefault(mod.program, []).append(
-                    (mod.table, mod.key or "x")
-                )
+                if (mod.key or "x") in _RESOLVES.get(mod.program, ()):
+                    self._extras[mod.program] += (
+                        (_IDENTITY[mod.table], mod.key or "x"),
+                    )
             elif mod.kind == "promote-sfu":
                 self._sfu.setdefault(mod.program, set()).add(
                     (mod.table, mod.key or "x")
@@ -194,22 +206,6 @@ class SmallBankTransactions:
             raise ApplicationRollback(f"unknown customer {params.get(name_var)!r}")
         return cid
 
-    def _apply_extra_writes(
-        self, session: Session, program: str, bindings: Mapping[str, int]
-    ) -> None:
-        """Run the strategy-introduced statements for ``program``.
-
-        ``bindings`` maps spec parameter names (``x`` / ``x1`` / ``x2``) to
-        the customer ids this invocation resolved; one half of a split
-        Amalgamate binds its own customer only and runs only those extras.
-        """
-        for key in self._materialize.get(program, ()):
-            if key in bindings:
-                TOUCH_CONFLICT.execute(session, {"x": bindings[key]})
-        for table, key in self._promote.get(program, ()):
-            if key in bindings:
-                _IDENTITY[table].execute(session, {"x": bindings[key]})
-
     # ------------------------------------------------------------------
     # The five programs
     # ------------------------------------------------------------------
@@ -217,7 +213,8 @@ class SmallBankTransactions:
         """Bal(N): return savings + checking for the customer."""
         params = {"N": args["N"]}
         x = self._resolve_customer(session, params)
-        self._apply_extra_writes(session, names.BALANCE, {"x": x})
+        for statement, _ in self._extras[names.BALANCE]:
+            statement.execute(session, {"x": x})
         for read in self._reads[names.BALANCE]:
             read.execute(session, params)
         return float(params["a"]) + float(params["b"])
@@ -232,7 +229,8 @@ class SmallBankTransactions:
             raise ApplicationRollback("negative deposit")
         params = {"N": args["N"], "V": value}
         x = self._resolve_customer(session, params)
-        self._apply_extra_writes(session, names.DEPOSIT_CHECKING, {"x": x})
+        for statement, _ in self._extras[names.DEPOSIT_CHECKING]:
+            statement.execute(session, {"x": x})
         ADD_CHECKING.execute(session, params)
 
     def transact_saving(
@@ -242,7 +240,8 @@ class SmallBankTransactions:
         value = float(args["V"])
         params = {"N": args["N"], "V": value}
         x = self._resolve_customer(session, params)
-        self._apply_extra_writes(session, names.TRANSACT_SAVING, {"x": x})
+        for statement, _ in self._extras[names.TRANSACT_SAVING]:
+            statement.execute(session, {"x": x})
         self._reads[names.TRANSACT_SAVING][0].execute(session, params)
         if float(params["a"]) + value < 0:
             session.rollback()
@@ -254,9 +253,8 @@ class SmallBankTransactions:
         params: dict = {"N": args["N1"], "N2": args["N2"]}
         x1 = self._resolve_customer(session, params, "N")
         x2 = self._resolve_customer(session, params, "N2")
-        self._apply_extra_writes(
-            session, names.AMALGAMATE, {"x1": x1, "x2": x2}
-        )
+        for statement, key in self._extras[names.AMALGAMATE]:
+            statement.execute(session, {"x": x1 if key == "x1" else x2})
         for read in self._reads[names.AMALGAMATE]:
             read.execute(session, params)
         total = float(params["a"]) + float(params["b"])
@@ -271,7 +269,9 @@ class SmallBankTransactions:
         and return what they held."""
         params: dict = {"N": args["N1"]}
         x1 = self._resolve_customer(session, params)
-        self._apply_extra_writes(session, names.AMALGAMATE, {"x1": x1})
+        for statement, key in self._extras[names.AMALGAMATE]:
+            if key == "x1":
+                statement.execute(session, {"x": x1})
         for read in self._reads[names.AMALGAMATE]:
             read.execute(session, params)
         total = float(params["a"]) + float(params["b"])
@@ -285,7 +285,9 @@ class SmallBankTransactions:
         """Customer 2's half: credit ``carry``, the debit half's total."""
         params: dict = {"N2": args["N2"]}
         x2 = self._resolve_customer(session, params, "N2")
-        self._apply_extra_writes(session, names.AMALGAMATE, {"x2": x2})
+        for statement, key in self._extras[names.AMALGAMATE]:
+            if key == "x2":
+                statement.execute(session, {"x": x2})
         ADD_CHECKING.execute(session, {"x": x2, "V": float(args["carry"])})
 
     def write_check(self, session: Session, args: Mapping[str, object]) -> bool:
@@ -296,7 +298,8 @@ class SmallBankTransactions:
         value = float(args["V"])
         params = {"N": args["N"], "V": value}
         x = self._resolve_customer(session, params)
-        self._apply_extra_writes(session, names.WRITE_CHECK, {"x": x})
+        for statement, _ in self._extras[names.WRITE_CHECK]:
+            statement.execute(session, {"x": x})
         for read in self._reads[names.WRITE_CHECK]:
             read.execute(session, params)
         total = float(params["a"]) + float(params["b"])
@@ -329,12 +332,13 @@ class SmallBankTransactions:
         the ``tcp://`` and ``cluster://`` sessions) gets the committing
         transaction as one ``CALL`` statement; everything else —
         ``local://``, the simulator, ``commit=False`` — runs the body
-        statement by statement.
+        bound at construction, statement by statement.
         """
         if commit and getattr(session, "call_program", None) is not None:
             return self._calls[program].execute(session, args).first["result"]
+        body = self._bodies.get(program) or self.body(program)  # raises if unknown
         session.begin(program)
-        result = self.body(program)(session, args)
+        result = body(session, args)
         if commit:
             session.commit()
         return result

@@ -95,9 +95,11 @@ _BINARY = {
 def compile_expr(expr: Expr) -> Evaluator:
     """Turn ``expr`` into a closure ``fn(row, params)``.
 
-    This is the only implementation of expression semantics: statements
-    compile their expressions when they are planned, and calling the
-    closure walks no tree and tests no node types.
+    This is the reference implementation of expression semantics:
+    statements compile their expressions when they are planned, and
+    calling the closure walks no tree and tests no node types.
+    :func:`compile_assignments` generates the same semantics as one
+    Python expression and words its errors through these closures.
     """
     if isinstance(expr, Literal):
         value = expr.value
@@ -146,6 +148,72 @@ def compile_expr(expr: Expr) -> Evaluator:
             raise SqlError(f"unknown operator {expr.op!r}")
         return lambda row, params: apply(left(row, params), right(row, params))
     raise SqlError(f"unknown expression node {expr!r}")
+
+
+#: Python's spelling of each arithmetic / comparison operator.
+_PYTHON_OPERATOR = {
+    "+": "+", "-": "-", "*": "*", "/": "/",
+    "=": "==", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">=",
+}
+
+
+def compile_assignments(
+    assignments: "tuple[tuple[str, Expr], ...]",
+) -> Callable[[Mapping[str, object], Mapping[str, object]], dict]:
+    """Turn an UPDATE's SET list into one function ``fn(params, row)``
+    returning ``{column: new value}``: a single generated Python
+    expression, so ``Balance = Balance + :V`` costs one frame, not a
+    closure per node.  Bind ``params`` with :func:`functools.partial` to
+    get the engine's ``changes(row)``.
+
+    Evaluation order and results are :func:`compile_expr`'s.  A missing
+    key or an ill-typed operand sends the call back through those
+    closures, which raise the error they word (``unbound parameter
+    :V``, ``unknown column 'X'``, Python's own ``TypeError``)."""
+    constants: dict[str, object] = {}
+
+    def source(expr: Expr) -> str:
+        if isinstance(expr, Literal):
+            name = f"_k{len(constants)}"
+            constants[name] = expr.value
+            return name
+        if isinstance(expr, Param):
+            return f"params[{expr.name!r}]"
+        if isinstance(expr, ColumnRef):
+            return f"row[{expr.name!r}]"
+        if isinstance(expr, UnaryOp):
+            if expr.op == "NOT":
+                return f"(not {source(expr.operand)})"
+            if expr.op == "-":
+                return f"(-{source(expr.operand)})"
+            raise SqlError(f"unknown unary operator {expr.op!r}")
+        if isinstance(expr, BinOp):
+            left, right = source(expr.left), source(expr.right)
+            if expr.op in ("AND", "OR"):
+                return f"(bool({left}) {expr.op.lower()} bool({right}))"
+            if expr.op not in _PYTHON_OPERATOR:
+                raise SqlError(f"unknown operator {expr.op!r}")
+            return f"({left} {_PYTHON_OPERATOR[expr.op]} {right})"
+        raise SqlError(f"unknown expression node {expr!r}")
+
+    body = ", ".join(f"{column!r}: {source(expr)}" for column, expr in assignments)
+    closures = tuple((column, compile_expr(expr)) for column, expr in assignments)
+
+    def explain(params, row):
+        new = {}
+        for column, fn in closures:
+            new[column] = fn(row, params)
+        return new
+
+    namespace = {**constants, "explain": explain}
+    exec(
+        "def assign(params, row):\n"
+        f"    try:\n        return {{{body}}}\n"
+        "    except (KeyError, TypeError):\n        pass\n"
+        "    return explain(params, row)\n",
+        namespace,
+    )
+    return namespace["assign"]
 
 
 def evaluate(

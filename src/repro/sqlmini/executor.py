@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import threading
 import weakref
+from functools import partial
 from operator import itemgetter
 from typing import Callable, Hashable, Mapping, MutableMapping, NamedTuple, Optional, Sequence
 
@@ -32,6 +33,7 @@ from repro.sqlmini.ast import (
     Select,
     Statement,
     Update,
+    compile_assignments,
     compile_expr,
     equality_key,
 )
@@ -249,7 +251,9 @@ def _plan(statement: Statement, kind: str, schema: TableSchema) -> Runner:
     """Decide everything about ``statement`` that does not depend on the
     parameters: access path, session verb and ``kind``, projection and
     ``INTO`` pairs, compiled predicate and assignments.  A SELECT or UPDATE
-    whose whole ``WHERE`` is the key is one runner frame above one verb."""
+    whose whole ``WHERE`` is the key is one runner frame above one verb,
+    and an UPDATE's SET list one generated function of ``(params, row)``,
+    bound to the execution's parameters without a new closure."""
     table = schema.name
     key_of = _key_of(getattr(statement, "where", None), schema)
     if isinstance(statement, Select):
@@ -304,9 +308,7 @@ def _plan(statement: Statement, kind: str, schema: TableSchema) -> Runner:
         return select
 
     if isinstance(statement, Update):
-        sets = tuple(
-            (column, compile_expr(expr)) for column, expr in statement.assignments
-        )
+        assign = compile_assignments(statement.assignments)
         if key_of is not None:
             # The whole WHERE is the key: ``session.update`` finds the row.
             def update_key(session, params):
@@ -314,21 +316,14 @@ def _plan(statement: Statement, kind: str, schema: TableSchema) -> Runner:
                     key = key_of(params)
                 except KeyError as unbound:
                     raise SqlError(f"unbound parameter :{unbound.args[0]}") from None
-
-                def changes(row):
-                    new = {}
-                    for column, fn in sets:
-                        new[column] = fn(row, params)
-                    return new
-
-                updated = session.update(table, key, changes, kind=kind)
+                updated = session.update(table, key, partial(assign, params), kind=kind)
                 return _built(StatementResult, ([], int(updated)))
 
             return update_key
         rows_of = _access_path(schema, statement.where, kind="scan")
 
         def update(session, params):
-            changes = lambda row: {column: fn(row, params) for column, fn in sets}
+            changes = partial(assign, params)
             count = 0
             for key, _ in rows_of(session, params):
                 if session.update(table, key, changes, kind=kind):

@@ -52,14 +52,14 @@ def assert_no_shared_mutable_state(a: Database, b: Database) -> None:
         assert not {id(c) for c in table.rows.values()} & {
             id(c) for c in twin.rows.values()
         }
-        assert not {id(c._committed) for c in table.rows.values()} & {
-            id(c._committed) for c in twin.rows.values()
+        assert not {id(c.versions) for c in table.rows.values()} & {
+            id(c.versions) for c in twin.rows.values()
         }
         assert twin._indexes is not table._indexes
         for column, index in table._indexes.items():
             assert twin._indexes[column] is not index
         assert twin.cc_write_ts is not table.cc_write_ts
-    assert a.wal is not b.wal and a.locks is not b.locks and a.clock is not b.clock
+    assert a.wal is not b.wal and a.locks is not b.locks
 
 
 @pytest.fixture

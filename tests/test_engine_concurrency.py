@@ -8,8 +8,9 @@ attack exactly the guarantees that design leans on:
   never observe half of a transaction's writes (torn commit);
 * writers contending on one row never lose a lock hand-off or an update;
 * :meth:`Database.vacuum` never changes what any live snapshot sees;
-* the group-commit WAL keeps records in commit-timestamp order and every
-  acknowledged commit durable;
+* the WAL, appended under the commit mutex, keeps records in
+  commit-timestamp order, every acknowledged commit durable and a crashed
+  commit's record alone out of the durable log;
 * the supporting caches (sorted scan keys, schema lookups) stay correct
   while being mutated concurrently.
 """
@@ -25,7 +26,6 @@ from repro.engine import Column, Database, EngineConfig, Session, TableSchema
 from repro.engine.engine import WaitOn
 from repro.engine.storage import Table
 from repro.engine.versions import Version, VersionChain
-from repro.engine.wal import GroupCommitBuffer, WalRecord, WriteAheadLog
 from repro.errors import (
     DatabaseCrashed,
     IntegrityError,
@@ -33,6 +33,7 @@ from repro.errors import (
     SerializationFailure,
     TransactionAborted,
 )
+from repro.faults import FaultPlan, FaultSpec
 
 ACCOUNTS = TableSchema(
     name="Accounts",
@@ -293,15 +294,34 @@ class TestVacuum:
         chain = VersionChain()
         for ts in (1, 2, 3):
             chain.append_committed(Version(ts, txid=1, value={"v": ts}))
-        held = chain._committed  # what an in-flight reader would hold
+        held = chain.versions  # what an in-flight reader would hold
         chain.prune(3)
         assert [v.commit_ts for v in held] == [1, 2, 3]  # reader unharmed
 
 
 # ----------------------------------------------------------------------
-# Group commit / WAL ordering
+# WAL ordering and durability
 # ----------------------------------------------------------------------
+def commit_until_crash(db: Database, key: int, acked: list, lost: list) -> None:
+    """Commit one-row updates of ``key`` until the database crashes,
+    recording each acknowledged commit's txid in ``acked`` and the txid
+    of the commit the injected crash took in ``lost``."""
+    while True:
+        try:
+            txn = db.begin("until-crash")
+            db.update(txn, "Accounts", key, {"Balance": float(txn.txid)})
+            db.commit(txn)
+        except DatabaseCrashed as crashed:
+            if "crash injected" in str(crashed):
+                lost.append(txn.txid)
+            return
+        acked.append(txn.txid)
+
+
 class TestGroupCommit:
+    """What the engine's group commit promised, for a record appended and
+    flushed in the hold of the commit mutex that decides the commit."""
+
     def test_concurrent_commits_keep_wal_ordered_and_durable(self) -> None:
         db = make_db(rows=8)
         failures: list = []
@@ -324,27 +344,53 @@ class TestGroupCommit:
         assert db.wal.unflushed_count == 0  # every ack'd commit is durable
         assert len(db.wal) == 4 * 20
 
-    def test_group_commit_leader_covers_followers(self) -> None:
-        wal = WriteAheadLog()
-        buffer = GroupCommitBuffer()
-        first = WalRecord(commit_ts=1, txid=1, label="a")
-        second = WalRecord(commit_ts=2, txid=2, label="b")
-        buffer.stage(first)
-        buffer.stage(second)
-        buffer.sync(wal, second)  # leader drains both and flushes once
-        assert [r.commit_ts for r in wal.durable_records] == [1, 2]
-        buffer.sync(wal, first)  # follower: already durable, no-op
-        assert len(wal) == 2
+    def test_every_acknowledged_commit_is_in_durable_records(self) -> None:
+        db = make_db(rows=4)
+        acked: list = [[] for _ in range(4)]
+        done = threading.Barrier(4)
 
-    def test_sync_raises_when_record_lost_to_crash(self) -> None:
-        wal = WriteAheadLog()
-        buffer = GroupCommitBuffer()
-        record = WalRecord(commit_ts=1, txid=1, label="a")
-        buffer.stage(record)
-        buffer.spill_unflushed(wal)  # crash path: append without flush
-        wal.truncate_to_flushed()
-        with pytest.raises(DatabaseCrashed):
-            buffer.sync(wal, record)
+        def commit_rounds(key: int) -> None:
+            done.wait()
+            for _ in range(50):
+                txn = db.begin("ack")
+                db.update(txn, "Accounts", key, {"Balance": float(txn.txid)})
+                db.commit(txn)
+                acked[key].append((txn.txid, txn.commit_ts))
+
+        pool = [threading.Thread(target=commit_rounds, args=(k,)) for k in range(4)]
+        for t in pool:
+            t.start()
+        for t in pool:
+            t.join(timeout=120)
+            assert not t.is_alive()
+        durable = {(r.txid, r.commit_ts) for r in db.wal.durable_records}
+        assert durable == {ack for per_thread in acked for ack in per_thread}
+        assert len(durable) == 4 * 50
+
+    def test_a_crash_mid_commit_loses_exactly_its_own_record(self) -> None:
+        db = make_db(rows=4)
+        db.install_faults(
+            FaultPlan([FaultSpec("crash-mid-commit", start_after=60, max_fires=1)])
+        )
+        acked: list = []
+        lost: list = []
+        pool = [
+            threading.Thread(target=commit_until_crash, args=(db, k, acked, lost))
+            for k in range(4)
+        ]
+        for t in pool:
+            t.start()
+        for t in pool:
+            t.join(timeout=120)
+            assert not t.is_alive()
+        assert db.is_crashed and db.faults.fired("crash-mid-commit") == 1
+        assert db.wal.unflushed_count == 0  # the crash dropped the tail
+        durable = [r.txid for r in db.wal.durable_records]
+        assert sorted(durable) == sorted(acked) and len(acked) == 60
+        # The crashed commit raised, and its record is nowhere in the log.
+        assert len(lost) == 1 and lost[0] not in durable
+        recovered = db.recover()
+        assert [r.txid for r in recovered.wal.durable_records] == durable
 
     def test_unique_violation_at_commit_publishes_nothing(self) -> None:
         """Commit-time validation happens before publication: a unique
@@ -359,10 +405,10 @@ class TestGroupCommit:
         db.load_row("T", {"Id": 1, "U": 7})
         txn = db.begin("dup")
         db.insert(txn, "T", {"Id": 2, "U": 7})
-        ts_before = db.clock.last
+        ts_before = db.last_ts
         with pytest.raises(IntegrityError):
             db.commit(txn)
-        assert db.clock.last == ts_before  # no tick consumed
+        assert db.last_ts == ts_before  # no tick consumed
         assert len(db.wal) == 0
         chain = db.catalog.table("T").chain(2)
         assert chain is None or len(chain) == 0  # nothing published

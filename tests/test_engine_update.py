@@ -39,7 +39,7 @@ class TestOneCallUpdate:
         assert str(caught.value) == "unknown column(s) ['Also', 'Bogus'] for table 'Saving'"
         with pytest.raises(IntegrityError, match="does not match write target 1"):
             db.update(txn, "Saving", 1, {"CustomerId": 2})
-        assert not txn.writes and not db.locks._locks
+        assert not txn.writes and not db.locks.table
         assert db.update(txn, "Saving", 404, {"Balance": 1.0}) is False
         assert db.update(txn, "Saving", 1, lambda row: {"Balance": row["Balance"] + 1})
         assert txn.writes[("Saving", 1)]["Balance"] == db.read(db.begin(), "Saving", 1)["Balance"] + 1
@@ -52,7 +52,7 @@ class TestOneCallUpdate:
         assert s2pl_db.read(t2, *row) is not None
         first = s2pl_db.update(t1, *row, {"Balance": 1.0})
         assert isinstance(first, WaitOn) and first.blockers == {t2}
-        assert s2pl_db.locks._locks[row] == {t1.txid: LockMode.SHARED, t2.txid: LockMode.SHARED}
+        assert s2pl_db.locks.table[row] == {t1.txid: LockMode.SHARED, t2.txid: LockMode.SHARED}
         s2pl_db.begin_wait(t1, first)
         second = s2pl_db.update(t2, *row, {"Balance": 2.0})
         assert isinstance(second, WaitOn) and second.blockers == {t1}

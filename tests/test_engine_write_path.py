@@ -141,7 +141,7 @@ class TestValidateRowRejections:
             db.write(txn, "Saving", 1, {"CustomerId": 1, "Balance": True})
         with pytest.raises(IntegrityError, match="does not match write target 2"):
             db.write(txn, "Saving", 2, {"CustomerId": 1, "Balance": 1.0})
-        assert not txn.writes and not db.locks._locks
+        assert not txn.writes and not db.locks.table
 
 
 class TestLockTable:
@@ -185,8 +185,8 @@ class TestLockTable:
             assert db.locks.rows_held_by(session.transaction.txid)
         db.commit_prepared("g-commit")
         db.abort_prepared("g-abort")
-        assert len(db.locks._locks) == 0
-        assert db.locks._held_by_txn == {}
+        assert len(db.locks.table) == 0
+        assert db.locks.held == {}
         assert db.active_transactions == ()
 
 
@@ -218,7 +218,7 @@ class TestCommitValidation:
         txn = db.begin("dup")
         db.write(txn, "Saving", 1, {"CustomerId": 1, "Balance": 9.0})
         db.write(txn, "Account", "cust1", account_row("cust1", 2))
-        clock_before = db.clock.last
+        clock_before = db.last_ts
         with pytest.raises(IntegrityError) as caught:
             if two_phase:
                 db.prepare_commit(txn, "g")
@@ -227,13 +227,13 @@ class TestCommitValidation:
         assert str(caught.value) == (
             "unique constraint on Account.CustomerId violated by value 2"
         )
-        assert db.clock.last == clock_before  # no timestamp consumed
+        assert db.last_ts == clock_before  # no timestamp consumed
         assert len(db.wal) == 0 and db.prepared_gtids == ()
         for table, key in (("Saving", 1), ("Account", "cust1")):
             assert len(db.catalog.table(table).chain(key)) == 1
         assert txn.is_active  # the caller decides: fix the row or roll back
         db.abort(txn)
-        assert len(db.locks._locks) == 0
+        assert len(db.locks.table) == 0
 
     def test_row_written_twice_is_logged_once_with_its_last_value(self, db):
         txn = db.begin("twice")

@@ -22,6 +22,7 @@ from repro.sqlmini import (
     evaluate,
     parse,
 )
+from repro.sqlmini.ast import compile_assignments
 
 names = st.sampled_from(["Balance", "CustomerId", "Value", "col_1", "X"])
 params = st.sampled_from(["x", "V", "N2", "amount"])
@@ -37,7 +38,11 @@ strings = st.text(
 
 
 @st.composite
-def expressions(draw, depth: int = 0):
+def expressions(draw, depth: int = 0, small_products: bool = False):
+    """Any expression tree.  With ``small_products`` (for the tests that
+    evaluate what they draw) every ``*`` multiplies by a one-digit
+    literal: a drawn string times a product of drawn integers would be
+    gigabytes long."""
     if depth >= 3 or draw(st.booleans()):
         leaf = draw(st.sampled_from(["number", "string", "param", "column"]))
         if leaf == "number":
@@ -48,20 +53,23 @@ def expressions(draw, depth: int = 0):
             return Param(draw(params))
         return ColumnRef(draw(names))
     op = draw(st.sampled_from(["+", "-", "*", "/"]))
-    return BinOp(
-        op, draw(expressions(depth + 1)), draw(expressions(depth + 1))
-    )
+    left = draw(expressions(depth + 1, small_products))
+    if op == "*" and small_products:
+        return BinOp(op, left, Literal(draw(st.integers(min_value=0, max_value=9))))
+    return BinOp(op, left, draw(expressions(depth + 1, small_products)))
 
 
 @st.composite
-def comparisons(draw):
+def comparisons(draw, small_products: bool = False):
     op = draw(st.sampled_from(["=", "!=", "<", "<=", ">", ">="]))
-    left = draw(expressions())
-    right = draw(expressions())
+    left = draw(expressions(small_products=small_products))
+    right = draw(expressions(small_products=small_products))
     node = BinOp(op, left, right)
     if draw(st.booleans()):
         node = BinOp(
-            draw(st.sampled_from(["AND", "OR"])), node, draw(comparisons())
+            draw(st.sampled_from(["AND", "OR"])),
+            node,
+            draw(comparisons(small_products)),
         )
     return node
 
@@ -194,8 +202,13 @@ def outcome(evaluator, expr, row, params):
 
 
 @st.composite
-def negated(draw):
-    node = draw(st.one_of(expressions(), comparisons()))
+def negated(draw, small_products: bool = False):
+    node = draw(
+        st.one_of(
+            expressions(small_products=small_products),
+            comparisons(small_products),
+        )
+    )
     return UnaryOp(draw(st.sampled_from(["NOT", "-"])), node)
 
 
@@ -207,15 +220,56 @@ rows = st.one_of(st.none(), st.dictionaries(names, values))
 bindings = st.dictionaries(params, values)
 
 
-@given(st.one_of(expressions(), comparisons(), negated()), rows, bindings)
+evaluable = st.one_of(
+    expressions(small_products=True), comparisons(True), negated(True)
+)
+
+
+@st.composite
+def set_lists(draw):
+    """An UPDATE's SET list: one to three assignments, each one of the
+    shapes the parser yields for the SmallBank programs (``c = c ± :p``,
+    ``c = :p``, ``c = <const>``, ``c = c``, ``c = c - (:p + 1)``) or any
+    expression."""
+    assignments = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        column, other, param = draw(names), draw(names), Param(draw(params))
+        shape = draw(st.sampled_from(["add", "sub", "param", "const", "identity", "penalty", "any"]))
+        expr = {
+            "add": BinOp("+", ColumnRef(column), param),
+            "sub": BinOp("-", ColumnRef(other), param),
+            "param": param,
+            "const": Literal(draw(values)),
+            "identity": ColumnRef(column),
+            "penalty": BinOp("-", ColumnRef(column), BinOp("+", param, Literal(1))),
+        }.get(shape) or draw(evaluable)
+        assignments.append((column, expr))
+    return tuple(assignments)
+
+
+def reference_assign(assignments, row, params):
+    """What the SET list meant when each assignment was evaluated alone."""
+    new = {}
+    for column, expr in assignments:
+        new[column] = reference_evaluate(expr, row, params)
+    return new
+
+
+@given(evaluable, set_lists(), rows, bindings)
 @settings(max_examples=600, deadline=None)
 def test_compiled_expression_agrees_with_the_reference_interpreter(
-    expression, row, binding
+    expression, assignments, row, binding
 ):
+    """Values, ``unbound parameter``, ``unknown column`` and Python's own
+    errors read the same from the closures and, for an UPDATE's SET
+    list, from the one generated function."""
     expected = outcome(reference_evaluate, expression, row, binding)
     assert outcome(evaluate, expression, row, binding) == expected
     compiled = compile_expr(expression)
     assert outcome(lambda _e, r, p: compiled(r, p), expression, row, binding) == expected
+    expected = outcome(reference_assign, assignments, row, binding)
+    assign = compile_assignments(assignments)
+    assert outcome(lambda _a, r, p: assign(p, r), assignments, row, binding) == expected
 
 
 def test_equal_looking_literals_keep_their_own_type():

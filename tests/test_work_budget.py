@@ -48,32 +48,37 @@ from repro.workload.stats import RunStats
 
 #: Calls per program and URL of :func:`layer_budget` (client and every
 #: server loop); each is gated at PROGRAM_MARGIN times it.  Counted again
-#: once an UPDATE became one engine call, a statement's plan was kept per
-#: database and its result and a commit's records became tuples built
-#: without a frame (Balance 30 / 55 / 72 / 72 and a cross-shard
-#: Amalgamate 300 before).
+#: once the clock ticked, a row lock came and went and a version was
+#: appended in the engine's own frames, an UPDATE's SET list became one
+#: generated function and ``run`` dispatched to its body with no call for
+#: extra writes a strategy does not add (Balance 24 / 49 / 65 / 65 and a
+#: cross-shard Amalgamate 275 before; 30 / 55 / 72 / 72 and 300 before an
+#: UPDATE was one engine call).
 PROGRAM_CALLS = {
-    "Balance": (24, 49, 65, 65),
-    "DepositChecking": (33, 58, 74, 74),
-    "TransactSaving": (37, 62, 78, 78),
-    "Amalgamate": (66, 91, 111, 275),
-    "WriteCheck": (43, 68, 84, 84),
+    "Balance": (20, 46, 62, 62),
+    "DepositChecking": (20, 46, 62, 62),
+    "TransactSaving": (24, 50, 66, 66),
+    "Amalgamate": (47, 73, 93, 251),
+    "WriteCheck": (28, 54, 70, 70),
 }
 PROGRAM_MARGIN = 1.1
 
 BUDGETS = {
-    # Added to an empty begin + commit (7 calls); 2 / 12 today (17 when
-    # an UPDATE was a read and a write, its records dataclasses).
-    "write": {"read": 5, "update": 12},
-    # 4 / 7 / 12 / 7 / 24 today (6 / 9 / 14 / 7 / 30 before the plan was
-    # kept per database, a result became a tuple and an UPDATE one
-    # engine call).
+    # Added to an empty begin + commit (5 calls, 7 while the clock ticked
+    # in a frame of its own); 2 / 6 today (12 while a row lock, a version
+    # append and the WAL's group-commit sync each took a frame, 17 when an
+    # UPDATE was a read and a write).
+    "write": {"read": 5, "update": 6},
+    # 4 / 7 / 8 / 5 / 20 today (4 / 7 / 12 / 7 / 24 before the SET list
+    # became one generated function and the engine half of a write lost
+    # its helper frames; 6 / 9 / 14 / 7 / 30 before the plan was kept per
+    # database, a result became a tuple and an UPDATE one engine call).
     "statement": {
         "get_saving": 4,  # GET_SAVING.execute: a key SELECT ... INTO
         "get_saving_sfu": 7,  # GET_SAVING_SFU.execute: the same, FOR UPDATE
-        "add_checking": 12,  # ADD_CHECKING.execute: a key UPDATE
-        "begin_commit": 7,  # session.begin() + session.commit(), nothing between (10 before)
-        "balance": 24,  # SmallBankTransactions.run(session, "Balance", ...)
+        "add_checking": 8,  # ADD_CHECKING.execute: a key UPDATE
+        "begin_commit": 5,  # session.begin() + session.commit(), nothing between (10 before)
+        "balance": 20,  # SmallBankTransactions.run(session, "Balance", ...)
     },
     # TransactionMix.choose: its own frame, the draw and bisection in C; 1 today.
     # ParameterGenerator.args_for: its frame, one pick_customer frame per
@@ -98,14 +103,16 @@ BUDGETS = {
         for url, calls in zip(LAYER_URLS, row)
     },
     # Lock acquisitions per transaction on local:// (the commit mutex for
-    # begin, each S2PL lock or SSI read, each write and commit; the WAL
-    # flush mutex for a writer); 3 / 7 / 7 and 7 with 64 row-latch
-    # stripes, a certifier lock and a lock per transaction.
-    "latch": {"select2 si": 2, "select2 s2pl": 4, "select2 ssi": 4, "update si": 4},
+    # begin, each S2PL lock or SSI read, each write and commit); 2 / 4 / 4
+    # / 3 today, the update 4 while a writer also took the WAL's flush
+    # mutex, and 3 / 7 / 7 / 7 with 64 row-latch stripes, a certifier
+    # lock and a lock per transaction.
+    "latch": {"select2 si": 2, "select2 s2pl": 4, "select2 ssi": 4, "update si": 3},
     # Bytes a committed balance60 request leaves behind on local://: its
-    # versions, WAL record and redo entries; 333 today, 346 when records
+    # versions, WAL record and redo entries; 310 today, 333 while a stored
+    # row was a MappingProxyType over a private dict, 346 when records
     # were dataclasses and a redo entry nested its row id.
-    "retained": {"balance60 local": 346},
+    "retained": {"balance60 local": 315},
 }
 
 
