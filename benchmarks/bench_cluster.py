@@ -55,7 +55,7 @@ from collections import Counter
 from multiprocessing import get_context
 from pathlib import Path
 
-from repro.bench.harness import append_bench_record, process_work, split_mpl
+from repro.bench.harness import append_bench_record, process_work, speed_probe, split_mpl
 from repro.cluster import ClusterConnection, ShardFleet
 from repro.smallbank import get_strategy
 from repro.workload.driver import ThreadedDriver, ThreadedDriverConfig
@@ -287,6 +287,7 @@ def main(argv: "list[str] | None" = None) -> int:
         help="skip appending to BENCH_cluster.json",
     )
     args = parser.parse_args(argv)
+    before = speed_probe()  # the record's provenance brackets the run
 
     shards = SMOKE_SHARDS if args.smoke else SHARDS
     mpl = SMOKE_MPL if args.smoke else MPL
@@ -336,6 +337,7 @@ def main(argv: "list[str] | None" = None) -> int:
                 "tps_ratio_2_over_1": ratios,
                 "twopc_overhead": overhead,
             },
+            before,
         )
         print(f"appended run record to {BENCH_JSON.name}")
 

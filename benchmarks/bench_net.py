@@ -69,7 +69,7 @@ from multiprocessing import get_context
 from pathlib import Path
 
 import repro
-from repro.bench.harness import append_bench_record, count_calls, process_work, split_mpl
+from repro.bench.harness import append_bench_record, count_calls, process_work, speed_probe, split_mpl
 from repro.engine import EngineConfig
 from repro.obs import Observability
 from repro.net import DatabaseServer
@@ -406,6 +406,7 @@ def main(argv: "list[str] | None" = None) -> int:
         help="skip appending to BENCH_net.json",
     )
     args = parser.parse_args(argv)
+    before = speed_probe()  # the record's provenance brackets the run
 
     mpls = SMOKE_MPLS if args.smoke else MPLS
     duration = 0.6 if args.smoke else 1.5
@@ -489,7 +490,8 @@ def main(argv: "list[str] | None" = None) -> int:
                 "server_cpu_growth": round(growth, 3),
                 "rpc_latency": snapshot,
                 "codec": codec,
-            }
+            },
+            before,
         )
         print(f"appended run record to {BENCH_JSON.name}")
 

@@ -80,7 +80,7 @@ from pathlib import Path
 from typing import Callable
 
 import repro
-from repro.bench.harness import append_bench_record, count_calls
+from repro.bench.harness import append_bench_record, count_calls, speed_probe
 from repro.cluster import Cluster
 from repro.engine import EngineConfig, Session
 from repro.engine.engine import Database
@@ -628,6 +628,7 @@ def main(argv: "list[str] | None" = None) -> int:
         help="skip appending to BENCH_engine.json",
     )
     args = parser.parse_args(argv)
+    before = speed_probe()  # the record's provenance brackets the run
 
     mpls = SMOKE_MPLS if args.smoke else MPLS
     read_duration = 0.6 if args.smoke else 1.0
@@ -733,7 +734,8 @@ def main(argv: "list[str] | None" = None) -> int:
                 "draw": draw,
                 "handoff": handoffs,
                 "layer_budget": budget,
-            }
+            },
+            before,
         )
         print(f"appended run record to {BENCH_JSON.name}")
 

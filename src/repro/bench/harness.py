@@ -22,14 +22,17 @@ _E2E = Path(__file__).resolve().parents[3] / "benchmarks" / "e2e"
 POST_TIMEOUT = 10.0  # seconds :func:`count_calls` waits for a server loop
 
 
-def append_bench_record(path: Path, benchmark: str, record: dict) -> None:
+def append_bench_record(
+    path: Path, benchmark: str, record: dict, before: "float | None" = None
+) -> None:
     """Append ``record`` to ``path``, a ``{"benchmark", "runs": [...]}``
     trajectory, stamped with when and where it was measured: the UTC
     time, the commit of the checkout holding ``path`` (``None`` outside a
     git work tree) and ``git_dirty``, whether a tracked file other than
     ``path`` differed from that commit (so the numbers are not the
     commit's own), the Python version, the host's core count and the
-    :func:`provenance` block.  A
+    :func:`provenance` block (``before``: the :func:`speed_probe` taken before
+    the run).  A
     missing or empty ``path`` starts a trajectory; any other file that
     is not one (an older JSON-lines record file, say) raises
     ``ValueError`` and is left as it was."""
@@ -67,7 +70,7 @@ def append_bench_record(path: Path, benchmark: str, record: dict) -> None:
                 f"{path} exists and is not a trajectory "
                 '({"benchmark", "runs": [...]}); not overwriting it'
             )
-    data["runs"].append({**stamp, "provenance": provenance(), **record})
+    data["runs"].append({**stamp, "provenance": provenance(before), **record})
     path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
@@ -79,21 +82,34 @@ def _e2e_module(name: str):
     return module
 
 
-def provenance() -> "dict | None":
+def speed_probe() -> "float | None":
+    """Seconds of one reference probe (``benchmarks/e2e/calibrate.py``)
+    taken now, to pass as :func:`provenance`'s ``before``; ``None`` where
+    the checkout has no ``benchmarks/e2e``."""
+    return _e2e_module("calibrate").probe() if _E2E.is_dir() else None
+
+
+def provenance(before: "float | None" = None) -> "dict | None":
     """How the host stood as a record was written: the CPUs this process
-    may run on, the 1-minute load average and the speed factor of one
-    reference probe taken now (``benchmarks/e2e/calibrate.py``: 1.0 at
-    the reference host's undisturbed speed, lower when it runs slower).
-    ``None`` where the checkout has no ``benchmarks/e2e``."""
+    may run on, the 1-minute load average and the speed factor of a
+    reference probe taken now (1.0 at the reference host's undisturbed
+    speed, lower when it runs slower).  Given ``before``, the
+    :func:`speed_probe` its caller took before the run, the factor is the
+    pair's, the window's as ``benchmarks/e2e`` reads it, and both probe
+    times are stamped.  ``None`` where the checkout has no
+    ``benchmarks/e2e``."""
     if not _E2E.is_dir():
         return None
     host, calibrate = _e2e_module("host"), _e2e_module("calibrate")
-    probe = calibrate.probe()
-    return {
+    after = calibrate.probe()
+    block = {
         "allowed_cpus": host.cpus(),
         "loadavg_1m": os.getloadavg()[0],
-        "speed_factor": round(calibrate.factor(probe, probe), 3),
+        "speed_factor": round(calibrate.factor(before or after, after), 3),
     }
+    if before is not None:
+        block.update(probe_before_s=round(before, 6), probe_after_s=round(after, 6))
+    return block
 
 
 def split_mpl(mpl: int, processes: int) -> "list[int]":

@@ -144,6 +144,8 @@ class Histogram(_Instrument):
         self._counts = [0] * (len(self.bounds) + 1)  # last = +Inf
         self._sum = 0.0
         self._count = 0
+        self._min = float("inf")  # observed range: a quantile stays inside it
+        self._max = float("-inf")
 
     def observe(self, value: float) -> None:
         idx = bisect_left(self.bounds, value)
@@ -151,6 +153,10 @@ class Histogram(_Instrument):
             self._counts[idx] += 1
             self._sum += value
             self._count += 1
+            if value < self._min:
+                self._min = value
+            if value > self._max:
+                self._max = value
 
     @property
     def count(self) -> int:
@@ -177,7 +183,9 @@ class Histogram(_Instrument):
 
     def quantile(self, q: float) -> float:
         """Estimated ``q``-quantile (``0 <= q <= 1``) by linear
-        interpolation inside the bucket holding the target rank.
+        interpolation inside the bucket holding the target rank, clamped
+        into the observed ``[min, max]`` (twenty observations of 1.0 in
+        the ``(0, 1]`` bucket give 1.0, not a value below all of them).
 
         Observations beyond the last finite bound are reported as that
         bound (the estimate cannot exceed the instrumented range); an
@@ -188,6 +196,7 @@ class Histogram(_Instrument):
         with self._lock:
             counts = list(self._counts)
             total = self._count
+            low, high = self._min, self._max
         if total == 0:
             return 0.0
         rank = q * total
@@ -201,7 +210,8 @@ class Histogram(_Instrument):
             upper = self.bounds[idx]
             if cumulative + count >= rank:
                 fraction = (rank - cumulative) / count
-                return lower + (upper - lower) * min(1.0, max(0.0, fraction))
+                estimate = lower + (upper - lower) * min(1.0, max(0.0, fraction))
+                return min(high, max(low, estimate))
             cumulative += count
         return self.bounds[-1]
 

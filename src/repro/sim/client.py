@@ -19,6 +19,7 @@ injected by the :class:`~repro.sim.resources.GroupCommitLog` itself.
 from __future__ import annotations
 
 import random
+from functools import partial
 from typing import Optional
 
 from repro.engine.engine import Database, WaitOn
@@ -106,6 +107,11 @@ class SimulatedClient:
         self._default_charge = platform.default_statement_cost * multiplier
         self._commit_charge = platform.commit_cpu * multiplier
         self._writer_charge = platform.write_txn_overhead * multiplier
+        # Bound once per client; ``_now`` reads the clock with no frame.
+        self._bodies = {program: transactions.body(program) for program in mix.weights}
+        self._rtt = platform.network_rtt
+        self._sfu_flushes = platform.sfu_forces_flush
+        self._now = partial(getattr, sim, "now")
 
     # ------------------------------------------------------------------
     def _statement_hook(self, kind: str, _txn) -> None:
@@ -114,14 +120,11 @@ class SimulatedClient:
             self.cpu.use(charge)
 
     def _commit(self, session: Session) -> None:
-        txn = session.transaction
+        txn = session.txn
         if self._commit_charge > 0:
             self.cpu.use(self._commit_charge)
-        flush = self.platform.needs_flush(
-            wrote_data=txn.needs_wal_flush,
-            used_sfu=bool(txn.sfu_rows or txn.cc_writes),
-        )
-        if flush:
+        # ``PlatformModel.needs_flush(wrote_data=txn.needs_wal_flush, ...)``
+        if txn.writes or (self._sfu_flushes and (txn.sfu_rows or txn.cc_writes)):
             # Becoming a writer has a fixed price (undo/redo bookkeeping)
             # and the WAL flush; both happen while row locks are held.
             if self._writer_charge > 0:
@@ -135,10 +138,10 @@ class SimulatedClient:
             waiter=self._waiter,
             statement_hook=self._statement_hook,
         )
-        self.sim.sleep(self.platform.network_rtt)
+        self.sim.sleep(self._rtt)
         try:
             session.begin(program)
-            self.transactions.body(program)(session, args)
+            self._bodies[program](session, args)
             self._commit(session)
         except (ApplicationRollback, TransactionAborted):
             session.rollback()
@@ -160,7 +163,7 @@ class SimulatedClient:
                 policy=self.retry,
                 stats=self.stats,
                 obs=self.obs,
-                now=lambda: self.sim.now,
+                now=self._now,
                 sleep=self.sim.sleep,
                 rng=self.rng,
             )

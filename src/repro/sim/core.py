@@ -25,6 +25,13 @@ CPU; ~1.0 across two CPUs, as before).  The main thread gets the baton
 back when the heap is empty, the next event is past the deadline, or
 something raised (re-raised from :meth:`run_until`).
 
+The heap holds only what another process could run first.  A sleep or
+charge whose wake-up would pop next (heap top strictly later, no offer
+pending, within the deadline) moves the clock in place.  A CPU release
+with waiters reserves its offer's ``(time, sequence)``; unless refused in
+place, :meth:`Simulator._pass_baton` pushes it with that number before
+popping.  The event order is the one an all-heap loop would have.
+
 Public surface:
 
 * :meth:`Simulator.spawn` — start a process (runs until it returns or the
@@ -41,6 +48,7 @@ import heapq
 import itertools
 import os
 import threading
+from functools import partial
 from typing import Callable, Optional
 
 from repro.errors import ReproError
@@ -85,6 +93,8 @@ class Simulator:
         self._error: Optional[BaseException] = None
         self._processes: list[_Process] = []
         self._current: Optional[_Process] = None
+        # (time, seq, resource, process): a reserved offer (module doc).
+        self._offer: Optional[tuple] = None
         self.stopping = False
 
     # ------------------------------------------------------------------
@@ -137,7 +147,11 @@ class Simulator:
         process = self._current or self._require_current()
         if duration < 0:
             raise ValueError("cannot schedule into the past")
-        heapq.heappush(self._heap, (self.now + duration, next(self._seq), process))
+        heap, wake = self._heap, self.now + duration
+        if self._offer is None and wake <= self._deadline and not (heap and heap[0][0] <= wake):
+            self.now = wake  # its own wake-up would pop next: no pass
+            return
+        heapq.heappush(heap, (wake, next(self._seq), process))
         process.waiting = True
         self._pass_baton(process)
         if self.stopping:
@@ -179,6 +193,10 @@ class Simulator:
         none).  Returns once ``me`` holds the baton again: at once if that
         process is ``me``, never if ``me`` has finished."""
         heap = self._heap
+        if self._offer is not None:  # reserved, so it sorts where it was due
+            time, seq, resource, process = self._offer
+            heapq.heappush(heap, (time, seq, partial(resource._offer, process)))
+            self._offer = None
         target = self._current = None  # scheduler context: no primitives
         try:
             while heap and heap[0][0] <= self._deadline:

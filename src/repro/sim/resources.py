@@ -4,7 +4,8 @@ Two resources carry the paper's entire performance story (its Section IV-D
 analysis): a CPU that saturates — producing the throughput plateau — and a
 WAL disk whose forced flush every *update* transaction must wait for —
 producing the 20 % MPL-1 penalty of strategies that turn the read-only
-Balance program into an updater.
+Balance program into an updater.  A charge is one :meth:`Resource.use`
+frame, which moves the clock in place when it can (:mod:`repro.sim.core`).
 """
 
 from __future__ import annotations
@@ -26,7 +27,9 @@ class Resource:
     only *offers* the server to the head waiter, one event later: if the
     releaser (or anyone earlier at that instant) has re-taken it by then,
     the waiter goes to the *back* of the queue.  The calibration in DESIGN
-    §4 was made with this barging, so it is part of the model."""
+    §4 was made with this barging, so it is part of the model.  ``use``
+    reserves that offer and refuses it at once if it re-takes the server
+    before anything could run: the same queue order, with no event."""
 
     def __init__(self, sim: Simulator, capacity: int = 1, name: str = "res") -> None:
         if capacity < 1:
@@ -74,23 +77,33 @@ class Resource:
         process = sim._current or sim._require_current()
         if duration < 0:
             raise ValueError("cannot schedule into the past")
+        heap = sim._heap
         if self.in_use >= self.capacity:
             self.acquire()  # queues
         else:
+            offer = sim._offer
+            if (offer is not None and offer[2] is self and self.in_use + 1 == self.capacity
+                    and not (heap and heap[0] < offer)):
+                # Re-taken before the offer runs: ``_offer`` would refuse it.
+                self._queue.append(offer[3])
+                sim._offer = None
             self._busy_time -= sim.now
             self.in_use += 1
         try:
-            heappush(sim._heap, (sim.now + duration, next(sim._seq), process))
-            process.waiting = True
-            sim._pass_baton(process)
-            if sim.stopping:
-                raise SimStopped()
+            wake = sim.now + duration
+            if sim._offer is None and wake <= sim._deadline and not (heap and heap[0][0] <= wake):
+                sim.now = wake  # nothing can run first: no pass
+            else:
+                heappush(heap, (wake, next(sim._seq), process))
+                process.waiting = True
+                sim._pass_baton(process)
+                if sim.stopping:
+                    raise SimStopped()
         finally:
             self._busy_time += sim.now
             self.in_use -= 1
-            if self._queue:
-                offer = partial(self._offer, self._queue.popleft())
-                heappush(sim._heap, (sim.now, next(sim._seq), offer))
+            if self._queue:  # reserve its offer; the try block left none pending
+                sim._offer = (sim.now, next(sim._seq), self, self._queue.popleft())
 
     # ------------------------------------------------------------------
     def utilization(self) -> float:

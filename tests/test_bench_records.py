@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench.harness import append_bench_record
+from repro.bench.harness import _e2e_module, append_bench_record, speed_probe
 
 ROOT = Path(__file__).resolve().parent.parent
 TRAJECTORIES = sorted(ROOT.glob("BENCH_*.json"))
@@ -51,6 +51,16 @@ def test_records_append_in_order(tmp_path):
         assert set(block) == {"allowed_cpus", "loadavg_1m", "speed_factor"}
         assert block["allowed_cpus"] == sorted(os.sched_getaffinity(0))
         assert block["loadavg_1m"] >= 0 and block["speed_factor"] > 0
+
+
+def test_a_probe_taken_before_the_run_stamps_the_pair(tmp_path):
+    path = tmp_path / "BENCH_engine.json"
+    before = speed_probe()
+    append_bench_record(path, "bench_scaling", {"seed": 11}, before)
+    block = json.loads(path.read_text())["runs"][0]["provenance"]
+    assert block["probe_before_s"] == round(before, 6) and block["probe_after_s"] > 0
+    factor = _e2e_module("calibrate").factor(block["probe_before_s"], block["probe_after_s"])
+    assert block["speed_factor"] == pytest.approx(factor, abs=2e-3)
 
 
 @pytest.mark.parametrize(

@@ -72,6 +72,14 @@ class TestHistogram:
         assert 1.0 <= h.p50 <= 2.0
         assert 1.0 <= h.p99 <= 2.0
 
+    def test_quantile_stays_inside_the_observed_range(self) -> None:
+        h = MetricsRegistry().histogram("batch", buckets=(1.0, 2.0))
+        for _ in range(20):
+            h.observe(1.0)  # all at the bucket's upper bound
+        assert h.quantile(0.95) == 1.0 and h.p50 == 1.0
+        h.observe(1.25)
+        assert 1.0 <= h.quantile(0.99) <= 1.25
+
     def test_overflow_clamps_to_last_finite_bound(self) -> None:
         h = MetricsRegistry().histogram("lat", buckets=(1.0, 2.0))
         h.observe(100.0)  # +Inf bucket

@@ -363,6 +363,60 @@ class TestDeadlockDetection:
         sim.shutdown()
 
 
+def traced(build, *deadlines):
+    """Run the processes ``build(sim, mark)`` spawns up to each of
+    ``deadlines`` in turn, where ``mark(name)`` records ``(sim.now,
+    name)``; return ``(sim.now, trace so far)`` after each."""
+    sim, trace, runs = Simulator(), [], []
+    build(sim, lambda name: trace.append((sim.now, name)))
+    try:
+        for deadline in deadlines:
+            sim.run_until(deadline)
+            runs.append((sim.now, list(trace)))
+    finally:
+        sim.shutdown()
+    return runs
+
+
+class TestInPlaceAdvance:
+    """A sleep whose wake-up would be the next pop moves the clock in
+    place; every other one goes through the heap.  The literals are the
+    traces of the event-heap-only simulator."""
+
+    def test_a_sleep_ending_at_the_heap_tops_time_goes_through_the_heap(self):
+        def build(sim, mark):
+            def early():  # its wake-up at 1.0 is pushed first
+                sim.sleep(1.0)
+                mark("early")
+
+            def late():
+                sim.sleep(0.5)
+                mark("late")
+                sim.sleep(0.5)  # ends at the heap top's time: sorts after it
+                mark("late again")
+
+            sim.spawn(early)
+            sim.spawn(late)
+
+        assert traced(build, 10.0) == [
+            (10.0, [(0.5, "late"), (1.0, "early"), (1.0, "late again")]),
+        ]
+
+    def test_a_sleep_past_the_deadline_returns_the_baton(self):
+        def build(sim, mark):
+            def proc():
+                for _ in range(3):
+                    sim.sleep(0.6)
+                    mark("slept")
+
+            sim.spawn(proc)
+
+        assert traced(build, 1.0, 2.0) == [
+            (1.0, [(0.6, "slept")]),
+            (2.0, [(0.6, "slept"), (1.2, "slept"), (1.7999999999999998, "slept")]),
+        ]
+
+
 class TestImportClosure:
     def test_the_core_loads_only_the_error_model(self):
         """The interleaving explorer imports ``repro.sim.core``; the

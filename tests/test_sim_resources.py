@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim.core import SimStopped, Simulator
+from repro.sim.core import SimEvent, SimStopped, Simulator
 from repro.sim.resources import GroupCommitLog, Resource
+from tests.test_sim_core import traced
 
 
 class TestResource:
@@ -140,6 +141,173 @@ class TestResource:
         cpu = Resource(sim, capacity=1)
         with pytest.raises(RuntimeError):
             cpu.release()
+
+
+class TestTieOrder:
+    """A charge that nothing can overtake moves the clock in place, and a
+    release's offer that its releaser's next charge would see refused is
+    refused in place; everywhere else the heap decides, with the offer's
+    reserved sequence number.  The literals are the traces of the
+    simulator that pushed every charge and every offer."""
+
+    def test_an_event_due_at_the_release_runs_before_the_offer(self):
+        def build(sim, mark):
+            cpu = Resource(sim)
+
+            def hog():
+                for _ in range(2):  # re-takes at 1.0, after ``late`` queued
+                    cpu.use(1.0)
+                    mark("hog")
+
+            def user(name, arrive):
+                def proc():
+                    sim.sleep(arrive)
+                    mark(f"{name} arrives")
+                    cpu.use(1.0)
+                    mark(name)
+
+                return proc
+
+            sim.spawn(hog)
+            sim.spawn(user("queued", 0.2))
+            sim.spawn(user("late", 1.0))  # due at 1.0 before the offer
+            sim.schedule(1.0, lambda: mark("callback"))
+
+        assert traced(build, 10.0) == [(10.0, [
+            (0.2, "queued arrives"), (1.0, "callback"), (1.0, "hog"),
+            (1.0, "late arrives"), (2.0, "hog"), (3.0, "late"), (4.0, "queued"),
+        ])]
+
+    def test_a_charge_ending_at_the_heap_tops_time_goes_through_the_heap(self):
+        def build(sim, mark):
+            cpu = Resource(sim)
+
+            def sleeper():
+                sim.sleep(1.0)
+                mark("sleeper")
+
+            def charger():  # spawned last: its charge ends at the top's time
+                cpu.use(1.0)
+                mark("charger")
+
+            sim.spawn(sleeper)
+            sim.spawn(charger)
+
+        assert traced(build, 10.0) == [(10.0, [(1.0, "sleeper"), (1.0, "charger")])]
+
+    def test_a_charge_past_the_deadline_returns_the_baton(self):
+        def build(sim, mark):
+            cpu = Resource(sim)
+
+            def proc():
+                for _ in range(3):
+                    cpu.use(0.6)
+                    mark("charged")
+
+            sim.spawn(proc)
+
+        assert traced(build, 1.0, 2.0) == [
+            (1.0, [(0.6, "charged")]),
+            (2.0, [(0.6, "charged"), (1.2, "charged"), (1.7999999999999998, "charged")]),
+        ]
+
+    def test_an_offer_before_a_sleep_keeps_its_reserved_number(self):
+        def build(sim, mark):
+            cpu, event = Resource(sim), SimEvent(sim)
+
+            def hog():
+                cpu.use(1.0)
+                mark("hog released")
+                event.fire()  # wakes ``waiter`` at 1.0, after the offer
+                sim.sleep(0.5)
+                mark("hog slept")
+
+            def queued():
+                sim.sleep(0.2)
+                cpu.acquire()
+                mark("queued acquired")
+                cpu.release()
+
+            def waiter():
+                event.wait()
+                mark("waiter")
+
+            sim.spawn(hog)
+            sim.spawn(queued)
+            sim.spawn(waiter)
+
+        assert traced(build, 10.0) == [(10.0, [
+            (1.0, "hog released"), (1.0, "queued acquired"),
+            (1.0, "waiter"), (1.5, "hog slept"),
+        ])]
+
+    def test_a_pending_offer_stops_the_clock_moving_in_place(self):
+        def build(sim, mark):
+            cpu, disk = Resource(sim, name="cpu"), Resource(sim, name="disk")
+
+            def hog():
+                cpu.use(1.0)
+                mark("hog released")
+                sim.sleep(0.5)
+                mark("hog slept")
+                cpu.use(1.0)
+                mark("hog released again")
+                disk.use(0.5)  # another resource's charge refuses nothing
+                mark("hog used the disk")
+
+            def queued():
+                for pause in (0.2, 1.3):  # queues behind each of hog's charges
+                    sim.sleep(pause)
+                    cpu.acquire()
+                    mark("queued acquired")
+                    cpu.release()
+
+            sim.spawn(hog)
+            sim.spawn(queued)
+
+        assert traced(build, 10.0) == [(10.0, [
+            (1.0, "hog released"), (1.0, "queued acquired"), (1.5, "hog slept"),
+            (2.5, "hog released again"), (2.5, "queued acquired"),
+            (3.0, "hog used the disk"),
+        ])]
+
+    def test_two_servers_with_standalone_acquire_and_release(self):
+        def build(sim, mark):
+            cpu = Resource(sim, capacity=2)
+
+            def holder():
+                cpu.acquire()
+                mark("holder acquired")
+                cpu.use(1.0)  # holds both servers
+                mark("holder used")
+                cpu.release()
+                mark("holder released")
+                cpu.use(0.5)
+                mark("holder used again")
+
+            def looper():
+                for _ in range(3):
+                    cpu.use(0.75)
+                    mark("looper")
+
+            def waiter(name, arrive):
+                def proc():
+                    sim.sleep(arrive)
+                    cpu.use(0.25)
+                    mark(name)
+
+                return proc
+
+            sim.spawn(holder)
+            sim.spawn(looper)
+            for name, arrive in (("w1", 0.1), ("w2", 0.2), ("w3", 0.9)):
+                sim.spawn(waiter(name, arrive))
+
+        assert traced(build, 10.0) == [(10.0, [
+            (0.0, "holder acquired"), (1.0, "holder used"), (1.0, "holder released"),
+            (1.5, "holder used again"), (1.75, "looper"), (1.75, "w2"),
+            (2.0, "w3"), (2.25, "w1"), (2.5, "looper"), (3.25, "looper"),
+        ])]
 
 
 class TestGroupCommitLog:

@@ -94,9 +94,11 @@ BUDGETS = {
     },
     # session() + PING + close() on a pooled wire, client and server loop apart; 14 / 11 today.
     "ping": {"client": 16, "server": 11},
-    # One simulated charge and one group-commit flush wait; 2 / 2 / 3 / 7
-    # today (the flush was 13 with a SimEvent per waiter).
-    "sim": {"use": 3, "sleep": 3, "statement": 4, "flush": 7},
+    # One simulated charge and one group-commit flush wait; 1 / 1 / 2 / 7
+    # / 1 today, the clock moved in place and a refused CPU offer a queue
+    # rotation (2 / 2 / 3 / 7 / 3 while each charge and sleep went through
+    # the event heap; the flush was 13 with a SimEvent per waiter).
+    "sim": {"use": 1, "sleep": 1, "statement": 2, "flush": 7, "use with a waiter": 1},
     "program": {
         f"{program} {url}": math.floor(PROGRAM_MARGIN * calls)
         for program, row in PROGRAM_CALLS.items()
@@ -177,7 +179,9 @@ def charge_path_calls() -> "dict[str, int]":
     and ``GroupCommitLog.commit_flush``, the operation's frame counted,
     inside one simulated process alone in its simulation (a profiler sees
     one thread, and the flush's scheduler work runs on it), after a
-    warm-up."""
+    warm-up; last, ``Resource.use`` again while a second process waits
+    in the CPU's queue, so each release offers it the CPU and each
+    re-take refuses that offer."""
     platform, sim, rng = postgres_platform(), Simulator(), random.Random(1)
     cpu = Resource(sim, capacity=platform.cpu_servers, name="cpu")
     wal = GroupCommitLog(sim, flush_time=platform.wal_flush_time)
@@ -193,11 +197,14 @@ def charge_path_calls() -> "dict[str, int]":
         "sleep": lambda: sim.sleep(0.001),
         "statement": lambda: client._statement_hook("select", None),
         "flush": lambda: wal.commit_flush(),
+        "use with a waiter": lambda: cpu.use(0.001),
     }
     calls: "dict[str, int]" = {}
 
     def body() -> None:
         for name, operation in operations.items():
+            if name == "use with a waiter":  # queues while the warm-up holds the CPU
+                sim.spawn(lambda: cpu.use(0.001), name="waiter")
             operation()
             calls[name] = sum(count_calls(operation)["caller"].values())
 
