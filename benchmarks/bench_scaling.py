@@ -20,9 +20,9 @@ overhead of the *engine's own*):
   CI's MPL-8 points exercise the write path too).
 
 * **Write path** — what a read, a one-row and a three-row update add to
-  an empty transaction on one thread: microseconds (recorded, never
-  gated) and Python-level call counts (host-independent; gated in tier-1
-  by ``tests/test_work_budget.py``).
+  an empty transaction on one thread: microseconds (each shape pinned,
+  recorded, never gated) and Python-level call counts (host-independent;
+  gated in tier-1 by ``tests/test_work_budget.py``).
 
 * **Statement path** — the same two figures for SmallBank's prepared
   statements on a ``Session``: a key ``SELECT ... INTO``, its ``FOR
@@ -345,15 +345,17 @@ def shape_calls(shapes: "dict[str, Callable[[], None]]") -> "dict[str, int]":
 
 
 def shape_micros(shapes: "dict[str, Callable[[], None]]") -> "dict[str, float]":
-    """Microseconds per shape: median of 9 batches of 300, one thread."""
+    """Microseconds per shape: median of 9 batches of 300, one thread,
+    each shape :func:`pinned` like the threaded points."""
     micros = {}
     for name, shape in shapes.items():
         samples = []
-        for _ in range(1 + 9):  # the first batch warms up
-            started = time.perf_counter()
-            for _ in range(300):
-                shape()
-            samples.append((time.perf_counter() - started) / 300 * 1e6)
+        with pinned():
+            for _ in range(1 + 9):  # the first batch warms up
+                started = time.perf_counter()
+                for _ in range(300):
+                    shape()
+                samples.append((time.perf_counter() - started) / 300 * 1e6)
         micros[name] = round(statistics.median(samples[1:]), 2)
     return micros
 

@@ -48,6 +48,7 @@ class TimestampOracle:
         self._snapshots = 0         # open snapshot windows
         self._decisions = 0         # decision broadcasts in progress
         self._decisions_waiting = 0 # decisions queued (blocks new snapshots)
+        self._waiters = 0           # threads in ``_cond.wait``, of either group
         self._snapshot_window = _Window(
             self._enter_snapshot, self._leave_snapshot
         )
@@ -58,23 +59,34 @@ class TimestampOracle:
     # ------------------------------------------------------------------
     # Snapshot / decision groups
     # ------------------------------------------------------------------
+    # Each method holds ``_mutex`` itself (the C lock ``_cond`` wraps), and
+    # a group's last leaver wakes the others only while some thread waits:
+    # an uncontended window is two counter updates under a lock.
     def snapshot_window(self) -> "_Window":
         """Snapshot-group member: hold while broadcasting BEGIN to every
         shard.  Excludes decisions; shares with other snapshots."""
         return self._snapshot_window
 
+    def _wait(self) -> None:
+        """Wait for a group's last leaver (caller holds ``_mutex``)."""
+        self._waiters += 1
+        try:
+            self._cond.wait()
+        finally:
+            self._waiters -= 1
+
     def _enter_snapshot(self) -> None:
-        with self._cond:
+        with self._mutex:
             # Decision preference: a queued decision keeps new snapshots
             # out, so a steady stream of begins cannot starve commits.
             while self._decisions or self._decisions_waiting:
-                self._cond.wait()
+                self._wait()
             self._snapshots += 1
 
     def _leave_snapshot(self) -> None:
-        with self._cond:
+        with self._mutex:
             self._snapshots -= 1
-            if self._snapshots == 0:
+            if self._snapshots == 0 and self._waiters:
                 self._cond.notify_all()
 
     def decision_window(self) -> "_Window":
@@ -84,17 +96,17 @@ class TimestampOracle:
         return self._decision_window
 
     def _enter_decision(self) -> None:
-        with self._cond:
+        with self._mutex:
             self._decisions_waiting += 1
             while self._snapshots:
-                self._cond.wait()
+                self._wait()
             self._decisions_waiting -= 1
             self._decisions += 1
 
     def _leave_decision(self) -> None:
-        with self._cond:
+        with self._mutex:
             self._decisions -= 1
-            if self._decisions == 0:
+            if self._decisions == 0 and self._waiters:
                 self._cond.notify_all()
 
 

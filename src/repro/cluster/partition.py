@@ -15,6 +15,8 @@ the reproduction needs.
 
 from __future__ import annotations
 
+import re
+
 # The shard loader and its lock bound live next to the population, so a
 # shard process never imports this package; both are re-exported here.
 from repro.smallbank.schema import (
@@ -33,6 +35,9 @@ PARTITION_COLUMNS = {
     CHECKING: "CustomerId",
     CONFLICT: "Id",
 }
+
+#: An Account name and the customer id it encodes: ``cust0000042`` -> 42.
+_ACCOUNT_NAME = re.compile(r"cust(\d+)")
 
 
 class HashPartitioner:
@@ -54,16 +59,26 @@ class HashPartitioner:
         carry the customer id directly.
         """
         if table == ACCOUNT:
-            name = str(key)
-            if not name.startswith("cust") or not name[4:].isdigit():
+            named = _ACCOUNT_NAME.fullmatch(str(key))
+            if named is None:
                 raise ValueError(
                     f"Account name {key!r} does not encode a customer id"
                 )
-            return int(name[4:])
+            return int(named[1])
         return int(key)
+
+    def shard_for_name(self, name) -> int:
+        """The shard of the customer an Account name encodes, in one
+        frame: what the router routes a whole program by."""
+        named = _ACCOUNT_NAME.fullmatch(str(name))
+        if named is None:
+            raise ValueError(f"Account name {name!r} does not encode a customer id")
+        return int(named[1]) % self.shard_count
 
     def shard_for_row(self, table: str, key) -> int:
         """The shard owning the row of ``table`` with partition-key ``key``."""
+        if table == ACCOUNT:
+            return self.shard_for_name(key)
         if table not in PARTITION_COLUMNS:
             raise ValueError(f"no partition rule for table {table!r}")
         return self.shard_for_customer(self.customer_from_key(table, key))

@@ -203,11 +203,14 @@ class ClusterSession(RemoteVerbs):
         """Run one whole transaction program, routed from ``args`` alone.
 
         ``program.route`` names the arguments holding Account names
-        (``cust0000042`` encodes its customer, hence its shard).  When
-        they all live on one shard the program is **one ``CALL`` to that
-        shard and nothing to any other**: no BEGIN fan-out and no
-        snapshot window, because a transaction that reads a single shard
-        cannot see a cross-shard commit half applied.  Otherwise its two
+        (``cust0000042`` encodes its customer, hence its shard; a name
+        that encodes none is asked of shard 0, as :meth:`_shard_for`
+        does).  When they all live on one shard the program is **one
+        ``CALL`` to that shard and nothing to any other**: no BEGIN
+        fan-out and no snapshot window, because a transaction that reads
+        a single shard cannot see a cross-shard commit half applied.  It
+        is routed, sent and counted in this frame, on a wire of that
+        shard's pool checked out for it alone.  Otherwise its two
         ``parts`` run under 2PC (:meth:`_call_split`).
         """
         if self._in_txn:
@@ -215,32 +218,49 @@ class ClusterSession(RemoteVerbs):
                 "session already has an active transaction"
             )
         cluster = self._cluster
-        shards = {
-            self._shard_for(ACCOUNT, args[name]) for name in program.route
-        }
+        shard_for_name = cluster.partitioner.shard_for_name
+        shards = []
+        for name in program.route:
+            value = args[name]
+            try:
+                shards.append(shard_for_name(value))
+            except (TypeError, ValueError):
+                shards.append(0)
         self._stamp(label)
+        if shards and shards.count(shards[0]) == len(shards):
+            shard = shards[0]
+            if cluster._health_enforced:
+                cluster._require_healthy(shard)
+            branch = cluster.shards[shard].session()
+            try:
+                result = branch.call_program(program, args, self._tagged)
+            finally:
+                branch.close()
+            with cluster._counter_lock:
+                cluster._counters["fastpath_commits"] += 1
+            return result
+        named = len(set(shards))
+        if named != 2 or len(program.parts) != 2:
+            raise SqlError(
+                f"cannot route program {label!r}: its arguments name "
+                f"{named} shards, it has {len(program.parts)} parts"
+            )
         try:
-            if len(shards) == 1:
-                result = self._open(shards.pop()).call_program(
-                    program, args, self._tagged
-                )
-                cluster._count("fastpath_commits")
-                return result
-            if len(shards) != 2 or len(program.parts) != 2:
-                raise SqlError(
-                    f"cannot route program {label!r}: its arguments name "
-                    f"{len(shards)} shards, it has {len(program.parts)} parts"
-                )
             return cluster._counted_two_phase(
-                self._call_split, program.parts, args
+                self._call_split, program.parts, args, shards
             )
         finally:
             self._release_branches()
 
     def _call_split(
-        self, parts: "Sequence[Program]", args: "Mapping[str, object]"
+        self,
+        parts: "Sequence[Program]",
+        args: "Mapping[str, object]",
+        shards: "Sequence[int]",
     ) -> object:
-        """A two-shard program as four RPCs in three sequential rounds.
+        """A two-shard program as four RPCs in three sequential rounds,
+        each part on the shard ``call_program`` routed it to (``shards``,
+        in the order of ``parts``).
 
         1. ``CALL first end=prepare:g nowait`` to the first part's shard
            A: begins, runs, votes.
@@ -275,9 +295,7 @@ class ClusterSession(RemoteVerbs):
         prepared: "list[NetworkSession]" = []
         coordinator.track(gtid)
         try:
-            branch_a, branch_b = self._open_in_order(
-                [self._shard_for(ACCOUNT, args[part.route[0]]) for part in parts]
-            )
+            branch_a, branch_b = self._open_in_order(shards)
             with cluster.oracle.snapshot_window():
                 try:
                     carry = branch_a.call_program(

@@ -20,13 +20,19 @@ Semantics notes
 * Every operation is one synchronous request/response round trip — a
   whole transaction program too: :meth:`NetworkSession.call_program`
   sends one ``CALL`` and the server begins, runs the body next to the
-  engine and commits (DESIGN.md §11.5).  The statement verbs remain for
-  ad-hoc transactions; their only elision is the deferred BEGIN, which
-  rides on the transaction's first request.  The verbs the cluster router
-  sends to several shards at once — the window BEGIN, the 2PC votes and
-  decisions, its sweeps (ping, stats, vacuum) — exist only split
-  (``start_*``: send now, return the callable that reads the reply;
-  ``start_*(...)()`` is the blocking call).
+  engine and commits (DESIGN.md §11.5).  A blocking round trip is one
+  :meth:`WireConnection.call`, which writes the request and reads a
+  reply that arrives as one whole frame in its own frame (anything else
+  goes on through the wire's :class:`~repro.net.protocol.FrameDecoder`);
+  the session checks its wire out of the pool and back in its own
+  frames too.  The statement verbs remain for ad-hoc transactions; their
+  only elision is the deferred BEGIN, which rides on the transaction's
+  first request.  The verbs the cluster router sends to several shards
+  at once — the window BEGIN, the 2PC votes and decisions, its sweeps
+  (ping, stats, vacuum) — exist only split (``start_*``: send now, return
+  the callable that reads the reply; ``start_*(...)()`` is the blocking
+  call).  Either way every request is written by
+  :meth:`WireConnection.send`.
 * ``timeout`` bounds *connection establishment* (and pool checkout).
   RPCs then block until the server answers: a lock wait on the server can
   legitimately take as long as the engine's ``lock_timeout`` allows, and
@@ -57,11 +63,15 @@ from repro.errors import (
 )
 from repro.net.protocol import (
     DEFAULT_MAX_FRAME,
+    LENGTH_BYTES,
+    RECV_BYTES,
     STATEMENT_OPS,
     FrameDecoder,
+    decode_payload,
     encode_request,
     next_frame,
     raise_error_payload,
+    unpack_length,
 )
 from repro.sqlmini.ast import Select
 from repro.sqlmini.executor import StatementResult, parse_cached
@@ -113,8 +123,10 @@ class WireConnection:
         self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
     def send(self, op: str, args: Mapping[str, object]) -> None:
-        """First half of :meth:`call`: write the request and return (the
-        cluster router sends to several shards before it reads a reply)."""
+        """Write one request: every request on this wire passes here.
+        :meth:`call` reads its reply at once; a split request returns
+        and :meth:`receive` reads it later (the cluster router sends to
+        several shards before it reads a reply)."""
         if self.broken or self.awaiting_reply:
             self.broken = True  # an unread reply would answer this request
             raise ConnectionClosed("wire connection already failed")
@@ -126,8 +138,11 @@ class WireConnection:
             raise ConnectionClosed(f"socket error while sending: {exc}") from None
         self.awaiting_reply = True
 
-    def receive(self, deadline: Optional[float] = None) -> dict:
-        """Second half of :meth:`call`: the reply, or the server's error.
+    def receive(
+        self, deadline: Optional[float] = None, data: Optional[bytes] = None
+    ) -> dict:
+        """The reply to what :meth:`send` wrote, or the server's error;
+        ``data``: its first bytes, already read.
 
         ``deadline`` bounds *this* wait (overriding the wire's
         ``rpc_deadline`` for its duration).  A transport failure —
@@ -139,7 +154,7 @@ class WireConnection:
         try:
             if override:
                 self.sock.settimeout(deadline)
-            response = next_frame(self.sock, self.decoder)
+            response = next_frame(self.sock, self.decoder, data)
             if response is None:
                 raise ConnectionClosed("server closed the connection")
             if override:
@@ -152,15 +167,35 @@ class WireConnection:
             return response
         raise raise_error_payload(response.get("error"))
 
-    def call(
-        self,
-        op: str,
-        args: Mapping[str, object],
-        deadline: Optional[float] = None,
-    ) -> dict:
-        """One request/response round trip (:meth:`send`, :meth:`receive`)."""
+    def call(self, op: str, args: Mapping[str, object]) -> dict:
+        """One request/response round trip: :meth:`send`, one ``recv``,
+        and the reply decoded in this frame when those bytes are exactly
+        one whole frame.  Anything else read — part of a frame, several,
+        the end of the stream — goes on through the wire's
+        :class:`FrameDecoder` in :meth:`receive`, with the same errors."""
         self.send(op, args)
-        return self.receive(deadline)
+        decoder = self.decoder
+        try:
+            data = self.sock.recv(RECV_BYTES)
+            response = (
+                decode_payload(memoryview(data)[LENGTH_BYTES:])
+                if len(data) > LENGTH_BYTES
+                and not decoder.buffer
+                and unpack_length(data)[0] == len(data) - LENGTH_BYTES <= decoder.max_frame
+                else None
+            )
+        except OSError as exc:  # reset, timeout (a deadline), closed
+            self.broken = True
+            raise ConnectionClosed(f"socket error while receiving: {exc}") from None
+        except ProtocolError:
+            self.broken = True
+            raise
+        if response is None:
+            return self.receive(data=data)
+        self.awaiting_reply = False
+        if response.get("ok"):
+            return response
+        raise raise_error_payload(response.get("error"))
 
     def close(self) -> None:
         self.broken = True
@@ -261,16 +296,25 @@ class NetworkSession(RemoteVerbs):
         self._readonly = True
 
     # ------------------------------------------------------------------
-    def _stale_id(self, exc: BaseException) -> BaseException:
-        """Heal the statement- and program-id caches after a server restart.
+    def _heal(self, wire: WireConnection, exc: ReproError) -> BaseException:
+        """What a failed request on ``wire`` leaves behind; returns the
+        exception to raise.
 
-        Ids are namespaced per server instance, so an "unknown ... id"
-        answer proves the server restarted since the id was learnt — and
-        that *every* cached id is stale.  Nothing ran (the server checks
-        the id first): clear the caches and surface the transient
+        The server aborted the transaction (deadlock victim, SSI
+        certifier, first-updater-wins, ...): mirror the local session,
+        whose transaction handle goes inactive.  The wire failed, or the
+        server found the request malformed: discard the wire.  An
+        "unknown ... id" answer proves the server restarted since the id
+        was learnt — ids are namespaced per server instance — and that
+        *every* cached id is stale.  Nothing ran (the server checks the
+        id first): clear the caches and surface the transient
         :class:`ConnectionClosed` this is, so retry layers treat it like
         any reconnect artifact; the next transaction re-learns fresh ids.
         """
+        if isinstance(exc, TransactionAborted):
+            self._in_txn = False
+            return exc
+        self._lose(wire)
         text = str(exc)
         if isinstance(exc, ProtocolError) and (
             "unknown statement id" in text or "unknown program id" in text
@@ -282,19 +326,50 @@ class NetworkSession(RemoteVerbs):
             )
         return exc
 
+    def _begin_rides(self, args: dict) -> None:
+        """Deferred BEGIN: piggybacked on the transaction's first request
+        (the server begins before executing the operation), saving a
+        round trip per transaction.  Whatever the operation's outcome,
+        the BEGIN itself has run once the server answers."""
+        args["begin"] = self._pending_begin
+        self._pending_begin = None
+
+    def _call(self, op: str, args: Optional[dict] = None) -> dict:
+        """One round trip in one :meth:`WireConnection.call`; ``args``,
+        the request's fields, is this request's own dict (a deferred
+        BEGIN is added to it)."""
+        wire = self._wire
+        if wire is None:
+            raise ConnectionClosed("session is closed")
+        if args is None:
+            args = {}
+        if self._pending_begin is not None:
+            self._begin_rides(args)
+        obs = self._connection.obs
+        started = obs.now() if obs is not None else 0.0
+        ok = False
+        try:
+            response = wire.call(op, args)
+            ok = True
+            return response
+        except (TransactionAborted, ConnectionClosed, ProtocolError) as exc:
+            healed = self._heal(wire, exc)
+            if healed is exc:
+                raise
+            raise healed from exc
+        finally:
+            if obs is not None:
+                obs.net_client_rpc(op, obs.now() - started, ok)
+
     def _send(self, op: str, args: dict) -> float:
-        """First half of :meth:`_call`; returns when the request left
-        (``obs`` clock), which :meth:`_receive` wants back."""
+        """First half of a split request (the ``start_*`` verbs); returns
+        when the request left (``obs`` clock), which :meth:`_receive`
+        wants back."""
         wire = self._wire
         if wire is None:
             raise ConnectionClosed("session is closed")
         if self._pending_begin is not None:
-            # Deferred BEGIN: piggybacked on the transaction's first RPC
-            # (the server begins before executing the operation), saving a
-            # round trip per transaction.  Whatever the operation's
-            # outcome, the BEGIN itself has run once the server answers.
-            args["begin"] = self._pending_begin
-            self._pending_begin = None
+            self._begin_rides(args)
         obs = self._connection.obs
         started = obs.now() if obs is not None else 0.0
         try:
@@ -312,8 +387,8 @@ class NetworkSession(RemoteVerbs):
         self._connection._discard(wire)
 
     def _receive(self, op: str, started: float) -> dict:
-        """Second half of :meth:`_call`: the reply to what :meth:`_send`
-        wrote at ``started``."""
+        """Second half of a split request: the reply to what
+        :meth:`_send` wrote at ``started``."""
         wire = self._wire
         if wire is None:
             raise ConnectionClosed("session is closed")
@@ -323,24 +398,14 @@ class NetworkSession(RemoteVerbs):
             response = wire.receive()
             ok = True
             return response
-        except TransactionAborted:
-            # The server aborted the transaction (deadlock victim, SSI
-            # certifier, first-updater-wins, ...): mirror the local
-            # session, whose transaction handle goes inactive.
-            self._in_txn = False
-            raise
-        except (ConnectionClosed, ProtocolError) as exc:
-            self._lose(wire)
-            healed = self._stale_id(exc)
+        except (TransactionAborted, ConnectionClosed, ProtocolError) as exc:
+            healed = self._heal(wire, exc)
             if healed is exc:
                 raise
             raise healed from exc
         finally:
             if obs is not None:
                 obs.net_client_rpc(op, obs.now() - started, ok)
-
-    def _call(self, op: str, **args: object) -> dict:
-        return self._receive(op, self._send(op, args))
 
     # ------------------------------------------------------------------
     # Transaction control (facade session contract)
@@ -422,7 +487,7 @@ class NetworkSession(RemoteVerbs):
         key = factory, spec = program.factory, program.spec
         pid = pids.get(key)
         if pid is None:
-            response = self._call("PREPARE_PROGRAM", factory=factory, spec=spec)
+            response = self._call("PREPARE_PROGRAM", {"factory": factory, "spec": spec})
             pid = pids[key] = int(response["pid"])
         request: dict = {"pid": pid, "args": args, "label": label}
         if end != "commit":
@@ -430,7 +495,7 @@ class NetworkSession(RemoteVerbs):
         if nowait:
             request["nowait"] = True
         self._in_txn = False  # unless the call succeeds and ends "open"
-        result = self._receive("CALL", self._send("CALL", request)).get("result")
+        result = self._call("CALL", request).get("result")
         self._in_txn = end == "open"
         self._readonly = False
         return result
@@ -491,7 +556,9 @@ class NetworkSession(RemoteVerbs):
             self._in_txn = False
 
     def close(self) -> None:
-        """Roll back if needed and return the wire to the pool."""
+        """Roll back if needed and return the wire to the pool: a wire fit
+        for reuse goes back in this frame (``NetworkConnection._release``
+        is the same check-in for everything else)."""
         wire = self._wire
         if wire is None:
             return
@@ -503,7 +570,15 @@ class NetworkSession(RemoteVerbs):
             if self._wire is None:
                 return  # discarded during rollback
         self._wire = None
-        self._connection._release(wire)
+        pool = self._connection
+        with pool._lock:
+            if not (wire.broken or wire.awaiting_reply or pool._closed):
+                pool._idle.append(wire)
+                pool._checked_out -= 1
+                if pool._waiting:
+                    pool._returned.notify()
+                return
+        pool._release(wire)  # not fit for reuse: it closes the wire
 
     # ------------------------------------------------------------------
     # Statements (the verbs are RemoteVerbs')
@@ -563,9 +638,9 @@ class NetworkSession(RemoteVerbs):
         sids = self._connection._sids
         sid = sids.get((sql, kind))
         if sid is not None:
-            response = self._call("EXEC", sid=sid, params=params)
+            response = self._call("EXEC", {"sid": sid, "params": params})
         else:
-            response = self._call("EXEC", sql=sql, kind=kind, params=params)
+            response = self._call("EXEC", {"sql": sql, "kind": kind, "params": params})
             if "sid" in response:
                 sids[(sql, kind)] = int(response["sid"])
         returned = response.get("params")
@@ -741,6 +816,13 @@ class NetworkConnection(Connection):
 
     # --- Connection surface ----------------------------------------------
     def session(self) -> NetworkSession:
+        """A session on a wire of the pool: an idle one under a free slot
+        is checked out in this frame, anything else (a wait for a slot, a
+        new wire) by ``_acquire``."""
+        with self._lock:
+            if self._idle and self._checked_out < self.pool_size:
+                self._checked_out += 1
+                return NetworkSession(self, self._idle.pop())
         return NetworkSession(self, self._acquire())
 
     def _probe_deadline(self, deadline: Optional[float]) -> Optional[float]:

@@ -53,6 +53,10 @@ DEFAULT_MAX_FRAME = 8 * 1024 * 1024
 
 _LENGTH = struct.Struct(">I")
 LENGTH_BYTES = _LENGTH.size
+#: The ``>I`` length prefix of a frame, read from the start of a buffer.
+unpack_length = _LENGTH.unpack_from
+#: What a client asks of one blocking ``recv``: any SmallBank reply.
+RECV_BYTES = 65536
 
 #: Every operation the server understands (DESIGN.md §11 op table).
 REQUEST_OPS = (
@@ -187,13 +191,16 @@ class FrameDecoder:
 
     def __init__(self, max_frame: int = DEFAULT_MAX_FRAME) -> None:
         self.max_frame = max_frame
-        self._buffer = bytearray()
+        #: The bytes of a frame not yet complete (read it, do not write
+        #: it: a client's one-frame call decodes a whole reply itself
+        #: only while this is empty).
+        self.buffer = bytearray()
         self._error: "Optional[ReproError]" = None
 
     def feed(self, data: "bytes | bytearray | memoryview") -> list[dict]:
         if self._error is not None:
             raise self._error
-        if not self._buffer and len(data) >= LENGTH_BYTES:
+        if not self.buffer and len(data) >= LENGTH_BYTES:
             # Fast path: the buffer is empty and ``data`` is exactly one
             # whole frame of a legal length (the overwhelmingly common case
             # for a request/response protocol) — skip the bytearray churn.
@@ -204,19 +211,19 @@ class FrameDecoder:
                 except ProtocolError as exc:
                     self._error = exc
                     raise
-        self._buffer.extend(data)
+        self.buffer.extend(data)
         messages: list[dict] = []
         try:
             while True:
-                if len(self._buffer) < LENGTH_BYTES:
+                if len(self.buffer) < LENGTH_BYTES:
                     return messages
-                (length,) = _LENGTH.unpack_from(self._buffer)
+                (length,) = _LENGTH.unpack_from(self.buffer)
                 check_length(length, self.max_frame)
                 end = LENGTH_BYTES + length
-                if len(self._buffer) < end:
+                if len(self.buffer) < end:
                     return messages
-                payload = bytes(self._buffer[LENGTH_BYTES:end])
-                del self._buffer[:end]
+                payload = bytes(self.buffer[LENGTH_BYTES:end])
+                del self.buffer[:end]
                 messages.append(decode_payload(payload))
         except ProtocolError as exc:
             self._error = exc
@@ -234,9 +241,9 @@ class FrameDecoder:
         """
         if self._error is not None:
             raise self._error
-        if self._buffer:
+        if self.buffer:
             exc = ConnectionClosed(
-                f"peer closed mid-frame ({len(self._buffer)} byte(s) of an "
+                f"peer closed mid-frame ({len(self.buffer)} byte(s) of an "
                 f"incomplete frame buffered)"
             )
             self._error = exc
@@ -244,25 +251,29 @@ class FrameDecoder:
 
     @property
     def pending_bytes(self) -> int:
-        return len(self._buffer)
+        return len(self.buffer)
 
 
 # ----------------------------------------------------------------------
 # Blocking reads (client side)
 # ----------------------------------------------------------------------
-def next_frame(sock: socket.socket, decoder: FrameDecoder) -> Optional[dict]:
-    """Blocking read of the frame ``decoder`` completes next; ``None`` on
+def next_frame(
+    sock: socket.socket, decoder: FrameDecoder, data: Optional[bytes] = None
+) -> Optional[dict]:
+    """Blocking read of the frame ``decoder`` completes next, starting
+    with ``data`` when the caller has already read some; ``None`` on
     clean EOF between frames.  One request is in flight, so two whole
     frames in one read are a :class:`ProtocolError`."""
     while True:
-        try:
-            data = sock.recv(65536)  # any SmallBank reply in one
-        except OSError as exc:  # reset, timeout (a deadline), closed
-            raise ConnectionClosed(f"socket error while receiving: {exc}") from None
+        if data is None:
+            try:
+                data = sock.recv(RECV_BYTES)
+            except OSError as exc:  # reset, timeout (a deadline), closed
+                raise ConnectionClosed(f"socket error while receiving: {exc}") from None
         if not data:
             decoder.feed_eof()  # raises inside a frame
             return None
-        messages = decoder.feed(data)
+        messages, data = decoder.feed(data), None
         if len(messages) == 1:
             return messages[0]
         if messages:

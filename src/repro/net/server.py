@@ -11,8 +11,14 @@ transaction at a time, exactly the paper's client model) whose waiter
 never waits (:class:`~repro.engine.session.NoWaitWaiter`).
 
 A readable socket costs one ``recv_into`` the connection's reusable
-buffer, one :meth:`~repro.net.protocol.FrameDecoder.feed` and one ``send``
-of the joined responses; only what the kernel does not take waits in the
+buffer and one :meth:`~repro.net.protocol.FrameDecoder.feed`.  A read
+that was exactly one whole request, on a connection with nothing queued
+or unsent and no fault plan installed — a synchronous client's every
+request — is answered where it was read: served, encoded and sent with
+one ``send`` straight from ``_on_readable``.  Anything else (a burst, a
+fragment, a request behind a parked one, a fault plan) is queued and
+served in order by ``_pump``, the responses gathered and written with
+one ``send``.  Only what the kernel does not take waits in the
 connection's outbox for writability, so a client that does not read its
 replies costs memory, never the loop.  Other threads reach the loop
 through a deque and one wake-up socket; timed work (``net-delay-frame``,
@@ -78,7 +84,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 from repro.api import PROGRAM_FACTORIES
 from repro.engine.engine import Database, WaitOn
 from repro.engine.session import NoWaitWaiter, Session, WouldBlock
-from repro.engine.transaction import Transaction
+from repro.engine.transaction import Transaction, TxnStatus
 from repro.errors import (
     ConnectionClosed,
     DeadlockError,
@@ -107,6 +113,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Every server session's waiter: a lock wait parks the request (``_park``).
 _NOWAIT = NoWaitWaiter()
+#: Read once: an enum member is a class-attribute lookup on every use.
+_ACTIVE = TxnStatus.ACTIVE
 
 #: Per-connection receive buffer (bytes); a longer frame takes several reads.
 _RECV_BUFFER = 64 * 1024
@@ -532,13 +540,46 @@ class DatabaseServer:
         if not nbytes:
             self._drop(conn)
             return
+        decoder = conn.decoder
+        fresh = not decoder.buffer  # no frame begun in an earlier read
         try:
-            conn.pending.extend(conn.decoder.feed(conn.recv[:nbytes]))
+            requests = decoder.feed(conn.recv[:nbytes])
         except ProtocolError as exc:
             self._note_protocol_error("framing")
             self._hang_up(conn, exc)
             return
-        self._pump(conn)
+        if (
+            len(requests) != 1
+            or not fresh
+            or decoder.buffer
+            or conn.pending
+            or conn.outbox
+            or self.faults is not None
+        ):
+            conn.pending.extend(requests)
+            self._pump(conn)
+            return
+        # The read was exactly one whole request, on an idle connection
+        # with no fault plan: answered here, its reply sent straight from
+        # this frame.  What the kernel does not take waits in the outbox
+        # for writability, as ``_flush`` leaves it; a request that parks
+        # waits at the head of the queue, as ``_pump`` leaves it.
+        request = requests[0]
+        response = self._serve(conn, request)
+        if response is None:
+            conn.pending.append(request)
+            return
+        data = encode_frame(response)
+        try:
+            sent = conn.sock.send(data)
+        except BlockingIOError:
+            sent = 0
+        except OSError:
+            self._drop(conn)
+            return
+        if sent != len(data):
+            conn.outbox += memoryview(data)[sent:]
+            self._watch(conn, _READ_WRITE)
 
     def _pump(self, conn: _ClientConnection) -> None:
         """Serve queued requests in order until one parks.
@@ -881,14 +922,19 @@ class DatabaseServer:
         index = pid - self._sid_base if isinstance(pid, int) else -1
         if not 0 <= index < len(self._programs):
             raise ProtocolError(f"unknown program id {pid!r}")
-        end = str(msg.get("end", "commit"))
-        if end not in ("commit", "open") and not end.startswith("prepare:"):
-            raise ProtocolError(f"CALL cannot end a transaction as {end!r}")
+        end = msg.get("end", "commit")
+        if end != "commit":
+            end = str(end)
+            if end != "open" and not end.startswith("prepare:"):
+                raise ProtocolError(f"CALL cannot end a transaction as {end!r}")
         session = conn.session
-        nowait = bool(msg.get("nowait"))
-        if not session.in_transaction:
-            session.begin(str(msg.get("label", "")))
-        untouched = session.txn.is_untouched
+        nowait = msg.get("nowait")
+        txn = session.txn
+        if txn is None or txn.status is not _ACTIVE:
+            txn = session.txn = self.db.begin(str(msg.get("label", "")))
+            untouched = True
+        else:
+            untouched = txn.is_untouched
         try:
             if nowait and not untouched:
                 raise ProtocolError(
@@ -902,17 +948,17 @@ class DatabaseServer:
                     f"program rejected its arguments: {exc!r}"
                 ) from None
             if end == "commit":
-                session.commit()
+                self.db.commit(txn)  # a server session has no commit hook
             elif end != "open":
                 self._prepare(session, end.partition(":")[2])
         except WouldBlock:
             if nowait:
-                self.db.abort(session.txn, reason="call-would-block")
+                self.db.abort(txn, reason="call-would-block")
                 raise LockNotAvailable(
                     "a row lock the program needs is held"
                 ) from None
             if untouched:
-                session.txn = self.db.restart(session.txn, reason="call-would-block")
+                session.txn = self.db.restart(txn, reason="call-would-block")
             raise
         except BaseException:
             if session.in_transaction:

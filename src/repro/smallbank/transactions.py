@@ -335,7 +335,7 @@ class SmallBankTransactions:
         bound at construction, statement by statement.
         """
         if commit and getattr(session, "call_program", None) is not None:
-            return self._calls[program].execute(session, args).first["result"]
+            return self._calls[program].execute(session, args)
         body = self._bodies.get(program) or self.body(program)  # raises if unknown
         session.begin(program)
         result = body(session, args)

@@ -350,7 +350,8 @@ class Call:
     :class:`repro.api.Program` — and executable only on sessions that
     ship programs to their server (``call_program``: ``tcp://`` and
     ``cluster://``), where the one statement is the whole transaction,
-    begin and commit included.
+    begin and commit included.  Executing it returns what the program
+    returns, not a ``StatementResult``.
     """
 
     program: object  # a repro.api.Program

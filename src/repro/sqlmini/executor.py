@@ -137,12 +137,11 @@ class PreparedStatement:
         remote = getattr(session, "execute_prepared", None)
         if remote is not None:
             if isinstance(statement, Call):
-                # The whole transaction, run next to the engine; its
-                # return value is the statement's single result.
-                result = session.call_program(
+                # The whole transaction, run next to the engine; what the
+                # program returns is what executing it returns.
+                return session.call_program(
                     statement.program, bound, statement.label
                 )
-                return StatementResult(rows=[{"result": result}])
             return remote(self.sql, self.kind, bound)
         db = session.db
         planned = self._planned

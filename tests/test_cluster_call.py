@@ -35,7 +35,7 @@ from repro.errors import (
     TransactionAborted,
 )
 from repro.faults import FaultPlan, FaultSpec
-from repro.net.client import NetworkSession
+from repro.net.client import NetworkSession, WireConnection
 from repro.obs import Observability
 from repro.smallbank import customer_name, get_strategy
 
@@ -79,17 +79,20 @@ def conn(cluster):
 @pytest.fixture
 def log(conn, monkeypatch):
     """``(thread name, "OP@shard")`` for every request ``conn``'s
-    sessions send, in send order."""
+    sessions send, in send order: each passes ``WireConnection.send``,
+    whose wire's peer is the shard."""
     entries = []
-    send = NetworkSession._send
+    send = WireConnection.send
+    shards = [(shard.host, shard.port) for shard in conn.shards]
 
     def spy(self, op, args):
-        if self._connection in conn.shards:
-            shard = conn.shards.index(self._connection)
+        peer = self.sock.getpeername()[:2]
+        if peer in shards:
+            shard = shards.index(peer)
             entries.append((threading.current_thread().name, f"{op}@{shard}"))
         return send(self, op, args)
 
-    monkeypatch.setattr(NetworkSession, "_send", spy)
+    monkeypatch.setattr(WireConnection, "send", spy)
     return entries
 
 

@@ -360,6 +360,57 @@ class TestOracleGroups:
         snapshotter.join()
 
 
+    def test_an_uncontended_window_wakes_nobody(self):
+        """Nobody waits, so leaving a window notifies no one."""
+        oracle = TimestampOracle()
+        notified = []
+        oracle._cond.notify_all = lambda: notified.append(True)
+        for _ in range(3):
+            with oracle.snapshot_window():
+                pass
+            with oracle.decision_window():
+                pass
+        assert notified == [] and oracle._waiters == 0
+
+    def test_a_queued_decision_goes_before_a_later_snapshot(self):
+        """A decision that waits for an open snapshot keeps a snapshot
+        that arrives after it out; the last leaver of each group wakes
+        the waiters, decision first."""
+        oracle = TimestampOracle()
+        order: "list[str]" = []
+        release = threading.Event()
+
+        def first_snapshot():
+            with oracle.snapshot_window():
+                release.wait(timeout=5.0)
+
+        def member(window, name):
+            with window():
+                order.append(name)
+
+        def waiting(count):
+            deadline = time.monotonic() + 5.0
+            while oracle._waiters < count:
+                assert time.monotonic() < deadline, "no thread waited"
+                time.sleep(0.005)
+
+        threads = [threading.Thread(target=first_snapshot)]
+        threads[0].start()
+        time.sleep(0.05)  # the first snapshot window is open
+        threads.append(threading.Thread(target=member, args=(oracle.decision_window, "decision")))
+        threads[1].start()
+        waiting(1)
+        threads.append(threading.Thread(target=member, args=(oracle.snapshot_window, "snapshot")))
+        threads[2].start()
+        waiting(2)
+        assert order == []
+        release.set()
+        for thread in threads:
+            thread.join(timeout=5.0)
+        assert order == ["decision", "snapshot"]
+        assert oracle._waiters == 0
+
+
 def _delay_all_frames(magnitude: float) -> FaultPlan:
     return FaultPlan(
         [FaultSpec("net-delay-frame", probability=1.0, magnitude=magnitude)],

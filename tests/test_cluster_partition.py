@@ -60,6 +60,18 @@ class TestHashPartitioner:
         with pytest.raises(ValueError):
             HashPartitioner.customer_from_key("Account", "custX")
 
+    def test_an_account_name_routes_to_its_customers_shard(self):
+        """``shard_for_name`` is the router's one-frame rule; the Account
+        row of a name lives where it says."""
+        partitioner = HashPartitioner(3)
+        for cid in (1, 2, 3, 17, 100):
+            name = customer_name(cid)
+            assert partitioner.shard_for_name(name) == partitioner.shard_for_customer(cid)
+            assert partitioner.shard_for_row("Account", name) == partitioner.shard_for_name(name)
+        for bad in ("alice", "custX", "cust", "cust42 ", None):
+            with pytest.raises(ValueError):
+                partitioner.shard_for_name(bad)
+
     def test_customers_four_rows_are_colocated(self):
         """Account, Saving, Checking and Conflict of one customer land on
         the same shard — the fast path's precondition for single-customer

@@ -299,6 +299,10 @@ def hang_up_mid_frame(sock: socket.socket) -> None:
     sock.sendall(PONG[: len(PONG) // 2])
 
 
+def two_frames(sock: socket.socket) -> None:
+    sock.sendall(PONG + PONG)  # one read, two replies to one request
+
+
 def oversize_prefix(sock: socket.socket) -> None:
     sock.sendall(struct.pack(">I", 1 << 31) + b"{}")
     sock.recv(1)  # keep the socket open until the client gives up
@@ -320,15 +324,37 @@ class TestClientReads:
             wire.close()
         assert server.requests == [{"op": "PING"}] * 2
 
+    def test_bytes_past_a_reply_are_read_before_the_next_one(self, scripted):
+        """A reply and the first bytes of another in one read: the next
+        reply is parsed after those bytes, even when it arrives as a
+        whole frame of its own (here they make a zero length prefix)."""
+        replies: list = []
+
+        def reply_and_a_bit(sock: socket.socket) -> bool:
+            sock.sendall(PONG if replies else PONG + PONG[:3])
+            replies.append(sock)
+            return True
+
+        server = scripted(reply_and_a_bit)
+        wire = WireConnection("127.0.0.1", server.port)
+        try:
+            assert wire.call("PING", {}) == {"ok": True, "pong": True}
+            with pytest.raises(ProtocolError, match="zero-length frame"):
+                wire.call("PING", {})
+            assert wire.broken
+        finally:
+            wire.close()
+
     @pytest.mark.parametrize(
         "reply,error",
         [
             (hang_up, ConnectionClosed),
             (hang_up_mid_frame, ConnectionClosed),
+            (two_frames, ProtocolError),
             (oversize_prefix, ProtocolError),
             (never_answer, ConnectionClosed),
         ],
-        ids=["eof-at-boundary", "eof-mid-frame", "oversize-prefix", "rpc-deadline"],
+        ids=["eof-at-boundary", "eof-mid-frame", "two-frames", "oversize-prefix", "rpc-deadline"],
     )
     def test_a_failed_reply_breaks_the_wire_and_the_pool_drops_it(
         self, scripted, reply, error

@@ -48,18 +48,22 @@ from repro.workload.stats import RunStats
 
 #: Calls per program and URL of :func:`layer_budget` (client and every
 #: server loop); each is gated at PROGRAM_MARGIN times it.  Counted again
-#: once the clock ticked, a row lock came and went and a version was
-#: appended in the engine's own frames, an UPDATE's SET list became one
-#: generated function and ``run`` dispatched to its body with no call for
-#: extra writes a strategy does not add (Balance 24 / 49 / 65 / 65 and a
-#: cross-shard Amalgamate 275 before; 30 / 55 / 72 / 72 and 300 before an
-#: UPDATE was one engine call).
+#: once a remote program call was one frame at each end of the wire: the
+#: client sends and reads its ``CALL`` in one ``WireConnection.call`` and
+#: checks its wire out and back in the session's own frames, the server
+#: answers a read of one whole request where it reads it and commits the
+#: program's transaction on the engine, the router routes, sends and
+#: counts a one-shard program in one frame, and the oracle's windows wake
+#: nobody when nobody waits (Balance 20 / 46 / 62 / 62 and a cross-shard
+#: Amalgamate 251 before; 24 / 49 / 65 / 65 and 275 before the engine
+#: ticked its clock, took a row lock and appended a version in its own
+#: frames; 30 / 55 / 72 / 72 and 300 before an UPDATE was one engine call).
 PROGRAM_CALLS = {
-    "Balance": (20, 46, 62, 62),
-    "DepositChecking": (20, 46, 62, 62),
-    "TransactSaving": (24, 50, 66, 66),
-    "Amalgamate": (47, 73, 93, 251),
-    "WriteCheck": (28, 54, 70, 70),
+    "Balance": (20, 33, 39, 39),
+    "DepositChecking": (20, 33, 39, 39),
+    "TransactSaving": (24, 37, 43, 43),
+    "Amalgamate": (47, 60, 67, 191),
+    "WriteCheck": (28, 41, 47, 47),
 }
 PROGRAM_MARGIN = 1.1
 
@@ -92,8 +96,11 @@ BUDGETS = {
         "args_for Amalgamate": 6,
         "args_for WriteCheck": 3,
     },
-    # session() + PING + close() on a pooled wire, client and server loop apart; 14 / 11 today.
-    "ping": {"client": 16, "server": 11},
+    # session() + PING + close() on a pooled wire, client and server loop
+    # apart; 8 / 8 today (14 / 11 while the reply was read through the
+    # client's decoder, the pool took a frame each way and the server
+    # queued every request before answering it).
+    "ping": {"client": 10, "server": 8},
     # One simulated charge and one group-commit flush wait; 1 / 1 / 2 / 7
     # / 1 today, the clock moved in place and a refused CPU offer a queue
     # rotation (2 / 2 / 3 / 7 / 3 while each charge and sleep went through
