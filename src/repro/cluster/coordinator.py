@@ -7,19 +7,18 @@ program ``CALL`` frames, which end ``prepare:<gtid>`` (the router then drives
 itself); a participant votes YES by making the prepare record durable and
 moving the transaction to PREPARED, or votes NO by aborting it (any engine
 error — serialization failure, SSI doom, integrity violation — IS the NO
-vote).  Phase 2 records the decision on the coordinator's
-:class:`DecisionLog`, then delivers it.
+vote).  A YES carries the shard's prepare timestamp.  Phase 2 records
+the decision on the coordinator's :class:`DecisionLog` — a commit with
+its commit timestamp, the largest prepare timestamp (Clock-SI, DESIGN.md
+§12) — then delivers it: every shard publishes the transaction at that
+one timestamp, so a snapshot sees it on all of them or on none.
 
 Every decision — the live commit, the abort, the in-doubt re-delivery —
 leaves through one method, :meth:`TwoPhaseCoordinator._deliver`: one
 :func:`~repro.cluster.fanout.scatter_gather` round of ``COMMIT_2PC`` or
-``ABORT_2PC`` to its targets, a commit under the oracle's decision
-window so no consistent snapshot opens between two of its deliveries.
-Its targets are sessions (:class:`~repro.net.client.NetworkSession`) —
-the branches on the live path, one fresh session per shard for a
-re-delivery — whose wires were checked out before the window: inside it,
-a wait for a pool wire could be a wait on a session that is itself
-waiting for the window.
+``ABORT_2PC`` to its targets, sessions
+(:class:`~repro.net.client.NetworkSession`) — the branches on the live
+path, one fresh session per shard for a re-delivery.
 
 *Presumed abort*: participants never ask the coordinator — a durable
 prepare followed by a durable decision record in the participant's WAL
@@ -48,7 +47,6 @@ from functools import partial
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from repro.cluster.fanout import Outcome, first_error, scatter_gather
-from repro.cluster.oracle import TimestampOracle
 from repro.errors import CoordinatorCrashed, TransactionStateError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -65,16 +63,22 @@ class DecisionLog:
     process crash), so the in-doubt resolver, acting for the recovered
     coordinator, re-reads the same outcomes.  Append-only per gtid: a
     decision can be re-recorded identically (idempotent) but never
-    flipped.
+    flipped.  A commit keeps its commit timestamp, which every shard
+    publishes it at.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._decisions: "dict[str, str]" = {}
+        self._commit_ts: "dict[str, int]" = {}
 
-    def record(self, gtid: str, decision: str) -> None:
+    def record(self, gtid: str, decision: str, commit_ts: int = 0) -> None:
+        """Log ``decision`` for ``gtid``: a commit at ``commit_ts`` (> 0),
+        an abort with none."""
         if decision not in ("commit", "abort"):
             raise ValueError(f"decision must be 'commit' or 'abort', got {decision!r}")
+        if (commit_ts > 0) != (decision == "commit"):
+            raise ValueError(f"a {decision} cannot be logged at timestamp {commit_ts}")
         with self._lock:
             existing = self._decisions.setdefault(gtid, decision)
             if existing != decision:
@@ -82,10 +86,17 @@ class DecisionLog:
                     f"decision for {gtid!r} already logged as {existing!r}; "
                     f"cannot record {decision!r}"
                 )
+            if commit_ts:
+                self._commit_ts.setdefault(gtid, commit_ts)
 
     def decision_for(self, gtid: str) -> Optional[str]:
         with self._lock:
             return self._decisions.get(gtid)
+
+    def commit_ts_for(self, gtid: str) -> int:
+        """The logged commit timestamp of ``gtid``; 0 unless committed."""
+        with self._lock:
+            return self._commit_ts.get(gtid, 0)
 
     def decisions(self) -> "dict[str, str]":
         with self._lock:
@@ -101,12 +112,10 @@ class TwoPhaseCoordinator:
 
     def __init__(
         self,
-        oracle: TimestampOracle,
         *,
         fault_plan: "FaultPlan | None" = None,
         obs: "Observability | None" = None,
     ) -> None:
-        self.oracle = oracle
         #: Durable decision store.
         self.log = DecisionLog()
         self.faults = fault_plan
@@ -137,8 +146,9 @@ class TwoPhaseCoordinator:
     def untrack(self, gtid: str) -> None:
         self._in_flight.discard(gtid)
 
-    def commit_two_phase(self, gtid: str, writers: Sequence) -> None:
-        """Atomically commit ``writers`` (network sessions) under ``gtid``.
+    def commit_two_phase(self, gtid: str, writers: Sequence) -> int:
+        """Atomically commit ``writers`` (network sessions) under ``gtid``;
+        returns the commit timestamp.
 
         Phase 1 sends PREPARE to every writer, then gathers *all* votes;
         any NO aborts the branches that voted YES and raises the first
@@ -162,21 +172,27 @@ class TwoPhaseCoordinator:
             if no_vote is not None:
                 self.abort(gtid, prepared)
                 raise no_vote
-            self.decide_commit(gtid, prepared)
+            commit_ts = max(vote.value for vote in votes)
+            self.decide_commit(gtid, prepared, commit_ts)
+            return commit_ts
         finally:
             self.untrack(gtid)
 
     def _deliver(
-        self, gtid: str, decision: str, targets: Sequence
+        self,
+        gtid: str,
+        decision: str,
+        targets: Sequence,
+        commit_ts: int = 0,
     ) -> "list[Outcome]":
-        """Send ``decision`` for ``gtid`` to every target; the outcomes,
-        in target order.
+        """Send ``decision`` for ``gtid`` (a commit at ``commit_ts``) to
+        every target; the outcomes, in target order.
 
-        All requests go out before the first reply is read.  A commit is
-        delivered inside the oracle's decision window, so no consistent
-        snapshot can open between two of its deliveries and see it half
-        applied; with a fault plan, ``net-dup-decision`` may deliver it to
-        a target a second time once the first reply is in.
+        All requests go out before the first reply is read.  No snapshot
+        can see a commit half delivered: a read of a row it wrote, at a
+        snapshot that may see it, waits on its shard for the decision.
+        With a fault plan, ``net-dup-decision`` may deliver a commit to a
+        target a second time once the first reply is in.
         """
         if decision == "abort":
             return scatter_gather(
@@ -187,26 +203,26 @@ class TwoPhaseCoordinator:
         plan = self.faults
 
         def start_commit(target) -> "Callable[[], object]":
-            delivered = target.start_commit_2pc(gtid)
+            delivered = target.start_commit_2pc(gtid, commit_ts)
             if plan is None:
                 return delivered
 
             def delivered_maybe_twice() -> object:
-                commit_ts = delivered()
+                published = delivered()
                 if plan.should_fire("net-dup-decision"):
                     if self.obs is not None:
                         self.obs.fault_injected("net-dup-decision")
-                    target.start_commit_2pc(gtid)()  # idempotent by contract
-                return commit_ts
+                    # Idempotent by contract.
+                    target.start_commit_2pc(gtid, commit_ts)()
+                return published
 
             return delivered_maybe_twice
 
-        with self.oracle.decision_window():
-            return scatter_gather(
-                [partial(start_commit, target) for target in targets],
-                op="2pc-decision",
-                obs=self.obs,
-            )
+        return scatter_gather(
+            [partial(start_commit, target) for target in targets],
+            op="2pc-decision",
+            obs=self.obs,
+        )
 
     def abort(self, gtid: str, prepared: Sequence) -> None:
         """Decide abort: log it, then tell the branches that voted YES.
@@ -218,8 +234,11 @@ class TwoPhaseCoordinator:
         self.log.record(gtid, "abort")
         self._deliver(gtid, "abort", prepared)
 
-    def decide_commit(self, gtid: str, prepared: Sequence) -> None:
-        """Every vote is YES: log the commit, then deliver it.
+    def decide_commit(
+        self, gtid: str, prepared: Sequence, commit_ts: int
+    ) -> None:
+        """Every vote is YES: log the commit at ``commit_ts``, then
+        deliver it.
 
         Call between :meth:`track` and :meth:`untrack`.  A delivery error
         (a participant crashing *after* the decision was recorded) is
@@ -234,7 +253,7 @@ class TwoPhaseCoordinator:
             # presumed abort *and* commit re-delivery on recovery.
             crashed_after_log = plan.fired("coordinator-crash-window") % 2 == 0
             if crashed_after_log:
-                self.log.record(gtid, "commit")
+                self.log.record(gtid, "commit", commit_ts)
             if self.obs is not None:
                 self.obs.fault_injected("coordinator-crash-window")
                 self.obs.cluster_coordinator_crash()
@@ -247,8 +266,8 @@ class TwoPhaseCoordinator:
             )
         # The decision is durable *before* any participant hears it
         # (the presumed-abort ordering argument).
-        self.log.record(gtid, "commit")
-        error = first_error(self._deliver(gtid, "commit", prepared))
+        self.log.record(gtid, "commit", commit_ts)
+        error = first_error(self._deliver(gtid, "commit", prepared, commit_ts))
         if error is not None:
             raise error
 
@@ -269,8 +288,11 @@ class TwoPhaseCoordinator:
             # Harden the presumption so a later resolver pass (or a
             # recovered coordinator) answers identically.
             self.log.record(gtid, "abort")
+        outcomes = self._deliver(
+            gtid, decision, sessions, self.log.commit_ts_for(gtid)
+        )
         error = first_error([
-            outcome for outcome in self._deliver(gtid, decision, sessions)
+            outcome for outcome in outcomes
             if not isinstance(outcome.error, TransactionStateError)
         ])
         if error is not None:

@@ -4,8 +4,8 @@ A broadcast costs one round trip, not ``shards × RTT``, when every
 request is out before the first reply is awaited.  :func:`scatter_gather`
 does that from the caller's own thread: each task is a split-phase
 ``start_*`` verb (of a :class:`~repro.net.client.NetworkSession` on the
-transaction path — window BEGINs, round 1 of a split program, the 2PC
-rounds, a statement no single shard owns — or of a
+transaction path — the 2PC rounds, a statement no single shard owns — or
+of a
 :class:`~repro.net.client.NetworkConnection` for the connection-level
 sweeps: heartbeat, ping, stats, vacuum, the in-doubt scan), all are sent,
 then the replies are read in task order, so a round costs no thread

@@ -9,18 +9,20 @@ in which case it takes the **fast path**: a plain per-shard COMMIT, no
 prepare round at all.  A whole transaction *program*
 (:meth:`ClusterSession.call_program`) is routed from its arguments
 alone: one ``CALL`` to the owning shard, or — an Amalgamate of customers
-on two shards — its two parts as four RPCs in three rounds, both
-parts' snapshots opened inside one snapshot window.
+on two shards — its two parts as four RPCs in three rounds.
 
-A statement-by-statement transaction opens with BEGIN broadcast to
-every shard inside the oracle's shared snapshot window, so no decision
-broadcast can land between the per-shard snapshots: the transaction sees
-every distributed commit on all shards or on none.  (Opening each
-shard's snapshot on first touch instead would admit *fractured reads* —
-a snapshot taken on shard A before a decision and on shard B after it
-sees half a distributed commit; ``tests/test_cluster_router.py``
-``TestSnapshotWindow`` builds exactly that out of two independent
-``tcp://`` snapshots.)
+The shards keep the snapshot order (Clock-SI, DESIGN.md §12).  A
+transaction has one snapshot timestamp on every shard: its first branch
+(shard 0 at :meth:`ClusterSession.begin`, a program's first part's
+shard) begins at a fresh tick of its shard's clock, advanced first to
+the highest timestamp this router has seen
+(:attr:`ClusterConnection.clock`, so a client sees what it committed
+before), and every later branch — opened on first touch — begins at
+exactly that snapshot.  A 2PC commit lands at one timestamp on every
+shard, the largest of its prepare timestamps, and a read that meets a
+prepared version which may land at or below its snapshot waits on its
+shard for the decision.  So every client of the cluster, through any
+router, sees each distributed commit on all shards or on none.
 
 The harness that stands up the shards themselves is
 :class:`repro.cluster.Cluster` (:mod:`repro.cluster.fleet`).
@@ -37,7 +39,6 @@ from typing import TYPE_CHECKING, Callable, Mapping, Optional, Sequence
 from repro.api import Connection, Program
 from repro.cluster.coordinator import TwoPhaseCoordinator
 from repro.cluster.fanout import Outcome, first_error, scatter_gather
-from repro.cluster.oracle import TimestampOracle
 from repro.cluster.partition import PARTITION_COLUMNS, HashPartitioner
 from repro.errors import (
     ApplicationRollback,
@@ -45,11 +46,11 @@ from repro.errors import (
     CoordinatorCrashed,
     DatabaseCrashed,
     DeadlockError,
-    LockNotAvailable,
     LockTimeout,
     ReproError,
     SerializationFailure,
     ShardUnavailable,
+    SnapshotTooOld,
     SqlError,
     TransactionStateError,
 )
@@ -84,10 +85,14 @@ class ClusterSession(RemoteVerbs):
 
     def __init__(self, cluster: "ClusterConnection") -> None:
         self._cluster = cluster
+        #: The current transaction's sessions by shard, and the shards
+        #: of those it has not begun on yet (touched).
         self._branches: "dict[int, NetworkSession]" = {}
+        self._unbegun: "set[int]" = set()
         self._in_txn = False
         self._tagged = ""
         self._gtid = ""
+        self._snapshot_ts = 0
 
     # ------------------------------------------------------------------
     # Transaction control
@@ -98,31 +103,20 @@ class ClusterSession(RemoteVerbs):
         self._tagged = f"{label}#{self._gtid}"
 
     def begin(self, label: str = "") -> None:
+        """Open a global transaction: a session on every shard, and its
+        snapshot taken now, by a BEGIN to shard 0 past the router's
+        clock.  Every other branch begins at that snapshot on first
+        touch (:meth:`_branch`)."""
         if self._in_txn:
             raise TransactionStateError(
                 "session already has an active transaction"
             )
         self._stamp(label)
         self._in_txn = True
-        branches = self._open_in_order(range(len(self._cluster.shards)))
-        with self._cluster.oracle.snapshot_window():
-            self._begin_together(branches)
-
-    def _begin_together(self, branches: "Sequence[NetworkSession]") -> None:
-        """BEGIN on every branch; the caller holds the snapshot window,
-        so no 2PC decision broadcast can interleave the snapshots.  Every
-        BEGIN is sent before the first reply is read — every
-        statement-by-statement transaction pays for them, so they must
-        not cost ``shards × RTT``.
-        """
-        outcomes = scatter_gather(
-            [partial(b.start_begin_now, self._tagged) for b in branches],
-            op="begin",
-            obs=self._cluster.obs,
-        )
-        error = first_error(outcomes)
-        if error is not None:
-            raise error
+        first = self._open_in_order(range(len(self._cluster.shards)))[0]
+        clock = {"ts": self._cluster.clock}
+        self._snapshot_ts = first.start_begin_now(self._tagged, clock)()["snapshot_ts"]
+        self._unbegun = set(self._branches) - {0}
 
     @property
     def in_transaction(self) -> bool:
@@ -137,8 +131,7 @@ class ClusterSession(RemoteVerbs):
         """Check a session out of ``shard``'s pool; released with the
         transaction (:meth:`_release_branches`)."""
         self._cluster._require_healthy(shard)
-        branch = self._cluster.shards[shard].session()
-        self._branches[shard] = branch
+        branch = self._branches[shard] = self._cluster.shards[shard].session()
         return branch
 
     def _open_in_order(self, shards: "Sequence[int]") -> "list[NetworkSession]":
@@ -157,11 +150,19 @@ class ClusterSession(RemoteVerbs):
         return [self._branches[shard] for shard in shards]
 
     def _branch(self, shard: int) -> NetworkSession:
-        """``shard``'s branch of the open transaction (:meth:`begin`
-        opened one on every shard)."""
+        """``shard``'s branch of the open transaction, begun on first
+        touch at the transaction's snapshot (a BEGIN riding on the
+        branch's first request).  A shard that vacuumed past the snapshot
+        refuses it (:class:`~repro.errors.SnapshotTooOld`): the request's
+        caller raises the router's clock to the shard's horizon, so the
+        retry's snapshot is past it."""
         branch = self._branches.get(shard)
         if branch is None:
             raise TransactionStateError("no active transaction")
+        if shard in self._unbegun:
+            self._unbegun.discard(shard)
+            snapshot = self._snapshot_ts
+            branch.begin(self._tagged, {"ts": snapshot, "snapshot_ts": snapshot})
         return branch
 
     def commit(self) -> None:
@@ -174,22 +175,23 @@ class ClusterSession(RemoteVerbs):
         prepare round — the fast path the benchmark measures).  Two or
         more writers go through the presumed-abort coordinator.
         """
+        cluster = self._cluster
         try:
-            branches = [self._branches[s] for s in sorted(self._branches)]
+            unbegun = self._unbegun
+            branches = [
+                self._branches[s] for s in sorted(self._branches) if s not in unbegun
+            ]
             writers = [b for b in branches if not b.is_readonly]
             if len(writers) <= 1:
-                for branch in branches:
-                    branch.commit()
-                self._cluster._count("fastpath_commits")
+                commit_ts = max([b.commit() or 0 for b in branches], default=0)
+                cluster._count("fastpath_commits", ts=commit_ts)
             else:
                 for branch in branches:
                     if branch.is_readonly:
                         branch.commit()
-                self._cluster._counted_two_phase(
-                    self._cluster.coordinator.commit_two_phase,
-                    self._gtid,
-                    writers,
-                )
+                cluster._count(ts=cluster._counted_two_phase(
+                    cluster.coordinator.commit_two_phase, self._gtid, writers
+                ))
         finally:
             self._in_txn = False
             self._release_branches()
@@ -206,12 +208,11 @@ class ClusterSession(RemoteVerbs):
         (``cust0000042`` encodes its customer, hence its shard; a name
         that encodes none is asked of shard 0, as :meth:`_shard_for`
         does).  When they all live on one shard the program is **one
-        ``CALL`` to that shard and nothing to any other**: no BEGIN
-        fan-out and no snapshot window, because a transaction that reads
-        a single shard cannot see a cross-shard commit half applied.  It
-        is routed, sent and counted in this frame, on a wire of that
-        shard's pool checked out for it alone.  Otherwise its two
-        ``parts`` run under 2PC (:meth:`_call_split`).
+        ``CALL`` to that shard and nothing to any other**, its snapshot
+        past the router's clock and its commit timestamp the clock's
+        next value.  It is routed, sent and counted in this frame, on a
+        wire of that shard's pool checked out for it alone.  Otherwise
+        its two ``parts`` run under 2PC (:meth:`_call_split`).
         """
         if self._in_txn:
             raise TransactionStateError(
@@ -233,11 +234,16 @@ class ClusterSession(RemoteVerbs):
                 cluster._require_healthy(shard)
             branch = cluster.shards[shard].session()
             try:
-                result = branch.call_program(program, args, self._tagged)
+                result = branch.call_program(
+                    program, args, self._tagged, clock={"ts": cluster.clock}
+                )
             finally:
                 branch.close()
-            with cluster._counter_lock:
+            commit_ts = branch.stamp["ts"]
+            with cluster._counter_lock:  # ``_count``, in this frame
                 cluster._counters["fastpath_commits"] += 1
+                if commit_ts > cluster.clock:
+                    cluster.clock = commit_ts
             return result
         named = len(set(shards))
         if named != 2 or len(program.parts) != 2:
@@ -262,30 +268,23 @@ class ClusterSession(RemoteVerbs):
         each part on the shard ``call_program`` routed it to (``shards``,
         in the order of ``parts``).
 
-        1. ``CALL first end=prepare:g nowait`` to the first part's shard
-           A: begins, runs, votes.
-        2. ``CALL second end=prepare:g nowait`` to the second part's
-           shard B, with the first part's result as ``carry``: begins,
-           runs, votes.  Rounds 1 and 2 share one snapshot window, so
-           both snapshots open with no decision broadcast between them.
-        3. The coordinator's decision: durable log write, then
-           ``COMMIT_2PC`` sent to A and B and both replies read
-           (:func:`scatter_gather`, from this thread).
+        1. ``CALL first end=prepare:g ts=<clock>`` to the first part's
+           shard A: begins past the router's clock, runs, votes; the
+           reply names its snapshot and prepare timestamps.
+        2. ``CALL second end=prepare:g ts=snapshot_ts=<A's>`` to the second
+           part's shard B, with the first part's result as ``carry``:
+           begins at A's snapshot, runs, votes.
+        3. The coordinator's decision: durable log write of the commit
+           timestamp (the larger prepare timestamp), then ``COMMIT_2PC``
+           sent to A and B and both replies read (:func:`scatter_gather`,
+           from this thread).
 
-        Any failure before the decision — a NO vote, an abort or a
-        business rollback in either part, a lost shard — aborts both
-        parts: the failing ``CALL`` left nothing behind on its shard,
-        the abort is logged and delivered to whatever had prepared, and
-        an open branch is rolled back when the branches are released.
-
-        The window is what every decision broadcast waits for, so no
-        ``CALL`` inside it may wait for a row lock in turn (the holder
-        may be a prepared transaction whose decision is queued behind
-        this very window): both run ``nowait``.  Told the lock is held,
-        the router sends ``BEGIN`` to every branch that has not voted
-        yet, still inside the window, and then re-runs the refused part
-        and any after it outside the window, waiting server-side — one
-        RPC more per branch begun, contended case only.
+        A part that needs a held row lock, or a row a prepared
+        transaction wrote, waits on its shard.  Any failure before the
+        decision — a NO vote, an abort or a business rollback in either
+        part, a lost shard — aborts both parts: the failing ``CALL`` left
+        nothing behind on its shard, and the abort is logged and
+        delivered to whatever had prepared.
         """
         cluster = self._cluster
         coordinator = cluster.coordinator
@@ -296,35 +295,27 @@ class ClusterSession(RemoteVerbs):
         coordinator.track(gtid)
         try:
             branch_a, branch_b = self._open_in_order(shards)
-            with cluster.oracle.snapshot_window():
-                try:
-                    carry = branch_a.call_program(
-                        first, args, label, end=end, nowait=True
-                    )
-                    prepared.append(branch_a)
-                    result = branch_b.call_program(
-                        second, {**args, "carry": carry}, label,
-                        end=end, nowait=True,
-                    )
-                    prepared.append(branch_b)
-                except LockNotAvailable:
-                    self._begin_together((branch_a, branch_b)[len(prepared):])
-            # Outside the window: whichever parts have not voted yet.
-            if not prepared:
-                carry = branch_a.call_program(first, args, label, end=end)
-                prepared.append(branch_a)
-            if len(prepared) == 1:
-                result = branch_b.call_program(
-                    second, {**args, "carry": carry}, label, end=end
-                )
-                prepared.append(branch_b)
-        except BaseException:
+            carry = branch_a.call_program(
+                first, args, label, end=end, clock={"ts": cluster.clock}
+            )
+            prepared.append(branch_a)
+            snapshot = branch_a.stamp["snapshot_ts"]
+            result = branch_b.call_program(
+                second, {**args, "carry": carry}, label,
+                end=end, clock={"ts": snapshot, "snapshot_ts": snapshot},
+            )
+            prepared.append(branch_b)
+            commit_ts = max(branch_a.stamp["ts"], branch_b.stamp["ts"])
+        except BaseException as exc:
+            if isinstance(exc, SnapshotTooOld):  # the retry begins past it
+                cluster._count(ts=exc.horizon)
             coordinator.abort(gtid, prepared)
             raise
         else:
-            coordinator.decide_commit(gtid, prepared)
+            coordinator.decide_commit(gtid, prepared, commit_ts)
         finally:
             coordinator.untrack(gtid)
+        cluster._count(ts=commit_ts)
         return result
 
     def rollback(self) -> None:
@@ -402,19 +393,23 @@ class ClusterSession(RemoteVerbs):
         merge: a scan in key order, a lookup's first hit in shard order
         (the column is unique, so at most one shard answers)."""
         shard = self._owner(verb, table, args)
-        if shard is not None:
-            return self._branch(shard)._statement(verb, table, *args)
-        outcomes = scatter_gather(
-            [
-                partial(self._branch(s)._start_statement, verb, table, *args)
-                for s in range(len(self._cluster.shards))
-            ],
-            op="scan" if verb == "scan" else "lookup",
-            obs=self._cluster.obs,
-        )
-        error = first_error(outcomes)
-        if error is not None:
-            raise error
+        try:
+            if shard is not None:
+                return self._branch(shard)._statement(verb, table, *args)
+            outcomes = scatter_gather(
+                [
+                    partial(self._branch(s)._start_statement, verb, table, *args)
+                    for s in range(len(self._cluster.shards))
+                ],
+                op="scan" if verb == "scan" else "lookup",
+                obs=self._cluster.obs,
+            )
+            error = first_error(outcomes)
+            if error is not None:
+                raise error
+        except SnapshotTooOld as exc:
+            self._cluster._count(ts=exc.horizon)  # the retry begins past it
+            raise
         if verb == "scan":
             return sorted(
                 (pair for outcome in outcomes for pair in outcome.value),
@@ -470,7 +465,11 @@ class ClusterSession(RemoteVerbs):
         shard = self._shard_for(
             table, key_of(None, params), column, writing=inserting
         )
-        return self._branch(shard).execute_prepared(sql, kind, params)
+        try:
+            return self._branch(shard).execute_prepared(sql, kind, params)
+        except SnapshotTooOld as exc:
+            self._cluster._count(ts=exc.horizon)  # the retry begins past it
+            raise
 
 
 @dataclass
@@ -530,14 +529,14 @@ class ClusterConnection(Connection):
         self.partitioner = HashPartitioner(len(addresses))
         if gtid_base < 0:
             raise ValueError(f"gtid_base must be >= 0, got {gtid_base}")
-        self.oracle = TimestampOracle()
         #: This connection's gtid numbers, shared by its sessions and
         #: threads: ``next`` on a count is one atomic C call.  Another
         #: router process sharing the shards gives another base.
         self._gtids = itertools.count(gtid_base + 1)
-        self.coordinator = TwoPhaseCoordinator(
-            self.oracle, fault_plan=fault_plan, obs=obs
-        )
+        self.coordinator = TwoPhaseCoordinator(fault_plan=fault_plan, obs=obs)
+        #: The highest shard timestamp any of this connection's
+        #: transactions has seen: a new one's snapshot is past it.
+        self.clock = 0
         self._counter_lock = threading.Lock()
         self._counters = {
             "fastpath_commits": 0,
@@ -578,10 +577,14 @@ class ClusterConnection(Connection):
             self.close()
             raise
 
-    def _count(self, *names: str) -> None:
+    def _count(self, *names: str, ts: int = 0) -> None:
+        """Count ``names`` and raise :attr:`clock` to ``ts``, under the lock
+        that keeps two threads from lowering it between compare and store."""
         with self._counter_lock:
             for name in names:
                 self._counters[name] += 1
+            if ts > self.clock:
+                self.clock = ts
 
     def _counted_two_phase(self, run: Callable, *args: object) -> object:
         """Run one 2PC transaction (``run(*args)``), counting how it ended."""
@@ -852,8 +855,6 @@ class ClusterConnection(Connection):
             for gtid in gtids:
                 pending.setdefault(gtid, []).append(shard)
         for gtid, shards in pending.items():
-            # Wires are checked out before the coordinator takes the
-            # decision window (see repro.cluster.coordinator).
             sessions: "list[NetworkSession]" = []
             try:
                 for shard in shards:

@@ -61,6 +61,10 @@ commit_ts``, so the in-flight versions are invisible until the tick makes
 them atomically visible; ``begin`` also runs under the commit mutex, so
 no new snapshot can land between the reservation and the tick.
 
+In a cluster it is a Lamport clock (Clock-SI, DESIGN.md §12): a 2PC
+decision may publish below ``last_ts``, so a read of a row a PREPARED
+cluster branch wrote at or below its snapshot waits for the decision.
+
 Durability: the WAL record is appended and flushed
 (``WriteAheadLog.append(record, durable=True)``) in the same hold of the
 commit mutex that publishes the commit, so the log is in timestamp order
@@ -95,6 +99,7 @@ from repro.errors import (
     IntegrityError,
     SchemaError,
     SerializationFailure,
+    SnapshotTooOld,
     SsiAbort,
     TransactionStateError,
 )
@@ -106,6 +111,7 @@ Row = Mapping[str, object]
 Changes = Union[Mapping[str, object], Callable[[Row], Mapping[str, object]]]
 
 _ACTIVE = TxnStatus.ACTIVE
+_PREPARED = TxnStatus.PREPARED
 _EXCLUSIVE = LockMode.EXCLUSIVE
 #: ``_built(Version, fields)`` is ``Version(*fields)`` without the Python
 #: frame of a NamedTuple's ``__new__``: a commit builds one per row written.
@@ -173,6 +179,7 @@ class Database:
         #: timestamp (0, the bootstrap data's, before any).  Ticked only
         #: under the commit mutex, so no timestamp is issued twice.
         self.last_ts = 0
+        self._horizon = 0  # the last vacuum's: ``begin`` refuses older snapshots
         self.locks = LockManager(self.config.lock_timeout)
         # The lock table's two dicts, aliased: ``_stage`` grants a row
         # nobody holds and ``commit`` frees a transaction's rows on them
@@ -400,18 +407,42 @@ class Database:
     # ------------------------------------------------------------------
     # Transaction lifecycle
     # ------------------------------------------------------------------
-    def begin(self, label: str = "") -> Transaction:
+    def begin(
+        self,
+        label: str = "",
+        ts: Optional[int] = None,
+        snapshot_ts: Optional[int] = None,
+    ) -> Transaction:
+        """Start a transaction at a fresh tick of the clock.  A cluster
+        branch brings ``ts``, which the clock first advances to, and, past
+        a transaction's first branch, the ``snapshot_ts`` that one got,
+        taken exactly unless older than the last vacuum's horizon."""
         with self._commit_mutex:
             if self._crashed:
                 self._ensure_not_crashed()
-            start_ts = self.last_ts = self.last_ts + 1
+            if ts is None:
+                start_ts = self.last_ts = self.last_ts + 1
+            elif snapshot_ts is None:
+                start_ts = self.last_ts = max(self.last_ts, ts) + 1
+            elif snapshot_ts >= self._horizon:
+                start_ts = snapshot_ts
+                self.last_ts = max(self.last_ts, ts, snapshot_ts)
+            else:
+                counts = self.aborts_by_reason
+                counts["snapshot-too-old"] = counts.get("snapshot-too-old", 0) + 1
+                raise SnapshotTooOld(
+                    f"{snapshot_ts} < horizon {self._horizon}", self._horizon
+                )
             if self._ssi is not None or self._obs is not None:
-                return self._begin_locked(start_ts, label)
-            # ``_begin_locked`` with nobody to tell, in this frame.
-            txid = self._txid_counter = self._txid_counter + 1
-            txn = self._active[txid] = Transaction(
-                txid, start_ts, self._commit_mutex, label=label
-            )
+                txn = self._begin_locked(start_ts, label)
+            else:
+                # ``_begin_locked`` with nobody to tell, in this frame.
+                txid = self._txid_counter = self._txid_counter + 1
+                txn = self._active[txid] = Transaction(
+                    txid, start_ts, self._commit_mutex, label=label
+                )
+            if ts is not None:
+                txn.clocked = True
             return txn
 
     def _begin_locked(self, start_ts: int, label: str) -> Transaction:
@@ -437,12 +468,12 @@ class Database:
     ) -> "Row | None | WaitOn":
         """Read one row by primary key.
 
-        Under SI this never blocks *and takes no lock*: the body below is
-        the engine's hottest path and touches only atomically-published
-        immutable state (see the module docstring).  It is deliberately
-        flat — the per-read cost budget is well under a microsecond.
-        Under S2PL it may return :class:`WaitOn` when the shared lock
-        conflicts with a writer.
+        Under SI this takes no lock: the body below is the engine's
+        hottest path and touches only atomically-published immutable
+        state (see the module docstring).  It is deliberately flat — the
+        per-read cost budget is well under a microsecond.  It returns
+        :class:`WaitOn` on a prepared row (:meth:`_prepared_writer`) and,
+        under S2PL, when the shared lock conflicts with a writer.
         """
         if self._s2pl:
             return self._read_s2pl(txn, table_name, key)
@@ -473,6 +504,10 @@ class Database:
         version_ts = 0
         if chain is not None:
             snapshot_ts = txn.snapshot_ts
+            if chain.uncommitted is not None:
+                owner = self._prepared_writer(chain, snapshot_ts)
+                if owner is not None:
+                    return WaitOn(frozenset((owner,)))
             for version in reversed(chain.versions):
                 if version.commit_ts <= snapshot_ts:
                     value = version.value
@@ -514,13 +549,19 @@ class Database:
         Records a predicate read (the lookup's result set may be changed by
         concurrent inserts/deletes — a phantom source).  Under S2PL the
         matched row is share-locked.  Lock-free under SI: the superset
-        index is a copy-on-write tuple per value.
+        index is a copy-on-write tuple per value.  It returns
+        :class:`WaitOn` as :meth:`read` does, and also on a prepared row
+        the index does not hold yet (:meth:`_prepared_with_value`).
         """
         self._ensure_not_crashed()
         txn.ensure_active()
         self._check_doomed(txn)
         table = self.catalog.table(table_name)
         snapshot = self._read_horizon(txn)
+        if self._prepared or self._in_doubt_holders:
+            owner = self._prepared_with_value(table, column, value, snapshot)
+            if owner is not None:
+                return WaitOn(frozenset((owner,)))
         found = table.lookup_unique(column, value, snapshot)
         txn.record_predicate(
             table_name,
@@ -567,17 +608,23 @@ class Database:
         if extra:
             keys = sorted([*keys, *extra], key=repr)
         matches: list[tuple[Hashable, Row]] = []
+        prepared: set[Transaction] = set()
         for key in keys:
             row_id = (table_name, key)
             if row_id in txn.writes:
                 merged = txn.writes[row_id]
             else:
+                owner = self._prepared_writer(table.rows.get(key), snapshot)
+                if owner is not None:
+                    prepared.add(owner)
                 merged = table.visible_row(key, snapshot)
             if merged is None:
                 continue
             if predicate is not None and not predicate(merged):
                 continue
             matches.append((key, merged))
+        if prepared:
+            return WaitOn(frozenset(prepared))
         if self._s2pl:
             blocker_ids: set[int] = set()
             with self._commit_mutex:
@@ -946,25 +993,26 @@ class Database:
             self._ensure_not_crashed()
             txn.ensure_active()
             successor = self._begin_locked(txn.start_ts, txn.label)
+            successor.clocked = txn.clocked
             self._abort_locked(txn, reason=reason)
             callbacks = txn.drain_callbacks()
         self._fire(callbacks, txn)
         return successor
 
-    def _abort_locked(self, txn: Transaction, *, reason: str = "user") -> None:
-        # The aborting transaction still holds its row locks, so nobody
-        # else can be staging an uncommitted version on these chains; the
-        # clear is an atomic store that lock-free readers simply never
-        # look at (readers only traverse committed versions).
-        for row_id in txn.write_order:
-            table_name, key = row_id
-            chain = self.catalog.table(table_name).rows.get(key)
+    def _unstage(self, txn: Transaction) -> None:
+        # ``txn`` still holds these rows' locks, so nobody else stages on
+        # them; the clear is an atomic store lock-free readers may race.
+        for table_name, key in txn.write_order:
+            chain = self._table_map[table_name].rows.get(key)
             if (
                 chain is not None
                 and chain.uncommitted is not None
                 and chain.uncommitted[0] == txn.txid
             ):
                 chain.uncommitted = None
+
+    def _abort_locked(self, txn: Transaction, *, reason: str = "user") -> None:
+        self._unstage(txn)
         txn.status = TxnStatus.ABORTED
         self._active.pop(txn.txid, None)
         self.locks.release_all(txn.txid)
@@ -979,8 +1027,9 @@ class Database:
     # ------------------------------------------------------------------
     # Two-phase commit (participant side, presumed abort — DESIGN.md §12)
     # ------------------------------------------------------------------
-    def prepare_commit(self, txn: Transaction, gtid: str) -> None:
-        """Phase one: validate ``txn`` and durably log its YES vote.
+    def prepare_commit(self, txn: Transaction, gtid: str) -> int:
+        """Phase one: validate ``txn`` and durably log its YES vote; returns
+        the prepare timestamp (a tick of the clock; 0 unless ``clocked``).
 
         Runs the *validation* half of :meth:`commit` (SSI doom,
         first-committer-wins, unique constraints) and, if it passes,
@@ -1033,7 +1082,7 @@ class Database:
                     raise SerializationFailure(conflict)
             writes = txn.writes
             tables = self._table_map
-            probe_ts = self.last_ts + 1
+            prepare_ts = self.last_ts + 1
             staged_by_table: dict[str, dict[Hashable, Optional[Row]]] = {}
             for row_id in txn.write_order:
                 tn, key = row_id
@@ -1043,10 +1092,12 @@ class Database:
                             k: v for (t, k), v in writes.items() if t == tn
                         }
                     tables[tn].check_unique_on_commit(
-                        key, writes[row_id], probe_ts, staged_by_table[tn]
+                        key, writes[row_id], prepare_ts, staged_by_table[tn]
                     )
+            if txn.clocked:
+                txn.prepare_ts = self.last_ts = prepare_ts
             record = WalRecord(
-                commit_ts=0,  # no timestamp until the decision
+                commit_ts=txn.prepare_ts,  # 0 unless clocked
                 txid=txn.txid,
                 label=txn.label,
                 redo=tuple([(tn, key, writes[tn, key]) for tn, key in txn.write_order]),
@@ -1064,9 +1115,11 @@ class Database:
             # Durability point of the YES vote: the prepare record must be
             # on stable storage before the coordinator may count the vote.
             self.wal.append(record, durable=True)
+            return txn.prepare_ts
 
-    def commit_prepared(self, gtid: str) -> int:
-        """Phase two, commit decision: publish and timestamp ``gtid``.
+    def commit_prepared(self, gtid: str, commit_ts: Optional[int] = None) -> int:
+        """Phase two, commit decision: publish ``gtid`` at ``commit_ts``
+        (the coordinator's; none: a fresh tick of the clock).
 
         Two paths: a *live* prepared transaction (normal operation)
         publishes its staged versions exactly like :meth:`commit`; an
@@ -1074,7 +1127,7 @@ class Database:
         the participant recovery hook) replays the record's redo payload.
         Either way a small ``commit-2pc`` decision record (no redo) is
         made durable and the gtid is remembered so re-delivery is
-        idempotent.  Returns this shard's commit timestamp.
+        idempotent.  Returns the commit timestamp.
         """
         callbacks: list[Callable[[Transaction], None]] = []
         txn: Optional[Transaction] = None
@@ -1091,8 +1144,19 @@ class Database:
                 raise TransactionStateError(
                     f"global transaction {gtid!r} was already aborted"
                 )
-            txn = self._prepared.pop(gtid, None)
-            commit_ts = self.last_ts + 1
+            txn = self._prepared.get(gtid)
+            stash = self._in_doubt.get(gtid) if txn is None else None
+            if txn is None and stash is None:
+                raise TransactionStateError(
+                    f"no prepared transaction for gtid {gtid!r}"
+                )
+            # A stash's record carries its prepare timestamp; an unclocked
+            # prepare has none and commits at a fresh tick, whatever it is sent.
+            prepare_ts = stash.commit_ts if txn is None else txn.prepare_ts
+            if commit_ts is None or not prepare_ts:
+                commit_ts = self.last_ts + 1
+            elif commit_ts < prepare_ts:
+                raise TransactionStateError(f"{gtid!r} commits below its prepare")
             if txn is not None:
                 txn.commit_ts = commit_ts
                 txid = txn.txid
@@ -1111,6 +1175,9 @@ class Database:
                         table.index_committed_version(key, version)
                 for tn, key in txn.cc_writes:
                     tables[tn].cc_write_ts[key] = commit_ts
+                # Published: a lookup that finds no prepared writer now
+                # finds the versions (``_prepared_with_value``).
+                del self._prepared[gtid]
                 record = WalRecord(
                     commit_ts=commit_ts,
                     txid=txid,
@@ -1119,14 +1186,10 @@ class Database:
                     gtid=gtid,
                 )
             else:
-                stash = self._in_doubt.pop(gtid, None)
-                if stash is None:
-                    raise TransactionStateError(
-                        f"no prepared transaction for gtid {gtid!r}"
-                    )
                 # Recovery hook: the prepare survived a crash; apply its
-                # redo payload at a fresh timestamp on this (recovered)
-                # instance — same effect the live publish would have had.
+                # redo payload on this (recovered) instance — the effect
+                # the live publish would have had — then let its rows go.
+                del self._in_doubt[gtid]
                 self._apply_redo(stash.redo, commit_ts, stash.txid)
                 self._release_in_doubt(gtid)
                 record = WalRecord(
@@ -1136,7 +1199,8 @@ class Database:
                     kind="commit-2pc",
                     gtid=gtid,
                 )
-            self.last_ts = commit_ts  # the tick that makes it visible
+            if commit_ts > self.last_ts:
+                self.last_ts = commit_ts  # the tick that makes it visible
             # Durability point of the decision.  Presumed abort makes this
             # record tiny — no redo, just (gtid, commit_ts).
             if obs is not None and txn is not None:
@@ -1214,8 +1278,14 @@ class Database:
             )
             holder.status = TxnStatus.PREPARED
             holder.gtid = gtid
-            for table_name, key, _value in record.redo:
+            holder.clocked = record.commit_ts > 0  # it logged a prepare_ts
+            holder.prepare_ts = record.commit_ts
+            for table_name, key, value in record.redo:
                 self.locks.try_acquire(holder.txid, (table_name, key), _EXCLUSIVE)
+                # Staged again, so a read may wait for it (_prepared_writer).
+                chain = self.catalog.table(table_name).chain_or_create(key)
+                chain.uncommitted = (holder.txid, value)
+                holder.write_order.append((table_name, key))
             self._active[holder.txid] = holder
             self._in_doubt[gtid] = record
             self._in_doubt_holders[gtid] = holder
@@ -1231,10 +1301,11 @@ class Database:
 
     def _release_in_doubt(self, gtid: str) -> None:
         """A decided in-doubt prepare lets go of its rows (commit mutex
-        held): drop the placeholder's locks and wake whoever waited on
-        them, as :meth:`_crash_locked` wakes waiters — no observer hears
-        of the placeholder, it never was a transaction of anyone's."""
+        held): unstage them, drop the placeholder's locks and wake whoever
+        waited on them, as :meth:`_crash_locked` wakes waiters — no observer
+        hears of the placeholder, it never was a transaction of anyone's."""
         holder = self._in_doubt_holders.pop(gtid)
+        self._unstage(holder)
         holder.status = TxnStatus.ABORTED
         self._active.pop(holder.txid, None)
         self.locks.release_all(holder.txid)
@@ -1278,6 +1349,7 @@ class Database:
                 horizon = min(t.snapshot_ts for t in self._active.values())
             else:
                 horizon = self.last_ts
+            self._horizon = horizon
             pruned = 0
             for table in self.catalog:  # a row nobody wrote has one version
                 for chain in list(table.rows.values()):
@@ -1317,6 +1389,40 @@ class Database:
         if self._s2pl:
             return self.last_ts + 1
         return txn.snapshot_ts
+
+    def _prepared_writer(
+        self, chain: Optional[VersionChain], snapshot_ts: int
+    ) -> Optional[Transaction]:
+        """The PREPARED cluster branch staged on ``chain`` whose commit may
+        land at or below ``snapshot_ts``, or ``None``.  Call it before
+        reading the versions: a decision publishes, then unstages."""
+        staged = None if chain is None else chain.uncommitted
+        owner = None if staged is None else self._active.get(staged[0])
+        if owner is None or not owner.clocked or owner.status is not _PREPARED:
+            return None
+        return owner if owner.prepare_ts <= snapshot_ts else None
+
+    def _prepared_with_value(
+        self, table: Table, column: str, value: Hashable, snapshot_ts: int
+    ) -> Optional[Transaction]:
+        """:meth:`_prepared_writer` for a lookup: the unique index holds
+        committed values only, so ask the few prepared branches for a
+        staged ``table`` row whose ``column`` is ``value``.  A decision
+        leaves ``_prepared`` once published: when none is found, the index
+        is whole."""
+        name = table.schema.name
+        primary = column == table.schema.primary_key
+        with self._commit_mutex:
+            for owner in (*self._prepared.values(), *self._in_doubt_holders.values()):
+                if not owner.clocked or owner.prepare_ts > snapshot_ts:
+                    continue
+                for tn, key in owner.write_order:
+                    staged = table.rows[key].uncommitted if tn == name else None
+                    if staged is None or staged[0] != owner.txid or staged[1] is None:
+                        continue
+                    if (key if primary else staged[1].get(column)) == value:
+                        return owner
+        return None
 
     def _read_latest(
         self, txn: Transaction, table: Table, row_id: RowId

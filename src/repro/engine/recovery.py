@@ -13,8 +13,8 @@ The durability contract (the invariant the recovery tests assert):
   and shares nothing else, so recovery costs the replayed records, not
   the rows;
 * the logical clock resumes strictly after the highest replayed commit
-  timestamp, so post-recovery transactions can never collide with
-  recovered history.
+  timestamp, so post-recovery commits can never collide with recovered
+  history.
 
 Commercial-style ``SELECT FOR UPDATE`` marks (``cc_write_ts``) are
 *volatile* concurrency-control state: they produce no WAL record and are
@@ -22,8 +22,8 @@ dropped by recovery, exactly as a real platform's lock table evaporates on
 restart.
 
 Replay is idempotent-by-construction: a fresh catalog is built and records
-are applied once each, in commit-timestamp order, so recovering twice from
-the same prefix yields identical states.
+are applied once each, in log order, so recovering twice from the same
+prefix yields identical states.
 """
 
 from __future__ import annotations
@@ -41,8 +41,10 @@ def replay_records(db: "Database", records: Sequence[WalRecord]) -> "Database":
     """Apply ``records`` (a WAL prefix) to a freshly bootstrapped ``db``.
 
     ``db`` must contain only bootstrap data.  Records are validated to be a
-    well-formed prefix: strictly increasing commit timestamps (for records
-    that carry one — 2PC ``prepare`` records do not).
+    well-formed prefix: each plain commit's timestamp is above every
+    earlier one.  A ``commit-2pc`` record carries its coordinator's
+    timestamp, which may be lower, and a ``prepare`` its prepare
+    timestamp, or 0 (DESIGN.md §12).
 
     Two-phase-commit records (DESIGN.md §12, presumed abort): a
     ``prepare`` record is *stashed* by gtid, not applied — nothing of it
@@ -64,13 +66,14 @@ def replay_records(db: "Database", records: Sequence[WalRecord]) -> "Database":
                 )
             in_doubt[record.gtid] = record
             db.wal.append(record, durable=True)
+            last_ts = max(last_ts, record.commit_ts)
             continue
-        if record.commit_ts <= last_ts:
+        if record.commit_ts <= last_ts and record.kind == "commit":
             raise RecoveryError(
                 f"WAL prefix is not ordered: commit_ts {record.commit_ts} "
                 f"after {last_ts}"
             )
-        last_ts = record.commit_ts
+        last_ts = max(last_ts, record.commit_ts)
         source = record  # the record whose redo this one applies
         if record.kind == "commit-2pc":
             source = in_doubt.pop(record.gtid, None)

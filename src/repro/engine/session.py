@@ -114,12 +114,13 @@ class Session:
     # ------------------------------------------------------------------
     # Transaction control
     # ------------------------------------------------------------------
-    def begin(self, label: str = "") -> Transaction:
+    def begin(self, label: str = "", *clock: Optional[int]) -> Transaction:
+        """``clock``: a cluster branch's ``ts, snapshot_ts`` (``Database.begin``)."""
         if self.txn is not None and self.txn.status is TxnStatus.ACTIVE:
             raise TransactionStateError(
                 "session already has an active transaction"
             )
-        self.txn = self.db.begin(label)
+        self.txn = self.db.begin(label, *clock)
         return self.txn
 
     @property

@@ -61,6 +61,10 @@ class Transaction:
     _resolution_callbacks: "list[Callable[[Transaction], None]] | tuple[()]" = ()
     in_conflict = False  # SSI: some concurrent txn has an rw edge INTO us
     out_conflict = False  # SSI: we have an rw edge OUT to a concurrent txn
+    #: A cluster branch, begun at a router's timestamp (``Database.begin``):
+    #: its prepare ticks the clock, into ``prepare_ts``.
+    clocked = False
+    prepare_ts = 0
 
     def __init__(
         self,

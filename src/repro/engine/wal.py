@@ -54,9 +54,9 @@ class WalRecord(NamedTuple):
     * ``"commit"`` — an ordinary single-site commit (the default; carries
       its redo payload and a real ``commit_ts``);
     * ``"prepare"`` — a participant's YES vote: carries the *full redo
-      payload* under its global transaction id (``gtid``) but no commit
-      timestamp yet (``commit_ts == 0``); nothing is visible until a
-      decision record follows;
+      payload* under its global transaction id (``gtid``) and, in
+      ``commit_ts``, the prepare timestamp of a cluster branch (0 for any
+      other); nothing is visible until a decision record follows;
     * ``"commit-2pc"`` — the coordinator's commit decision for ``gtid``:
       carries only the decision timestamp (presumed abort keeps decisions
       small); recovery applies the redo stashed by the matching prepare.
@@ -81,7 +81,8 @@ class WalRecord(NamedTuple):
 
 
 class WriteAheadLog:
-    """Append-only list of commit records, ordered by commit timestamp.
+    """Append-only list of commit records; each plain commit's timestamp
+    is above every earlier record's.
 
     Records sit in a volatile tail until a durable :meth:`append` advances
     the flush boundary past them; :meth:`truncate_to_flushed` models a crash by
@@ -91,30 +92,31 @@ class WriteAheadLog:
     def __init__(self) -> None:
         self._records: list[WalRecord] = []
         self._flushed = 0
-        # Commit timestamp of the newest decision-bearing record (0 if none).
+        # The highest timestamp of any record (0 if none).
         self._decided_ts = 0
 
     def append(self, record: WalRecord, *, durable: bool = False) -> None:
         """Stage ``record`` in the volatile tail, or with ``durable`` make
         everything staged so far durable too (the append, then the flush).
 
-        Prepare records carry no commit timestamp (their position in the
-        log is irrelevant — recovery matches them to decisions by gtid),
-        so only decision-bearing records must come in increasing
-        timestamp order, skipping any interleaved prepares.
+        A plain commit must come in increasing timestamp order.  A 2PC
+        record's timestamp may be lower: a prepare's is its prepare
+        timestamp or 0, a ``commit-2pc``'s its coordinator's (Clock-SI,
+        DESIGN.md §12) — recovery matches the two by gtid.
         """
         kind = record.kind
-        if kind != "commit":
-            if kind not in _KINDS:
-                raise ValueError(f"unknown WAL record kind {kind!r}")
-            if record.gtid is None:
-                raise ValueError(f"{kind} records require a gtid")
-        if kind != "prepare":
+        if kind == "commit":
             if record.commit_ts <= self._decided_ts:
                 raise ValueError(
                     "WAL records must have increasing commit timestamps"
                 )
             self._decided_ts = record.commit_ts
+        else:
+            if kind not in _KINDS:
+                raise ValueError(f"unknown WAL record kind {kind!r}")
+            if record.gtid is None:
+                raise ValueError(f"{kind} records require a gtid")
+            self._decided_ts = max(self._decided_ts, record.commit_ts)
         records = self._records
         records.append(record)
         if durable:
@@ -138,9 +140,7 @@ class WriteAheadLog:
         """Discard the volatile tail (crash); returns the dropped records."""
         dropped = tuple(self._records[self._flushed :])
         del self._records[self._flushed :]
-        self._decided_ts = next(
-            (r.commit_ts for r in reversed(self._records) if r.kind != "prepare"), 0
-        )
+        self._decided_ts = max((r.commit_ts for r in self._records), default=0)
         return dropped
 
     def __len__(self) -> int:

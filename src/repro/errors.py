@@ -92,17 +92,20 @@ class LockTimeout(TransactionAborted):
     code = "lock-timeout"
 
 
-class LockNotAvailable(TransactionAborted):
-    """A no-wait operation found its lock held (PostgreSQL's ``NOWAIT``).
+class SnapshotTooOld(TransactionAborted):
+    """A cluster branch asked for a snapshot older than its shard's last
+    vacuum horizon, so versions it would read may be gone (PostgreSQL's
+    ``snapshot too old``).  Nothing began; retry as a new transaction,
+    which takes a fresh snapshot (DESIGN.md §12).  ``horizon`` names the
+    shard's horizon (it crosses the wire): a cluster router raises its
+    clock to it, so the retry's snapshot is past it."""
 
-    Raised instead of waiting when the caller asked not to block: the
-    cluster router runs the first part of a cross-shard program this way
-    because it holds the oracle's snapshot window meanwhile (DESIGN.md
-    §12.6).  The transaction is rolled back before the error propagates.
-    """
+    reason = "snapshot-too-old"
+    code = "snapshot-too-old"
 
-    reason = "lock-not-available"
-    code = "lock-not-available"
+    def __init__(self, message: str = "", horizon: int = 0) -> None:
+        super().__init__(message)
+        self.horizon = horizon
 
 
 class FaultInjected(TransactionAborted):

@@ -28,11 +28,13 @@ Semantics notes
   frames too.  The statement verbs remain for ad-hoc transactions; their
   only elision is the deferred BEGIN, which rides on the transaction's
   first request.  The verbs the cluster router sends to several shards
-  at once — the window BEGIN, the 2PC votes and decisions, its sweeps
-  (ping, stats, vacuum) — exist only split (``start_*``: send now, return
-  the callable that reads the reply; ``start_*(...)()`` is the blocking
-  call).  Either way every request is written by
-  :meth:`WireConnection.send`.
+  at once — the 2PC votes and decisions, its sweeps (ping, stats,
+  vacuum) — exist only split (``start_*``: send now, return the callable
+  that reads the reply; ``start_*(...)()`` is the blocking call).
+  Either way every request is written by :meth:`WireConnection.send`.
+* A cluster router's timestamps (``clock``: ``{"ts": T}``, plus
+  ``"snapshot_ts"`` past a transaction's first branch, DESIGN.md §12)
+  ride on a BEGIN or a CALL.
 * ``timeout`` bounds *connection establishment* (and pool checkout).
   RPCs then block until the server answers: a lock wait on the server can
   legitimately take as long as the engine's ``lock_timeout`` allows, and
@@ -286,11 +288,16 @@ class RemoteVerbs:
 class NetworkSession(RemoteVerbs):
     """Session facade speaking the wire protocol (see module docstring)."""
 
+    #: The reply to the last timestamped CALL: its ``snapshot_ts``, ``ts``.
+    stamp: "dict | None" = None
+
     def __init__(self, connection: "NetworkConnection", wire: WireConnection) -> None:
         self._connection = connection
         self._wire: Optional[WireConnection] = wire
         self._in_txn = False
-        self._pending_begin: Optional[str] = None
+        #: The deferred BEGIN's fields (``begin``: the label), until they
+        #: ride on a request.
+        self._pending_begin: Optional[dict] = None
         #: False once the current transaction has taken any lock or
         #: staged any write (see :attr:`is_readonly`).
         self._readonly = True
@@ -331,7 +338,7 @@ class NetworkSession(RemoteVerbs):
         (the server begins before executing the operation), saving a
         round trip per transaction.  Whatever the operation's outcome,
         the BEGIN itself has run once the server answers."""
-        args["begin"] = self._pending_begin
+        args.update(self._pending_begin)
         self._pending_begin = None
 
     def _call(self, op: str, args: Optional[dict] = None) -> dict:
@@ -410,7 +417,9 @@ class NetworkSession(RemoteVerbs):
     # ------------------------------------------------------------------
     # Transaction control (facade session contract)
     # ------------------------------------------------------------------
-    def begin(self, label: str = "") -> None:
+    def begin(
+        self, label: str = "", clock: "Mapping[str, int] | None" = None
+    ) -> None:
         """Open a transaction; the BEGIN itself is deferred.
 
         No RPC happens here: the server-side BEGIN rides on the
@@ -423,23 +432,19 @@ class NetworkSession(RemoteVerbs):
             raise TransactionStateError(
                 "session already has an active transaction"
             )
-        self._pending_begin = label
+        self._pending_begin = {"begin": label, **(clock or {})}
         self._in_txn = True
         self._readonly = True
 
-    def start_begin_now(self, label: str = "") -> "Callable[[], object]":
+    def start_begin_now(
+        self, label: str = "", clock: "Mapping[str, int] | None" = None
+    ) -> "Callable[[], dict]":
         """Open a transaction and send its BEGIN now; the callable
-        returned reads the reply (so the router sends to all shards,
-        then reads).
-
-        Used by the cluster router's *consistent* snapshot mode: every
-        shard's branch must take its snapshot inside the oracle's
-        broadcast window, so the BEGIN cannot ride on a later (arbitrarily
-        delayed) first statement the way :meth:`begin` defers it.
-        """
+        returned reads the reply, which names its ``snapshot_ts``."""
         self.begin(label)
         self._pending_begin = None
-        return partial(self._receive, "BEGIN", self._send("BEGIN", {"label": label}))
+        request = {"label": label, **(clock or {})}
+        return partial(self._receive, "BEGIN", self._send("BEGIN", request))
 
     @property
     def in_transaction(self) -> bool:
@@ -459,7 +464,7 @@ class NetworkSession(RemoteVerbs):
         label: str = "",
         *,
         end: str = "commit",
-        nowait: bool = False,
+        clock: "Mapping[str, int] | None" = None,
     ) -> object:
         """Run a whole registered program server-side in one ``CALL``.
 
@@ -475,14 +480,11 @@ class NetworkSession(RemoteVerbs):
         a statement, then this), which cannot be undone to a mark: if it
         blocks after staging a write of its own, the server aborts the
         whole transaction (:class:`~repro.errors.TransactionAborted`,
-        "after staging writes") instead.  ``nowait``: a call in a
-        transaction that has done nothing yet (its own, or a bare
-        :meth:`start_begin_now`) raises
-        :class:`~repro.errors.LockNotAvailable` rather than wait for a
-        lock, leaving no transaction either.
+        "after staging writes") instead.  ``clock``: the timestamps of
+        the transaction it begins; the reply's land in :attr:`stamp`.
         """
         if self._pending_begin is not None:  # begin() then call: one txn
-            label, self._pending_begin = self._pending_begin, None
+            label, self._pending_begin = self._pending_begin["begin"], None
         pids = self._connection._pids
         key = factory, spec = program.factory, program.spec
         pid = pids.get(key)
@@ -492,19 +494,22 @@ class NetworkSession(RemoteVerbs):
         request: dict = {"pid": pid, "args": args, "label": label}
         if end != "commit":
             request["end"] = end
-        if nowait:
-            request["nowait"] = True
+        if clock:
+            request.update(clock)
         self._in_txn = False  # unless the call succeeds and ends "open"
-        result = self._call("CALL", request).get("result")
+        response = self._call("CALL", request)
         self._in_txn = end == "open"
         self._readonly = False
-        return result
+        if clock:
+            self.stamp = response
+        return response.get("result")
 
     # ------------------------------------------------------------------
     # Two-phase commit (cluster coordinator drives these)
     # ------------------------------------------------------------------
-    def start_prepare_2pc(self, gtid: str) -> "Callable[[], None]":
-        """Vote on this session's transaction under ``gtid`` (phase one).
+    def start_prepare_2pc(self, gtid: str) -> "Callable[[], int]":
+        """Vote on this session's transaction under ``gtid`` (phase one);
+        a YES reads as its prepare timestamp.
 
         On a YES the server detaches the transaction from this wire —
         only coordinator decisions (by gtid) resolve it; on a NO (a
@@ -512,17 +517,21 @@ class NetworkSession(RemoteVerbs):
         """
         sent = self._send("PREPARE_2PC", {"gtid": gtid})
 
-        def finish() -> None:
-            self._receive("PREPARE_2PC", sent)
+        def finish() -> int:
+            vote = self._receive("PREPARE_2PC", sent)
             self._in_txn = False
+            return vote["ts"]
 
         return finish
 
-    def start_commit_2pc(self, gtid: str) -> "Callable[[], int]":
-        """Deliver the commit decision for ``gtid``; the reply is the
-        shard's commit timestamp.  Idempotent, and any session on the
-        shard will do: the gtid, not the wire, names the transaction."""
-        sent = self._send("COMMIT_2PC", {"gtid": gtid})
+    def start_commit_2pc(
+        self, gtid: str, commit_ts: Optional[int] = None
+    ) -> "Callable[[], int]":
+        """Deliver the commit decision for ``gtid``, published at
+        ``commit_ts`` (none: the shard's next tick), which the reply
+        names.  Idempotent, and any session on the shard will do: the
+        gtid, not the wire, names the transaction."""
+        sent = self._send("COMMIT_2PC", {"gtid": gtid, "ts": commit_ts})
         return lambda: int(self._receive("COMMIT_2PC", sent)["commit_ts"])
 
     def start_abort_2pc(self, gtid: str) -> "Callable[[], object]":
@@ -531,14 +540,15 @@ class NetworkSession(RemoteVerbs):
             self._receive, "ABORT_2PC", self._send("ABORT_2PC", {"gtid": gtid})
         )
 
-    def commit(self) -> None:
-        """Commit: one COMMIT round trip — or none, for an empty
-        transaction whose deferred BEGIN never reached the server."""
+    def commit(self) -> Optional[int]:
+        """Commit: one COMMIT round trip, whose reply is the commit
+        timestamp — or none, for an empty transaction whose deferred
+        BEGIN never reached the server."""
         try:
             if self._pending_begin is not None:
                 self._pending_begin = None
-            else:
-                self._call("COMMIT")
+                return None
+            return self._call("COMMIT").get("commit_ts")
         finally:
             self._in_txn = False
 

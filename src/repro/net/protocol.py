@@ -44,6 +44,7 @@ from repro.errors import (
     ConnectionClosed,
     ProtocolError,
     ReproError,
+    SnapshotTooOld,
     error_from_code,
 )
 
@@ -262,8 +263,9 @@ def next_frame(
 ) -> Optional[dict]:
     """Blocking read of the frame ``decoder`` completes next, starting
     with ``data`` when the caller has already read some; ``None`` on
-    clean EOF between frames.  One request is in flight, so two whole
-    frames in one read are a :class:`ProtocolError`."""
+    clean EOF between frames.  One request is in flight, so anything
+    read past its reply — a second frame, or part of one — is a
+    :class:`ProtocolError`."""
     while True:
         if data is None:
             try:
@@ -274,10 +276,14 @@ def next_frame(
             decoder.feed_eof()  # raises inside a frame
             return None
         messages, data = decoder.feed(data), None
-        if len(messages) == 1:
-            return messages[0]
-        if messages:
+        if len(messages) > 1:
             raise ProtocolError(f"{len(messages)} frames arrived for one request")
+        if messages:
+            if decoder.buffer:
+                raise ProtocolError(
+                    f"{len(decoder.buffer)} byte(s) arrived past the reply"
+                )
+            return messages[0]
 
 
 def read_frame_sync(
@@ -291,16 +297,14 @@ def read_frame_sync(
 # Error round-trip
 # ----------------------------------------------------------------------
 def error_payload(exc: BaseException) -> dict:
-    """Serialize an exception as an error response."""
+    """Serialize an exception as an error response (with the ``horizon``
+    of a :class:`~repro.errors.SnapshotTooOld`)."""
     code = getattr(exc, "code", "error")
-    return {
-        "ok": False,
-        "error": {
-            "code": code,
-            "type": type(exc).__name__,
-            "message": str(exc),
-        },
-    }
+    error = {"code": code, "type": type(exc).__name__, "message": str(exc)}
+    horizon = getattr(exc, "horizon", 0)
+    if horizon:
+        error["horizon"] = horizon
+    return {"ok": False, "error": error}
 
 
 def raise_error_payload(error: Mapping[str, object]) -> "ReproError":
@@ -313,4 +317,8 @@ def raise_error_payload(error: Mapping[str, object]) -> "ReproError":
     if not isinstance(error, Mapping) or "code" not in error:
         raise ProtocolError(f"malformed error payload: {error!r}")
     message = str(error.get("message", ""))
-    raise error_from_code(str(error["code"]), message)
+    exc = error_from_code(str(error["code"]), message)
+    horizon = error.get("horizon")
+    if isinstance(horizon, int) and isinstance(exc, SnapshotTooOld):
+        exc.horizon = horizon
+    raise exc

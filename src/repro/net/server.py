@@ -47,6 +47,10 @@ snapshot (``Database.restart``) and the whole program re-run on wake-up.
 Any other blocked request is re-run as it stands, which is sound because
 it staged nothing; one that did is aborted instead (``_serve``).
 
+**Timestamps** (a cluster router's ``ts`` and ``snapshot_ts``, DESIGN.md
+§11 and §12) ride on ``BEGIN``, ``CALL`` and a transaction's first
+request; only a transaction begun with one has them in its replies.
+
 Robustness contract:
 
 * a client that disconnects mid-transaction has its transaction aborted,
@@ -88,7 +92,6 @@ from repro.engine.transaction import Transaction, TxnStatus
 from repro.errors import (
     ConnectionClosed,
     DeadlockError,
-    LockNotAvailable,
     LockTimeout,
     ProtocolError,
     ReproError,
@@ -721,12 +724,17 @@ class DatabaseServer:
                 self._note_protocol_error("unknown-op")
                 raise ProtocolError(f"unknown operation {op!r}")
             try:
+                ts = message.get("ts")  # a router's: checked here, once
+                if ts is not None and not (
+                    type(ts) is int and type(message.get("snapshot_ts", ts)) is int
+                ):
+                    raise ProtocolError("a timestamp must be an integer")
                 # Piggybacked BEGIN (deferred by the client to save a
                 # round trip).  Guarded on in_transaction so the re-run of
                 # a parked request does not begin twice.
                 label = message.get("begin")
                 if label is not None and op != "BEGIN" and not session.in_transaction:
-                    session.begin(str(label))
+                    session.begin(str(label), ts, message.get("snapshot_ts"))
                 response = handler(self, conn, message)
             except KeyError as exc:
                 field = exc.args[0] if exc.args else None
@@ -779,12 +787,16 @@ class DatabaseServer:
         return {"stats": self.stats()}
 
     def _op_begin(self, conn: _ClientConnection, msg: dict) -> dict:
-        txn = conn.session.begin(str(msg.get("label", "")))
+        txn = conn.session.begin(
+            str(msg.get("label", "")), msg.get("ts"), msg.get("snapshot_ts")
+        )
         return {"txid": txn.txid, "snapshot_ts": txn.snapshot_ts}
 
     def _op_commit(self, conn: _ClientConnection, msg: dict) -> dict:
-        conn.session.commit()
-        return {}
+        session = conn.session
+        session.commit()
+        txn = session.txn
+        return {"commit_ts": txn.commit_ts} if txn.clocked else {}
 
     def _op_rollback(self, conn: _ClientConnection, msg: dict) -> dict:
         conn.session.rollback()
@@ -807,18 +819,19 @@ class DatabaseServer:
         below address it by gtid and work on any connection.
         """
         gtid = str(msg["gtid"])
-        self._prepare(conn.session, gtid)
-        return {"prepared": True, "gtid": gtid}
+        return {"prepared": True, "gtid": gtid, "ts": self._prepare(conn.session, gtid)}
 
-    def _prepare(self, session: Session, gtid: str) -> None:
+    def _prepare(self, session: Session, gtid: str) -> int:
+        """Vote YES on ``session``'s transaction: its prepare timestamp."""
         txn = session.txn
         if txn is None or not txn.is_active:
             raise TransactionStateError("no active transaction to prepare")
-        self.db.prepare_commit(txn, gtid)
+        prepare_ts = self.db.prepare_commit(txn, gtid)
         session.txn = None  # survives disconnect; resolved only by gtid
+        return prepare_ts
 
     def _op_commit_2pc(self, conn: _ClientConnection, msg: dict) -> dict:
-        commit_ts = self.db.commit_prepared(str(msg["gtid"]))
+        commit_ts = self.db.commit_prepared(str(msg["gtid"]), msg.get("ts"))
         return {"commit_ts": commit_ts}
 
     def _op_abort_2pc(self, conn: _ClientConnection, msg: dict) -> dict:
@@ -910,13 +923,11 @@ class DatabaseServer:
 
         However the call fails, no transaction is left behind.  A blocked
         attempt on a transaction that had done nothing before the call
-        (begun by it, or the bare BEGIN the cluster router sends inside
-        its snapshot window) is undone by restarting the transaction at
-        its snapshot — the re-run after the park joins the successor and
-        starts the program over, so nothing is applied twice and it reads
-        what the attempt read — or, with ``nowait``, reported as
-        :class:`LockNotAvailable` instead of waited for.  One joining a
-        touched transaction is parked as it stands (``_serve``).
+        (begun by it, or by a bare BEGIN) is undone by restarting the
+        transaction at its snapshot — the re-run after the park joins the
+        successor and starts the program over, so nothing is applied
+        twice and it reads what the attempt read.  One joining a touched
+        transaction is parked as it stands (``_serve``).
         """
         pid = msg["pid"]
         index = pid - self._sid_base if isinstance(pid, int) else -1
@@ -928,19 +939,15 @@ class DatabaseServer:
             if end != "open" and not end.startswith("prepare:"):
                 raise ProtocolError(f"CALL cannot end a transaction as {end!r}")
         session = conn.session
-        nowait = msg.get("nowait")
         txn = session.txn
         if txn is None or txn.status is not _ACTIVE:
-            txn = session.txn = self.db.begin(str(msg.get("label", "")))
+            txn = session.txn = self.db.begin(
+                str(msg.get("label", "")), msg.get("ts"), msg.get("snapshot_ts")
+            )
             untouched = True
         else:
             untouched = txn.is_untouched
         try:
-            if nowait and not untouched:
-                raise ProtocolError(
-                    "CALL nowait cannot join a transaction that has "
-                    "already read or written"
-                )
             try:
                 result = self._programs[index](session, msg.get("args") or {})
             except (TypeError, ValueError) as exc:
@@ -952,11 +959,6 @@ class DatabaseServer:
             elif end != "open":
                 self._prepare(session, end.partition(":")[2])
         except WouldBlock:
-            if nowait:
-                self.db.abort(txn, reason="call-would-block")
-                raise LockNotAvailable(
-                    "a row lock the program needs is held"
-                ) from None
             if untouched:
                 session.txn = self.db.restart(txn, reason="call-would-block")
             raise
@@ -964,6 +966,9 @@ class DatabaseServer:
             if session.in_transaction:
                 session.rollback()
             raise
+        if txn.clocked:  # a cluster branch: answer its timestamps too
+            ts = txn.commit_ts or txn.prepare_ts or txn.snapshot_ts
+            return {"result": result, "snapshot_ts": txn.snapshot_ts, "ts": ts}
         return {"result": result}
 
     _HANDLERS = {

@@ -8,7 +8,8 @@ policy object:
 * **per-error-class retryability** — concurrency aborts
   (:class:`~repro.errors.SerializationFailure` including SSI,
   :class:`~repro.errors.DeadlockError`, :class:`~repro.errors.LockTimeout`,
-  injected :class:`~repro.errors.FaultInjected` aborts) are retryable;
+  injected :class:`~repro.errors.FaultInjected` aborts, a refused
+  :class:`~repro.errors.SnapshotTooOld`) are retryable;
   business outcomes (:class:`~repro.errors.ApplicationRollback`) are not —
   retrying them would repeat the same deterministic failure.  A policy
   may name further error classes on either side: the chaos storm
@@ -46,6 +47,7 @@ from repro.errors import (
     FaultInjected,
     LockTimeout,
     SerializationFailure,
+    SnapshotTooOld,
     TransactionAborted,
 )
 
@@ -59,6 +61,7 @@ DEFAULT_RETRYABLE: tuple[type, ...] = (
     DeadlockError,
     LockTimeout,
     FaultInjected,
+    SnapshotTooOld,
 )
 DEFAULT_NON_RETRYABLE: tuple[type, ...] = (ApplicationRollback,)
 

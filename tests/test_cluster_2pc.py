@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 import repro
-from repro.cluster import Cluster, TimestampOracle, TwoPhaseCoordinator
+from repro.cluster import Cluster, TwoPhaseCoordinator
 from repro.engine import EngineConfig, Session
 from repro.engine.session import NoWaitWaiter, WouldBlock
 from repro.engine.recovery import recover_database
@@ -351,8 +351,8 @@ class TestWire2pc:
                 session.update("Checking", 1, {"Balance": 123.0})
                 session.start_prepare_2pc("gdup")()
                 session.close()
-                coordinator = TwoPhaseCoordinator(TimestampOracle())
-                coordinator.log.record("gdup", "commit")
+                coordinator = TwoPhaseCoordinator()
+                coordinator.log.record("gdup", "commit", 1)
                 shard = conn.session()
                 assert (
                     coordinator.resolve_in_doubt("gdup", [shard]) == "commit"
@@ -373,8 +373,8 @@ class _FakeParticipant:
         self.error = error
         self.calls = []
 
-    def _start(self, decision, gtid):
-        self.calls.append((decision, gtid))
+    def _start(self, decision, gtid, *commit_ts):
+        self.calls.append((decision, gtid, *commit_ts))
 
         def reply():
             if self.error is not None:
@@ -383,8 +383,8 @@ class _FakeParticipant:
 
         return reply
 
-    def start_commit_2pc(self, gtid):
-        return self._start("commit", gtid)
+    def start_commit_2pc(self, gtid, commit_ts):
+        return self._start("commit", gtid, commit_ts)
 
     def start_abort_2pc(self, gtid):
         return self._start("abort", gtid)
@@ -392,22 +392,35 @@ class _FakeParticipant:
 
 class TestCoordinatorResolution:
     def test_logged_commit_decision_is_redelivered(self):
-        coordinator = TwoPhaseCoordinator(TimestampOracle())
-        coordinator.log.record("g1", "commit")
+        coordinator = TwoPhaseCoordinator()
+        coordinator.log.record("g1", "commit", 5)
         participant = _FakeParticipant()
         assert coordinator.resolve_in_doubt("g1", [participant]) == "commit"
-        assert participant.calls == [("commit", "g1")]
+        assert participant.calls == [("commit", "g1", 5)]
+
+    def test_a_commit_is_logged_with_its_timestamp(self):
+        """Every shard publishes a commit at the one logged timestamp, so
+        a commit decision cannot be logged without one."""
+        log = TwoPhaseCoordinator().log
+        with pytest.raises(ValueError):
+            log.record("g1", "commit")
+        with pytest.raises(ValueError):
+            log.record("g2", "abort", 5)
+        log.record("g1", "commit", 5)
+        log.record("g1", "commit", 5)  # idempotent
+        assert log.commit_ts_for("g1") == 5
+        assert log.commit_ts_for("g2") == 0
 
     def test_unknown_gtid_resolves_to_presumed_abort(self):
         """No decision on the coordinator's log means the coordinator
         never counted the YES — the participant's prepare must die."""
-        coordinator = TwoPhaseCoordinator(TimestampOracle())
+        coordinator = TwoPhaseCoordinator()
         participant = _FakeParticipant()
         assert coordinator.resolve_in_doubt("ghost", [participant]) == "abort"
         assert participant.calls == [("abort", "ghost")]
 
     def test_resolution_tolerates_already_resolved_participants(self):
-        coordinator = TwoPhaseCoordinator(TimestampOracle())
+        coordinator = TwoPhaseCoordinator()
         coordinator.log.record("g1", "abort")
         participant = _FakeParticipant(
             TransactionStateError("no prepared transaction for 'g1'")
@@ -415,11 +428,11 @@ class TestCoordinatorResolution:
         assert coordinator.resolve_in_doubt("g1", [participant]) == "abort"
 
     def test_every_participant_is_told_before_an_error_is_raised(self):
-        coordinator = TwoPhaseCoordinator(TimestampOracle())
-        coordinator.log.record("g1", "commit")
+        coordinator = TwoPhaseCoordinator()
+        coordinator.log.record("g1", "commit", 5)
         lost = ConnectionClosed("shard went away")
         first, second = _FakeParticipant(lost), _FakeParticipant()
         with pytest.raises(ConnectionClosed) as excinfo:
             coordinator.resolve_in_doubt("g1", [first, second])
         assert excinfo.value is lost
-        assert first.calls == second.calls == [("commit", "g1")]
+        assert first.calls == second.calls == [("commit", "g1", 5)]

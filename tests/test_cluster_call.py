@@ -3,25 +3,21 @@
 The router routes a program from its arguments alone: a program whose
 customers share a shard is one ``CALL`` to that shard and *nothing* to
 any other; an Amalgamate of customers on two shards is its two parts as
-four RPCs — a ``CALL`` to each part's shard, both inside one snapshot
-window, then the decision to both — and no ``BEGIN``.  Checked here
+four RPCs — a ``CALL`` to each part's shard, the second at the first's
+snapshot, then the decision to both — and no ``BEGIN``.  Checked here
 from the shards' own ``rpcs_total`` counters and from the requests the
 router sends, together with: either part's failure aborts both, a part
-refused a row lock inside the window begins the branches that have not
-voted yet there and then waits outside it, the window is held across
-both parts, two reversed-pair Amalgamates — a deadlock no shard can
-see — end in a retryable lock timeout rather than hanging for ever,
-and the aborts are counted by what caused them, on the shards and in
-the router.
+behind a held row waits on its shard and costs no request more, two
+reversed-pair Amalgamates — a deadlock no shard can see — end in a
+retryable lock timeout rather than hanging for ever, and the aborts are
+counted by what caused them, on the shards and in the router.
 """
 
 from __future__ import annotations
 
-import contextlib
 import random
 import threading
 import time
-from functools import partial
 
 import pytest
 
@@ -34,7 +30,6 @@ from repro.errors import (
     SerializationFailure,
     TransactionAborted,
 )
-from repro.faults import FaultPlan, FaultSpec
 from repro.net.client import NetworkSession, WireConnection
 from repro.obs import Observability
 from repro.smallbank import customer_name, get_strategy
@@ -244,10 +239,8 @@ def amalgamate_behind(conn, table, cid):
 
 class TestEitherPartAbortsBoth:
     def test_first_part_says_no(self, cluster, conn):
-        """The debit half finds Saving[1] locked: no waiting inside the
-        snapshot window — both snapshots first, then it waits, loses to
-        the first updater, and the open branch on the other shard is
-        rolled back."""
+        """The debit half finds Saving[1] locked: it waits, loses to the
+        first updater, and nothing is left open on either shard."""
         before = balances(conn, 1, 2)
         raised = amalgamate_behind(conn, "Saving", 1)
         assert len(raised) == 1 and isinstance(raised[0], TransactionAborted)
@@ -299,7 +292,7 @@ class TestEitherPartAbortsBoth:
             assert shard.server.stats()["active_transactions"] == 0
 
 
-class TestRefusedPart:
+class TestBlockedPart:
     """Customer 1 (the debit half, shard A) lives on shard 1, customer 2
     (the credit half, shard B) on shard 0."""
 
@@ -331,98 +324,24 @@ class TestRefusedPart:
             holder.close()
         assert conn.counters()["twopc_commits"] == 1
 
-    def test_second_part_refused_begins_only_its_own_branch(
-        self, cluster, conn, log
-    ):
-        """B's CALL is told the row is held: BEGIN to B alone, still in
-        the window (A has voted), then B's part waits outside it."""
+    def _waits_on_its_shard(self, cluster, conn, log, table, cid, shard):
+        """The part that needs the held row parks on its shard until the
+        holder lets go; the router sends what an uncontended run sends."""
         money = cluster.total_money()
-        self._amalgamate_past(cluster, conn, log, "Checking", 2, shard=0)
+        self._amalgamate_past(cluster, conn, log, table, cid, shard)
         assert sent_by(log) == [
-            "CALL@1", "CALL@0", "BEGIN@0", "CALL@0",
-            "COMMIT_2PC@1", "COMMIT_2PC@0",
+            "CALL@1", "CALL@0", "COMMIT_2PC@1", "COMMIT_2PC@0",
         ]
-        assert shard_parked(cluster) == [1, 0]
+        assert shard_parked(cluster) == [int(shard == 0), int(shard == 1)]
         assert cluster.total_money() == money
         assert cluster.pending_2pc_gtids() == set()
         assert merge_shard_histories(cluster.histories()).serializable
 
-    def test_first_part_refused_begins_both_branches(self, cluster, conn, log):
-        """A's CALL is told the row is held: BEGIN to A and B in the
-        window, then both parts run outside it — no ROLLBACK anywhere."""
-        money = cluster.total_money()
-        self._amalgamate_past(cluster, conn, log, "Checking", 1, shard=1)
-        assert sent_by(log) == [
-            "CALL@1", "BEGIN@1", "BEGIN@0", "CALL@1", "CALL@0",
-            "COMMIT_2PC@1", "COMMIT_2PC@0",
-        ]
-        assert shard_parked(cluster) == [0, 1]
-        assert cluster.total_money() == money
-        assert cluster.pending_2pc_gtids() == set()
-        assert merge_shard_histories(cluster.histories()).serializable
+    def test_second_part_behind_a_held_row_waits(self, cluster, conn, log):
+        self._waits_on_its_shard(cluster, conn, log, "Checking", 2, shard=0)
 
-    def test_one_window_spans_both_parts(self, cluster, conn, log, monkeypatch):
-        """T1's reply from B is held back; T2, a cross-shard commit of
-        other rows, decides meanwhile — and enters its decision window
-        only once T1 has left its snapshot window, which spanned both of
-        T1's CALLs."""
-
-        @contextlib.contextmanager
-        def recorded(name, window):
-            me = threading.current_thread().name
-            log.append((me, f"{name}-wait"))
-            with window:
-                log.append((me, f"{name}-enter"))
-                try:
-                    yield
-                finally:
-                    log.append((me, f"{name}-leave"))
-
-        txns = get_strategy("base-si").transactions()
-        session = conn.session()
-        txns.run(session, "Amalgamate", CROSS)  # registers both parts
-        session.close()
-        t2 = conn.session()
-        t2.begin("T2")  # customers 3 (shard 1) and 4 (shard 0)
-        t2.update("Checking", 3, {"Balance": 3.0})
-        t2.update("Checking", 4, {"Balance": 4.0})
-        for name in ("snapshot", "decision"):
-            window = getattr(conn.oracle, f"{name}_window")()
-            monkeypatch.setattr(
-                conn.oracle, f"{name}_window", partial(recorded, name, window)
-            )
-        plan = FaultPlan(
-            [FaultSpec("net-delay-frame", max_fires=1, magnitude=0.3)], seed=1
-        )
-        cluster.shards[0].install_faults(plan)
-
-        def t1():
-            session = conn.session()
-            try:
-                txns.run(session, "Amalgamate", CROSS)
-            finally:
-                session.close()
-
-        thread = threading.Thread(target=t1, name="T1")
-        log.clear()
-        thread.start()
-        try:
-            deadline = time.monotonic() + 5.0
-            while not plan.fired("net-delay-frame"):
-                assert time.monotonic() < deadline, "B's reply never held"
-                time.sleep(0.002)
-            t2.commit()
-        finally:
-            thread.join(timeout=10.0)
-            cluster.shards[0].install_faults(None)
-            t2.close()
-        order = [f"{who}:{what}" for who, what in log if "PREPARE_" not in what]
-        at = order.index
-        assert at("T1:snapshot-enter") < at("T1:CALL@1") < at("T1:CALL@0")
-        assert at("T1:CALL@0") < at("MainThread:decision-wait")
-        assert at("MainThread:decision-wait") < at("T1:snapshot-leave")
-        assert at("T1:snapshot-leave") < at("MainThread:decision-enter")
-        assert conn.counters()["twopc_commits"] == 3
+    def test_first_part_behind_a_held_row_waits(self, cluster, conn, log):
+        self._waits_on_its_shard(cluster, conn, log, "Checking", 1, shard=1)
 
 
 class TestDistributedDeadlock:
@@ -481,7 +400,7 @@ class TestAbortsByReason:
         call = NetworkSession.call_program
 
         def meet_first(self, program, args, label="", **kwargs):
-            if "carry" in args and kwargs.get("nowait"):
+            if "carry" in args:
                 barrier.wait()  # both first parts have voted
             return call(self, program, args, label, **kwargs)
 

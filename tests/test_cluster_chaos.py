@@ -12,7 +12,6 @@ seeded ``run_chaos`` soak asserting the full certification contract.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import threading
 import time
@@ -210,10 +209,10 @@ class TestCoordinatorCrash:
             assert cluster.total_money() == initial
 
     def test_redelivered_commit_is_not_seen_half_applied(self, monkeypatch):
-        """The resolver re-delivers a logged commit under the decision
-        window: a consistent-snapshot reader that starts between its two
-        deliveries waits for the window, so it sees the transfer on both
-        shards or on neither — never one shard's half."""
+        """The resolver re-delivers a logged commit at its logged
+        timestamp: a cluster reader that starts between its two
+        deliveries waits on the shard still prepared, so it sees the
+        transfer on both shards or on neither — never one shard's half."""
         with Cluster(2, customers=4) as cluster:
             with cluster.connect(fault_plan=_crash_twice()) as conn:
                 conserved = _observed_total(conn)
@@ -221,10 +220,14 @@ class TestCoordinatorCrash:
                 totals, readers, commits = [], [], []
                 send = WireConnection.send
 
+                def parked():
+                    return cluster.shards[1].server.stats()["parked_total"]
+
                 def wedge_a_reader(wire, op, args):
                     if op == "COMMIT_2PC":
                         commits.append(args["gtid"])
                         if len(commits) == 2:
+                            before = parked()
                             reader = threading.Thread(
                                 target=lambda: totals.append(
                                     _observed_total(conn)
@@ -232,7 +235,10 @@ class TestCoordinatorCrash:
                             )
                             reader.start()
                             readers.append(reader)
-                            reader.join(0.5)
+                            wait_until(
+                                lambda: parked() > before,
+                                message="the reader to park on shard 1",
+                            )
                     return send(wire, op, args)
 
                 monkeypatch.setattr(WireConnection, "send", wedge_a_reader)
@@ -244,40 +250,6 @@ class TestCoordinatorCrash:
                 assert totals == [conserved]
                 assert _observed_total(conn) == conserved
             assert merge_shard_histories(cluster.histories()).snapshot_isolated
-
-    def test_redelivery_waits_for_no_wire_inside_the_window(self):
-        """A session checks its wires out before it waits for a snapshot
-        window, so the resolver must hold its own before it takes the
-        decision window: with one wire per shard, a session that arrives
-        mid-re-delivery would otherwise hold the wire the resolver waits
-        for while it waits for the resolver's window."""
-        with Cluster(2, customers=4) as cluster:
-            with cluster.connect(
-                fault_plan=_crash_twice(), pool_size=1, timeout=2.0
-            ) as conn:
-                _leave_a_logged_commit_undelivered(conn)
-                window, late = conn.oracle.decision_window(), []
-
-                def begin_late():
-                    session = conn.session()
-                    session.begin("late")
-                    session.rollback()
-                    session.close()
-                    late.append(True)
-
-                arrival = threading.Thread(target=begin_late)
-
-                @contextlib.contextmanager
-                def a_session_arrives_inside():
-                    with window:
-                        arrival.start()
-                        arrival.join(0.3)
-                        yield
-
-                conn.oracle.decision_window = a_session_arrives_inside
-                assert list(conn.resolve_in_doubt().values()) == ["commit"]
-                arrival.join(5.0)
-                assert late == [True]
 
     def test_a_split_program_and_a_sweep_take_wires_in_one_order(self):
         """With one wire per shard, a cross-shard Amalgamate whose first

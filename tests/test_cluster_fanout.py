@@ -1,17 +1,15 @@
-"""Per-shard broadcasts: scatter-gather, oracle groups, sweeps.
+"""Per-shard broadcasts: scatter-gather, gtids, sweeps.
 
 The gather contract (every outcome, positionally, nothing raised early)
 is what lets 2PC send all PREPAREs before reading any vote and still
 reason about votes — from the caller's own thread (``scatter_gather``
 over split-phase verbs, whose wires must never reach a pool with a reply
 unread), on the transaction path and in the connection-level sweeps
-alike; the oracle's two-group latch is what lets decision
-broadcasts share a window instead of serialising every cross-shard
-commit; and the router-level tests pin the observable win — a slow
-shard no longer stalls probes of the healthy ones — plus the 2PC
-correctness properties that must survive the concurrency: presumed
-abort under a mid-fan-out shard crash and idempotent duplicate decision
-delivery.
+alike; each connection counts its own gtids; and the router-level tests
+pin the observable win — a slow shard no longer stalls probes of the
+healthy ones — plus the 2PC correctness properties that must survive
+the concurrency: presumed abort under a mid-fan-out shard crash and
+idempotent duplicate decision delivery.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ import time
 
 import pytest
 
-from repro.cluster import Cluster, ClusterConnection, TimestampOracle
+from repro.cluster import Cluster, ClusterConnection
 from repro.cluster.fanout import first_error, scatter_gather
 from repro.errors import ConnectionClosed, ReproError, TransactionStateError
 from repro.faults import FaultPlan, FaultSpec
@@ -216,19 +214,20 @@ class TestScatterGather:
             session.update("Checking", 2, {"Balance": 2.0})
             session.commit()
             session.close()
-            for op in ("begin", "2pc-prepare"):
+            # One BEGIN, to shard 0; the votes are one round.
+            for op, count in (("begin", 0), ("2pc-prepare", 1)):
                 assert obs.metrics.counter(
                     "repro_cluster_fanout_broadcasts_total", labels={"op": op}
-                ).value == 1
+                ).value == count
         assert fanout_threads() == []  # the transaction path has no pool
 
     def test_obs_clock_starts_at_the_send(self, cluster):
         """A round reads its replies in shard order: with the shard read
         first slow, the other's reply sits unread that long, and
         send-to-reply says so (read-to-reply would say ~0).  Driven by
-        the window BEGINs of ``begin`` (shard 0 slow) and by the decision
-        round of a cross-shard Amalgamate (its first part's shard, 1,
-        slow)."""
+        the vote round of a statement-by-statement cross-shard transfer
+        (shard 0 slow) and by the decision round of a cross-shard
+        Amalgamate (its first part's shard, 1, slow)."""
         obs = Observability()
         txns = get_strategy("base-si").transactions()
         cross = {"N1": customer_name(1), "N2": customer_name(2)}
@@ -241,13 +240,16 @@ class TestScatterGather:
         with cluster.connect(obs=obs) as conn:
             session = conn.session()
             txns.run(session, "Amalgamate", cross)  # every wire primed
-            before = seconds("BEGIN"), seconds("COMMIT_2PC")
+            before = seconds("PREPARE_2PC")
+            session.begin("Probe")
+            session.update("Checking", 1, {"Balance": 1.0})
+            session.update("Checking", 2, {"Balance": 2.0})
             cluster.shards[0].install_faults(_delay_all_frames(0.2))
             try:
-                session.begin("Probe")
+                session.commit()
             finally:
                 cluster.shards[0].install_faults(None)
-            session.rollback()
+            before = before, seconds("COMMIT_2PC")
             cluster.shards[1].install_faults(_delay_all_frames(0.2))
             try:
                 txns.run(session, "Amalgamate", cross)
@@ -256,7 +258,7 @@ class TestScatterGather:
             session.close()
         # Two replies each, both >= the delay: the slow one's own and
         # the one left unread behind it.
-        assert seconds("BEGIN") - before[0] >= 2 * 0.15
+        assert seconds("PREPARE_2PC") - before[0] >= 2 * 0.15
         assert seconds("COMMIT_2PC") - before[1] >= 2 * 0.15
 
 
@@ -267,10 +269,8 @@ class TestGtidSource:
 
 
 class TestOracleGroups:
-    """The oracle hands out no gtids: each connection counts its own,
-    shared by its sessions. These tests hold that count to what the
-    oracle's leases promised: disjoint across threads, offset by the
-    base."""
+    """No oracle hands out gtids: each connection counts its own, shared
+    by its sessions — disjoint across threads, offset by the base."""
 
     def test_gtid_leases_are_disjoint_across_threads(self):
         """A session per transaction, as the threaded driver opens them,
@@ -312,103 +312,6 @@ class TestOracleGroups:
             finally:
                 session.close()
         assert seen == [f"g{10**9 + 1}", f"g{10**9 + 2}"]
-
-    def test_decision_windows_share_the_group(self):
-        """Two decision broadcasts may overlap (disjoint gtids commute);
-        under the old exclusive latch this barrier would time out."""
-        oracle = TimestampOracle()
-        barrier = threading.Barrier(2, timeout=5.0)
-        failures: "list[BaseException]" = []
-
-        def deliver():
-            try:
-                with oracle.decision_window():
-                    barrier.wait()
-            except BaseException as exc:  # pragma: no cover - on failure
-                failures.append(exc)
-
-        threads = [threading.Thread(target=deliver) for _ in range(2)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert not failures
-
-    def test_decisions_still_exclude_snapshots(self):
-        oracle = TimestampOracle()
-        release = threading.Event()
-        snapshot_entered = threading.Event()
-
-        def hold_decision():
-            with oracle.decision_window():
-                release.wait(timeout=5.0)
-
-        holder = threading.Thread(target=hold_decision)
-        holder.start()
-        time.sleep(0.05)  # let the decision window open
-
-        def try_snapshot():
-            with oracle.snapshot_window():
-                snapshot_entered.set()
-
-        snapshotter = threading.Thread(target=try_snapshot)
-        snapshotter.start()
-        assert not snapshot_entered.wait(timeout=0.2)  # blocked out
-        release.set()
-        assert snapshot_entered.wait(timeout=5.0)  # admitted afterwards
-        holder.join()
-        snapshotter.join()
-
-
-    def test_an_uncontended_window_wakes_nobody(self):
-        """Nobody waits, so leaving a window notifies no one."""
-        oracle = TimestampOracle()
-        notified = []
-        oracle._cond.notify_all = lambda: notified.append(True)
-        for _ in range(3):
-            with oracle.snapshot_window():
-                pass
-            with oracle.decision_window():
-                pass
-        assert notified == [] and oracle._waiters == 0
-
-    def test_a_queued_decision_goes_before_a_later_snapshot(self):
-        """A decision that waits for an open snapshot keeps a snapshot
-        that arrives after it out; the last leaver of each group wakes
-        the waiters, decision first."""
-        oracle = TimestampOracle()
-        order: "list[str]" = []
-        release = threading.Event()
-
-        def first_snapshot():
-            with oracle.snapshot_window():
-                release.wait(timeout=5.0)
-
-        def member(window, name):
-            with window():
-                order.append(name)
-
-        def waiting(count):
-            deadline = time.monotonic() + 5.0
-            while oracle._waiters < count:
-                assert time.monotonic() < deadline, "no thread waited"
-                time.sleep(0.005)
-
-        threads = [threading.Thread(target=first_snapshot)]
-        threads[0].start()
-        time.sleep(0.05)  # the first snapshot window is open
-        threads.append(threading.Thread(target=member, args=(oracle.decision_window, "decision")))
-        threads[1].start()
-        waiting(1)
-        threads.append(threading.Thread(target=member, args=(oracle.snapshot_window, "snapshot")))
-        threads[2].start()
-        waiting(2)
-        assert order == []
-        release.set()
-        for thread in threads:
-            thread.join(timeout=5.0)
-        assert order == ["decision", "snapshot"]
-        assert oracle._waiters == 0
 
 
 def _delay_all_frames(magnitude: float) -> FaultPlan:

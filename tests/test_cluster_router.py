@@ -3,8 +3,9 @@
 End-to-end over real TCP shards: URL plumbing, statement routing,
 program-level parity with a single node, the single-shard fast path
 (white-box via the router's commit-path counters), vacuum through the
-facade, and the snapshot window — per-shard snapshots opened outside it
-*exhibit* a fractured read mid-decision, cluster transactions never do.
+facade, and one snapshot order for the whole cluster — a reader that
+meets a half-delivered decision waits on the shard for the rest of it,
+whichever router or ``tcp://`` client it came through.
 """
 
 from __future__ import annotations
@@ -321,56 +322,75 @@ def _observed_total(conn):
         session.close()
 
 
-def _per_shard_total(cluster):
-    """The same two rows read through two *independent* ``tcp://``
-    snapshots, one per shard — what a router without the snapshot window
-    would hand a reader."""
-    total = 0.0
-    for customer in (1, 2):
-        host, port = cluster.addresses[customer % 2]
-        with repro.connect(f"tcp://{host}:{port}") as conn:
-            with conn.transaction("Peek") as txn:
-                total += txn.select("Checking", customer)["Balance"]
-    return round(total, 2)
+def _parked(cluster, shard):
+    return cluster.shards[shard].server.stats()["parked_total"]
+
+
+def _wait_for(condition, what, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, f"timed out waiting for {what}"
+        time.sleep(0.002)
+
+
+def _hold_the_second_delivery(monkeypatch, reader, cluster):
+    """Deliver a transfer's commit to shard 0 (its first target) and, with
+    shard 1's delivery held back, start ``reader`` on a thread of its own
+    — its snapshot opens after shard 0 committed — and let the delivery
+    go once shard 1 has parked the reader's read of the prepared row.
+    Returns the reader's results (filled once its thread is joined) and
+    the threads."""
+    results, threads, landed = [], [], []
+    start = NetworkSession.start_commit_2pc
+
+    def hold(self, gtid, commit_ts=None):
+        if not landed:
+            # The first delivery is sent and read right here, so its
+            # shard has committed before the second is sent.
+            landed.append(start(self, gtid, commit_ts)())
+            return lambda: landed[0]
+        parked = _parked(cluster, 1)
+        thread = threading.Thread(target=lambda: results.append(reader()))
+        thread.start()
+        threads.append(thread)
+        _wait_for(lambda: _parked(cluster, 1) > parked, "the reader to park")
+        assert thread.is_alive()
+        return start(self, gtid, commit_ts)
+
+    monkeypatch.setattr(NetworkSession, "start_commit_2pc", hold)
+    return results, threads
 
 
 class TestSnapshotWindow:
-    def test_per_shard_snapshots_admit_a_fractured_read(self, monkeypatch):
-        """Why cluster-begin cannot skip the snapshot window: a reader
-        whose per-shard snapshots open *between* the two decision
-        deliveries sees half the transfer — shard 0's new value next to
-        shard 1's old one."""
+    def test_a_tcp_reader_parks_on_a_prepared_row(self, monkeypatch):
+        """A ``tcp://`` reader of shard 1 meets the transfer prepared
+        there and committed on shard 0: it waits on the shard for the
+        decision, then reads what its snapshot covers."""
         with Cluster(2, customers=4) as cluster:
-            observed, landed = [], []
-            start = NetworkSession.start_commit_2pc
+            host, port = cluster.addresses[1]
 
-            def hold_the_second_delivery(self, gtid):
-                if not landed:
-                    # The first delivery is sent and read right here, so
-                    # its shard has committed before the second is sent.
-                    landed.append(start(self, gtid)())
-                    return lambda: landed[0]
-                observed.append(_per_shard_total(cluster))
-                return start(self, gtid)
+            def peek():
+                with repro.connect(f"tcp://{host}:{port}") as conn:
+                    with conn.transaction("Peek") as txn:
+                        return txn.select("Checking", 1)["Balance"]
 
-            monkeypatch.setattr(
-                NetworkSession, "start_commit_2pc", hold_the_second_delivery
-            )
             with cluster.connect() as conn:
-                before = _observed_total(conn)
-                assert _per_shard_total(cluster) == before
+                before = peek()
+                results, threads = _hold_the_second_delivery(
+                    monkeypatch, peek, cluster
+                )
                 _transfer(conn, 10.0)
-                after = _observed_total(conn)
-            assert after == before  # the transfer itself conserves money
-            assert len(observed) == 1
-            # Mid-decision the totals are fractured by exactly the amount
-            # landing on the already-decided shard.
-            assert observed[0] == round(before + 10.0, 2)
+                monkeypatch.undo()
+                for thread in threads:
+                    thread.join(5.0)
+                after = peek()
+            assert len(results) == 1
+            assert results[0] in (before, after) and after == round(before - 10.0, 2)
 
     def test_consistent_mode_never_shows_a_fractured_read(self):
-        """Concurrent consistent-snapshot readers racing many 2PC commits
-        observe only conserved totals: the snapshot broadcast and the
-        decision broadcast exclude each other on the oracle."""
+        """Concurrent cluster readers racing many 2PC commits observe
+        only conserved totals: a read that meets a decision delivered to
+        one shard and not yet to the other waits for it."""
         with Cluster(2, customers=4) as cluster:
             with cluster.connect() as conn:
                 before = _observed_total(conn)
@@ -394,37 +414,22 @@ class TestSnapshotWindow:
                 assert set(totals) == {before}
             assert merge_shard_histories(cluster.histories()).snapshot_isolated
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="ROADMAP item 16: the snapshot window orders snapshots "
-        "against decisions through one router only, so a second "
-        "router's reader sees half a transfer",
-    )
     def test_a_second_router_never_sees_a_fractured_read(self, monkeypatch):
-        """The wedge of the per-shard test above, with the reader a
-        cluster transaction on a second router: its snapshot window is
-        its own, so nothing holds its begin back from the first router's
-        half-delivered decision."""
+        """The reader is a cluster transaction on a second router, begun
+        after the first delivery landed: its read of the row still
+        prepared on shard 1 waits for the second delivery."""
         with Cluster(2, customers=4) as cluster:
             with cluster.connect() as conn, cluster.connect(
                 gtid_base=10**6
             ) as other:
-                observed, landed = [], []
-                start = NetworkSession.start_commit_2pc
-
-                def hold_the_second_delivery(self, gtid):
-                    if not landed:
-                        landed.append(start(self, gtid)())
-                        return lambda: landed[0]
-                    observed.append(_observed_total(other))
-                    return start(self, gtid)
-
                 before = _observed_total(conn)
-                monkeypatch.setattr(
-                    NetworkSession, "start_commit_2pc", hold_the_second_delivery
+                observed, threads = _hold_the_second_delivery(
+                    monkeypatch, lambda: _observed_total(other), cluster
                 )
                 _transfer(conn, 10.0)
+                monkeypatch.undo()
+                for thread in threads:
+                    thread.join(5.0)
             assert len(observed) == 1
             assert merge_shard_histories(cluster.histories()).snapshot_isolated
             assert observed == [before]

@@ -20,7 +20,6 @@ from repro.engine import EngineConfig
 from repro.errors import (
     ApplicationRollback,
     ConnectionClosed,
-    LockNotAvailable,
     ProtocolError,
     TransactionAborted,
 )
@@ -358,10 +357,10 @@ def dispatches(server):
 
 
 class TestJoiningCall:
-    """A CALL joining the bare BEGIN the cluster router sends inside its
-    snapshot window (``start_begin_now``) is attempted on the loop thread like
-    one that begins its own transaction; blocked, the transaction is
-    restarted *at its snapshot* and the program re-run after the park.
+    """A CALL joining a bare BEGIN (``start_begin_now``) is attempted on
+    the loop thread like one that begins its own transaction; blocked,
+    the transaction is restarted *at its snapshot* and the program re-run
+    after the park.
     Once the transaction has touched anything, a blocked joining CALL is
     parked as it stands — it waits if it staged nothing first."""
 
@@ -544,44 +543,6 @@ class TestJoiningCall:
         assert after["Saving"][5]["Balance"] == 77.0
         assert after["Checking"][4]["Balance"] == start["Checking"][4]["Balance"] + 1.0
         assert after["Checking"][1]["Balance"] == start["Checking"][1]["Balance"] + 2.0
-
-    def test_nowait(self, server, conn):
-        """An untouched join answers LockNotAvailable like a call that
-        began its own transaction, leaving none; a touched one cannot be
-        restarted, so ``nowait`` there is a protocol error."""
-        deposit = program_of("base-si", DEPOSIT_CHECKING)
-        args = {"N": customer_name(1), "V": 2.0}
-        holder = conn.session()
-        holder.begin("holder")
-        assert holder.select_for_update("Checking", 1) is not None
-        try:
-            for begin in (lambda s: None, lambda s: s.start_begin_now("joined")()):
-                session = conn.session()
-                try:
-                    begin(session)
-                    handed = dispatches(server)
-                    with pytest.raises(LockNotAvailable):
-                        session.call_program(deposit, args, nowait=True)
-                    assert dispatches(server) == handed
-                    assert not session.in_transaction
-                    assert server.stats()["active_transactions"] == 1  # holder
-                finally:
-                    session.close()
-            session = conn.session()
-            try:
-                session.begin("touched")
-                assert session.select("Saving", 5) is not None
-                with pytest.raises(ProtocolError, match="nowait"):
-                    session.call_program(deposit, args, nowait=True)
-            finally:
-                session.close()
-            wait_until(
-                lambda: server.stats()["active_transactions"] == 1,
-                message="rollback of the rejected call's transaction",
-            )
-        finally:
-            holder.rollback()
-            holder.close()
 
     def test_disconnect_during_the_blocked_rerun_leaks_nothing(self, server, conn):
         program = program_of("materialize-all", AMALGAMATE)

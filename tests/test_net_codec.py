@@ -324,22 +324,19 @@ class TestClientReads:
             wire.close()
         assert server.requests == [{"op": "PING"}] * 2
 
-    def test_bytes_past_a_reply_are_read_before_the_next_one(self, scripted):
-        """A reply and the first bytes of another in one read: the next
-        reply is parsed after those bytes, even when it arrives as a
-        whole frame of its own (here they make a zero length prefix)."""
-        replies: list = []
+    def test_bytes_past_a_reply_break_the_wire(self, scripted):
+        """A reply and the first bytes of another in one read: one
+        request is out, so those bytes answer nothing — the call that
+        read them fails and the wire is broken, never pooled."""
 
         def reply_and_a_bit(sock: socket.socket) -> bool:
-            sock.sendall(PONG if replies else PONG + PONG[:3])
-            replies.append(sock)
+            sock.sendall(PONG + PONG[:3])
             return True
 
         server = scripted(reply_and_a_bit)
         wire = WireConnection("127.0.0.1", server.port)
         try:
-            assert wire.call("PING", {}) == {"ok": True, "pong": True}
-            with pytest.raises(ProtocolError, match="zero-length frame"):
+            with pytest.raises(ProtocolError, match="past the reply"):
                 wire.call("PING", {})
             assert wire.broken
         finally:
