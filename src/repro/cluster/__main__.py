@@ -21,8 +21,9 @@ Quickstart::
 ``--smoke`` instead runs a short self-contained workload (all five
 SmallBank programs at MPL 4) against the cluster, certifies the merged
 global trace, and exits non-zero unless it is SI, and serializable
-too unless ``--strategy`` is the plain-SI baseline ``base-si`` — the CI
-cluster smoke job.
+too unless ``--strategy`` is the plain-SI baseline ``base-si``, or if a
+settled shard holds a prepared transaction or refused a 2PC decision —
+the CI cluster smoke job.
 
 ``--chaos-smoke`` runs the seeded distributed chaos soak
 (:mod:`repro.cluster.chaos`) once per ``--seed``: network faults, a
@@ -61,7 +62,8 @@ def _smoke(
     strategy_key: str,
     customers: int,
 ) -> int:
-    """Five-program uniform mix at MPL ``mpl``; certify the merged trace."""
+    """Five-program uniform mix at MPL ``mpl``; certify the merged trace
+    and the settled shards."""
     from repro.analysis import merge_shard_histories
     from repro.smallbank.strategies import get_strategy
     from repro.workload.driver import ThreadedDriver, ThreadedDriverConfig
@@ -82,6 +84,12 @@ def _smoke(
             connection=connection,
         ).run()
         counters = connection.counters()
+        connection.flush()  # a fault-free run leaves no decision behind
+        shards = connection.stats()["shard_stats"]
+        unsettled = {
+            key: [shard[key] for shard in shards]
+            for key in ("prepared_2pc", "decisions_refused")
+        }
     finally:
         connection.close()
     report = merge_shard_histories(cluster.histories())
@@ -96,11 +104,15 @@ def _smoke(
                 "snapshot_isolated": report.snapshot_isolated,
                 "strategy": strategy_key,
                 **counters,
+                **unsettled,
             },
             sort_keys=True,
         ),
         flush=True,
     )
+    if any(map(any, unsettled.values())):
+        print(f"FAIL settled shards report {unsettled}", file=sys.stderr, flush=True)
+        return 1
     return 0 if strategy.certifies(report) else 1
 
 

@@ -355,6 +355,7 @@ def run_chaos(config: ChaosConfig = ChaosConfig(), *, obs=None) -> ChaosResult:
             while True:
                 with contextlib.suppress(ReproError):
                     connection.resolve_in_doubt()
+                connection.flush()  # the re-delivered decisions have landed
                 pending = cluster.pending_2pc_gtids()
                 if not pending or time.monotonic() > deadline:
                     break

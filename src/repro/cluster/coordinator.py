@@ -11,14 +11,17 @@ vote).  A YES carries the shard's prepare timestamp.  Phase 2 records
 the decision on the coordinator's :class:`DecisionLog` — a commit with
 its commit timestamp, the largest prepare timestamp (Clock-SI, DESIGN.md
 §12) — then delivers it: every shard publishes the transaction at that
-one timestamp, so a snapshot sees it on all of them or on none.
+one timestamp, so a snapshot sees it on all of them or on none.  The
+commit returns once the log holds it: a read that meets a row the
+transaction wrote waits on its shard until the decision lands there.
 
 Every decision — the live commit, the abort, the in-doubt re-delivery —
-leaves through one method, :meth:`TwoPhaseCoordinator._deliver`: one
-:func:`~repro.cluster.fanout.scatter_gather` round of ``COMMIT_2PC`` or
-``ABORT_2PC`` to its targets, sessions
-(:class:`~repro.net.client.NetworkSession`) — the branches on the live
-path, one fresh session per shard for a re-delivery.
+leaves through one method, :meth:`TwoPhaseCoordinator._deliver`: a
+one-way ``COMMIT_2PC`` or ``ABORT_2PC`` frame
+(:meth:`~repro.net.client.NetworkSession.send_one_way`, no reply awaited)
+to each of its targets — the branches on the live path, one fresh
+session per shard for a re-delivery.  A shard refuses a decision it
+cannot apply silently, counting it (``decisions_refused`` in ``STATS``).
 
 *Presumed abort*: participants never ask the coordinator — a durable
 prepare followed by a durable decision record in the participant's WAL
@@ -36,7 +39,7 @@ prepares and before any decision lands (alternating fires cover both
 sides of the log write), surfacing :class:`~repro.errors.CoordinatorCrashed`
 — an *outcome-unknown* error, deliberately not a
 :class:`~repro.errors.TransactionAborted`.  ``net-dup-decision``
-delivers a commit decision a second time right after the first,
+writes a commit decision's frame a second time right after the first,
 exercising the participants' idempotent-redelivery contract.
 """
 
@@ -44,10 +47,10 @@ from __future__ import annotations
 
 import threading
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from repro.cluster.fanout import Outcome, first_error, scatter_gather
-from repro.errors import CoordinatorCrashed, TransactionStateError
+from repro.cluster.fanout import first_error, scatter_gather
+from repro.errors import ConnectionClosed, CoordinatorCrashed, TransactionStateError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults import FaultPlan
@@ -179,50 +182,29 @@ class TwoPhaseCoordinator:
             self.untrack(gtid)
 
     def _deliver(
-        self,
-        gtid: str,
-        decision: str,
-        targets: Sequence,
-        commit_ts: int = 0,
-    ) -> "list[Outcome]":
-        """Send ``decision`` for ``gtid`` (a commit at ``commit_ts``) to
-        every target; the outcomes, in target order.
-
-        All requests go out before the first reply is read.  No snapshot
-        can see a commit half delivered: a read of a row it wrote, at a
-        snapshot that may see it, waits on its shard for the decision.
-        With a fault plan, ``net-dup-decision`` may deliver a commit to a
-        target a second time once the first reply is in.
+        self, gtid: str, targets: Sequence, commit_ts: int = 0
+    ) -> Optional[BaseException]:
+        """Write the decision for ``gtid`` — ``COMMIT_2PC`` at
+        ``commit_ts``, ``ABORT_2PC`` when it is 0 — to every target as a
+        one-way frame, and return the first send's error, if any.  With a
+        fault plan, ``net-dup-decision`` may write a commit's frame twice.
         """
-        if decision == "abort":
-            return scatter_gather(
-                [partial(target.start_abort_2pc, gtid) for target in targets],
-                op="2pc-abort",
-                obs=self.obs,
-            )
-        plan = self.faults
-
-        def start_commit(target) -> "Callable[[], object]":
-            delivered = target.start_commit_2pc(gtid, commit_ts)
-            if plan is None:
-                return delivered
-
-            def delivered_maybe_twice() -> object:
-                published = delivered()
-                if plan.should_fire("net-dup-decision"):
+        if commit_ts:
+            op, args = "COMMIT_2PC", {"gtid": gtid, "ts": commit_ts}
+        else:
+            op, args = "ABORT_2PC", {"gtid": gtid}
+        plan = self.faults if commit_ts else None
+        error = None
+        for target in targets:
+            try:
+                target.send_one_way(op, args)
+                if plan is not None and plan.should_fire("net-dup-decision"):
                     if self.obs is not None:
                         self.obs.fault_injected("net-dup-decision")
-                    # Idempotent by contract.
-                    target.start_commit_2pc(gtid, commit_ts)()
-                return published
-
-            return delivered_maybe_twice
-
-        return scatter_gather(
-            [partial(start_commit, target) for target in targets],
-            op="2pc-decision",
-            obs=self.obs,
-        )
+                    target.send_one_way(op, args)  # idempotent by contract
+            except ConnectionClosed as exc:
+                error = error or exc
+        return error
 
     def abort(self, gtid: str, prepared: Sequence) -> None:
         """Decide abort: log it, then tell the branches that voted YES.
@@ -232,18 +214,18 @@ class TwoPhaseCoordinator:
         from the logged decision; recovery presumes abort anyway.
         """
         self.log.record(gtid, "abort")
-        self._deliver(gtid, "abort", prepared)
+        self._deliver(gtid, prepared)
 
     def decide_commit(
         self, gtid: str, prepared: Sequence, commit_ts: int
     ) -> None:
         """Every vote is YES: log the commit at ``commit_ts``, then
-        deliver it.
+        write it to every participant, and return.
 
-        Call between :meth:`track` and :meth:`untrack`.  A delivery error
-        (a participant crashing *after* the decision was recorded) is
-        raised once every participant has been told — the decision
-        stands and the resolver re-delivers it to the rest.
+        Call between :meth:`track` and :meth:`untrack`.  The transaction
+        is committed once the log holds the decision, so a send that
+        fails after it (a participant gone) fails nobody: the resolver's
+        next sweep re-delivers it.
         """
         plan = self.faults
         if plan is not None and plan.should_fire("coordinator-crash-window"):
@@ -267,9 +249,7 @@ class TwoPhaseCoordinator:
         # The decision is durable *before* any participant hears it
         # (the presumed-abort ordering argument).
         self.log.record(gtid, "commit", commit_ts)
-        error = first_error(self._deliver(gtid, "commit", prepared, commit_ts))
-        if error is not None:
-            raise error
+        self._deliver(gtid, prepared, commit_ts)
 
     def resolve_in_doubt(self, gtid: str, sessions: Sequence) -> str:
         """Re-deliver the outcome of ``gtid`` to recovered participants.
@@ -278,23 +258,16 @@ class TwoPhaseCoordinator:
         ops address transactions by gtid, not by wire).  A gtid with no
         logged decision is presumed aborted — exactly the protocol's
         answer to "prepared, but the coordinator never hardened a
-        commit".  Every session is told before the first error is
-        raised; one that answers
-        :class:`~repro.errors.TransactionStateError` never prepared the
-        gtid (or already settled it the same way): nothing to re-deliver.
+        commit".  The decision is written to every session before the
+        first send error is raised; a shard that already settled the
+        gtid the same way applies it as a no-op.
         """
         decision = self.log.decision_for(gtid) or "abort"
         if decision == "abort":
             # Harden the presumption so a later resolver pass (or a
             # recovered coordinator) answers identically.
             self.log.record(gtid, "abort")
-        outcomes = self._deliver(
-            gtid, decision, sessions, self.log.commit_ts_for(gtid)
-        )
-        error = first_error([
-            outcome for outcome in outcomes
-            if not isinstance(outcome.error, TransactionStateError)
-        ])
+        error = self._deliver(gtid, sessions, self.log.commit_ts_for(gtid))
         if error is not None:
             raise error
         return decision

@@ -9,7 +9,8 @@ in which case it takes the **fast path**: a plain per-shard COMMIT, no
 prepare round at all.  A whole transaction *program*
 (:meth:`ClusterSession.call_program`) is routed from its arguments
 alone: one ``CALL`` to the owning shard, or — an Amalgamate of customers
-on two shards — its two parts as four RPCs in three rounds.
+on two shards — its two parts as two ``CALL`` round trips and one
+one-way decision frame to each shard.
 
 The shards keep the snapshot order (Clock-SI, DESIGN.md §12).  A
 transaction has one snapshot timestamp on every shard: its first branch
@@ -264,9 +265,10 @@ class ClusterSession(RemoteVerbs):
         args: "Mapping[str, object]",
         shards: "Sequence[int]",
     ) -> object:
-        """A two-shard program as four RPCs in three sequential rounds,
-        each part on the shard ``call_program`` routed it to (``shards``,
-        in the order of ``parts``).
+        """A two-shard program as two sequential round trips and one
+        one-way frame to each shard, each part on the shard
+        ``call_program`` routed it to (``shards``, in the order of
+        ``parts``).
 
         1. ``CALL first end=prepare:g ts=<clock>`` to the first part's
            shard A: begins past the router's clock, runs, votes; the
@@ -275,9 +277,8 @@ class ClusterSession(RemoteVerbs):
            part's shard B, with the first part's result as ``carry``:
            begins at A's snapshot, runs, votes.
         3. The coordinator's decision: durable log write of the commit
-           timestamp (the larger prepare timestamp), then ``COMMIT_2PC``
-           sent to A and B and both replies read (:func:`scatter_gather`,
-           from this thread).
+           timestamp (the larger prepare timestamp), then a one-way
+           ``COMMIT_2PC`` written to A and B, and the program returns.
 
         A part that needs a held row lock, or a row a prepared
         transaction wrote, waits on its shard.  Any failure before the
@@ -812,7 +813,10 @@ class ClusterConnection(Connection):
         return sum(outcome.value for outcome in outcomes)
 
     def flush(self) -> None:
-        """Nothing to settle (see :meth:`NetworkConnection.flush`)."""
+        """Settle every shard (:meth:`NetworkConnection.flush`): read shard
+        ``STATS`` that count 2PC decisions after it."""
+        for shard in self.shards:
+            shard.flush()
 
     def resolve_in_doubt(self) -> "dict[str, str]":
         """Settle every in-doubt or orphaned-prepared gtid the shards report.
@@ -877,5 +881,6 @@ class ClusterConnection(Connection):
 
     def close(self) -> None:
         self.stop_background()
+        self.flush()
         for shard in self.shards:
             shard.close()

@@ -17,21 +17,23 @@ Semantics notes
   the pool; ``session.close()`` returns it (rolling back first if a
   transaction is still open).  Broken wires, and wires with a reply
   still unread, are discarded, never pooled.
-* Every operation is one synchronous request/response round trip — a
-  whole transaction program too: :meth:`NetworkSession.call_program`
-  sends one ``CALL`` and the server begins, runs the body next to the
-  engine and commits (DESIGN.md §11.5).  A blocking round trip is one
-  :meth:`WireConnection.call`, which writes the request and reads a
-  reply that arrives as one whole frame in its own frame (anything else
-  goes on through the wire's :class:`~repro.net.protocol.FrameDecoder`);
+* Every operation but a one-way frame is one synchronous
+  request/response round trip — a whole transaction program too:
+  :meth:`NetworkSession.call_program` sends one ``CALL`` and the server
+  begins, runs the body next to the engine and commits (DESIGN.md
+  §11.5).  A blocking round trip is one :meth:`WireConnection.call`,
+  which writes the request and reads a reply that arrives as one whole
+  frame in its own frame (anything else goes on through the wire's
+  :class:`~repro.net.protocol.FrameDecoder`);
   the session checks its wire out of the pool and back in its own
   frames too.  The statement verbs remain for ad-hoc transactions; their
   only elision is the deferred BEGIN, which rides on the transaction's
   first request.  The verbs the cluster router sends to several shards
-  at once — the 2PC votes and decisions, its sweeps (ping, stats,
-  vacuum) — exist only split (``start_*``: send now, return the callable
-  that reads the reply; ``start_*(...)()`` is the blocking call).
-  Either way every request is written by :meth:`WireConnection.send`.
+  at once — the 2PC votes, its sweeps (ping, stats, vacuum) — exist
+  only split (``start_*``: send now, return the callable that reads the
+  reply; ``start_*(...)()`` is the blocking call).  The 2PC decisions
+  owe no reply (:meth:`NetworkSession.send_one_way`; ``flush`` settles
+  them).  Every request is written by :meth:`WireConnection.send`.
 * A cluster router's timestamps (``clock``: ``{"ts": T}``, plus
   ``"snapshot_ts"`` past a transaction's first branch, DESIGN.md §12)
   ride on a BEGIN or a CALL.
@@ -124,21 +126,23 @@ class WireConnection:
         self.sock.settimeout(rpc_deadline)
         self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
-    def send(self, op: str, args: Mapping[str, object]) -> None:
+    def send(self, op: str, args: Mapping[str, object], *, reply: bool = True) -> None:
         """Write one request: every request on this wire passes here.
         :meth:`call` reads its reply at once; a split request returns
         and :meth:`receive` reads it later (the cluster router sends to
-        several shards before it reads a reply)."""
+        several shards before it reads a reply).  ``reply=False`` writes
+        a one-way frame, marked ``"noreply"``: the server answers
+        nothing, and the wire is free for its next request at once."""
         if self.broken or self.awaiting_reply:
             self.broken = True  # an unread reply would answer this request
             raise ConnectionClosed("wire connection already failed")
-        frame = encode_request(op, args)
+        frame = encode_request(op, args if reply else {**args, "noreply": True})
         try:
             self.sock.sendall(frame)
         except OSError as exc:
             self.broken = True
             raise ConnectionClosed(f"socket error while sending: {exc}") from None
-        self.awaiting_reply = True
+        self.awaiting_reply = reply
 
     def receive(
         self, deadline: Optional[float] = None, data: Optional[bytes] = None
@@ -524,21 +528,19 @@ class NetworkSession(RemoteVerbs):
 
         return finish
 
-    def start_commit_2pc(
-        self, gtid: str, commit_ts: Optional[int] = None
-    ) -> "Callable[[], int]":
-        """Deliver the commit decision for ``gtid``, published at
-        ``commit_ts`` (none: the shard's next tick), which the reply
-        names.  Idempotent, and any session on the shard will do: the
-        gtid, not the wire, names the transaction."""
-        sent = self._send("COMMIT_2PC", {"gtid": gtid, "ts": commit_ts})
-        return lambda: int(self._receive("COMMIT_2PC", sent)["commit_ts"])
-
-    def start_abort_2pc(self, gtid: str) -> "Callable[[], object]":
-        """Deliver the abort decision for ``gtid`` (presumed abort)."""
-        return partial(
-            self._receive, "ABORT_2PC", self._send("ABORT_2PC", {"gtid": gtid})
-        )
+    def send_one_way(self, op: str, args: Mapping[str, object]) -> None:
+        """Write ``op`` as a one-way frame (the 2PC decisions): the server
+        applies it in this wire's order, answers nothing and counts a
+        refusal (``decisions_refused``).  The wire is free again at once;
+        a failed one is discarded and the error raised."""
+        wire = self._wire
+        if wire is None:
+            raise ConnectionClosed("session is closed")
+        try:
+            wire.send(op, args, reply=False)
+        except ConnectionClosed:
+            self._lose(wire)
+            raise
 
     def commit(self) -> Optional[int]:
         """Commit: one COMMIT round trip, whose reply is the commit
@@ -874,8 +876,29 @@ class NetworkConnection(Connection):
         return lambda: int(sent()["pruned"])
 
     def flush(self) -> None:
-        """Nothing to settle — every request is answered before its call
-        returns; kept for callers that flush before reading server state."""
+        """Settle: once this returns, the server has applied every one-way
+        frame (:meth:`NetworkSession.send_one_way`) written on a wire now
+        idle.  Each idle wire gets one PING, whose reply proves every
+        earlier frame on it was served; a wire that fails is discarded
+        (what it carried is the resolver's).  Call it before reading
+        server state that counts decisions."""
+        with self._lock:
+            wires, self._idle = self._idle, []
+            self._checked_out += len(wires)
+        sent = []
+        for wire in wires:
+            try:
+                wire.send("PING", {})
+                sent.append(wire)
+            except ConnectionClosed:
+                self._discard(wire)
+        for wire in sent:
+            try:
+                wire.receive(self._probe_deadline(None))
+            except ReproError:
+                self._discard(wire)
+            else:
+                self._release(wire)
 
     def close(self) -> None:
         with self._lock:

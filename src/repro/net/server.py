@@ -51,6 +51,10 @@ it staged nothing; one that did is aborted instead (``_serve``).
 §11 and §12) ride on ``BEGIN``, ``CALL`` and a transaction's first
 request; only a transaction begun with one has them in its replies.
 
+A request that carries ``noreply`` (the router's 2PC decisions) is
+served in order and answered with nothing; an error it would have got
+is counted as ``decisions_refused``.
+
 Robustness contract:
 
 * a client that disconnects mid-transaction has its transaction aborted,
@@ -276,6 +280,7 @@ class DatabaseServer:
             "vacuum_runs": 0,
             "vacuum_pruned_total": 0,
             "net_faults_total": 0,
+            "decisions_refused": 0,  # one-way requests that failed
         }
 
     def install_faults(self, plan: "FaultPlan | None") -> None:
@@ -572,6 +577,8 @@ class DatabaseServer:
         if response is None:
             conn.pending.append(request)
             return
+        if "noreply" in request:  # one-way: served, nothing to send
+            return
         data = encode_frame(response)
         try:
             sent = conn.sock.send(data)
@@ -595,8 +602,8 @@ class DatabaseServer:
         while conn.pending and conn.parked is None and not conn.closed:
             response = self._serve(conn, conn.pending[0])
             if response is not None:  # None: parked at the head of the queue
-                conn.pending.popleft()
-                self._deliver(conn, encode_frame(response))
+                if "noreply" not in conn.pending.popleft():
+                    self._deliver(conn, encode_frame(response))
         self._flush(conn)
 
     def _park(self, conn: _ClientConnection, txn: Transaction, wait: WaitOn) -> None:
@@ -645,8 +652,10 @@ class DatabaseServer:
                     f"{self.db.locks.lock_timeout}s waiting for "
                     f"{sorted(wait.blocker_ids)}"
                 )
-                op = conn.pending.popleft().get("op")
-                self._deliver(conn, encode_frame(self._failed(op, expired)))
+                request = conn.pending.popleft()
+                response = self._failed(request, expired)
+                if "noreply" not in request:
+                    self._deliver(conn, encode_frame(response))
             self._pump(conn)
         except Exception:  # a handler bug costs its connection, not the loop
             self._contain(conn)
@@ -765,18 +774,21 @@ class DatabaseServer:
                     error = exc
         except ReproError as exc:
             error = exc
-        return self._failed(op, error, started)
+        return self._failed(message, error, started)
 
     def _failed(
-        self, op: object, error: ReproError, started: Optional[float] = None
+        self, message: dict, error: ReproError, started: Optional[float] = None
     ) -> dict:
         """The error response to one request, counted like any RPC
-        (``started``: when serving it began on the ``obs`` clock)."""
+        (``started``: when serving it began on the ``obs`` clock); a
+        one-way request's is counted as a refusal and never sent."""
         self._counters["rpcs_total"] += 1
+        if "noreply" in message:
+            self._counters["decisions_refused"] += 1
         obs = self.obs
         if obs is not None:
             seconds = 0.0 if started is None else obs.now() - started
-            obs.net_rpc(str(op or "?"), seconds, False)
+            obs.net_rpc(str(message.get("op") or "?"), seconds, False)
         return error_payload(error)
 
     # --- handlers ------------------------------------------------------
@@ -831,8 +843,8 @@ class DatabaseServer:
         return prepare_ts
 
     def _op_commit_2pc(self, conn: _ClientConnection, msg: dict) -> dict:
-        commit_ts = self.db.commit_prepared(str(msg["gtid"]), msg.get("ts"))
-        return {"commit_ts": commit_ts}
+        self.db.commit_prepared(str(msg["gtid"]), msg.get("ts"))
+        return {}
 
     def _op_abort_2pc(self, conn: _ClientConnection, msg: dict) -> dict:
         self.db.abort_prepared(str(msg["gtid"]))

@@ -26,15 +26,18 @@ from repro.smallbank import PopulationConfig, build_database
 
 
 def _decide(conn, decision, gtid):
-    """Deliver ``decision`` for ``gtid`` on a fresh session of ``conn``:
-    a decision names its transaction by gtid, not by wire."""
+    """Write ``decision`` for ``gtid`` one-way on a fresh session of
+    ``conn`` (a decision names its transaction by gtid, not by wire) and
+    settle it; returns how many decisions the server has refused."""
     session = conn.session()
     try:
-        if decision == "commit":
-            return session.start_commit_2pc(gtid)()
-        return session.start_abort_2pc(gtid)()
+        session.send_one_way(
+            "COMMIT_2PC" if decision == "commit" else "ABORT_2PC", {"gtid": gtid}
+        )
     finally:
         session.close()
+    conn.flush()
+    return conn.stats()["decisions_refused"]
 
 
 def small_db():
@@ -284,9 +287,8 @@ class TestWire2pc:
                 session.start_prepare_2pc("gx")()
                 session.close()
                 assert conn.stats()["prepared_2pc"] == 1
-                ts = _decide(conn, "commit", "gx")
-                assert ts > 0
-                assert _decide(conn, "commit", "gx") == ts  # idempotent re-delivery
+                assert _decide(conn, "commit", "gx") == 0
+                assert _decide(conn, "commit", "gx") == 0  # idempotent re-delivery
                 assert conn.stats()["prepared_2pc"] == 0
                 with conn.transaction("check") as txn:
                     assert txn.select("Checking", 1)["Balance"] == 500.0
@@ -314,8 +316,7 @@ class TestWire2pc:
                 winner.close()
                 stats = conn.stats()
                 assert stats["prepared_2pc"] == 0
-                with pytest.raises(TransactionStateError):
-                    _decide(conn, "commit", "gno")
+                assert _decide(conn, "commit", "gno") == 1  # refused
 
     def test_abort_decision_over_the_wire(self):
         with Cluster(1, customers=2) as cluster:
@@ -326,8 +327,8 @@ class TestWire2pc:
                 session.update("Checking", 1, {"Balance": 500.0})
                 session.start_prepare_2pc("gx")()
                 session.close()
-                _decide(conn, "abort", "gx")
-                _decide(conn, "abort", "gx")  # idempotent
+                assert _decide(conn, "abort", "gx") == 0
+                assert _decide(conn, "abort", "gx") == 0  # idempotent
                 assert conn.stats()["prepared_2pc"] == 0
                 with conn.transaction("check") as txn:
                     assert txn.select("Checking", 1)["Balance"] != 500.0
@@ -335,16 +336,16 @@ class TestWire2pc:
     def test_wire_decision_idempotence_presumed_abort(self):
         """The presumed-abort contract over the wire: ABORT_2PC for a
         gtid this shard never prepared is a harmless no-op (and stays
-        idempotent), COMMIT_2PC for it is an error, and a commit
+        idempotent), COMMIT_2PC for it is refused, and a commit
         decision re-delivered after ``resolve_in_doubt`` — duplicate
-        delivery included — keeps answering the same thing."""
+        delivery included — is applied once and never refused."""
         with Cluster(1, customers=2) as cluster:
             host, port = cluster.addresses[0]
             with repro.connect(f"tcp://{host}:{port}") as conn:
-                _decide(conn, "abort", "never-prepared")  # presumed abort: no-op
-                _decide(conn, "abort", "never-prepared")  # idempotent too
-                with pytest.raises(TransactionStateError):
-                    _decide(conn, "commit", "never-prepared")
+                # Presumed abort: a no-op, twice.
+                assert _decide(conn, "abort", "never-prepared") == 0
+                assert _decide(conn, "abort", "never-prepared") == 0
+                assert _decide(conn, "commit", "never-prepared") == 1
 
                 session = conn.session()
                 session.begin("T1")
@@ -357,37 +358,31 @@ class TestWire2pc:
                 assert (
                     coordinator.resolve_in_doubt("gdup", [shard]) == "commit"
                 )
-                _decide(conn, "commit", "gdup")  # duplicate delivery
+                # A duplicate delivery: still only the one refusal above.
+                assert _decide(conn, "commit", "gdup") == 1
                 assert (
                     coordinator.resolve_in_doubt("gdup", [shard]) == "commit"
                 )
                 shard.close()
+                conn.flush()
+                assert conn.stats()["decisions_refused"] == 1
                 with conn.transaction("check") as txn:
                     assert txn.select("Checking", 1)["Balance"] == 123.0
 
 
 class _FakeParticipant:
-    """Records decision deliveries; each reply raises ``error`` if given."""
+    """Records the decision frames written to it; each send raises
+    ``error`` if given."""
 
     def __init__(self, error=None):
         self.error = error
         self.calls = []
 
-    def _start(self, decision, gtid, *commit_ts):
-        self.calls.append((decision, gtid, *commit_ts))
-
-        def reply():
-            if self.error is not None:
-                raise self.error
-            return 7
-
-        return reply
-
-    def start_commit_2pc(self, gtid, commit_ts):
-        return self._start("commit", gtid, commit_ts)
-
-    def start_abort_2pc(self, gtid):
-        return self._start("abort", gtid)
+    def send_one_way(self, op, args):
+        decision = {"COMMIT_2PC": "commit", "ABORT_2PC": "abort"}[op]
+        self.calls.append((decision, *args.values()))
+        if self.error is not None:
+            raise self.error
 
 
 class TestCoordinatorResolution:
@@ -420,12 +415,24 @@ class TestCoordinatorResolution:
         assert participant.calls == [("abort", "ghost")]
 
     def test_resolution_tolerates_already_resolved_participants(self):
-        coordinator = TwoPhaseCoordinator()
-        coordinator.log.record("g1", "abort")
-        participant = _FakeParticipant(
-            TransactionStateError("no prepared transaction for 'g1'")
-        )
-        assert coordinator.resolve_in_doubt("g1", [participant]) == "abort"
+        """A shard that settled the gtid the same way applies the
+        re-delivered decision as a no-op: nothing is refused."""
+        with Cluster(1, customers=2) as cluster:
+            with repro.connect("tcp://%s:%d" % cluster.addresses[0]) as conn:
+                session = conn.session()
+                session.begin("T1")
+                session.update("Checking", 1, {"Balance": 500.0})
+                session.start_prepare_2pc("g1")()
+                session.close()
+                assert _decide(conn, "abort", "g1") == 0
+                coordinator = TwoPhaseCoordinator()
+                coordinator.log.record("g1", "abort")
+                shard = conn.session()
+                assert coordinator.resolve_in_doubt("g1", [shard]) == "abort"
+                shard.close()
+                conn.flush()
+                stats = conn.stats()
+                assert (stats["prepared_2pc"], stats["decisions_refused"]) == (0, 0)
 
     def test_every_participant_is_told_before_an_error_is_raised(self):
         coordinator = TwoPhaseCoordinator()

@@ -38,7 +38,11 @@ from repro.smallbank import customer_name, get_strategy
 CROSS = {"N1": customer_name(1), "N2": customer_name(2)}
 
 
-def shard_rpcs(cluster):
+def shard_rpcs(cluster, conn):
+    """Requests each shard served, once ``conn.flush()`` settled the
+    one-way decisions its router wrote: counted with the flush's own
+    PING on each idle wire (a session run alone leaves one per shard)."""
+    conn.flush()
     return [shard.server.stats()["rpcs_total"] for shard in cluster.shards]
 
 
@@ -47,6 +51,7 @@ def shard_parked(cluster):
 
 
 def shard_aborts(conn):
+    conn.flush()  # the one-way abort decisions have landed
     return [shard["aborts_by_reason"] for shard in conn.stats()["shard_stats"]]
 
 
@@ -80,12 +85,12 @@ def log(conn, monkeypatch):
     send = WireConnection.send
     shards = [(shard.host, shard.port) for shard in conn.shards]
 
-    def spy(self, op, args):
+    def spy(self, op, args, **one_way):
         peer = self.sock.getpeername()[:2]
         if peer in shards:
             shard = shards.index(peer)
             entries.append((threading.current_thread().name, f"{op}@{shard}"))
-        return send(self, op, args)
+        return send(self, op, args, **one_way)
 
     monkeypatch.setattr(WireConnection, "send", spy)
     return entries
@@ -120,18 +125,18 @@ class TestOpCounts:
                 txns.run(session, program, args)
             deltas = []
             for program, args in runs:
-                before = shard_rpcs(cluster)
+                before = shard_rpcs(cluster, conn)
                 txns.run(session, program, args)
-                deltas.append(
-                    [a - b for a, b in zip(shard_rpcs(cluster), before)]
+                deltas.append(  # less the settling PING on each shard
+                    [a - b - 1 for a, b in zip(shard_rpcs(cluster, conn), before)]
                 )
         finally:
             session.close()
         # [shard 0, shard 1]: the owning shard serves one CALL, the
         # other shard hears nothing at all.
         assert deltas[:5] == [[0, 1], [1, 0], [0, 1], [1, 0], [1, 0]]
-        # Cross-shard: CALL first part + COMMIT_2PC on shard 1, CALL
-        # second part + COMMIT_2PC on shard 0.
+        # Cross-shard: CALL first part + one-way COMMIT_2PC on shard 1,
+        # CALL second part + one-way COMMIT_2PC on shard 0.
         assert deltas[5] == [2, 2]
         counters = conn.counters()
         assert counters["fastpath_commits"] == 10
@@ -147,15 +152,16 @@ class TestOpCounts:
         txns = get_strategy("base-si").transactions()
         session = conn.session()
         try:
-            before = shard_rpcs(cluster)
+            before = shard_rpcs(cluster, conn)
             for _ in range(200):
                 txns.run(session, "Amalgamate", CROSS)
         finally:
             session.close()
-        # One PREPARE_PROGRAM per part the first time, then 2 + 2 each.
-        assert [a - b for a, b in zip(shard_rpcs(cluster), before)] == [
-            200 * 2 + 1,
-            200 * 2 + 1,
+        # One PREPARE_PROGRAM per part the first time, then 2 + 2 each,
+        # and the settling PING.
+        assert [a - b for a, b in zip(shard_rpcs(cluster, conn), before)] == [
+            200 * 2 + 1 + 1,
+            200 * 2 + 1 + 1,
         ]
         assert conn.counters()["twopc_commits"] == 200
         assert not [
@@ -250,6 +256,7 @@ class TestEitherPartAbortsBoth:
         assert after == before
         assert conn.counters()["twopc_aborts"] == 1
         assert conn.counters()["twopc_commits"] == 0
+        conn.flush()
         assert cluster.pending_2pc_gtids() == set()
         for shard in cluster.shards:
             assert shard.server.stats()["active_transactions"] == 0
@@ -266,6 +273,7 @@ class TestEitherPartAbortsBoth:
         before.pop(("Checking", 2))
         assert after == before  # customer 1 keeps its money
         assert conn.counters()["twopc_aborts"] == 1
+        conn.flush()
         assert cluster.pending_2pc_gtids() == set()
         for shard in cluster.shards:
             assert shard.server.stats()["active_transactions"] == 0
@@ -287,6 +295,7 @@ class TestEitherPartAbortsBoth:
         assert balances(conn, 1, 2) == before
         counters = conn.counters()
         assert counters["twopc_aborts"] == counters["twopc_commits"] == 0
+        conn.flush()
         assert cluster.pending_2pc_gtids() == set()
         for shard in cluster.shards:
             assert shard.server.stats()["active_transactions"] == 0
@@ -334,6 +343,7 @@ class TestBlockedPart:
         ]
         assert shard_parked(cluster) == [int(shard == 0), int(shard == 1)]
         assert cluster.total_money() == money
+        conn.flush()
         assert cluster.pending_2pc_gtids() == set()
         assert merge_shard_histories(cluster.histories()).serializable
 
@@ -384,6 +394,7 @@ class TestDistributedDeadlock:
         assert failures == []
         assert conn.counters()["twopc_commits"] == 100
         assert cluster.total_money() == money
+        conn.flush()
         assert cluster.pending_2pc_gtids() == set()
         assert merge_shard_histories(cluster.histories()).serializable
 
@@ -439,6 +450,7 @@ class TestAbortsByReason:
             shard.get("lock-timeout", 0) for shard in shard_aborts(conn)
         ) == len(raised)
         assert cluster.total_money() == money
+        conn.flush()
         assert cluster.pending_2pc_gtids() == set()
 
     def test_first_updater_loss_counts_serialization(self, cluster, conn):

@@ -223,7 +223,7 @@ class TestCoordinatorCrash:
                 def parked():
                     return cluster.shards[1].server.stats()["parked_total"]
 
-                def wedge_a_reader(wire, op, args):
+                def wedge_a_reader(wire, op, args, **one_way):
                     if op == "COMMIT_2PC":
                         commits.append(args["gtid"])
                         if len(commits) == 2:
@@ -239,7 +239,7 @@ class TestCoordinatorCrash:
                                 lambda: parked() > before,
                                 message="the reader to park on shard 1",
                             )
-                    return send(wire, op, args)
+                    return send(wire, op, args, **one_way)
 
                 monkeypatch.setattr(WireConnection, "send", wedge_a_reader)
                 assert list(conn.resolve_in_doubt().values()) == ["commit"]

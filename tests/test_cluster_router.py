@@ -334,30 +334,33 @@ def _wait_for(condition, what, timeout=5.0):
 
 
 def _hold_the_second_delivery(monkeypatch, reader, cluster):
-    """Deliver a transfer's commit to shard 0 (its first target) and, with
-    shard 1's delivery held back, start ``reader`` on a thread of its own
-    — its snapshot opens after shard 0 committed — and let the delivery
-    go once shard 1 has parked the reader's read of the prepared row.
-    Returns the reader's results (filled once its thread is joined) and
-    the threads."""
+    """Write a transfer's one-way commit to shard 0 (its first target)
+    and wait until it has landed there; then, with shard 1's frame held
+    back, start ``reader`` on a thread of its own — its snapshot opens
+    after shard 0 committed — and write the frame once shard 1 has
+    parked the reader's read of the prepared row.  Returns the reader's
+    results (filled once its thread is joined) and the threads."""
     results, threads, landed = [], [], []
-    start = NetworkSession.start_commit_2pc
+    send = NetworkSession.send_one_way
 
-    def hold(self, gtid, commit_ts=None):
+    def hold(self, op, args):
         if not landed:
-            # The first delivery is sent and read right here, so its
-            # shard has committed before the second is sent.
-            landed.append(start(self, gtid, commit_ts)())
-            return lambda: landed[0]
+            send(self, op, args)
+            landed.append(args["gtid"])
+            _wait_for(
+                lambda: args["gtid"] not in cluster.shards[0].db.prepared_gtids,
+                "the first delivery to land",
+            )
+            return
         parked = _parked(cluster, 1)
         thread = threading.Thread(target=lambda: results.append(reader()))
         thread.start()
         threads.append(thread)
         _wait_for(lambda: _parked(cluster, 1) > parked, "the reader to park")
         assert thread.is_alive()
-        return start(self, gtid, commit_ts)
+        send(self, op, args)
 
-    monkeypatch.setattr(NetworkSession, "start_commit_2pc", hold)
+    monkeypatch.setattr(NetworkSession, "send_one_way", hold)
     return results, threads
 
 
@@ -435,6 +438,53 @@ class TestSnapshotWindow:
             assert observed == [before]
 
 
+class TestTwoRouters:
+    @pytest.mark.xfail(
+        strict=True,
+        reason="a second router's resolver presumes abort for the first "
+        "router's logged, undelivered commit (ROADMAP item 16, Open)",
+    )
+    def test_a_second_routers_sweep_leaves_a_late_decision_applied(
+        self, monkeypatch
+    ):
+        """Router A's commit frame to shard 1 is held at the send seam
+        until shard 0 has applied its own frame and router B's
+        ``resolve_in_doubt()`` has swept and settled.  Both shards must
+        end committed, and no shard may refuse a decision."""
+        with Cluster(2, customers=4) as cluster:
+            with cluster.connect() as conn, cluster.connect(
+                gtid_base=10**6
+            ) as other:
+                before = _observed_total(conn)
+                send = NetworkSession.send_one_way
+                held, swept = [], {}
+
+                def hold(session, op, args):
+                    gtid = args["gtid"]
+                    peer = session._wire.sock.getpeername()[1]
+                    if op == "COMMIT_2PC" and peer == cluster.addresses[1][1] and not held:
+                        held.append(gtid)
+                        _wait_for(
+                            lambda: gtid not in cluster.shards[0].db.prepared_gtids,
+                            "shard 0 to apply its frame",
+                        )
+                        swept.update(other.resolve_in_doubt())
+                        other.flush()
+                    send(session, op, args)
+
+                monkeypatch.setattr(NetworkSession, "send_one_way", hold)
+                _transfer(conn, 10.0)
+                monkeypatch.undo()
+                conn.flush()
+                refused = [
+                    shard.server.stats()["decisions_refused"]
+                    for shard in cluster.shards
+                ]
+                assert held and swept == {held[0]: "abort"}
+                assert _observed_total(conn) == before  # both shards or neither
+                assert refused == [0, 0]
+
+
 class TestTwoPhaseAbort:
     def test_prepare_time_no_vote_aborts_the_whole_global_txn(self):
         """A validation failure on the *second* participant's prepare (a
@@ -467,6 +517,7 @@ class TestTwoPhaseAbort:
                 counters = conn.counters()
                 assert counters["twopc_commits"] == 1
                 assert counters["twopc_aborts"] == 1
+                conn.flush()
                 for shard_stats in conn.stats()["shard_stats"]:
                     assert shard_stats["prepared_2pc"] == 0
                 with conn.transaction("Check") as txn:

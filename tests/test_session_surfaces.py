@@ -116,9 +116,9 @@ class TestStatementTable:
         sent = []
         send = WireConnection.send
 
-        def spy(wire, op, args):
+        def spy(wire, op, args, **one_way):
             sent.append((op, dict(args)))
-            send(wire, op, args)
+            send(wire, op, args, **one_way)
 
         monkeypatch.setattr(WireConnection, "send", spy)
         with repro.connect(f"tcp://127.0.0.1:{server.port}") as conn:
